@@ -249,23 +249,26 @@ func newSingleReducer(dim int, finishReduce func(s map[int]*window.Window, cnt *
 	}
 }
 
-// runSingleReducerJob executes the shared shape of all three baselines:
-// mappers maintain one columnar local-skyline window per partition id and
-// emit (partition, window); a single reducer merges and finishes. The
+// singleReducerFuncs wires the shared shape of all three baselines: mappers
+// maintain one columnar local-skyline window per partition id and emit
+// (partition, window); a single reducer merges and finishes. The
 // finishReduce callback implements the algorithm-specific global merge.
-// A non-empty kind stamps the job for the process executor (spec must then
-// reconstruct locate/finishReduce; see kinds.go).
-func runSingleReducerJob(
-	cfg *Config,
-	name string,
-	data tuple.List,
+func singleReducerFuncs(
+	dim int,
 	locate func(t tuple.Tuple) int,
 	kernel skyline.Kernel,
 	finishReduce func(s map[int]*window.Window, cnt *skyline.Count) tuple.List,
-	kind string,
-	spec []byte,
-) (tuple.List, *mapreduce.Result, error) {
-	dim := data.Dim()
+) *mapreduce.JobFuncs {
+	return &mapreduce.JobFuncs{
+		NewMapper:  func() mapreduce.Mapper { return newPartitionMapper(dim, locate, kernel) },
+		NewReducer: func() mapreduce.Reducer { return newSingleReducer(dim, finishReduce) },
+	}
+}
+
+// runSingleReducerJob executes a single-reducer job over data. A non-empty
+// kind stamps the job for the process executor (its builder must then
+// reconstruct funcs from spec; see kinds.go).
+func runSingleReducerJob(cfg *Config, name string, data tuple.List, funcs *mapreduce.JobFuncs, kind string, spec []byte) (tuple.List, *mapreduce.Result, error) {
 	job := &mapreduce.Job{
 		Name:        name,
 		Input:       mapreduce.TupleInput(data),
@@ -274,8 +277,8 @@ func runSingleReducerJob(
 		MaxAttempts: cfg.MaxAttempts,
 		Kind:        kind,
 		Spec:        spec,
-		NewMapper:   func() mapreduce.Mapper { return newPartitionMapper(dim, locate, kernel) },
-		NewReducer:  func() mapreduce.Reducer { return newSingleReducer(dim, finishReduce) },
+		NewMapper:   funcs.NewMapper,
+		NewReducer:  funcs.NewReducer,
 	}
 	res, err := cfg.Engine.RunContext(cfg.ctx(), job)
 	if err != nil {

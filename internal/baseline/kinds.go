@@ -11,9 +11,9 @@ import (
 
 // KindHalfspace is the job kind of the MR-BNL / MR-SFS half-space job:
 // the subspace routing and the cross-subspace merge are pure functions of
-// (d, mid, kernel), so worker processes reconstruct the exact task
-// closures the driver built. MR-Angle and SKY-MR jobs are not stamped
-// with a kind and stay in-process-only.
+// (d, mid, kernel), so worker processes reconstruct the job's functions
+// with the halfspaceFuncs call the driver made. MR-Angle and SKY-MR jobs
+// are not stamped with a kind and stay in-process-only.
 const KindHalfspace = "baseline/halfspace"
 
 func init() {
@@ -45,10 +45,11 @@ func buildHalfspaceKind(spec []byte) (*mapreduce.JobFuncs, error) {
 	if len(s.Mid) != s.D {
 		return nil, fmt.Errorf("baseline: halfspace spec mid has %d dims, want %d", len(s.Mid), s.D)
 	}
-	locate := func(t tuple.Tuple) int { return subspaceOf(t, s.Mid) }
-	kernel := skyline.Kernel(s.Kernel)
-	return &mapreduce.JobFuncs{
-		NewMapper:  func() mapreduce.Mapper { return newPartitionMapper(s.D, locate, kernel) },
-		NewReducer: func() mapreduce.Reducer { return newSingleReducer(s.D, halfspaceFinish) },
-	}, nil
+	return halfspaceFuncs(s.D, s.Mid, skyline.Kernel(s.Kernel)), nil
+}
+
+// halfspaceFuncs wires the MR-BNL/MR-SFS job's task functions, for the
+// driver and for the KindHalfspace builder alike.
+func halfspaceFuncs(d int, mid []float64, kernel skyline.Kernel) *mapreduce.JobFuncs {
+	return singleReducerFuncs(d, func(t tuple.Tuple) int { return subspaceOf(t, mid) }, kernel, halfspaceFinish)
 }

@@ -113,7 +113,7 @@ func MRAngle(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 	}
 	ap := newAnglePartitioner(d, target, cfg.origin(d))
 
-	sky, res, err := runSingleReducerJob(&cfg, "mr-angle", data, ap.locate, skyline.KernelBNL,
+	sky, res, err := runSingleReducerJob(&cfg, "mr-angle", data, singleReducerFuncs(d, ap.locate, skyline.KernelBNL,
 		func(s map[int]*window.Window, cnt *skyline.Count) tuple.List {
 			ids := make([]int, 0, len(s))
 			for id := range s {
@@ -127,7 +127,7 @@ func MRAngle(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 				}
 			}
 			return merge.Rows()
-		}, "", nil) // no kind: the angle partitioner is not spec-serialized
+		}), "", nil) // no kind: the angle partitioner is not spec-serialized
 	if err != nil {
 		return nil, nil, err
 	}

@@ -96,8 +96,7 @@ func mrHalfspace(cfg Config, name string, data tuple.List, kernel skyline.Kernel
 
 	mid := cfg.mid(d)
 	sky, res, err := runSingleReducerJob(&cfg, name, data,
-		func(t tuple.Tuple) int { return subspaceOf(t, mid) }, kernel,
-		halfspaceFinish, KindHalfspace, halfspaceSpecBytes(d, mid, kernel))
+		halfspaceFuncs(d, mid, kernel), KindHalfspace, halfspaceSpecBytes(d, mid, kernel))
 	if err != nil {
 		return nil, nil, err
 	}

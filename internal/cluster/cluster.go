@@ -118,9 +118,6 @@ func Uniform(n, slots int) (*Cluster, error) {
 // jobs.
 func (c *Cluster) SetTrace(tr *obs.Tracer) { c.trace = tr }
 
-// Trace returns the tracer attached with SetTrace (nil when disabled).
-func (c *Cluster) Trace() *obs.Tracer { return c.trace }
-
 // SlotTrack names the trace track of one task slot, e.g. "node3/s1".
 func SlotTrack(node string, slot int) string {
 	return fmt.Sprintf("%s/s%d", node, slot)
@@ -136,8 +133,8 @@ func (c *Cluster) Nodes() []string {
 }
 
 // NodeInfo returns a copy of the node configuration (names, slots, speeds)
-// in configuration order. The virtual fault scheduler builds its slot
-// topology from this.
+// in configuration order. The engine's virtual-clock driver builds its
+// slot topology from this.
 func (c *Cluster) NodeInfo() []Node {
 	return append([]Node(nil), c.nodes...)
 }
@@ -225,51 +222,83 @@ func (c *Cluster) takeSlot(node string) int {
 	panic("cluster: free count and busy slots out of sync")
 }
 
-// acquire blocks until a slot is free, preferring the preferred nodes and
-// avoiding the nodes in avoid (unless only avoided nodes exist). Dead nodes
-// are never chosen. It returns the chosen node name, the claimed slot
-// index on it, and whether the placement was local.
-func (c *Cluster) acquire(preferred []string, avoid map[string]bool, aborted *bool) (string, int, bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// Place is the slot placement policy, shared by the blocking scheduler
+// below and the engine's virtual-clock driver: it picks the node for one
+// task attempt from a snapshot of slot state and blocks on nothing.
+//
+// Preferred nodes with a free slot win (a local placement); otherwise the
+// first node in configuration order with one. Nodes in down never qualify,
+// nodes in avoid (where the task already failed) only once avoid covers
+// every alive node — it is then cleared rather than starving the task. A
+// successful placement is counted in stats when non-nil. An empty node
+// with a nil error means every usable slot is busy: wait for a release.
+func Place(nodes []Node, free map[string]int, down, avoid map[string]bool, preferred []string, retry bool, stats *Stats) (node string, err error) {
 	for {
-		if *aborted {
-			return "", 0, false, errAborted
-		}
-		// Preferred node with a free slot?
 		for _, p := range preferred {
-			if avoid[p] || c.down[p] {
-				continue
-			}
-			if c.free[p] > 0 {
-				return p, c.takeSlot(p), true, nil
+			if !avoid[p] && !down[p] && free[p] > 0 {
+				stats.count(p, true, retry)
+				return p, nil
 			}
 		}
-		// Any non-avoided node with a free slot (configuration order for
-		// determinism of the choice set, not of timing).
-		alive := 0
-		for _, n := range c.nodes {
-			if c.down[n.Name] {
+		alive, usable := 0, 0
+		for _, n := range nodes {
+			if down[n.Name] {
 				continue
 			}
 			alive++
 			if avoid[n.Name] {
 				continue
 			}
-			if c.free[n.Name] > 0 {
-				return n.Name, c.takeSlot(n.Name), false, nil
+			usable++
+			if free[n.Name] > 0 {
+				stats.count(n.Name, false, retry)
+				return n.Name, nil
 			}
 		}
 		if alive == 0 {
-			return "", 0, false, errNoAliveNodes
+			return "", errNoAliveNodes
 		}
-		// Everything usable is busy — or every alive node is avoided; in the
-		// latter case relax the avoid set rather than deadlock.
-		if len(avoid) >= alive {
-			for n := range avoid {
-				delete(avoid, n)
-			}
-			continue
+		if usable > 0 {
+			return "", nil
+		}
+		clear(avoid)
+	}
+}
+
+// count records one started attempt.
+func (s *Stats) count(node string, local, retry bool) {
+	if s == nil {
+		return
+	}
+	s.TasksRun++
+	if local {
+		s.LocalityHits++
+	}
+	if retry {
+		s.Retries++
+	}
+	if s.PerNode == nil {
+		s.PerNode = make(map[string]int64)
+	}
+	s.PerNode[node]++
+}
+
+// acquire blocks until Place finds a node, then claims the lowest free
+// slot on it. Exactly one Stats record is made per started attempt, under
+// c.mu, so PerNode counts stay in lockstep with TasksRun.
+func (c *Cluster) acquire(task *Task, avoid map[string]bool, retry bool, stats *Stats, aborted *bool) (string, int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		if *aborted {
+			return "", 0, errAborted
+		}
+		node, err := Place(c.nodes, c.free, c.down, avoid, task.Preferred, retry, stats)
+		if err != nil {
+			return "", 0, err
+		}
+		if node != "" {
+			return node, c.takeSlot(node), nil
 		}
 		c.cond.Wait()
 	}
@@ -334,7 +363,6 @@ func (c *Cluster) RunContext(ctx context.Context, tasks []Task, maxAttempts int,
 		errOnce  sync.Once
 		firstErr error
 		aborted  bool
-		statMu   sync.Mutex
 	)
 	fail := func(err error) {
 		errOnce.Do(func() {
@@ -345,12 +373,15 @@ func (c *Cluster) RunContext(ctx context.Context, tasks []Task, maxAttempts int,
 			c.mu.Unlock()
 		})
 	}
+	// A watcher turns ctx cancellation into a job abort: waiting acquires
+	// observe the aborted flag on the broadcast and unwind. It has exited
+	// before firstErr is read, so a cancellation racing the last task's
+	// finish is either reported or not — never half-written.
+	var stop, watcher chan struct{}
 	if ctx.Done() != nil {
-		// A watcher turns ctx cancellation into a job abort: waiting
-		// acquires observe the aborted flag on the broadcast and unwind.
-		stop := make(chan struct{})
-		defer close(stop)
+		stop, watcher = make(chan struct{}), make(chan struct{})
 		go func() {
+			defer close(watcher)
 			select {
 			case <-ctx.Done():
 				fail(ctx.Err())
@@ -358,25 +389,6 @@ func (c *Cluster) RunContext(ctx context.Context, tasks []Task, maxAttempts int,
 			}
 		}()
 	}
-	record := func(node string, local, retry bool) {
-		if stats == nil {
-			return
-		}
-		statMu.Lock()
-		defer statMu.Unlock()
-		stats.TasksRun++
-		if local {
-			stats.LocalityHits++
-		}
-		if retry {
-			stats.Retries++
-		}
-		if stats.PerNode == nil {
-			stats.PerNode = make(map[string]int64)
-		}
-		stats.PerNode[node]++
-	}
-
 	for i := range tasks {
 		task := tasks[i]
 		wg.Add(1)
@@ -385,7 +397,7 @@ func (c *Cluster) RunContext(ctx context.Context, tasks []Task, maxAttempts int,
 			avoid := make(map[string]bool)
 			var lastErr error
 			for attempt := 1; attempt <= maxAttempts; attempt++ {
-				node, slot, local, err := c.acquire(task.Preferred, avoid, &aborted)
+				node, slot, err := c.acquire(&task, avoid, attempt > 1, stats, &aborted)
 				if err == errAborted {
 					return // job already failed elsewhere
 				}
@@ -393,10 +405,8 @@ func (c *Cluster) RunContext(ctx context.Context, tasks []Task, maxAttempts int,
 					fail(fmt.Errorf("cluster: task %q: %w", task.Name, err))
 					return
 				}
-				// Exactly one Stats record per started attempt; runAttempt
-				// releases the slot on every exit path (including panics), so
-				// PerNode counts stay in lockstep with TasksRun.
-				record(node, local, attempt > 1)
+				// runAttempt releases the slot on every exit path (including
+				// panics).
 				lastErr = c.runAttempt(&task, node, slot)
 				if lastErr == nil {
 					return
@@ -409,6 +419,10 @@ func (c *Cluster) RunContext(ctx context.Context, tasks []Task, maxAttempts int,
 		}()
 	}
 	wg.Wait()
+	if watcher != nil {
+		close(stop)
+		<-watcher
+	}
 	return firstErr
 }
 

@@ -36,14 +36,15 @@ type BitstringResult struct {
 // When disablePruning is set the reducer skips the Equation 2 step
 // (ablation only).
 func BuildBitstring(cfg *Config, g *grid.Grid, input mapreduce.Input, disablePruning bool) (*BitstringResult, error) {
+	funcs := bitstringFuncs(cfg, g, disablePruning)
 	job := &mapreduce.Job{
 		Name:        "bitstring-gen",
 		Input:       input,
 		NumMappers:  cfg.mappers(),
 		NumReducers: 1,
 		MaxAttempts: cfg.MaxAttempts,
-		NewMapper:   func() mapreduce.Mapper { return newBitstringMapper(cfg, g) },
-		NewReducer:  func() mapreduce.Reducer { return newBitstringReducer(g, disablePruning) },
+		NewMapper:   funcs.NewMapper,
+		NewReducer:  funcs.NewReducer,
 	}
 	cfg.markKind(job, KindBitstringGen, bitstringSpec{Grid: gridSpecOf(g), DisablePruning: disablePruning})
 	doneExch := cfg.Engine.WallTracer().Timed(obs.DriverTrack, "bitstring-exchange", obs.CatAlgo, "algo.bitstring_exchange.ns")
@@ -66,6 +67,15 @@ func BuildBitstring(cfg *Config, g *grid.Grid, input mapreduce.Input, disablePru
 		PPD:       g.PPD(),
 		Job:       res,
 	}, nil
+}
+
+// bitstringFuncs wires the bitstring job's task functions, for the driver
+// and for the KindBitstringGen builder alike.
+func bitstringFuncs(cfg *Config, g *grid.Grid, disablePruning bool) *mapreduce.JobFuncs {
+	return &mapreduce.JobFuncs{
+		NewMapper:  func() mapreduce.Mapper { return newBitstringMapper(cfg, g) },
+		NewReducer: func() mapreduce.Reducer { return newBitstringReducer(g, disablePruning) },
+	}
 }
 
 // newBitstringMapper builds an Algorithm 1 mapper: fold the split into a
@@ -118,6 +128,15 @@ func newBitstringReducer(g *grid.Grid, disablePruning bool) mapreduce.Reducer {
 			emit(nil, global.Encode())
 			return nil
 		},
+	}
+}
+
+// ppdSelectFuncs wires the Section 3.3 PPD-selection job's task functions,
+// for the driver and for the KindPPDSelect builder alike.
+func ppdSelectFuncs(cfg *Config, d, card int, candidates []int, grids map[int]*grid.Grid, disablePruning bool) *mapreduce.JobFuncs {
+	return &mapreduce.JobFuncs{
+		NewMapper:  func() mapreduce.Mapper { return newPPDSelectMapper(cfg, d, candidates, grids) },
+		NewReducer: func() mapreduce.Reducer { return newPPDSelectReducer(card, candidates, grids, disablePruning) },
 	}
 }
 
@@ -259,14 +278,15 @@ func ChoosePPDAndBitstring(cfg *Config, d, card int, input mapreduce.Input, disa
 	}
 	doneGrids()
 
+	funcs := ppdSelectFuncs(cfg, d, card, candidates, grids, disablePruning)
 	job := &mapreduce.Job{
 		Name:        "ppd-select",
 		Input:       input,
 		NumMappers:  cfg.mappers(),
 		NumReducers: 1,
 		MaxAttempts: cfg.MaxAttempts,
-		NewMapper:   func() mapreduce.Mapper { return newPPDSelectMapper(cfg, d, candidates, grids) },
-		NewReducer:  func() mapreduce.Reducer { return newPPDSelectReducer(card, candidates, grids, disablePruning) },
+		NewMapper:   funcs.NewMapper,
+		NewReducer:  funcs.NewReducer,
 	}
 	cfg.markKind(job, KindPPDSelect, ppdSelectSpec{
 		D: d, Card: card, Lo: cfg.Lo, Hi: cfg.Hi,

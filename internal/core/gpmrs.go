@@ -55,6 +55,7 @@ func gpmrsRun(cfg Config, input mapreduce.Input, prep *BitstringResult, start ti
 	stats.MergedGroups = len(merged)
 
 	skyStart := time.Now()
+	funcs := gpmrsFuncs(&cfg, g)
 	job := &mapreduce.Job{
 		Name:        "mr-gpmrs",
 		Input:       input,
@@ -62,9 +63,9 @@ func gpmrsRun(cfg Config, input mapreduce.Input, prep *BitstringResult, start ti
 		NumReducers: r,
 		MaxAttempts: cfg.MaxAttempts,
 		Cache:       mapreduce.Cache{cacheKeyBitstring: bs.Encode()},
-		Partition:   gpmrsPartition,
-		NewMapper:   func() mapreduce.Mapper { return newGPMRSMapper(&cfg, g) },
-		NewReducer:  func() mapreduce.Reducer { return newGPMRSReducer(&cfg, g) },
+		Partition:   funcs.Partition,
+		NewMapper:   funcs.NewMapper,
+		NewReducer:  funcs.NewReducer,
 	}
 	cfg.markKind(job, KindGPMRS, skySpec{Grid: gridSpecOf(g), Kernel: int(cfg.Kernel), Merge: int(cfg.Merge)})
 	res, err := cfg.Engine.RunContext(cfg.ctx(), job)
@@ -77,6 +78,16 @@ func gpmrsRun(cfg Config, input mapreduce.Input, prep *BitstringResult, start ti
 	}
 	finishStats(stats, prep, res, sky, skyStart, start)
 	return sky, stats, nil
+}
+
+// gpmrsFuncs wires the MR-GPMRS skyline job's task functions, for the
+// driver and for the KindGPMRS builder alike.
+func gpmrsFuncs(cfg *Config, g *grid.Grid) *mapreduce.JobFuncs {
+	return &mapreduce.JobFuncs{
+		NewMapper:  func() mapreduce.Mapper { return newGPMRSMapper(cfg, g) },
+		NewReducer: func() mapreduce.Reducer { return newGPMRSReducer(cfg, g) },
+		Partition:  gpmrsPartition,
+	}
 }
 
 // gpmrsPartition routes merged-group bucket IDs to reduce tasks. Bucket

@@ -50,6 +50,7 @@ func gpsrsRun(cfg Config, input mapreduce.Input, prep *BitstringResult, start ti
 
 	skyStart := time.Now()
 	g, bs := prep.Grid, prep.Bitstring
+	funcs := gpsrsFuncs(&cfg, g)
 	job := &mapreduce.Job{
 		Name:        "mr-gpsrs",
 		Input:       input,
@@ -57,8 +58,8 @@ func gpsrsRun(cfg Config, input mapreduce.Input, prep *BitstringResult, start ti
 		NumReducers: 1,
 		MaxAttempts: cfg.MaxAttempts,
 		Cache:       mapreduce.Cache{cacheKeyBitstring: bs.Encode()},
-		NewMapper:   func() mapreduce.Mapper { return newGPMapper(&cfg, g) },
-		NewReducer:  func() mapreduce.Reducer { return newGPSRSReducer(g) },
+		NewMapper:   funcs.NewMapper,
+		NewReducer:  funcs.NewReducer,
 	}
 	cfg.markKind(job, KindGPSRS, skySpec{Grid: gridSpecOf(g), Kernel: int(cfg.Kernel)})
 	res, err := cfg.Engine.RunContext(cfg.ctx(), job)
@@ -71,6 +72,15 @@ func gpsrsRun(cfg Config, input mapreduce.Input, prep *BitstringResult, start ti
 	}
 	finishStats(stats, prep, res, sky, skyStart, start)
 	return sky, stats, nil
+}
+
+// gpsrsFuncs wires the MR-GPSRS skyline job's task functions, for the
+// driver and for the KindGPSRS builder alike.
+func gpsrsFuncs(cfg *Config, g *grid.Grid) *mapreduce.JobFuncs {
+	return &mapreduce.JobFuncs{
+		NewMapper:  func() mapreduce.Mapper { return newGPMapper(cfg, g) },
+		NewReducer: func() mapreduce.Reducer { return newGPSRSReducer(g) },
+	}
 }
 
 // newGPSRSReducer builds the single reducer of MR-GPSRS (Algorithm 6).

@@ -13,9 +13,10 @@ import (
 // serializable parameter set: the grid is rebuilt from (d, ppd, bounds),
 // the global bitstring travels in the distributed cache, and GPMRS group
 // structure is recomputed in-task from that bitstring. The kinds
-// registered here let rpcexec worker processes reconstruct the exact
-// mapper/reducer closures the driver built, which is what makes
-// process-executor output byte-identical to the in-process engine's. Jobs
+// registered here let rpcexec worker processes reconstruct the job's
+// functions by calling the same …Funcs constructor the driver called, which
+// is what makes process-executor output byte-identical to the in-process
+// engine's. Jobs
 // configured with a custom DecodeRecord are not stamped with a kind (a Go
 // function cannot be serialized), so they stay in-process-only.
 
@@ -98,11 +99,7 @@ func buildGPSRSKind(spec []byte) (*mapreduce.JobFuncs, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := &Config{Kernel: skyline.Kernel(s.Kernel)}
-	return &mapreduce.JobFuncs{
-		NewMapper:  func() mapreduce.Mapper { return newGPMapper(cfg, g) },
-		NewReducer: func() mapreduce.Reducer { return newGPSRSReducer(g) },
-	}, nil
+	return gpsrsFuncs(&Config{Kernel: skyline.Kernel(s.Kernel)}, g), nil
 }
 
 func buildGPMRSKind(spec []byte) (*mapreduce.JobFuncs, error) {
@@ -114,12 +111,7 @@ func buildGPMRSKind(spec []byte) (*mapreduce.JobFuncs, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := &Config{Kernel: skyline.Kernel(s.Kernel), Merge: grid.MergeStrategy(s.Merge)}
-	return &mapreduce.JobFuncs{
-		NewMapper:  func() mapreduce.Mapper { return newGPMRSMapper(cfg, g) },
-		NewReducer: func() mapreduce.Reducer { return newGPMRSReducer(cfg, g) },
-		Partition:  gpmrsPartition,
-	}, nil
+	return gpmrsFuncs(&Config{Kernel: skyline.Kernel(s.Kernel), Merge: grid.MergeStrategy(s.Merge)}, g), nil
 }
 
 func buildBitstringKind(spec []byte) (*mapreduce.JobFuncs, error) {
@@ -131,11 +123,7 @@ func buildBitstringKind(spec []byte) (*mapreduce.JobFuncs, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := &Config{}
-	return &mapreduce.JobFuncs{
-		NewMapper:  func() mapreduce.Mapper { return newBitstringMapper(cfg, g) },
-		NewReducer: func() mapreduce.Reducer { return newBitstringReducer(g, s.DisablePruning) },
-	}, nil
+	return bitstringFuncs(&Config{}, g, s.DisablePruning), nil
 }
 
 func buildPPDSelectKind(spec []byte) (*mapreduce.JobFuncs, error) {
@@ -152,8 +140,5 @@ func buildPPDSelectKind(spec []byte) (*mapreduce.JobFuncs, error) {
 		}
 		grids[j] = g
 	}
-	return &mapreduce.JobFuncs{
-		NewMapper:  func() mapreduce.Mapper { return newPPDSelectMapper(cfg, s.D, s.Candidates, grids) },
-		NewReducer: func() mapreduce.Reducer { return newPPDSelectReducer(s.Card, s.Candidates, grids, s.DisablePruning) },
-	}, nil
+	return ppdSelectFuncs(cfg, s.D, s.Card, s.Candidates, grids, s.DisablePruning), nil
 }

@@ -108,9 +108,9 @@ type Result struct {
 // concurrent jobs genuinely contend for capacity, while trace, history and
 // counter state stay per job. The exceptions are configuration (SetTrace,
 // SetAdmission, and the exported fields), which must be set before jobs
-// are submitted, and fault-schedule execution: jobs on an engine carrying
-// a FaultPlan serialize on an internal mutex, because the deterministic
-// virtual clock admits no concurrent interleaving.
+// are submitted, and virtual-clock execution: jobs on an engine carrying a
+// FaultPlan serialize on an internal mutex, because the tracer's virtual
+// base is a job-at-a-time resource.
 type Engine struct {
 	cluster *cluster.Cluster
 	// FaultInjector, when non-nil, is invoked at the start of every task
@@ -118,26 +118,25 @@ type Engine struct {
 	// recovered into a failed attempt. Tests use it to exercise retry
 	// behaviour.
 	FaultInjector func(phase Phase, taskID, attempt int) error
-	// Faults, when non-nil, switches the engine into deterministic
-	// fault-schedule execution: the job runs on a virtual clock driven by
-	// the plan's seed, with injected crashes, stragglers, shuffle
-	// corruption, node death and (optionally) speculative execution. Task
-	// placement, History and counters then reproduce exactly for a given
-	// seed. See FaultPlan.
+	// Faults, when non-nil, hands the job to the virtual-clock driver: the
+	// same phases and attempt lifecycle, scheduled as a discrete-event
+	// simulation driven by the plan's seed, with injected crashes,
+	// stragglers, shuffle corruption, node death and (optionally)
+	// speculative execution. Task placement, History and counters then
+	// reproduce exactly for a given seed; Spill, Sim, FaultInjector and ctx
+	// cancellation apply as on the wall clock. See FaultPlan.
 	Faults *FaultPlan
 	// trace, when non-nil, records the job timeline: job/phase/shuffle
 	// spans on the driver track, task-attempt spans on per-slot tracks,
 	// and duration/byte histograms. Set with SetTrace.
 	trace *obs.Tracer
-	// Spill, when non-nil with a positive budget, switches the shuffle to
-	// the external-memory path: map outputs are flushed to sorted run
-	// files under a per-job subdirectory of Spill.Dir and each reducer
-	// streams a budget-bounded multi-round merge of its runs instead of a
+	// Spill, when non-nil with a positive budget, makes map attempts flush
+	// their output segments to sorted run files under a per-job
+	// subdirectory of Spill.Dir, and reduce attempts stream a
+	// budget-bounded multi-round merge of their runs instead of a
 	// materialized arena. Nil (or a zero budget) keeps every shuffle byte
-	// resident — the historical behaviour. Fault-schedule execution
-	// (Faults) ignores Spill: the virtual clock models shuffle faults on
-	// in-memory segments, and mixing in host I/O would break its
-	// determinism.
+	// resident. Both drivers honour it: under Faults a node's death also
+	// deletes the run files of the map output it held.
 	Spill *spill.Config
 	// Sim, when non-nil, turns on simulated-time accounting: concurrent
 	// task bodies are bounded by SimConfig.MeasureParallelism for
@@ -170,9 +169,6 @@ func (e *Engine) SetTrace(tr *obs.Tracer) {
 	e.cluster.SetTrace(tr)
 }
 
-// Trace returns the engine's tracer (nil when tracing is off).
-func (e *Engine) Trace() *obs.Tracer { return e.trace }
-
 // jobTracer resolves the tracer for one job: its own override, or the
 // engine's.
 func (e *Engine) jobTracer(job *Job) *obs.Tracer {
@@ -183,7 +179,7 @@ func (e *Engine) jobTracer(job *Job) *obs.Tracer {
 }
 
 // WallTracer returns the tracer for wall-clock instrumentation: the
-// engine's tracer on the concurrent path, nil under a FaultPlan — a
+// engine's tracer on the wall-clock driver, nil under a FaultPlan — a
 // virtual-clock run's trace must contain only deterministic virtual
 // spans, never host timings.
 func (e *Engine) WallTracer() *obs.Tracer {
@@ -201,40 +197,7 @@ func stateArg(err error) obs.Arg {
 	return obs.Arg{Key: "state", Value: "ok"}
 }
 
-// combineBuckets applies a map-side combiner to every per-reducer bucket:
-// records are grouped by key (in byte order, for determinism, via the same
-// sort-based grouping the shuffle uses), folded through the combiner, and
-// re-emitted into fresh arenas.
-func combineBuckets(c Combiner, buckets []bucketArena) ([]bucketArena, error) {
-	out := make([]bucketArena, len(buckets))
-	for r := range buckets {
-		b := &buckets[r]
-		if b.len() == 0 {
-			continue
-		}
-		idx := b.sortedIndex()
-		var dst bucketArena
-		for _, g := range b.groupRuns(idx) {
-			key := b.key(int(idx[g.lo]))
-			values := make([][]byte, 0, g.hi-g.lo)
-			for _, i := range idx[g.lo:g.hi] {
-				values = append(values, b.value(int(i)))
-			}
-			vals, err := c.Combine(key, values)
-			if err != nil {
-				return nil, err
-			}
-			for _, v := range vals {
-				dst.add(key, v)
-			}
-		}
-		out[r] = dst
-	}
-	return out, nil
-}
-
-// resolvedJob holds a job's validated and defaulted execution parameters,
-// shared by the concurrent and fault-schedule execution paths.
+// resolvedJob holds a job's validated and defaulted execution parameters.
 type resolvedJob struct {
 	numMappers  int
 	numReducers int
@@ -243,10 +206,28 @@ type resolvedJob struct {
 	splits      []Split
 }
 
-// resolve validates the job and computes its task layout.
-func (e *Engine) resolve(job *Job) (*resolvedJob, error) {
+// jobSplits computes the job's input splits — one per map task — asking
+// chunkable inputs for job.NumMappers of them, or defaultMappers.
+func jobSplits(job *Job, defaultMappers int) ([]Split, error) {
 	if job.Input == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no input", job.Name)
+	}
+	hint := job.NumMappers
+	if hint < 1 {
+		hint = max(defaultMappers, 1)
+	}
+	splits, err := job.Input.Splits(hint)
+	if err != nil {
+		return nil, fmt.Errorf("mapreduce: job %q: splitting input: %w", job.Name, err)
+	}
+	return splits, nil
+}
+
+// resolve validates the job and computes its task layout.
+func (e *Engine) resolve(job *Job) (*resolvedJob, error) {
+	splits, err := jobSplits(job, e.cluster.TotalSlots())
+	if err != nil {
+		return nil, err
 	}
 	if job.NewMapper == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no mapper", job.Name)
@@ -255,12 +236,11 @@ func (e *Engine) resolve(job *Job) (*resolvedJob, error) {
 		return nil, fmt.Errorf("mapreduce: job %q has no reducer", job.Name)
 	}
 	rj := &resolvedJob{
-		numReducers: job.NumReducers,
+		numMappers:  len(splits),
+		numReducers: max(job.NumReducers, 1),
 		maxAttempts: job.MaxAttempts,
 		partition:   job.Partition,
-	}
-	if rj.numReducers < 1 {
-		rj.numReducers = 1
+		splits:      splits,
 	}
 	if rj.partition == nil {
 		rj.partition = HashPartition
@@ -268,179 +248,7 @@ func (e *Engine) resolve(job *Job) (*resolvedJob, error) {
 	if rj.maxAttempts < 1 {
 		rj.maxAttempts = 3
 	}
-	mapperHint := job.NumMappers
-	if mapperHint < 1 {
-		mapperHint = e.cluster.TotalSlots()
-	}
-	splits, err := job.Input.Splits(mapperHint)
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: job %q: splitting input: %w", job.Name, err)
-	}
-	rj.splits = splits
-	rj.numMappers = len(splits)
 	return rj, nil
-}
-
-// attemptMap executes the user half of one map-task attempt: feed the split
-// through a fresh Mapper, partition its output into per-reducer buckets,
-// apply the combiner, and record the attempt's I/O counters in
-// ctx.Counters. It has no side effects outside ctx and its return value, so
-// either execution path can retry or discard an attempt freely.
-func attemptMap(job *Job, rj *resolvedJob, split Split, ctx *TaskContext) ([]bucketArena, error) {
-	buckets := make([]bucketArena, rj.numReducers)
-	emitted := int64(0)
-	// A partitioner that routes outside [0, numReducers) fails the task
-	// attempt — recorded here and surfaced after the mapper returns, so it
-	// flows through the retry and MaxAttempts machinery like any other task
-	// error instead of panicking past it.
-	var emitErr error
-	emit := func(key, value []byte) {
-		if emitErr != nil {
-			return
-		}
-		r := rj.partition(key, rj.numReducers)
-		if r < 0 || r >= rj.numReducers {
-			emitErr = fmt.Errorf("partitioner returned %d for %d reducers (key %q)", r, rj.numReducers, key)
-			return
-		}
-		buckets[r].add(key, value)
-		emitted++
-	}
-	mapper := job.NewMapper()
-	inRecords := int64(0)
-	err := split.Each(func(rec Record) error {
-		inRecords++
-		return mapper.Map(ctx, rec, emit)
-	})
-	if err == nil {
-		err = mapper.Flush(ctx, emit)
-	}
-	if err == nil {
-		err = emitErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if job.NewCombiner != nil {
-		if buckets, err = combineBuckets(job.NewCombiner(), buckets); err != nil {
-			return nil, fmt.Errorf("combiner: %w", err)
-		}
-	}
-	ctx.Counters.Add(CounterMapInputRecords, inRecords)
-	ctx.Counters.Add(CounterMapOutputRecords, emitted)
-	return buckets, nil
-}
-
-// attemptReduce executes the user half of one reduce-task attempt, pulling
-// its input from src — a sorted in-memory arena or a spilled run merge;
-// both sources present the identical (key order, per-key value order)
-// group stream. Like attemptMap it is free of external side effects.
-func attemptReduce(job *Job, src groupSource, ctx *TaskContext) (bucketArena, error) {
-	var out bucketArena
-	emitted := int64(0)
-	emit := func(key, value []byte) {
-		out.add(key, value)
-		emitted++
-	}
-	reducer := job.NewReducer()
-	inRecords := int64(0)
-	inKeys := int64(0)
-	for {
-		key, vals, ok, err := src.next()
-		if err != nil {
-			return bucketArena{}, err
-		}
-		if !ok {
-			break
-		}
-		inKeys++
-		inRecords += int64(len(vals))
-		if err := reducer.Reduce(ctx, key, vals, emit); err != nil {
-			return bucketArena{}, err
-		}
-	}
-	if err := reducer.Flush(ctx, emit); err != nil {
-		return bucketArena{}, err
-	}
-	ctx.Counters.Add(CounterReduceInputKeys, inKeys)
-	ctx.Counters.Add(CounterReduceInputRecords, inRecords)
-	ctx.Counters.Add(CounterReduceOutputRecords, emitted)
-	return out, nil
-}
-
-// shuffleMapOutput concatenates each reducer's map-output segments (mapper
-// order preserved, so values group per key in (mapper index, emission
-// order)) and reports per-reducer and total shuffle volumes.
-//
-// When the engine carries a FaultPlan, every non-empty segment is
-// checksummed before being fetched and the fetched bytes are verified
-// against that checksum; the plan may corrupt a segment's first fetch, in
-// which case the mismatch is detected, counted in
-// CounterShuffleCorruptions, and the segment refetched — Hadoop reducers
-// re-pull a map output whose IFile checksum fails the same way. Without a
-// plan the function is byte-for-byte the pre-fault shuffle.
-// tr, when non-nil, brackets each reducer's fetch in a wall-clock span and
-// feeds the shuffle-volume histogram; the virtual path passes nil and
-// records its own deterministic spans.
-func (e *Engine) shuffleMapOutput(mapOut [][]bucketArena, rj *resolvedJob, res *Result, tr *obs.Tracer) ([]bucketArena, []int64, error) {
-	reduceIn := make([]bucketArena, rj.numReducers)
-	perReducerBytes := make([]int64, rj.numReducers)
-	shuffleBytes := int64(0)
-	for r := 0; r < rj.numReducers; r++ {
-		var fetchSp obs.SpanRef
-		if tr != nil {
-			fetchSp = tr.Start(obs.DriverTrack, "fetch:r"+strconv.Itoa(r), obs.CatShuffle)
-		}
-		var dataLen, recCount int
-		for m := 0; m < rj.numMappers; m++ {
-			dataLen += len(mapOut[m][r].data)
-			recCount += len(mapOut[m][r].recs)
-		}
-		reduceIn[r].data = make([]byte, 0, dataLen)
-		reduceIn[r].recs = make([]arenaRec, 0, recCount)
-		for m := 0; m < rj.numMappers; m++ {
-			seg := &mapOut[m][r]
-			if e.Faults != nil && seg.len() > 0 {
-				want := seg.checksum()
-				fetched := e.fetchSegment(seg, m, r)
-				if fetched.checksum() != want {
-					res.Counters.Add(CounterShuffleCorruptions, 1)
-					fetched = seg // refetch the pristine segment
-					if fetched.checksum() != want {
-						return nil, nil, fmt.Errorf("shuffle: segment map %d → reduce %d corrupt after refetch", m, r)
-					}
-				}
-				reduceIn[r].absorb(fetched)
-			} else {
-				reduceIn[r].absorb(seg)
-			}
-			mapOut[m][r] = bucketArena{} // release as we go
-		}
-		n := reduceIn[r].payloadBytes()
-		shuffleBytes += n
-		perReducerBytes[r] += n
-		tr.Metrics().Observe("mr.shuffle.reducer.bytes", n)
-		fetchSp.EndWith(obs.Arg{Key: "bytes", Value: strconv.FormatInt(n, 10)})
-	}
-	res.Counters.Add(CounterShuffleBytes, shuffleBytes)
-	return reduceIn, perReducerBytes, nil
-}
-
-// fetchSegment models one reducer pulling one mapper's output segment:
-// under the plan's corruption schedule the first fetch returns a copy with
-// one deterministically chosen byte flipped; otherwise the pristine segment
-// is returned directly (no copy).
-func (e *Engine) fetchSegment(seg *bucketArena, m, r int) *bucketArena {
-	if !e.Faults.corruptSegment(m, r) {
-		return seg
-	}
-	bad := seg.clone()
-	i := int(e.Faults.roll("corrupt-byte", int64(m), int64(r)) * float64(len(bad.data)))
-	if i >= len(bad.data) {
-		i = len(bad.data) - 1
-	}
-	bad.data[i] ^= 0xFF
-	return &bad
 }
 
 // Run executes the job and returns its result. The first task failure
@@ -455,9 +263,10 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 // engine carries an admission controller (SetAdmission) the job first
 // waits FIFO for an execution slot — failing fast with ErrQueueFull at
 // queue capacity, or with ctx's error if the context ends while queued.
-// Once running, cancelling ctx (e.g. a per-job deadline) stops the
-// scheduler from placing further task attempts and fails the job with
-// ctx's error after in-flight attempts drain.
+// Once running, cancelling ctx (e.g. a per-job deadline) stops the driver
+// from placing further task attempts and fails the job with ctx's error
+// (and the partial Result) after in-flight attempts drain — on the wall
+// clock and under a FaultPlan alike.
 func (e *Engine) RunContext(ctx context.Context, job *Job) (*Result, error) {
 	rj, err := e.resolve(job)
 	if err != nil {
@@ -477,298 +286,443 @@ func (e *Engine) RunContext(ctx context.Context, job *Job) (*Result, error) {
 		// the tracer's virtual base are job-at-a-time resources.
 		e.faultMu.Lock()
 		defer e.faultMu.Unlock()
-		return e.runFaulty(job, rj)
 	}
-	return e.runConcurrent(ctx, job, rj)
+	return e.runJob(ctx, job, rj)
 }
 
-// runConcurrent executes the job on the concurrent wall-clock path.
-func (e *Engine) runConcurrent(ctx context.Context, job *Job, rj *resolvedJob) (_ *Result, retErr error) {
-	numMappers, numReducers := rj.numMappers, rj.numReducers
-	res := &Result{Counters: NewCounters(), History: &History{}}
+// A job is a sequence of supersteps separated by barriers: the map phase,
+// the shuffle, the reduce phase. runJob writes that sequence once and
+// attempt writes the task-attempt lifecycle once; what varies is the
+// driver that decides when and where attempts run — runWall over the
+// cluster's blocking scheduler, or runVirtual as a discrete-event
+// simulation on a virtual clock (virtual.go).
 
-	tr := e.jobTracer(job) // wall-clock path: the job tracer is the wall tracer
-	jobSpan := tr.Start(obs.DriverTrack, "job:"+job.Name, obs.CatJob,
-		obs.Arg{Key: "mappers", Value: strconv.Itoa(numMappers)},
-		obs.Arg{Key: "reducers", Value: strconv.Itoa(numReducers)})
-	defer func() { jobSpan.EndWith(stateArg(retErr)) }()
+// phase describes one superstep to a driver: which tasks exist, where they
+// would like to run, and what one attempt of a task does.
+type phase struct {
+	phase    Phase
+	numTasks int
+	// preferred lists the nodes holding the task's input locally.
+	preferred func(task int) []string
+	// body is the user half of one attempt. It has no side effects outside
+	// ctx: whatever the attempt produced is installed by the returned
+	// commit, which attempt calls only once the body has succeeded.
+	body func(task int, ctx *TaskContext) (commit func(), err error)
+	// uncommit discards a committed task's output after the node holding
+	// it died. Set only for the map phase: map output lives on the
+	// mapper's local disk in Hadoop, reduce output in HDFS.
+	uncommit func(task int)
+	// staged[task] and durs[task] hold the counters and duration of the
+	// task's committed attempt. Counters are merged into the job's when
+	// the phase ends, so a task re-executed after node death or raced by a
+	// speculative duplicate contributes exactly once.
+	staged []*Counters
+	durs   []time.Duration
+	metric string // the attempt-duration histogram, mr.task.<phase>.ns
+}
 
-	// External-memory shuffle: a per-job copy of the engine's spill
-	// configuration pointing at a fresh subdirectory, removed when the job
-	// resolves. Nil when spilling is off, which leaves every code path
-	// below byte-identical to the all-in-RAM engine.
-	var spillCfg *spill.Config
+func newPhase(p Phase, numTasks int) *phase {
+	return &phase{
+		phase: p, numTasks: numTasks, metric: "mr.task." + p.String() + ".ns",
+		preferred: func(int) []string { return nil },
+		staged:    make([]*Counters, numTasks),
+		durs:      make([]time.Duration, numTasks),
+	}
+}
+
+// jobRun is the state of one executing job, shared by the job body, the
+// attempt lifecycle and the driver.
+type jobRun struct {
+	e   *Engine
+	job *Job
+	rj  *resolvedJob
+	res *Result
+	tr  *obs.Tracer
+	// drive runs every task of a phase to a committed attempt, or fails.
+	drive func(ctx context.Context, ph *phase) error
+	// v is the virtual clock; nil on the wall clock.
+	v *vdriver
+	// start anchors the wall clock and base places the job on the tracer's
+	// timeline (wall: its offset at job start; virtual: the tracer's
+	// virtual base, so consecutive virtual jobs occupy disjoint windows).
+	start time.Time
+	base  time.Duration
+	// simSem bounds how many task bodies run while being measured; see
+	// SimConfig.MeasureParallelism. Nil without a SimConfig.
+	simSem chan struct{}
+	// spill is the job's private copy of the engine's spill configuration,
+	// pointing at a per-job directory; nil keeps map output resident.
+	spill *spill.Config
+	// mapOut[m][r] is committed mapper m's output for reducer r, and
+	// reduceIn[r] the resident part of it, concatenated and grouped by the
+	// shuffle.
+	mapOut   [][]segment
+	reduceIn []arenaGroups
+}
+
+// now is the job's clock: host time since job start, or the virtual event
+// clock. TaskRecord.Start and every span the job records count from it.
+func (j *jobRun) now() time.Duration {
+	if j.v != nil {
+		return j.v.now
+	}
+	return time.Since(j.start)
+}
+
+// record stores a driver-track span given on the job's clock.
+func (j *jobRun) record(name, cat string, start, end time.Duration, args ...obs.Arg) {
+	j.tr.Record(obs.Span{
+		Track: obs.DriverTrack, Name: name, Cat: cat,
+		Start: j.base + start, End: j.base + end, Args: args,
+	})
+}
+
+func (j *jobRun) taskName(ph *phase, task int) string {
+	return fmt.Sprintf("%s-%s-%d", j.job.Name, ph.phase, task)
+}
+
+// attempt is the lifecycle of one task attempt, whichever driver placed
+// it: build the TaskContext, consult the fault sources (FaultInjector,
+// then the FaultPlan's crash schedule), run the body with panics — user
+// code's or injected — turned into errors, time it, commit its output and
+// stage its counters on success, and put the attempt on record either
+// way. rec arrives carrying what the driver decided (task, attempt number,
+// node, slot, and on the virtual clock the attempt's scheduled window);
+// on the wall clock the window is measured here.
+func (j *jobRun) attempt(ph *phase, rec TaskRecord) error {
+	ctx := &TaskContext{
+		Job:         j.job.Name,
+		TaskID:      rec.TaskID,
+		Attempt:     rec.Attempt,
+		NumMappers:  j.rj.numMappers,
+		NumReducers: j.rj.numReducers,
+		Node:        rec.Node,
+		Cache:       j.job.Cache,
+		Counters:    NewCounters(),
+	}
+	if j.v == nil && j.tr != nil {
+		// Wall-clock spans from task bodies would pollute a virtual trace.
+		ctx.Trace, ctx.Track = j.tr, cluster.SlotTrack(rec.Node, rec.Slot)
+	}
+	var commit func()
+	start := j.now()
+	err := func() (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("%s task %d on %s: panic: %v", ph.phase, rec.TaskID, rec.Node, p)
+			}
+		}()
+		if j.e.FaultInjector != nil {
+			if err := j.e.FaultInjector(ph.phase, rec.TaskID, rec.Attempt); err != nil {
+				return err
+			}
+		}
+		if j.e.Faults != nil {
+			switch j.e.Faults.crash(ph.phase, rec.TaskID, rec.Attempt) {
+			case crashError:
+				return fmt.Errorf("fault: injected crash (%s task %d attempt %d on %s)", ph.phase, rec.TaskID, rec.Attempt, rec.Node)
+			case crashPanic:
+				panic(fmt.Sprintf("fault: injected panic (%s task %d attempt %d on %s)", ph.phase, rec.TaskID, rec.Attempt, rec.Node))
+			}
+		}
+		if j.simSem != nil {
+			j.simSem <- struct{}{}
+			defer func() { <-j.simSem }()
+		}
+		start = j.now()
+		if commit, err = ph.body(rec.TaskID, ctx); err != nil {
+			err = fmt.Errorf("%s task %d on %s: %w", ph.phase, rec.TaskID, rec.Node, err)
+		}
+		return err
+	}()
+	if j.v == nil {
+		rec.Start, rec.Duration = start, j.now()-start
+	}
+	if err != nil {
+		rec.Err = err.Error()
+	} else {
+		// Output and counters are installed only on success.
+		commit()
+		ph.staged[rec.TaskID], ph.durs[rec.TaskID] = ctx.Counters, rec.Duration
+		j.tr.Metrics().Observe(ph.metric, int64(rec.Duration))
+	}
+	j.res.History.Append(rec)
+	return err
+}
+
+// runWall is the wall-clock driver: the phase's tasks become goroutines
+// contending for the cluster's slots, retried on other nodes up to the
+// attempt budget.
+func (j *jobRun) runWall(ctx context.Context, ph *phase) error {
+	tasks := make([]cluster.Task, ph.numTasks)
+	for t := range tasks {
+		attempts := 0 // one task's attempts run one after another
+		tasks[t] = cluster.Task{
+			Name:      j.taskName(ph, t),
+			Preferred: ph.preferred(t),
+			Run: func(node string, slot int) error {
+				attempts++
+				return j.attempt(ph, TaskRecord{Phase: ph.phase, TaskID: t, Attempt: attempts, Node: node, Slot: slot})
+			},
+		}
+	}
+	return j.e.cluster.RunContext(ctx, tasks, j.rj.maxAttempts, &j.res.ClusterStats)
+}
+
+// runPhase hands one phase to the driver between its span and the merge of
+// the counters its committed attempts staged.
+func (j *jobRun) runPhase(ctx context.Context, ph *phase) error {
+	t0 := j.now()
+	err := j.drive(ctx, ph)
+	j.record(ph.phase.String(), obs.CatPhase, t0, j.now(), stateArg(err))
+	for _, c := range ph.staged {
+		if c != nil {
+			j.res.Counters.Merge(c)
+		}
+	}
+	return err
+}
+
+// runJob is the job body: map phase, shuffle, reduce phase, result.
+func (e *Engine) runJob(ctx context.Context, job *Job, rj *resolvedJob) (_ *Result, retErr error) {
+	j := &jobRun{
+		e: e, job: job, rj: rj, tr: e.jobTracer(job),
+		res:    &Result{Counters: NewCounters(), History: &History{}},
+		mapOut: make([][]segment, rj.numMappers),
+	}
+	if e.Faults != nil {
+		j.v = newVDriver(e.cluster, e.Faults, e.Sim)
+		j.drive, j.base = j.runVirtual, j.tr.VirtualBase()
+	} else {
+		j.drive, j.base = j.runWall, j.tr.Now()
+	}
+	j.start = time.Now()
+	res := j.res
+	fail := func(err error) (*Result, error) {
+		return res, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
+	}
+	defer func() {
+		j.record("job:"+job.Name, obs.CatJob, 0, j.now(),
+			obs.Arg{Key: "mappers", Value: strconv.Itoa(rj.numMappers)},
+			obs.Arg{Key: "reducers", Value: strconv.Itoa(rj.numReducers)},
+			stateArg(retErr))
+		if j.v != nil {
+			j.tr.AdvanceVirtualBase(j.base + j.now())
+		}
+	}()
 	if e.Spill.Enabled() {
 		dir, err := os.MkdirTemp(e.Spill.Dir, "job-")
 		if err != nil {
-			return res, fmt.Errorf("mapreduce: job %q: creating spill directory: %w", job.Name, err)
+			return fail(fmt.Errorf("creating spill directory: %w", err))
 		}
 		defer os.RemoveAll(dir)
 		cfg := *e.Spill
 		cfg.Dir = dir
 		if cfg.Metrics == nil {
-			cfg.Metrics = tr.Metrics()
+			// The mr.spill.* series are counts, never host timings, so they
+			// are as deterministic as the rest of a virtual trace.
+			cfg.Metrics = j.tr.Metrics()
 		}
-		spillCfg = &cfg
+		j.spill = &cfg
 	}
-
-	// Simulated-time instrumentation: a counting semaphore bounds how many
-	// task bodies run while being measured. At the default capacity
-	// (min(GOMAXPROCS, cluster slots)) every in-flight task is one
-	// CPU-bound goroutine on its own core, so per-task measurements stay
-	// contention-free in practice while the suite uses the whole host;
-	// capacity 1 restores strict serial isolation. See
-	// SimConfig.MeasureParallelism for the fidelity trade-off.
-	var (
-		simSem     chan struct{}
-		mapDurs    []time.Duration
-		reduceDurs []time.Duration
-	)
 	if e.Sim != nil {
-		simSem = make(chan struct{}, e.Sim.measureSlots(e.cluster.TotalSlots()))
-		mapDurs = make([]time.Duration, numMappers)
-		reduceDurs = make([]time.Duration, numReducers)
+		j.simSem = make(chan struct{}, e.Sim.measureSlots(e.cluster.TotalSlots()))
 	}
 
 	// ---- Map phase -------------------------------------------------------
-	mapStart := time.Now()
-	jobStart := mapStart // TaskRecord.Start offsets are from job start
-	mapSpan := tr.Start(obs.DriverTrack, "map", obs.CatPhase)
-	// mapOut[m][r] holds mapper m's records destined for reducer r; on the
-	// spill path the records go to disk instead and mapRuns[m][r] holds
-	// the run files of the (m, r) segment.
-	mapOut := make([][]bucketArena, numMappers)
-	var mapRuns [][][]spill.RunFile
-	if spillCfg != nil {
-		mapRuns = make([][][]spill.RunFile, numMappers)
-	}
-	mapTasks := make([]cluster.Task, numMappers)
-	for m := 0; m < numMappers; m++ {
-		m := m
-		split := rj.splits[m]
-		attempts := 0
-		mapTasks[m] = cluster.Task{
-			Name:      fmt.Sprintf("%s-map-%d", job.Name, m),
-			Preferred: split.Hosts(),
-			Run: func(node string, slot int) (err error) {
-				attempts++
-				attempt := attempts
-				// A panicking mapper (user code or fault injector) becomes a
-				// failed attempt with an Err-bearing History record, flowing
-				// through the same retry budget as a returned error.
-				defer func() {
-					if p := recover(); p != nil {
-						err = fmt.Errorf("map task %d on %s: panic: %v", m, node, p)
-						res.History.add(TaskRecord{Phase: PhaseMap, TaskID: m, Attempt: attempt, Node: node, Slot: slot, Err: err.Error()})
-					}
-				}()
-				ctx := &TaskContext{
-					Job:         job.Name,
-					TaskID:      m,
-					Attempt:     attempt,
-					NumMappers:  numMappers,
-					NumReducers: numReducers,
-					Node:        node,
-					Cache:       job.Cache,
-					Counters:    NewCounters(),
-				}
-				if tr != nil {
-					ctx.Trace, ctx.Track = tr, cluster.SlotTrack(node, slot)
-				}
-				if e.FaultInjector != nil {
-					if err := e.FaultInjector(PhaseMap, m, attempt); err != nil {
-						res.History.add(TaskRecord{Phase: PhaseMap, TaskID: m, Attempt: attempt, Node: node, Slot: slot, Err: err.Error()})
-						return err
-					}
-				}
-				if simSem != nil {
-					simSem <- struct{}{}
-					defer func() { <-simSem }()
-				}
-				taskStart := time.Now()
-				startOff := taskStart.Sub(jobStart)
-				buckets, err := attemptMap(job, rj, split, ctx)
-				if err != nil {
-					err = fmt.Errorf("map task %d on %s: %w", m, node, err)
-					res.History.add(TaskRecord{
-						Phase: PhaseMap, TaskID: m, Attempt: attempt,
-						Node: node, Slot: slot, Start: startOff, Duration: time.Since(taskStart), Err: err.Error(),
-					})
-					return err
-				}
-				var runs [][]spill.RunFile
-				if spillCfg != nil {
-					if runs, err = spillMapBuckets(spillCfg, buckets, m, attempt); err != nil {
-						err = fmt.Errorf("map task %d on %s: spilling output: %w", m, node, err)
-						res.History.add(TaskRecord{
-							Phase: PhaseMap, TaskID: m, Attempt: attempt,
-							Node: node, Slot: slot, Start: startOff, Duration: time.Since(taskStart), Err: err.Error(),
-						})
-						return err
-					}
-				}
-				// Install output and counters only on success.
-				dur := time.Since(taskStart)
-				if mapDurs != nil {
-					mapDurs[m] = dur
-				}
-				if tr != nil {
-					tr.Metrics().Observe("mr.task.map.ns", int64(dur))
-					spilled := int64(0)
-					for i := range buckets {
-						spilled += buckets[i].payloadBytes()
-					}
-					for _, rs := range runs {
-						for _, rf := range rs {
-							spilled += rf.PayloadBytes
-						}
-					}
-					tr.Metrics().Observe("mr.spill.map.bytes", spilled)
-				}
-				res.History.add(TaskRecord{
-					Phase: PhaseMap, TaskID: m, Attempt: attempt,
-					Node: node, Slot: slot, Start: startOff, Duration: dur,
-				})
-				if spillCfg != nil {
-					mapRuns[m] = runs
-				} else {
-					mapOut[m] = buckets
-				}
-				res.Counters.Merge(ctx.Counters)
-				return nil
-			},
+	maps := newPhase(PhaseMap, rj.numMappers)
+	maps.preferred = func(m int) []string { return rj.splits[m].Hosts() }
+	maps.body = func(m int, ctx *TaskContext) (func(), error) {
+		segs, err := attemptMap(job, rj, rj.splits[m], ctx)
+		if err != nil {
+			return nil, err
 		}
+		if err := j.spillSegments(segs, m, ctx.Attempt); err != nil {
+			return nil, fmt.Errorf("spilling output: %w", err)
+		}
+		return func() {
+			if j.tr != nil {
+				var n int64
+				for r := range segs {
+					n += segs[r].payloadBytes()
+				}
+				j.tr.Metrics().Observe("mr.spill.map.bytes", n)
+			}
+			j.mapOut[m] = segs
+		}, nil
 	}
-	mapErr := e.cluster.RunContext(ctx, mapTasks, rj.maxAttempts, &res.ClusterStats)
-	mapSpan.EndWith(stateArg(mapErr))
-	if mapErr != nil {
-		return res, fmt.Errorf("mapreduce: job %q: %w", job.Name, mapErr)
+	maps.uncommit = func(m int) {
+		for r := range j.mapOut[m] {
+			removeRunFiles(j.mapOut[m][r].runs)
+		}
+		j.mapOut[m] = nil
 	}
-	res.MapTime = time.Since(mapStart)
+	if err := j.runPhase(ctx, maps); err != nil {
+		return fail(err)
+	}
+	res.MapTime = time.Since(j.start)
 	if err := ctx.Err(); err != nil {
-		return res, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
+		return fail(err)
 	}
 
 	// ---- Shuffle ---------------------------------------------------------
-	// Each reducer's arenas are concatenated (mapper order preserved) and an
-	// offset index is sorted by raw key bytes; equal keys keep arrival
-	// order, so values group per key in (mapper index, emission order) —
-	// byte-identical to the hash-of-strings grouping this replaced. The
-	// sort work happens driver-side, outside measured task bodies, exactly
-	// where the old grouping ran.
 	reduceStart := time.Now()
-	shuffleSpan := tr.Start(obs.DriverTrack, "shuffle", obs.CatPhase)
-	var (
-		reduceIn        []bucketArena
-		perReducerBytes []int64
-		err             error
-	)
-	if spillCfg != nil {
-		// Spilled jobs shuffle lazily: each reduce attempt merges its run
-		// files itself, so this phase only accounts volumes.
-		perReducerBytes = e.spilledShuffleStats(mapRuns, rj, res, tr)
-	} else {
-		reduceIn, perReducerBytes, err = e.shuffleMapOutput(mapOut, rj, res, tr)
-	}
-	shuffleSpan.EndWith(stateArg(err))
+	t0 := j.now()
+	perReducerBytes, err := j.shuffle()
+	j.record("shuffle", obs.CatPhase, t0, j.now(), stateArg(err))
 	if err != nil {
-		return res, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
+		return fail(err)
 	}
 
 	// ---- Reduce phase ----------------------------------------------------
-	reduceSpan := tr.Start(obs.DriverTrack, "reduce", obs.CatPhase)
-	reduceOut := make([][]Record, numReducers)
-	reduceTasks := make([]cluster.Task, numReducers)
-	for r := 0; r < numReducers; r++ {
-		r := r
-		var (
-			in     *bucketArena
-			idx    []int32
-			groups []span
-		)
-		if spillCfg == nil {
-			in = &reduceIn[r]
-			idx = in.sortedIndex()
-			groups = in.groupRuns(idx)
+	// A node death timed after the map phase ends is applied at reduce
+	// start: the shuffle has already fetched every segment by then, so only
+	// the node's slots are lost — no map re-execution, matching a tracker
+	// lost after its outputs were pulled.
+	reduceOut := make([][]Record, rj.numReducers)
+	reduces := newPhase(PhaseReduce, rj.numReducers)
+	reduces.body = func(r int, ctx *TaskContext) (func(), error) {
+		out, err := j.reduce(r, ctx)
+		if err != nil {
+			return nil, err
 		}
-		attempts := 0
-		reduceTasks[r] = cluster.Task{
-			Name: fmt.Sprintf("%s-reduce-%d", job.Name, r),
-			Run: func(node string, slot int) (err error) {
-				attempts++
-				attempt := attempts
-				defer func() {
-					if p := recover(); p != nil {
-						err = fmt.Errorf("reduce task %d on %s: panic: %v", r, node, p)
-						res.History.add(TaskRecord{Phase: PhaseReduce, TaskID: r, Attempt: attempt, Node: node, Slot: slot, Err: err.Error()})
-					}
-				}()
-				ctx := &TaskContext{
-					Job:         job.Name,
-					TaskID:      r,
-					Attempt:     attempt,
-					NumMappers:  numMappers,
-					NumReducers: numReducers,
-					Node:        node,
-					Cache:       job.Cache,
-					Counters:    NewCounters(),
-				}
-				if tr != nil {
-					ctx.Trace, ctx.Track = tr, cluster.SlotTrack(node, slot)
-				}
-				if e.FaultInjector != nil {
-					if err := e.FaultInjector(PhaseReduce, r, attempt); err != nil {
-						res.History.add(TaskRecord{Phase: PhaseReduce, TaskID: r, Attempt: attempt, Node: node, Slot: slot, Err: err.Error()})
-						return err
-					}
-				}
-				if simSem != nil {
-					simSem <- struct{}{}
-					defer func() { <-simSem }()
-				}
-				taskStart := time.Now()
-				startOff := taskStart.Sub(jobStart)
-				var out bucketArena
-				if spillCfg != nil {
-					out, err = e.spilledReduce(job, rj, spillCfg, mapRuns, r, attempt, ctx, res.Counters)
-				} else {
-					out, err = attemptReduce(job, &arenaGroups{in: in, idx: idx, groups: groups}, ctx)
-				}
-				if err != nil {
-					err = fmt.Errorf("reduce task %d on %s: %w", r, node, err)
-					res.History.add(TaskRecord{
-						Phase: PhaseReduce, TaskID: r, Attempt: attempt,
-						Node: node, Slot: slot, Start: startOff, Duration: time.Since(taskStart), Err: err.Error(),
-					})
-					return err
-				}
-				dur := time.Since(taskStart)
-				if reduceDurs != nil {
-					reduceDurs[r] = dur
-				}
-				tr.Metrics().Observe("mr.task.reduce.ns", int64(dur))
-				res.History.add(TaskRecord{
-					Phase: PhaseReduce, TaskID: r, Attempt: attempt,
-					Node: node, Slot: slot, Start: startOff, Duration: dur,
-				})
-				reduceOut[r] = out.records()
-				res.Counters.Merge(ctx.Counters)
-				return nil
-			},
-		}
+		return func() { reduceOut[r] = out.records() }, nil
 	}
-	reduceErr := e.cluster.RunContext(ctx, reduceTasks, rj.maxAttempts, &res.ClusterStats)
-	reduceSpan.EndWith(stateArg(reduceErr))
-	if reduceErr != nil {
-		return res, fmt.Errorf("mapreduce: job %q: %w", job.Name, reduceErr)
+	if err := j.runPhase(ctx, reduces); err != nil {
+		return fail(err)
 	}
 	res.ReduceTime = time.Since(reduceStart)
 
 	if e.Sim != nil {
-		res.SimulatedTime = e.Sim.simulate(mapDurs, reduceDurs, perReducerBytes, e.cluster.SlotSpeeds())
+		if j.v != nil {
+			// The virtual clock has already charged every attempt — crashed,
+			// killed and duplicate ones included — and the shuffle transfer
+			// to slot time; only the per-job setup remains to be added.
+			res.SimulatedTime = e.Sim.withDefaults().JobSetup + j.v.now
+		} else {
+			res.SimulatedTime = e.Sim.simulate(maps.durs, reduces.durs, perReducerBytes, e.cluster.SlotSpeeds())
+		}
 	}
-	for r := 0; r < numReducers; r++ {
+	for r := range reduceOut {
 		res.Output = append(res.Output, reduceOut[r]...)
 	}
 	return res, nil
+}
+
+// attemptMap executes the user half of one map-task attempt: feed the split
+// through a fresh Mapper, partition its output into per-reducer segments,
+// apply the combiner, and record the attempt's I/O counters in
+// ctx.Counters. It has no side effects outside ctx and its return value, so
+// an attempt can be retried, discarded or re-run for repair freely.
+func attemptMap(job *Job, rj *resolvedJob, split Split, ctx *TaskContext) ([]segment, error) {
+	segs := make([]segment, rj.numReducers)
+	emitted := int64(0)
+	// A partitioner that routes outside [0, numReducers) fails the task
+	// attempt — recorded here and surfaced after the mapper returns, so it
+	// flows through the retry and MaxAttempts machinery like any other task
+	// error instead of panicking past it.
+	var emitErr error
+	emit := func(key, value []byte) {
+		if emitErr != nil {
+			return
+		}
+		r := rj.partition(key, rj.numReducers)
+		if r < 0 || r >= rj.numReducers {
+			emitErr = fmt.Errorf("partitioner returned %d for %d reducers (key %q)", r, rj.numReducers, key)
+			return
+		}
+		segs[r].arena.add(key, value)
+		emitted++
+	}
+	mapper := job.NewMapper()
+	inRecords := int64(0)
+	err := split.Each(func(rec Record) error {
+		inRecords++
+		return mapper.Map(ctx, rec, emit)
+	})
+	if err == nil {
+		err = mapper.Flush(ctx, emit)
+	}
+	if err == nil {
+		err = emitErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	if job.NewCombiner != nil {
+		if err := combineSegments(job.NewCombiner(), segs); err != nil {
+			return nil, fmt.Errorf("combiner: %w", err)
+		}
+	}
+	ctx.Counters.Add(CounterMapInputRecords, inRecords)
+	ctx.Counters.Add(CounterMapOutputRecords, emitted)
+	return segs, nil
+}
+
+// combineSegments applies a map-side combiner to every per-reducer segment
+// in place: records are grouped by key (in byte order, for determinism, via
+// the same sort-based grouping the shuffle uses), folded through the
+// combiner, and re-emitted into fresh arenas.
+func combineSegments(c Combiner, segs []segment) error {
+	for r := range segs {
+		b := &segs[r].arena
+		if b.len() == 0 {
+			continue
+		}
+		idx := b.sortedIndex()
+		var dst bucketArena
+		for _, g := range b.groupRuns(idx) {
+			key := b.key(int(idx[g.lo]))
+			values := make([][]byte, 0, g.hi-g.lo)
+			for _, i := range idx[g.lo:g.hi] {
+				values = append(values, b.value(int(i)))
+			}
+			vals, err := c.Combine(key, values)
+			if err != nil {
+				return err
+			}
+			for _, v := range vals {
+				dst.add(key, v)
+			}
+		}
+		segs[r].arena = dst
+	}
+	return nil
+}
+
+// attemptReduce executes the user half of one reduce-task attempt, pulling
+// its input from src — a sorted in-memory arena or a spilled run merge;
+// both sources present the identical (key order, per-key value order)
+// group stream. Like attemptMap it is free of external side effects.
+func attemptReduce(job *Job, src groupSource, ctx *TaskContext) (bucketArena, error) {
+	var out bucketArena
+	emitted := int64(0)
+	emit := func(key, value []byte) {
+		out.add(key, value)
+		emitted++
+	}
+	reducer := job.NewReducer()
+	inRecords := int64(0)
+	inKeys := int64(0)
+	for {
+		key, vals, ok, err := src.Next()
+		if err != nil {
+			return bucketArena{}, err
+		}
+		if !ok {
+			break
+		}
+		inKeys++
+		inRecords += int64(len(vals))
+		if err := reducer.Reduce(ctx, key, vals, emit); err != nil {
+			return bucketArena{}, err
+		}
+	}
+	if err := reducer.Flush(ctx, emit); err != nil {
+		return bucketArena{}, err
+	}
+	ctx.Counters.Add(CounterReduceInputKeys, inKeys)
+	ctx.Counters.Add(CounterReduceInputRecords, inRecords)
+	ctx.Counters.Add(CounterReduceOutputRecords, emitted)
+	return out, nil
 }

@@ -2,17 +2,18 @@ package mapreduce_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"mrskyline/internal/cluster"
 	"mrskyline/internal/dfs"
 	"mrskyline/internal/mapreduce"
+	"mrskyline/internal/spill"
 )
 
 func newEngine(t testing.TB, nodes, slots int) *mapreduce.Engine {
@@ -263,38 +264,6 @@ func TestCacheMustGetPanics(t *testing.T) {
 	(mapreduce.Cache{}).MustGet("nope")
 }
 
-func TestFaultInjectionRetries(t *testing.T) {
-	e := newEngine(t, 3, 1)
-	var mu sync.Mutex
-	injected := map[string]int{}
-	e.FaultInjector = func(phase mapreduce.Phase, taskID, attempt int) error {
-		mu.Lock()
-		defer mu.Unlock()
-		key := fmt.Sprintf("%v-%d", phase, taskID)
-		injected[key]++
-		if attempt == 1 {
-			return fmt.Errorf("injected crash for %s", key)
-		}
-		return nil
-	}
-	res, err := e.Run(wordCountJob([]string{"a b", "b c"}, 2, 2))
-	if err != nil {
-		t.Fatalf("job did not survive single-attempt faults: %v", err)
-	}
-	got := countsFromResult(res)
-	want := map[string]int{"a": 1, "b": 2, "c": 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("counts after retries = %v, want %v", got, want)
-	}
-	// Counters must reflect successful attempts only: exactly 2 map inputs.
-	if got := res.Counters.Get(mapreduce.CounterMapInputRecords); got != 2 {
-		t.Errorf("map input records after retries = %d, want 2", got)
-	}
-	if res.ClusterStats.Retries == 0 {
-		t.Error("no retries recorded")
-	}
-}
-
 func TestPermanentFaultFailsJob(t *testing.T) {
 	e := newEngine(t, 2, 1)
 	e.FaultInjector = func(phase mapreduce.Phase, taskID, attempt int) error {
@@ -509,83 +478,201 @@ func TestHashPartitionInRange(t *testing.T) {
 	}
 }
 
-// TestMapPanicRecovery: a panicking map attempt (here: a panicking fault
-// injector, standing in for panicking user code) must become a failed,
-// Err-bearing History record and be retried like a returned error, on the
-// concurrent scheduler path.
-func TestMapPanicRecovery(t *testing.T) {
-	e := newEngine(t, 3, 1)
-	e.FaultInjector = func(phase mapreduce.Phase, taskID, attempt int) error {
-		if phase == mapreduce.PhaseMap && taskID == 0 && attempt == 1 {
-			panic("mapper 0 exploded")
+// lifecycleDrivers are the ways the engine can run a job; every one of them
+// goes through the same attempt lifecycle, which the tests below pin.
+var lifecycleDrivers = []struct {
+	name  string
+	setup func(t *testing.T, e *mapreduce.Engine)
+}{
+	{"wall", func(*testing.T, *mapreduce.Engine) {}},
+	{"wall+spill", func(t *testing.T, e *mapreduce.Engine) {
+		e.Spill = &spill.Config{Dir: t.TempDir(), Budget: 16, FanIn: 2}
+	}},
+	{"virtual", func(_ *testing.T, e *mapreduce.Engine) { e.Faults = &mapreduce.FaultPlan{Seed: 1} }},
+}
+
+// TestAttemptLifecycleAcrossDrivers: a failing first attempt — a panicking
+// or erroring fault injector, or user code that panics after it has
+// counted and emitted — must become an Err-bearing History record with
+// attempt number 1, be retried successfully as attempt 2, and leave no
+// trace in the job's counters, identically on every driver.
+func TestAttemptLifecycleAcrossDrivers(t *testing.T) {
+	type hit struct {
+		phase mapreduce.Phase
+		task  int
+	}
+	first := func(phase mapreduce.Phase, task int, hits []hit, attempt int) bool {
+		for _, h := range hits {
+			if attempt == 1 && h.phase == phase && h.task == task {
+				return true
+			}
 		}
-		return nil
+		return false
 	}
-	res, err := e.Run(wordCountJob([]string{"a b", "b c"}, 2, 1))
-	if err != nil {
-		t.Fatalf("job did not survive a single map panic: %v", err)
+	allTasks := []hit{{mapreduce.PhaseMap, 0}, {mapreduce.PhaseMap, 1}, {mapreduce.PhaseReduce, 0}, {mapreduce.PhaseReduce, 1}}
+	faults := []struct {
+		name     string
+		hits     []hit
+		injector bool   // raised by Engine.FaultInjector, else by user code
+		panics   bool   // delivered as a panic, else as a returned error
+		wantErr  string // substring of the failed record's Err
+	}{
+		{"injector-panic-map", []hit{{mapreduce.PhaseMap, 0}}, true, true, "panic"},
+		{"injector-panic-reduce", []hit{{mapreduce.PhaseReduce, 0}, {mapreduce.PhaseReduce, 1}}, true, true, "panic"},
+		{"injector-error-everywhere", allTasks, true, false, "injected crash"},
+		{"user-panic-after-counting", allTasks, false, true, "panic"},
 	}
-	want := map[string]int{"a": 1, "b": 2, "c": 1}
-	if got := countsFromResult(res); !reflect.DeepEqual(got, want) {
-		t.Errorf("counts after panic retry = %v, want %v", got, want)
-	}
-	var panicked *mapreduce.TaskRecord
-	for _, r := range res.History.Records() {
-		if r.Phase == mapreduce.PhaseMap && r.TaskID == 0 && r.Attempt == 1 {
-			r := r
-			panicked = &r
+	for _, d := range lifecycleDrivers {
+		for _, f := range faults {
+			t.Run(d.name+"/"+f.name, func(t *testing.T) {
+				e := newEngine(t, 3, 1)
+				d.setup(t, e)
+				raise := func(phase mapreduce.Phase, task, attempt int) error {
+					if !first(phase, task, f.hits, attempt) {
+						return nil
+					}
+					if f.panics {
+						panic(fmt.Sprintf("%v task %d exploded", phase, task))
+					}
+					return fmt.Errorf("injected crash for %v-%d", phase, task)
+				}
+				job := wordCountJob([]string{"a b", "b c"}, 2, 2)
+				if f.injector {
+					e.FaultInjector = raise
+				} else {
+					// User code fails at Flush, after the attempt has
+					// counted and emitted everything a successful one would.
+					newMapper, newReducer := job.NewMapper, job.NewReducer
+					job.NewMapper = func() mapreduce.Mapper {
+						m := newMapper()
+						return mapreduce.MapperFuncs{
+							MapFn: func(ctx *mapreduce.TaskContext, rec mapreduce.Record, emit mapreduce.Emitter) error {
+								ctx.Counters.Add("user.map.calls", 1)
+								return m.Map(ctx, rec, emit)
+							},
+							FlushFn: func(ctx *mapreduce.TaskContext, _ mapreduce.Emitter) error {
+								return raise(mapreduce.PhaseMap, ctx.TaskID, ctx.Attempt)
+							},
+						}
+					}
+					job.NewReducer = func() mapreduce.Reducer {
+						r := newReducer()
+						return mapreduce.ReducerFuncs{
+							ReduceFn: func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emitter) error {
+								ctx.Counters.Add("user.reduce.calls", 1)
+								return r.Reduce(ctx, key, values, emit)
+							},
+							FlushFn: func(ctx *mapreduce.TaskContext, _ mapreduce.Emitter) error {
+								return raise(mapreduce.PhaseReduce, ctx.TaskID, ctx.Attempt)
+							},
+						}
+					}
+				}
+				res, err := e.Run(job)
+				if err != nil {
+					t.Fatalf("job did not survive failing first attempts: %v", err)
+				}
+				want := map[string]int{"a": 1, "b": 2, "c": 1}
+				if got := countsFromResult(res); !reflect.DeepEqual(got, want) {
+					t.Errorf("counts after retries = %v, want %v", got, want)
+				}
+
+				// Every hit task shows exactly a failed attempt 1 and a
+				// successful attempt 2; every other task one clean attempt.
+				byTask := map[hit][]mapreduce.TaskRecord{}
+				for _, r := range res.History.Records() {
+					k := hit{r.Phase, r.TaskID}
+					byTask[k] = append(byTask[k], r)
+				}
+				if len(byTask) != len(allTasks) {
+					t.Fatalf("history covers %d tasks, want %d: %+v", len(byTask), len(allTasks), res.History.Records())
+				}
+				for k, recs := range byTask {
+					if !first(k.phase, k.task, f.hits, 1) {
+						if len(recs) != 1 || recs[0].Err != "" || recs[0].Attempt != 1 {
+							t.Errorf("%v task %d: records %+v, want one clean attempt", k.phase, k.task, recs)
+						}
+						continue
+					}
+					if len(recs) != 2 {
+						t.Fatalf("%v task %d: %d records, want a failed and a successful attempt: %+v", k.phase, k.task, len(recs), recs)
+					}
+					if recs[0].Attempt != 1 || !strings.Contains(recs[0].Err, f.wantErr) {
+						t.Errorf("%v task %d: first record %+v, want attempt 1 with Err containing %q", k.phase, k.task, recs[0], f.wantErr)
+					}
+					if recs[1].Attempt != 2 || recs[1].Err != "" {
+						t.Errorf("%v task %d: second record %+v, want a clean attempt 2", k.phase, k.task, recs[1])
+					}
+				}
+				if got := len(res.History.Failed()); got != len(f.hits) {
+					t.Errorf("%d failed attempts on record, want %d", got, len(f.hits))
+				}
+				if got := res.ClusterStats.Retries; got != int64(len(f.hits)) {
+					t.Errorf("ClusterStats.Retries = %d, want %d", got, len(f.hits))
+				}
+
+				// Counters reflect successful attempts only.
+				wantCounters := map[string]int64{
+					mapreduce.CounterMapInputRecords:     2,
+					mapreduce.CounterMapOutputRecords:    4,
+					mapreduce.CounterReduceInputKeys:     3,
+					mapreduce.CounterReduceInputRecords:  4,
+					mapreduce.CounterReduceOutputRecords: 3,
+				}
+				if !f.injector {
+					wantCounters["user.map.calls"], wantCounters["user.reduce.calls"] = 2, 3
+				}
+				for name, want := range wantCounters {
+					if got := res.Counters.Get(name); got != want {
+						t.Errorf("counter %s = %d, want %d (failed attempts must not be merged)", name, got, want)
+					}
+				}
+			})
 		}
-	}
-	if panicked == nil {
-		t.Fatalf("no History record for the panicking attempt; history: %+v", res.History.Records())
-	}
-	if !strings.Contains(panicked.Err, "panic") {
-		t.Errorf("panicking attempt's Err = %q, want a panic message", panicked.Err)
-	}
-	// Counters reflect the successful attempt only.
-	if got := res.Counters.Get(mapreduce.CounterMapInputRecords); got != 2 {
-		t.Errorf("map input records after panic retry = %d, want 2", got)
 	}
 }
 
-// TestReducePanicRecovery: same contract for the reduce phase — the
-// reducer panics on attempt 1, succeeds on attempt 2, and the job delivers
-// exactly one Err-bearing record plus the correct result.
-func TestReducePanicRecovery(t *testing.T) {
-	e := newEngine(t, 3, 1)
-	e.FaultInjector = func(phase mapreduce.Phase, taskID, attempt int) error {
-		if phase == mapreduce.PhaseReduce && attempt == 1 {
-			panic(fmt.Sprintf("reducer %d exploded", taskID))
+// TestCancellationAcrossDrivers: a context cancelled while the job runs
+// fails it with the context's error and the partial Result on every driver
+// — noticed at the driver's next scheduling decision when tasks remain, and
+// at the phase boundary when the cancelling task was the phase's last.
+func TestCancellationAcrossDrivers(t *testing.T) {
+	for _, d := range lifecycleDrivers {
+		for _, mappers := range []int{4, 1} {
+			t.Run(fmt.Sprintf("%s/mappers=%d", d.name, mappers), func(t *testing.T) {
+				e := newEngine(t, 1, 1) // one slot: map attempts run one at a time
+				d.setup(t, e)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				job := wordCountJob([]string{"a", "b", "c", "d"}, mappers, 2)
+				newMapper := job.NewMapper
+				job.NewMapper = func() mapreduce.Mapper {
+					cancel() // the first map attempt to start ends the job
+					return newMapper()
+				}
+				res, err := e.RunContext(ctx, job)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				if res == nil {
+					t.Fatal("cancelled run returned no partial result")
+				}
+				// The partial result holds the map attempts that ran — the
+				// cancelling one, plus on the wall clock any placed before the
+				// scheduler noticed — and nothing of the reduce phase.
+				recs := res.History.Records()
+				for _, r := range recs {
+					if r.Phase != mapreduce.PhaseMap || r.Err != "" {
+						t.Errorf("unexpected record in a job cancelled during its map phase: %+v", r)
+					}
+				}
+				if len(recs) == 0 || (len(recs) > 1 && (d.name == "virtual" || mappers == 1)) {
+					t.Errorf("history has %d records, want the in-flight map attempt: %+v", len(recs), recs)
+				}
+				if got, want := res.Counters.Get(mapreduce.CounterMapInputRecords), int64(len(recs)*4/mappers); got != want {
+					t.Errorf("map input records = %d, want the %d of the attempts on record", got, want)
+				}
+			})
 		}
-		return nil
-	}
-	res, err := e.Run(wordCountJob([]string{"a b", "b c"}, 2, 1))
-	if err != nil {
-		t.Fatalf("job did not survive a single reduce panic: %v", err)
-	}
-	want := map[string]int{"a": 1, "b": 2, "c": 1}
-	if got := countsFromResult(res); !reflect.DeepEqual(got, want) {
-		t.Errorf("counts after reduce panic retry = %v, want %v", got, want)
-	}
-	failed, succeeded := 0, 0
-	for _, r := range res.History.Records() {
-		if r.Phase != mapreduce.PhaseReduce {
-			continue
-		}
-		if r.Err != "" {
-			failed++
-			if !strings.Contains(r.Err, "panic") {
-				t.Errorf("failed reduce attempt Err = %q, want a panic message", r.Err)
-			}
-		} else {
-			succeeded++
-		}
-	}
-	if failed != 1 || succeeded != 1 {
-		t.Errorf("reduce history has %d failed / %d successful attempts, want 1/1; history: %+v",
-			failed, succeeded, res.History.Records())
-	}
-	if got := res.Counters.Get(mapreduce.CounterReduceOutputRecords); got != 3 {
-		t.Errorf("reduce output records = %d, want 3 (no double-count from the panicked attempt)", got)
 	}
 }

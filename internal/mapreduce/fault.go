@@ -52,7 +52,10 @@ type FaultPlan struct {
 
 	// CorruptRate is the per-segment probability that the first fetch of a
 	// (mapper, reducer) shuffle segment arrives corrupted. The corruption is
-	// transient: the checksum catches it and the refetch succeeds.
+	// transient: the checksum catches it and the refetch succeeds. Segments
+	// spilled to run files (Engine.Spill) are not fetched at shuffle time
+	// and so are never corrupted by the plan; their runs carry their own
+	// checksums, with map re-execution as the repair.
 	CorruptRate float64
 
 	// NodeFailure, when non-nil, kills one whole node at a simulated time.

@@ -48,7 +48,12 @@ type History struct {
 	records []TaskRecord
 }
 
-func (h *History) add(r TaskRecord) {
+// Append records one attempt. The engine's attempt lifecycle reports
+// through it, and so do execution backends outside this package
+// (internal/rpcexec's master, for remote task attempts). A nil History
+// discards the record: a worker process running one remote attempt keeps
+// none.
+func (h *History) Append(r TaskRecord) {
 	if h == nil {
 		return
 	}
@@ -56,11 +61,6 @@ func (h *History) add(r TaskRecord) {
 	h.records = append(h.records, r)
 	h.mu.Unlock()
 }
-
-// Append records one attempt. Execution backends outside this package
-// (internal/rpcexec's master) report remote task attempts through it; the
-// in-process engine uses the same path internally.
-func (h *History) Append(r TaskRecord) { h.add(r) }
 
 // Records returns all attempts ordered by phase, task id, then attempt.
 func (h *History) Records() []TaskRecord {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"sort"
 	"sync"
 
 	"mrskyline/internal/spill"
@@ -92,33 +91,34 @@ func AppendRecord(dst, key, value []byte) []byte {
 	return dst
 }
 
-// EncodeRecords frames a record slice.
-func EncodeRecords(recs []Record) []byte {
-	var out []byte
-	for _, r := range recs {
-		out = AppendRecord(out, r.Key, r.Value)
-	}
-	return out
-}
-
-// DecodeRecords parses a framed record stream. Zero-length keys and values
-// decode as nil, matching the arena accessors.
-func DecodeRecords(b []byte) ([]Record, error) {
-	var out []Record
-	for off := 0; off < len(b); {
+// walkRecords parses a framed record stream, handing each record to fn.
+// Zero-length keys and values arrive as nil, matching the arena accessors.
+func walkRecords(b []byte, fn func(key, value []byte) error) error {
+	for off, i := 0, 0; off < len(b); i++ {
 		key, n, err := readChunk(b, off)
 		if err != nil {
-			return nil, fmt.Errorf("mapreduce: record %d key: %w", len(out), err)
+			return fmt.Errorf("mapreduce: record %d key: %w", i, err)
 		}
-		off = n
-		val, n, err := readChunk(b, off)
+		val, n, err := readChunk(b, n)
 		if err != nil {
-			return nil, fmt.Errorf("mapreduce: record %d value: %w", len(out), err)
+			return fmt.Errorf("mapreduce: record %d value: %w", i, err)
 		}
 		off = n
-		out = append(out, Record{Key: key, Value: val})
+		if err := fn(key, val); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	return nil
+}
+
+// DecodeRecords parses a framed record stream.
+func DecodeRecords(b []byte) ([]Record, error) {
+	var out []Record
+	err := walkRecords(b, func(key, value []byte) error {
+		out = append(out, Record{Key: key, Value: value})
+		return nil
+	})
+	return out, err
 }
 
 // readChunk reads one uvarint-prefixed byte chunk starting at off,
@@ -148,25 +148,6 @@ func encodeArena(a *bucketArena) []byte {
 	return out
 }
 
-// decodeArena rebuilds a segment arena from its framing.
-func decodeArena(b []byte) (bucketArena, error) {
-	var a bucketArena
-	for off := 0; off < len(b); {
-		key, n, err := readChunk(b, off)
-		if err != nil {
-			return bucketArena{}, fmt.Errorf("mapreduce: segment record %d key: %w", a.len(), err)
-		}
-		off = n
-		val, n, err := readChunk(b, off)
-		if err != nil {
-			return bucketArena{}, fmt.Errorf("mapreduce: segment record %d value: %w", a.len(), err)
-		}
-		off = n
-		a.add(key, val)
-	}
-	return a, nil
-}
-
 // SegmentChecksum hashes a framed segment (FNV-1a over the wire bytes) —
 // the role the arena checksums play for the in-process corruption/refetch
 // path, applied to map-output transfers between worker processes.
@@ -181,17 +162,11 @@ func SegmentChecksum(seg []byte) uint64 {
 // remote and in-process shuffle counters agree.
 func SegmentPayloadBytes(seg []byte) (int64, error) {
 	total := int64(0)
-	for off := 0; off < len(seg); {
-		for half := 0; half < 2; half++ {
-			l, n := binary.Uvarint(seg[off:])
-			if n <= 0 || l > uint64(len(seg)-off-n) {
-				return 0, fmt.Errorf("mapreduce: malformed segment at offset %d", off)
-			}
-			off += n + int(l)
-			total += int64(l)
-		}
-	}
-	return total, nil
+	err := walkRecords(seg, func(key, value []byte) error {
+		total += int64(len(key) + len(value))
+		return nil
+	})
+	return total, err
 }
 
 // ---------------------------------------------------------------------------
@@ -226,85 +201,60 @@ type RemoteTask struct {
 	SpillFanIn  int
 }
 
-func (t *RemoteTask) taskContext() *TaskContext {
-	return &TaskContext{
-		Job:         t.Job,
-		TaskID:      t.TaskID,
-		Attempt:     t.Attempt,
-		NumMappers:  t.NumMappers,
-		NumReducers: t.NumReducers,
-		Node:        t.Node,
-		Cache:       t.Cache,
-		Counters:    NewCounters(),
+// run executes one attempt of the task through the engine's attempt
+// lifecycle — the same TaskContext, panic recovery and success-only counter
+// staging a driver-placed attempt gets — under a bare engine: a worker
+// process has no injector, plan, tracer or History of its own (the master
+// keeps the job's). The kind's functions are built inside the attempt, so a
+// panicking builder is recovered like a panicking mapper. It returns the
+// attempt's counters; the master merges them only if it accepts the attempt.
+func (t *RemoteTask) run(p Phase, body func(job *Job, rj *resolvedJob, ctx *TaskContext) (func(), error)) (*Counters, error) {
+	job := &Job{Name: t.Job, Cache: t.Cache}
+	rj := &resolvedJob{numMappers: t.NumMappers, numReducers: max(t.NumReducers, 1)}
+	j := &jobRun{e: &Engine{}, job: job, rj: rj, res: &Result{}}
+	ph := newPhase(p, t.TaskID+1) // the phase as far as this worker sees it: up to its one task
+	ph.body = func(_ int, ctx *TaskContext) (func(), error) {
+		funcs, err := BuildKind(t.Kind, t.Spec)
+		if err != nil {
+			return nil, err
+		}
+		if funcs.NewMapper == nil || funcs.NewReducer == nil {
+			return nil, fmt.Errorf("mapreduce: kind %q built incomplete JobFuncs", t.Kind)
+		}
+		job.NewMapper, job.NewReducer, job.NewCombiner = funcs.NewMapper, funcs.NewReducer, funcs.NewCombiner
+		if rj.partition = funcs.Partition; rj.partition == nil {
+			rj.partition = HashPartition
+		}
+		return body(job, rj, ctx)
 	}
-}
-
-// jobAndLayout builds the transient Job and layout shared by both remote
-// attempt runners.
-func (t *RemoteTask) jobAndLayout() (*Job, *resolvedJob, error) {
-	funcs, err := BuildKind(t.Kind, t.Spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	if funcs.NewMapper == nil || funcs.NewReducer == nil {
-		return nil, nil, fmt.Errorf("mapreduce: kind %q built incomplete JobFuncs", t.Kind)
-	}
-	job := &Job{
-		Name:        t.Job,
-		NewMapper:   funcs.NewMapper,
-		NewReducer:  funcs.NewReducer,
-		NewCombiner: funcs.NewCombiner,
-		Partition:   funcs.Partition,
-		Cache:       t.Cache,
-	}
-	rj := &resolvedJob{
-		numMappers:  t.NumMappers,
-		numReducers: t.NumReducers,
-		partition:   funcs.Partition,
-	}
-	if rj.numReducers < 1 {
-		rj.numReducers = 1
-	}
-	if rj.partition == nil {
-		rj.partition = HashPartition
-	}
-	return job, rj, nil
+	err := j.attempt(ph, TaskRecord{Phase: p, TaskID: t.TaskID, Attempt: t.Attempt, Node: t.Node})
+	return ph.staged[t.TaskID], err
 }
 
 // RunRemoteMap executes one map-task attempt on a worker process: the
 // framed split records are fed through the kind's Mapper (combiner
 // applied), and the per-reducer output comes back as framed segments
-// (nil for empty buckets). Counters are the attempt's task-local set; the
-// master merges them only if it accepts the attempt — the same
-// success-only rule the in-process engine applies. A panicking mapper is
-// recovered into an error, mirroring the in-process retry path.
-func RunRemoteMap(t *RemoteTask, split []byte) (segs [][]byte, counters *Counters, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			segs, counters = nil, nil
-			err = fmt.Errorf("map task %d on %s: panic: %v", t.TaskID, t.Node, p)
+// (nil for empty segments).
+func RunRemoteMap(t *RemoteTask, split []byte) (out [][]byte, counters *Counters, err error) {
+	counters, err = t.run(PhaseMap, func(job *Job, rj *resolvedJob, ctx *TaskContext) (func(), error) {
+		recs, err := DecodeRecords(split)
+		if err != nil {
+			return nil, err
 		}
-	}()
-	job, rj, err := t.jobAndLayout()
-	if err != nil {
-		return nil, nil, err
-	}
-	recs, err := DecodeRecords(split)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx := t.taskContext()
-	buckets, err := attemptMap(job, rj, memorySplit(recs), ctx)
-	if err != nil {
-		return nil, nil, fmt.Errorf("map task %d on %s: %w", t.TaskID, t.Node, err)
-	}
-	segs = make([][]byte, rj.numReducers)
-	for r := range buckets {
-		if buckets[r].len() > 0 {
-			segs[r] = encodeArena(&buckets[r])
+		segs, err := attemptMap(job, rj, memorySplit(recs), ctx)
+		if err != nil {
+			return nil, err
 		}
-	}
-	return segs, ctx.Counters, nil
+		return func() {
+			out = make([][]byte, len(segs))
+			for r := range segs {
+				if segs[r].arena.len() > 0 {
+					out[r] = encodeArena(&segs[r].arena)
+				}
+			}
+		}, nil
+	})
+	return out, counters, err
 }
 
 // RunRemoteReduce executes one reduce-task attempt on a worker process.
@@ -313,51 +263,46 @@ func RunRemoteMap(t *RemoteTask, split []byte) (segs [][]byte, counters *Counter
 // engine's (mapper index, emission order) value grouping exactly. The
 // reducer's output comes back framed.
 func RunRemoteReduce(t *RemoteTask, segs [][]byte) (output []byte, counters *Counters, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			output, counters = nil, nil
-			err = fmt.Errorf("reduce task %d on %s: panic: %v", t.TaskID, t.Node, p)
+	counters, err = t.run(PhaseReduce, func(job *Job, _ *resolvedJob, ctx *TaskContext) (func(), error) {
+		out, err := t.reduce(job, segs, ctx)
+		if err != nil {
+			return nil, err
 		}
-	}()
-	job, _, err := t.jobAndLayout()
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx := t.taskContext()
-	var out bucketArena
-	if t.SpillBudget > 0 {
-		out, err = t.spilledRemoteReduce(job, segs, ctx)
-	} else {
-		var in bucketArena
-		for m, seg := range segs {
-			if len(seg) == 0 {
-				continue
-			}
-			a, err := decodeArena(seg)
-			if err != nil {
-				return nil, nil, fmt.Errorf("reduce task %d: segment from map %d: %w", t.TaskID, m, err)
-			}
-			in.absorb(&a)
-		}
-		idx := in.sortedIndex()
-		groups := in.groupRuns(idx)
-		out, err = attemptReduce(job, &arenaGroups{in: &in, idx: idx, groups: groups}, ctx)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("reduce task %d on %s: %w", t.TaskID, t.Node, err)
-	}
-	return encodeArena(&out), ctx.Counters, nil
+		return func() { output = encodeArena(&out) }, nil
+	})
+	return output, counters, err
 }
 
-// spilledRemoteReduce streams the fetched segments through a
-// budget-tracked spill writer and reduces over the merged runs, never
-// holding the whole reducer input resident. Segments are consumed in map
-// order, so the runs inherit the engine's (mapper index, emission order)
-// arrival order and the merge reproduces the in-memory grouping exactly.
+// reduce feeds the fetched segments to the reducer in map order. Without a
+// spill budget they are decoded into one arena and sort-grouped, as the
+// engine's shuffle does. With one they stream through a budget-tracked
+// spill writer and the reducer consumes the merged runs, never holding the
+// whole input resident; the runs inherit the (mapper index, emission order)
+// arrival order, so the merge reproduces the in-memory grouping exactly.
 // All files live in a per-attempt directory removed before returning; a
 // run that fails its checksum fails the attempt, which the master retries
 // like any other task error.
-func (t *RemoteTask) spilledRemoteReduce(job *Job, segs [][]byte, ctx *TaskContext) (bucketArena, error) {
+func (t *RemoteTask) reduce(job *Job, segs [][]byte, ctx *TaskContext) (bucketArena, error) {
+	each := func(add func(key, value []byte) error) error {
+		for m, seg := range segs {
+			if err := walkRecords(seg, add); err != nil {
+				return fmt.Errorf("segment from map %d: %w", m, err)
+			}
+		}
+		return nil
+	}
+	if t.SpillBudget <= 0 {
+		var in bucketArena
+		err := each(func(key, value []byte) error {
+			in.add(key, value)
+			return nil
+		})
+		if err != nil {
+			return bucketArena{}, err
+		}
+		src := groupArena(&in)
+		return attemptReduce(job, &src, ctx)
+	}
 	dir, err := os.MkdirTemp(t.SpillDir, fmt.Sprintf("reduce%d-a%d-", t.TaskID, t.Attempt))
 	if err != nil {
 		return bucketArena{}, fmt.Errorf("creating spill directory: %w", err)
@@ -365,39 +310,16 @@ func (t *RemoteTask) spilledRemoteReduce(job *Job, segs [][]byte, ctx *TaskConte
 	defer os.RemoveAll(dir)
 	cfg := &spill.Config{Dir: dir, Budget: t.SpillBudget, FanIn: t.SpillFanIn}
 	w := spill.NewWriter(cfg, "seg", t.TaskID)
-	for m, seg := range segs {
-		for off := 0; off < len(seg); {
-			key, n, err := readChunk(seg, off)
-			if err == nil {
-				off = n
-				var val []byte
-				if val, n, err = readChunk(seg, off); err == nil {
-					off = n
-					err = w.Add(key, val)
-				}
-			}
-			if err != nil {
-				w.Discard()
-				return bucketArena{}, fmt.Errorf("segment from map %d: %w", m, err)
-			}
-		}
+	err = each(w.Add)
+	var runs []spill.RunFile
+	if err == nil {
+		runs, err = w.Finish()
 	}
-	runs, err := w.Finish()
 	if err != nil {
 		w.Discard()
 		return bucketArena{}, err
 	}
-	final, _, err := spill.MergeTree(cfg, dir, "merge", runs)
-	if err != nil {
-		return bucketArena{}, err
-	}
-	g, err := spill.NewGroups(cfg, final)
-	if err != nil {
-		return bucketArena{}, err
-	}
-	src := spillGroups{g}
-	defer src.close()
-	return attemptReduce(job, src, ctx)
+	return reduceRuns(job, cfg, runs, "merge-", ctx)
 }
 
 // ---------------------------------------------------------------------------
@@ -443,19 +365,9 @@ func (c *Counters) MergeDump(d CounterDump) {
 // split layout is identical to the in-process engine's (same Input.Splits
 // call), so task counts and split contents agree across backends.
 func SplitPayloads(job *Job, defaultMappers int) ([][]byte, error) {
-	hint := job.NumMappers
-	if hint < 1 {
-		hint = defaultMappers
-	}
-	if hint < 1 {
-		hint = 1
-	}
-	if job.Input == nil {
-		return nil, fmt.Errorf("mapreduce: job %q has no input", job.Name)
-	}
-	splits, err := job.Input.Splits(hint)
+	splits, err := jobSplits(job, defaultMappers)
 	if err != nil {
-		return nil, fmt.Errorf("mapreduce: job %q: splitting input: %w", job.Name, err)
+		return nil, err
 	}
 	out := make([][]byte, len(splits))
 	for i, s := range splits {
@@ -470,18 +382,4 @@ func SplitPayloads(job *Job, defaultMappers int) ([][]byte, error) {
 		out[i] = buf
 	}
 	return out, nil
-}
-
-// SortedCounterNames lists a dump's counter names (sums then maxes),
-// for deterministic logging in tests.
-func (d CounterDump) SortedCounterNames() []string {
-	names := make([]string, 0, len(d.Sums)+len(d.Maxs))
-	for k := range d.Sums {
-		names = append(names, k)
-	}
-	for k := range d.Maxs {
-		names = append(names, k+".max")
-	}
-	sort.Strings(names)
-	return names
 }

@@ -150,14 +150,3 @@ func (c SimConfig) shuffleTime(perReducerBytes []int64) time.Duration {
 	}
 	return shuffle
 }
-
-// simulateVirtual converts a fault-schedule finish time into the job's
-// SimulatedTime. Under a FaultPlan the virtual scheduler already charges
-// every attempt — including crashed, killed and duplicate speculative ones
-// — to slot time on its event clock, so the makespan accounts for wasted
-// and duplicate work; reduceEnd is the clock value when the last reduce
-// task committed (map makespan and shuffle transfer included), and only the
-// per-job setup overhead remains to be added.
-func (c SimConfig) simulateVirtual(reduceEnd time.Duration) time.Duration {
-	return c.withDefaults().JobSetup + reduceEnd
-}

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/spill"
@@ -85,11 +87,34 @@ func recordsIdentical(a, b []mapreduce.Record) bool {
 // across 30 seeds of random corpora and task layouts, a job run under a
 // tiny spill budget with fan-in 2 (forcing multiple runs per segment and
 // multi-round merge trees) must produce byte-identical output and the same
-// shuffle byte count as the all-in-RAM engine.
+// job counters as the all-in-RAM engine — on the wall-clock driver, on the
+// virtual-clock driver under a fault-free plan, and under a seeded plan of
+// crashes, stragglers, speculation and a node death that takes committed
+// map output (run files included) with it. On the virtual clock spilling
+// must not perturb the schedule either: the Histories are identical.
 func TestSpilledMatchesInMemory(t *testing.T) {
 	seeds := 30
 	if testing.Short() {
 		seeds = 6
+	}
+	drivers := []struct {
+		name string
+		plan func(seed int64) *mapreduce.FaultPlan
+	}{
+		{"wall", func(int64) *mapreduce.FaultPlan { return nil }},
+		{"virtual", func(seed int64) *mapreduce.FaultPlan { return &mapreduce.FaultPlan{Seed: seed} }},
+		{"virtual+faults", func(seed int64) *mapreduce.FaultPlan {
+			// No CorruptRate: the plan corrupts fetches of resident segments,
+			// and a spilled segment is never fetched — its runs carry their
+			// own checksums (TestSpilledCorruptSourceRunRepaired).
+			return &mapreduce.FaultPlan{
+				Seed:          seed,
+				CrashRate:     0.15,
+				StragglerRate: 0.3,
+				Speculative:   &mapreduce.SpeculativeConfig{},
+				NodeFailure:   &mapreduce.NodeFailure{Node: "node1", At: 150 * time.Millisecond},
+			}
+		}},
 	}
 	totalRuns, totalRounds := int64(0), int64(0)
 	for seed := 1; seed <= seeds; seed++ {
@@ -97,33 +122,48 @@ func TestSpilledMatchesInMemory(t *testing.T) {
 		lines := randomLines(rng, 20+rng.Intn(60))
 		mappers := 1 + rng.Intn(5)
 		reducers := 1 + rng.Intn(4)
-
 		e := newEngine(t, 2+rng.Intn(3), 1+rng.Intn(2))
-		resMem, err := e.Run(indexJob(lines, mappers, reducers))
-		if err != nil {
-			t.Fatalf("seed %d: in-memory run: %v", seed, err)
+		job := func() *mapreduce.Job {
+			j := indexJob(lines, mappers, reducers)
+			j.MaxAttempts = 8 // out of reach of the seeded crash schedule
+			return j
 		}
 
-		stats := &spill.Stats{}
-		e.Spill = &spill.Config{Dir: t.TempDir(), Budget: 256, FanIn: 2, Stats: stats}
-		resSp, err := e.Run(indexJob(lines, mappers, reducers))
-		if err != nil {
-			t.Fatalf("seed %d: spilled run: %v", seed, err)
-		}
-		e.Spill = nil
+		var wallOutput []mapreduce.Record
+		for _, d := range drivers {
+			e.Faults = d.plan(int64(seed))
+			resMem, err := e.Run(job())
+			if err != nil {
+				t.Fatalf("seed %d %s: in-memory run: %v", seed, d.name, err)
+			}
+			if wallOutput == nil {
+				wallOutput = resMem.Output
+			}
 
-		if !recordsIdentical(resMem.Output, resSp.Output) {
-			t.Errorf("seed %d (mappers=%d reducers=%d): spilled output differs from in-memory output",
-				seed, mappers, reducers)
+			stats := &spill.Stats{}
+			e.Spill = &spill.Config{Dir: t.TempDir(), Budget: 256, FanIn: 2, Stats: stats}
+			resSp, err := e.Run(job())
+			if err != nil {
+				t.Fatalf("seed %d %s: spilled run: %v", seed, d.name, err)
+			}
+			e.Spill = nil
+
+			if !recordsIdentical(resMem.Output, resSp.Output) || !recordsIdentical(wallOutput, resSp.Output) {
+				t.Errorf("seed %d %s (mappers=%d reducers=%d): spilled output differs from in-memory output",
+					seed, d.name, mappers, reducers)
+			}
+			if m, s := resMem.Counters.Snapshot(), resSp.Counters.Snapshot(); !reflect.DeepEqual(m, s) {
+				t.Errorf("seed %d %s: job counters diverge:\nin-memory %+v\nspilled   %+v", seed, d.name, m, s)
+			}
+			if e.Faults != nil && !reflect.DeepEqual(resMem.History.Records(), resSp.History.Records()) {
+				t.Errorf("seed %d %s: spilling changed the virtual schedule", seed, d.name)
+			}
+			if stats.RunsWritten.Load() == 0 {
+				t.Errorf("seed %d %s: spilled run wrote no run files", seed, d.name)
+			}
+			totalRuns += stats.RunsWritten.Load()
+			totalRounds += stats.MergeRounds.Load()
 		}
-		if m, s := resMem.Counters.Get(mapreduce.CounterShuffleBytes), resSp.Counters.Get(mapreduce.CounterShuffleBytes); m != s {
-			t.Errorf("seed %d: shuffle bytes diverge: in-memory %d, spilled %d", seed, m, s)
-		}
-		if stats.RunsWritten.Load() == 0 {
-			t.Errorf("seed %d: spilled run wrote no run files", seed)
-		}
-		totalRuns += stats.RunsWritten.Load()
-		totalRounds += stats.MergeRounds.Load()
 	}
 	if totalRounds == 0 {
 		t.Errorf("no merge rounds across %d seeds: the 256-byte budget with fan-in 2 should force multi-round merges", seeds)
@@ -219,5 +259,64 @@ func TestSpilledCorruptSourceRunRepaired(t *testing.T) {
 	}
 	if got := res.Counters.Get(mapreduce.CounterShuffleCorruptions); got < 1 {
 		t.Errorf("CounterShuffleCorruptions = %d, want >= 1", got)
+	}
+}
+
+// TestSpilledNodeDeathDropsRunFiles: on the virtual clock a node death
+// uncommits the map tasks whose output the node held, and with spilling on
+// that output is run files — they must be deleted with it, so that when
+// the reduce phase starts every map task has exactly one attempt's files
+// on disk, and the job still produces the fault-free output.
+func TestSpilledNodeDeathDropsRunFiles(t *testing.T) {
+	lines := randomLines(rand.New(rand.NewSource(13)), 48)
+	want, err := newEngine(t, 3, 2).Run(indexJob(lines, 12, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	e := newEngine(t, 3, 2)
+	e.Spill = &spill.Config{Dir: dir, Budget: 64, FanIn: 2}
+	// 12 maps on 6 slots run in two ~100ms waves: at 150ms node0 has
+	// committed wave-1 output and is running wave-2 attempts.
+	e.Faults = &mapreduce.FaultPlan{Seed: 9, NodeFailure: &mapreduce.NodeFailure{Node: "node0", At: 150 * time.Millisecond}}
+	var once sync.Once
+	attemptsOnDisk := map[string]map[string]bool{} // map task → attempts with files
+	e.FaultInjector = func(phase mapreduce.Phase, _, _ int) error {
+		if phase == mapreduce.PhaseReduce {
+			once.Do(func() {
+				matches, _ := filepath.Glob(filepath.Join(dir, "job-*", "m*-a*-r*.run"))
+				for _, path := range matches {
+					parts := strings.SplitN(filepath.Base(path), "-", 3) // m<task>, a<attempt>, rest
+					if attemptsOnDisk[parts[0]] == nil {
+						attemptsOnDisk[parts[0]] = map[string]bool{}
+					}
+					attemptsOnDisk[parts[0]][parts[1]] = true
+				}
+			})
+		}
+		return nil
+	}
+	res, err := e.Run(indexJob(lines, 12, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !recordsIdentical(res.Output, want.Output) {
+		t.Error("output after node death differs from the fault-free output")
+	}
+	if len(attemptsOnDisk) != 12 {
+		t.Fatalf("run files of %d map tasks on disk at reduce start, want 12: %v", len(attemptsOnDisk), attemptsOnDisk)
+	}
+	reExecuted := 0
+	for task, attempts := range attemptsOnDisk {
+		if len(attempts) != 1 {
+			t.Errorf("map task %s has run files of attempts %v on disk; the uncommitted attempt's were not deleted", task, attempts)
+		}
+		if !attempts["a1"] {
+			reExecuted++
+		}
+	}
+	if reExecuted == 0 {
+		t.Error("no map task was re-executed; the node death exercised nothing")
 	}
 }

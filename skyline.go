@@ -112,10 +112,6 @@ type Options struct {
 	// Maximize marks dimensions where larger values are better. Nil means
 	// all dimensions minimize. Length must equal the data dimensionality.
 	Maximize []bool
-	// UseSFSKernel switches the in-task local skyline kernel from BNL (the
-	// paper's) to sort-filter-skyline. Kernel, when non-empty, takes
-	// precedence.
-	UseSFSKernel bool
 	// Kernel names the in-task local skyline kernel for the grid
 	// algorithms: "bnl" (default, the paper's Algorithm 4), "sfs", "dc"
 	// (divide & conquer) or "bbs" (branch-and-bound over an R-tree).
@@ -333,12 +329,7 @@ func computeOn(ctx context.Context, eng mapreduce.Executor, data [][]float64, op
 // kernelFromOptions resolves the local-kernel selection.
 func kernelFromOptions(opts Options) (skyline.Kernel, error) {
 	switch opts.Kernel {
-	case "":
-		if opts.UseSFSKernel {
-			return skyline.KernelSFS, nil
-		}
-		return skyline.KernelBNL, nil
-	case "bnl":
+	case "", "bnl":
 		return skyline.KernelBNL, nil
 	case "sfs":
 		return skyline.KernelSFS, nil

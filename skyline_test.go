@@ -266,9 +266,8 @@ func TestComputeKernels(t *testing.T) {
 	if _, err := mrskyline.Compute(data, mrskyline.Options{Kernel: "quantum"}); err == nil {
 		t.Error("unknown kernel accepted")
 	}
-	// Legacy flag still works.
-	res, err := mrskyline.Compute(data, mrskyline.Options{UseSFSKernel: true, Nodes: 2})
+	res, err := mrskyline.Compute(data, mrskyline.Options{Kernel: "sfs", Nodes: 2})
 	if err != nil || !sameSet(res.Skyline, want) {
-		t.Errorf("UseSFSKernel path broken: %v", err)
+		t.Errorf("Kernel \"sfs\" path broken: %v", err)
 	}
 }
