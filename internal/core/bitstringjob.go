@@ -82,9 +82,10 @@ func bitstringFuncs(cfg *Config, g *grid.Grid, disablePruning bool) *mapreduce.J
 // local occupancy bitstring, emitted on flush.
 func newBitstringMapper(cfg *Config, g *grid.Grid) mapreduce.Mapper {
 	local := bitstring.New(g.NumPartitions())
+	decode := cfg.scratchDecoder(g.Dim())
 	return mapreduce.MapperFuncs{
 		MapFn: func(_ *mapreduce.TaskContext, rec mapreduce.Record, _ mapreduce.Emitter) error {
-			t, err := cfg.decode(rec)
+			t, err := decode(rec)
 			if err != nil {
 				return err
 			}
@@ -133,40 +134,44 @@ func newBitstringReducer(g *grid.Grid, disablePruning bool) mapreduce.Reducer {
 
 // ppdSelectFuncs wires the Section 3.3 PPD-selection job's task functions,
 // for the driver and for the KindPPDSelect builder alike.
-func ppdSelectFuncs(cfg *Config, d, card int, candidates []int, grids map[int]*grid.Grid, disablePruning bool) *mapreduce.JobFuncs {
+func ppdSelectFuncs(cfg *Config, card int, ladder *grid.Ladder, disablePruning bool) *mapreduce.JobFuncs {
 	return &mapreduce.JobFuncs{
-		NewMapper:  func() mapreduce.Mapper { return newPPDSelectMapper(cfg, d, candidates, grids) },
-		NewReducer: func() mapreduce.Reducer { return newPPDSelectReducer(card, candidates, grids, disablePruning) },
+		NewMapper:  func() mapreduce.Mapper { return newPPDSelectMapper(cfg, ladder) },
+		NewReducer: func() mapreduce.Reducer { return newPPDSelectReducer(card, ladder, disablePruning) },
 	}
 }
 
 // newPPDSelectMapper builds the Section 3.3 mapper: one local occupancy
-// bitstring per candidate PPD, emitted keyed by the candidate on flush.
-func newPPDSelectMapper(cfg *Config, d int, candidates []int, grids map[int]*grid.Grid) mapreduce.Mapper {
-	locals := make(map[int]*bitstring.Bitstring, len(candidates))
-	for _, j := range candidates {
-		locals[j] = bitstring.New(grids[j].NumPartitions())
+// bitstring per candidate PPD, emitted keyed by the candidate on flush. Each
+// record is one pass: decode into the mapper's scratch tuple, locate it on
+// every level of the ladder, set one bit per level.
+func newPPDSelectMapper(cfg *Config, ladder *grid.Ladder) mapreduce.Mapper {
+	locals := make([]*bitstring.Bitstring, ladder.Len())
+	for i := range locals {
+		locals[i] = bitstring.New(ladder.Grid(i).NumPartitions())
 	}
+	cells := make([]int, ladder.Len())
+	decode := cfg.scratchDecoder(ladder.Dim())
 	return mapreduce.MapperFuncs{
 		MapFn: func(_ *mapreduce.TaskContext, rec mapreduce.Record, _ mapreduce.Emitter) error {
-			t, err := cfg.decode(rec)
+			t, err := decode(rec)
 			if err != nil {
 				return err
 			}
 			if t == nil {
 				return nil
 			}
-			if len(t) != d {
-				return fmt.Errorf("core: tuple dimensionality %d, want %d", len(t), d)
+			if len(t) != ladder.Dim() {
+				return fmt.Errorf("core: tuple dimensionality %d, want %d", len(t), ladder.Dim())
 			}
-			for _, j := range candidates {
-				locals[j].Set(grids[j].Locate(t))
+			for i, p := range ladder.Locate(t, cells) {
+				locals[i].Set(p)
 			}
 			return nil
 		},
 		FlushFn: func(_ *mapreduce.TaskContext, emit mapreduce.Emitter) error {
-			for _, j := range candidates {
-				emit(encodeKey(j), locals[j].Encode())
+			for i, local := range locals {
+				emit(encodeKey(ladder.Grid(i).PPD()), local.Encode())
 			}
 			return nil
 		},
@@ -176,19 +181,19 @@ func newPPDSelectMapper(cfg *Config, d int, candidates []int, grids map[int]*gri
 // newPPDSelectReducer builds the Section 3.3 reducer: merge each
 // candidate's bitstrings, count ρ, pick the candidate minimizing
 // |c/ρ − c/j^d|, prune the winner and emit uvarint(best) ++ bitstring.
-func newPPDSelectReducer(card int, candidates []int, grids map[int]*grid.Grid, disablePruning bool) mapreduce.Reducer {
-	merged := make(map[int]*bitstring.Bitstring, len(candidates))
+func newPPDSelectReducer(card int, ladder *grid.Ladder, disablePruning bool) mapreduce.Reducer {
+	merged := make([]*bitstring.Bitstring, ladder.Len()) // nil: candidate received nothing
 	return mapreduce.ReducerFuncs{
 		ReduceFn: func(_ *mapreduce.TaskContext, key []byte, values [][]byte, _ mapreduce.Emitter) error {
 			j, err := decodeKey(key)
 			if err != nil {
 				return err
 			}
-			g, ok := grids[j]
+			i, ok := ladder.Level(j)
 			if !ok {
 				return fmt.Errorf("core: unexpected PPD candidate %d", j)
 			}
-			global := bitstring.New(g.NumPartitions())
+			global := bitstring.New(ladder.Grid(i).NumPartitions())
 			for _, v := range values {
 				local, _, err := bitstring.Decode(v)
 				if err != nil {
@@ -196,28 +201,31 @@ func newPPDSelectReducer(card int, candidates []int, grids map[int]*grid.Grid, d
 				}
 				global.Or(local)
 			}
-			merged[j] = global
+			merged[i] = global
 			return nil
 		},
 		FlushFn: func(ctx *mapreduce.TaskContext, emit mapreduce.Emitter) error {
-			d := grids[candidates[0]].Dim()
 			rho := make(map[int]int, len(merged))
-			for j, bs := range merged {
-				rho[j] = bs.Count()
+			for i, bs := range merged {
+				if bs != nil {
+					rho[ladder.Grid(i).PPD()] = bs.Count()
+				}
 			}
-			best := grid.ChoosePPD(card, d, rho)
-			bs, ok := merged[best]
-			if !ok {
-				// No input at all: fall back to an empty PPD-2 grid.
-				best = candidates[0]
-				bs = bitstring.New(grids[best].NumPartitions())
+			// ChoosePPD answers 2 when no candidate has an occupied
+			// partition; if 2 is not a level that received input, the
+			// result is the coarsest level, empty.
+			level, ok := ladder.Level(grid.ChoosePPD(card, ladder.Dim(), rho))
+			if !ok || merged[level] == nil {
+				level = 0
+				merged[level] = bitstring.New(ladder.Grid(level).NumPartitions())
 			}
+			g, bs := ladder.Grid(level), merged[level]
 			ctx.Counters.Add("bitstring.nonempty", int64(bs.Count()))
 			if !disablePruning {
-				grids[best].Prune(bs)
+				g.Prune(bs)
 			}
 			ctx.Counters.Add("bitstring.surviving", int64(bs.Count()))
-			payload := binary.AppendUvarint(nil, uint64(best))
+			payload := binary.AppendUvarint(nil, uint64(g.PPD()))
 			payload = bs.AppendEncode(payload)
 			emit(nil, payload)
 			return nil
@@ -228,7 +236,9 @@ func newPPDSelectReducer(card int, candidates []int, grids map[int]*grid.Grid, d
 // ppdCandidates returns the candidate PPD series of Section 3.3 — the
 // integers from 2 to nm — optionally thinned to at most maxCandidates
 // values spread evenly across the range (endpoints always kept). A
-// maxCandidates < 0 keeps the full series; 0 applies the default bound.
+// maxCandidates < 0 keeps the full series; 0 applies the default bound; 1
+// has room for one endpoint only and keeps 2, the job's fallback PPD. The
+// series is never empty.
 func ppdCandidates(card, d, maxCandidates int) []int {
 	nm := grid.MaxCandidatePPD(card, d, grid.MaxPartitions)
 	full := make([]int, 0, nm-1)
@@ -240,6 +250,9 @@ func ppdCandidates(card, d, maxCandidates int) []int {
 	}
 	if maxCandidates < 0 || len(full) <= maxCandidates {
 		return full
+	}
+	if maxCandidates == 1 {
+		return full[:1]
 	}
 	out := make([]int, 0, maxCandidates)
 	seen := make(map[int]bool, maxCandidates)
@@ -263,22 +276,14 @@ func ppdCandidates(card, d, maxCandidates int) []int {
 // bitstring-generation job becomes unnecessary: its work is subsumed here.
 func ChoosePPDAndBitstring(cfg *Config, d, card int, input mapreduce.Input, disablePruning bool) (*BitstringResult, error) {
 	candidates := ppdCandidates(card, d, cfg.MaxPPDCandidates)
-	if len(candidates) == 0 {
-		candidates = []int{2}
-	}
 	doneGrids := cfg.Engine.WallTracer().Timed(obs.DriverTrack, "grid-build", obs.CatAlgo, "algo.grid_build.ns")
-	grids := make(map[int]*grid.Grid, len(candidates))
-	for _, j := range candidates {
-		g, err := cfg.newGrid(d, j)
-		if err != nil {
-			doneGrids()
-			return nil, fmt.Errorf("core: candidate PPD %d: %w", j, err)
-		}
-		grids[j] = g
-	}
+	ladder, err := grid.NewLadder(d, candidates, cfg.Lo, cfg.Hi)
 	doneGrids()
+	if err != nil {
+		return nil, err
+	}
 
-	funcs := ppdSelectFuncs(cfg, d, card, candidates, grids, disablePruning)
+	funcs := ppdSelectFuncs(cfg, card, ladder, disablePruning)
 	job := &mapreduce.Job{
 		Name:        "ppd-select",
 		Input:       input,
@@ -302,32 +307,38 @@ func ChoosePPDAndBitstring(cfg *Config, d, card int, input mapreduce.Input, disa
 		return nil, fmt.Errorf("core: ppd job produced %d outputs, want 1", len(res.Output))
 	}
 	payload := res.Output[0].Value
-	best64, n := binary.Uvarint(payload)
+	best, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return nil, fmt.Errorf("core: malformed ppd job output")
+	}
+	level, ok := ladder.Level(int(best))
+	if !ok {
+		return nil, fmt.Errorf("core: ppd job chose %d, not a candidate", best)
 	}
 	bs, _, err := bitstring.Decode(payload[n:])
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding chosen bitstring: %w", err)
 	}
-	best := int(best64)
 	return &BitstringResult{
-		Grid:      grids[best],
+		Grid:      ladder.Grid(level),
 		Bitstring: bs,
 		NonEmpty:  int(res.Counters.Get("bitstring.nonempty")),
-		PPD:       best,
+		PPD:       int(best),
 		AutoPPD:   true,
 		Job:       res,
 	}, nil
 }
 
 // prepare resolves the grid + global bitstring for an in-memory skyline
-// run.
-func prepare(cfg *Config, data tuple.List) (*BitstringResult, error) {
+// run. It encodes data once and returns that input beside the result, for
+// the skyline job to read again.
+func prepare(cfg *Config, data tuple.List) (*BitstringResult, mapreduce.Input, error) {
 	if err := data.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return prepareInput(cfg, mapreduce.TupleInput(data), data.Dim(), len(data))
+	input := mapreduce.TupleInput(data)
+	prep, err := prepareInput(cfg, input, data.Dim(), len(data))
+	return prep, input, err
 }
 
 // prepareInput resolves the grid + global bitstring for a skyline run over

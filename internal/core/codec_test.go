@@ -131,6 +131,11 @@ func TestPPDCandidates(t *testing.T) {
 	if len(got) > DefaultMaxPPDCandidates {
 		t.Errorf("default-thinned candidates = %v", got)
 	}
+	// A bound of 1 keeps the fallback PPD alone (and used to divide by zero).
+	got = ppdCandidates(1_000_000, 2, 1)
+	if len(got) != 1 || got[0] != 2 {
+		t.Errorf("bound-1 candidates = %v", got)
+	}
 	// Tiny data: nm = 2, single candidate.
 	got = ppdCandidates(5, 3, 0)
 	if len(got) != 1 || got[0] != 2 {

@@ -47,7 +47,8 @@ type Config struct {
 	// cardinality; by default this implementation thins the series to at
 	// most DefaultMaxPPDCandidates values spread evenly across the range
 	// (always including both endpoints). Set to a negative value to force
-	// the full series.
+	// the full series. A bound of 1 evaluates the single candidate 2, which
+	// makes the job a plain bitstring generation at PPD 2.
 	MaxPPDCandidates int
 
 	// Kernel is the local-skyline algorithm inside tasks (default BNL, the
@@ -90,6 +91,23 @@ func (c *Config) decode(rec mapreduce.Record) (tuple.Tuple, error) {
 		return c.DecodeRecord(rec)
 	}
 	return mapreduce.DecodeTupleRecord(rec)
+}
+
+// scratchDecoder is decode for a mapper that does not retain tuples: with
+// the default codec every call overwrites and returns one scratch tuple, so
+// the result is valid only until the next call. The scratch tuple belongs
+// to the returned closure; a mapper takes its own per task attempt, because
+// the Config is shared by all of a job's concurrent tasks. A custom
+// DecodeRecord keeps returning its own tuples.
+func (c *Config) scratchDecoder(d int) func(mapreduce.Record) (tuple.Tuple, error) {
+	if c.DecodeRecord != nil {
+		return c.DecodeRecord
+	}
+	scratch := make(tuple.Tuple, d)
+	return func(rec mapreduce.Record) (tuple.Tuple, error) {
+		t, _, err := tuple.DecodeInto(scratch, rec.Value)
+		return t, err
+	}
 }
 
 // CSVRecordDecoder returns a DecodeRecord for comma-separated text records

@@ -153,6 +153,27 @@ func TestAutoPPDFullCandidateSeries(t *testing.T) {
 	}
 }
 
+// TestAutoPPDSingleCandidate: a candidate bound of 1 evaluates PPD 2 alone
+// instead of dividing by zero while thinning the series.
+func TestAutoPPDSingleCandidate(t *testing.T) {
+	cfg := testConfig(t, 2, 2)
+	cfg.MaxPPDCandidates = 1
+	data := datagen.Generate(datagen.AntiCorrelated, 600, 2, 29)
+	want := skyline.Naive(data)
+	for _, a := range algos {
+		got, stats, err := a.run(cfg, data)
+		if err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		if !tuple.EqualAsSet(got, want) {
+			t.Fatalf("%s: wrong skyline with a single candidate", a.name)
+		}
+		if stats.PPD != 2 || !stats.AutoPPD {
+			t.Errorf("%s: PPD %d (auto %v), want the lone candidate 2", a.name, stats.PPD, stats.AutoPPD)
+		}
+	}
+}
+
 func TestEmptyInput(t *testing.T) {
 	cfg := testConfig(t, 2, 1)
 	for _, a := range algos {

@@ -23,11 +23,11 @@ func GPMRS(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 	if len(data) == 0 {
 		return nil, &Stats{Algorithm: "MR-GPMRS"}, nil
 	}
-	prep, err := prepare(&cfg, data)
+	prep, input, err := prepare(&cfg, data)
 	if err != nil {
 		return nil, nil, err
 	}
-	return gpmrsRun(cfg, mapreduce.TupleInput(data), prep, start)
+	return gpmrsRun(cfg, input, prep, start)
 }
 
 // GPMRSFromInput is GPMRS over an arbitrary input source; see

@@ -21,11 +21,11 @@ func GPSRS(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 	if len(data) == 0 {
 		return nil, &Stats{Algorithm: "MR-GPSRS"}, nil
 	}
-	prep, err := prepare(&cfg, data)
+	prep, input, err := prepare(&cfg, data)
 	if err != nil {
 		return nil, nil, err
 	}
-	return gpsrsRun(cfg, mapreduce.TupleInput(data), prep, start)
+	return gpsrsRun(cfg, input, prep, start)
 }
 
 // GPSRSFromInput is GPSRS over an arbitrary input source (e.g. a

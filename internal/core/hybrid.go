@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/tuple"
 )
 
@@ -41,7 +40,7 @@ func hybridWithThreshold(cfg Config, data tuple.List, threshold int64) (tuple.Li
 	if len(data) == 0 {
 		return nil, &Stats{Algorithm: "Hybrid"}, nil
 	}
-	prep, err := prepare(&cfg, data)
+	prep, input, err := prepare(&cfg, data)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -57,7 +56,6 @@ func hybridWithThreshold(cfg Config, data tuple.List, threshold int64) (tuple.Li
 		sky tuple.List
 		st  *Stats
 	)
-	input := mapreduce.TupleInput(data)
 	if useMulti {
 		sky, st, err = gpmrsRun(cfg, input, prep, start)
 	} else {

@@ -131,14 +131,9 @@ func buildPPDSelectKind(spec []byte) (*mapreduce.JobFuncs, error) {
 	if err := json.Unmarshal(spec, &s); err != nil {
 		return nil, fmt.Errorf("core: ppd-select spec: %w", err)
 	}
-	cfg := &Config{Lo: s.Lo, Hi: s.Hi}
-	grids := make(map[int]*grid.Grid, len(s.Candidates))
-	for _, j := range s.Candidates {
-		g, err := cfg.newGrid(s.D, j)
-		if err != nil {
-			return nil, fmt.Errorf("core: ppd-select candidate %d: %w", j, err)
-		}
-		grids[j] = g
+	ladder, err := grid.NewLadder(s.D, s.Candidates, s.Lo, s.Hi)
+	if err != nil {
+		return nil, fmt.Errorf("core: ppd-select spec: %w", err)
 	}
-	return ppdSelectFuncs(cfg, s.D, s.Card, s.Candidates, grids, s.DisablePruning), nil
+	return ppdSelectFuncs(&Config{}, s.Card, ladder, s.DisablePruning), nil
 }

@@ -51,12 +51,21 @@ type Grid struct {
 // New returns a grid over the unit box [0,1)^d with n partitions per
 // dimension (PPD).
 func New(d, n int) (*Grid, error) {
-	lo := make(tuple.Tuple, d)
-	hi := make(tuple.Tuple, d)
+	lo, hi := unitBox(d)
+	return NewWithBounds(d, n, lo, hi)
+}
+
+// unitBox returns the corners of [0,1)^d (empty for d < 1, which the
+// constructors reject).
+func unitBox(d int) (lo, hi tuple.Tuple) {
+	if d < 1 {
+		return nil, nil
+	}
+	lo, hi = make(tuple.Tuple, d), make(tuple.Tuple, d)
 	for k := range hi {
 		hi[k] = 1
 	}
-	return NewWithBounds(d, n, lo, hi)
+	return lo, hi
 }
 
 // NewWithBounds returns a grid over the box [lo, hi) with n partitions per
@@ -118,6 +127,23 @@ func (g *Grid) Lo() tuple.Tuple { return g.lo.Clone() }
 // Hi returns the exclusive upper corner of the data domain.
 func (g *Grid) Hi() tuple.Tuple { return g.hi.Clone() }
 
+// cellCoord maps an offset from the domain's lower bound to a cell
+// coordinate on one dimension: the quotient by the cell width, truncated, with
+// out-of-domain values clamped into the boundary cells. It is the only place
+// a value becomes a coordinate, so CellOf, Locate and Ladder.Locate agree on
+// every input. The division is deliberate: multiplying by a precomputed
+// 1/width rounds differently for values on or within an ulp of a cell edge,
+// which would move tuples between cells and change the bitstring.
+func cellCoord(off, width float64, n int) int {
+	c := int(off / width)
+	if c < 0 {
+		c = 0
+	} else if c >= n {
+		c = n - 1
+	}
+	return c
+}
+
 // CellOf writes the cell coordinates of t into dst (which must have length
 // d) and returns dst. Out-of-domain values clamp to the boundary cells.
 func (g *Grid) CellOf(t tuple.Tuple, dst []int) []int {
@@ -125,13 +151,7 @@ func (g *Grid) CellOf(t tuple.Tuple, dst []int) []int {
 		panic(fmt.Sprintf("grid: tuple dimensionality %d does not match grid d=%d", len(t), g.d))
 	}
 	for k := 0; k < g.d; k++ {
-		c := int((t[k] - g.lo[k]) / g.width[k])
-		if c < 0 {
-			c = 0
-		} else if c >= g.n {
-			c = g.n - 1
-		}
-		dst[k] = c
+		dst[k] = cellCoord(t[k]-g.lo[k], g.width[k], g.n)
 	}
 	return dst
 }
@@ -144,13 +164,7 @@ func (g *Grid) Locate(t tuple.Tuple) int {
 	}
 	i := 0
 	for k := 0; k < g.d; k++ {
-		c := int((t[k] - g.lo[k]) / g.width[k])
-		if c < 0 {
-			c = 0
-		} else if c >= g.n {
-			c = g.n - 1
-		}
-		i += c * g.strides[k]
+		i += cellCoord(t[k]-g.lo[k], g.width[k], g.n) * g.strides[k]
 	}
 	return i
 }

@@ -71,9 +71,12 @@ func (s memorySplit) Each(fn func(Record) error) error {
 }
 
 // TupleInput adapts a tuple list into an input: each record's value is the
-// binary encoding of one tuple (key nil). All encodings share one exactly
-// sized backing arena, so building the input costs two allocations instead
-// of one per tuple.
+// binary encoding of one tuple (key nil). Every value is a capacity-clipped
+// window of one exactly sized arena, so the input is the arena plus the
+// record slice whatever the cardinality, and it copies data: later changes
+// to the list do not reach it. Building it is a full encoding pass, and
+// nothing that reads an input writes to it, so internal/core builds one per
+// run and gives the same input to the bitstring job and the skyline job.
 func TupleInput(data tuple.List) MemoryInput {
 	size := 0
 	for _, t := range data {

@@ -33,6 +33,14 @@ func Encode(t Tuple) []byte {
 // Decode parses one tuple from the front of b, returning the tuple and the
 // number of bytes consumed.
 func Decode(b []byte) (Tuple, int, error) {
+	return DecodeInto(nil, b)
+}
+
+// DecodeInto is Decode into caller-owned storage: the tuple is written over
+// dst[:0] and returned, allocated afresh only when dst is nil or cap(dst)
+// is short, so a caller that does not retain tuples decodes a whole split
+// through one scratch tuple without allocating. On error dst is untouched.
+func DecodeInto(dst Tuple, b []byte) (Tuple, int, error) {
 	dim, n := binary.Uvarint(b)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("tuple: truncated dimension header")
@@ -40,13 +48,16 @@ func Decode(b []byte) (Tuple, int, error) {
 	if dim > uint64(len(b)-n)/8 {
 		return nil, 0, fmt.Errorf("tuple: truncated payload: dim %d with %d bytes left", dim, len(b)-n)
 	}
-	t := make(Tuple, dim)
+	if dst == nil || uint64(cap(dst)) < dim {
+		dst = make(Tuple, dim)
+	}
+	dst = dst[:dim]
 	off := n
-	for i := range t {
-		t[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 		off += 8
 	}
-	return t, off, nil
+	return dst, off, nil
 }
 
 // AppendEncodeList appends the wire encoding of the list to dst.

@@ -43,6 +43,63 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
+func TestDecodeInto(t *testing.T) {
+	orig := Tuple{1, -2.5, 3e300}
+	enc := Encode(orig)
+
+	// Truncated header, truncated payload: Decode's errors, dst untouched.
+	dst := Tuple{7, 8, 9}
+	for i := 0; i < len(enc); i++ {
+		if _, _, err := DecodeInto(dst, enc[:i]); err == nil {
+			t.Errorf("DecodeInto of %d/%d bytes succeeded unexpectedly", i, len(enc))
+		}
+	}
+	if _, _, err := DecodeInto(dst, nil); err == nil {
+		t.Error("DecodeInto(dst, nil) succeeded")
+	}
+	if !dst.Equal(Tuple{7, 8, 9}) {
+		t.Errorf("failed decodes wrote dst: %v", dst)
+	}
+
+	// Room in dst: decoded in place, whatever len(dst) is.
+	for _, dst := range []Tuple{{7, 8, 9}, make(Tuple, 0, 3), make(Tuple, 5)} {
+		got, n, err := DecodeInto(dst, enc)
+		if err != nil || n != len(enc) || !got.Equal(orig) {
+			t.Fatalf("DecodeInto(len %d cap %d) = %v, %d, %v", len(dst), cap(dst), got, n, err)
+		}
+		if &got[0] != &dst[:1][0] {
+			t.Errorf("DecodeInto(len %d cap %d) did not reuse dst", len(dst), cap(dst))
+		}
+	}
+
+	// Short or nil dst: a fresh tuple, dst untouched.
+	dst = Tuple{7, 8}
+	for _, short := range []Tuple{dst, nil} {
+		got, n, err := DecodeInto(short, enc)
+		if err != nil || n != len(enc) || !got.Equal(orig) {
+			t.Fatalf("DecodeInto(short) = %v, %d, %v", got, n, err)
+		}
+	}
+	if !dst.Equal(Tuple{7, 8}) {
+		t.Errorf("short dst written: %v", dst)
+	}
+
+	// A zero-dimensional tuple decodes to an empty, non-nil tuple, as
+	// Decode's does: nil is the record decoders' "skip" answer.
+	if got, _, err := Decode(Encode(Tuple{})); err != nil || got == nil || len(got) != 0 {
+		t.Errorf("Decode(empty) = %#v, %v", got, err)
+	}
+
+	scratch := make(Tuple, len(orig))
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := DecodeInto(scratch, enc); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("DecodeInto into a large-enough dst: %v allocs per call, want 0", n)
+	}
+}
+
 func TestListRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
