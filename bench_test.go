@@ -10,9 +10,13 @@ package mrskyline_test
 // tables with printed rows.
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"sync"
 	"testing"
 
+	mrskyline "mrskyline"
 	"mrskyline/internal/datagen"
 	"mrskyline/internal/experiments"
 )
@@ -106,3 +110,64 @@ func BenchmarkExtensionSKYMR(b *testing.B) { benchFigure(b, "extension-skymr") }
 // BenchmarkExtensionScaleOut measures MR-GPMRS's simulated runtime as the
 // cluster grows at a fixed workload (not a paper figure).
 func BenchmarkExtensionScaleOut(b *testing.B) { benchFigure(b, "extension-scaleout") }
+
+// BenchmarkServiceSession is the in-package reading of the benchmark
+// harness's serve-query workload, without HTTP: one iteration is two
+// concurrent sessions against one Service, each the harness's four requests
+// at the harness's sizes — the skyline of a registered 20 000 × 4 dataset, a
+// narrow constrained query over a registered 200 000 × 4 catalog, a
+// two-dimensional subspace of a registered anti-correlated 5 000 × 4, and
+// MR-GPSRS over 2 000 inline rows. Run with -benchmem: bytes per op is what
+// the harness's rss_mb follows, and ns/op is free of the harness's
+// GC-attribution artefacts (ROADMAP, "Reading the instrument").
+func BenchmarkServiceSession(b *testing.B) {
+	svc, err := mrskyline.NewService(mrskyline.ServiceConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := func(dist string, card int, seed int64) [][]float64 {
+		rows, err := mrskyline.Generate(dist, card, 4, seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return rows
+	}
+	indep := svc.Dataset(gen("independent", 20000, 1))
+	catalog := svc.Dataset(gen("independent", 200000, 2))
+	anti := svc.Dataset(gen("anticorrelated", 5000, 3))
+	inline := gen("independent", 2000, 10)
+	box := []mrskyline.Range{{Min: 0.2, Max: 0.3}, {Min: 0.5, Max: math.Inf(1)}, mrskyline.Unbounded(), mrskyline.Unbounded()}
+	ctx := context.Background()
+	session := func() error {
+		if _, err := indep.Compute(ctx, mrskyline.Options{}); err != nil {
+			return err
+		}
+		if _, err := catalog.ComputeConstrained(ctx, box, mrskyline.Options{}); err != nil {
+			return err
+		}
+		if _, err := anti.ComputeSubspace(ctx, []int{0, 3}, mrskyline.Options{}); err != nil {
+			return err
+		}
+		_, err := svc.Compute(ctx, inline, mrskyline.Options{Algorithm: mrskyline.GPSRS})
+		return err
+	}
+	// The harness warms the daemon up before it measures; so does this.
+	if err := session(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := session(); err != nil {
+					b.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}

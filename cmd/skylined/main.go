@@ -187,30 +187,24 @@ type server struct {
 	datasets map[string]*dataset
 }
 
-// dataset is one cache entry: plain rows, or a maintained skyline handle
-// when the dataset was registered with "maintain": true. Maintained
-// entries serve regular queries from their current resident rows. dir is
-// the durable directory ("" for memory-only entries).
+// dataset is one cache entry: plain rows with the Service handle that
+// serves queries over them (rows checked once, job 1 prepared once), or a
+// maintained skyline handle when the dataset was registered with
+// "maintain": true. Maintained entries serve regular queries from their
+// current resident rows, which change under deltas, so they take the same
+// path as inline rows. dir is the durable directory ("" for memory-only
+// entries).
 type dataset struct {
-	data  [][]float64
+	plain *mrskyline.Dataset
 	maint *mrskyline.MaintainedSkyline
 	dir   string
-}
-
-// rows returns the dataset's current rows (a maintained dataset's
-// residents change under deltas; a plain dataset is immutable).
-func (d *dataset) rows() [][]float64 {
-	if d.maint != nil {
-		return d.maint.Rows()
-	}
-	return d.data
 }
 
 func (d *dataset) size() int {
 	if d.maint != nil {
 		return d.maint.Size()
 	}
-	return len(d.data)
+	return d.plain.Len()
 }
 
 func newServer(svc *mrskyline.Service, dataDir string) *server {
@@ -418,14 +412,41 @@ func (s *server) postOnly(h func(w http.ResponseWriter, r *http.Request)) http.H
 	}
 }
 
+// querier is what a query request runs against: a registered plain
+// dataset's handle, or rows that came with the request.
+type querier interface {
+	Compute(ctx context.Context, opts mrskyline.Options) (*mrskyline.Result, error)
+	ComputeConstrained(ctx context.Context, constraints []mrskyline.Range, opts mrskyline.Options) (*mrskyline.Result, error)
+	ComputeSubspace(ctx context.Context, dims []int, opts mrskyline.Options) (*mrskyline.Result, error)
+}
+
+// adhocRows is the querier for rows no handle exists for: inline "data",
+// or a maintained dataset's residents as of this request.
+type adhocRows struct {
+	svc  *mrskyline.Service
+	rows [][]float64
+}
+
+func (a adhocRows) Compute(ctx context.Context, opts mrskyline.Options) (*mrskyline.Result, error) {
+	return a.svc.Compute(ctx, a.rows, opts)
+}
+
+func (a adhocRows) ComputeConstrained(ctx context.Context, constraints []mrskyline.Range, opts mrskyline.Options) (*mrskyline.Result, error) {
+	return a.svc.ComputeConstrained(ctx, a.rows, constraints, opts)
+}
+
+func (a adhocRows) ComputeSubspace(ctx context.Context, dims []int, opts mrskyline.Options) (*mrskyline.Result, error) {
+	return a.svc.ComputeSubspace(ctx, a.rows, dims, opts)
+}
+
 // decodeQuery parses the body and resolves the dataset reference.
-func (s *server) decodeQuery(r *http.Request) (*queryRequest, [][]float64, error) {
+func (s *server) decodeQuery(r *http.Request) (*queryRequest, querier, error) {
 	var q queryRequest
 	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
 		return nil, nil, &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
 	}
 	if q.Dataset == "" {
-		return &q, q.Data, nil
+		return &q, adhocRows{s.svc, q.Data}, nil
 	}
 	if q.Data != nil {
 		return nil, nil, &httpError{http.StatusBadRequest, `"dataset" and "data" are mutually exclusive`}
@@ -436,7 +457,10 @@ func (s *server) decodeQuery(r *http.Request) (*queryRequest, [][]float64, error
 	if !ok {
 		return nil, nil, &httpError{http.StatusNotFound, fmt.Sprintf("unknown dataset %q", q.Dataset)}
 	}
-	return &q, ds.rows(), nil
+	if ds.maint != nil {
+		return &q, adhocRows{s.svc, ds.maint.Rows()}, nil
+	}
+	return &q, ds.plain, nil
 }
 
 // lookupMaintained resolves a path's {name} to a maintained dataset.
@@ -506,12 +530,12 @@ func (s *server) handleMaintainedSkyline(w http.ResponseWriter, r *http.Request)
 }
 
 func (s *server) handleSkyline(w http.ResponseWriter, r *http.Request) {
-	q, data, err := s.decodeQuery(r)
+	q, src, err := s.decodeQuery(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	res, err := s.svc.Compute(r.Context(), data, q.options())
+	res, err := src.Compute(r.Context(), q.options())
 	if err != nil {
 		writeError(w, err)
 		return
@@ -520,7 +544,7 @@ func (s *server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleConstrained(w http.ResponseWriter, r *http.Request) {
-	q, data, err := s.decodeQuery(r)
+	q, src, err := s.decodeQuery(r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -529,7 +553,7 @@ func (s *server) handleConstrained(w http.ResponseWriter, r *http.Request) {
 	for i, rng := range q.Constraints {
 		constraints[i] = rng.toRange()
 	}
-	res, err := s.svc.ComputeConstrained(r.Context(), data, constraints, q.options())
+	res, err := src.ComputeConstrained(r.Context(), constraints, q.options())
 	if err != nil {
 		writeError(w, err)
 		return
@@ -538,12 +562,12 @@ func (s *server) handleConstrained(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleSubspace(w http.ResponseWriter, r *http.Request) {
-	q, data, err := s.decodeQuery(r)
+	q, src, err := s.decodeQuery(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	res, err := s.svc.ComputeSubspace(r.Context(), data, q.Dims, q.options())
+	res, err := src.ComputeSubspace(r.Context(), q.Dims, q.options())
 	if err != nil {
 		writeError(w, err)
 		return
@@ -628,7 +652,7 @@ func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			writeError(w, &httpError{http.StatusBadRequest, `"maintain_dim"/"maintain_ppd"/"maintain_window" require "maintain": true`})
 			return
 		}
-		ds := &dataset{data: data}
+		ds := &dataset{plain: s.svc.Dataset(data)}
 		if req.Maintain {
 			dir := s.datasetDir(req.Name)
 			if dir != "" {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -144,6 +145,69 @@ func TestDatasetCacheRoundTrip(t *testing.T) {
 	code, raw = postJSON(t, ts.URL+"/v1/skyline", map[string]any{"dataset": "missing"})
 	if code != http.StatusNotFound {
 		t.Errorf("unknown dataset: status %d: %s", code, raw)
+	}
+}
+
+// TestDatasetHandleServesNamedQueries: queries that name a registered plain
+// dataset run through its Service handle — the bitstring job runs for the
+// first of them only — and answer what the same rows sent inline answer;
+// /v1/stats keeps listing the engine's and the algorithms' series.
+func TestDatasetHandleServesNamedQueries(t *testing.T) {
+	ts := newTestServer(t, mrskyline.ServiceConfig{Nodes: 2})
+	rows, err := mrskyline.Generate("anticorrelated", 400, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, raw := postJSON(t, ts.URL+"/v1/datasets", map[string]any{"name": "d", "data": rows}); code != http.StatusOK {
+		t.Fatalf("dataset registration: status %d: %s", code, raw)
+	}
+	code, raw := postJSON(t, ts.URL+"/v1/skyline", map[string]any{"data": rows})
+	if code != http.StatusOK {
+		t.Fatalf("inline query: status %d: %s", code, raw)
+	}
+	want := decodeQueryResponse(t, raw)
+	const named = 5
+	for i := 0; i < named; i++ {
+		code, raw := postJSON(t, ts.URL+"/v1/skyline", map[string]any{"dataset": "d"})
+		if code != http.StatusOK {
+			t.Fatalf("named query %d: status %d: %s", i, code, raw)
+		}
+		got := decodeQueryResponse(t, raw)
+		got.Stats.Runtime, want.Stats.Runtime = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("named query %d answers %d rows / %+v, inline %d rows / %+v",
+				i, len(got.Skyline), got.Stats, len(want.Skyline), want.Stats)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Service struct {
+			Admitted int64 `json:"admitted"`
+		} `json:"service"`
+		Metrics struct {
+			Counters, Histograms []struct{ Name string }
+		} `json:"metrics"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	// Two jobs for the inline query, two for the first named one, one each after.
+	if want := int64(2 + 2 + (named - 1)); stats.Service.Admitted != want {
+		t.Errorf("admitted = %d, want %d", stats.Service.Admitted, want)
+	}
+	listed := map[string]bool{}
+	for _, m := range append(stats.Metrics.Counters, stats.Metrics.Histograms...) {
+		listed[m.Name] = true
+	}
+	for _, name := range []string{"mr.queue.admitted", "algo.dominance.tests", "algo.merge.ns"} {
+		if !listed[name] {
+			t.Errorf("/v1/stats does not list %s", name)
+		}
 	}
 }
 

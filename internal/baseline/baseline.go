@@ -159,13 +159,21 @@ func (s *Stats) addFaultCounters(results ...*mapreduce.Result) {
 
 const counterDominanceTests = "baseline.dominance.tests"
 
-// getWindow returns the partition's columnar window from m, creating and
-// instrumenting an empty one on first use.
-func getWindow(m map[int]*window.Window, p, dim int, reg *obs.Registry) *window.Window {
+// recordDominanceTests is where a task accounts for its kernel work, once,
+// when it flushes: the job counter behind Stats.DominanceTests and the
+// service-lifetime obs counter receive the same number from the one Count
+// the task threaded through every window operation and batch kernel.
+func recordDominanceTests(ctx *mapreduce.TaskContext, cnt *skyline.Count) {
+	ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+	ctx.Trace.Metrics().Count(window.MetricDominanceTests, cnt.DominanceTests)
+}
+
+// getWindow returns the partition's columnar window from m, creating an
+// empty one on first use.
+func getWindow(m map[int]*window.Window, p, dim int) *window.Window {
 	w := m[p]
 	if w == nil {
 		w = window.New(dim)
-		w.Instrument(reg)
 		m[p] = w
 	}
 	return w
@@ -179,6 +187,7 @@ func newPartitionMapper(dim int, locate func(t tuple.Tuple) int, kernel skyline.
 	windows := make(map[int]*window.Window)
 	pending := make(map[int]tuple.List) // batch-kernel buffers
 	var cnt skyline.Count
+	var inserts window.InsertSampler
 	return mapreduce.MapperFuncs{
 		MapFn: func(ctx *mapreduce.TaskContext, rec mapreduce.Record, _ mapreduce.Emitter) error {
 			t, err := mapreduce.DecodeTupleRecord(rec)
@@ -190,7 +199,7 @@ func newPartitionMapper(dim int, locate func(t tuple.Tuple) int, kernel skyline.
 				pending[p] = append(pending[p], t)
 				return nil
 			}
-			getWindow(windows, p, dim, ctx.Trace.Metrics()).Insert(t, &cnt)
+			inserts.Insert(ctx.Trace.Metrics(), getWindow(windows, p, dim), t, &cnt)
 			return nil
 		},
 		FlushFn: func(ctx *mapreduce.TaskContext, emit mapreduce.Emitter) error {
@@ -199,7 +208,7 @@ func newPartitionMapper(dim int, locate func(t tuple.Tuple) int, kernel skyline.
 				windows[p] = window.FromList(dim, kernel.Compute(buf, &cnt))
 			}
 			doneLocal()
-			ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+			recordDominanceTests(ctx, &cnt)
 			var scratch []byte
 			for _, w := range sortedWindows(windows) {
 				scratch = tuple.AppendEncodeList(scratch[:0], w.win.Rows())
@@ -216,20 +225,21 @@ func newPartitionMapper(dim int, locate func(t tuple.Tuple) int, kernel skyline.
 func newSingleReducer(dim int, finishReduce func(s map[int]*window.Window, cnt *skyline.Count) tuple.List) mapreduce.Reducer {
 	s := make(map[int]*window.Window)
 	var cnt skyline.Count
+	var inserts window.InsertSampler
 	return mapreduce.ReducerFuncs{
 		ReduceFn: func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, _ mapreduce.Emitter) error {
 			p, err := decodeKey(key)
 			if err != nil {
 				return err
 			}
-			w := getWindow(s, p, dim, ctx.Trace.Metrics())
+			w, reg := getWindow(s, p, dim), ctx.Trace.Metrics()
 			for _, v := range values {
 				l, _, err := tuple.DecodeList(v)
 				if err != nil {
 					return err
 				}
 				for _, t := range l {
-					w.Insert(t, &cnt)
+					inserts.Insert(reg, w, t, &cnt)
 				}
 			}
 			return nil
@@ -238,7 +248,7 @@ func newSingleReducer(dim int, finishReduce func(s map[int]*window.Window, cnt *
 			doneMerge := ctx.Trace.Timed(ctx.Track, "merge", obs.CatAlgo, "algo.merge.ns")
 			sky := finishReduce(s, &cnt)
 			doneMerge()
-			ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+			recordDominanceTests(ctx, &cnt)
 			var scratch []byte
 			for _, t := range sky {
 				scratch = tuple.AppendEncode(scratch[:0], t)

@@ -102,6 +102,7 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 				t       *quadTree
 				windows map[int]*window.Window
 				cnt     skyline.Count
+				inserts window.InsertSampler
 			)
 			return mapreduce.MapperFuncs{
 				MapFn: func(ctx *mapreduce.TaskContext, rec mapreduce.Record, _ mapreduce.Emitter) error {
@@ -120,11 +121,11 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 					if leaf.pruned {
 						return nil
 					}
-					getWindow(windows, leaf.id, d, ctx.Trace.Metrics()).Insert(tp, &cnt)
+					inserts.Insert(ctx.Trace.Metrics(), getWindow(windows, leaf.id, d), tp, &cnt)
 					return nil
 				},
 				FlushFn: func(ctx *mapreduce.TaskContext, emit mapreduce.Emitter) error {
-					ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+					recordDominanceTests(ctx, &cnt)
 					var scratch []byte
 					for _, w := range sortedWindows(windows) {
 						scratch = tuple.AppendEncodeList(scratch[:0], w.win.Rows())
@@ -136,18 +137,18 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 		},
 		NewReducer: func() mapreduce.Reducer {
 			var cnt skyline.Count
+			var inserts window.InsertSampler
 			var scratch []byte
 			return mapreduce.ReducerFuncs{
 				ReduceFn: func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emitter) error {
-					w := window.New(d)
-					w.Instrument(ctx.Trace.Metrics())
+					w, reg := window.New(d), ctx.Trace.Metrics()
 					for _, v := range values {
 						l, _, err := tuple.DecodeList(v)
 						if err != nil {
 							return err
 						}
 						for _, tp := range l {
-							w.Insert(tp, &cnt)
+							inserts.Insert(reg, w, tp, &cnt)
 						}
 					}
 					scratch = tuple.AppendEncodeList(scratch[:0], w.Rows())
@@ -155,7 +156,7 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 					return nil
 				},
 				FlushFn: func(ctx *mapreduce.TaskContext, _ mapreduce.Emitter) error {
-					ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+					recordDominanceTests(ctx, &cnt)
 					return nil
 				},
 			}
@@ -244,7 +245,7 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 					return nil
 				},
 				FlushFn: func(ctx *mapreduce.TaskContext, _ mapreduce.Emitter) error {
-					ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+					recordDominanceTests(ctx, &cnt)
 					return nil
 				},
 			}

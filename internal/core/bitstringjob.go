@@ -8,7 +8,6 @@ import (
 	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
-	"mrskyline/internal/tuple"
 )
 
 // BitstringResult is the outcome of the bitstring-generation phase.
@@ -327,18 +326,6 @@ func ChoosePPDAndBitstring(cfg *Config, d, card int, input mapreduce.Input, disa
 		AutoPPD:   true,
 		Job:       res,
 	}, nil
-}
-
-// prepare resolves the grid + global bitstring for an in-memory skyline
-// run. It encodes data once and returns that input beside the result, for
-// the skyline job to read again.
-func prepare(cfg *Config, data tuple.List) (*BitstringResult, mapreduce.Input, error) {
-	if err := data.Validate(); err != nil {
-		return nil, nil, err
-	}
-	input := mapreduce.TupleInput(data)
-	prep, err := prepareInput(cfg, input, data.Dim(), len(data))
-	return prep, input, err
 }
 
 // prepareInput resolves the grid + global bitstring for a skyline run over

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mrskyline/internal/obs"
 	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
 )
@@ -37,13 +36,12 @@ type partMap map[int]tuple.List
 // dominance windows (the hot-path layout of Algorithms 3 and 8).
 type winMap map[int]*window.Window
 
-// window returns the partition's window, creating (and instrumenting) an
-// empty one on first use.
-func (wm winMap) window(p, dim int, reg *obs.Registry) *window.Window {
+// window returns the partition's window, creating an empty one on first
+// use.
+func (wm winMap) window(p, dim int) *window.Window {
 	w := wm[p]
 	if w == nil {
 		w = window.New(dim)
-		w.Instrument(reg)
 		wm[p] = w
 	}
 	return w

@@ -9,6 +9,7 @@ import (
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
 	"mrskyline/internal/skyline"
+	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
 )
 
@@ -19,15 +20,7 @@ import (
 // with replicated partitions output only by their designated responsible
 // group (Section 5.4.2).
 func GPMRS(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
-	start := time.Now()
-	if len(data) == 0 {
-		return nil, &Stats{Algorithm: "MR-GPMRS"}, nil
-	}
-	prep, input, err := prepare(&cfg, data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return gpmrsRun(cfg, input, prep, start)
+	return compute(cfg, data, AlgoGPMRS, 0)
 }
 
 // GPMRSFromInput is GPMRS over an arbitrary input source; see
@@ -118,13 +111,13 @@ func newGPMRSMapper(cfg *Config, g *grid.Grid) mapreduce.Mapper {
 				if err != nil {
 					return err
 				}
-				state = newLocalState(g, bs, cfg.Kernel, ctx.Trace.Metrics())
+				state = newLocalState(g, bs, cfg.Kernel)
 			}
 			t, err := cfg.decode(rec)
 			if err != nil || t == nil {
 				return err
 			}
-			return state.add(t)
+			return state.add(ctx.Trace.Metrics(), t)
 		},
 		FlushFn: func(ctx *mapreduce.TaskContext, emit mapreduce.Emitter) error {
 			if state == nil {
@@ -157,6 +150,7 @@ func newGPMRSMapper(cfg *Config, g *grid.Grid) mapreduce.Mapper {
 func newGPMRSReducer(cfg *Config, g *grid.Grid) mapreduce.Reducer {
 	var (
 		cnt     skyline.Count
+		inserts window.InsertSampler
 		partCmp int64
 	)
 	return mapreduce.ReducerFuncs{
@@ -182,7 +176,7 @@ func newGPMRSReducer(cfg *Config, g *grid.Grid) mapreduce.Reducer {
 				return fmt.Errorf("core: reducer received unknown group bucket %d", b)
 			}
 			// Lines 1–8: merge the mappers' windows per partition.
-			s := make(winMap)
+			s, reg := make(winMap), ctx.Trace.Metrics()
 			for _, v := range values {
 				pm, err := decodePartMap(v)
 				if err != nil {
@@ -192,9 +186,9 @@ func newGPMRSReducer(cfg *Config, g *grid.Grid) mapreduce.Reducer {
 					if !mg.HasPartition(p) {
 						return fmt.Errorf("core: bucket %d received foreign partition %d", b, p)
 					}
-					w := s.window(p, g.Dim(), ctx.Trace.Metrics())
+					w := s.window(p, g.Dim())
 					for _, t := range l {
-						w.Insert(t, &cnt)
+						inserts.Insert(reg, w, t, &cnt)
 					}
 				}
 			}
@@ -215,7 +209,7 @@ func newGPMRSReducer(cfg *Config, g *grid.Grid) mapreduce.Reducer {
 		},
 		FlushFn: func(ctx *mapreduce.TaskContext, _ mapreduce.Emitter) error {
 			ctx.Counters.SetMax(counterPartCmpReduceMax, partCmp)
-			ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+			recordDominanceTests(ctx, &cnt)
 			return nil
 		},
 	}

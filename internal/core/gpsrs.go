@@ -9,6 +9,7 @@ import (
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
 	"mrskyline/internal/skyline"
+	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
 )
 
@@ -17,15 +18,7 @@ import (
 // mappers (Algorithm 3) and a single reducer assembling the global skyline
 // (Algorithm 6).
 func GPSRS(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
-	start := time.Now()
-	if len(data) == 0 {
-		return nil, &Stats{Algorithm: "MR-GPSRS"}, nil
-	}
-	prep, input, err := prepare(&cfg, data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return gpsrsRun(cfg, input, prep, start)
+	return compute(cfg, data, AlgoGPSRS, 0)
 }
 
 // GPSRSFromInput is GPSRS over an arbitrary input source (e.g. a
@@ -87,8 +80,9 @@ func gpsrsFuncs(cfg *Config, g *grid.Grid) *mapreduce.JobFuncs {
 // State: the merged per-partition columnar windows.
 func newGPSRSReducer(g *grid.Grid) mapreduce.Reducer {
 	var (
-		merged = make(winMap)
-		cnt    skyline.Count
+		merged  = make(winMap)
+		cnt     skyline.Count
+		inserts window.InsertSampler
 	)
 	return mapreduce.ReducerFuncs{
 		ReduceFn: func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, _ mapreduce.Emitter) error {
@@ -101,14 +95,14 @@ func newGPSRSReducer(g *grid.Grid) mapreduce.Reducer {
 			if p < 0 || p >= g.NumPartitions() {
 				return fmt.Errorf("core: partition key %d out of range", p)
 			}
-			w := merged.window(p, g.Dim(), ctx.Trace.Metrics())
+			w, reg := merged.window(p, g.Dim()), ctx.Trace.Metrics()
 			for _, v := range values {
 				l, _, err := tuple.DecodeList(v)
 				if err != nil {
 					return err
 				}
 				for _, t := range l {
-					w.Insert(t, &cnt)
+					inserts.Insert(reg, w, t, &cnt)
 				}
 			}
 			return nil
@@ -121,7 +115,7 @@ func newGPSRSReducer(g *grid.Grid) mapreduce.Reducer {
 			comparePartitions(merged, g, &cnt, &partCmp)
 			doneMerge()
 			ctx.Counters.SetMax(counterPartCmpReduceMax, partCmp)
-			ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+			recordDominanceTests(ctx, &cnt)
 			var scratch []byte
 			for _, p := range merged.sortedPartitions() {
 				for _, t := range merged[p].Rows() {
@@ -148,13 +142,13 @@ func newGPMapper(cfg *Config, g *grid.Grid) mapreduce.Mapper {
 				if err != nil {
 					return err
 				}
-				state = newLocalState(g, bs, cfg.Kernel, ctx.Trace.Metrics())
+				state = newLocalState(g, bs, cfg.Kernel)
 			}
 			t, err := cfg.decode(rec)
 			if err != nil || t == nil {
 				return err
 			}
-			return state.add(t)
+			return state.add(ctx.Trace.Metrics(), t)
 		},
 		FlushFn: func(ctx *mapreduce.TaskContext, emit mapreduce.Emitter) error {
 			if state == nil {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"mrskyline/internal/tuple"
-)
+import "mrskyline/internal/tuple"
 
 // DefaultHybridThreshold is the estimated-skyline-workload level above
 // which Hybrid switches from the single reducer of MR-GPSRS to the parallel
@@ -26,44 +22,11 @@ const DefaultHybridThreshold = 20000
 // Hybrid picks MR-GPMRS when the estimate exceeds threshold (and more than
 // one independent group exists to parallelize over), MR-GPSRS otherwise.
 func Hybrid(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
-	return hybridWithThreshold(cfg, data, DefaultHybridThreshold)
+	return compute(cfg, data, AlgoHybrid, DefaultHybridThreshold)
 }
 
 // HybridWithThreshold is Hybrid with an explicit switching threshold;
 // the ablation benchmarks sweep it.
 func HybridWithThreshold(cfg Config, data tuple.List, threshold int64) (tuple.List, *Stats, error) {
-	return hybridWithThreshold(cfg, data, threshold)
-}
-
-func hybridWithThreshold(cfg Config, data tuple.List, threshold int64) (tuple.List, *Stats, error) {
-	start := time.Now()
-	if len(data) == 0 {
-		return nil, &Stats{Algorithm: "Hybrid"}, nil
-	}
-	prep, input, err := prepare(&cfg, data)
-	if err != nil {
-		return nil, nil, err
-	}
-	surviving := int64(prep.Bitstring.Count())
-	var estWorkload int64
-	if prep.NonEmpty > 0 {
-		estWorkload = surviving * int64(len(data)) / int64(prep.NonEmpty)
-	}
-	groups := prep.Grid.IndependentGroups(prep.Bitstring)
-	useMulti := estWorkload > threshold && len(groups) >= 2 && cfg.reducers() > 1
-
-	var (
-		sky tuple.List
-		st  *Stats
-	)
-	if useMulti {
-		sky, st, err = gpmrsRun(cfg, input, prep, start)
-	} else {
-		sky, st, err = gpsrsRun(cfg, input, prep, start)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	st.Algorithm = "Hybrid(" + st.Algorithm + ")"
-	return sky, st, nil
+	return compute(cfg, data, AlgoHybrid, threshold)
 }

@@ -20,19 +20,19 @@ type localState struct {
 	g      *grid.Grid
 	bs     *bitstring.Bitstring
 	kernel skyline.Kernel
-	reg    *obs.Registry
 	s      winMap
 	// buffered tuples per partition, used by the batch kernels (SFS, D&C),
 	// which need the whole partition before running.
 	pending map[int]tuple.List
 	cnt     skyline.Count
+	inserts window.InsertSampler
 	// partCmp counts partition-wise comparisons (Algorithm 5 line 3
 	// executions) performed by this task.
 	partCmp int64
 }
 
-func newLocalState(g *grid.Grid, bs *bitstring.Bitstring, kernel skyline.Kernel, reg *obs.Registry) *localState {
-	ls := &localState{g: g, bs: bs, kernel: kernel, reg: reg, s: make(winMap)}
+func newLocalState(g *grid.Grid, bs *bitstring.Bitstring, kernel skyline.Kernel) *localState {
+	ls := &localState{g: g, bs: bs, kernel: kernel, s: make(winMap)}
 	if kernel != skyline.KernelBNL {
 		ls.pending = make(map[int]tuple.List)
 	}
@@ -41,8 +41,9 @@ func newLocalState(g *grid.Grid, bs *bitstring.Bitstring, kernel skyline.Kernel,
 
 // add processes one input tuple (Algorithm 3 lines 2–8): locate its
 // partition, skip it when the bitstring pruned the partition, otherwise
-// fold it into the partition's local skyline window.
-func (ls *localState) add(t tuple.Tuple) error {
+// fold it into the partition's local skyline window. reg receives the
+// task's sampled Insert latencies (nil: none).
+func (ls *localState) add(reg *obs.Registry, t tuple.Tuple) error {
 	if len(t) != ls.g.Dim() {
 		return fmt.Errorf("core: tuple dimensionality %d does not match grid d=%d", len(t), ls.g.Dim())
 	}
@@ -54,7 +55,7 @@ func (ls *localState) add(t tuple.Tuple) error {
 		ls.pending[j] = append(ls.pending[j], t)
 		return nil
 	}
-	ls.s.window(j, ls.g.Dim(), ls.reg).Insert(t, &ls.cnt)
+	ls.inserts.Insert(reg, ls.s.window(j, ls.g.Dim()), t, &ls.cnt)
 	return nil
 }
 
@@ -64,9 +65,7 @@ func (ls *localState) add(t tuple.Tuple) error {
 func (ls *localState) finish() winMap {
 	if ls.pending != nil {
 		for p, data := range ls.pending {
-			w := window.FromList(ls.g.Dim(), ls.kernel.Compute(data, &ls.cnt))
-			w.Instrument(ls.reg)
-			ls.s[p] = w
+			ls.s[p] = window.FromList(ls.g.Dim(), ls.kernel.Compute(data, &ls.cnt))
 		}
 		ls.pending = nil
 	}
@@ -83,7 +82,16 @@ func (ls *localState) recordCounters(ctx *mapreduce.TaskContext, phase mapreduce
 		name = counterPartCmpReduceMax
 	}
 	ctx.Counters.SetMax(name, ls.partCmp)
-	ctx.Counters.Add(counterDominanceTests, ls.cnt.DominanceTests)
+	recordDominanceTests(ctx, &ls.cnt)
+}
+
+// recordDominanceTests is where a task accounts for its kernel work, once,
+// when it flushes: the job counter behind Stats.DominanceTests and the
+// service-lifetime obs counter receive the same number from the one Count
+// the task threaded through every window operation and batch kernel.
+func recordDominanceTests(ctx *mapreduce.TaskContext, cnt *skyline.Count) {
+	ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+	ctx.Trace.Metrics().Count(window.MetricDominanceTests, cnt.DominanceTests)
 }
 
 // comparePartitions implements Algorithm 5 applied to every partition of S

@@ -232,16 +232,24 @@ func (g *Grid) PartitionDominates(i, j int) bool {
 
 // InADR reports whether p_j ∈ p_i.ADR (Definition 4): p_j may contain
 // tuples that dominate tuples of p_i.
+//
+// It compares the two indices digit by digit (a partition index is its
+// coordinates in radix n, most significant first), so neither coordinate
+// vector is materialized: ComparePartitions calls it for every pair of a
+// task's partitions.
 func (g *Grid) InADR(j, i int) bool {
 	if i == j {
 		return false
 	}
-	ci := g.Coords(i, make([]int, g.d))
-	cj := g.Coords(j, make([]int, g.d))
-	for k := 0; k < g.d; k++ {
-		if cj[k] > ci[k] {
+	if i < 0 || i >= g.total || j < 0 || j >= g.total {
+		panic(fmt.Sprintf("grid: partition index %d or %d out of range [0,%d)", j, i, g.total))
+	}
+	for _, s := range g.strides {
+		if j/s > i/s {
 			return false
 		}
+		i %= s
+		j %= s
 	}
 	return true
 }

@@ -103,6 +103,34 @@ func TestCornersAndLemma1(t *testing.T) {
 	}
 }
 
+// TestInADRMatchesCoordinateDefinition checks the digit-wise InADR against
+// Definition 4 spelled out on materialized coordinates, for every ordered
+// pair of a 3-d PPD-5 grid, and pins that it allocates nothing.
+func TestInADRMatchesCoordinateDefinition(t *testing.T) {
+	g := mustGrid(t, 3, 5)
+	ci, cj := make([]int, 3), make([]int, 3)
+	for i := 0; i < g.NumPartitions(); i++ {
+		for j := 0; j < g.NumPartitions(); j++ {
+			g.Coords(i, ci)
+			g.Coords(j, cj)
+			want := i != j
+			for k := range ci {
+				if cj[k] > ci[k] {
+					want = false
+				}
+			}
+			if got := g.InADR(j, i); got != want {
+				t.Fatalf("InADR(%d, %d) = %v, coordinates %v vs %v say %v", j, i, got, cj, ci, want)
+			}
+		}
+	}
+	var sink bool
+	if allocs := testing.AllocsPerRun(100, func() { sink = g.InADR(31, 124) || g.InADR(124, 31) }); allocs != 0 {
+		t.Errorf("InADR allocates %v times per pair of calls, want 0", allocs)
+	}
+	_ = sink
+}
+
 func TestADRMatchesInADRBruteForce(t *testing.T) {
 	for _, cfg := range []struct{ d, n int }{{1, 5}, {2, 4}, {3, 3}, {4, 2}} {
 		g := mustGrid(t, cfg.d, cfg.n)

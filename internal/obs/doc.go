@@ -31,6 +31,17 @@
 // concurrent path and virtual spans only on the fault-schedule path, so
 // a FaultPlan run's trace is bit-for-bit reproducible from its seed.
 //
+// # Span retention
+//
+// A New tracer keeps every span until it is dropped, which is what a run
+// that ends by writing its trace wants (skybench/skyreport -trace, a
+// Job.Trace, rpcexec's -tracedir). Nothing that lives as long as the
+// process it observes may hold one: mrskyline.Service runs on
+// NewMetricsOnly, which records histograms and counters and discards
+// spans at the call, so its memory does not grow with requests served.
+// Re-enabling spans in a daemon needs a bound first (a ring of the N
+// slowest requests, say), never an unbounded log.
+//
 // # Pay-for-use
 //
 // Every method is safe on a nil *Tracer and nil *Registry and returns

@@ -52,12 +52,27 @@ type Tracer struct {
 	spans []Span
 	vbase time.Duration
 	reg   *Registry
+	// noSpans marks a metrics-only tracer (NewMetricsOnly); it never
+	// changes after construction.
+	noSpans bool
 }
 
 // New creates an enabled tracer whose wall epoch is the moment of the
-// call.
+// call. It retains every span recorded until the process drops it: right
+// for a bounded run that ends by exporting the trace, wrong for anything
+// long-lived (see NewMetricsOnly).
 func New() *Tracer {
 	return &Tracer{epoch: time.Now(), reg: NewRegistry()}
+}
+
+// NewMetricsOnly creates a tracer that keeps metrics and no spans: Enabled,
+// Now, Metrics, ResetMetrics and the histogram side of Timed behave as on a
+// New tracer, while Start hands out inert SpanRefs and Record returns
+// without storing anything or taking the lock, so Spans stays empty. A
+// process that serves requests indefinitely uses this — a span log grows
+// with every job, phase, slot and task served and is never read back.
+func NewMetricsOnly() *Tracer {
+	return &Tracer{epoch: time.Now(), reg: NewRegistry(), noSpans: true}
 }
 
 // Enabled reports whether the tracer records anything.
@@ -99,7 +114,7 @@ func (t *Tracer) ResetMetrics() {
 // virtual-clock instrumentation. Spans with End < Start are clamped to
 // zero duration.
 func (t *Tracer) Record(s Span) {
-	if t == nil {
+	if t == nil || t.noSpans {
 		return
 	}
 	if s.End < s.Start {
@@ -124,7 +139,7 @@ type SpanRef struct {
 // Start opens a wall-clock span now. The returned SpanRef must be ended
 // exactly once; a SpanRef from a nil tracer is inert.
 func (t *Tracer) Start(track, name, cat string, args ...Arg) SpanRef {
-	if t == nil {
+	if t == nil || t.noSpans {
 		return SpanRef{}
 	}
 	return SpanRef{t: t, track: track, name: name, cat: cat, start: t.Now(), args: args}

@@ -143,3 +143,44 @@ func TestResetMetricsKeepsSpans(t *testing.T) {
 		t.Fatal("spans lost on metrics reset")
 	}
 }
+
+// TestMetricsOnlyTracerKeepsNoSpans: every way of recording a span is
+// discarded, from any number of goroutines, while the tracer stays enabled
+// and its metrics side — Timed's histogram included — works as on New.
+func TestMetricsOnlyTracerKeepsNoSpans(t *testing.T) {
+	tr := NewMetricsOnly()
+	if !tr.Enabled() || tr.Metrics() == nil {
+		t.Fatal("metrics-only tracer is disabled")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				tr.Record(Span{Track: "driver", Name: "job", End: time.Second})
+				tr.Start("driver", "phase", CatPhase).EndWith(Arg{Key: "k", Value: "v"})
+				tr.Timed("node0/s0", "merge", CatAlgo, "algo.merge.ns")()
+				tr.Metrics().Count("c", 1)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(tr.Spans()); n != 0 {
+		t.Errorf("metrics-only tracer retains %d spans", n)
+	}
+	if tr.Now() <= 0 {
+		t.Error("metrics-only tracer has no clock")
+	}
+	snap := tr.Metrics().Snapshot()
+	if len(snap.Histograms) != 1 || snap.Histograms[0].Name != "algo.merge.ns" || snap.Histograms[0].Count != 400 {
+		t.Errorf("Timed histogram = %+v, want 400 algo.merge.ns samples", snap.Histograms)
+	}
+	if tr.Metrics().Counter("c") != 400 {
+		t.Errorf("counter = %d, want 400", tr.Metrics().Counter("c"))
+	}
+	tr.ResetMetrics()
+	if tr.Metrics().Counter("c") != 0 {
+		t.Error("ResetMetrics kept the old registry")
+	}
+}

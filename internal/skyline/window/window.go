@@ -23,9 +23,7 @@ package window
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
-	"mrskyline/internal/obs"
 	"mrskyline/internal/tuple"
 )
 
@@ -51,14 +49,6 @@ func (c *Count) Add(n int64) {
 	}
 }
 
-// Metric names published by instrumented windows (see Instrument).
-const (
-	// MetricDominanceTests is the obs counter of pair classifications.
-	MetricDominanceTests = "algo.dominance.tests"
-	// MetricInsertNs is the obs histogram of per-Insert latencies.
-	MetricInsertNs = "algo.insert.ns"
-)
-
 // Window is a dominance-free local-skyline window in columnar layout:
 // cols[k][i] holds tuple i's value on dimension k, and rows[i] is the
 // original tuple handle (the algorithms emit tuples, so the row view is
@@ -70,9 +60,6 @@ type Window struct {
 	rows tuple.List
 	// evicts is the per-block eviction mask scratch reused across Inserts.
 	evicts []uint32
-	// reg, when non-nil, receives MetricDominanceTests /  MetricInsertNs.
-	// Nil costs one predictable branch per operation (pay-for-use).
-	reg *obs.Registry
 }
 
 // New returns an empty window for dim-dimensional tuples.
@@ -94,11 +81,6 @@ func FromList(dim int, l tuple.List) *Window {
 	}
 	return w
 }
-
-// Instrument attaches an obs metrics registry: Insert observes
-// MetricInsertNs per call, and every classifying operation adds its pair
-// count to MetricDominanceTests. A nil registry detaches.
-func (w *Window) Instrument(reg *obs.Registry) { w.reg = reg }
 
 // Len returns the number of tuples in the window; nil-safe.
 func (w *Window) Len() int {
@@ -306,10 +288,6 @@ func (w *Window) Insert(t tuple.Tuple, c *Count) bool {
 	if len(t) != w.dim {
 		panic(fmt.Sprintf("window: tuple dimensionality %d does not match window d=%d", len(t), w.dim))
 	}
-	var t0 time.Time
-	if w.reg != nil {
-		t0 = time.Now()
-	}
 	n := len(w.rows)
 	nBlocks := (n + BlockSize - 1) / BlockSize
 	if cap(w.evicts) < nBlocks {
@@ -347,10 +325,6 @@ func (w *Window) Insert(t tuple.Tuple, c *Count) bool {
 			w.compactEvicted(n)
 		}
 		w.Append(t)
-	}
-	if w.reg != nil {
-		w.reg.Observe(MetricInsertNs, int64(time.Since(t0)))
-		w.reg.Count(MetricDominanceTests, pairs)
 	}
 	return inserted
 }
@@ -404,9 +378,6 @@ func (w *Window) Dominated(t tuple.Tuple, c *Count) bool {
 		}
 	}
 	c.Add(pairs)
-	if w.reg != nil {
-		w.reg.Count(MetricDominanceTests, pairs)
-	}
 	return dominated
 }
 

@@ -213,50 +213,38 @@ func TestWindowStaysDominanceFree(t *testing.T) {
 	}
 }
 
-// TestInstrumentedWindowPublishesMetrics checks the obs wiring: an
-// instrumented window publishes the pair-classification counter and the
-// per-insert latency histogram, in agreement with the Count it was
-// handed; a detached window publishes nothing.
-func TestInstrumentedWindowPublishesMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	w := window.New(2)
-	w.Instrument(reg)
-	rng := rand.New(rand.NewSource(9))
-	var cnt skyline.Count
-	inserts := int64(0)
-	for _, tp := range generators["random"](rng, 200, 2) {
-		w.Insert(tp, &cnt)
-		inserts++
-	}
-	w.Dominated(tuple.Tuple{0.5, 0.5}, &cnt)
-	snap := reg.Snapshot()
-	var tests int64
-	for _, c := range snap.Counters {
-		if c.Name == window.MetricDominanceTests {
-			tests = c.Value
-		}
-	}
-	if tests != cnt.DominanceTests {
-		t.Errorf("metric %s = %d, want %d", window.MetricDominanceTests, tests, cnt.DominanceTests)
-	}
-	found := false
-	for _, h := range snap.Histograms {
-		if h.Name == window.MetricInsertNs {
-			found = true
-			if h.Count != inserts {
-				t.Errorf("metric %s observed %d samples, want %d", window.MetricInsertNs, h.Count, inserts)
+// TestInsertSamplerTimesOneInsertInSixtyFour pins the sampling rule tasks
+// rely on: over n Inserts a sampler observes ⌈n/InsertSampleEvery⌉
+// latencies, leaves the windows and the Count exactly as plain Insert
+// would, and with no registry is plain Insert.
+func TestInsertSamplerTimesOneInsertInSixtyFour(t *testing.T) {
+	data := generators["random"](rand.New(rand.NewSource(9)), 200, 2)
+	for _, n := range []int{0, 1, 64, 65, 200} {
+		reg := obs.NewRegistry()
+		var s window.InsertSampler
+		var got, want skyline.Count
+		w, ref := window.New(2), window.New(2)
+		for _, tp := range data[:n] {
+			if s.Insert(reg, w, tp, &got) != ref.Insert(tp, &want) {
+				t.Fatalf("n=%d: sampled Insert disagrees with Insert", n)
 			}
 		}
+		if got != want || !sameList(w.Rows(), ref.Rows()) {
+			t.Errorf("n=%d: sampled Insert changed the window or the count", n)
+		}
+		var samples int64
+		for _, h := range reg.Snapshot().Histograms {
+			if h.Name == window.MetricInsertNs {
+				samples = h.Count
+			}
+		}
+		if want := int64(n+window.InsertSampleEvery-1) / window.InsertSampleEvery; samples != want {
+			t.Errorf("n=%d: %s holds %d samples, want %d", n, window.MetricInsertNs, samples, want)
+		}
 	}
-	if !found {
-		t.Errorf("metric %s not published", window.MetricInsertNs)
-	}
-
-	// Detached windows must not publish (pay-for-use).
-	w2 := window.New(2)
-	w2.Insert(tuple.Tuple{0.1, 0.2}, nil)
-	if s := (&obs.Registry{}).Snapshot(); len(s.Counters) != 0 {
-		t.Errorf("uninstrumented window published metrics: %v", s)
+	var s window.InsertSampler
+	if !s.Insert(nil, window.New(2), tuple.Tuple{0.1, 0.2}, nil) {
+		t.Error("nil-registry sampler did not insert")
 	}
 }
 

@@ -204,18 +204,37 @@ func (l List) Validate() error {
 		return nil
 	}
 	d := len(l[0])
-	if d == 0 {
-		return fmt.Errorf("tuple: zero-dimensional tuple at index 0")
-	}
 	for i, t := range l {
-		if len(t) != d {
-			return fmt.Errorf("tuple: dimensionality mismatch at index %d: got %d, want %d", i, len(t), d)
-		}
-		if !t.Valid() {
-			return fmt.Errorf("tuple: non-finite value in tuple at index %d: %v", i, t)
+		if d == 0 || len(t) != d || !t.Valid() {
+			return malformedAt(i, t, d)
 		}
 	}
 	return nil
+}
+
+// CheckAt is Validate's verdict on one tuple: t, the i-th of a list whose
+// first tuple has d dimensions, must have d ≥ 1 finite values. A caller
+// that walks its rows anyway applies it per row, in index order, and gets
+// Validate's error without building a List.
+func CheckAt(i int, t Tuple, d int) error {
+	if d != 0 && len(t) == d && t.Valid() {
+		return nil
+	}
+	return malformedAt(i, t, d)
+}
+
+// malformedAt words the failure of Validate and CheckAt; kept apart so that
+// their per-tuple checks stay small (Validate's loop makes no call per
+// tuple; every Compute runs it over the whole dataset twice).
+func malformedAt(i int, t Tuple, d int) error {
+	switch {
+	case d == 0:
+		return fmt.Errorf("tuple: zero-dimensional tuple at index %d", i)
+	case len(t) != d:
+		return fmt.Errorf("tuple: dimensionality mismatch at index %d: got %d, want %d", i, len(t), d)
+	default:
+		return fmt.Errorf("tuple: non-finite value in tuple at index %d: %v", i, t)
+	}
 }
 
 // Contains reports whether the list contains a tuple equal to t.

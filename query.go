@@ -39,7 +39,7 @@ func ComputeConstrained(data [][]float64, constraints []Range, opts Options) (*R
 	if err := validateConstraints(constraints, opts); err != nil {
 		return nil, err
 	}
-	filtered, err := filterConstrained(data, constraints)
+	filtered, err := filterConstrained(data, constraints, false)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +50,8 @@ func ComputeConstrained(data [][]float64, constraints []Range, opts Options) (*R
 	if err != nil {
 		return nil, err
 	}
-	return computeOn(context.Background(), eng, filtered, opts)
+	// The filter has just validated every row, kept or not.
+	return computeOn(context.Background(), eng, filtered, opts, true)
 }
 
 // validateConstraints checks the data-independent constraint invariants:
@@ -75,10 +76,14 @@ func validateConstraints(constraints []Range, opts Options) error {
 }
 
 // filterConstrained validates the rows and keeps those inside every
-// range. Row validation happens before filtering so that a dataset
-// Compute rejects (ragged rows, NaN/Inf values) fails here too instead of
-// being filtered into acceptance.
-func filterConstrained(data [][]float64, constraints []Range) ([][]float64, error) {
+// range, in one pass: each row is checked, then tested against the box, so
+// a dataset Compute rejects (ragged rows, NaN/Inf values) fails here too —
+// with the first bad row's index, wherever that row lies relative to the
+// box — instead of being filtered into acceptance. validated skips the row
+// check for a caller that already made it. The result grows by append: a
+// narrow box over a large dataset keeps a few rows, not a dataset-sized
+// buffer.
+func filterConstrained(data [][]float64, constraints []Range, validated bool) ([][]float64, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
@@ -86,25 +91,20 @@ func filterConstrained(data [][]float64, constraints []Range) ([][]float64, erro
 	if len(constraints) != d {
 		return nil, fmt.Errorf("mrskyline: %d constraints for %d-dimensional data", len(constraints), d)
 	}
-	work := make(tuple.List, len(data))
+	var filtered [][]float64
+rows:
 	for i, row := range data {
-		work[i] = tuple.Tuple(row)
-	}
-	if err := work.Validate(); err != nil {
-		return nil, fmt.Errorf("mrskyline: %w", err)
-	}
-	filtered := make([][]float64, 0, len(data))
-	for _, row := range data {
-		in := true
-		for k, v := range row {
-			if !constraints[k].contains(v) {
-				in = false
-				break
+		if !validated {
+			if err := tuple.CheckAt(i, row, d); err != nil {
+				return nil, fmt.Errorf("mrskyline: %w", err)
 			}
 		}
-		if in {
-			filtered = append(filtered, row)
+		for k, v := range row {
+			if !constraints[k].contains(v) {
+				continue rows
+			}
 		}
+		filtered = append(filtered, row)
 	}
 	return filtered, nil
 }
@@ -136,7 +136,7 @@ func ComputeSubspace(data [][]float64, dims []int, opts Options) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	return computeOn(context.Background(), eng, projected, opts)
+	return computeOn(context.Background(), eng, projected, opts, false)
 }
 
 // validateDims checks the data-independent subspace invariants: a
@@ -164,7 +164,10 @@ func validateDims(dims []int, opts Options) error {
 }
 
 // projectSubspace checks dims against the data's dimensionality and
-// returns the projected rows.
+// returns the projected rows, each a capacity-clipped window of one
+// len(data) × len(dims) slab (the mapreduce.TupleInput arena idiom): one
+// allocation for the values instead of one per row, and an append to a row
+// cannot reach its neighbour.
 func projectSubspace(data [][]float64, dims []int) ([][]float64, error) {
 	if len(data) == 0 {
 		return nil, nil
@@ -175,12 +178,14 @@ func projectSubspace(data [][]float64, dims []int) ([][]float64, error) {
 			return nil, fmt.Errorf("mrskyline: subspace dimension %d out of range [0,%d)", k, d)
 		}
 	}
+	n := len(dims)
+	slab := make([]float64, len(data)*n)
 	projected := make([][]float64, len(data))
 	for i, row := range data {
 		if len(row) != d {
 			return nil, fmt.Errorf("mrskyline: ragged row of %d columns, want %d", len(row), d)
 		}
-		p := make([]float64, len(dims))
+		p := slab[i*n : (i+1)*n : (i+1)*n]
 		for j, k := range dims {
 			p[j] = row[k]
 		}

@@ -154,7 +154,9 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		}
 		eng.Spill = &spill.Config{Dir: dir, Budget: cfg.SpillBudget, Stats: &spill.Stats{}}
 	}
-	tr := obs.New()
+	// Metrics only: a Service never reads a span back, and a retained span
+	// log would grow with every task of every query for the daemon's life.
+	tr := obs.NewMetricsOnly()
 	eng.SetTrace(tr)
 	eng.SetAdmission(maxInFlight, maxQueue)
 	return &Service{exec: eng, eng: eng, trace: tr, timeout: cfg.QueryTimeout, walCfg: cfg}, nil
@@ -194,12 +196,18 @@ func (s *Service) Compute(ctx context.Context, data [][]float64, opts Options) (
 	}
 	ctx, cancel := s.queryCtx(ctx)
 	defer cancel()
-	return computeOn(ctx, s.exec, data, opts)
+	return computeOn(ctx, s.exec, data, opts, false)
 }
 
 // ComputeConstrained is the Service counterpart of the package-level
 // ComputeConstrained.
 func (s *Service) ComputeConstrained(ctx context.Context, data [][]float64, constraints []Range, opts Options) (*Result, error) {
+	return s.constrained(ctx, data, constraints, opts, false)
+}
+
+// constrained serves a constrained query over rows whose validity the
+// caller may already know (see computeOn).
+func (s *Service) constrained(ctx context.Context, data [][]float64, constraints []Range, opts Options, validated bool) (*Result, error) {
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
@@ -212,7 +220,7 @@ func (s *Service) ComputeConstrained(ctx context.Context, data [][]float64, cons
 	// must not be billed only against the MapReduce job.
 	ctx, cancel := s.queryCtx(ctx)
 	defer cancel()
-	filtered, err := filterConstrained(data, constraints)
+	filtered, err := filterConstrained(data, constraints, validated)
 	if err != nil {
 		return nil, err
 	}
@@ -222,19 +230,26 @@ func (s *Service) ComputeConstrained(ctx context.Context, data [][]float64, cons
 	if len(filtered) == 0 {
 		return emptyResult(opts), nil
 	}
-	return computeOn(ctx, s.exec, filtered, opts)
+	// Every row has been checked by now, by the filter or by the caller.
+	return computeOn(ctx, s.exec, filtered, opts, true)
 }
 
 // ComputeSubspace is the Service counterpart of the package-level
 // ComputeSubspace.
 func (s *Service) ComputeSubspace(ctx context.Context, data [][]float64, dims []int, opts Options) (*Result, error) {
+	return s.subspace(ctx, data, dims, opts, false)
+}
+
+// subspace serves a subspace query; validated as in constrained (rows that
+// are well-formed stay so under projection).
+func (s *Service) subspace(ctx context.Context, data [][]float64, dims []int, opts Options, validated bool) (*Result, error) {
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
 	if err := validateDims(dims, opts); err != nil {
 		return nil, err
 	}
-	// As in ComputeConstrained: projection work counts against the query
+	// As in constrained: projection work counts against the query
 	// deadline, so the context starts before it, not after.
 	ctx, cancel := s.queryCtx(ctx)
 	defer cancel()
@@ -248,7 +263,7 @@ func (s *Service) ComputeSubspace(ctx context.Context, data [][]float64, dims []
 	if len(projected) == 0 {
 		return emptyResult(opts), nil
 	}
-	return computeOn(ctx, s.exec, projected, opts)
+	return computeOn(ctx, s.exec, projected, opts, validated)
 }
 
 // ServiceStats is a point-in-time view of the service's load.

@@ -177,7 +177,7 @@ func Compute(data [][]float64, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return computeOn(context.Background(), eng, data, opts)
+	return computeOn(context.Background(), eng, data, opts, false)
 }
 
 // emptyResult is the successful outcome of any query over empty data.
@@ -220,110 +220,167 @@ func validateOptions(opts Options) error {
 // concurrent callers (Service runs all its queries through one) and may be
 // the in-process engine or a multi-process backend. opts must already have
 // passed validateOptions; ctx bounds every MapReduce job of the run.
-func computeOn(ctx context.Context, eng mapreduce.Executor, data [][]float64, opts Options) (*Result, error) {
+// validated says the caller has already found every row of data well-formed
+// (same width, finite values), so the row check is not repeated.
+func computeOn(ctx context.Context, eng mapreduce.Executor, data [][]float64, opts Options, validated bool) (*Result, error) {
 	if len(data) == 0 {
 		return emptyResult(opts), nil
 	}
-	d := len(data[0])
-	if opts.Maximize != nil && len(opts.Maximize) != d {
-		return nil, fmt.Errorf("mrskyline: Maximize has %d entries for %d-dimensional data", len(opts.Maximize), d)
+	algo := algorithmOrDefault(opts.Algorithm)
+	if algo.grid() {
+		start := time.Now()
+		p, err := newGridPlan(ctx, eng, data, opts, validated)
+		if err != nil {
+			return nil, err
+		}
+		return p.run(ctx, eng, opts, start)
 	}
 
-	// Orient: negate maximized dimensions once (exact in IEEE 754), so the
-	// rest of the pipeline is pure minimization with no per-comparison
-	// orientation branching.
-	orient := NewOrientation(opts.Maximize)
+	orient, work, err := orientRows(data, opts.Maximize, validated)
+	if err != nil {
+		return nil, err
+	}
+	lo, hi := domainBounds(work)
+	cfg := baseline.Config{Engine: eng, Ctx: ctx, NumMappers: opts.Mappers, Lo: lo, Hi: hi}
+	var (
+		sky tuple.List
+		bs  *baseline.Stats
+	)
+	switch algo {
+	case MRBNL:
+		sky, bs, err = baseline.MRBNL(cfg, work)
+	case MRSFS:
+		sky, bs, err = baseline.MRSFS(cfg, work)
+	case SKYMR:
+		sky, bs, err = baseline.SKYMR(cfg, work)
+	case MRBitmap:
+		sky, bs, err = baseline.MRBitmap(cfg, work)
+	case MRAngle:
+		sky, bs, err = baseline.MRAngle(cfg, work)
+	default:
+		return nil, fmt.Errorf("mrskyline: unknown algorithm %q", opts.Algorithm)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Skyline: orient.restore(sky), Stats: Stats{
+		Algorithm:      bs.Algorithm,
+		Runtime:        bs.Total,
+		SkylineSize:    bs.SkylineSize,
+		DominanceTests: bs.DominanceTests,
+		ShuffleBytes:   bs.ShuffleBytes,
+	}}, nil
+}
+
+// grid reports whether a is one of the paper's grid-partitioning
+// algorithms, the ones whose first job a gridPlan keeps.
+func (a Algorithm) grid() bool { return a == GPSRS || a == GPMRS || a == Hybrid }
+
+// checkMaximize rejects a Maximize vector that disagrees with the data's
+// dimensionality d.
+func checkMaximize(maximize []bool, d int) error {
+	if maximize != nil && len(maximize) != d {
+		return fmt.Errorf("mrskyline: Maximize has %d entries for %d-dimensional data", len(maximize), d)
+	}
+	return nil
+}
+
+// orientRows returns non-empty data under maximize's all-minimize view:
+// maximized dimensions are negated once (exact in IEEE 754), so the rest of
+// the pipeline is pure minimization with no per-comparison orientation
+// branching. Rows are checked on the way unless validated.
+func orientRows(data [][]float64, maximize []bool, validated bool) (Orientation, tuple.List, error) {
+	if err := checkMaximize(maximize, len(data[0])); err != nil {
+		return Orientation{}, nil, err
+	}
+	orient := NewOrientation(maximize)
 	work := make(tuple.List, len(data))
 	for i, row := range data {
 		work[i] = tuple.Tuple(orient.Apply(row))
 	}
-	if err := work.Validate(); err != nil {
-		return nil, fmt.Errorf("mrskyline: %w", err)
+	if !validated {
+		if err := work.Validate(); err != nil {
+			return Orientation{}, nil, fmt.Errorf("mrskyline: %w", err)
+		}
 	}
+	return orient, work, nil
+}
 
-	lo, hi := domainBounds(work)
+// gridPlan is a dataset prepared for the grid algorithms under one
+// orientation: the request-independent half of the run (core.Plan — the
+// encoded input and the Section 3.3 job's grid and bitstring) plus the
+// orientation that maps skylines back. It is immutable; a Dataset handle
+// keeps one and runs every matching query from it.
+type gridPlan struct {
+	orient Orientation
+	plan   *core.Plan
+}
 
-	algo := algorithmOrDefault(opts.Algorithm)
-	var (
-		sky tuple.List
-		st  Stats
-		err error
-	)
-	switch algo {
-	case GPSRS, GPMRS, Hybrid:
-		cfg := core.Config{
-			Engine:      eng,
-			Ctx:         ctx,
-			NumMappers:  opts.Mappers,
-			NumReducers: opts.Reducers,
-			PPD:         opts.PPD,
-			Lo:          lo,
-			Hi:          hi,
-		}
-		k, err := kernelFromOptions(opts)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Kernel = k
-		var cs *core.Stats
-		switch algo {
-		case GPSRS:
-			sky, cs, err = core.GPSRS(cfg, work)
-		case GPMRS:
-			sky, cs, err = core.GPMRS(cfg, work)
-		default:
-			sky, cs, err = core.Hybrid(cfg, work)
-		}
-		if err != nil {
-			return nil, err
-		}
-		st = Stats{
-			Algorithm:      cs.Algorithm,
-			Runtime:        cs.Total,
-			SkylineSize:    cs.SkylineSize,
-			PPD:            cs.PPD,
-			Partitions:     cs.Partitions,
-			NonEmpty:       cs.NonEmpty,
-			Surviving:      cs.Surviving,
-			Groups:         cs.Groups,
-			DominanceTests: cs.DominanceTests,
-			ShuffleBytes:   cs.ShuffleBytes,
-		}
-	case MRBNL, MRSFS, MRAngle, SKYMR, MRBitmap:
-		cfg := baseline.Config{Engine: eng, Ctx: ctx, NumMappers: opts.Mappers, Lo: lo, Hi: hi}
-		var bs *baseline.Stats
-		switch algo {
-		case MRBNL:
-			sky, bs, err = baseline.MRBNL(cfg, work)
-		case MRSFS:
-			sky, bs, err = baseline.MRSFS(cfg, work)
-		case SKYMR:
-			sky, bs, err = baseline.SKYMR(cfg, work)
-		case MRBitmap:
-			sky, bs, err = baseline.MRBitmap(cfg, work)
-		default:
-			sky, bs, err = baseline.MRAngle(cfg, work)
-		}
-		if err != nil {
-			return nil, err
-		}
-		st = Stats{
-			Algorithm:      bs.Algorithm,
-			Runtime:        bs.Total,
-			SkylineSize:    bs.SkylineSize,
-			DominanceTests: bs.DominanceTests,
-			ShuffleBytes:   bs.ShuffleBytes,
-		}
-	default:
-		return nil, fmt.Errorf("mrskyline: unknown algorithm %q", opts.Algorithm)
+// gridConfig maps opts onto core's configuration.
+func gridConfig(ctx context.Context, eng mapreduce.Executor, opts Options) (core.Config, error) {
+	k, err := kernelFromOptions(opts)
+	if err != nil {
+		return core.Config{}, err
 	}
+	return core.Config{
+		Engine:      eng,
+		Ctx:         ctx,
+		NumMappers:  opts.Mappers,
+		NumReducers: opts.Reducers,
+		PPD:         opts.PPD,
+		Kernel:      k,
+	}, nil
+}
 
-	// Orient back (Apply is an involution) and hand out plain slices.
-	out := make([][]float64, len(sky))
-	for i, t := range sky {
-		out[i] = orient.Apply([]float64(t))
+// newGridPlan orients data, bounds its domain and runs the bitstring phase
+// — everything a grid query does before its skyline job.
+func newGridPlan(ctx context.Context, eng mapreduce.Executor, data [][]float64, opts Options, validated bool) (*gridPlan, error) {
+	orient, work, err := orientRows(data, opts.Maximize, validated)
+	if err != nil {
+		return nil, err
 	}
-	return &Result{Skyline: out, Stats: st}, nil
+	cfg, err := gridConfig(ctx, eng, opts)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Lo, cfg.Hi = domainBounds(work)
+	plan, err := core.Prepare(cfg, work)
+	if err != nil {
+		return nil, err
+	}
+	return &gridPlan{orient: orient, plan: plan}, nil
+}
+
+// run executes opts.Algorithm's skyline job over the plan. start is when
+// the query began; Stats.Runtime counts from it.
+func (p *gridPlan) run(ctx context.Context, eng mapreduce.Executor, opts Options, start time.Time) (*Result, error) {
+	cfg, err := gridConfig(ctx, eng, opts)
+	if err != nil {
+		return nil, err
+	}
+	algo := core.AlgoHybrid
+	switch algorithmOrDefault(opts.Algorithm) {
+	case GPSRS:
+		algo = core.AlgoGPSRS
+	case GPMRS:
+		algo = core.AlgoGPMRS
+	}
+	sky, cs, err := p.plan.Run(cfg, algo)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Skyline: p.orient.restore(sky), Stats: Stats{
+		Algorithm:      cs.Algorithm,
+		Runtime:        time.Since(start),
+		SkylineSize:    cs.SkylineSize,
+		PPD:            cs.PPD,
+		Partitions:     cs.Partitions,
+		NonEmpty:       cs.NonEmpty,
+		Surviving:      cs.Surviving,
+		Groups:         cs.Groups,
+		DominanceTests: cs.DominanceTests,
+		ShuffleBytes:   cs.ShuffleBytes,
+	}}, nil
 }
 
 // kernelFromOptions resolves the local-kernel selection.
@@ -443,6 +500,16 @@ func (o Orientation) Apply(row []float64) []float64 {
 			v *= o.signs[k]
 		}
 		out[k] = v
+	}
+	return out
+}
+
+// restore maps a skyline computed under the all-minimize view back to the
+// caller's values (Apply is an involution) as plain slices.
+func (o Orientation) restore(sky tuple.List) [][]float64 {
+	out := make([][]float64, len(sky))
+	for i, t := range sky {
+		out[i] = o.Apply([]float64(t))
 	}
 	return out
 }
