@@ -8,9 +8,6 @@
 //	skybench -exp all                 # everything
 //	skybench -exp all -scale 1        # the paper's full cardinalities
 //	skybench -exp fig9 -csv           # machine-readable output
-//	skybench -exp all -json           # write BENCH_<figure>.json per figure
-//	skybench -spillbench -spillbudget 33554432  # beyond-RAM shuffle bench
-//	skybench -recoverybench           # WAL crash-recovery bench
 //
 // By default cardinalities are scaled down (see -scale) so the full suite
 // completes on a laptop while preserving the figures' shapes, and task
@@ -22,202 +19,49 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
-	mrskyline "mrskyline"
+	"mrskyline/internal/cliflag"
 	"mrskyline/internal/experiments"
 	"mrskyline/internal/obs"
-	"mrskyline/internal/rpcexec"
 )
 
 func main() {
-	// Worker re-exec entry: when the master spawned this process, serve
-	// tasks and exit instead of parsing flags.
-	rpcexec.WorkerMain()
 	var (
-		exp             = flag.String("exp", "all", "experiments to run: comma-separated ids or 'all' (ids: "+strings.Join(experiments.FigureNames(), ", ")+")")
-		scale           = flag.Float64("scale", experiments.DefaultScale, "cardinality scale factor relative to the paper (1 = full size)")
-		nodes           = flag.Int("nodes", 13, "simulated cluster nodes (paper: 13)")
-		paper           = flag.Bool("paper", false, "use the paper's exact heterogeneous 13-machine cluster")
-		slots           = flag.Int("slots", 2, "task slots per node")
-		mappers         = flag.Int("mappers", 0, "map tasks (0 = all slots)")
-		reds            = flag.Int("reducers", 0, "reduce tasks for MR-GPMRS (0 = one per node)")
-		ppd             = flag.Int("ppd", 0, "fixed partitions-per-dimension (0 = Section 3.3 heuristic)")
-		seed            = flag.Int64("seed", 1, "data generation seed")
-		noskip          = flag.Bool("noskip", false, "run even the combinations the paper reports as DNF")
-		asCSV           = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		asJSON          = flag.Bool("json", false, "also write BENCH_<figure>.json bench records for perf trajectory tracking")
-		outdir          = flag.String("outdir", ".", "directory for -json output files")
-		mpar            = flag.Int("measurepar", 0, "concurrently measured tasks (0 = min(GOMAXPROCS, slots), 1 = serial isolation)")
-		faultrate       = flag.Float64("faultrate", 0, "deterministic fault-injection rate for crashes/stragglers/corruption (0 = fault-free)")
-		faultseed       = flag.Int64("faultseed", 0, "fault plan seed (0 = data seed; only with -faultrate > 0)")
-		spillbudget     = flag.Int64("spillbudget", 0, "external-memory shuffle budget in bytes (0 = all in RAM); map outputs beyond the budget spill to sorted run files and merge back under it")
-		spilldir        = flag.String("spilldir", "", "directory for spill run files (default: the system temp dir; only with -spillbudget > 0)")
-		spillbench      = flag.Bool("spillbench", false, "run the beyond-RAM spill bench instead of figures; writes BENCH_spill.json to -outdir")
-		recoverybench   = flag.Bool("recoverybench", false, "run the WAL crash-recovery bench instead of figures; writes BENCH_recovery.json to -outdir")
-		recoverybatches = flag.Int("recoverybatches", 0, "delta batches for -recoverybench (0 = default 1200)")
-		serveload       = flag.Bool("serveload", false, "run the concurrent serving-load harness instead of figures; writes BENCH_serve.json to -outdir")
-		kernelbench     = flag.Bool("kernel", false, "run the dominance-kernel micro-benchmark (scalar vs columnar) instead of figures; writes BENCH_kernel.json to -outdir")
-		servequeries    = flag.Int("servequeries", 64, "total queries for -serveload")
-		serveworkers    = flag.Int("serveworkers", 8, "concurrent clients for -serveload")
-		servechurn      = flag.Float64("servechurn", 0, "update-heavy mix for -serveload: fraction of the dataset churned per delta batch against a maintained skyline (0 = queries only)")
-		servebatches    = flag.Int("servebatches", 0, "delta batches for -servechurn (0 = default 16)")
-		executor        = flag.String("executor", "inproc", "MapReduce backend: inproc (simulated cluster figures) or process (multi-process workers over RPC; runs the backend comparison instead of figures and writes BENCH_executor.json to -outdir)")
-		workers         = flag.Int("workers", 4, "worker processes for -executor=process")
-		tracedir        = flag.String("tracedir", "", "with -executor=process, directory where each worker process writes its own Chrome trace (worker-<i>.trace.json)")
-		traceOut        = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in Perfetto / chrome://tracing)")
-		cpuprof         = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprof         = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		exp         = flag.String("exp", "all", "experiments to run: comma-separated ids or 'all' (ids: "+strings.Join(experiments.FigureNames(), ", ")+")")
+		scale       = flag.Float64("scale", experiments.DefaultScale, "cardinality scale factor relative to the paper (1 = full size)")
+		nodes       = flag.Int("nodes", 13, "simulated cluster nodes (paper: 13)")
+		paper       = flag.Bool("paper", false, "use the paper's exact heterogeneous 13-machine cluster")
+		slots       = flag.Int("slots", 2, "task slots per node")
+		mappers     = flag.Int("mappers", 0, "map tasks (0 = all slots)")
+		reds        = flag.Int("reducers", 0, "reduce tasks for MR-GPMRS (0 = one per node)")
+		ppd         = flag.Int("ppd", 0, "fixed partitions-per-dimension (0 = Section 3.3 heuristic)")
+		seed        = flag.Int64("seed", 1, "data generation seed")
+		noskip      = flag.Bool("noskip", false, "run even the combinations the paper reports as DNF")
+		asCSV       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		mpar        = flag.Int("measurepar", 0, "concurrently measured tasks (0 = min(GOMAXPROCS, slots), 1 = serial isolation)")
+		faultrate   = flag.Float64("faultrate", 0, "deterministic fault-injection rate for crashes/stragglers/corruption (0 = fault-free)")
+		faultseed   = flag.Int64("faultseed", 0, "fault plan seed (0 = data seed; only with -faultrate > 0)")
+		spillbudget = flag.Int64("spillbudget", 0, "external-memory shuffle budget in bytes (0 = all in RAM); map outputs beyond the budget spill to sorted run files and merge back under it")
+		spilldir    = flag.String("spilldir", "", "directory for spill run files (default: the system temp dir; only with -spillbudget > 0)")
+		traceOut    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in Perfetto / chrome://tracing)")
+		cpuprof     = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memprof     = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
 	flag.Parse()
 
-	if err := experiments.ValidateFaultConfig(*faultrate, flagSet("faultseed")); err != nil {
-		fmt.Fprintf(os.Stderr, "skybench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := experiments.ValidateSpillConfig(*spillbudget, *spilldir, flagSet("spillbudget"), flagSet("spilldir")); err != nil {
-		fmt.Fprintf(os.Stderr, "skybench: %v\n", err)
-		os.Exit(1)
-	}
-
-	if *spillbench {
-		rec, err := experiments.RunSpillBench(experiments.SpillBenchConfig{
-			Seed:   *seed,
-			Budget: *spillbudget,
-			Dir:    *spilldir,
-		})
+	for _, err := range []error{
+		cliflag.ValidateScale(*scale),
+		cliflag.ValidateFaultConfig(*faultrate, cliflag.Set("faultseed")),
+		cliflag.ValidateSpillConfig(*spillbudget, *spilldir, cliflag.Set("spillbudget"), cliflag.Set("spilldir")),
+	} {
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skybench: -spillbench: %v\n", err)
-			os.Exit(1)
-		}
-		path := filepath.Join(*outdir, "BENCH_spill.json")
-		if err := experiments.WriteSpillBenchJSON(path, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "skybench: -spillbench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, a := range rec.Algorithms {
-			fmt.Printf("%-9s in-RAM %.3fs  spilled %.3fs  skyline %d  identical %v  runs %d  merge rounds %d\n",
-				a.Algorithm, a.InMemorySec, a.SpilledSec, a.SkylineSize, a.Identical, a.RunsWritten, a.MergeRounds)
-		}
-		fmt.Printf("spill: %d tuples (%s), budget %d B, dataset %d B, peak resident %d B\nwrote %s\n",
-			rec.Card, rec.Distribution, rec.Budget, rec.DatasetBytes, rec.PeakResidentBytes, path)
-		return
-	}
-
-	if *recoverybench {
-		rec, err := experiments.RunRecoveryBench(experiments.RecoveryBenchConfig{
-			Seed:    *seed,
-			Batches: *recoverybatches,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skybench: -recoverybench: %v\n", err)
-			os.Exit(1)
-		}
-		path := filepath.Join(*outdir, "BENCH_recovery.json")
-		if err := experiments.WriteRecoveryBenchJSON(path, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "skybench: -recoverybench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, p := range rec.LogLength {
-			fmt.Printf("loglen   %5d batches  replay %6d records  recover %8.3f ms  identical %v\n",
-				p.Batches, p.ReplayedRecords, p.RecoverySec*1e3, p.Identical)
-		}
-		for _, p := range rec.CheckpointSweep {
-			fmt.Printf("ckpt %4d  %5d batches  snapshot %5d rows  replay %6d records  recover %8.3f ms  identical %v\n",
-				p.CheckpointEvery, p.Batches, p.SnapshotRows, p.ReplayedRecords, p.RecoverySec*1e3, p.Identical)
-		}
-		fmt.Printf("wrote %s\n", path)
-		return
-	}
-
-	switch *executor {
-	case "inproc":
-	case "process":
-		if err := experiments.ValidateWorkers(*workers); err != nil {
 			fmt.Fprintf(os.Stderr, "skybench: %v\n", err)
 			os.Exit(1)
 		}
-		var masterTrace *obs.Tracer
-		if *traceOut != "" {
-			masterTrace = obs.New()
-		}
-		rec, err := experiments.RunExecutorBench(experiments.ExecBenchConfig{
-			Workers:     *workers,
-			Seed:        *seed,
-			Trace:       masterTrace,
-			TraceDir:    *tracedir,
-			SpillBudget: *spillbudget,
-			SpillDir:    *spilldir,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skybench: -executor=process: %v\n", err)
-			os.Exit(1)
-		}
-		if masterTrace != nil {
-			if err := writeTrace(*traceOut, masterTrace); err != nil {
-				fmt.Fprintf(os.Stderr, "skybench: -trace: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote trace %s (%d spans)\n", *traceOut, len(masterTrace.Spans()))
-		}
-		path := filepath.Join(*outdir, "BENCH_executor.json")
-		if err := experiments.WriteExecBenchJSON(path, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "skybench: -executor=process: %v\n", err)
-			os.Exit(1)
-		}
-		for _, a := range rec.Algorithms {
-			fmt.Printf("%-9s inproc %.3fs  process %.3fs  skyline %d  identical %v\n",
-				a.Algorithm, a.InprocSec, a.ProcessSec, a.SkylineSize, a.Identical)
-		}
-		fmt.Printf("rpc: %d leases, %d wire shuffle bytes, heartbeat RTT p50 %dns\nwrote %s\n",
-			rec.LeasesGranted, rec.WireShuffleBytes, rec.HeartbeatRTTP50, path)
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "skybench: unknown -executor %q (want inproc|process)\n", *executor)
-		os.Exit(1)
-	}
-
-	if *serveload {
-		res, err := experiments.ServeLoad(experiments.ServeLoadConfig{
-			Queries:       *servequeries,
-			Workers:       *serveworkers,
-			Seed:          *seed,
-			Service:       mrskyline.ServiceConfig{Nodes: *nodes, SlotsPerNode: *slots},
-			ChurnFraction: *servechurn,
-			DeltaBatches:  *servebatches,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skybench: -serveload: %v\n", err)
-			os.Exit(1)
-		}
-		path := filepath.Join(*outdir, "BENCH_serve.json")
-		if err := experiments.WriteServeBenchJSON(path, res); err != nil {
-			fmt.Fprintf(os.Stderr, "skybench: -serveload: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("serveload: %d queries, %d workers: %.1f q/s, p50 %.1f ms, p99 %.1f ms, %d errors\nwrote %s\n",
-			res.Queries, res.Workers, res.ThroughputQPS, res.LatencyP50Ms, res.LatencyP99Ms, res.Errors, path)
-		if res.ChurnFraction > 0 {
-			fmt.Printf("churn: %d batches × %.1f%%, apply p50 %.3f ms, maintained read p50 %.6f ms, recompute p50 %.3f ms, speedup %.0f×, gen %d\n",
-				res.DeltaBatches, res.ChurnFraction*100, res.DeltaApplyP50Ms, res.MaintainedP50Ms, res.RecomputeP50Ms, res.MaintainedSpeedupP50, res.FinalGen)
-		}
-		return
-	}
-
-	if *kernelbench {
-		rec := experiments.RunKernelBench(*seed)
-		path := filepath.Join(*outdir, "BENCH_kernel.json")
-		if err := experiments.WriteKernelBenchJSON(path, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "skybench: -kernel: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("kernel: block size %d, %d cells; min insert speedup at window ≥ 256, d ≤ 6: %.2fx\nwrote %s\n",
-			rec.BlockSize, len(rec.Points), rec.GateMinInsertSpeedup, path)
-		return
 	}
 
 	if *cpuprof != "" {
@@ -282,22 +126,6 @@ func main() {
 		Trace:              tracer,
 	}
 
-	// The per-algorithm probe workload is shared by every figure's bench
-	// record; measure it once. Check the output directory first so a typo
-	// fails before minutes of sweeping.
-	var probes []experiments.AlgoProbe
-	if *asJSON {
-		if st, err := os.Stat(*outdir); err != nil || !st.IsDir() {
-			fmt.Fprintf(os.Stderr, "skybench: -outdir %s is not a directory\n", *outdir)
-			os.Exit(1)
-		}
-		var err error
-		if probes, err = experiments.ProbeAlgorithms(setup); err != nil {
-			fmt.Fprintf(os.Stderr, "skybench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
 	var names []string
 	if *exp == "all" {
 		names = experiments.FigureNames()
@@ -308,16 +136,7 @@ func main() {
 	for _, name := range names {
 		name = strings.TrimSpace(name)
 		start := time.Now()
-		var (
-			res *experiments.FigureResult
-			rec *experiments.BenchRecord
-			err error
-		)
-		if *asJSON {
-			rec, res, err = experiments.RunFigureBench(name, setup)
-		} else {
-			res, err = experiments.RunFigure(name, setup)
-		}
+		res, err := experiments.RunFigure(name, setup)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "skybench: %s: %v\n", name, err)
 			os.Exit(1)
@@ -330,28 +149,7 @@ func main() {
 				fmt.Println(tab.String())
 			}
 		}
-		if *asJSON {
-			rec.Probes = probes
-			path := filepath.Join(*outdir, "BENCH_"+name+".json")
-			if err := experiments.WriteBenchJSON(path, rec); err != nil {
-				fmt.Fprintf(os.Stderr, "skybench: %s: %v\n", name, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n\n", path)
-		}
 	}
-}
-
-// flagSet reports whether the named flag was passed explicitly on the
-// command line (as opposed to holding its default).
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 // writeTrace exports the tracer as Chrome trace-event JSON.

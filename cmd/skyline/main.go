@@ -29,21 +29,25 @@ import (
 	"strings"
 
 	mrskyline "mrskyline"
+	"mrskyline/internal/cliflag"
 	"mrskyline/internal/cluster"
 	"mrskyline/internal/core"
 	"mrskyline/internal/dfs"
-	"mrskyline/internal/experiments"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/spill"
 	"mrskyline/internal/tuple"
 )
 
 func main() {
+	algoNames := make([]string, 0, len(mrskyline.Algorithms()))
+	for _, a := range mrskyline.Algorithms() {
+		algoNames = append(algoNames, string(a))
+	}
 	var (
 		viaDFS   = flag.Bool("via-dfs", false, "load the input into the simulated DFS and stream map tasks from block splits")
 		in       = flag.String("in", "", "input CSV file (default stdin)")
 		out      = flag.String("out", "", "output CSV file (default stdout)")
-		algo     = flag.String("algo", string(mrskyline.GPMRS), "algorithm: MR-GPMRS, MR-GPSRS, Hybrid, MR-BNL, MR-SFS, MR-Angle")
+		algo     = flag.String("algo", string(mrskyline.GPMRS), "algorithm: "+strings.Join(algoNames, ", "))
 		nodes    = flag.Int("nodes", 8, "simulated cluster nodes")
 		slots    = flag.Int("slots", 2, "task slots per node")
 		mappers  = flag.Int("mappers", 0, "map tasks (0 = all slots)")
@@ -57,16 +61,7 @@ func main() {
 	)
 	flag.Parse()
 
-	flagSet := func(name string) bool {
-		set := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == name {
-				set = true
-			}
-		})
-		return set
-	}
-	if err := experiments.ValidateSpillConfig(*spillbudget, *spilldir, flagSet("spillbudget"), flagSet("spilldir")); err != nil {
+	if err := cliflag.ValidateSpillConfig(*spillbudget, *spilldir, cliflag.Set("spillbudget"), cliflag.Set("spilldir")); err != nil {
 		fmt.Fprintf(os.Stderr, "skyline: %v\n", err)
 		os.Exit(1)
 	}

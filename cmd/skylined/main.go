@@ -52,7 +52,7 @@ import (
 	"time"
 
 	mrskyline "mrskyline"
-	"mrskyline/internal/experiments"
+	"mrskyline/internal/cliflag"
 	"mrskyline/internal/rpcexec"
 )
 
@@ -76,11 +76,11 @@ func main() {
 	checkpointEvery := flag.Int("checkpointevery", 0, "checkpoint a durable dataset after this many delta batches (default 256, negative: only on shutdown)")
 	flag.Parse()
 
-	if err := experiments.ValidateSpillConfig(*spillBudget, *spillDir, flagSet("spillbudget"), flagSet("spilldir")); err != nil {
+	if err := cliflag.ValidateSpillConfig(*spillBudget, *spillDir, cliflag.Set("spillbudget"), cliflag.Set("spilldir")); err != nil {
 		log.Fatalf("skylined: %v", err)
 	}
 
-	if *dataDir == "" && (flagSet("walsync") || flagSet("walsyncinterval") || flagSet("checkpointevery")) {
+	if *dataDir == "" && (cliflag.Set("walsync") || cliflag.Set("walsyncinterval") || cliflag.Set("checkpointevery")) {
 		log.Fatalf("skylined: -walsync/-walsyncinterval/-checkpointevery require -datadir")
 	}
 	cfg := mrskyline.ServiceConfig{
@@ -98,7 +98,7 @@ func main() {
 	switch *executor {
 	case "inproc":
 	case "process":
-		if err := experiments.ValidateWorkers(*workers); err != nil {
+		if err := cliflag.ValidateWorkers(*workers); err != nil {
 			log.Fatalf("skylined: %v", err)
 		}
 		spillDirProc := *spillDir
@@ -160,18 +160,6 @@ func main() {
 	web.closeDatasets()
 	svc.Close()
 	log.Fatal(err)
-}
-
-// flagSet reports whether the named flag was passed explicitly on the
-// command line (as opposed to holding its default).
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 // server is the HTTP front-end: one Service plus a named-dataset cache so

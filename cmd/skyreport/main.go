@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 
+	"mrskyline/internal/cliflag"
 	"mrskyline/internal/experiments"
 	"mrskyline/internal/obs"
 )
@@ -40,22 +41,15 @@ func main() {
 	)
 	flag.Parse()
 
-	flagSet := func(name string) bool {
-		set := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == name {
-				set = true
-			}
-		})
-		return set
-	}
-	if err := experiments.ValidateFaultConfig(*faultrate, flagSet("faultseed")); err != nil {
-		fmt.Fprintf(os.Stderr, "skyreport: %v\n", err)
-		os.Exit(1)
-	}
-	if err := experiments.ValidateSpillConfig(*spillbudget, *spilldir, flagSet("spillbudget"), flagSet("spilldir")); err != nil {
-		fmt.Fprintf(os.Stderr, "skyreport: %v\n", err)
-		os.Exit(1)
+	for _, err := range []error{
+		cliflag.ValidateScale(*scale),
+		cliflag.ValidateFaultConfig(*faultrate, cliflag.Set("faultseed")),
+		cliflag.ValidateSpillConfig(*spillbudget, *spilldir, cliflag.Set("spillbudget"), cliflag.Set("spilldir")),
+	} {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "skyreport: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	var tracer *obs.Tracer

@@ -60,7 +60,7 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 	recs := mapreduce.TupleInput(data).Records
 
 	type emitted struct{ key, value []byte }
-	for _, kernel := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS, skyline.KernelDC, skyline.KernelBBS} {
+	for _, kernel := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS, skyline.KernelDC} {
 		cfg := &Config{Kernel: kernel}
 		for name, funcs := range map[string]*mapreduce.JobFuncs{"gpsrs": gpsrsFuncs(cfg, g), "gpmrs": gpmrsFuncs(cfg, g)} {
 			var out []emitted

@@ -41,9 +41,7 @@ type Measurement struct {
 	Algo string
 	// Runtime is the simulated cluster makespan when the setup runs with
 	// simulation (the default), or host wall-clock with Setup.NoSim.
-	Runtime time.Duration
-	// WallTime is always the host wall-clock duration.
-	WallTime    time.Duration
+	Runtime     time.Duration
 	SkylineSize int
 	// PPD is the grid granularity used (grid algorithms only).
 	PPD int
@@ -51,15 +49,7 @@ type Measurement struct {
 	// comparison counts (grid algorithms only; Figure 11).
 	MapperPartCmp  int64
 	ReducerPartCmp int64
-	DominanceTests int64
 	ShuffleBytes   int64
-	// Fault-injection telemetry; all zero unless the setup ran with a
-	// FaultRate.
-	TaskFailures        int64
-	SpeculativeLaunched int64
-	SpeculativeWon      int64
-	NodeFailures        int64
-	ShuffleCorruptions  int64
 }
 
 // measureOpts tweaks a single run beyond the Setup defaults.
@@ -120,20 +110,13 @@ func runAlgorithm(name string, s Setup, data tupleList, opts measureOpts) (Measu
 			runtime = st.SimulatedTotal
 		}
 		return Measurement{
-			Algo:                st.Algorithm,
-			Runtime:             runtime,
-			WallTime:            st.Total,
-			SkylineSize:         st.SkylineSize,
-			PPD:                 st.PPD,
-			MapperPartCmp:       st.MapperPartCmpMax,
-			ReducerPartCmp:      st.ReducerPartCmpMax,
-			DominanceTests:      st.DominanceTests,
-			ShuffleBytes:        st.ShuffleBytes,
-			TaskFailures:        st.TaskFailures,
-			SpeculativeLaunched: st.SpeculativeLaunched,
-			SpeculativeWon:      st.SpeculativeWon,
-			NodeFailures:        st.NodeFailures,
-			ShuffleCorruptions:  st.ShuffleCorruptions,
+			Algo:           st.Algorithm,
+			Runtime:        runtime,
+			SkylineSize:    st.SkylineSize,
+			PPD:            st.PPD,
+			MapperPartCmp:  st.MapperPartCmpMax,
+			ReducerPartCmp: st.ReducerPartCmpMax,
+			ShuffleBytes:   st.ShuffleBytes,
 		}, nil
 
 	case AlgoBNL, AlgoSFS, AlgoAngle, AlgoSKYMR:
@@ -160,17 +143,10 @@ func runAlgorithm(name string, s Setup, data tupleList, opts measureOpts) (Measu
 			runtime = st.SimulatedTotal
 		}
 		return Measurement{
-			Algo:                st.Algorithm,
-			Runtime:             runtime,
-			WallTime:            st.Total,
-			SkylineSize:         st.SkylineSize,
-			DominanceTests:      st.DominanceTests,
-			ShuffleBytes:        st.ShuffleBytes,
-			TaskFailures:        st.TaskFailures,
-			SpeculativeLaunched: st.SpeculativeLaunched,
-			SpeculativeWon:      st.SpeculativeWon,
-			NodeFailures:        st.NodeFailures,
-			ShuffleCorruptions:  st.ShuffleCorruptions,
+			Algo:         st.Algorithm,
+			Runtime:      runtime,
+			SkylineSize:  st.SkylineSize,
+			ShuffleBytes: st.ShuffleBytes,
 		}, nil
 
 	default:

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"mrskyline/internal/datagen"
+	"mrskyline/internal/obs"
 )
 
 // tinySetup keeps every figure sweep at 1000-tuple datasets on a small
@@ -72,6 +74,37 @@ func TestFigureShapes(t *testing.T) {
 				t.Errorf("fig10 %s row %d = %q, not a runtime", col, i, v)
 			}
 		}
+	}
+}
+
+// TestFaultInjectedFigureDeterministic: two identical fault-injected runs
+// — same data and fault seeds, a fresh tracer each — must produce the same
+// tables and the same metrics snapshot. Under a FaultPlan every job runs
+// on the engine's virtual clock, so runtimes, retries, speculation and the
+// per-phase histograms are functions of the seeds alone and must not
+// drift with host timing.
+func TestFaultInjectedFigureDeterministic(t *testing.T) {
+	run := func() (*FigureResult, obs.MetricsSnapshot) {
+		t.Helper()
+		s := Setup{Seed: 1, Scale: 0.0001, Nodes: 4, SlotsPerNode: 2,
+			FaultRate: 0.1, FaultSeed: 5, Trace: obs.New()}
+		res, err := RunFigure("fig10", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, s.Trace.Metrics().Snapshot()
+	}
+	resA, snapA := run()
+	resB, snapB := run()
+	if !reflect.DeepEqual(resA, resB) {
+		t.Errorf("two identical runs produced different tables:\n--- run 1\n%s\n--- run 2\n%s",
+			resA.Tables[0], resB.Tables[0])
+	}
+	if len(snapA.Histograms) == 0 {
+		t.Fatal("metrics snapshot has no per-phase histograms")
+	}
+	if !reflect.DeepEqual(snapA, snapB) {
+		t.Errorf("two identical runs produced different metrics:\n--- run 1\n%v\n--- run 2\n%v", snapA, snapB)
 	}
 }
 

@@ -21,48 +21,6 @@ import (
 	"mrskyline/internal/spill"
 )
 
-// ValidateFaultConfig checks the fault-injection knobs as front ends
-// (skybench, skyreport) receive them: rate must lie in [0, 1], and a seed
-// is only meaningful when a rate enables the fault plan. seedSet reports
-// whether the user set the seed explicitly (a zero seed means "use the
-// data seed", so presence cannot be inferred from the value).
-func ValidateFaultConfig(rate float64, seedSet bool) error {
-	if rate < 0 || rate > 1 {
-		return fmt.Errorf("experiments: fault rate %v outside [0, 1]", rate)
-	}
-	if seedSet && rate == 0 {
-		return fmt.Errorf("experiments: fault seed set but fault rate is 0 (set a rate in (0, 1] to enable fault injection)")
-	}
-	return nil
-}
-
-// ValidateSpillConfig checks the external-memory shuffle knobs as front
-// ends receive them. budgetSet and dirSet report whether the user passed
-// the flags explicitly (the zero budget means "all in RAM", so presence
-// cannot be inferred from the value); the flag-presence rules are CLI
-// concerns and live here, while the budget/dir pairing rule is the shared
-// spill.ValidateSetup every front end enforces.
-func ValidateSpillConfig(budget int64, dir string, budgetSet, dirSet bool) error {
-	if budgetSet && budget <= 0 {
-		return fmt.Errorf("experiments: spill budget must be positive, got %d", budget)
-	}
-	if dirSet && dir == "" {
-		return fmt.Errorf("experiments: spill dir set but empty")
-	}
-	if err := spill.ValidateSetup(budget, dir); err != nil {
-		return fmt.Errorf("experiments: %w", err)
-	}
-	return nil
-}
-
-// ValidateWorkers checks a worker-process count as front ends receive it.
-func ValidateWorkers(workers int) error {
-	if workers < 1 {
-		return fmt.Errorf("experiments: worker count must be >= 1, got %d", workers)
-	}
-	return nil
-}
-
 // Setup fixes the simulated cluster and sweep-independent parameters of an
 // experiment run.
 type Setup struct {
@@ -92,14 +50,10 @@ type Setup struct {
 	// wall-clock instead. By default runtimes are simulated cluster
 	// makespans (task durations scheduled over the cluster's slots plus a
 	// 100 Mbit/s shuffle and Hadoop-style task/job overheads), which is
-	// what the paper's runtime axes measure.
+	// what the paper's runtime axes measure. The fixed costs are the
+	// mapreduce.SimConfig defaults: 1s task startup, 5s job setup,
+	// 12.5 MB/s links.
 	NoSim bool
-	// SimTaskStartup, SimJobSetup and SimBandwidth override the simulated
-	// cluster's fixed costs (zero keeps the mapreduce.SimConfig defaults:
-	// 1s task startup, 5s job setup, 12.5 MB/s links).
-	SimTaskStartup time.Duration
-	SimJobSetup    time.Duration
-	SimBandwidth   int64
 	// MeasureParallelism bounds how many tasks the engine measures
 	// concurrently in simulated-time mode: 0 = min(GOMAXPROCS, cluster
 	// slots) — the fast default for development sweeps — and 1 = strict
@@ -122,12 +76,11 @@ type Setup struct {
 	// SpillBudget, when positive, runs every job through the
 	// external-memory shuffle: map outputs spill to sorted run files under
 	// SpillDir whenever more than SpillBudget bytes would sit resident, and
-	// reduce inputs arrive through a multi-round merge whose fan-in
-	// SpillFanIn caps (0 uses the spill package default). Zero keeps the
-	// all-in-RAM shuffle; results are byte-identical either way.
+	// reduce inputs arrive through a multi-round merge at the spill
+	// package's default fan-in. Zero keeps the all-in-RAM shuffle; results
+	// are byte-identical either way.
 	SpillBudget int64
 	SpillDir    string
-	SpillFanIn  int
 	// Trace, when non-nil, is attached to every engine the run builds:
 	// spans from all jobs accumulate on its shared timeline (virtual-clock
 	// jobs are serialized onto it via the tracer's virtual base), and
@@ -172,12 +125,7 @@ func (s Setup) newEngine() (*mapreduce.Engine, error) {
 	}
 	eng := mapreduce.NewEngine(c)
 	if !s.NoSim {
-		eng.Sim = &mapreduce.SimConfig{
-			TaskStartup:        s.SimTaskStartup,
-			JobSetup:           s.SimJobSetup,
-			NetBandwidth:       s.SimBandwidth,
-			MeasureParallelism: s.MeasureParallelism,
-		}
+		eng.Sim = &mapreduce.SimConfig{MeasureParallelism: s.MeasureParallelism}
 	}
 	if s.FaultRate > 0 {
 		seed := s.FaultSeed
@@ -200,8 +148,6 @@ func (s Setup) newEngine() (*mapreduce.Engine, error) {
 		eng.Spill = &spill.Config{
 			Dir:    dir,
 			Budget: s.SpillBudget,
-			FanIn:  s.SpillFanIn,
-			Stats:  &spill.Stats{},
 		}
 	}
 	eng.SetTrace(s.Trace)

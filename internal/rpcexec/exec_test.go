@@ -3,6 +3,8 @@ package rpcexec
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -241,5 +243,29 @@ func TestWallTracerPlumbed(t *testing.T) {
 	}
 	if wire < 0 {
 		t.Error("rpc.shuffle.wire.bytes counter missing")
+	}
+}
+
+// TestWorkersWriteTraces checks Config.TraceDir end to end on real worker
+// processes: after one job and a clean Close, every worker has left its
+// own worker-<i>.trace.json and each is a well-formed Chrome trace.
+func TestWorkersWriteTraces(t *testing.T) {
+	dir := t.TempDir()
+	pe := newProcExec(t, Config{Workers: 2, TraceDir: dir})
+	if _, err := pe.RunContext(context.Background(), sumJob("traced", 5, 80, 3, 2, 0, 0)); err != nil {
+		t.Fatalf("RunContext: %v", err)
+	}
+	if err := pe.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for _, name := range []string{"worker-0.trace.json", "worker-1.trace.json"} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Errorf("worker trace missing: %v", err)
+			continue
+		}
+		if err := obs.ValidateChromeTraceJSON(raw); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

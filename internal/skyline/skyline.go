@@ -154,8 +154,6 @@ const (
 	KernelSFS
 	// KernelDC is the divide-and-conquer algorithm of Börzsönyi et al.
 	KernelDC
-	// KernelBBS is branch-and-bound over an R-tree (Papadias et al.).
-	KernelBBS
 )
 
 // String implements fmt.Stringer for Kernel.
@@ -167,8 +165,6 @@ func (k Kernel) String() string {
 		return "sfs"
 	case KernelDC:
 		return "dc"
-	case KernelBBS:
-		return "bbs"
 	default:
 		return "unknown"
 	}
@@ -181,8 +177,6 @@ func (k Kernel) Compute(data tuple.List, c *Count) tuple.List {
 		return SFS(data, c)
 	case KernelDC:
 		return DC(data, c)
-	case KernelBBS:
-		return BBS(data, c)
 	default:
 		return BNL(data, c)
 	}

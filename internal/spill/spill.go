@@ -64,8 +64,8 @@ type Config struct {
 	// discarded (obs registries are nil-safe).
 	Metrics *obs.Registry
 	// Stats, when non-nil, accumulates machine-readable totals across
-	// every writer and merge attached to this config; RunSpillBench reads
-	// them for BENCH_spill.json.
+	// every writer and merge attached to this config, including the peak
+	// resident bytes the budget is meant to bound.
 	Stats *Stats
 }
 
@@ -110,8 +110,8 @@ type Stats struct {
 	// MergeRounds counts completed merge rounds across all merge trees.
 	MergeRounds atomic.Int64
 	// resident tracks currently resident spill bytes (writer arenas plus
-	// merge buffers); peak is its high-water mark — the number the
-	// beyond-RAM bench holds against the budget.
+	// merge buffers); peak is its high-water mark — the number held
+	// against the budget.
 	resident atomic.Int64
 	peak     atomic.Int64
 }

@@ -272,7 +272,7 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 	rows := mustGenerate(t, "anticorrelated", 1500, 3, 8)
 	var cases []Options
 	for _, algo := range []Algorithm{GPSRS, GPMRS, Hybrid} {
-		for _, kernel := range []string{"bnl", "sfs", "dc", "bbs"} {
+		for _, kernel := range []string{"bnl", "sfs", "dc"} {
 			cases = append(cases, Options{Algorithm: algo, Kernel: kernel})
 		}
 	}

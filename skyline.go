@@ -113,8 +113,8 @@ type Options struct {
 	// all dimensions minimize. Length must equal the data dimensionality.
 	Maximize []bool
 	// Kernel names the in-task local skyline kernel for the grid
-	// algorithms: "bnl" (default, the paper's Algorithm 4), "sfs", "dc"
-	// (divide & conquer) or "bbs" (branch-and-bound over an R-tree).
+	// algorithms: "bnl" (default, the paper's Algorithm 4), "sfs" or "dc"
+	// (divide & conquer).
 	Kernel string
 	// SpillBudget, when positive, bounds shuffle residency in bytes: map
 	// outputs beyond the budget spill to sorted run files and reducers
@@ -392,10 +392,8 @@ func kernelFromOptions(opts Options) (skyline.Kernel, error) {
 		return skyline.KernelSFS, nil
 	case "dc":
 		return skyline.KernelDC, nil
-	case "bbs":
-		return skyline.KernelBBS, nil
 	default:
-		return 0, fmt.Errorf("mrskyline: unknown kernel %q (want bnl|sfs|dc|bbs)", opts.Kernel)
+		return 0, fmt.Errorf("mrskyline: unknown kernel %q (want bnl|sfs|dc)", opts.Kernel)
 	}
 }
 
