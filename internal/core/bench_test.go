@@ -29,3 +29,34 @@ func BenchmarkPPDSelectJob(b *testing.B) {
 		}
 	}
 }
+
+// benchGPMRS times one core.GPMRS run per iteration on the default 8 × 2
+// cluster and reports the run's exact dominance-test count beside it.
+func benchGPMRS(b *testing.B, dist datagen.Distribution, card, d int) {
+	cfg := testConfig(b, 8, 2)
+	data := datagen.Generate(dist, card, d, 3)
+	var tests int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sky, st, err := core.GPMRS(cfg, data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(sky) == 0 {
+			b.Fatal("empty skyline")
+		}
+		tests = st.DominanceTests
+	}
+	b.ReportMetric(float64(tests), "tests/op")
+}
+
+// BenchmarkGPMRSAnti is the benchmark's batch-anti operation inside the
+// package: anticorrelated 40 000 × 5, where the window kernel is most of the
+// run and Algorithm 5 most of the kernel.
+func BenchmarkGPMRSAnti(b *testing.B) { benchGPMRS(b, datagen.AntiCorrelated, 40_000, 5) }
+
+// BenchmarkGPMRSIndepSmall is the small-window guard: independent
+// 20 000 × 4, the serve-query dataset shape, where every window holds a
+// handful of tuples and per-window fixed cost is what shows.
+func BenchmarkGPMRSIndepSmall(b *testing.B) { benchGPMRS(b, datagen.Independent, 20_000, 4) }

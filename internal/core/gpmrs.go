@@ -8,8 +8,6 @@ import (
 	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
-	"mrskyline/internal/skyline"
-	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
 )
 
@@ -148,11 +146,7 @@ func newGPMRSMapper(cfg *Config, g *grid.Grid) mapreduce.Mapper {
 // the cached bitstring, which also yields the responsible-partition
 // designation of Section 5.4.2.
 func newGPMRSReducer(cfg *Config, g *grid.Grid) mapreduce.Reducer {
-	var (
-		cnt     skyline.Count
-		inserts window.InsertSampler
-		partCmp int64
-	)
+	group := partWindows{g: g}
 	return mapreduce.ReducerFuncs{
 		ReduceFn: func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emitter) error {
 			defer ctx.Trace.Timed(ctx.Track, "merge", obs.CatAlgo, "algo.merge.ns")()
@@ -176,7 +170,7 @@ func newGPMRSReducer(cfg *Config, g *grid.Grid) mapreduce.Reducer {
 				return fmt.Errorf("core: reducer received unknown group bucket %d", b)
 			}
 			// Lines 1–8: merge the mappers' windows per partition.
-			s, reg := make(winMap), ctx.Trace.Metrics()
+			runs := make(map[int][]tuple.List)
 			for _, v := range values {
 				pm, err := decodePartMap(v)
 				if err != nil {
@@ -186,30 +180,26 @@ func newGPMRSReducer(cfg *Config, g *grid.Grid) mapreduce.Reducer {
 					if !mg.HasPartition(p) {
 						return fmt.Errorf("core: bucket %d received foreign partition %d", b, p)
 					}
-					w := s.window(p, g.Dim())
-					for _, t := range l {
-						inserts.Insert(reg, w, t, &cnt)
+					if runs[p] == nil {
+						runs[p] = make([]tuple.List, 0, len(values))
 					}
+					runs[p] = append(runs[p], l)
+				}
+			}
+			group.s = make(winMap, len(runs))
+			for p, r := range runs {
+				if err := group.mergeRuns(p, r); err != nil {
+					return err
 				}
 			}
 			// Lines 9–10: eliminate false positives within the group.
-			comparePartitions(s, g, &cnt, &partCmp)
+			group.comparePartitions()
 			// Line 11 + Section 5.4.2: output only designated partitions.
-			var scratch []byte
-			for _, p := range s.sortedPartitions() {
-				if !mg.Responsible[p] {
-					continue
-				}
-				for _, t := range s[p].Rows() {
-					scratch = tuple.AppendEncode(scratch[:0], t)
-					emit(nil, scratch)
-				}
-			}
+			group.emitRows(emit, mg.Responsible)
 			return nil
 		},
 		FlushFn: func(ctx *mapreduce.TaskContext, _ mapreduce.Emitter) error {
-			ctx.Counters.SetMax(counterPartCmpReduceMax, partCmp)
-			recordDominanceTests(ctx, &cnt)
+			group.recordCounters(ctx, mapreduce.PhaseReduce)
 			return nil
 		},
 	}

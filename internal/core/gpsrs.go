@@ -8,8 +8,6 @@ import (
 	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
-	"mrskyline/internal/skyline"
-	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
 )
 
@@ -79,11 +77,8 @@ func gpsrsFuncs(cfg *Config, g *grid.Grid) *mapreduce.JobFuncs {
 // newGPSRSReducer builds the single reducer of MR-GPSRS (Algorithm 6).
 // State: the merged per-partition columnar windows.
 func newGPSRSReducer(g *grid.Grid) mapreduce.Reducer {
-	var (
-		merged  = make(winMap)
-		cnt     skyline.Count
-		inserts window.InsertSampler
-	)
+	merged := partWindows{g: g, s: make(winMap)}
+	var runs []tuple.List
 	return mapreduce.ReducerFuncs{
 		ReduceFn: func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, _ mapreduce.Emitter) error {
 			// One key per partition; values are the mappers' local
@@ -95,34 +90,24 @@ func newGPSRSReducer(g *grid.Grid) mapreduce.Reducer {
 			if p < 0 || p >= g.NumPartitions() {
 				return fmt.Errorf("core: partition key %d out of range", p)
 			}
-			w, reg := merged.window(p, g.Dim()), ctx.Trace.Metrics()
+			runs = runs[:0]
 			for _, v := range values {
 				l, _, err := tuple.DecodeList(v)
 				if err != nil {
 					return err
 				}
-				for _, t := range l {
-					inserts.Insert(reg, w, t, &cnt)
-				}
+				runs = append(runs, l)
 			}
-			return nil
+			return merged.mergeRuns(p, runs)
 		},
 		FlushFn: func(ctx *mapreduce.TaskContext, emit mapreduce.Emitter) error {
 			// Lines 7–8: eliminate cross-partition false positives,
 			// then output the union (line 9).
 			doneMerge := ctx.Trace.Timed(ctx.Track, "merge", obs.CatAlgo, "algo.merge.ns")
-			var partCmp int64
-			comparePartitions(merged, g, &cnt, &partCmp)
+			merged.comparePartitions()
 			doneMerge()
-			ctx.Counters.SetMax(counterPartCmpReduceMax, partCmp)
-			recordDominanceTests(ctx, &cnt)
-			var scratch []byte
-			for _, p := range merged.sortedPartitions() {
-				for _, t := range merged[p].Rows() {
-					scratch = tuple.AppendEncode(scratch[:0], t)
-					emit(nil, scratch)
-				}
-			}
+			merged.recordCounters(ctx, mapreduce.PhaseReduce)
+			merged.emitRows(emit, nil)
 			return nil
 		},
 	}

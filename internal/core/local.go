@@ -12,27 +12,44 @@ import (
 	"mrskyline/internal/tuple"
 )
 
+// partWindows is what every skyline task of the grid algorithms holds,
+// mapper or reducer: the per-partition local skylines S as score-ordered
+// columnar windows, the task's comparison telemetry, and the one scratch
+// all of its window operations work in.
+type partWindows struct {
+	g   *grid.Grid
+	s   winMap
+	cnt skyline.Count
+	// partCmp counts partition-wise comparisons (Algorithm 5 line 3
+	// executions) performed by this task.
+	partCmp int64
+	sc      window.Scratch
+	// adr and dims are comparePartitions' list of one partition's ADR
+	// partitions, reused across partitions.
+	adr  []adrPart
+	dims []int
+}
+
+// adrPart is one partition q ∈ p.ADR held by the task: dims[lo:hi] are the
+// dimensions on which the cells of q and p coincide (grid.ADRDims).
+type adrPart struct{ q, lo, hi int }
+
 // localState is the shared mapper-side machinery of Algorithms 3 and 8:
 // per-partition local skyline windows (columnar, see the window package)
 // gated by the global bitstring, followed by cross-partition
 // false-positive elimination.
 type localState struct {
-	g      *grid.Grid
+	partWindows
 	bs     *bitstring.Bitstring
 	kernel skyline.Kernel
-	s      winMap
 	// buffered tuples per partition, used by the batch kernels (SFS, D&C),
 	// which need the whole partition before running.
 	pending map[int]tuple.List
-	cnt     skyline.Count
 	inserts window.InsertSampler
-	// partCmp counts partition-wise comparisons (Algorithm 5 line 3
-	// executions) performed by this task.
-	partCmp int64
 }
 
 func newLocalState(g *grid.Grid, bs *bitstring.Bitstring, kernel skyline.Kernel) *localState {
-	ls := &localState{g: g, bs: bs, kernel: kernel, s: make(winMap)}
+	ls := &localState{partWindows: partWindows{g: g, s: make(winMap)}, bs: bs, kernel: kernel}
 	if kernel != skyline.KernelBNL {
 		ls.pending = make(map[int]tuple.List)
 	}
@@ -60,71 +77,125 @@ func (ls *localState) add(reg *obs.Registry, t tuple.Tuple) error {
 }
 
 // finish completes the local phase: materialize batch-kernel windows if
-// needed, then run ComparePartitions across the mapper's partitions
-// (Algorithm 3 lines 9–10). It returns the resulting window map.
+// needed, run ComparePartitions across the mapper's partitions (Algorithm 3
+// lines 9–10), then put every window in score order — once, and after
+// Algorithm 5 has shrunk it, which needs no order — so each partition
+// leaves the mapper as one sorted run. It returns the resulting window map.
 func (ls *localState) finish() winMap {
-	if ls.pending != nil {
-		for p, data := range ls.pending {
-			ls.s[p] = window.FromList(ls.g.Dim(), ls.kernel.Compute(data, &ls.cnt))
-		}
-		ls.pending = nil
+	for p, data := range ls.pending {
+		ls.s[p] = window.FromList(ls.g.Dim(), ls.kernel.Compute(data, &ls.cnt))
 	}
-	comparePartitions(ls.s, ls.g, &ls.cnt, &ls.partCmp)
+	ls.pending = nil
+	ls.comparePartitions()
+	for _, w := range ls.s {
+		w.Order(&ls.sc)
+	}
 	return ls.s
+}
+
+// mergeRuns is the reducer side of the same state (Algorithm 6 lines 1–6,
+// Algorithm 9 lines 1–8): the mappers' local skylines of partition p, each
+// a score-ordered run, merged into the partition's one ordered window. A
+// run that arrives out of order fails the task.
+func (pw *partWindows) mergeRuns(p int, runs []tuple.List) error {
+	if _, dup := pw.s[p]; dup {
+		return fmt.Errorf("core: partition %d merged twice", p)
+	}
+	w, err := window.MergeRuns(pw.g.Dim(), runs, &pw.sc, &pw.cnt)
+	if err != nil {
+		return fmt.Errorf("core: partition %d run out of score order", p)
+	}
+	pw.s[p] = w
+	return nil
 }
 
 // recordCounters folds the task's comparison telemetry into its counter
 // set; max-counters give the busiest task per phase (Figure 11), the sum
-// counter gives total dominance work.
-func (ls *localState) recordCounters(ctx *mapreduce.TaskContext, phase mapreduce.Phase) {
+// counter gives total dominance work. It is where a task accounts for its
+// kernel work, once, when it flushes: the job counter behind
+// Stats.DominanceTests and the service-lifetime obs counter receive the
+// same number from the one Count the task threaded through every window
+// operation and batch kernel.
+func (pw *partWindows) recordCounters(ctx *mapreduce.TaskContext, phase mapreduce.Phase) {
 	name := counterPartCmpMapMax
 	if phase == mapreduce.PhaseReduce {
 		name = counterPartCmpReduceMax
 	}
-	ctx.Counters.SetMax(name, ls.partCmp)
-	recordDominanceTests(ctx, &ls.cnt)
-}
-
-// recordDominanceTests is where a task accounts for its kernel work, once,
-// when it flushes: the job counter behind Stats.DominanceTests and the
-// service-lifetime obs counter receive the same number from the one Count
-// the task threaded through every window operation and batch kernel.
-func recordDominanceTests(ctx *mapreduce.TaskContext, cnt *skyline.Count) {
-	ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
-	ctx.Trace.Metrics().Count(window.MetricDominanceTests, cnt.DominanceTests)
+	ctx.Counters.SetMax(name, pw.partCmp)
+	ctx.Counters.Add(counterDominanceTests, pw.cnt.DominanceTests)
+	ctx.Trace.Metrics().Count(window.MetricDominanceTests, pw.cnt.DominanceTests)
 }
 
 // comparePartitions implements Algorithm 5 applied to every partition of S
 // (as Algorithm 3 lines 9–10 and Algorithm 6 lines 7–8 do): for each local
-// skyline S_p, remove the tuples dominated by a tuple of any S_pi with
-// pi ∈ p.ADR. partCmp is incremented once per (p, pi) pair processed — the
+// skyline S_p, remove the tuples dominated by a tuple of any S_q with
+// q ∈ p.ADR. partCmp is incremented once per (p, q) pair processed — the
 // "critical operation" the Section 6 cost model estimates.
+//
+// A pair is compared only on what the grid has not already decided: on
+// every dimension where q's cell coordinate is below p's, all of S_q is
+// strictly below all of S_p, so u ∈ S_q dominates t ∈ S_p exactly when
+// u ≤ t on the dimensions E the two cells share (grid.ADRDims), and
+// FilterOn tests those alone. Partitions of p.ADR are visited in order of
+// |E|: the fewer dimensions left open, the closer q lies to the origin
+// corner, the cheaper its test and the more of S_p it removes before the
+// |E| = d − 1 neighbours are touched.
 //
 // The result is order-independent: a tuple of S_p survives exactly when no
 // tuple in any anti-dominating partition's window dominates it, so mutating
 // S in place during the loop cannot change the outcome (a window tuple
 // removed early is itself dominated by a tuple in a window that also
 // filters S_p, by ADR transitivity).
-func comparePartitions(s winMap, g *grid.Grid, cnt *skyline.Count, partCmp *int64) {
-	parts := s.sortedPartitions()
+func (pw *partWindows) comparePartitions() {
+	parts := pw.s.sortedPartitions()
 	for _, p := range parts {
-		sp := s[p]
-		for _, pi := range parts {
-			if pi == p || s[pi].Len() == 0 || !g.InADR(pi, p) {
-				continue
+		sp := pw.s[p]
+		adr, dims := pw.adr[:0], pw.dims[:0]
+		for _, q := range parts {
+			if q >= p {
+				break // p.ADR lies below p in index order
 			}
-			*partCmp++
-			sp.FilterBy(s[pi], cnt)
-			if sp.Len() == 0 {
-				break
+			lo := len(dims)
+			var in bool
+			if dims, in = pw.g.ADRDims(q, p, dims); in {
+				adr = append(adr, adrPart{q, lo, len(dims)})
+			}
+		}
+		pw.adr, pw.dims = adr, dims
+		for e := 0; e < pw.g.Dim() && sp.Len() > 0; e++ {
+			for _, a := range adr {
+				sq := pw.s[a.q]
+				if a.hi-a.lo != e || sq.Len() == 0 {
+					continue
+				}
+				pw.partCmp++
+				sp.FilterOn(sq, dims[a.lo:a.hi], &pw.sc, &pw.cnt)
+				if sp.Len() == 0 {
+					break
+				}
 			}
 		}
 	}
 	// Drop partitions whose windows were fully eliminated so they are not
 	// shuffled as empty payloads.
 	for _, p := range parts {
-		if s[p].Len() == 0 {
-			delete(s, p)
+		if pw.s[p].Len() == 0 {
+			delete(pw.s, p)
+		}
+	}
+}
+
+// emitRows outputs the task's skyline tuples, one record each, partitions
+// in ascending order; only, when non-nil, names the partitions to output.
+func (pw *partWindows) emitRows(emit mapreduce.Emitter, only map[int]bool) {
+	var scratch []byte
+	for _, p := range pw.s.sortedPartitions() {
+		if only != nil && !only[p] {
+			continue
+		}
+		for _, t := range pw.s[p].Rows() {
+			scratch = tuple.AppendEncode(scratch[:0], t)
+			emit(nil, scratch)
 		}
 	}
 }

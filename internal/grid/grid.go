@@ -134,10 +134,21 @@ func (g *Grid) Hi() tuple.Tuple { return g.hi.Clone() }
 // every input. The division is deliberate: multiplying by a precomputed
 // 1/width rounds differently for values on or within an ulp of a cell edge,
 // which would move tuples between cells and change the bitstring.
+//
+// The coordinate is monotone in the value — subtraction, division by a
+// positive width and truncation all are — which is what lets a lower cell
+// coordinate stand for "strictly smaller on this dimension" (partition
+// dominance, ADRDims). That includes quotients beyond the integer range,
+// whose conversion is implementation-dependent: it either saturates or, on
+// amd64, yields the most negative integer, which for a positive offset must
+// clamp to the last cell, not the first.
 func cellCoord(off, width float64, n int) int {
 	c := int(off / width)
 	if c < 0 {
 		c = 0
+		if off > 0 {
+			c = n - 1
+		}
 	} else if c >= n {
 		c = n - 1
 	}
@@ -252,6 +263,38 @@ func (g *Grid) InADR(j, i int) bool {
 		j %= s
 	}
 	return true
+}
+
+// ADRDims is InADR that also says what the grid has left undecided between
+// the two partitions: when p_j ∈ p_i.ADR it appends to dst, in ascending
+// order, the dimensions on which the two cells share a coordinate, and
+// returns the extended slice and true; otherwise it returns dst unchanged
+// and false. On every other dimension p_j's coordinate is the lower one,
+// and since a value's cell coordinate is monotone in the value (cellCoord),
+// every tuple of p_j is strictly below every tuple of p_i there — so a
+// tuple of p_j dominates a tuple of p_i exactly when it is ≤ on the
+// returned dimensions. The same digit walk as InADR; nothing is
+// materialized beyond dst.
+func (g *Grid) ADRDims(j, i int, dst []int) ([]int, bool) {
+	if i < 0 || i >= g.total || j < 0 || j >= g.total {
+		panic(fmt.Sprintf("grid: partition index %d or %d out of range [0,%d)", j, i, g.total))
+	}
+	if j >= i {
+		return dst, false // an index is monotone in its digits: nothing above p_i is ≤ it everywhere
+	}
+	n := len(dst)
+	for k, s := range g.strides {
+		cj, ci := j/s, i/s
+		if cj > ci {
+			return dst[:n], false
+		}
+		if cj == ci {
+			dst = append(dst, k)
+		}
+		i -= ci * s
+		j -= cj * s
+	}
+	return dst, true
 }
 
 // ADR enumerates p_i.ADR in ascending index order: all partitions whose

@@ -1,7 +1,10 @@
 package grid_test
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"mrskyline/internal/grid"
@@ -129,6 +132,93 @@ func TestInADRMatchesCoordinateDefinition(t *testing.T) {
 		t.Errorf("InADR allocates %v times per pair of calls, want 0", allocs)
 	}
 	_ = sink
+}
+
+// TestADRDimsMatchesCoordinates checks ADRDims against materialized
+// coordinates for ordered pairs of each grid: it agrees with InADR,
+// returns exactly the dimensions on which the two cells share a coordinate,
+// appends after what dst already holds, leaves dst alone when it reports
+// false, and allocates nothing when dst has room.
+func TestADRDimsMatchesCoordinates(t *testing.T) {
+	for _, d := range []int{1, 2, 3, 5} {
+		for _, n := range []int{1, 2, 3, 7} {
+			g := mustGrid(t, d, n)
+			ci, cj := make([]int, d), make([]int, d)
+			// Every pair of a small grid; of a large one every 97th partition
+			// against every 89th (7⁵ squared is 282 M pairs).
+			si, sj := 1, 1
+			if g.NumPartitions() > 1000 {
+				si, sj = 97, 89
+			}
+			for i := 0; i < g.NumPartitions(); i += si {
+				for j := 0; j < g.NumPartitions(); j += sj {
+					g.Coords(i, ci)
+					g.Coords(j, cj)
+					want := []int{-1}
+					for k := range ci {
+						if cj[k] == ci[k] {
+							want = append(want, k)
+						}
+					}
+					got, in := g.ADRDims(j, i, []int{-1})
+					if in != g.InADR(j, i) {
+						t.Fatalf("d=%d n=%d: ADRDims(%d, %d) reports %v, InADR %v", d, n, j, i, in, !in)
+					}
+					if !in {
+						want = want[:1]
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("d=%d n=%d: ADRDims(%d, %d) = %v, coordinates %v vs %v say %v", d, n, j, i, got, cj, ci, want)
+					}
+				}
+			}
+		}
+	}
+	g := mustGrid(t, 3, 5)
+	dst := make([]int, 0, 3)
+	if allocs := testing.AllocsPerRun(100, func() { dst, _ = g.ADRDims(31, 124, dst[:0]); dst, _ = g.ADRDims(124, 31, dst[:0]) }); allocs != 0 {
+		t.Errorf("ADRDims allocates %v times per pair of calls, want 0", allocs)
+	}
+}
+
+// TestLocateMonotone pins the property the projected ADR test rests on: a
+// value's cell coordinate is monotone in the value, so when one cell's
+// coordinate is below another's on some dimension, every tuple of the first
+// is strictly below every tuple of the second there. The probes include
+// values below lo, at and just around every cell edge, at hi, and far
+// beyond it, where the coordinate clamps.
+func TestLocateMonotone(t *testing.T) {
+	for _, b := range []struct{ lo, hi float64 }{{0, 1}, {-10, 10}, {100, 200}, {-1e300, 1e300}, {0.1, 0.1000001}} {
+		for _, n := range []int{1, 2, 3, 7, 64} {
+			g, err := grid.NewWithBounds(1, n, tuple.Tuple{b.lo}, tuple.Tuple{b.hi})
+			if err != nil {
+				t.Fatal(err)
+			}
+			span := b.hi - b.lo
+			probes := []float64{-math.MaxFloat64, -1e308, b.lo - span, b.lo - 1, math.Nextafter(b.lo, math.Inf(-1)), b.lo,
+				b.hi, math.Nextafter(b.hi, math.Inf(1)), b.hi + 1, b.hi + span, 1e308, math.MaxFloat64}
+			for c := 0; c <= n; c++ {
+				edge := b.lo + float64(c)*span/float64(n)
+				probes = append(probes, math.Nextafter(edge, math.Inf(-1)), edge, math.Nextafter(edge, math.Inf(1)))
+			}
+			rng := rand.New(rand.NewSource(int64(n)))
+			for i := 0; i < 200; i++ {
+				probes = append(probes, b.lo+(rng.Float64()*1.4-0.2)*span)
+			}
+			sort.Float64s(probes)
+			prev := 0
+			for i, v := range probes {
+				c := g.Locate(tuple.Tuple{v})
+				if c < 0 || c >= n {
+					t.Fatalf("[%g,%g) n=%d: Locate(%g) = %d outside the grid", b.lo, b.hi, n, v, c)
+				}
+				if i > 0 && c < prev {
+					t.Fatalf("[%g,%g) n=%d: Locate(%g) = %d but Locate(%g) = %d", b.lo, b.hi, n, probes[i-1], prev, v, c)
+				}
+				prev = c
+			}
+		}
+	}
 }
 
 func TestADRMatchesInADRBruteForce(t *testing.T) {

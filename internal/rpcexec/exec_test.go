@@ -15,6 +15,7 @@ import (
 	"mrskyline/internal/datagen"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
+	"mrskyline/internal/skyline"
 	"mrskyline/internal/tuple"
 )
 
@@ -209,6 +210,40 @@ func TestDifferentialProcessVsInprocess(t *testing.T) {
 			if !bytes.Equal(tuple.EncodeList(skyIn), tuple.EncodeList(skyProc)) {
 				t.Errorf("seed %d %s: backends diverge: in-process %d tuples, process %d tuples",
 					seed, a.name, len(skyIn), len(skyProc))
+			}
+		}
+	}
+}
+
+// TestGridAlgorithmsOverProcessWorkers: the grid algorithms' reducers merge
+// the mappers' score-ordered runs and fail the task on a run out of order,
+// so the order has to survive the transport. One seed of core's multiset
+// differential runs here on real worker processes — over the RPC wire, and
+// again with every segment spilled to run files and merged at fan-in 2 —
+// under every in-task kernel, against skyline.Naive.
+func TestGridAlgorithmsOverProcessWorkers(t *testing.T) {
+	const workers = 3
+	algos := map[string]func(core.Config, tuple.List) (tuple.List, *core.Stats, error){
+		"MR-GPSRS": core.GPSRS, "MR-GPMRS": core.GPMRS, "Hybrid": core.Hybrid,
+	}
+	for name, cfg := range map[string]Config{
+		"wire":    {Workers: workers},
+		"spilled": {Workers: workers, SpillBudget: 1024, SpillDir: t.TempDir(), SpillFanIn: 2},
+	} {
+		pe := newProcExec(t, cfg)
+		for _, d := range []int{2, 5} {
+			data := datagen.Generate(datagen.AntiCorrelated, 1200, d, 11)
+			want := skyline.Naive(data)
+			for _, kernel := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS, skyline.KernelDC} {
+				for algo, run := range algos {
+					got, _, err := run(core.Config{Engine: pe, Kernel: kernel, PPD: 2, NumMappers: 5, NumReducers: workers}, data)
+					if err != nil {
+						t.Fatalf("%s d=%d %s/%v: %v", name, d, algo, kernel, err)
+					}
+					if !tuple.EqualAsMultiset(got, want) {
+						t.Errorf("%s d=%d %s/%v: got %d tuples, naive has %d", name, d, algo, kernel, len(got), len(want))
+					}
+				}
 			}
 		}
 	}

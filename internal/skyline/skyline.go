@@ -12,8 +12,6 @@
 package skyline
 
 import (
-	"sort"
-
 	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
 )
@@ -76,20 +74,19 @@ func BNL(data tuple.List, c *Count) tuple.List {
 }
 
 // SFS computes the skyline with the sort-filter-skyline presorting
-// technique: tuples are processed in ascending order of a monotone score
-// (the entry sum), which guarantees that no later tuple can dominate an
-// earlier one. Each incoming tuple therefore degrades to a pure window
-// membership check — it never evicts — halving the comparison work on
-// skyline-heavy inputs.
+// technique: tuples are processed in the window kernel's score order (the
+// entry sum, ties broken by coordinates — the sum alone is not enough: two
+// sums can round to the same float while one tuple dominates the other),
+// which guarantees that no later tuple can dominate an earlier one. Each
+// incoming tuple therefore degrades to a pure window membership check — it
+// never evicts — halving the comparison work on skyline-heavy inputs.
 func SFS(data tuple.List, c *Count) tuple.List {
 	if len(data) == 0 {
 		return nil
 	}
 	sorted := make(tuple.List, len(data))
 	copy(sorted, data)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].Sum() < sorted[j].Sum()
-	})
+	window.SortByScore(sorted)
 	w := window.New(len(data[0]))
 	for _, t := range sorted {
 		if !w.Dominated(t, c) {

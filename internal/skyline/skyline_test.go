@@ -97,6 +97,40 @@ func TestSFSAgainstNaive(t *testing.T) {
 	}
 }
 
+// TestSFSRoundingTiedSums is the defect a sort on the sum alone has: the
+// sums of a dominating pair can round to the same float, a stable sort then
+// keeps the dominated tuple first, and SFS — which never evicts — returns
+// it. The order must break score ties by coordinates.
+func TestSFSRoundingTiedSums(t *testing.T) {
+	data := tuple.List{{0.5, 2e-20}, {0.5, 1e-20}}
+	if got, want := skyline.SFS(data, nil), skyline.Naive(data); !tuple.EqualAsMultiset(got, want) {
+		t.Fatalf("SFS = %v, naive = %v", got, want)
+	}
+
+	// 1 000 generated cases: a base tuple and a second that differs from it
+	// on one dimension by less than one ulp of their sum, in every dimension
+	// position, followed by unrelated tuples; dominated tuple first.
+	rng := rand.New(rand.NewSource(7))
+	for c := 0; c < 1000; c++ {
+		d := []int{2, 3, 5}[c%3]
+		pos := c / 3 % d
+		base := make(tuple.Tuple, d)
+		for k := range base {
+			base[k] = 0.25 + rng.Float64()/2
+		}
+		worse := base.Clone()
+		base[pos] = rng.Float64() * 1e-18
+		worse[pos] = base[pos] + (1+rng.Float64())*1e-18
+		if base.Sum() != worse.Sum() {
+			t.Fatalf("case %d: sums %v and %v do not tie", c, base.Sum(), worse.Sum())
+		}
+		data := append(tuple.List{worse, base}, randomList(rng, rng.Intn(6), d, false)...)
+		if got, want := skyline.SFS(data, nil), skyline.Naive(data); !tuple.EqualAsMultiset(got, want) {
+			t.Fatalf("case %d (d=%d, position %d): SFS = %v, naive = %v", c, d, pos, got, want)
+		}
+	}
+}
+
 func TestSkylineMinimalityAndCompleteness(t *testing.T) {
 	// The skyline must contain no dominated tuple (minimality) and every
 	// non-dominated tuple (completeness).

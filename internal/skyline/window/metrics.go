@@ -14,7 +14,10 @@ const (
 	// task adds its whole Count to it once, when it flushes.
 	MetricDominanceTests = "algo.dominance.tests"
 	// MetricInsertNs is the obs histogram of Insert latencies, sampled one
-	// call in InsertSampleEvery (see InsertSampler).
+	// call in InsertSampleEvery (see InsertSampler). Only tasks that build
+	// windows by streaming Insert have any: the grid algorithms' mappers and
+	// the baselines. Their reducers merge sorted runs (MergeRuns) and are
+	// covered by algo.merge.ns instead.
 	MetricInsertNs = "algo.insert.ns"
 )
 

@@ -18,6 +18,13 @@
 // terminates a scan, where the mask's trailing-zero position recovers the
 // index at which the scalar loop would have stopped. Differential tests
 // in this package fuzz that equivalence.
+//
+// order.go adds what the grid algorithms of internal/core build on top:
+// windows sorted by a linear extension of dominance (Order, MergeRuns), so
+// sorted runs merge without evictions, and FilterOn, which restricts a
+// window-to-window test to the dimensions a caller has not already decided
+// and cuts each scan short on the candidates' sums over those dimensions.
+// Insert, Dominated and FilterBy never look at a window's order.
 package window
 
 import (
@@ -93,7 +100,8 @@ func (w *Window) Len() int {
 // Dim returns the window's dimensionality.
 func (w *Window) Dim() int { return w.dim }
 
-// Rows returns the window's tuples in insertion order. The slice is the
+// Rows returns the window's tuples in window order — insertion order, or
+// score order after Order or MergeRuns. The slice is the
 // window's live backing store: it is invalidated by the next mutating
 // call, and appending to or reordering it corrupts the window. Callers
 // either treat it as a read-only snapshot or take ownership of a window
@@ -227,47 +235,81 @@ func (w *Window) classifyBlock(t tuple.Tuple, base, bn int) (better, worse uint3
 	return better, worse
 }
 
-// dominatedInBlock reports whether any tuple of the block starting at
-// base dominates t, returning the in-block index of the first dominator
-// (-1 if none). It is the membership-check variant of classifyBlock: it
-// only needs the worse&^better mask, so it can additionally stop as soon
-// as t is strictly better than every tuple of the block on some
-// dimension seen so far — none of them can dominate t then.
-func (w *Window) dominatedInBlock(t tuple.Tuple, base, bn int) int {
-	var better, worse uint32
-	if bn == BlockSize {
-		for k := 0; k < w.dim; k++ {
-			l, g := masksBlock((*[BlockSize]float64)(w.cols[k][base:]), t[k])
+// firstDominator scans the n candidates of the column view cols for the
+// first that dominates tv, returning its index (-1 if none) and the number
+// of pairs the scan classified: every candidate up to and including the
+// dominator, as the scalar loop counts. cols is a column view of the
+// candidates — a window's own columns, or a selection of them — and tv the
+// tested tuple's values on the same columns. A candidate dominates when it
+// is ≤ tv on every column and, if strict, < on at least one; non-strict is
+// the projected test of FilterOn, where the strict dimension is known to
+// lie outside the view.
+//
+// It is the membership-check variant of classifyBlock: it only needs the
+// lanes tv never beats, so a block's sweep additionally stops as soon as tv
+// is strictly better than every candidate of the block on some column seen
+// so far — none of them can dominate tv then.
+//
+// When sums is non-nil it holds the candidates' sums over the view's
+// columns in ascending order and ts is tv's: the scan ends at the first
+// block that opens with a sum strictly above ts, because a candidate that
+// is ≤ tv on every column cannot sum higher. Ties are tested — rounding can
+// make the sums of a dominating pair equal.
+func firstDominator(cols [][]float64, n int, sums []float64, tv []float64, ts float64, strict bool) (idx, pairs int) {
+	base, tv := 0, tv[:len(cols)]
+blocks:
+	for ; base+BlockSize <= n; base += BlockSize {
+		if sums != nil && sums[base] > ts {
+			return -1, base
+		}
+		var better, worse uint32
+		for e, col := range cols {
+			l, g := masksBlock((*[BlockSize]float64)(col[base:]), tv[e])
 			better |= l
 			worse |= g
 			if better == fullMask {
-				return -1 // t beats every block tuple somewhere: no dominator here
+				continue blocks // tv beats every candidate somewhere: no dominator here
 			}
 		}
-		if dom := worse &^ better; dom != 0 {
-			return bits.TrailingZeros32(dom)
+		if dom := dominators(better, worse, fullMask, strict); dom != 0 {
+			i := base + bits.TrailingZeros32(dom)
+			return i, i + 1
 		}
-		return -1
 	}
-	full := uint32(1)<<uint(bn) - 1
-	for k := 0; k < w.dim; k++ {
-		col := w.cols[k][base : base+bn : base+bn]
-		tv := t[k]
+	if base == n || sums != nil && sums[base] > ts {
+		return -1, base
+	}
+	// The partial last block, lane by lane.
+	var better, worse uint32
+	full := uint32(1)<<uint(n-base) - 1
+	for e, col := range cols {
+		v := tv[e]
 		var bb, ww uint32
-		for i, v := range col {
-			bb |= b2u(tv < v) << uint(i)
-			ww |= b2u(tv > v) << uint(i)
+		for i, u := range col[base:n:n] {
+			bb |= b2u(v < u) << uint(i)
+			ww |= b2u(v > u) << uint(i)
 		}
 		better |= bb
 		worse |= ww
 		if better == full {
-			return -1
+			break
 		}
 	}
-	if dom := worse &^ better; dom != 0 {
-		return bits.TrailingZeros32(dom)
+	if dom := dominators(better, worse, full, strict); dom != 0 {
+		i := base + bits.TrailingZeros32(dom)
+		return i, i + 1
 	}
-	return -1
+	return -1, n
+}
+
+// dominators turns a block's masks into the lanes that dominate the tested
+// tuple: never beaten by it and, if strict, beating it somewhere.
+func dominators(better, worse, full uint32, strict bool) uint32 {
+	dom := full &^ better
+	if strict {
+		dom &= worse
+	}
+	return dom
 }
 
 // Insert implements Algorithm 4 against the columnar window: t is
@@ -337,17 +379,30 @@ func (w *Window) compactEvicted(n int) {
 		if w.evicts[i/BlockSize]&(1<<uint(i%BlockSize)) != 0 {
 			continue
 		}
-		if out != i {
-			w.rows[out] = w.rows[i]
-			for k := 0; k < w.dim; k++ {
-				w.cols[k][out] = w.cols[k][i]
-			}
-		}
+		w.move(out, i)
 		out++
 	}
-	w.rows = w.rows[:out]
+	w.truncate(out)
+}
+
+// move copies row i into slot out ≤ i; with truncate it is the
+// order-preserving compaction every removal in this package uses, which is
+// why a window put in score order stays in it.
+func (w *Window) move(out, i int) {
+	if out == i {
+		return
+	}
+	w.rows[out] = w.rows[i]
 	for k := 0; k < w.dim; k++ {
-		w.cols[k] = w.cols[k][:out]
+		w.cols[k][out] = w.cols[k][i]
+	}
+}
+
+// truncate keeps the first n rows.
+func (w *Window) truncate(n int) {
+	w.rows = w.rows[:n]
+	for k := 0; k < w.dim; k++ {
+		w.cols[k] = w.cols[k][:n]
 	}
 }
 
@@ -363,22 +418,9 @@ func (w *Window) Dominated(t tuple.Tuple, c *Count) bool {
 	if len(t) != w.dim {
 		panic(fmt.Sprintf("window: tuple dimensionality %d does not match window d=%d", len(t), w.dim))
 	}
-	n := len(w.rows)
-	dominated := false
-	pairs := int64(n)
-	for base := 0; base < n; base += BlockSize {
-		bn := n - base
-		if bn > BlockSize {
-			bn = BlockSize
-		}
-		if i := w.dominatedInBlock(t, base, bn); i >= 0 {
-			pairs = int64(base + i + 1)
-			dominated = true
-			break
-		}
-	}
-	c.Add(pairs)
-	return dominated
+	idx, pairs := firstDominator(w.cols, len(w.rows), nil, t, 0, true)
+	c.Add(int64(pairs))
+	return idx >= 0
 }
 
 // FilterBy removes from w every tuple dominated by a tuple of by,
@@ -392,22 +434,13 @@ func (w *Window) FilterBy(by *Window, c *Count) {
 	if w.dim != by.dim {
 		panic(fmt.Sprintf("window: dimensionality mismatch %d vs %d", w.dim, by.dim))
 	}
-	n := len(w.rows)
 	out := 0
-	for i := 0; i < n; i++ {
-		if by.Dominated(w.rows[i], c) {
+	for i, t := range w.rows {
+		if by.Dominated(t, c) {
 			continue
 		}
-		if out != i {
-			w.rows[out] = w.rows[i]
-			for k := 0; k < w.dim; k++ {
-				w.cols[k][out] = w.cols[k][i]
-			}
-		}
+		w.move(out, i)
 		out++
 	}
-	w.rows = w.rows[:out]
-	for k := 0; k < w.dim; k++ {
-		w.cols[k] = w.cols[k][:out]
-	}
+	w.truncate(out)
 }

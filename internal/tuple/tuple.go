@@ -11,6 +11,7 @@ package tuple
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -252,6 +253,21 @@ func (l List) Contains(t Tuple) bool {
 // It is intended for test assertions on skyline results, which are sets.
 func EqualAsSet(a, b List) bool {
 	return subset(a, b) && subset(b, a)
+}
+
+// EqualAsMultiset reports whether two lists contain the same tuples with
+// the same multiplicities, ignoring order. It is the test assertion for a
+// skyline over data with duplicates, where every copy of a skyline tuple
+// must be returned (Definition 1: equal tuples do not dominate each other).
+func EqualAsMultiset(a, b List) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	byCoordinates := func(t, u Tuple) int { return slices.Compare(t, u) }
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.SortFunc(a, byCoordinates)
+	slices.SortFunc(b, byCoordinates)
+	return slices.EqualFunc(a, b, Tuple.Equal)
 }
 
 func subset(a, b List) bool {

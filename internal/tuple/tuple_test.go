@@ -159,6 +159,22 @@ func TestListValidate(t *testing.T) {
 	}
 }
 
+func TestEqualAsMultiset(t *testing.T) {
+	a := List{{1, 2}, {3, 4}, {1, 2}}
+	if !EqualAsMultiset(a, List{{3, 4}, {1, 2}, {1, 2}}) {
+		t.Error("order should not matter")
+	}
+	if EqualAsMultiset(a, List{{1, 2}, {3, 4}, {3, 4}}) {
+		t.Error("multiplicities differ but lists reported equal")
+	}
+	if EqualAsMultiset(a, List{{1, 2}, {3, 4}}) || !EqualAsMultiset(nil, List{}) {
+		t.Error("lengths mishandled")
+	}
+	if !a[0].Equal(Tuple{1, 2}) || !a[1].Equal(Tuple{3, 4}) {
+		t.Error("EqualAsMultiset reordered its argument")
+	}
+}
+
 func TestEqualAsSet(t *testing.T) {
 	a := List{{1, 2}, {3, 4}}
 	b := List{{3, 4}, {1, 2}}

@@ -8,13 +8,25 @@ import (
 )
 
 // TestKernelCountParity pins the exact DominanceTests of every algorithm
-// on fixed workloads. The values were captured with the scalar
-// tuple-at-a-time window before the columnar block kernel replaced it:
-// the block kernel must classify exactly the same tuple pairs — including
-// scans a dominator cuts short mid-block — so any drift here means the
-// kernels no longer agree pair for pair, even if the skyline itself is
-// still correct. Skyline cardinality is pinned alongside as a sanity
-// anchor.
+// on fixed workloads; skyline cardinality is pinned alongside as a sanity
+// anchor. The table holds two kinds of row.
+//
+// The 30 baseline rows (MR-BNL, MR-SFS, MR-Angle, SKY-MR, MR-Bitmap) were
+// captured with the scalar tuple-at-a-time window before the columnar
+// block kernel replaced it and have not changed since: Insert, Dominated
+// and FilterBy must classify exactly the pairs the scalar loops did —
+// including scans a dominator cuts short mid-block — so any drift there
+// means the shared kernel no longer agrees with the scalar reference pair
+// for pair, even if the skyline itself is still correct.
+//
+// The 18 grid rows (MR-GPSRS, MR-GPMRS, Hybrid) no longer pin "the same
+// pairs as the scalar loop": those algorithms merge score-ordered runs
+// without evicting and compare a partition with its ADR partitions only on
+// the dimensions their cells share, stopping each scan on the candidates'
+// sums over those dimensions — fewer pairs, on purpose. What the rows pin
+// is "this many tests, deterministically": a count that moves without the
+// kernel having been changed means the work now depends on something it
+// should not (map order, scheduling, an unstable sort).
 func TestKernelCountParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parity sweep runs every algorithm; skipped in -short mode")
@@ -24,12 +36,12 @@ func TestKernelCountParity(t *testing.T) {
 		size  int
 	}
 	want := map[string]golden{
-		"independent/MR-GPMRS/bnl":     {25609, 88},
-		"independent/MR-GPMRS/sfs":     {23083, 88},
-		"independent/MR-GPSRS/bnl":     {16111, 88},
-		"independent/MR-GPSRS/sfs":     {14013, 88},
-		"independent/Hybrid/bnl":       {16111, 88},
-		"independent/Hybrid/sfs":       {14013, 88},
+		"independent/MR-GPMRS/bnl":     {19873, 88},
+		"independent/MR-GPMRS/sfs":     {17954, 88},
+		"independent/MR-GPSRS/bnl":     {13995, 88},
+		"independent/MR-GPSRS/sfs":     {12076, 88},
+		"independent/Hybrid/bnl":       {13995, 88},
+		"independent/Hybrid/sfs":       {12076, 88},
 		"independent/MR-BNL/bnl":       {20716, 88},
 		"independent/MR-BNL/sfs":       {20716, 88},
 		"independent/MR-SFS/bnl":       {18458, 88},
@@ -40,12 +52,12 @@ func TestKernelCountParity(t *testing.T) {
 		"independent/SKY-MR/sfs":       {9754, 88},
 		"independent/MR-Bitmap/bnl":    {6000, 88},
 		"independent/MR-Bitmap/sfs":    {6000, 88},
-		"anticorrelated/MR-GPMRS/bnl":  {177711, 551},
-		"anticorrelated/MR-GPMRS/sfs":  {173716, 551},
-		"anticorrelated/MR-GPSRS/bnl":  {112135, 551},
-		"anticorrelated/MR-GPSRS/sfs":  {109494, 551},
-		"anticorrelated/Hybrid/bnl":    {112135, 551},
-		"anticorrelated/Hybrid/sfs":    {109494, 551},
+		"anticorrelated/MR-GPMRS/bnl":  {101923, 551},
+		"anticorrelated/MR-GPMRS/sfs":  {100748, 551},
+		"anticorrelated/MR-GPSRS/bnl":  {65706, 551},
+		"anticorrelated/MR-GPSRS/sfs":  {64531, 551},
+		"anticorrelated/Hybrid/bnl":    {65706, 551},
+		"anticorrelated/Hybrid/sfs":    {64531, 551},
 		"anticorrelated/MR-BNL/bnl":    {98548, 551},
 		"anticorrelated/MR-BNL/sfs":    {98548, 551},
 		"anticorrelated/MR-SFS/bnl":    {95951, 551},
@@ -56,12 +68,12 @@ func TestKernelCountParity(t *testing.T) {
 		"anticorrelated/SKY-MR/sfs":    {32007, 551},
 		"anticorrelated/MR-Bitmap/bnl": {6000, 551},
 		"anticorrelated/MR-Bitmap/sfs": {6000, 551},
-		"correlated/MR-GPMRS/bnl":      {3658, 4},
-		"correlated/MR-GPMRS/sfs":      {2828, 4},
-		"correlated/MR-GPSRS/bnl":      {3349, 4},
-		"correlated/MR-GPSRS/sfs":      {2542, 4},
-		"correlated/Hybrid/bnl":        {3349, 4},
-		"correlated/Hybrid/sfs":        {2542, 4},
+		"correlated/MR-GPMRS/bnl":      {3387, 4},
+		"correlated/MR-GPMRS/sfs":      {2588, 4},
+		"correlated/MR-GPSRS/bnl":      {3281, 4},
+		"correlated/MR-GPSRS/sfs":      {2482, 4},
+		"correlated/Hybrid/bnl":        {3281, 4},
+		"correlated/Hybrid/sfs":        {2482, 4},
 		"correlated/MR-BNL/bnl":        {10847, 4},
 		"correlated/MR-BNL/sfs":        {10847, 4},
 		"correlated/MR-SFS/bnl":        {9000, 4},
