@@ -53,6 +53,7 @@ import (
 
 	mrskyline "mrskyline"
 	"mrskyline/internal/cliflag"
+	"mrskyline/internal/obs"
 	"mrskyline/internal/rpcexec"
 )
 
@@ -65,8 +66,8 @@ func main() {
 	workers := flag.Int("workers", 4, "worker processes for -executor=process")
 	nodes := flag.Int("nodes", 8, "simulated cluster nodes (inproc)")
 	slots := flag.Int("slots", 2, "task slots per node (inproc)")
-	maxInFlight := flag.Int("maxinflight", 4, "concurrently executing queries (inproc)")
-	maxQueue := flag.Int("maxqueue", 64, "queued queries beyond maxinflight (negative: reject when busy; inproc)")
+	maxInFlight := flag.Int("maxinflight", 4, "concurrently executing queries")
+	maxQueue := flag.Int("maxqueue", 64, "queued queries beyond maxinflight (negative: reject when busy)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-query deadline (0: none)")
 	spillBudget := flag.Int64("spillbudget", 0, "external-memory shuffle budget in bytes (0 = all in RAM)")
 	spillDir := flag.String("spilldir", "", "directory for spill run files (default: the system temp dir; only with -spillbudget > 0)")
@@ -109,6 +110,8 @@ func main() {
 			Workers:     *workers,
 			SpillBudget: *spillBudget,
 			SpillDir:    spillDirProc,
+			// What /v1/stats serves: admission outcomes and the rpc.* series.
+			Trace: obs.NewMetricsOnly(),
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -148,7 +151,7 @@ func main() {
 		close(shutdownDone)
 	}()
 	if *executor == "process" {
-		log.Printf("skylined: listening on %s (%d worker processes)", ln.Addr(), *workers)
+		log.Printf("skylined: listening on %s (%d worker processes, %d in flight)", ln.Addr(), *workers, *maxInFlight)
 	} else {
 		log.Printf("skylined: listening on %s (%d nodes × %d slots, %d in flight)", ln.Addr(), *nodes, *slots, *maxInFlight)
 	}

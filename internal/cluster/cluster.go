@@ -236,7 +236,7 @@ func Place(nodes []Node, free map[string]int, down, avoid map[string]bool, prefe
 	for {
 		for _, p := range preferred {
 			if !avoid[p] && !down[p] && free[p] > 0 {
-				stats.count(p, true, retry)
+				stats.Count(p, true, retry)
 				return p, nil
 			}
 		}
@@ -251,7 +251,7 @@ func Place(nodes []Node, free map[string]int, down, avoid map[string]bool, prefe
 			}
 			usable++
 			if free[n.Name] > 0 {
-				stats.count(n.Name, false, retry)
+				stats.Count(n.Name, false, retry)
 				return n.Name, nil
 			}
 		}
@@ -265,8 +265,10 @@ func Place(nodes []Node, free map[string]int, down, avoid map[string]bool, prefe
 	}
 }
 
-// count records one started attempt.
-func (s *Stats) count(node string, local, retry bool) {
+// Count records one started attempt; Place calls it, and so do the engine's
+// drivers for attempts they start without asking Place. A nil Stats counts
+// nothing.
+func (s *Stats) Count(node string, local, retry bool) {
 	if s == nil {
 		return
 	}

@@ -93,6 +93,7 @@ func (c *Counters) GetMax(name string) int64 {
 // merges a task's counters only after the task succeeds, so retried
 // attempts never double-count.
 func (c *Counters) Merge(other *Counters) {
+	// other.Dump(), with the copies kept off the heap: this runs per task.
 	other.mu.Lock()
 	sums := make(map[string]int64, len(other.sums))
 	for k, v := range other.sums {
@@ -103,17 +104,7 @@ func (c *Counters) Merge(other *Counters) {
 		maxs[k] = v
 	}
 	other.mu.Unlock()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, v := range sums {
-		c.sums[k] += v
-	}
-	for k, v := range maxs {
-		if v > c.maxs[k] {
-			c.maxs[k] = v
-		}
-	}
+	c.mergeDump(CounterDump{Sums: sums, Maxs: maxs})
 }
 
 // Snapshot returns all counters as a sorted list of name/value pairs, with

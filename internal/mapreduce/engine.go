@@ -61,8 +61,8 @@ type Job struct {
 	// names a builder registered with RegisterKind and Spec is the builder's
 	// serialized parameters, from which worker processes reconstruct the
 	// mapper/reducer/combiner/partition functions. The in-process engine
-	// ignores both and always runs the closures above; process backends
-	// reject jobs whose Kind is empty or unregistered.
+	// ignores both and always runs the closures above; a leased engine
+	// rejects jobs whose Kind is empty or unregistered.
 	Kind string
 	Spec []byte
 	// Cache is the distributed cache content shipped to every task.
@@ -101,7 +101,8 @@ type Result struct {
 	History *History
 }
 
-// Engine executes jobs on a simulated cluster.
+// Engine executes jobs on a simulated cluster — or, when built by
+// NewLeasedEngine, on a fleet of remote workers standing in for one.
 //
 // Run and RunContext are safe for concurrent use: jobs submitted from
 // multiple goroutines share the cluster's slots through its scheduler, so
@@ -116,7 +117,8 @@ type Engine struct {
 	// FaultInjector, when non-nil, is invoked at the start of every task
 	// attempt; a non-nil return fails the attempt, and a panic inside it is
 	// recovered into a failed attempt. Tests use it to exercise retry
-	// behaviour.
+	// behaviour. A leased engine consults it when the attempt's report
+	// arrives.
 	FaultInjector func(phase Phase, taskID, attempt int) error
 	// Faults, when non-nil, hands the job to the virtual-clock driver: the
 	// same phases and attempt lifecycle, scheduled as a discrete-event
@@ -135,8 +137,8 @@ type Engine struct {
 	// subdirectory of Spill.Dir, and reduce attempts stream a
 	// budget-bounded multi-round merge of their runs instead of a
 	// materialized arena. Nil (or a zero budget) keeps every shuffle byte
-	// resident. Both drivers honour it: under Faults a node's death also
-	// deletes the run files of the map output it held.
+	// resident. Both in-process drivers honour it: under Faults a node's
+	// death also deletes the run files of the map output it held.
 	Spill *spill.Config
 	// Sim, when non-nil, turns on simulated-time accounting: concurrent
 	// task bodies are bounded by SimConfig.MeasureParallelism for
@@ -151,6 +153,8 @@ type Engine struct {
 	// faultMu serializes fault-schedule jobs: the virtual clock and the
 	// tracer's virtual base are job-at-a-time resources.
 	faultMu sync.Mutex
+	// leases, set by NewLeasedEngine, hands the job to the leased driver.
+	leases *Leases
 }
 
 // NewEngine creates an engine on the given cluster.
@@ -206,34 +210,27 @@ type resolvedJob struct {
 	splits      []Split
 }
 
-// jobSplits computes the job's input splits — one per map task — asking
-// chunkable inputs for job.NumMappers of them, or defaultMappers.
-func jobSplits(job *Job, defaultMappers int) ([]Split, error) {
-	if job.Input == nil {
+// resolve validates the job and computes its task layout: one split per map
+// task, chunkable inputs being asked for job.NumMappers of them or, by
+// default, one per slot.
+func (e *Engine) resolve(job *Job) (*resolvedJob, error) {
+	switch {
+	case job.Input == nil:
 		return nil, fmt.Errorf("mapreduce: job %q has no input", job.Name)
+	case job.NewMapper == nil || job.NewReducer == nil:
+		return nil, fmt.Errorf("mapreduce: job %q is missing a mapper or reducer", job.Name)
+	case e.leases != nil && job.Kind == "":
+		return nil, fmt.Errorf("mapreduce: job %q has no Kind: a fleet's workers rebuild its functions from a registered kind", job.Name)
+	case e.leases != nil && !kindRegistered(job.Kind):
+		return nil, fmt.Errorf("mapreduce: job %q: kind %q is not registered in this binary", job.Name, job.Kind)
 	}
 	hint := job.NumMappers
 	if hint < 1 {
-		hint = max(defaultMappers, 1)
+		hint = max(e.cluster.TotalSlots(), 1)
 	}
 	splits, err := job.Input.Splits(hint)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q: splitting input: %w", job.Name, err)
-	}
-	return splits, nil
-}
-
-// resolve validates the job and computes its task layout.
-func (e *Engine) resolve(job *Job) (*resolvedJob, error) {
-	splits, err := jobSplits(job, e.cluster.TotalSlots())
-	if err != nil {
-		return nil, err
-	}
-	if job.NewMapper == nil {
-		return nil, fmt.Errorf("mapreduce: job %q has no mapper", job.Name)
-	}
-	if job.NewReducer == nil {
-		return nil, fmt.Errorf("mapreduce: job %q has no reducer", job.Name)
 	}
 	rj := &resolvedJob{
 		numMappers:  len(splits),
@@ -294,8 +291,9 @@ func (e *Engine) RunContext(ctx context.Context, job *Job) (*Result, error) {
 // the shuffle, the reduce phase. runJob writes that sequence once and
 // attempt writes the task-attempt lifecycle once; what varies is the
 // driver that decides when and where attempts run — runWall over the
-// cluster's blocking scheduler, or runVirtual as a discrete-event
-// simulation on a virtual clock (virtual.go).
+// cluster's blocking scheduler, runVirtual as a discrete-event simulation
+// on a virtual clock (virtual.go), or runLeased over a fleet of remote
+// workers that pull leases and report back (leased.go).
 
 // phase describes one superstep to a driver: which tasks exist, where they
 // would like to run, and what one attempt of a task does.
@@ -342,6 +340,8 @@ type jobRun struct {
 	drive func(ctx context.Context, ph *phase) error
 	// v is the virtual clock; nil on the wall clock.
 	v *vdriver
+	// leased is the job's entry in the lease table; nil off the leased driver.
+	leased *leasedJob
 	// start anchors the wall clock and base places the job on the tracer's
 	// timeline (wall: its offset at job start; virtual: the tracer's
 	// virtual base, so consecutive virtual jobs occupy disjoint windows).
@@ -355,9 +355,10 @@ type jobRun struct {
 	spill *spill.Config
 	// mapOut[m][r] is committed mapper m's output for reducer r, and
 	// reduceIn[r] the resident part of it, concatenated and grouped by the
-	// shuffle.
-	mapOut   [][]segment
-	reduceIn []arenaGroups
+	// shuffle; reduceOut[r] is committed reducer r's output.
+	mapOut    [][]segment
+	reduceIn  []arenaGroups
+	reduceOut [][]Record
 }
 
 // now is the job's clock: host time since job start, or the virtual event
@@ -381,14 +382,11 @@ func (j *jobRun) taskName(ph *phase, task int) string {
 	return fmt.Sprintf("%s-%s-%d", j.job.Name, ph.phase, task)
 }
 
-// attempt is the lifecycle of one task attempt, whichever driver placed
-// it: build the TaskContext, consult the fault sources (FaultInjector,
-// then the FaultPlan's crash schedule), run the body with panics — user
-// code's or injected — turned into errors, time it, commit its output and
-// stage its counters on success, and put the attempt on record either
-// way. rec arrives carrying what the driver decided (task, attempt number,
-// node, slot, and on the virtual clock the attempt's scheduled window);
-// on the wall clock the window is measured here.
+// attempt is one task attempt run in this process: build the TaskContext,
+// run the body under guard, time it, settle. rec arrives carrying what the
+// driver decided (task, attempt number, node, slot, and on the virtual clock
+// the attempt's scheduled window); on the wall clock the window is measured
+// here.
 func (j *jobRun) attempt(ph *phase, rec TaskRecord) error {
 	ctx := &TaskContext{
 		Job:         j.job.Name,
@@ -406,25 +404,7 @@ func (j *jobRun) attempt(ph *phase, rec TaskRecord) error {
 	}
 	var commit func()
 	start := j.now()
-	err := func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("%s task %d on %s: panic: %v", ph.phase, rec.TaskID, rec.Node, p)
-			}
-		}()
-		if j.e.FaultInjector != nil {
-			if err := j.e.FaultInjector(ph.phase, rec.TaskID, rec.Attempt); err != nil {
-				return err
-			}
-		}
-		if j.e.Faults != nil {
-			switch j.e.Faults.crash(ph.phase, rec.TaskID, rec.Attempt) {
-			case crashError:
-				return fmt.Errorf("fault: injected crash (%s task %d attempt %d on %s)", ph.phase, rec.TaskID, rec.Attempt, rec.Node)
-			case crashPanic:
-				panic(fmt.Sprintf("fault: injected panic (%s task %d attempt %d on %s)", ph.phase, rec.TaskID, rec.Attempt, rec.Node))
-			}
-		}
+	err := j.guard(ph, rec, func() (err error) {
 		if j.simSem != nil {
 			j.simSem <- struct{}{}
 			defer func() { <-j.simSem }()
@@ -434,20 +414,83 @@ func (j *jobRun) attempt(ph *phase, rec TaskRecord) error {
 			err = fmt.Errorf("%s task %d on %s: %w", ph.phase, rec.TaskID, rec.Node, err)
 		}
 		return err
-	}()
+	})
 	if j.v == nil {
 		rec.Start, rec.Duration = start, j.now()-start
 	}
+	return j.settle(ph, rec, ctx.Counters, commit, err)
+}
+
+// guard is the head of every attempt, wherever its body ran: consult the
+// fault sources (FaultInjector, then the FaultPlan's crash schedule) and run
+// body, a panic — user code's or injected — becoming an error.
+func (j *jobRun) guard(ph *phase, rec TaskRecord, body func() error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%s task %d on %s: panic: %v", ph.phase, rec.TaskID, rec.Node, p)
+		}
+	}()
+	if j.e.FaultInjector != nil {
+		if err := j.e.FaultInjector(ph.phase, rec.TaskID, rec.Attempt); err != nil {
+			return err
+		}
+	}
+	if j.e.Faults != nil {
+		switch j.e.Faults.crash(ph.phase, rec.TaskID, rec.Attempt) {
+		case crashError:
+			return fmt.Errorf("fault: injected crash (%s task %d attempt %d on %s)", ph.phase, rec.TaskID, rec.Attempt, rec.Node)
+		case crashPanic:
+			panic(fmt.Sprintf("fault: injected panic (%s task %d attempt %d on %s)", ph.phase, rec.TaskID, rec.Attempt, rec.Node))
+		}
+	}
+	return body()
+}
+
+// settle is the tail of every attempt: on success commit its output, stage
+// its counters and observe its duration; put it on record either way.
+func (j *jobRun) settle(ph *phase, rec TaskRecord, counters *Counters, commit func(), err error) error {
 	if err != nil {
 		rec.Err = err.Error()
 	} else {
-		// Output and counters are installed only on success.
 		commit()
-		ph.staged[rec.TaskID], ph.durs[rec.TaskID] = ctx.Counters, rec.Duration
+		ph.staged[rec.TaskID], ph.durs[rec.TaskID] = counters, rec.Duration
 		j.tr.Metrics().Observe(ph.metric, int64(rec.Duration))
 	}
 	j.res.History.Append(rec)
 	return err
+}
+
+// failed books a failed attempt against its task's budget; a non-nil return
+// says the budget is spent. Kills are never booked.
+func (j *jobRun) failed(ph *phase, rec TaskRecord, failures *int, err error) error {
+	j.attemptSpan(ph, rec, "error")
+	j.res.Counters.Add(CounterTaskFailures, 1)
+	if *failures++; *failures >= j.rj.maxAttempts {
+		return fmt.Errorf("task %q failed after %d attempts: %w", j.taskName(ph, rec.TaskID), *failures, err)
+	}
+	return nil
+}
+
+// kill puts an attempt its driver took back — it never ran, or was never
+// heard from — on record. A kill is a scheduling decision, not a failure.
+func (j *jobRun) kill(ph *phase, rec TaskRecord, reason string) {
+	rec.Err, rec.Killed = reason, true
+	j.res.History.Append(rec)
+	j.attemptSpan(ph, rec, "killed")
+}
+
+// attemptSpan records one finished (committed, failed or killed) attempt on
+// its slot track, for the drivers that place attempts themselves.
+func (j *jobRun) attemptSpan(ph *phase, rec TaskRecord, state string) {
+	j.tr.Record(obs.Span{
+		Track: cluster.SlotTrack(rec.Node, rec.Slot),
+		Name:  j.taskName(ph, rec.TaskID), Cat: obs.CatTask,
+		Start: j.base + rec.Start, End: j.base + rec.Start + rec.Duration,
+		Args: []obs.Arg{
+			{Key: "attempt", Value: strconv.Itoa(rec.Attempt)},
+			{Key: "state", Value: state},
+		},
+	})
 }
 
 // runWall is the wall-clock driver: the phase's tasks become goroutines
@@ -490,10 +533,13 @@ func (e *Engine) runJob(ctx context.Context, job *Job, rj *resolvedJob) (_ *Resu
 		res:    &Result{Counters: NewCounters(), History: &History{}},
 		mapOut: make([][]segment, rj.numMappers),
 	}
-	if e.Faults != nil {
+	switch {
+	case e.leases != nil:
+		j.drive, j.base = j.runLeased, j.tr.Now()
+	case e.Faults != nil:
 		j.v = newVDriver(e.cluster, e.Faults, e.Sim)
 		j.drive, j.base = j.runVirtual, j.tr.VirtualBase()
-	} else {
+	default:
 		j.drive, j.base = j.runWall, j.tr.Now()
 	}
 	j.start = time.Now()
@@ -527,6 +573,12 @@ func (e *Engine) runJob(ctx context.Context, job *Job, rj *resolvedJob) (_ *Resu
 	}
 	if e.Sim != nil {
 		j.simSem = make(chan struct{}, e.Sim.measureSlots(e.cluster.TotalSlots()))
+	}
+	if e.leases != nil {
+		if err := e.leases.open(j); err != nil {
+			return fail(err)
+		}
+		defer e.leases.close(j.leased)
 	}
 
 	// ---- Map phase -------------------------------------------------------
@@ -579,14 +631,14 @@ func (e *Engine) runJob(ctx context.Context, job *Job, rj *resolvedJob) (_ *Resu
 	// start: the shuffle has already fetched every segment by then, so only
 	// the node's slots are lost — no map re-execution, matching a tracker
 	// lost after its outputs were pulled.
-	reduceOut := make([][]Record, rj.numReducers)
+	j.reduceOut = make([][]Record, rj.numReducers)
 	reduces := newPhase(PhaseReduce, rj.numReducers)
 	reduces.body = func(r int, ctx *TaskContext) (func(), error) {
 		out, err := j.reduce(r, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return func() { reduceOut[r] = out.records() }, nil
+		return func() { j.reduceOut[r] = out.records() }, nil
 	}
 	if err := j.runPhase(ctx, reduces); err != nil {
 		return fail(err)
@@ -603,8 +655,8 @@ func (e *Engine) runJob(ctx context.Context, job *Job, rj *resolvedJob) (_ *Resu
 			res.SimulatedTime = e.Sim.simulate(maps.durs, reduces.durs, perReducerBytes, e.cluster.SlotSpeeds())
 		}
 	}
-	for r := range reduceOut {
-		res.Output = append(res.Output, reduceOut[r]...)
+	for _, out := range j.reduceOut {
+		res.Output = append(res.Output, out...)
 	}
 	return res, nil
 }

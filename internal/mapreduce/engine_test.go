@@ -479,16 +479,25 @@ func TestHashPartitionInRange(t *testing.T) {
 }
 
 // lifecycleDrivers are the ways the engine can run a job; every one of them
-// goes through the same attempt lifecycle, which the tests below pin.
+// goes through the same attempt lifecycle, which the tests below pin. The
+// leased driver's fleet is the in-memory one of leased_test.go, a worker per
+// slot; jobs meant for it are shipped.
 var lifecycleDrivers = []struct {
-	name  string
-	setup func(t *testing.T, e *mapreduce.Engine)
+	name   string
+	engine func(t *testing.T, nodes, slots int) *mapreduce.Engine
 }{
-	{"wall", func(*testing.T, *mapreduce.Engine) {}},
-	{"wall+spill", func(t *testing.T, e *mapreduce.Engine) {
+	{"wall", func(t *testing.T, nodes, slots int) *mapreduce.Engine { return newEngine(t, nodes, slots) }},
+	{"wall+spill", func(t *testing.T, nodes, slots int) *mapreduce.Engine {
+		e := newEngine(t, nodes, slots)
 		e.Spill = &spill.Config{Dir: t.TempDir(), Budget: 16, FanIn: 2}
+		return e
 	}},
-	{"virtual", func(_ *testing.T, e *mapreduce.Engine) { e.Faults = &mapreduce.FaultPlan{Seed: 1} }},
+	{"virtual", func(t *testing.T, nodes, slots int) *mapreduce.Engine {
+		e := newEngine(t, nodes, slots)
+		e.Faults = &mapreduce.FaultPlan{Seed: 1}
+		return e
+	}},
+	{"leased", func(t *testing.T, nodes, slots int) *mapreduce.Engine { return newFleet(t, nodes*slots) }},
 }
 
 // TestAttemptLifecycleAcrossDrivers: a failing first attempt — a panicking
@@ -525,8 +534,7 @@ func TestAttemptLifecycleAcrossDrivers(t *testing.T) {
 	for _, d := range lifecycleDrivers {
 		for _, f := range faults {
 			t.Run(d.name+"/"+f.name, func(t *testing.T) {
-				e := newEngine(t, 3, 1)
-				d.setup(t, e)
+				e := d.engine(t, 3, 1)
 				raise := func(phase mapreduce.Phase, task, attempt int) error {
 					if !first(phase, task, f.hits, attempt) {
 						return nil
@@ -536,7 +544,7 @@ func TestAttemptLifecycleAcrossDrivers(t *testing.T) {
 					}
 					return fmt.Errorf("injected crash for %v-%d", phase, task)
 				}
-				job := wordCountJob([]string{"a b", "b c"}, 2, 2)
+				job := ship(wordCountJob([]string{"a b", "b c"}, 2, 2))
 				if f.injector {
 					e.FaultInjector = raise
 				} else {
@@ -635,16 +643,18 @@ func TestAttemptLifecycleAcrossDrivers(t *testing.T) {
 // TestCancellationAcrossDrivers: a context cancelled while the job runs
 // fails it with the context's error and the partial Result on every driver
 // — noticed at the driver's next scheduling decision when tasks remain, and
-// at the phase boundary when the cancelling task was the phase's last.
+// at the phase boundary when the cancelling task was the phase's last. The
+// leased driver notices at once and does not wait for its worker: the
+// cancelling attempt is then on record as killed, unless its report won the
+// race.
 func TestCancellationAcrossDrivers(t *testing.T) {
 	for _, d := range lifecycleDrivers {
 		for _, mappers := range []int{4, 1} {
 			t.Run(fmt.Sprintf("%s/mappers=%d", d.name, mappers), func(t *testing.T) {
-				e := newEngine(t, 1, 1) // one slot: map attempts run one at a time
-				d.setup(t, e)
+				e := d.engine(t, 1, 1) // one slot: map attempts run one at a time
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				job := wordCountJob([]string{"a", "b", "c", "d"}, mappers, 2)
+				job := ship(wordCountJob([]string{"a", "b", "c", "d"}, mappers, 2))
 				newMapper := job.NewMapper
 				job.NewMapper = func() mapreduce.Mapper {
 					cancel() // the first map attempt to start ends the job
@@ -660,16 +670,19 @@ func TestCancellationAcrossDrivers(t *testing.T) {
 				// The partial result holds the map attempts that ran — the
 				// cancelling one, plus on the wall clock any placed before the
 				// scheduler noticed — and nothing of the reduce phase.
-				recs := res.History.Records()
+				recs, settled := res.History.Records(), 0
 				for _, r := range recs {
-					if r.Phase != mapreduce.PhaseMap || r.Err != "" {
+					if r.Phase != mapreduce.PhaseMap || (r.Err != "" && !(r.Killed && d.name == "leased")) {
 						t.Errorf("unexpected record in a job cancelled during its map phase: %+v", r)
+					}
+					if !r.Killed {
+						settled++
 					}
 				}
 				if len(recs) == 0 || (len(recs) > 1 && (d.name == "virtual" || mappers == 1)) {
 					t.Errorf("history has %d records, want the in-flight map attempt: %+v", len(recs), recs)
 				}
-				if got, want := res.Counters.Get(mapreduce.CounterMapInputRecords), int64(len(recs)*4/mappers); got != want {
+				if got, want := res.Counters.Get(mapreduce.CounterMapInputRecords), int64(settled*4/mappers); got != want {
 					t.Errorf("map input records = %d, want the %d of the attempts on record", got, want)
 				}
 			})

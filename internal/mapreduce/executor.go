@@ -9,10 +9,9 @@ import (
 // Executor runs MapReduce jobs. It is the seam between the algorithms
 // (core, baseline) and the execution substrate: the in-process Engine is
 // the default backend — tasks are goroutines on a simulated cluster — and
-// internal/rpcexec provides a second backend where workers are real OS
-// processes driven by a master over net/rpc. Algorithms depend only on
-// this interface, so future backends (goroutine pool, remote fleet) plug
-// in without touching them.
+// internal/rpcexec provides a second one, an Engine whose tasks are leased
+// to real OS worker processes over net/rpc (NewLeasedEngine). Algorithms
+// and the serving layer depend only on this interface.
 type Executor interface {
 	// RunContext executes the job under ctx; see Engine.RunContext for the
 	// cancellation contract every backend honours (stop placing attempts,
@@ -28,6 +27,10 @@ type Executor interface {
 	// instrumentation, nil when tracing is off or wall spans would pollute
 	// a virtual-clock trace.
 	WallTracer() *obs.Tracer
+	// SetAdmission bounds concurrent RunContext calls and AdmissionStats
+	// reads the controller back; see Engine.SetAdmission.
+	SetAdmission(maxInFlight, maxQueued int)
+	AdmissionStats() (inFlight, queued int)
 }
 
 // Engine implements Executor.

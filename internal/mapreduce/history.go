@@ -48,11 +48,9 @@ type History struct {
 	records []TaskRecord
 }
 
-// Append records one attempt. The engine's attempt lifecycle reports
-// through it, and so do execution backends outside this package
-// (internal/rpcexec's master, for remote task attempts). A nil History
-// discards the record: a worker process running one remote attempt keeps
-// none.
+// Append records one attempt; the engine's attempt lifecycle reports
+// through it. A nil History discards the record: a worker process running
+// one remote attempt keeps none.
 func (h *History) Append(r TaskRecord) {
 	if h == nil {
 		return

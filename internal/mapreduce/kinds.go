@@ -65,8 +65,8 @@ func BuildKind(name string, spec []byte) (*JobFuncs, error) {
 	return b(spec)
 }
 
-// KindRegistered reports whether the kind is available in this binary.
-func KindRegistered(name string) bool {
+// kindRegistered reports whether the kind is available in this binary.
+func kindRegistered(name string) bool {
 	kindMu.RLock()
 	defer kindMu.RUnlock()
 	_, ok := kindTable[name]
@@ -111,8 +111,8 @@ func walkRecords(b []byte, fn func(key, value []byte) error) error {
 	return nil
 }
 
-// DecodeRecords parses a framed record stream.
-func DecodeRecords(b []byte) ([]Record, error) {
+// decodeRecords parses a framed record stream.
+func decodeRecords(b []byte) ([]Record, error) {
 	var out []Record
 	err := walkRecords(b, func(key, value []byte) error {
 		out = append(out, Record{Key: key, Value: value})
@@ -207,7 +207,8 @@ type RemoteTask struct {
 // process has no injector, plan, tracer or History of its own (the master
 // keeps the job's). The kind's functions are built inside the attempt, so a
 // panicking builder is recovered like a panicking mapper. It returns the
-// attempt's counters; the master merges them only if it accepts the attempt.
+// attempt's counters; the engine stages them only if the attempt's report
+// settles as a success.
 func (t *RemoteTask) run(p Phase, body func(job *Job, rj *resolvedJob, ctx *TaskContext) (func(), error)) (*Counters, error) {
 	job := &Job{Name: t.Job, Cache: t.Cache}
 	rj := &resolvedJob{numMappers: t.NumMappers, numReducers: max(t.NumReducers, 1)}
@@ -237,7 +238,7 @@ func (t *RemoteTask) run(p Phase, body func(job *Job, rj *resolvedJob, ctx *Task
 // (nil for empty segments).
 func RunRemoteMap(t *RemoteTask, split []byte) (out [][]byte, counters *Counters, err error) {
 	counters, err = t.run(PhaseMap, func(job *Job, rj *resolvedJob, ctx *TaskContext) (func(), error) {
-		recs, err := DecodeRecords(split)
+		recs, err := decodeRecords(split)
 		if err != nil {
 			return nil, err
 		}
@@ -345,9 +346,9 @@ func (c *Counters) Dump() CounterDump {
 	return d
 }
 
-// MergeDump folds a transported dump into c (sums add, maxes take the
+// mergeDump folds a transported dump into c (sums add, maxes take the
 // maximum), the wire twin of Merge.
-func (c *Counters) MergeDump(d CounterDump) {
+func (c *Counters) mergeDump(d CounterDump) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, v := range d.Sums {
@@ -358,28 +359,4 @@ func (c *Counters) MergeDump(d CounterDump) {
 			c.maxs[k] = v
 		}
 	}
-}
-
-// SplitPayloads materializes a job's input splits as framed record streams,
-// one per map task — what the master ships inside map-task leases. The
-// split layout is identical to the in-process engine's (same Input.Splits
-// call), so task counts and split contents agree across backends.
-func SplitPayloads(job *Job, defaultMappers int) ([][]byte, error) {
-	splits, err := jobSplits(job, defaultMappers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(splits))
-	for i, s := range splits {
-		var buf []byte
-		err := s.Each(func(rec Record) error {
-			buf = AppendRecord(buf, rec.Key, rec.Value)
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: job %q: reading split %d: %w", job.Name, i, err)
-		}
-		out[i] = buf
-	}
-	return out, nil
 }

@@ -142,7 +142,13 @@ func (j *jobRun) spillSegments(segs []segment, m, attempt int) error {
 // Each reducer's fetch is a span on the job's clock. The virtual clock
 // stands still while the host copies bytes, so there the fetch lasts its
 // modelled transfer time and the slowest one advances the clock.
+//
+// A fleet's map output never comes here: its reducers pull their segments
+// from the workers holding them and report the volume.
 func (j *jobRun) shuffle() ([]int64, error) {
+	if j.leased != nil {
+		return nil, nil
+	}
 	rj := j.rj
 	j.reduceIn = make([]arenaGroups, rj.numReducers)
 	perReducerBytes := make([]int64, rj.numReducers)

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"mrskyline/internal/cluster"
-	"mrskyline/internal/obs"
 )
 
 // vslot is one schedulable slot of the virtual topology.
@@ -209,27 +208,12 @@ func (j *jobRun) runVirtual(ctx context.Context, ph *phase) error {
 			}
 			tasks[a.task].specTried = true
 			launch(a.task, dup, true)
-			// A duplicate is a started attempt like any other; PerNode
-			// exists because the original was placed.
-			res.ClusterStats.TasksRun++
-			res.ClusterStats.PerNode[v.slots[dup].node]++
+			// A duplicate is a started attempt like any other.
+			res.ClusterStats.Count(v.slots[dup].node, false, false)
 			res.Counters.Add(CounterSpeculativeLaunched, 1)
 		}
 	}
 
-	// attemptSpan records one finished (committed, failed or killed)
-	// attempt on its slot track, on the virtual clock.
-	attemptSpan := func(a *vattempt, end time.Duration, state string) {
-		j.tr.Record(obs.Span{
-			Track: cluster.SlotTrack(v.slots[a.slot].node, v.slots[a.slot].idx),
-			Name:  j.taskName(ph, a.task), Cat: obs.CatTask,
-			Start: j.base + a.start, End: j.base + end,
-			Args: []obs.Arg{
-				{Key: "attempt", Value: fmt.Sprint(a.attempt)},
-				{Key: "state", Value: state},
-			},
-		})
-	}
 	record := func(a *vattempt) TaskRecord {
 		s := v.slots[a.slot]
 		return TaskRecord{
@@ -242,30 +226,28 @@ func (j *jobRun) runVirtual(ctx context.Context, ph *phase) error {
 	kill := func(slot int, reason string) {
 		a := vacate(slot)
 		rec := record(a)
-		rec.Duration, rec.Err, rec.Killed = v.now-a.start, reason, true
-		res.History.Append(rec)
-		attemptSpan(a, v.now, "killed")
+		rec.Duration = v.now - a.start
+		j.kill(ph, rec, reason)
 	}
 
 	complete := func(slot int) error {
 		a := vacate(slot)
 		node := v.slots[slot].node
 		st := &tasks[a.task]
-		if err := j.attempt(ph, record(a)); err != nil {
-			attemptSpan(a, a.finish, "error")
-			res.Counters.Add(CounterTaskFailures, 1)
-			st.failures++
+		rec := record(a)
+		if err := j.attempt(ph, rec); err != nil {
+			spent := j.failed(ph, rec, &st.failures, err)
 			st.avoid[node] = true
 			if st.running > 0 {
 				return nil // the task's other copy may still win
 			}
-			if st.failures >= j.rj.maxAttempts {
-				return fmt.Errorf("task %q failed after %d attempts: %w", j.taskName(ph, a.task), st.failures, err)
+			if spent != nil {
+				return spent
 			}
 			queue = append(queue, vrequest{task: a.task, retry: true})
 			return nil
 		}
-		attemptSpan(a, a.finish, "ok")
+		j.attemptSpan(ph, rec, "ok")
 		st.done = true
 		st.node = node
 		remaining--

@@ -1,121 +1,46 @@
 package rpcexec
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"net/rpc"
-	"strconv"
 	"sync"
 	"time"
 
 	"mrskyline/internal/cluster"
 	"mrskyline/internal/mapreduce"
-	"mrskyline/internal/obs"
 )
 
-// Task and job lifecycle inside the master. A task is pending until a
-// worker leases it, leased until the worker reports, and done once a
-// success report is accepted:
-//
-//	pending ──lease──▶ leased ──success report──▶ done
-//	   ▲                  │
-//	   │   failure report (counts toward MaxAttempts)
-//	   ├──────────────────┤
-//	   │   lease deadline passed, or holder declared dead (Killed record,
-//	   │   does not count toward MaxAttempts)
-//	   └──────────────────┘
-//
-// A done map task regresses to pending if the worker holding its output
-// dies (Hadoop's map re-execution); reduce tasks are leased only while
-// every map task is done, so a reduce lease always has a complete source
-// list. Workers are declared dead when their heartbeat goes stale or when
-// a reducer reports a failed fetch from them; death requeues their leased
-// tasks and their hosted map outputs. Stale reports — from a worker that
-// lost its lease but kept computing — are fenced by (worker, attempt)
-// against the current lease and dropped.
-
-type taskStatus int
-
-const (
-	taskPending taskStatus = iota
-	taskLeased
-	taskDone
-)
-
-// taskState is one task's scheduling state. Map tasks use checksums/bytes
-// (their output stays on the worker); reduce tasks use output.
-type taskState struct {
-	status   taskStatus
-	attempts int // lease grants so far; the next grant is attempt attempts+1
-	failures int // failed attempts, counted against MaxAttempts
-	worker   int // lease holder while leased; output holder once done (maps)
-	attempt  int // attempt number of the current lease / accepted attempt
-	deadline time.Time
-	granted  time.Time
-	startOff time.Duration // lease grant offset from job start, for TaskRecord
-
-	checksums []uint64 // map: per-reducer segment checksums
-	segBytes  []int64  // map: per-reducer segment sizes
-	output    []byte   // reduce: framed output records
-}
-
-// jobState is one submitted job.
-type jobState struct {
-	id          int64
-	name        string
-	kind        string
-	spec        []byte
-	cache       mapreduce.Cache
-	numReducers int
-	maxAttempts int
-	splits      [][]byte
-	maps        []taskState
-	reduces     []taskState
-	mapsDone    int
-	reducesDone int
-
-	counters *mapreduce.Counters
-	history  *mapreduce.History
-	start    time.Time
-	mapEnd   time.Time // moment mapsDone last reached len(maps)
-
-	err      error
-	finished bool
-	done     chan struct{} // closed when finished
-
-	span obs.SpanRef
-}
+// The master is the fleet side of a leased engine (mapreduce.Leases): it
+// owns the transport, the worker registry and the clocks, and decides
+// nothing about jobs. A worker's Lease call becomes a Grant, its MapDone or
+// ReduceDone a Report; the janitor turns stale heartbeats into WorkerDied
+// and old leases into ExpireBefore. Which task goes out next, whether a
+// report still matches its lease, what a failure costs and when the job is
+// over are the engine's to say.
 
 // workerState is the master's view of one worker process.
 type workerState struct {
-	id       int
 	addr     string
-	pid      int
 	alive    bool
 	lastSeen time.Time
 	dropQ    []int64 // finished jobs whose segments the worker may evict
 }
 
-// master owns the job table and worker registry and serves the Master RPC
-// service. One mutex guards all state: every RPC is a short critical
-// section, and task bodies run worker-side.
+// master owns the worker registry and serves the Master RPC service. One
+// mutex guards all state: every RPC is a short critical section, and task
+// bodies run worker-side. It is held across calls into the lease table,
+// never the other way round — the table calls jobDone unlocked.
 type master struct {
-	mu sync.Mutex
+	mu  sync.Mutex
+	cfg Config // the timings, and Trace for the rpc.* metrics
 
-	leaseTimeout     time.Duration
-	heartbeatEvery   time.Duration
-	heartbeatTimeout time.Duration
-	leasePollEvery   time.Duration
-	expectedWorkers  int
-	tr               *obs.Tracer
+	eng    *mapreduce.Engine
+	leases *mapreduce.Leases
 
 	ln       net.Listener
 	addr     string
 	workers  []*workerState
-	jobs     map[int64]*jobState
-	jobOrder []int64
-	nextJob  int64
 	shutdown bool
 
 	janitorStop chan struct{}
@@ -123,22 +48,23 @@ type master struct {
 }
 
 func newMaster(cfg Config) (*master, error) {
+	// Every worker process is a one-slot node: its own failure domain,
+	// running one task at a time.
+	nodes := make([]cluster.Node, cfg.Workers)
+	for i := range nodes {
+		nodes[i] = cluster.Node{Name: workerNode(i), Slots: 1}
+	}
+	fleet, err := cluster.New(nodes)
+	if err != nil {
+		return nil, fmt.Errorf("rpcexec: %w", err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("rpcexec: master listen: %w", err)
 	}
-	m := &master{
-		leaseTimeout:     cfg.LeaseTimeout,
-		heartbeatEvery:   cfg.HeartbeatInterval,
-		heartbeatTimeout: cfg.HeartbeatTimeout,
-		leasePollEvery:   cfg.LeasePoll,
-		expectedWorkers:  cfg.Workers,
-		tr:               cfg.Trace,
-		ln:               ln,
-		addr:             ln.Addr().String(),
-		jobs:             make(map[int64]*jobState),
-		janitorStop:      make(chan struct{}),
-	}
+	m := &master{cfg: cfg, ln: ln, addr: ln.Addr().String(), janitorStop: make(chan struct{})}
+	m.eng, m.leases = mapreduce.NewLeasedEngine(fleet, m.jobDone)
+	m.eng.SetTrace(cfg.Trace)
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("Master", m); err != nil {
 		ln.Close()
@@ -171,7 +97,7 @@ func (m *master) acceptLoop(srv *rpc.Server) {
 // their heartbeat goes stale and reclaims leases whose deadline passed.
 func (m *master) janitor() {
 	defer m.wg.Done()
-	tick := time.NewTicker(m.heartbeatEvery / 2)
+	tick := time.NewTicker(m.cfg.HeartbeatInterval / 2)
 	defer tick.Stop()
 	for {
 		select {
@@ -179,136 +105,39 @@ func (m *master) janitor() {
 			return
 		case now := <-tick.C:
 			m.mu.Lock()
-			for _, w := range m.workers {
-				if w.alive && now.Sub(w.lastSeen) > m.heartbeatTimeout {
-					m.markWorkerDead(w.id, "heartbeat timeout")
+			for id, w := range m.workers {
+				if w.alive && now.Sub(w.lastSeen) > m.cfg.HeartbeatTimeout {
+					m.markWorkerDead(id, "heartbeat timeout")
 				}
 			}
-			m.expireLeases(now)
+			if n := m.leases.ExpireBefore(now.Add(-m.cfg.LeaseTimeout)); n > 0 {
+				m.cfg.Trace.Metrics().Count("rpc.lease.expired", int64(n))
+			}
 			m.mu.Unlock()
 		}
 	}
 }
 
-// expireLeases requeues every leased task whose deadline passed. Expiry is
-// a scheduler decision, not a task failure: the attempt is recorded as
-// killed and does not count toward MaxAttempts. Called with m.mu held.
-func (m *master) expireLeases(now time.Time) {
-	for _, id := range m.jobOrder {
-		j := m.jobs[id]
-		if j == nil || j.finished {
-			continue
-		}
-		for ti := range j.maps {
-			m.expireLease(j, mapreduce.PhaseMap, ti, now)
-		}
-		for ti := range j.reduces {
-			m.expireLease(j, mapreduce.PhaseReduce, ti, now)
-		}
-	}
-}
-
-func (m *master) expireLease(j *jobState, phase mapreduce.Phase, ti int, now time.Time) {
-	t := m.task(j, phase, ti)
-	if t.status != taskLeased || now.Before(t.deadline) {
-		return
-	}
-	m.tr.Metrics().Count("rpc.lease.expired", 1)
-	m.requeueKilled(j, phase, ti, "lease expired on "+workerNode(t.worker))
-}
-
-// requeueKilled records the current lease as a killed attempt and returns
-// the task to pending. Called with m.mu held.
-func (m *master) requeueKilled(j *jobState, phase mapreduce.Phase, ti int, reason string) {
-	t := m.task(j, phase, ti)
-	j.history.Append(mapreduce.TaskRecord{
-		Phase: phase, TaskID: ti, Attempt: t.attempt,
-		Node: workerNode(t.worker), Start: t.startOff,
-		Duration: time.Since(t.granted),
-		Err:      fmt.Sprintf("%s task %d attempt %d killed: %s", phase, ti, t.attempt, reason),
-		Killed:   true,
-	})
-	t.status = taskPending
-}
-
-func (m *master) task(j *jobState, phase mapreduce.Phase, ti int) *taskState {
-	if phase == mapreduce.PhaseMap {
-		return &j.maps[ti]
-	}
-	return &j.reduces[ti]
-}
-
-// markWorkerDead handles one worker's death: its leased tasks are requeued
-// as killed, map outputs it hosted regress to pending for re-execution,
-// and jobs with no live workers left fail. Idempotent. Called with m.mu
-// held.
+// markWorkerDead takes a worker out of the registry and tells the engine.
+// Idempotent. Called with m.mu held.
 func (m *master) markWorkerDead(id int, reason string) {
 	w := m.workers[id]
 	if !w.alive {
 		return
 	}
 	w.alive = false
-	m.tr.Metrics().Count("rpc.worker.deaths", 1)
-	anyAlive := false
-	for _, other := range m.workers {
-		if other.alive {
-			anyAlive = true
-			break
-		}
-	}
-	for _, jid := range m.jobOrder {
-		j := m.jobs[jid]
-		if j == nil || j.finished {
-			continue
-		}
-		j.counters.Add(mapreduce.CounterNodeFailures, 1)
-		for ti := range j.maps {
-			t := &j.maps[ti]
-			switch {
-			case t.status == taskLeased && t.worker == id:
-				m.requeueKilled(j, mapreduce.PhaseMap, ti, "worker died: "+reason)
-			case t.status == taskDone && t.worker == id:
-				// The output lives on the dead worker: re-execute the map, as
-				// Hadoop re-runs completed maps of a lost node. Determinism of
-				// the map body guarantees the re-executed segments are
-				// byte-identical, so already-recorded checksums would remain
-				// valid — but they are rebuilt from the new report anyway.
-				t.status = taskPending
-				t.checksums, t.segBytes = nil, nil
-				j.mapsDone--
-			}
-		}
-		for ti := range j.reduces {
-			t := &j.reduces[ti]
-			if t.status == taskLeased && t.worker == id {
-				m.requeueKilled(j, mapreduce.PhaseReduce, ti, "worker died: "+reason)
-			}
-		}
-		if !anyAlive {
-			m.failJob(j, errors.New("all workers dead"))
-		}
-	}
+	m.cfg.Trace.Metrics().Count("rpc.worker.deaths", 1)
+	m.leases.WorkerDied(id, reason)
 }
 
-// failJob finishes a job with an error. Called with m.mu held.
-func (m *master) failJob(j *jobState, err error) {
-	if j.finished {
-		return
-	}
-	j.err = err
-	m.finishJob(j)
-}
-
-// finishJob closes out a job: the done channel is closed, the job leaves
-// the scheduling order, and every live worker is told (on its next
-// heartbeat) to evict the job's shuffle segments. Called with m.mu held.
-func (m *master) finishJob(j *jobState) {
-	j.finished = true
-	j.span.EndWith(obs.Arg{Key: "state", Value: map[bool]string{true: "error", false: "ok"}[j.err != nil]})
-	close(j.done)
+// jobDone queues a finished job's id for every live worker, which is told
+// on its next heartbeat to evict the job's shuffle segments.
+func (m *master) jobDone(job int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, w := range m.workers {
 		if w.alive {
-			w.dropQ = append(w.dropQ, j.id)
+			w.dropQ = append(w.dropQ, job)
 		}
 	}
 }
@@ -346,62 +175,6 @@ func (m *master) stop() {
 }
 
 // ---------------------------------------------------------------------------
-// Job submission (driver side)
-
-// addJob registers a job and returns its state; the done channel resolves
-// it.
-func (m *master) addJob(job *mapreduce.Job, splits [][]byte, numReducers, maxAttempts int) *jobState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nextJob++
-	j := &jobState{
-		id:          m.nextJob,
-		name:        job.Name,
-		kind:        job.Kind,
-		spec:        job.Spec,
-		cache:       job.Cache,
-		numReducers: numReducers,
-		maxAttempts: maxAttempts,
-		splits:      splits,
-		maps:        make([]taskState, len(splits)),
-		reduces:     make([]taskState, numReducers),
-		counters:    mapreduce.NewCounters(),
-		history:     &mapreduce.History{},
-		start:       time.Now(),
-		done:        make(chan struct{}),
-	}
-	j.span = m.tr.Start(obs.DriverTrack, "job:"+j.name, obs.CatJob,
-		obs.Arg{Key: "executor", Value: "process"},
-		obs.Arg{Key: "mappers", Value: strconv.Itoa(len(j.maps))},
-		obs.Arg{Key: "reducers", Value: strconv.Itoa(numReducers)})
-	m.jobs[j.id] = j
-	m.jobOrder = append(m.jobOrder, j.id)
-	return j
-}
-
-// cancelJob aborts a job (driver context cancelled). Leased attempts keep
-// running worker-side; their reports are dropped because the job is
-// finished.
-func (m *master) cancelJob(j *jobState, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.failJob(j, err)
-}
-
-// dropJob removes a resolved job from the table.
-func (m *master) dropJob(j *jobState) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.jobs, j.id)
-	for i, id := range m.jobOrder {
-		if id == j.id {
-			m.jobOrder = append(m.jobOrder[:i], m.jobOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Master RPC service
 
 // Register implements the Master.Register RPC.
@@ -410,11 +183,11 @@ func (m *master) Register(args *RegisterArgs, reply *RegisterReply) error {
 	defer m.mu.Unlock()
 	id := len(m.workers)
 	m.workers = append(m.workers, &workerState{
-		id: id, addr: args.Addr, pid: args.PID, alive: true, lastSeen: time.Now(),
+		addr: args.Addr, alive: true, lastSeen: time.Now(),
 	})
 	reply.WorkerID = id
-	reply.HeartbeatEveryNs = int64(m.heartbeatEvery)
-	reply.LeasePollEveryNs = int64(m.leasePollEvery)
+	reply.HeartbeatEveryNs = int64(m.cfg.HeartbeatInterval)
+	reply.LeasePollEveryNs = int64(m.cfg.LeasePoll)
 	return nil
 }
 
@@ -427,17 +200,15 @@ func (m *master) Heartbeat(args *HeartbeatArgs, reply *HeartbeatReply) error {
 		return fmt.Errorf("rpcexec: unknown worker %d", args.WorkerID)
 	}
 	if args.PrevRTTNs > 0 {
-		m.tr.Metrics().Observe("rpc.heartbeat.rtt.ns", args.PrevRTTNs)
+		m.cfg.Trace.Metrics().Observe("rpc.heartbeat.rtt.ns", args.PrevRTTNs)
 	}
 	reply.Exit = m.shutdown || !w.alive
 	reply.DropJobs, w.dropQ = w.dropQ, nil
 	return nil
 }
 
-// Lease implements the Master.Lease RPC: grant the worker one runnable
-// task. Jobs are scanned in submission order; within a job, reduce tasks
-// become runnable only while every map task is done, preserving the
-// synchronous-round structure of the computation on the wire.
+// Lease implements the Master.Lease RPC: put the engine's grant, if it has
+// one for this worker, on the wire.
 func (m *master) Lease(args *LeaseArgs, reply *LeaseReply) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -449,203 +220,83 @@ func (m *master) Lease(args *LeaseArgs, reply *LeaseReply) error {
 		reply.Kind = LeaseExit
 		return nil
 	}
-	now := time.Now()
-	for _, jid := range m.jobOrder {
-		j := m.jobs[jid]
-		if j == nil || j.finished {
-			continue
-		}
-		if j.mapsDone < len(j.maps) {
-			for ti := range j.maps {
-				if j.maps[ti].status != taskPending {
-					continue
-				}
-				m.grant(j, &j.maps[ti], w.id, now)
-				reply.Kind = LeaseMap
-				reply.JobID = j.id
-				reply.TaskID = ti
-				reply.Attempt = j.maps[ti].attempt
-				reply.Split = j.splits[ti]
-				return nil
-			}
-			continue // maps in flight; this job has nothing else runnable yet
-		}
-		for ti := range j.reduces {
-			if j.reduces[ti].status != taskPending {
-				continue
-			}
-			m.grant(j, &j.reduces[ti], w.id, now)
-			reply.Kind = LeaseReduce
-			reply.JobID = j.id
-			reply.TaskID = ti
-			reply.Attempt = j.reduces[ti].attempt
-			reply.Sources = m.sources(j, ti)
-			return nil
-		}
+	l, ok := m.leases.Grant(args.WorkerID)
+	if !ok {
+		reply.Kind = LeaseNone
+		return nil
 	}
-	reply.Kind = LeaseNone
-	return nil
-}
-
-// grant moves a pending task to leased. Called with m.mu held.
-func (m *master) grant(j *jobState, t *taskState, worker int, now time.Time) {
-	t.attempts++
-	t.status = taskLeased
-	t.worker = worker
-	t.attempt = t.attempts
-	t.granted = now
-	t.deadline = now.Add(m.leaseTimeout)
-	t.startOff = now.Sub(j.start)
-	m.tr.Metrics().Count("rpc.lease.granted", 1)
-}
-
-// sources builds a reduce task's fetch list (non-empty segments only, in
-// map-task order). Called with m.mu held and all maps done.
-func (m *master) sources(j *jobState, reduce int) []MapSource {
-	var srcs []MapSource
-	for mi := range j.maps {
-		t := &j.maps[mi]
-		if t.segBytes == nil || t.segBytes[reduce] == 0 {
+	m.cfg.Trace.Metrics().Count("rpc.lease.granted", 1)
+	reply.JobID, reply.TaskID, reply.Attempt = l.Job, l.Task, l.Attempt
+	if l.Phase == mapreduce.PhaseMap {
+		reply.Kind, reply.Split = LeaseMap, l.Split
+		return nil
+	}
+	// A reduce task's fetch list: non-empty segments only, in map-task order.
+	reply.Kind = LeaseReduce
+	for mi, out := range l.Maps {
+		if l.Task >= len(out.Bytes) || out.Bytes[l.Task] == 0 {
 			continue
 		}
-		srcs = append(srcs, MapSource{
+		reply.Sources = append(reply.Sources, MapSource{
 			MapTask:  mi,
-			WorkerID: t.worker,
-			Addr:     m.workers[t.worker].addr,
-			Checksum: t.checksums[reduce],
-			Bytes:    t.segBytes[reduce],
+			WorkerID: out.Worker,
+			Addr:     m.workers[out.Worker].addr,
+			Checksum: out.Checksums[l.Task],
+			Bytes:    out.Bytes[l.Task],
 		})
 	}
-	return srcs
-}
-
-// accepts reports whether a task report matches the current lease. Called
-// with m.mu held.
-func accepts(t *taskState, worker, attempt int) bool {
-	return t.status == taskLeased && t.worker == worker && t.attempt == attempt
+	return nil
 }
 
 // MapDone implements the Master.MapDone RPC.
 func (m *master) MapDone(args *MapDoneArgs, _ *Empty) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	w := m.touch(args.WorkerID)
-	j := m.jobs[args.JobID]
-	if w == nil || j == nil || j.finished || args.TaskID >= len(j.maps) {
-		return nil // job resolved or unknown: stale report, drop
-	}
-	t := &j.maps[args.TaskID]
-	if !accepts(t, args.WorkerID, args.Attempt) {
-		return nil // fenced: the lease moved on (expiry, death, reassignment)
-	}
-	rec := mapreduce.TaskRecord{
-		Phase: mapreduce.PhaseMap, TaskID: args.TaskID, Attempt: args.Attempt,
-		Node: workerNode(args.WorkerID), Start: t.startOff, Duration: time.Since(t.granted),
-	}
-	if args.Err != "" {
-		rec.Err = args.Err
-		j.history.Append(rec)
-		j.counters.Add(mapreduce.CounterTaskFailures, 1)
-		t.failures++
-		t.status = taskPending
-		if t.failures >= j.maxAttempts {
-			m.failJob(j, fmt.Errorf("map task %d failed %d times: %s", args.TaskID, t.failures, args.Err))
-		}
-		return nil
-	}
-	if !w.alive {
-		return nil // output location is gone; let re-execution proceed
-	}
-	j.history.Append(rec)
-	t.status = taskDone
-	t.checksums = args.Checksums
-	t.segBytes = args.Bytes
-	j.counters.MergeDump(args.Counters)
-	m.tr.Record(obs.Span{
-		Track: cluster.SlotTrack(workerNode(args.WorkerID), 0),
-		Name:  fmt.Sprintf("map:%s:%d", j.name, args.TaskID), Cat: obs.CatTask,
-		Start: m.tr.Now() - rec.Duration, End: m.tr.Now(),
-	})
-	j.mapsDone++
-	if j.mapsDone == len(j.maps) {
-		j.mapEnd = time.Now()
-	}
+	m.report(&mapreduce.Report{
+		Job: args.JobID, Phase: mapreduce.PhaseMap, Task: args.TaskID, Attempt: args.Attempt,
+		Worker: args.WorkerID, Err: args.Err, Counters: args.Counters,
+		Checksums: args.Checksums, Bytes: args.Bytes,
+	}, -1, 0)
 	return nil
 }
 
 // ReduceDone implements the Master.ReduceDone RPC.
 func (m *master) ReduceDone(args *ReduceDoneArgs, _ *Empty) error {
+	m.report(&mapreduce.Report{
+		Job: args.JobID, Phase: mapreduce.PhaseReduce, Task: args.TaskID, Attempt: args.Attempt,
+		Worker: args.WorkerID, Err: args.Err, Counters: args.Counters,
+		Output: args.Output, ShuffleBytes: args.PayloadBytes, Refetches: args.Refetches,
+	}, args.FetchFailedWorker, args.WireBytes)
+	return nil
+}
+
+// report hands a worker's report to the engine. An attempt that failed
+// because it could not fetch from peer died of the peer's death, not its own
+// bug: it is reported as killed, and the evidence is acted on now — the
+// heartbeat janitor would reach the same verdict a timeout later.
+func (m *master) report(r *mapreduce.Report, peer int, wireBytes int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	w := m.touch(args.WorkerID)
-	j := m.jobs[args.JobID]
-	if w == nil || j == nil || j.finished || args.TaskID >= len(j.reduces) {
-		return nil
+	if m.touch(r.Worker) == nil {
+		return
 	}
-	t := &j.reduces[args.TaskID]
-	if !accepts(t, args.WorkerID, args.Attempt) {
-		return nil
+	r.Killed = r.Err != "" && peer >= 0 && peer < len(m.workers)
+	switch accepted := m.leases.Report(r); {
+	case !accepted:
+	case r.Killed:
+		m.markWorkerDead(peer, "unreachable during shuffle fetch")
+	case r.Err == "":
+		m.cfg.Trace.Metrics().Count("rpc.shuffle.wire.bytes", wireBytes)
 	}
-	if args.Err != "" {
-		if args.FetchFailedWorker >= 0 && args.FetchFailedWorker < len(m.workers) {
-			// The attempt died of a peer's death, not its own bug: record it
-			// killed (no MaxAttempts charge), requeue, and act on the death
-			// evidence now — the heartbeat janitor would reach the same
-			// verdict a timeout later.
-			m.requeueKilled(j, mapreduce.PhaseReduce, args.TaskID, args.Err)
-			m.markWorkerDead(args.FetchFailedWorker, "unreachable during shuffle fetch")
-			return nil
-		}
-		j.history.Append(mapreduce.TaskRecord{
-			Phase: mapreduce.PhaseReduce, TaskID: args.TaskID, Attempt: args.Attempt,
-			Node: workerNode(args.WorkerID), Start: t.startOff, Duration: time.Since(t.granted),
-			Err: args.Err,
-		})
-		j.counters.Add(mapreduce.CounterTaskFailures, 1)
-		t.failures++
-		t.status = taskPending
-		if t.failures >= j.maxAttempts {
-			m.failJob(j, fmt.Errorf("reduce task %d failed %d times: %s", args.TaskID, t.failures, args.Err))
-		}
-		return nil
-	}
-	j.history.Append(mapreduce.TaskRecord{
-		Phase: mapreduce.PhaseReduce, TaskID: args.TaskID, Attempt: args.Attempt,
-		Node: workerNode(args.WorkerID), Start: t.startOff, Duration: time.Since(t.granted),
-	})
-	t.status = taskDone
-	t.output = args.Output
-	j.counters.MergeDump(args.Counters)
-	j.counters.Add(mapreduce.CounterShuffleBytes, args.PayloadBytes)
-	if args.Refetches > 0 {
-		j.counters.Add(mapreduce.CounterShuffleCorruptions, args.Refetches)
-	}
-	m.tr.Metrics().Count("rpc.shuffle.wire.bytes", args.WireBytes)
-	m.tr.Record(obs.Span{
-		Track: cluster.SlotTrack(workerNode(args.WorkerID), 0),
-		Name:  fmt.Sprintf("reduce:%s:%d", j.name, args.TaskID), Cat: obs.CatTask,
-		Start: m.tr.Now() - time.Since(t.granted), End: m.tr.Now(),
-	})
-	j.reducesDone++
-	if j.reducesDone == len(j.reduces) {
-		m.finishJob(j)
-	}
-	return nil
 }
 
 // JobInfo implements the Master.JobInfo RPC.
 func (m *master) JobInfo(args *JobInfoArgs, reply *JobInfoReply) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j := m.jobs[args.JobID]
-	if j == nil {
+	t, ok := m.leases.Task(args.JobID)
+	if !ok {
 		return fmt.Errorf("rpcexec: unknown job %d", args.JobID)
 	}
-	reply.Name = j.name
-	reply.Kind = j.kind
-	reply.Spec = j.spec
-	reply.Cache = j.cache
-	reply.NumMappers = len(j.maps)
-	reply.NumReducers = j.numReducers
+	*reply = JobInfoReply{
+		Name: t.Job, Kind: t.Kind, Spec: t.Spec, Cache: t.Cache,
+		NumMappers: t.NumMappers, NumReducers: t.NumReducers,
+	}
 	return nil
 }

@@ -11,20 +11,20 @@ import (
 )
 
 // The master unit tests drive the RPC handlers directly — no processes, no
-// sockets — so every scheduling transition (fencing, expiry, death,
-// regression, failure budgets) is exercised deterministically.
+// worker sockets — against the real leased engine behind them. What they pin
+// is the master's own: the registry, the heartbeat control plane, the
+// janitor's two clocks, and the translation between the wire and the lease
+// table. Scheduling semantics (ordering, fencing, budgets, regression) are
+// the engine's and are pinned in internal/mapreduce's leased tests.
 
-// newTestMaster builds a master with inert watchdog timings (the tests
-// trigger transitions explicitly) and registers n fake workers.
-func newTestMaster(t *testing.T, n int, tr *obs.Tracer) *master {
+// newTestMaster builds a master whose janitor never fires on its own (the
+// tests that want it pass their own timings) and registers n fake workers.
+func newTestMaster(t *testing.T, cfg Config) *master {
 	t.Helper()
-	cfg, err := (&Config{
-		Workers:           n,
-		LeaseTimeout:      time.Hour,
-		HeartbeatInterval: time.Hour,
-		HeartbeatTimeout:  time.Hour,
-		Trace:             tr,
-	}).withDefaults()
+	if cfg.LeaseTimeout == 0 {
+		cfg.LeaseTimeout, cfg.HeartbeatInterval, cfg.HeartbeatTimeout = time.Hour, time.Hour, time.Hour
+	}
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func newTestMaster(t *testing.T, n int, tr *obs.Tracer) *master {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.stop)
-	for i := 0; i < n; i++ {
+	for i := 0; i < cfg.Workers; i++ {
 		var reply RegisterReply
 		if err := m.Register(&RegisterArgs{Addr: "127.0.0.1:0", PID: 1000 + i, Index: i}, &reply); err != nil {
 			t.Fatalf("Register: %v", err)
@@ -41,23 +41,49 @@ func newTestMaster(t *testing.T, n int, tr *obs.Tracer) *master {
 		if reply.WorkerID != i {
 			t.Fatalf("Register assigned id %d, want %d", reply.WorkerID, i)
 		}
-		if reply.HeartbeatEveryNs != int64(time.Hour) || reply.LeasePollEveryNs <= 0 {
+		if reply.HeartbeatEveryNs != int64(cfg.HeartbeatInterval) || reply.LeasePollEveryNs <= 0 {
 			t.Fatalf("Register reply timings = %+v", reply)
 		}
 	}
 	return m
 }
 
-// addTestJob registers a bare two-map job directly with the master.
-func addTestJob(m *master, maps, reduces, maxAttempts int) *jobState {
-	splits := make([][]byte, maps)
-	for i := range splits {
-		splits[i] = mapreduce.AppendRecord(nil, []byte("k"), []byte{byte(i)})
-	}
-	return m.addJob(&mapreduce.Job{Name: "unit", Kind: testSumKind}, splits, reduces, maxAttempts)
+type jobOutcome struct {
+	res *mapreduce.Result
+	err error
 }
 
-func lease(t *testing.T, m *master, worker int) *LeaseReply {
+// startJob submits a sum job to the master's engine; the outcome arrives
+// once the test has played the workers' part.
+func startJob(ctx context.Context, m *master, mappers, reducers int) <-chan jobOutcome {
+	return startJobWithBudget(ctx, m, mappers, reducers, 0)
+}
+
+func startJobWithBudget(ctx context.Context, m *master, mappers, reducers, maxAttempts int) <-chan jobOutcome {
+	job := sumJob("unit", 3, 12, mappers, reducers, 0, 0)
+	job.MaxAttempts = maxAttempts
+	out := make(chan jobOutcome, 1)
+	go func() {
+		res, err := m.eng.RunContext(ctx, job)
+		out <- jobOutcome{res, err}
+	}()
+	return out
+}
+
+func await(t *testing.T, out <-chan jobOutcome) jobOutcome {
+	t.Helper()
+	select {
+	case o := <-out:
+		return o
+	case <-time.After(10 * time.Second):
+		t.Fatal("job did not resolve")
+		return jobOutcome{}
+	}
+}
+
+// leaseOnce is one Lease call; lease polls like an idle worker until a task
+// (or an exit) comes back.
+func leaseOnce(t *testing.T, m *master, worker int) *LeaseReply {
 	t.Helper()
 	var reply LeaseReply
 	if err := m.Lease(&LeaseArgs{WorkerID: worker}, &reply); err != nil {
@@ -66,7 +92,18 @@ func lease(t *testing.T, m *master, worker int) *LeaseReply {
 	return &reply
 }
 
-func mapDone(t *testing.T, m *master, l *LeaseReply, worker int, segBytes []int64) {
+func lease(t *testing.T, m *master, worker int) *LeaseReply {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if l := leaseOnce(t, m, worker); l.Kind != LeaseNone {
+			return l
+		}
+	}
+	t.Fatalf("worker %d was never leased a task", worker)
+	return nil
+}
+
+func mapDone(t *testing.T, m *master, l *LeaseReply, worker int, segBytes []int64, counters mapreduce.CounterDump) {
 	t.Helper()
 	checks := make([]uint64, len(segBytes))
 	for i, b := range segBytes {
@@ -76,301 +113,281 @@ func mapDone(t *testing.T, m *master, l *LeaseReply, worker int, segBytes []int6
 	}
 	err := m.MapDone(&MapDoneArgs{
 		WorkerID: worker, JobID: l.JobID, TaskID: l.TaskID, Attempt: l.Attempt,
-		Checksums: checks, Bytes: segBytes,
+		Checksums: checks, Bytes: segBytes, Counters: counters,
 	}, &Empty{})
 	if err != nil {
 		t.Fatalf("MapDone: %v", err)
 	}
 }
 
-func TestLeaseOrderingAndReduceGating(t *testing.T) {
-	m := newTestMaster(t, 2, nil)
-	j := addTestJob(m, 2, 2, 3)
+func reduceDone(t *testing.T, m *master, l *LeaseReply, worker int, args ReduceDoneArgs) {
+	t.Helper()
+	args.WorkerID, args.JobID, args.TaskID, args.Attempt = worker, l.JobID, l.TaskID, l.Attempt
+	if err := m.ReduceDone(&args, &Empty{}); err != nil {
+		t.Fatalf("ReduceDone: %v", err)
+	}
+}
 
-	l0 := lease(t, m, 0)
-	l1 := lease(t, m, 1)
+func counter(tr *obs.Tracer, name string) int64 {
+	for _, c := range tr.Metrics().Snapshot().Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// TestLeaseOrderingAndReduceGating: maps go out before reduces and reduces
+// only once every map has reported, and a grant reaches the wire whole — a
+// map lease carries its split, a reduce lease the fetch list built from the
+// map reports (non-empty segments only, in map-task order, at the holders'
+// addresses) — as the reports' payloads reach the Result.
+func TestLeaseOrderingAndReduceGating(t *testing.T) {
+	tr := obs.New()
+	m := newTestMaster(t, Config{Workers: 2, Trace: tr})
+	out := startJob(context.Background(), m, 2, 2)
+
+	l0, l1 := lease(t, m, 0), lease(t, m, 1)
 	if l0.Kind != LeaseMap || l1.Kind != LeaseMap || l0.TaskID == l1.TaskID {
 		t.Fatalf("expected two distinct map leases, got %+v and %+v", l0, l1)
 	}
 	if len(l0.Split) == 0 {
 		t.Error("map lease carries no split payload")
 	}
-	// Maps in flight: nothing else runnable, and reduces must not start.
-	if l := lease(t, m, 0); l.Kind != LeaseNone {
+	if l := leaseOnce(t, m, 0); l.Kind != LeaseNone {
 		t.Fatalf("lease during map flight = %q, want none", l.Kind)
 	}
-
-	mapDone(t, m, l0, 0, []int64{4, 0}) // map → reduce 0 only
-	if l := lease(t, m, 0); l.Kind != LeaseNone {
+	segs := map[int][]int64{0: {4, 0}, 1: {3, 5}} // map 0 feeds reduce 0 only
+	mapDone(t, m, l0, 0, segs[l0.TaskID], mapreduce.CounterDump{})
+	if l := leaseOnce(t, m, 0); l.Kind != LeaseNone {
 		t.Fatalf("reduce leased before all maps done: %+v", l)
 	}
-	mapDone(t, m, l1, 1, []int64{3, 5})
+	mapDone(t, m, l1, 1, segs[l1.TaskID], mapreduce.CounterDump{})
 
-	r0 := lease(t, m, 0)
-	if r0.Kind != LeaseReduce {
-		t.Fatalf("lease after maps done = %q, want reduce", r0.Kind)
-	}
-	// Sources list non-empty segments only, in map-task order.
-	var wantSources int
-	switch r0.TaskID {
-	case 0:
-		wantSources = 2
-	case 1:
-		wantSources = 1
-	}
-	if len(r0.Sources) != wantSources {
-		t.Fatalf("reduce %d sources = %+v, want %d entries", r0.TaskID, r0.Sources, wantSources)
-	}
-	for i := 1; i < len(r0.Sources); i++ {
-		if r0.Sources[i-1].MapTask >= r0.Sources[i].MapTask {
-			t.Error("sources not in map-task order")
+	r0, r1 := lease(t, m, 0), lease(t, m, 1)
+	for _, r := range []*LeaseReply{r0, r1} {
+		if r.Kind != LeaseReduce {
+			t.Fatalf("lease after maps done = %+v, want reduce", r)
+		}
+		if want := 2 - r.TaskID; len(r.Sources) != want {
+			t.Fatalf("reduce %d sources = %+v, want %d entries", r.TaskID, r.Sources, want)
+		}
+		for i, src := range r.Sources {
+			if i > 0 && r.Sources[i-1].MapTask >= src.MapTask {
+				t.Error("sources not in map-task order")
+			}
+			if src.Addr != "127.0.0.1:0" || src.Bytes != segs[src.MapTask][r.TaskID] || src.Checksum != uint64(100+r.TaskID) {
+				t.Errorf("reduce %d source %+v does not match map %d's report", r.TaskID, src, src.MapTask)
+			}
 		}
 	}
-
-	// Finish both reduces; the job resolves cleanly.
-	r1 := lease(t, m, 1)
-	for worker, r := range map[int]*LeaseReply{0: r0, 1: r1} {
-		err := m.ReduceDone(&ReduceDoneArgs{
-			WorkerID: worker, JobID: r.JobID, TaskID: r.TaskID, Attempt: r.Attempt,
-			FetchFailedWorker: -1, Output: mapreduce.AppendRecord(nil, []byte("k"), []byte("v")),
-		}, &Empty{})
-		if err != nil {
-			t.Fatalf("ReduceDone: %v", err)
-		}
+	for worker, r := range []*LeaseReply{r0, r1} {
+		reduceDone(t, m, r, worker, ReduceDoneArgs{
+			FetchFailedWorker: -1, Output: mapreduce.AppendRecord(nil, []byte{'k', byte('0' + r.TaskID)}, []byte("v")),
+			PayloadBytes: 6, WireBytes: 10,
+		})
 	}
-	select {
-	case <-j.done:
-	default:
-		t.Fatal("job not finished after all reduces reported")
+	o := await(t, out)
+	if o.err != nil {
+		t.Fatalf("job error = %v", o.err)
 	}
-	if j.err != nil {
-		t.Fatalf("job error = %v", j.err)
+	if got := formatKeys(o.res.Output); got != "k0 k1" {
+		t.Errorf("output keys = %q, want reduce order k0 k1", got)
+	}
+	if got := o.res.Counters.Get(mapreduce.CounterShuffleBytes); got != 12 {
+		t.Errorf("CounterShuffleBytes = %d, want the reports' 12", got)
+	}
+	if g, w := counter(tr, "rpc.lease.granted"), counter(tr, "rpc.shuffle.wire.bytes"); g != 4 || w != 20 {
+		t.Errorf("rpc.lease.granted = %d, rpc.shuffle.wire.bytes = %d, want 4 and 20", g, w)
 	}
 }
 
+func formatKeys(recs []mapreduce.Record) string {
+	keys := make([]string, len(recs))
+	for i, r := range recs {
+		keys[i] = string(r.Key)
+	}
+	return strings.Join(keys, " ")
+}
+
+// TestLeaseExpiryRequeuesAsKilled: the lease-deadline clock is the master's.
+// A lease out longer than LeaseTimeout is reclaimed by the janitor, counted
+// in rpc.lease.expired and on record as killed, its holder's late report
+// fenced, and the task re-leased as the next attempt.
 func TestLeaseExpiryRequeuesAsKilled(t *testing.T) {
 	tr := obs.New()
-	m := newTestMaster(t, 2, tr)
-	addTestJob(m, 1, 1, 3)
-
+	m := newTestMaster(t, Config{
+		Workers: 2, Trace: tr,
+		LeaseTimeout: 200 * time.Millisecond, HeartbeatInterval: 10 * time.Millisecond, HeartbeatTimeout: time.Hour,
+	})
+	out := startJob(context.Background(), m, 1, 1)
 	l := lease(t, m, 0)
 	if l.Kind != LeaseMap || l.Attempt != 1 {
 		t.Fatalf("first lease = %+v", l)
 	}
-	// Push the clock past the deadline by hand: expiry is a watchdog
-	// decision, tested here without waiting an hour.
-	m.mu.Lock()
-	m.expireLeases(time.Now().Add(2 * time.Hour))
-	m.mu.Unlock()
-
-	// The stale holder's report must be fenced off…
-	mapDone(t, m, l, 0, []int64{1})
-	// …and the re-lease goes out as attempt 2.
-	l2 := lease(t, m, 1)
+	l2 := lease(t, m, 1) // nothing to lease until the janitor reclaims attempt 1
 	if l2.Kind != LeaseMap || l2.Attempt != 2 {
 		t.Fatalf("post-expiry lease = %+v, want map attempt 2", l2)
 	}
-	mapDone(t, m, l2, 1, []int64{1})
-
-	j := m.jobs[l.JobID]
-	m.mu.Lock()
-	recs := j.history.Records()
-	mapsDone := j.mapsDone
-	m.mu.Unlock()
-	if mapsDone != 1 {
-		t.Fatalf("mapsDone = %d after fenced stale report + accepted report, want 1", mapsDone)
+	mapDone(t, m, l, 0, []int64{1}, mapreduce.CounterDump{}) // stale: fenced
+	mapDone(t, m, l2, 1, []int64{1}, mapreduce.CounterDump{})
+	r := lease(t, m, 1)
+	if r.Kind != LeaseReduce || len(r.Sources) != 1 || r.Sources[0].WorkerID != 1 {
+		t.Fatalf("reduce lease = %+v, want one source held by worker 1 (the accepted report's)", r)
 	}
-	if len(recs) != 2 || !recs[0].Killed || !strings.Contains(recs[0].Err, "lease expired") {
-		t.Fatalf("history = %+v, want killed attempt 1 then success", recs)
+	reduceDone(t, m, r, 1, ReduceDoneArgs{FetchFailedWorker: -1})
+	o := await(t, out)
+	if o.err != nil {
+		t.Fatal(o.err)
 	}
-	if recs[1].Err != "" || recs[1].Killed || recs[1].Attempt != 2 {
-		t.Fatalf("second record = %+v, want clean attempt 2", recs[1])
+	recs := o.res.History.Records()
+	if len(recs) != 3 || !recs[0].Killed || !strings.Contains(recs[0].Err, "lease expired") || recs[0].Node != "worker-0" {
+		t.Fatalf("history = %+v, want map attempt 1 killed by expiry on worker-0", recs)
 	}
-	if got := j.counters.Get(mapreduce.CounterTaskFailures); got != 0 {
+	if got := o.res.Counters.Get(mapreduce.CounterTaskFailures); got != 0 {
 		t.Fatalf("CounterTaskFailures = %d, expiry must not count as failure", got)
 	}
-	expired := int64(0)
-	for _, c := range tr.Metrics().Snapshot().Counters {
-		if c.Name == "rpc.lease.expired" {
-			expired = c.Value
-		}
-	}
-	if expired != 1 {
-		t.Fatalf("rpc.lease.expired = %d, want 1", expired)
+	if got := counter(tr, "rpc.lease.expired"); got != 1 {
+		t.Fatalf("rpc.lease.expired = %d, want 1", got)
 	}
 }
 
+// TestTaskFailureBudget: task errors travel in the reports and are charged;
+// MaxAttempts of them fail the job, with every attempt on record.
 func TestTaskFailureBudget(t *testing.T) {
-	m := newTestMaster(t, 1, nil)
-	j := addTestJob(m, 1, 1, 2) // two strikes
-
+	m := newTestMaster(t, Config{Workers: 1})
+	out := startJobWithBudget(context.Background(), m, 1, 1, 2) // two strikes
 	for attempt := 1; attempt <= 2; attempt++ {
 		l := lease(t, m, 0)
 		if l.Attempt != attempt {
 			t.Fatalf("lease attempt = %d, want %d", l.Attempt, attempt)
 		}
 		err := m.MapDone(&MapDoneArgs{
-			WorkerID: 0, JobID: l.JobID, TaskID: l.TaskID, Attempt: l.Attempt,
-			Err: "synthetic task error",
+			WorkerID: 0, JobID: l.JobID, TaskID: l.TaskID, Attempt: l.Attempt, Err: "synthetic task error",
 		}, &Empty{})
 		if err != nil {
 			t.Fatalf("MapDone: %v", err)
 		}
 	}
-	select {
-	case <-j.done:
-	default:
-		t.Fatal("job not failed after exhausting MaxAttempts")
+	o := await(t, out)
+	if o.err == nil || !strings.Contains(o.err.Error(), "failed after 2 attempts: synthetic task error") {
+		t.Fatalf("job error = %v, want MaxAttempts failure", o.err)
 	}
-	if j.err == nil || !strings.Contains(j.err.Error(), "failed 2 times") {
-		t.Fatalf("job error = %v, want MaxAttempts failure", j.err)
-	}
-	if got := j.counters.Get(mapreduce.CounterTaskFailures); got != 2 {
+	if got := o.res.Counters.Get(mapreduce.CounterTaskFailures); got != 2 {
 		t.Fatalf("CounterTaskFailures = %d, want 2", got)
 	}
-	if failed := j.history.Failed(); len(failed) != 2 {
+	if failed := o.res.History.Failed(); len(failed) != 2 {
 		t.Fatalf("history.Failed() = %d records, want 2", len(failed))
 	}
 }
 
-func TestWorkerDeathRegressesDoneMaps(t *testing.T) {
+// TestAllWorkersDeadFailsJobs: the liveness clock is the master's too.
+// Workers that stop heartbeating are declared dead by the janitor, told to
+// exit if they ever call again, and with none left the job fails.
+func TestAllWorkersDeadFailsJobs(t *testing.T) {
 	tr := obs.New()
-	m := newTestMaster(t, 2, tr)
-	j := addTestJob(m, 2, 1, 3)
-
-	l0 := lease(t, m, 0)
-	l1 := lease(t, m, 1)
-	mapDone(t, m, l0, 0, []int64{2})
-	mapDone(t, m, l1, 1, []int64{2})
-	r := lease(t, m, 1)
-	if r.Kind != LeaseReduce || len(r.Sources) != 2 {
-		t.Fatalf("reduce lease = %+v, want 2 sources", r)
+	m := newTestMaster(t, Config{
+		Workers: 1, Trace: tr,
+		LeaseTimeout: time.Hour, HeartbeatInterval: 10 * time.Millisecond, HeartbeatTimeout: 30 * time.Millisecond,
+	})
+	out := startJob(context.Background(), m, 1, 1)
+	lease(t, m, 0)
+	o := await(t, out)
+	if o.err == nil || !strings.Contains(o.err.Error(), "all workers dead") {
+		t.Fatalf("job error = %v, want 'all workers dead'", o.err)
 	}
-
-	// Worker 0 dies: its done map regresses, worker 1's reduce lease (which
-	// depends on worker 0's segment) is requeued by the fetch-failure path
-	// below — here the death alone must already regress the map.
-	m.mu.Lock()
-	m.markWorkerDead(0, "unit test")
-	mapsDone := j.mapsDone
-	m.mu.Unlock()
-	if mapsDone != 1 {
-		t.Fatalf("mapsDone = %d after output holder died, want 1", mapsDone)
+	if got := o.res.Counters.Get(mapreduce.CounterNodeFailures); got != 1 {
+		t.Errorf("CounterNodeFailures = %d, want 1", got)
 	}
-	if got := j.counters.Get(mapreduce.CounterNodeFailures); got != 1 {
-		t.Fatalf("CounterNodeFailures = %d, want 1", got)
+	if got := counter(tr, "rpc.worker.deaths"); got != 1 {
+		t.Errorf("rpc.worker.deaths = %d, want 1", got)
 	}
-
-	// Dead workers lease nothing; the survivor re-runs the lost map.
-	if l := lease(t, m, 0); l.Kind != LeaseExit {
-		t.Fatalf("dead worker lease = %q, want exit", l.Kind)
+	if l := leaseOnce(t, m, 0); l.Kind != LeaseExit {
+		t.Errorf("dead worker lease = %q, want exit", l.Kind)
 	}
-	l0b := lease(t, m, 1)
-	if l0b.Kind != LeaseMap || l0b.TaskID != l0.TaskID || l0b.Attempt != 2 {
-		t.Fatalf("regressed map re-lease = %+v, want task %d attempt 2", l0b, l0.TaskID)
-	}
-
-	deaths := int64(0)
-	for _, c := range tr.Metrics().Snapshot().Counters {
-		if c.Name == "rpc.worker.deaths" {
-			deaths = c.Value
-		}
-	}
-	if deaths != 1 {
-		t.Fatalf("rpc.worker.deaths = %d, want 1", deaths)
-	}
-
-	// Idempotent: declaring the same worker dead twice changes nothing.
-	m.mu.Lock()
-	m.markWorkerDead(0, "again")
-	m.mu.Unlock()
-	if got := j.counters.Get(mapreduce.CounterNodeFailures); got != 1 {
-		t.Fatalf("CounterNodeFailures after duplicate death = %d, want 1", got)
+	var hb HeartbeatReply
+	if err := m.Heartbeat(&HeartbeatArgs{WorkerID: 0}, &hb); err != nil || !hb.Exit {
+		t.Errorf("dead worker heartbeat = %+v, %v; want Exit", hb, err)
 	}
 }
 
+// TestReduceFetchFailureKillsServingWorker: a reducer that cannot reach a
+// peer mid-shuffle reports evidence of the peer's death. The master acts on
+// it at once — no heartbeat timeout involved — and hands the attempt to the
+// engine as killed, not failed.
 func TestReduceFetchFailureKillsServingWorker(t *testing.T) {
-	m := newTestMaster(t, 2, nil)
-	j := addTestJob(m, 1, 1, 3)
+	tr := obs.New()
+	m := newTestMaster(t, Config{Workers: 2, Trace: tr})
+	out := startJob(context.Background(), m, 1, 1)
 
-	lm := lease(t, m, 0)
-	mapDone(t, m, lm, 0, []int64{2})
+	mapDone(t, m, lease(t, m, 0), 0, []int64{2}, mapreduce.CounterDump{})
 	r := lease(t, m, 1)
 	if r.Kind != LeaseReduce {
 		t.Fatalf("lease = %+v, want reduce", r)
 	}
-	// Worker 1 cannot reach worker 0 mid-shuffle: the report is evidence of
-	// worker 0's death, the reduce attempt is killed (not failed), and the
-	// lost map regresses immediately — no heartbeat timeout involved.
-	err := m.ReduceDone(&ReduceDoneArgs{
-		WorkerID: 1, JobID: r.JobID, TaskID: r.TaskID, Attempt: r.Attempt,
-		Err: "fetch map 0 from worker-0: connection refused", FetchFailedWorker: 0,
-	}, &Empty{})
-	if err != nil {
-		t.Fatalf("ReduceDone: %v", err)
-	}
+	reduceDone(t, m, r, 1, ReduceDoneArgs{Err: "fetch map 0 from worker-0: connection refused", FetchFailedWorker: 0})
 	m.mu.Lock()
 	alive := m.workers[0].alive
-	mapsDone := j.mapsDone
+	m.markWorkerDead(0, "again") // idempotent
 	m.mu.Unlock()
 	if alive {
 		t.Fatal("worker 0 still alive after fetch-failure evidence")
 	}
-	if mapsDone != 0 {
-		t.Fatalf("mapsDone = %d, want 0 (lost output regressed)", mapsDone)
+	if got := counter(tr, "rpc.worker.deaths"); got != 1 {
+		t.Errorf("rpc.worker.deaths = %d, want 1", got)
 	}
-	if got := j.counters.Get(mapreduce.CounterTaskFailures); got != 0 {
-		t.Fatalf("CounterTaskFailures = %d, fetch failure must not charge the budget", got)
-	}
-	killed := 0
-	for _, rec := range j.history.Records() {
-		if rec.Killed && rec.Phase == mapreduce.PhaseReduce {
-			killed++
-		}
-	}
-	if killed != 1 {
-		t.Fatalf("killed reduce records = %d, want 1", killed)
-	}
-}
 
-func TestAllWorkersDeadFailsJobs(t *testing.T) {
-	m := newTestMaster(t, 1, nil)
-	j := addTestJob(m, 1, 1, 3)
-	lease(t, m, 0)
-	m.mu.Lock()
-	m.markWorkerDead(0, "unit test")
-	m.mu.Unlock()
-	select {
-	case <-j.done:
-	default:
-		t.Fatal("job not failed with no workers left")
+	// The lost map comes back to the survivor before the reduce does.
+	lm := lease(t, m, 1)
+	if lm.Kind != LeaseMap || lm.Attempt != 2 {
+		t.Fatalf("lease after the holder died = %+v, want map attempt 2", lm)
 	}
-	if j.err == nil || !strings.Contains(j.err.Error(), "all workers dead") {
-		t.Fatalf("job error = %v, want 'all workers dead'", j.err)
+	mapDone(t, m, lm, 1, []int64{2}, mapreduce.CounterDump{})
+	r2 := lease(t, m, 1)
+	if r2.Kind != LeaseReduce || r2.Attempt != 2 || len(r2.Sources) != 1 || r2.Sources[0].WorkerID != 1 {
+		t.Fatalf("re-leased reduce = %+v, want attempt 2 fetching from worker 1", r2)
 	}
+	reduceDone(t, m, r2, 1, ReduceDoneArgs{FetchFailedWorker: -1})
+	o := await(t, out)
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if got := o.res.Counters.Get(mapreduce.CounterTaskFailures); got != 0 {
+		t.Errorf("CounterTaskFailures = %d, fetch failure must not charge the budget", got)
+	}
+	if got := o.res.Counters.Get(mapreduce.CounterNodeFailures); got != 1 {
+		t.Errorf("CounterNodeFailures = %d, want 1 (the duplicate death is a no-op)", got)
+	}
+	checkAttemptInvariants(t, o.res)
 }
 
 func TestHeartbeatControlPlane(t *testing.T) {
-	m := newTestMaster(t, 1, nil)
+	m := newTestMaster(t, Config{Workers: 1})
 
 	var hb HeartbeatReply
 	if err := m.Heartbeat(&HeartbeatArgs{WorkerID: 7}, &hb); err == nil {
 		t.Error("heartbeat from unknown worker: want error")
+	}
+	if err := m.Lease(&LeaseArgs{WorkerID: 7}, &LeaseReply{}); err == nil {
+		t.Error("lease to unknown worker: want error")
 	}
 	if err := m.Heartbeat(&HeartbeatArgs{WorkerID: 0, PrevRTTNs: 1234}, &hb); err != nil || hb.Exit {
 		t.Fatalf("heartbeat = %+v, %v; want no exit", hb, err)
 	}
 
 	// A finished job's id rides the next heartbeat as a drop notice, once.
-	j := addTestJob(m, 1, 1, 3)
-	m.mu.Lock()
-	m.failJob(j, nil)
-	m.mu.Unlock()
+	ctx, cancel := context.WithCancel(context.Background())
+	out := startJob(ctx, m, 1, 1)
+	l := lease(t, m, 0)
+	cancel()
+	if o := await(t, out); o.res == nil || o.err == nil {
+		t.Fatalf("cancelled job = %+v, want the context's error and a partial result", o)
+	}
 	if err := m.Heartbeat(&HeartbeatArgs{WorkerID: 0}, &hb); err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.DropJobs) != 1 || hb.DropJobs[0] != j.id {
-		t.Fatalf("DropJobs = %v, want [%d]", hb.DropJobs, j.id)
+	if len(hb.DropJobs) != 1 || hb.DropJobs[0] != l.JobID {
+		t.Fatalf("DropJobs = %v, want [%d]", hb.DropJobs, l.JobID)
 	}
 	if err := m.Heartbeat(&HeartbeatArgs{WorkerID: 0}, &hb); err != nil || len(hb.DropJobs) != 0 {
 		t.Fatalf("second heartbeat DropJobs = %v, want empty", hb.DropJobs)
@@ -380,55 +397,57 @@ func TestHeartbeatControlPlane(t *testing.T) {
 	if err := m.Heartbeat(&HeartbeatArgs{WorkerID: 0}, &hb); err != nil || !hb.Exit {
 		t.Fatalf("heartbeat after shutdown = %+v, want Exit", hb)
 	}
-	if l := lease(t, m, 0); l.Kind != LeaseExit {
+	if l := leaseOnce(t, m, 0); l.Kind != LeaseExit {
 		t.Fatalf("lease after shutdown = %q, want exit", l.Kind)
 	}
 }
 
+// TestStaleReportsAreDropped: reports that answer no current lease — unknown
+// job, task or worker, wrong attempt, a job already resolved — change nothing.
 func TestStaleReportsAreDropped(t *testing.T) {
-	m := newTestMaster(t, 1, nil)
-	j := addTestJob(m, 1, 1, 3)
+	m := newTestMaster(t, Config{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	out := startJob(ctx, m, 1, 1)
 	l := lease(t, m, 0)
-
-	// Unknown job, out-of-range task, wrong attempt: all silently dropped.
-	if err := m.MapDone(&MapDoneArgs{WorkerID: 0, JobID: 999, TaskID: 0, Attempt: 1}, &Empty{}); err != nil {
-		t.Fatal(err)
+	stale := func(mutate func(*LeaseReply), worker int) {
+		bad := *l
+		mutate(&bad)
+		mapDone(t, m, &bad, worker, []int64{1}, mapreduce.CounterDump{})
+		reduceDone(t, m, &bad, worker, ReduceDoneArgs{FetchFailedWorker: -1})
 	}
-	if err := m.MapDone(&MapDoneArgs{WorkerID: 0, JobID: l.JobID, TaskID: 99, Attempt: 1}, &Empty{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.MapDone(&MapDoneArgs{WorkerID: 0, JobID: l.JobID, TaskID: 0, Attempt: 7}, &Empty{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ReduceDone(&ReduceDoneArgs{WorkerID: 0, JobID: 999, TaskID: 0, Attempt: 1, FetchFailedWorker: -1}, &Empty{}); err != nil {
-		t.Fatal(err)
-	}
-	m.mu.Lock()
-	mapsDone, recs := j.mapsDone, len(j.history.Records())
-	m.mu.Unlock()
-	if mapsDone != 0 || recs != 0 {
-		t.Fatalf("stale reports mutated state: mapsDone=%d, records=%d", mapsDone, recs)
+	stale(func(b *LeaseReply) { b.JobID = 999 }, 0)
+	stale(func(b *LeaseReply) { b.TaskID = 99 }, 0)
+	stale(func(b *LeaseReply) { b.TaskID = -1 }, 0)
+	stale(func(b *LeaseReply) { b.Attempt = 7 }, 0)
+	stale(func(*LeaseReply) {}, 7)
+	if l2 := leaseOnce(t, m, 0); l2.Kind != LeaseNone {
+		t.Fatalf("stale reports freed or finished the task: leased %+v", l2)
 	}
 
-	// Cancelled jobs drop late reports too.
-	m.cancelJob(j, context.Canceled)
-	if err := m.MapDone(&MapDoneArgs{WorkerID: 0, JobID: l.JobID, TaskID: 0, Attempt: l.Attempt, Bytes: []int64{1}, Checksums: []uint64{1}}, &Empty{}); err != nil {
-		t.Fatal(err)
+	// A cancelled job drops its late reports too, and is forgotten.
+	cancel()
+	o := await(t, out)
+	if got := len(o.res.History.Records()); got != 1 || !o.res.History.Records()[0].Killed {
+		t.Fatalf("history = %+v, want only the lease killed at cancellation", o.res.History.Records())
 	}
-	m.dropJob(j)
+	mapDone(t, m, l, 0, []int64{1}, mapreduce.CounterDump{})
 	if err := m.JobInfo(&JobInfoArgs{JobID: l.JobID}, &JobInfoReply{}); err == nil {
-		t.Error("JobInfo for dropped job: want error")
+		t.Error("JobInfo for a resolved job: want error")
 	}
 }
 
 func TestJobInfo(t *testing.T) {
-	m := newTestMaster(t, 1, nil)
-	addTestJob(m, 2, 3, 3)
+	m := newTestMaster(t, Config{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	out := startJob(ctx, m, 2, 3)
+	l := lease(t, m, 0)
 	var info JobInfoReply
-	if err := m.JobInfo(&JobInfoArgs{JobID: 1}, &info); err != nil {
+	if err := m.JobInfo(&JobInfoArgs{JobID: l.JobID}, &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.Name != "unit" || info.Kind != testSumKind || info.NumMappers != 2 || info.NumReducers != 3 {
+	if info.Name != "unit" || info.Kind != testSumKind || info.NumMappers != 2 || info.NumReducers != 3 || len(info.Spec) == 0 {
 		t.Fatalf("JobInfo = %+v", info)
 	}
+	cancel()
+	await(t, out)
 }

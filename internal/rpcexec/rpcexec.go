@@ -1,7 +1,6 @@
 package rpcexec
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -93,12 +92,18 @@ func (c *Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// ProcExecutor is the multi-process mapreduce.Executor: worker OS
-// processes driven by an in-driver master over net/rpc. Workers are
-// spawned once at New and serve every job until Close; dead workers are
-// not respawned (capacity degrades, correctness does not — the lease
-// machinery re-executes their tasks elsewhere).
+// ProcExecutor is the multi-process mapreduce.Executor: a leased Engine
+// whose fleet is worker OS processes, served by an in-driver master over
+// net/rpc. Running a job is the embedded Engine's business — a job must
+// carry a registered Kind (mapreduce.RegisterKind), as its closures never
+// cross the process boundary, and cancelling one abandons it: in-flight
+// worker attempts finish and are fenced off. This type owns the processes.
+// Workers are spawned once at New and serve every job until Close; dead
+// workers are not respawned (capacity degrades, correctness does not —
+// their tasks re-execute elsewhere). Of the Engine's fields only
+// FaultInjector applies: Faults, Spill and Sim configure in-process runs.
 type ProcExecutor struct {
+	*mapreduce.Engine
 	cfg    Config
 	m      *master
 	procs  []*exec.Cmd
@@ -119,7 +124,7 @@ func New(cfg Config) (*ProcExecutor, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &ProcExecutor{cfg: cfg, m: m}
+	p := &ProcExecutor{Engine: m.eng, cfg: cfg, m: m}
 	for i := 0; i < cfg.Workers; i++ {
 		if err := p.spawn(i); err != nil {
 			p.Close()
@@ -171,17 +176,6 @@ func (p *ProcExecutor) spawn(i int) error {
 	return nil
 }
 
-// TotalSlots implements mapreduce.Executor: each worker runs one task at a
-// time.
-func (p *ProcExecutor) TotalSlots() int { return p.cfg.Workers }
-
-// NumNodes implements mapreduce.Executor: every worker process is its own
-// failure domain.
-func (p *ProcExecutor) NumNodes() int { return p.cfg.Workers }
-
-// WallTracer implements mapreduce.Executor.
-func (p *ProcExecutor) WallTracer() *obs.Tracer { return p.cfg.Trace }
-
 // WorkerPIDs returns the spawned workers' process ids, in spawn order;
 // tests use it for process-table assertions.
 func (p *ProcExecutor) WorkerPIDs() []int {
@@ -190,71 +184,6 @@ func (p *ProcExecutor) WorkerPIDs() []int {
 		pids[i] = c.Process.Pid
 	}
 	return pids
-}
-
-// RunContext implements mapreduce.Executor. The job must carry a
-// registered Kind (see mapreduce.RegisterKind); its closures never cross
-// the process boundary. Cancelling ctx abandons the job: in-flight worker
-// attempts finish and are dropped by the master's fencing, and the worker
-// processes live on to serve the next job (Close tears them down).
-func (p *ProcExecutor) RunContext(ctx context.Context, job *mapreduce.Job) (*mapreduce.Result, error) {
-	if job.Kind == "" {
-		return nil, fmt.Errorf("rpcexec: job %q has no Kind: the process executor needs a registered job kind to reconstruct its functions worker-side", job.Name)
-	}
-	if !mapreduce.KindRegistered(job.Kind) {
-		return nil, fmt.Errorf("rpcexec: job %q: kind %q is not registered in this binary", job.Name, job.Kind)
-	}
-	if job.NewMapper == nil || job.NewReducer == nil {
-		return nil, fmt.Errorf("rpcexec: job %q is missing a mapper or reducer", job.Name)
-	}
-	splits, err := mapreduce.SplitPayloads(job, p.TotalSlots())
-	if err != nil {
-		return nil, err
-	}
-	numReducers := job.NumReducers
-	if numReducers < 1 {
-		numReducers = 1
-	}
-	maxAttempts := job.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 3
-	}
-	j := p.m.addJob(job, splits, numReducers, maxAttempts)
-	select {
-	case <-ctx.Done():
-		p.m.cancelJob(j, ctx.Err())
-		<-j.done
-		p.m.dropJob(j)
-		return nil, fmt.Errorf("mapreduce: job %q: %w", job.Name, ctx.Err())
-	case <-j.done:
-	}
-	defer p.m.dropJob(j)
-	return p.assemble(j, job.Name)
-}
-
-// assemble turns a finished jobState into a Result, mirroring the
-// in-process engine's contract: output ordered by reduce task then
-// emission order, counters from accepted attempts only, full attempt
-// History — and on error a partial Result carrying History and counters.
-func (p *ProcExecutor) assemble(j *jobState, name string) (*mapreduce.Result, error) {
-	p.m.mu.Lock()
-	defer p.m.mu.Unlock()
-	res := &mapreduce.Result{Counters: j.counters, History: j.history}
-	if !j.mapEnd.IsZero() {
-		res.MapTime = j.mapEnd.Sub(j.start)
-		res.ReduceTime = time.Since(j.mapEnd)
-	}
-	if j.err != nil {
-		return res, fmt.Errorf("mapreduce: job %q: %w", name, j.err)
-	}
-	for r := range j.reduces {
-		recs, err := mapreduce.DecodeRecords(j.reduces[r].output)
-		if err != nil {
-			return res, fmt.Errorf("mapreduce: job %q: decoding reduce %d output: %w", name, r, err)
-		}
-		res.Output = append(res.Output, recs...)
-	}
-	return res, nil
 }
 
 // Close shuts the executor down: workers are asked to exit via their next

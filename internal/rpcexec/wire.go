@@ -1,13 +1,11 @@
-// Package rpcexec is the multi-process execution backend: a master inside
-// the driver process serves net/rpc on loopback, and workers are real OS
-// processes (the same binary re-exec'd through WorkerMain) that register,
-// heartbeat, pull task leases, execute map/reduce attempts via the
-// mapreduce kind registry, and serve their map output to peer workers for
-// the shuffle. The in-process engine stays the default backend; this one
-// makes the PR 2 recovery semantics — task lease with timeout,
-// re-execution on worker death, checksummed shuffle fetch with refetch —
-// real across process boundaries. See DESIGN.md §12 for the wire protocol
-// and the determinism argument.
+// Package rpcexec is the multi-process execution backend: the fleet of a
+// leased mapreduce.Engine. A master inside the driver process serves net/rpc
+// on loopback, and workers are real OS processes (the same binary re-exec'd
+// through WorkerMain) that register, heartbeat, pull task leases, execute
+// map/reduce attempts via the mapreduce kind registry, and serve their map
+// output to peer workers for the shuffle. Jobs, attempts and their recovery
+// are the engine's; transport, liveness and the data plane are this
+// package's. See DESIGN.md §12.
 package rpcexec
 
 import (

@@ -58,6 +58,19 @@ func startInprocWorkers(t *testing.T, m *master, n int) {
 	})
 }
 
+// inprocExec is a ProcExecutor over n in-process-hosted workers: the real
+// master, engine and worker bodies, minus the process boundary.
+func inprocExec(t *testing.T, n int) *ProcExecutor {
+	t.Helper()
+	cfg := inprocConfig(n)
+	m, err := newMaster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	startInprocWorkers(t, m, n)
+	return &ProcExecutor{Engine: m.eng, cfg: cfg, m: m}
+}
+
 func inprocConfig(workers int) Config {
 	cfg, err := (&Config{
 		Workers:           workers,
@@ -76,13 +89,7 @@ func inprocConfig(workers int) Config {
 // heartbeat, lease loop, map execution, local and peer shuffle fetches,
 // reduce execution, job-drop eviction, clean exit — in-process.
 func TestInprocessWorkersEndToEnd(t *testing.T) {
-	cfg := inprocConfig(2)
-	m, err := newMaster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startInprocWorkers(t, m, 2)
-	pe := &ProcExecutor{cfg: cfg, m: m}
+	pe := inprocExec(t, 2)
 
 	const keys, records, mappers, reducers = 6, 90, 4, 3
 	// The 10ms task sleeps spread maps over both workers, so reduces mix
@@ -99,7 +106,7 @@ func TestInprocessWorkersEndToEnd(t *testing.T) {
 	// A second job covers the cached-peer-connection path and the job-info
 	// cache across jobs; the pause in between lets the finished first job's
 	// drop notice ride a heartbeat and exercise segment eviction.
-	time.Sleep(3 * cfg.HeartbeatInterval)
+	time.Sleep(3 * pe.cfg.HeartbeatInterval)
 	res, err = pe.RunContext(context.Background(), sumJob("inproc-2", 4, 64, 3, 2, 5, 5))
 	if err != nil {
 		t.Fatalf("second RunContext: %v", err)
@@ -129,7 +136,7 @@ func TestInprocessWorkerTrace(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	pe := &ProcExecutor{cfg: cfg, m: m}
+	pe := &ProcExecutor{Engine: m.eng, cfg: cfg, m: m}
 	if _, err := pe.RunContext(context.Background(), sumJob("traced-worker", 3, 30, 2, 2, 0, 0)); err != nil {
 		t.Fatalf("RunContext: %v", err)
 	}

@@ -22,9 +22,9 @@ var ErrOverloaded = mapreduce.ErrQueueFull
 type ServiceConfig struct {
 	// Executor, when non-nil, runs every query instead of a fresh
 	// in-process simulated cluster — e.g. rpcexec's multi-process backend.
-	// Nodes, SlotsPerNode, MaxInFlight and MaxQueue are then ignored
-	// (admission control is an in-process-engine feature), and the Service
-	// takes ownership: Close shuts the executor down.
+	// Nodes and SlotsPerNode are then ignored (the executor has its own
+	// shape), and the Service takes ownership: it installs its admission
+	// bounds on the executor and Close shuts it down.
 	Executor mapreduce.Executor
 	// Nodes is the simulated cluster size (default 8).
 	Nodes int
@@ -74,7 +74,7 @@ type ServiceConfig struct {
 // All methods are safe for concurrent use.
 type Service struct {
 	exec    mapreduce.Executor
-	eng     *mapreduce.Engine // nil when an external Executor was supplied
+	cluster *cluster.Cluster // the simulated cluster; nil when an external Executor was supplied
 	trace   *obs.Tracer
 	timeout time.Duration
 	walCfg  ServiceConfig // only the WAL* fields are read back
@@ -111,20 +111,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.WALSyncInterval < 0 {
 		return nil, fmt.Errorf("mrskyline: WALSyncInterval must be ≥ 0, got %v", cfg.WALSyncInterval)
 	}
-	if cfg.Executor != nil {
-		return &Service{exec: cfg.Executor, trace: cfg.Executor.WallTracer(), timeout: cfg.QueryTimeout, walCfg: cfg}, nil
-	}
-	nodes := cfg.Nodes
-	if nodes == 0 {
-		nodes = 8
-	}
-	slots := cfg.SlotsPerNode
-	if slots == 0 {
-		slots = 2
-	}
-	if nodes < 0 || slots < 0 {
-		return nil, fmt.Errorf("mrskyline: negative cluster shape %d nodes × %d slots", cfg.Nodes, cfg.SlotsPerNode)
-	}
 	maxInFlight := cfg.MaxInFlight
 	if maxInFlight == 0 {
 		maxInFlight = 4
@@ -139,9 +125,33 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	case maxQueue < 0:
 		maxQueue = 0
 	}
+	s := &Service{exec: cfg.Executor, timeout: cfg.QueryTimeout, walCfg: cfg}
+	if s.exec != nil {
+		s.trace = s.exec.WallTracer()
+	} else if err := s.newEngine(cfg); err != nil {
+		return nil, err
+	}
+	s.exec.SetAdmission(maxInFlight, maxQueue)
+	return s, nil
+}
+
+// newEngine gives the service its default executor: an in-process engine on
+// a fresh simulated cluster.
+func (s *Service) newEngine(cfg ServiceConfig) error {
+	nodes := cfg.Nodes
+	if nodes == 0 {
+		nodes = 8
+	}
+	slots := cfg.SlotsPerNode
+	if slots == 0 {
+		slots = 2
+	}
+	if nodes < 0 || slots < 0 {
+		return fmt.Errorf("mrskyline: negative cluster shape %d nodes × %d slots", cfg.Nodes, cfg.SlotsPerNode)
+	}
 	c, err := cluster.Uniform(nodes, slots)
 	if err != nil {
-		return nil, fmt.Errorf("mrskyline: %w", err)
+		return fmt.Errorf("mrskyline: %w", err)
 	}
 	eng := mapreduce.NewEngine(c)
 	if cfg.SpillBudget > 0 {
@@ -150,16 +160,16 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 			dir = os.TempDir()
 		}
 		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
-			return nil, fmt.Errorf("mrskyline: SpillDir %q is not a usable directory", dir)
+			return fmt.Errorf("mrskyline: SpillDir %q is not a usable directory", dir)
 		}
 		eng.Spill = &spill.Config{Dir: dir, Budget: cfg.SpillBudget, Stats: &spill.Stats{}}
 	}
 	// Metrics only: a Service never reads a span back, and a retained span
 	// log would grow with every task of every query for the daemon's life.
-	tr := obs.NewMetricsOnly()
-	eng.SetTrace(tr)
-	eng.SetAdmission(maxInFlight, maxQueue)
-	return &Service{exec: eng, eng: eng, trace: tr, timeout: cfg.QueryTimeout, walCfg: cfg}, nil
+	s.trace = obs.NewMetricsOnly()
+	eng.SetTrace(s.trace)
+	s.exec, s.cluster = eng, c
+	return nil
 }
 
 // Close releases the service's executor. With an external Executor that
@@ -272,7 +282,9 @@ type ServiceStats struct {
 	// admitted and jobs waiting in the FIFO queue.
 	InFlight int `json:"in_flight"`
 	Queued   int `json:"queued"`
-	// BusySlots and TotalSlots report the simulated cluster's task slots.
+	// BusySlots and TotalSlots report the executor's task slots. Busy ones
+	// are counted on the simulated cluster only; an external executor's
+	// read 0.
 	BusySlots  int `json:"busy_slots"`
 	TotalSlots int `json:"total_slots"`
 	// Admitted, Rejected and Canceled are cumulative admission outcomes
@@ -282,14 +294,14 @@ type ServiceStats struct {
 	Canceled int64 `json:"canceled"`
 }
 
-// Stats returns the service's current load. With an external Executor the
-// admission and busy-slot figures stay zero: they are in-process-engine
-// telemetry.
+// Stats returns the service's current load. The cumulative admission
+// outcomes are read from the executor's tracer and stay zero when an
+// external Executor carries none.
 func (s *Service) Stats() ServiceStats {
 	st := ServiceStats{TotalSlots: s.exec.TotalSlots()}
-	if s.eng != nil {
-		st.InFlight, st.Queued = s.eng.AdmissionStats()
-		st.BusySlots = s.eng.Cluster().BusySlots()
+	st.InFlight, st.Queued = s.exec.AdmissionStats()
+	if s.cluster != nil {
+		st.BusySlots = s.cluster.BusySlots()
 	}
 	// Direct counter lookups: Stats sits on skylined's polling path, and a
 	// full Snapshot would copy and sort every metric just to read three.
