@@ -111,7 +111,9 @@ func (c *Config) scratchDecoder(d int) func(mapreduce.Record) (tuple.Tuple, erro
 }
 
 // CSVRecordDecoder returns a DecodeRecord for comma-separated text records
-// of dimensionality d; blank and '#'-comment lines are skipped.
+// of dimensionality d; blank and '#'-comment lines are skipped. A record
+// with a NaN or infinite field is an error: the number parser accepts both,
+// and every dominance kernel assumes finite inputs.
 func CSVRecordDecoder(d int) func(rec mapreduce.Record) (tuple.Tuple, error) {
 	return func(rec mapreduce.Record) (tuple.Tuple, error) {
 		t, err := datagen.ParseTupleLine(string(rec.Value))
@@ -123,6 +125,9 @@ func CSVRecordDecoder(d int) func(rec mapreduce.Record) (tuple.Tuple, error) {
 		}
 		if len(t) != d {
 			return nil, fmt.Errorf("core: CSV record has %d fields, want %d", len(t), d)
+		}
+		if !t.Valid() {
+			return nil, fmt.Errorf("core: CSV record %q has a non-finite field", rec.Value)
 		}
 		return t, nil
 	}

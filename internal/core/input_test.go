@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"strconv"
+	"strings"
 	"testing"
 
 	"mrskyline/internal/core"
@@ -114,5 +116,27 @@ func TestFromDFSBadRecordFails(t *testing.T) {
 	fsys.WriteFile("ragged.csv", []byte("0.1,0.2\n0.3,0.4,0.5\n"))
 	if _, _, err := core.GPSRSFromInput(cfg, mapreduce.DFSLineInput{FS: fsys, Path: "ragged.csv"}, 2, 2); err == nil {
 		t.Fatal("ragged record accepted")
+	}
+}
+
+// TestFromDFSNonFiniteRecordFails: strconv.ParseFloat reads "NaN" and
+// "+Inf" without complaint, and the kernels' contract is finite inputs, so
+// the decoder is where such a record has to stop the job — by name.
+func TestFromDFSNonFiniteRecordFails(t *testing.T) {
+	cfg := testConfig(t, 2, 1)
+	fsys, _ := dfs.New(dfs.Config{BlockSize: 64, Replication: 1, Nodes: cfg.Engine.(*mapreduce.Engine).Cluster().Nodes()})
+	cfg.DecodeRecord = core.CSVRecordDecoder(2)
+	cfg.PPD = 2
+	cfg.MaxAttempts = 1
+	for _, rec := range []string{"NaN,0.5", "0.5,+Inf", "-inf,0.5"} {
+		fsys.WriteFile("d.csv", []byte("0.1,0.2\n"+rec+"\n0.3,0.1\n"))
+		for name, run := range map[string]func(core.Config, mapreduce.Input, int, int) (tuple.List, *core.Stats, error){
+			"GPSRS": core.GPSRSFromInput, "GPMRS": core.GPMRSFromInput,
+		} {
+			_, _, err := run(cfg, mapreduce.DFSLineInput{FS: fsys, Path: "d.csv"}, 2, 3)
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(rec)) {
+				t.Errorf("%s over a file holding %q: error %v does not name the record", name, rec, err)
+			}
+		}
 	}
 }

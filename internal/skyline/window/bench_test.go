@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mrskyline/internal/datagen"
 	"mrskyline/internal/skyline"
 	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
@@ -32,7 +33,7 @@ func equalSumWindow(rng *rand.Rand, n, d int) tuple.List {
 	return out
 }
 
-var benchDims = []int{2, 4, 6, 8, 10}
+var benchDims = []int{2, 4, 5, 6, 8, 10}
 var benchWindows = []int{16, 64, 256, 1024, 4096}
 
 // BenchmarkInsertTuple measures one window insertion that scans the full
@@ -102,5 +103,83 @@ func BenchmarkDominance(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// ledgerPartition reproduces one partition of the batch-anti workload
+// (anticorrelated 40 000 × 5 at PPD 2, 16 mappers): the score-ordered local
+// skylines the mappers send for the cell whose coordinate is 1 on exactly
+// the dimensions of cell's set bits.
+func ledgerPartition(cell int, sc *window.Scratch) []tuple.List {
+	const n, d, mappers = 40000, 5, 16
+	runs := make([]tuple.List, mappers)
+	for i, t := range datagen.Generate(datagen.AntiCorrelated, n, d, 7) {
+		at := 0
+		for k, v := range t {
+			if v >= 0.5 {
+				at |= 1 << k
+			}
+		}
+		if at == cell {
+			runs[i*mappers/n] = append(runs[i*mappers/n], t)
+		}
+	}
+	for m, split := range runs {
+		w := window.New(d)
+		for _, t := range split {
+			w.Insert(t, nil)
+		}
+		w.Order(sc)
+		runs[m] = w.Rows()
+	}
+	return runs
+}
+
+// BenchmarkMergeRuns measures a reducer's merge of one of batch-anti's
+// larger partitions: 16 runs of 1 435 tuples in all, 643 kept.
+func BenchmarkMergeRuns(b *testing.B) {
+	var sc window.Scratch
+	runs := ledgerPartition(0b01010, &sc)
+	var c window.Count
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := window.MergeRuns(5, runs, &sc, &c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(c.DominanceTests)/float64(b.N), "tests/op")
+}
+
+// BenchmarkFilterOn measures Algorithm 5's inner operation on merged
+// partitions of the same workload: w filtered by a partition of its
+// anti-dominating region on the |E| dimensions where their cells coincide —
+// 584 by 643 tuples for |E| = 4, and for |E| = 2, where the grid leaves no
+// large pair, 215 by 238. Rebuilding w from its rows is part of every
+// iteration (FilterOn consumes it) and a few percent of one.
+func BenchmarkFilterOn(b *testing.B) {
+	var sc window.Scratch
+	for _, pair := range []struct {
+		w, by int
+		dims  []int
+	}{
+		{0b01111, 0b01000, []int{3, 4}},
+		{0b11010, 0b01010, []int{0, 1, 2, 3}},
+	} {
+		w, err := window.MergeRuns(5, ledgerPartition(pair.w, &sc), &sc, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		by, err := window.MergeRuns(5, ledgerPartition(pair.by, &sc), &sc, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := w.Rows()
+		b.Run(fmt.Sprintf("E=%d/w=%d/by=%d", len(pair.dims), len(rows), by.Len()), func(b *testing.B) {
+			var c window.Count
+			for i := 0; i < b.N; i++ {
+				window.FromList(5, rows).FilterOn(by, pair.dims, &sc, &c)
+			}
+			b.ReportMetric(float64(c.DominanceTests)/float64(b.N), "tests/op")
+		})
 	}
 }

@@ -2,22 +2,41 @@
 
 package window
 
-// hasAVX2 selects the assembly block kernel once at startup; the check
+// hasAVX2 selects the assembly scan kernels once at startup; the check
 // covers CPU support and OS-enabled YMM state.
 var hasAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 is implemented in masks_amd64.s.
 func cpuHasAVX2() bool
 
-// masksAVX2 is masks16 as four 4-lane VCMPPD per mask direction; it
-// assumes BlockSize == 16. Implemented in masks_amd64.s.
-func masksAVX2(col *[BlockSize]float64, tv float64) (less, greater uint32)
+// scanAVX2 is scanPortable with the block's candidate lanes held in four
+// YMM registers across the columns; it assumes BlockSize == 16.
+// Implemented in masks_amd64.s.
+//
+//go:noescape
+func scanAVX2(view [][]float64, tv []float64, first, end int) (block int, mask uint32)
 
-// masksBlock classifies one full block column, dispatching to the AVX2
-// kernel when available and the portable branch-lean masks16 otherwise.
-func masksBlock(col *[BlockSize]float64, tv float64) (less, greater uint32) {
+// insertScanAVX2 is insertScanPortable with both compare directions held in
+// YMM registers across the columns; it assumes BlockSize == 16. Implemented
+// in masks_amd64.s.
+//
+//go:noescape
+func insertScanAVX2(cols [][]float64, tv []float64, evicts []uint32, end int, lastMask uint32) (block int, dom, evicted uint32)
+
+// scanBlocks is the membership scan, on the AVX2 kernel when available and
+// the portable one otherwise.
+func scanBlocks(view [][]float64, tv []float64, first, end int) (block int, mask uint32) {
 	if hasAVX2 {
-		return masksAVX2(col, tv)
+		return scanAVX2(view, tv, first, end)
 	}
-	return masks16(col, tv)
+	return scanPortable(view, tv, first, end)
+}
+
+// insertScan is the insert scan, on the AVX2 kernel when available and the
+// portable one otherwise.
+func insertScan(cols [][]float64, tv []float64, evicts []uint32, end int, lastMask uint32) (block int, dom, evicted uint32) {
+	if hasAVX2 {
+		return insertScanAVX2(cols, tv, evicts, end, lastMask)
+	}
+	return insertScanPortable(cols, tv, evicts, end, lastMask)
 }

@@ -237,10 +237,11 @@ func MergeRuns(dim int, runs []tuple.List, sc *Scratch, c *Count) (*Window, erro
 		}
 	}
 	out := New(dim)
-	for k, col := range w.cols {
-		out.cols[k] = slices.Clone(col)
-	}
 	out.rows = slices.Clone(w.rows)
+	out.reserve(len(w.rows)) // whole blocks, padded behind the rows just set
+	for k, col := range w.cols {
+		out.cols[k] = append(out.cols[k], col...)
+	}
 	clear(w.rows) // hold no tuple beyond the call
 	return out, nil
 }
@@ -298,9 +299,8 @@ func (w *Window) FilterOn(by *Window, dims []int, sc *Scratch, c *Count) {
 		return
 	}
 	strict := len(dims) == w.dim
-	// n candidates in the view, of which the first real are tuples of by and
-	// the rest block padding.
-	view, n, real := sc.view[:0], by.Len(), by.Len()
+	// n candidates in the view: all of by, or those gather selected.
+	view, n := sc.view[:0], by.Len()
 	var sums, tsums []float64
 	if n <= smallWindow {
 		for _, k := range dims {
@@ -311,29 +311,45 @@ func (w *Window) FilterOn(by *Window, dims []int, sc *Scratch, c *Count) {
 		// sides compare bit for bit.
 		sc.vals = grow(sc.vals, len(w.rows))
 		tsums = sumColumns(sc.vals, w.cols, dims)
-		view, sums, real = sc.gather(by, dims, slices.Max(tsums))
+		view, sums = sc.gather(by, dims, slices.Max(tsums))
 		n = len(sums)
 	}
 	sc.view = view[:0]
 	sc.tv = grow(sc.tv, len(dims))
-	tv, out := sc.tv, 0
+	tv, out, end := sc.tv, 0, blocks(n)
 	for i, t := range w.rows {
 		for e, k := range dims {
 			tv[e] = t[k]
 		}
-		ts := 0.0
 		if sums != nil {
-			ts = tsums[i]
+			end = cutBlock(sums, tsums[i])
 		}
-		idx, pairs := firstDominator(view, n, sums, tv, ts, strict)
-		c.Add(int64(min(pairs, real)))
-		if idx >= 0 {
+		if idx := firstDominator(view, n, end, tv, strict); idx >= 0 {
+			c.Add(int64(idx + 1))
 			continue
 		}
+		c.Add(int64(min(end*BlockSize, n)))
 		w.move(out, i)
 		out++
 	}
 	w.truncate(out)
+}
+
+// cutBlock returns how many leading blocks of the ascending sums a scan for
+// a tuple summing to ts has to visit: those before the first block that
+// opens with a sum strictly above ts, because a candidate that is ≤ the
+// tuple on every column cannot sum higher. Ties are kept — rounding can make
+// the sums of a dominating pair equal.
+func cutBlock(sums []float64, ts float64) int {
+	lo, hi := 0, blocks(len(sums))
+	for lo < hi {
+		if mid := (lo + hi) / 2; sums[mid*BlockSize] > ts {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // sumColumns sets dst[i] = ((0 + cols[dims[0]][i]) + cols[dims[1]][i]) + ….
@@ -349,29 +365,24 @@ func sumColumns(dst []float64, cols [][]float64, dims []int) []float64 {
 
 // gather selects the tuples of by whose E-sum does not exceed maxT (no
 // other can be ≤ any t on dims), sorts them by E-sum and copies their
-// dims columns, in that order, into scratch. It returns the column view,
-// the candidates' E-sums and their number; view and sums are padded with
-// +Inf to a whole block so every block takes the full-block kernel, and a
-// padding lane never dominates.
-func (sc *Scratch) gather(by *Window, dims []int, maxT float64) (view [][]float64, sums []float64, real int) {
-	sc.sums = grow(sc.sums, len(by.rows)+BlockSize) // room for the padding
+// dims columns, in that order, into scratch. It returns the column view and
+// the candidates' E-sums; the view's columns are block-padded as a window's
+// are.
+func (sc *Scratch) gather(by *Window, dims []int, maxT float64) (view [][]float64, sums []float64) {
+	sc.sums = grow(sc.sums, len(by.rows))
 	keys := sc.keys[:0]
-	for i, s := range sumColumns(sc.sums[:len(by.rows)], by.cols, dims) {
+	for i, s := range sumColumns(sc.sums, by.cols, dims) {
 		if s <= maxT {
 			keys = append(keys, sortKey{sum: s, idx: int32(i)})
 		}
 	}
 	sc.keys = keys
 	sortKeys(keys)
-	real = len(keys)
-	padded, inf := (real+BlockSize-1)/BlockSize*BlockSize, math.Inf(1)
-	sums = sc.sums[:padded] // the keys hold what was read from it
-	for i := range sums {
-		sums[i] = inf
-		if i < real {
-			sums[i] = keys[i].sum
-		}
+	sums = sc.sums[:len(keys)] // the keys hold what was read from it
+	for i, k := range keys {
+		sums[i] = k.sum
 	}
+	padded, inf := blocks(len(keys))*BlockSize, math.Inf(1)
 	view = sc.view[:0]
 	for e, k := range dims {
 		if e == len(sc.cols) {
@@ -380,12 +391,12 @@ func (sc *Scratch) gather(by *Window, dims []int, maxT float64) (view [][]float6
 		col, src := grow(sc.cols[e], padded), by.cols[k]
 		for i := range col {
 			col[i] = inf
-			if i < real {
+			if i < len(keys) {
 				col[i] = src[keys[i].idx]
 			}
 		}
 		sc.cols[e] = col
-		view = append(view, col)
+		view = append(view, col[:len(keys)])
 	}
-	return view, sums, real
+	return view, sums
 }

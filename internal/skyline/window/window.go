@@ -19,6 +19,12 @@
 // index at which the scalar loop would have stopped. Differential tests
 // in this package fuzz that equivalence.
 //
+// The unit the kernel is called with is a scan, not a block: scanBlocks
+// (the membership check behind Dominated, FilterBy, MergeRuns and FilterOn)
+// and insertScan (Insert) each sweep a run of blocks in one call, in AVX2
+// assembly where the CPU has it and in portable Go otherwise. So that every
+// block is a whole one, a window's columns are block-padded (see Window).
+//
 // order.go adds what the grid algorithms of internal/core build on top:
 // windows sorted by a linear extension of dominance (Order, MergeRuns), so
 // sorted runs merge without evictions, and FilterOn, which restricts a
@@ -29,6 +35,7 @@ package window
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"mrskyline/internal/tuple"
@@ -61,6 +68,14 @@ func (c *Count) Add(n int64) {
 // original tuple handle (the algorithms emit tuples, so the row view is
 // kept alongside the columns). The zero Window is not usable; create
 // with New or FromList. A nil *Window is a valid empty read-only window.
+//
+// Columns are block-padded: every column has the same capacity, a whole
+// number of blocks, and the lanes from Len up to the next block boundary
+// hold +Inf, so a scan reads whole blocks only. Append, truncate and reserve
+// maintain that; everything else that changes a window goes through them or
+// permutes real lanes in place. The +Inf keeps a padding lane out of the
+// vector compares' way in the common case, but no result trusts it: a lane
+// at or past Len is excluded from every mask by its index.
 type Window struct {
 	dim  int
 	cols [][]float64
@@ -83,6 +98,7 @@ func New(dim int) *Window {
 // window references l's tuples but not the slice itself.
 func FromList(dim int, l tuple.List) *Window {
 	w := New(dim)
+	w.reserve(len(l))
 	for _, t := range l {
 		w.Append(t)
 	}
@@ -139,10 +155,7 @@ func (w *Window) Contains(t tuple.Tuple) bool {
 // delete-repair path of the incremental maintainer) avoid reallocating its
 // backing arrays each time.
 func (w *Window) Reset() {
-	for k := range w.cols {
-		w.cols[k] = w.cols[k][:0]
-	}
-	w.rows = w.rows[:0]
+	w.truncate(0)
 }
 
 // Append adds t to the window without any dominance checks. It is the
@@ -154,10 +167,50 @@ func (w *Window) Append(t tuple.Tuple) {
 	if len(t) != w.dim {
 		panic(fmt.Sprintf("window: tuple dimensionality %d does not match window d=%d", len(t), w.dim))
 	}
-	for k := 0; k < w.dim; k++ {
-		w.cols[k] = append(w.cols[k], t[k])
-	}
+	n := len(w.rows)
 	w.rows = append(w.rows, t)
+	if n == cap(w.cols[0]) {
+		w.reserve(cap(w.rows)) // the columns grow as append grew the rows
+	}
+	for k, col := range w.cols {
+		col = col[:n+1]
+		col[n] = t[k]
+		w.cols[k] = col
+	}
+	if n%BlockSize == 0 { // t opened a block
+		w.pad()
+	}
+}
+
+// blocks returns the number of blocks n lanes occupy.
+func blocks(n int) int { return (n + BlockSize - 1) / BlockSize }
+
+// reserve gives every column capacity for at least n lanes, rounded up to
+// whole blocks, in one backing array, keeping what the columns hold.
+func (w *Window) reserve(n int) {
+	c := blocks(n) * BlockSize
+	if c <= cap(w.cols[0]) {
+		return
+	}
+	buf := make([]float64, w.dim*c)
+	for k, col := range w.cols {
+		next := buf[k*c : k*c+len(col) : (k+1)*c]
+		copy(next, col)
+		w.cols[k] = next
+	}
+	w.pad()
+}
+
+// pad restores the padding invariant after the window's length or backing
+// changed: the lanes from Len to the next block boundary hold +Inf.
+func (w *Window) pad() {
+	n, inf := len(w.rows), math.Inf(1)
+	for _, col := range w.cols {
+		tail := col[n : blocks(n)*BlockSize]
+		for i := range tail {
+			tail[i] = inf
+		}
+	}
 }
 
 // b2u converts a comparison outcome to a mask bit. The compiler lowers
@@ -199,117 +252,109 @@ func masks16(col *[BlockSize]float64, tv float64) (less, greater uint32) {
 	return l0 | l1 | l2 | l3, g0 | g1 | g2 | g3
 }
 
-// classifyBlock classifies candidate t against the bn window tuples
-// starting at base, returning bitmasks over the block: bit i of better
-// (worse) is set when t is strictly better (worse) than tuple base+i on
-// at least one dimension. Once every pair in the block has both bits set
-// the remaining columns cannot change any classification and the sweep
-// stops early.
-func (w *Window) classifyBlock(t tuple.Tuple, base, bn int) (better, worse uint32) {
-	if bn == BlockSize {
-		for k := 0; k < w.dim; k++ {
-			l, g := masksBlock((*[BlockSize]float64)(w.cols[k][base:]), t[k])
+// block returns lanes [b·BlockSize, (b+1)·BlockSize) of a block-padded
+// column — slicing up to capacity, since the block may reach past its length
+// into the padding.
+func block(col []float64, b int) *[BlockSize]float64 {
+	return (*[BlockSize]float64)(col[b*BlockSize : (b+1)*BlockSize])
+}
+
+// scanPortable is the membership scan: over blocks [first, end) of the
+// column view it returns the first block holding a lane that tv never beats
+// — a candidate u with u ≤ tv on every column — and the mask of those lanes,
+// or (end, 0). Every column of view has end whole blocks of capacity. The
+// scan knows nothing of padding or strictness: the caller masks lanes by
+// index, decides u ≠ tv on the candidates, and resumes at block+1 when none
+// of them counts. A block's sweep stops as soon as tv is strictly better
+// than every lane on some column seen so far.
+func scanPortable(view [][]float64, tv []float64, first, end int) (int, uint32) {
+	tv = tv[:len(view)]
+	for b := first; b < end; b++ {
+		var better uint32
+		for e, col := range view {
+			l, _ := masks16(block(col, b), tv[e])
+			if better |= l; better == fullMask {
+				break
+			}
+		}
+		if better != fullMask {
+			return b, fullMask &^ better
+		}
+	}
+	return end, 0
+}
+
+// insertScanPortable is the insert scan: it classifies tv against blocks
+// [0, end) of cols in both directions, stores in evicts[b] the lanes of
+// block b that tv dominates (strictly better somewhere, worse nowhere) and
+// stops at the first block holding a lane that dominates tv, returning that
+// block and those lanes — (end, 0) if there is none — and the union of the
+// evict masks it stored. lastMask has a bit per real lane of block end-1 and
+// is applied to that block's masks, so a padding lane is neither evicted nor
+// a dominator whatever it holds. Once every lane of a block is both better
+// and worse the remaining columns cannot change any classification and the
+// block's sweep stops early.
+func insertScanPortable(cols [][]float64, tv []float64, evicts []uint32, end int, lastMask uint32) (blk int, dom, evicted uint32) {
+	tv, evicts = tv[:len(cols)], evicts[:end]
+	for b := range evicts {
+		var better, worse uint32
+		for k, col := range cols {
+			l, g := masks16(block(col, b), tv[k])
 			better |= l
 			worse |= g
 			if better&worse == fullMask {
 				break // every pair already incomparable
 			}
 		}
-		return better, worse
-	}
-	full := uint32(1)<<uint(bn) - 1
-	for k := 0; k < w.dim; k++ {
-		col := w.cols[k][base : base+bn : base+bn]
-		tv := t[k]
-		var bb, ww uint32
-		for i, v := range col {
-			bb |= b2u(tv < v) << uint(i)
-			ww |= b2u(tv > v) << uint(i)
+		if b == end-1 {
+			better &= lastMask
+			worse &= lastMask
 		}
-		better |= bb
-		worse |= ww
-		if better&worse == full {
-			break
+		ev := better &^ worse
+		evicts[b] = ev
+		evicted |= ev
+		if dom = worse &^ better; dom != 0 {
+			return b, dom, evicted
 		}
 	}
-	return better, worse
+	return end, 0, evicted
 }
 
-// firstDominator scans the n candidates of the column view cols for the
-// first that dominates tv, returning its index (-1 if none) and the number
-// of pairs the scan classified: every candidate up to and including the
-// dominator, as the scalar loop counts. cols is a column view of the
-// candidates — a window's own columns, or a selection of them — and tv the
+// firstDominator scans the first n lanes of the column view for the first
+// candidate that dominates tv, looking no further than block end, and
+// returns its index or -1. view is a column view of the candidates — a
+// window's own columns, or a selection of them — block-padded, and tv the
 // tested tuple's values on the same columns. A candidate dominates when it
 // is ≤ tv on every column and, if strict, < on at least one; non-strict is
 // the projected test of FilterOn, where the strict dimension is known to
 // lie outside the view.
 //
-// It is the membership-check variant of classifyBlock: it only needs the
-// lanes tv never beats, so a block's sweep additionally stops as soon as tv
-// is strictly better than every candidate of the block on some column seen
-// so far — none of them can dominate tv then.
-//
-// When sums is non-nil it holds the candidates' sums over the view's
-// columns in ascending order and ts is tv's: the scan ends at the first
-// block that opens with a sum strictly above ts, because a candidate that
-// is ≤ tv on every column cannot sum higher. Ties are tested — rounding can
-// make the sums of a dominating pair equal.
-func firstDominator(cols [][]float64, n int, sums []float64, tv []float64, ts float64, strict bool) (idx, pairs int) {
-	base, tv := 0, tv[:len(cols)]
-blocks:
-	for ; base+BlockSize <= n; base += BlockSize {
-		if sums != nil && sums[base] > ts {
-			return -1, base
-		}
-		var better, worse uint32
-		for e, col := range cols {
-			l, g := masksBlock((*[BlockSize]float64)(col[base:]), tv[e])
-			better |= l
-			worse |= g
-			if better == fullMask {
-				continue blocks // tv beats every candidate somewhere: no dominator here
-			}
-		}
-		if dom := dominators(better, worse, fullMask, strict); dom != 0 {
-			i := base + bits.TrailingZeros32(dom)
-			return i, i + 1
-		}
-	}
-	if base == n || sums != nil && sums[base] > ts {
-		return -1, base
-	}
-	// The partial last block, lane by lane.
-	var better, worse uint32
-	full := uint32(1)<<uint(n-base) - 1
-	for e, col := range cols {
-		v := tv[e]
-		var bb, ww uint32
-		for i, u := range col[base:n:n] {
-			bb |= b2u(v < u) << uint(i)
-			ww |= b2u(v > u) << uint(i)
-		}
-		better |= bb
-		worse |= ww
-		if better == full {
+// It is one scanBlocks call unless the scan stops on lanes that do not
+// count — padding, or under strict an equal duplicate of tv — which is
+// decided here, on the rare block that has a candidate at all.
+func firstDominator(view [][]float64, n, end int, tv []float64, strict bool) int {
+	tv = tv[:len(view)] // the assembly checks no bounds
+	for b := 0; b < end; b++ {
+		var mask uint32
+		if b, mask = scanBlocks(view, tv, b, end); mask == 0 {
 			break
 		}
+		if real := n - b*BlockSize; real < BlockSize {
+			mask &= 1<<uint(real) - 1
+		}
+		for ; mask != 0; mask &= mask - 1 {
+			i := b*BlockSize + bits.TrailingZeros32(mask)
+			if !strict {
+				return i
+			}
+			for e, col := range view {
+				if col[i] != tv[e] {
+					return i
+				}
+			}
+		}
 	}
-	if dom := dominators(better, worse, full, strict); dom != 0 {
-		i := base + bits.TrailingZeros32(dom)
-		return i, i + 1
-	}
-	return -1, n
-}
-
-// dominators turns a block's masks into the lanes that dominate the tested
-// tuple: never beaten by it and, if strict, beating it somewhere.
-func dominators(better, worse, full uint32, strict bool) uint32 {
-	dom := full &^ better
-	if strict {
-		dom &= worse
-	}
-	return dom
+	return -1
 }
 
 // Insert implements Algorithm 4 against the columnar window: t is
@@ -331,44 +376,23 @@ func (w *Window) Insert(t tuple.Tuple, c *Count) bool {
 		panic(fmt.Sprintf("window: tuple dimensionality %d does not match window d=%d", len(t), w.dim))
 	}
 	n := len(w.rows)
-	nBlocks := (n + BlockSize - 1) / BlockSize
-	if cap(w.evicts) < nBlocks {
-		w.evicts = make([]uint32, nBlocks)
+	nBlocks := blocks(n)
+	w.evicts = grow(w.evicts, nBlocks)
+	lastMask := fullMask >> uint(nBlocks*BlockSize-n)
+	blk, dom, evicted := insertScan(w.cols, t, w.evicts, nBlocks, lastMask)
+	if dom != 0 {
+		// A window tuple dominates t: the scalar loop stops at the first
+		// such tuple, having examined exactly the pairs before and
+		// including it.
+		c.Add(int64(blk*BlockSize + bits.TrailingZeros32(dom) + 1))
+		return false
 	}
-	evicts := w.evicts[:nBlocks]
-	anyEvict := false
-	pairs := int64(n)
-	inserted := true
-	for b := 0; b < nBlocks; b++ {
-		base := b * BlockSize
-		bn := n - base
-		if bn > BlockSize {
-			bn = BlockSize
-		}
-		better, worse := w.classifyBlock(t, base, bn)
-		if dom := worse &^ better; dom != 0 {
-			// A window tuple dominates t: the scalar loop stops at the
-			// first such tuple, having examined exactly the pairs before
-			// and including it.
-			pairs = int64(base + bits.TrailingZeros32(dom) + 1)
-			inserted = false
-			break
-		}
-		if ev := better &^ worse; ev != 0 {
-			evicts[b] = ev
-			anyEvict = true
-		} else {
-			evicts[b] = 0
-		}
+	c.Add(int64(n))
+	if evicted != 0 {
+		w.compactEvicted(n)
 	}
-	c.Add(pairs)
-	if inserted {
-		if anyEvict {
-			w.compactEvicted(n)
-		}
-		w.Append(t)
-	}
-	return inserted
+	w.Append(t)
+	return true
 }
 
 // compactEvicted removes the rows whose bits are set in the eviction
@@ -404,6 +428,7 @@ func (w *Window) truncate(n int) {
 	for k := 0; k < w.dim; k++ {
 		w.cols[k] = w.cols[k][:n]
 	}
+	w.pad()
 }
 
 // Dominated reports whether any window tuple dominates t — the pure
@@ -418,9 +443,14 @@ func (w *Window) Dominated(t tuple.Tuple, c *Count) bool {
 	if len(t) != w.dim {
 		panic(fmt.Sprintf("window: tuple dimensionality %d does not match window d=%d", len(t), w.dim))
 	}
-	idx, pairs := firstDominator(w.cols, len(w.rows), nil, t, 0, true)
-	c.Add(int64(pairs))
-	return idx >= 0
+	n := len(w.rows)
+	idx := firstDominator(w.cols, n, blocks(n), t, true)
+	if idx < 0 {
+		c.Add(int64(n))
+		return false
+	}
+	c.Add(int64(idx + 1))
+	return true
 }
 
 // FilterBy removes from w every tuple dominated by a tuple of by,

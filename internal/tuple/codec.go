@@ -75,7 +75,11 @@ func EncodeList(l List) []byte {
 }
 
 // DecodeList parses one list from the front of b, returning the list and
-// the number of bytes consumed.
+// the number of bytes consumed. The tuples of a list share one backing
+// array sized by the first tuple's dimensionality — each a window of it that
+// cannot grow into its neighbour — so a list costs two allocations, not one
+// per tuple; a tuple of a higher dimensionality than the first is allocated
+// on its own.
 func DecodeList(b []byte) (List, int, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
@@ -85,14 +89,24 @@ func DecodeList(b []byte) (List, int, error) {
 	if count > uint64(len(b)-n) {
 		return nil, 0, fmt.Errorf("tuple: implausible list count %d with %d bytes left", count, len(b)-n)
 	}
+	// Nor can count tuples of the first one's dimensionality hold more
+	// values than the remaining bytes do; a list that changes
+	// dimensionality falls outside the bound and decodes tuple by tuple.
+	var backing Tuple
+	dim, m := binary.Uvarint(b[n:])
+	if m > 0 && dim > 0 && dim <= uint64(len(b)-n)/8 && count <= uint64(len(b)-n)/(8*dim) {
+		backing = make(Tuple, count*dim)
+	}
+	d := len(backing) / max(int(count), 1)
 	l := make(List, 0, count)
 	off := n
 	for i := uint64(0); i < count; i++ {
-		t, m, err := Decode(b[off:])
+		t, m, err := DecodeInto(backing[:d:d], b[off:])
 		if err != nil {
 			return nil, 0, fmt.Errorf("tuple: list element %d: %w", i, err)
 		}
 		l = append(l, t)
+		backing = backing[d:]
 		off += m
 	}
 	return l, off, nil

@@ -131,6 +131,45 @@ func TestListRoundTrip(t *testing.T) {
 	}
 }
 
+// TestListDecodeSharesOneBacking pins what a decoded list costs and that
+// sharing a backing array is not observable: two allocations whatever the
+// count, a tuple that cannot be appended into its neighbour, and lists of
+// mixed dimensionality — first tuple narrower or wider than the rest —
+// still round-tripping.
+func TestListDecodeSharesOneBacking(t *testing.T) {
+	l := make(List, 100)
+	for i := range l {
+		l[i] = Tuple{float64(i), float64(-i), 0.5}
+	}
+	enc := EncodeList(l)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := DecodeList(enc); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("DecodeList of %d tuples: %v allocations, want at most 2", len(l), allocs)
+	}
+	dec, _, err := DecodeList(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(dec[0], 99)
+	if !dec[1].Equal(l[1]) {
+		t.Errorf("appending to element 0 wrote into element 1: %v", dec[1])
+	}
+	for _, mixed := range []List{{{1}, {2, 3}, {4, 5, 6}, {}}, {{4, 5, 6}, {2, 3}, {}, {1}}, {{}, {1, 2}}} {
+		dec, consumed, err := DecodeList(EncodeList(mixed))
+		if err != nil || consumed != len(EncodeList(mixed)) || len(dec) != len(mixed) {
+			t.Fatalf("DecodeList(%v) = %v, %d, %v", mixed, dec, consumed, err)
+		}
+		for i := range mixed {
+			if !dec[i].Equal(mixed[i]) {
+				t.Errorf("mixed list %v element %d: got %v", mixed, i, dec[i])
+			}
+		}
+	}
+}
+
 func TestListDecodeTruncated(t *testing.T) {
 	enc := EncodeList(List{{1, 2}, {3, 4}})
 	for i := 0; i < len(enc); i++ {
