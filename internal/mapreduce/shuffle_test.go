@@ -149,6 +149,22 @@ func TestArenaStability(t *testing.T) {
 	}
 }
 
+// TestArenaChecksumGolden pins the in-memory segment checksum (payload,
+// then each record's two little-endian lengths) for the fixed record list
+// the format goldens share.
+func TestArenaChecksumGolden(t *testing.T) {
+	var a bucketArena
+	a.add([]byte("key-long-0002"), []byte("yy"))
+	a.add([]byte("a"), nil)
+	a.add(nil, []byte("v0"))
+	a.add([]byte("key-long-0001"), []byte("x"))
+	a.add([]byte("b"), bytes.Repeat([]byte("z"), 130))
+	a.add([]byte("a"), []byte("dup"))
+	if got, want := a.checksum(), uint64(0xd81176fcb05b4ecc); got != want {
+		t.Errorf("arena checksum = %#x, want %#x", got, want)
+	}
+}
+
 func TestMeasureSlots(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	min := func(a, b int) int {
