@@ -1,13 +1,15 @@
-package mapreduce
+package frame
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 )
+
+// Record is one key/value pair of a test workload.
+type Record struct{ Key, Value []byte }
 
 // referenceGrouping reimplements the grouping the arena shuffle replaced —
 // a map[string][][]byte per reducer plus a sort.Strings pass — as the
@@ -54,46 +56,46 @@ func TestArenaGroupingMatchesReference(t *testing.T) {
 		// Several source arenas stand in for per-mapper buckets.
 		numSources := 1 + rng.Intn(4)
 		var all []Record
-		var merged bucketArena
+		var merged Arena
 		var wantBytes int64
 		for s := 0; s < numSources; s++ {
-			var src bucketArena
+			var src Arena
 			for _, r := range randomRecords(rng, rng.Intn(40), 1+rng.Intn(8)) {
-				src.add(r.Key, r.Value)
+				src.Add(r.Key, r.Value)
 				all = append(all, r)
 				wantBytes += int64(len(r.Key) + len(r.Value))
 			}
-			merged.absorb(&src)
+			merged.Absorb(&src)
 		}
-		if got := merged.payloadBytes(); got != wantBytes {
-			t.Fatalf("trial %d: payloadBytes = %d, want %d", trial, got, wantBytes)
+		if got := int64(len(merged.Bytes())); got != wantBytes {
+			t.Fatalf("trial %d: len(Bytes()) = %d, want %d", trial, got, wantBytes)
 		}
-		if merged.len() != len(all) {
-			t.Fatalf("trial %d: len = %d, want %d", trial, merged.len(), len(all))
+		if merged.Len() != len(all) {
+			t.Fatalf("trial %d: len = %d, want %d", trial, merged.Len(), len(all))
 		}
 
 		wantKeys, wantGroups := referenceGrouping(all)
-		idx := merged.sortedIndex()
-		runs := merged.groupRuns(idx)
+		idx := merged.SortedIndex()
+		runs := merged.GroupRuns(idx)
 		if len(runs) != len(wantKeys) {
 			t.Fatalf("trial %d: %d key runs, want %d", trial, len(runs), len(wantKeys))
 		}
 		for g, run := range runs {
-			key := merged.key(int(idx[run.lo]))
+			key := merged.Key(int(idx[run.Lo]))
 			if string(key) != wantKeys[g] {
 				t.Fatalf("trial %d: run %d key = %q, want %q", trial, g, key, wantKeys[g])
 			}
 			wantVals := wantGroups[wantKeys[g]]
-			if int(run.hi-run.lo) != len(wantVals) {
-				t.Fatalf("trial %d: key %q has %d values, want %d", trial, key, run.hi-run.lo, len(wantVals))
+			if int(run.Hi-run.Lo) != len(wantVals) {
+				t.Fatalf("trial %d: key %q has %d values, want %d", trial, key, run.Hi-run.Lo, len(wantVals))
 			}
-			for i := run.lo; i < run.hi; i++ {
+			for i := run.Lo; i < run.Hi; i++ {
 				r := int(idx[i])
-				if !bytes.Equal(merged.key(r), key) {
-					t.Fatalf("trial %d: run %d holds key %q, want %q", trial, g, merged.key(r), key)
+				if !bytes.Equal(merged.Key(r), key) {
+					t.Fatalf("trial %d: run %d holds key %q, want %q", trial, g, merged.Key(r), key)
 				}
-				if !bytes.Equal(merged.value(r), wantVals[i-run.lo]) {
-					t.Fatalf("trial %d: key %q value %d = %q, want %q", trial, key, i-run.lo, merged.value(r), wantVals[i-run.lo])
+				if !bytes.Equal(merged.Value(r), wantVals[i-run.Lo]) {
+					t.Fatalf("trial %d: key %q value %d = %q, want %q", trial, key, i-run.Lo, merged.Value(r), wantVals[i-run.Lo])
 				}
 			}
 		}
@@ -103,33 +105,33 @@ func TestArenaGroupingMatchesReference(t *testing.T) {
 // TestArenaNilSemantics pins the nil/empty contract: zero-length keys and
 // values come back nil, exactly as the []Record shuffle stored them.
 func TestArenaNilSemantics(t *testing.T) {
-	var a bucketArena
-	a.add(nil, []byte("v"))
-	a.add([]byte{}, nil)
-	a.add([]byte("k"), []byte{})
-	if a.key(0) != nil || a.key(1) != nil {
-		t.Errorf("empty keys = %v, %v, want nil", a.key(0), a.key(1))
+	var a Arena
+	a.Add(nil, []byte("v"))
+	a.Add([]byte{}, nil)
+	a.Add([]byte("k"), []byte{})
+	if a.Key(0) != nil || a.Key(1) != nil {
+		t.Errorf("empty keys = %v, %v, want nil", a.Key(0), a.Key(1))
 	}
-	if a.value(1) != nil || a.value(2) != nil {
-		t.Errorf("empty values = %v, %v, want nil", a.value(1), a.value(2))
+	if a.Value(1) != nil || a.Value(2) != nil {
+		t.Errorf("empty values = %v, %v, want nil", a.Value(1), a.Value(2))
 	}
-	if string(a.value(0)) != "v" || string(a.key(2)) != "k" {
-		t.Errorf("non-empty views corrupted: %q, %q", a.value(0), a.key(2))
+	if string(a.Value(0)) != "v" || string(a.Key(2)) != "k" {
+		t.Errorf("non-empty views corrupted: %q, %q", a.Value(0), a.Key(2))
 	}
 }
 
 // TestArenaViewsCapacityClamped guards the aliasing hazard: appending to a
 // returned view must reallocate, never clobber the neighbouring record.
 func TestArenaViewsCapacityClamped(t *testing.T) {
-	var a bucketArena
-	a.add([]byte("aa"), []byte("11"))
-	a.add([]byte("bb"), []byte("22"))
-	v := a.value(0)
+	var a Arena
+	a.Add([]byte("aa"), []byte("11"))
+	a.Add([]byte("bb"), []byte("22"))
+	v := a.Value(0)
 	_ = append(v, []byte("XXXX")...)
-	k := a.key(0)
+	k := a.Key(0)
 	_ = append(k, 'Y')
-	if string(a.key(1)) != "bb" || string(a.value(1)) != "22" {
-		t.Fatalf("append through a view corrupted record 1: key %q value %q", a.key(1), a.value(1))
+	if string(a.Key(1)) != "bb" || string(a.Value(1)) != "22" {
+		t.Fatalf("append through a view corrupted record 1: key %q value %q", a.Key(1), a.Value(1))
 	}
 }
 
@@ -137,14 +139,14 @@ func TestArenaViewsCapacityClamped(t *testing.T) {
 // which is what gives reducers the (mapper index, emission order) value
 // sequence.
 func TestArenaStability(t *testing.T) {
-	var a bucketArena
+	var a Arena
 	for i := 0; i < 20; i++ {
-		a.add([]byte("k"), []byte{byte(i)})
+		a.Add([]byte("k"), []byte{byte(i)})
 	}
-	idx := a.sortedIndex()
+	idx := a.SortedIndex()
 	for i, r := range idx {
 		if int(r) != i {
-			t.Fatalf("sortedIndex()[%d] = %d, want %d", i, r, i)
+			t.Fatalf("SortedIndex()[%d] = %d, want %d", i, r, i)
 		}
 	}
 }
@@ -153,40 +155,15 @@ func TestArenaStability(t *testing.T) {
 // then each record's two little-endian lengths) for the fixed record list
 // the format goldens share.
 func TestArenaChecksumGolden(t *testing.T) {
-	var a bucketArena
-	a.add([]byte("key-long-0002"), []byte("yy"))
-	a.add([]byte("a"), nil)
-	a.add(nil, []byte("v0"))
-	a.add([]byte("key-long-0001"), []byte("x"))
-	a.add([]byte("b"), bytes.Repeat([]byte("z"), 130))
-	a.add([]byte("a"), []byte("dup"))
-	if got, want := a.checksum(), uint64(0xd81176fcb05b4ecc); got != want {
+	var a Arena
+	a.Add([]byte("key-long-0002"), []byte("yy"))
+	a.Add([]byte("a"), nil)
+	a.Add(nil, []byte("v0"))
+	a.Add([]byte("key-long-0001"), []byte("x"))
+	a.Add([]byte("b"), bytes.Repeat([]byte("z"), 130))
+	a.Add([]byte("a"), []byte("dup"))
+	if got, want := a.Checksum(), uint64(0xd81176fcb05b4ecc); got != want {
 		t.Errorf("arena checksum = %#x, want %#x", got, want)
-	}
-}
-
-func TestMeasureSlots(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	min := func(a, b int) int {
-		if a < b {
-			return a
-		}
-		return b
-	}
-	cases := []struct {
-		par, clusterSlots, want int
-	}{
-		{0, 1024, min(procs, 1024)}, // default: min(GOMAXPROCS, slots)
-		{0, 1, 1},                   // tiny cluster bounds the default
-		{1, 1024, 1},                // serial isolation mode
-		{4, 2, 4},                   // explicit values pass through unclamped
-		{-3, 1024, min(procs, 1024)},
-	}
-	for _, c := range cases {
-		cfg := &SimConfig{MeasureParallelism: c.par}
-		if got := cfg.measureSlots(c.clusterSlots); got != c.want {
-			t.Errorf("measureSlots(par=%d, slots=%d) = %d, want %d", c.par, c.clusterSlots, got, c.want)
-		}
 	}
 }
 
@@ -216,16 +193,16 @@ func BenchmarkGrouping(b *testing.B) {
 			b.Run(fmt.Sprintf("arena/keys=%d/recs=%d", keyCard, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					var a bucketArena
+					var a Arena
 					for _, r := range recs {
-						a.add(r.Key, r.Value)
+						a.Add(r.Key, r.Value)
 					}
-					idx := a.sortedIndex()
-					runs := a.groupRuns(idx)
+					idx := a.SortedIndex()
+					runs := a.GroupRuns(idx)
 					for _, run := range runs {
-						vals := make([][]byte, 0, run.hi-run.lo)
-						for j := run.lo; j < run.hi; j++ {
-							vals = append(vals, a.value(int(idx[j])))
+						vals := make([][]byte, 0, run.Hi-run.Lo)
+						for j := run.Lo; j < run.Hi; j++ {
+							vals = append(vals, a.Value(int(idx[j])))
 						}
 						_ = vals
 					}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mrskyline/internal/cluster"
+	"mrskyline/internal/frame"
 	"mrskyline/internal/obs"
 	"mrskyline/internal/spill"
 )
@@ -638,7 +639,7 @@ func (e *Engine) runJob(ctx context.Context, job *Job, rj *resolvedJob) (_ *Resu
 		if err != nil {
 			return nil, err
 		}
-		return func() { j.reduceOut[r] = out.records() }, nil
+		return func() { j.reduceOut[r] = arenaRecords(&out) }, nil
 	}
 	if err := j.runPhase(ctx, reduces); err != nil {
 		return fail(err)
@@ -683,7 +684,7 @@ func attemptMap(job *Job, rj *resolvedJob, split Split, ctx *TaskContext) ([]seg
 			emitErr = fmt.Errorf("partitioner returned %d for %d reducers (key %q)", r, rj.numReducers, key)
 			return
 		}
-		segs[r].arena.add(key, value)
+		segs[r].arena.Add(key, value)
 		emitted++
 	}
 	mapper := job.NewMapper()
@@ -718,23 +719,23 @@ func attemptMap(job *Job, rj *resolvedJob, split Split, ctx *TaskContext) ([]seg
 func combineSegments(c Combiner, segs []segment) error {
 	for r := range segs {
 		b := &segs[r].arena
-		if b.len() == 0 {
+		if b.Len() == 0 {
 			continue
 		}
-		idx := b.sortedIndex()
-		var dst bucketArena
-		for _, g := range b.groupRuns(idx) {
-			key := b.key(int(idx[g.lo]))
-			values := make([][]byte, 0, g.hi-g.lo)
-			for _, i := range idx[g.lo:g.hi] {
-				values = append(values, b.value(int(i)))
+		idx := b.SortedIndex()
+		var dst frame.Arena
+		for _, g := range b.GroupRuns(idx) {
+			key := b.Key(int(idx[g.Lo]))
+			values := make([][]byte, 0, g.Hi-g.Lo)
+			for _, i := range idx[g.Lo:g.Hi] {
+				values = append(values, b.Value(int(i)))
 			}
 			vals, err := c.Combine(key, values)
 			if err != nil {
 				return err
 			}
 			for _, v := range vals {
-				dst.add(key, v)
+				dst.Add(key, v)
 			}
 		}
 		segs[r].arena = dst
@@ -746,11 +747,11 @@ func combineSegments(c Combiner, segs []segment) error {
 // its input from src — a sorted in-memory arena or a spilled run merge;
 // both sources present the identical (key order, per-key value order)
 // group stream. Like attemptMap it is free of external side effects.
-func attemptReduce(job *Job, src groupSource, ctx *TaskContext) (bucketArena, error) {
-	var out bucketArena
+func attemptReduce(job *Job, src groupSource, ctx *TaskContext) (frame.Arena, error) {
+	var out frame.Arena
 	emitted := int64(0)
 	emit := func(key, value []byte) {
-		out.add(key, value)
+		out.Add(key, value)
 		emitted++
 	}
 	reducer := job.NewReducer()
@@ -759,7 +760,7 @@ func attemptReduce(job *Job, src groupSource, ctx *TaskContext) (bucketArena, er
 	for {
 		key, vals, ok, err := src.Next()
 		if err != nil {
-			return bucketArena{}, err
+			return frame.Arena{}, err
 		}
 		if !ok {
 			break
@@ -767,11 +768,11 @@ func attemptReduce(job *Job, src groupSource, ctx *TaskContext) (bucketArena, er
 		inKeys++
 		inRecords += int64(len(vals))
 		if err := reducer.Reduce(ctx, key, vals, emit); err != nil {
-			return bucketArena{}, err
+			return frame.Arena{}, err
 		}
 	}
 	if err := reducer.Flush(ctx, emit); err != nil {
-		return bucketArena{}, err
+		return frame.Arena{}, err
 	}
 	ctx.Counters.Add(CounterReduceInputKeys, inKeys)
 	ctx.Counters.Add(CounterReduceInputRecords, inRecords)

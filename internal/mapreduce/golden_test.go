@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mrskyline/internal/frame"
 	"mrskyline/internal/mapreduce"
 )
 
@@ -44,7 +45,7 @@ func TestGoldenWireSegment(t *testing.T) {
 	})
 	var split []byte
 	for _, r := range goldenRecs {
-		split = mapreduce.AppendRecord(split, r.Key, r.Value)
+		split = frame.AppendRecord(split, r.Key, r.Value)
 	}
 	task := &mapreduce.RemoteTask{Job: "golden", Kind: job.Kind, Spec: job.Spec, NumMappers: 1, NumReducers: 1}
 	segs, _, err := mapreduce.RunRemoteMap(task, split)

@@ -1,12 +1,11 @@
 package mapreduce
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"sync"
 
+	"mrskyline/internal/frame"
 	"mrskyline/internal/spill"
 )
 
@@ -76,97 +75,37 @@ func kindRegistered(name string) bool {
 // ---------------------------------------------------------------------------
 // Wire framing
 
-// Records and shuffle segments cross the wire in one flat framing:
-// per record uvarint(keyLen), key bytes, uvarint(valueLen), value bytes.
-// Decoding rebuilds the engine's arena representation, so grouping and
-// value order on the remote path are byte-identical to the in-process
+// Records and shuffle segments cross the wire as a bare internal/frame
+// record stream; a segment's checksum travels beside it, in the map task's
+// report. Decoding rebuilds the engine's arena representation, so grouping
+// and value order on the remote path are byte-identical to the in-process
 // shuffle.
-
-// AppendRecord appends one framed record to dst.
-func AppendRecord(dst, key, value []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(key)))
-	dst = append(dst, key...)
-	dst = binary.AppendUvarint(dst, uint64(len(value)))
-	dst = append(dst, value...)
-	return dst
-}
-
-// walkRecords parses a framed record stream, handing each record to fn.
-// Zero-length keys and values arrive as nil, matching the arena accessors.
-func walkRecords(b []byte, fn func(key, value []byte) error) error {
-	for off, i := 0, 0; off < len(b); i++ {
-		key, n, err := readChunk(b, off)
-		if err != nil {
-			return fmt.Errorf("mapreduce: record %d key: %w", i, err)
-		}
-		val, n, err := readChunk(b, n)
-		if err != nil {
-			return fmt.Errorf("mapreduce: record %d value: %w", i, err)
-		}
-		off = n
-		if err := fn(key, val); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// decodeRecords parses a framed record stream.
-func decodeRecords(b []byte) ([]Record, error) {
-	var out []Record
-	err := walkRecords(b, func(key, value []byte) error {
-		out = append(out, Record{Key: key, Value: value})
-		return nil
-	})
-	return out, err
-}
-
-// readChunk reads one uvarint-prefixed byte chunk starting at off,
-// returning the chunk (nil when empty) and the next offset.
-func readChunk(b []byte, off int) ([]byte, int, error) {
-	l, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("truncated length at offset %d", off)
-	}
-	off += n
-	if l > uint64(len(b)-off) {
-		return nil, 0, fmt.Errorf("chunk of %d bytes overruns buffer", l)
-	}
-	if l == 0 {
-		return nil, off, nil
-	}
-	end := off + int(l)
-	return b[off:end:end], end, nil
-}
-
-// encodeArena frames a shuffle segment.
-func encodeArena(a *bucketArena) []byte {
-	var out []byte
-	for i := 0; i < a.len(); i++ {
-		out = AppendRecord(out, a.key(i), a.value(i))
-	}
-	return out
-}
 
 // SegmentChecksum hashes a framed segment (FNV-1a over the wire bytes) —
 // the role the arena checksums play for the in-process corruption/refetch
 // path, applied to map-output transfers between worker processes.
-func SegmentChecksum(seg []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(seg)
-	return h.Sum64()
-}
+func SegmentChecksum(seg []byte) uint64 { return frame.Sum(seg) }
 
 // SegmentPayloadBytes returns the key+value volume of a framed segment —
 // the quantity CounterShuffleBytes counts, excluding framing overhead so
 // remote and in-process shuffle counters agree.
 func SegmentPayloadBytes(seg []byte) (int64, error) {
 	total := int64(0)
-	err := walkRecords(seg, func(key, value []byte) error {
+	err := frame.WalkRecords(seg, func(key, value []byte) error {
 		total += int64(len(key) + len(value))
 		return nil
 	})
 	return total, err
+}
+
+// decodeRecords parses a framed record stream.
+func decodeRecords(b []byte) ([]Record, error) {
+	var out []Record
+	err := frame.WalkRecords(b, func(key, value []byte) error {
+		out = append(out, Record{Key: key, Value: value})
+		return nil
+	})
+	return out, err
 }
 
 // ---------------------------------------------------------------------------
@@ -249,9 +188,7 @@ func RunRemoteMap(t *RemoteTask, split []byte) (out [][]byte, counters *Counters
 		return func() {
 			out = make([][]byte, len(segs))
 			for r := range segs {
-				if segs[r].arena.len() > 0 {
-					out[r] = encodeArena(&segs[r].arena)
-				}
+				out[r] = segs[r].arena.AppendRecords(nil) // nil when empty
 			}
 		}, nil
 	})
@@ -269,7 +206,7 @@ func RunRemoteReduce(t *RemoteTask, segs [][]byte) (output []byte, counters *Cou
 		if err != nil {
 			return nil, err
 		}
-		return func() { output = encodeArena(&out) }, nil
+		return func() { output = out.AppendRecords(nil) }, nil
 	})
 	return output, counters, err
 }
@@ -283,30 +220,30 @@ func RunRemoteReduce(t *RemoteTask, segs [][]byte) (output []byte, counters *Cou
 // All files live in a per-attempt directory removed before returning; a
 // run that fails its checksum fails the attempt, which the master retries
 // like any other task error.
-func (t *RemoteTask) reduce(job *Job, segs [][]byte, ctx *TaskContext) (bucketArena, error) {
+func (t *RemoteTask) reduce(job *Job, segs [][]byte, ctx *TaskContext) (frame.Arena, error) {
 	each := func(add func(key, value []byte) error) error {
 		for m, seg := range segs {
-			if err := walkRecords(seg, add); err != nil {
+			if err := frame.WalkRecords(seg, add); err != nil {
 				return fmt.Errorf("segment from map %d: %w", m, err)
 			}
 		}
 		return nil
 	}
 	if t.SpillBudget <= 0 {
-		var in bucketArena
+		var in frame.Arena
 		err := each(func(key, value []byte) error {
-			in.add(key, value)
+			in.Add(key, value)
 			return nil
 		})
 		if err != nil {
-			return bucketArena{}, err
+			return frame.Arena{}, err
 		}
 		src := groupArena(&in)
 		return attemptReduce(job, &src, ctx)
 	}
 	dir, err := os.MkdirTemp(t.SpillDir, fmt.Sprintf("reduce%d-a%d-", t.TaskID, t.Attempt))
 	if err != nil {
-		return bucketArena{}, fmt.Errorf("creating spill directory: %w", err)
+		return frame.Arena{}, fmt.Errorf("creating spill directory: %w", err)
 	}
 	defer os.RemoveAll(dir)
 	cfg := &spill.Config{Dir: dir, Budget: t.SpillBudget, FanIn: t.SpillFanIn}
@@ -318,7 +255,7 @@ func (t *RemoteTask) reduce(job *Job, segs [][]byte, ctx *TaskContext) (bucketAr
 	}
 	if err != nil {
 		w.Discard()
-		return bucketArena{}, err
+		return frame.Arena{}, err
 	}
 	return reduceRuns(job, cfg, runs, "merge-", ctx)
 }

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"mrskyline/internal/cluster"
+	"mrskyline/internal/frame"
 )
 
 // Leases is a leased engine's task table as its fleet sees it. Worker w is
@@ -131,7 +132,7 @@ func (l *Leases) open(j *jobRun) error {
 	}}
 	for m, s := range j.rj.splits {
 		err := s.Each(func(rec Record) error {
-			lj.splits[m] = AppendRecord(lj.splits[m], rec.Key, rec.Value)
+			lj.splits[m] = frame.AppendRecord(lj.splits[m], rec.Key, rec.Value)
 			return nil
 		})
 		if err != nil {

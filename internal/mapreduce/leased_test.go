@@ -3,6 +3,8 @@ package mapreduce_test
 import (
 	"context"
 	"errors"
+	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,7 +13,9 @@ import (
 	"time"
 
 	"mrskyline/internal/cluster"
+	"mrskyline/internal/frame"
 	"mrskyline/internal/mapreduce"
+	"mrskyline/internal/spill"
 )
 
 // The leased driver is tested against two fake fleets, neither with sockets
@@ -53,22 +57,28 @@ func ship(job *mapreduce.Job) *mapreduce.Job {
 // fleet is the working fake: one goroutine per worker and an in-memory
 // segment store standing in for the workers' own.
 type fleet struct {
-	l     *mapreduce.Leases
-	nodes []string
-	mu    sync.Mutex
-	segs  map[[2]int64][][]byte // (job, map task) → framed segment per reducer
+	l           *mapreduce.Leases
+	nodes       []string
+	spillBudget int64 // > 0: reduces merge spilled runs, as rpcexec's SpillBudget has them do
+	mu          sync.Mutex
+	segs        map[[2]int64][][]byte // (job, map task) → framed segment per reducer
 }
 
 // newFleet returns a leased engine over workers goroutine workers, stopped
 // with the test.
 func newFleet(t testing.TB, workers int) *mapreduce.Engine {
+	return newSpillingFleet(t, workers, 0)
+}
+
+// newSpillingFleet is newFleet with a worker-side spill budget.
+func newSpillingFleet(t testing.TB, workers int, spillBudget int64) *mapreduce.Engine {
 	t.Helper()
 	c, err := cluster.Uniform(workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e, l := mapreduce.NewLeasedEngine(c, nil)
-	f := &fleet{l: l, nodes: c.Nodes(), segs: make(map[[2]int64][][]byte)}
+	f := &fleet{l: l, nodes: c.Nodes(), spillBudget: spillBudget, segs: make(map[[2]int64][][]byte)}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -102,6 +112,9 @@ func (f *fleet) run(w int, ls mapreduce.Lease) *mapreduce.Report {
 		return r
 	}
 	task.TaskID, task.Attempt, task.Node = ls.Task, ls.Attempt, f.nodes[w]
+	if f.spillBudget > 0 {
+		task.SpillBudget, task.SpillDir = f.spillBudget, os.TempDir()
+	}
 	var counters *mapreduce.Counters
 	var err error
 	if ls.Phase == mapreduce.PhaseMap {
@@ -164,6 +177,56 @@ func TestLeasedMatchesWall(t *testing.T) {
 	}
 	if got.ClusterStats.TasksRun != 5 || got.MapTime <= 0 || got.ReduceTime <= 0 {
 		t.Errorf("TasksRun = %d, MapTime = %v, ReduceTime = %v", got.ClusterStats.TasksRun, got.MapTime, got.ReduceTime)
+	}
+}
+
+// TestEmptyRecordAcrossDrivers: a record with an empty key and an empty
+// value is a record on every path a segment can take. It sorts first, so a
+// spilled run begins with it — which the run merger used to read as "this
+// run is drained", handing the reducer a clean, empty input.
+func TestEmptyRecordAcrossDrivers(t *testing.T) {
+	job := func() *mapreduce.Job {
+		return ship(&mapreduce.Job{
+			Name:        "empty-record",
+			Input:       mapreduce.MemoryInput{Records: []mapreduce.Record{{Key: []byte("b"), Value: []byte("2")}, {}, {Key: []byte("a"), Value: []byte("1")}, {Key: []byte("c")}}},
+			NumMappers:  1,
+			NumReducers: 1,
+			NewMapper: func() mapreduce.Mapper {
+				return mapreduce.MapperFuncs{MapFn: func(_ *mapreduce.TaskContext, rec mapreduce.Record, emit mapreduce.Emitter) error {
+					emit(rec.Key, rec.Value)
+					return nil
+				}}
+			},
+			NewReducer: func() mapreduce.Reducer {
+				return mapreduce.ReducerFuncs{ReduceFn: func(_ *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emitter) error {
+					for _, v := range values {
+						emit(key, v)
+					}
+					return nil
+				}}
+			},
+		})
+	}
+	want := []mapreduce.Record{{}, {Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}, {Key: []byte("c")}}
+	spilled := newEngine(t, 1, 1)
+	spilled.Spill = &spill.Config{Dir: t.TempDir(), Budget: 1 << 20}
+	for _, d := range []struct {
+		name string
+		e    *mapreduce.Engine
+	}{
+		{"resident", newEngine(t, 1, 1)},
+		{"spilled", spilled},
+		{"leased", newFleet(t, 1)},
+		{"leased+spill", newSpillingFleet(t, 1, 1<<20)},
+	} {
+		res, err := d.e.Run(job())
+		if err != nil {
+			t.Errorf("%s: %v", d.name, err)
+			continue
+		}
+		if !reflect.DeepEqual(res.Output, want) {
+			t.Errorf("%s: output = %q, want %q", d.name, res.Output, want)
+		}
 	}
 }
 
@@ -252,7 +315,7 @@ func (s *script) report(ls mapreduce.Lease, w int, errMsg string, killed bool) b
 		r.Bytes, r.Checksums = []int64{1, 1, 1}, []uint64{1, 1, 1}
 		r.Counters = mapreduce.CounterDump{Sums: map[string]int64{mapreduce.CounterMapInputRecords: 7}}
 	default:
-		r.Output = mapreduce.AppendRecord(nil, []byte(strconv.Itoa(ls.Task)), nil)
+		r.Output = frame.AppendRecord(nil, []byte(strconv.Itoa(ls.Task)), nil)
 		r.ShuffleBytes = 5
 		r.Counters = mapreduce.CounterDump{Sums: map[string]int64{mapreduce.CounterReduceInputRecords: 3}}
 	}

@@ -7,12 +7,13 @@ import (
 	"strconv"
 	"time"
 
+	"mrskyline/internal/frame"
 	"mrskyline/internal/obs"
 	"mrskyline/internal/spill"
 )
 
 // Map output between the phases. A segment — one mapper's records for one
-// reducer — is either resident (a bucketArena) or, when the job carries a
+// reducer — is either resident (a frame.Arena) or, when the job carries a
 // spill configuration, a set of sorted run files on disk (one writer per
 // segment, so runs inherit the segment's arrival order). The reducer
 // consumes both shapes through the groupSource interface below, which
@@ -23,14 +24,14 @@ import (
 // segment is mapper m's output for reducer r: resident bytes, or the run
 // files they were flushed to.
 type segment struct {
-	arena bucketArena
+	arena frame.Arena
 	runs  []spill.RunFile
 }
 
 // payloadBytes is the segment's key+value volume wherever it lives — the
 // quantity CounterShuffleBytes measures.
 func (s *segment) payloadBytes() int64 {
-	n := s.arena.payloadBytes()
+	n := int64(len(s.arena.Bytes()))
 	for _, rf := range s.runs {
 		n += rf.PayloadBytes
 	}
@@ -48,16 +49,16 @@ type groupSource interface {
 // arenaGroups serves groups from a sorted in-memory arena. The zero value
 // is an empty source; a copy of a value restarts the stream.
 type arenaGroups struct {
-	in     *bucketArena
+	in     *frame.Arena
 	idx    []int32
-	groups []span
+	groups []frame.Span
 	pos    int
 }
 
 // groupArena sorts and groups an arena for reduction.
-func groupArena(in *bucketArena) arenaGroups {
-	idx := in.sortedIndex()
-	return arenaGroups{in: in, idx: idx, groups: in.groupRuns(idx)}
+func groupArena(in *frame.Arena) arenaGroups {
+	idx := in.SortedIndex()
+	return arenaGroups{in: in, idx: idx, groups: in.GroupRuns(idx)}
 }
 
 func (g *arenaGroups) Next() ([]byte, [][]byte, bool, error) {
@@ -66,12 +67,24 @@ func (g *arenaGroups) Next() ([]byte, [][]byte, bool, error) {
 	}
 	sp := g.groups[g.pos]
 	g.pos++
-	key := g.in.key(int(g.idx[sp.lo]))
-	vals := make([][]byte, 0, sp.hi-sp.lo)
-	for _, i := range g.idx[sp.lo:sp.hi] {
-		vals = append(vals, g.in.value(int(i)))
+	key := g.in.Key(int(g.idx[sp.Lo]))
+	vals := make([][]byte, 0, sp.Hi-sp.Lo)
+	for _, i := range g.idx[sp.Lo:sp.Hi] {
+		vals = append(vals, g.in.Value(int(i)))
 	}
 	return key, vals, true, nil
+}
+
+// arenaRecords materializes an arena as []Record views for Result.Output.
+func arenaRecords(a *frame.Arena) []Record {
+	if a.Len() == 0 {
+		return nil
+	}
+	out := make([]Record, a.Len())
+	for i := range out {
+		out[i] = Record{Key: a.Key(i), Value: a.Value(i)}
+	}
+	return out
 }
 
 // removeRunFiles deletes run files, best effort.
@@ -84,13 +97,10 @@ func removeRunFiles(runs []spill.RunFile) {
 // spillArena writes one arena's records (arrival order preserved) through
 // a budget-tracked writer, producing the segment's sorted runs. An empty
 // arena produces no runs.
-func spillArena(cfg *spill.Config, b *bucketArena, prefix string, tag int) ([]spill.RunFile, error) {
-	if b.len() == 0 {
-		return nil, nil
-	}
+func spillArena(cfg *spill.Config, b *frame.Arena, prefix string, tag int) ([]spill.RunFile, error) {
 	w := spill.NewWriter(cfg, prefix, tag)
-	for i := 0; i < b.len(); i++ {
-		if err := w.Add(b.key(i), b.value(i)); err != nil {
+	for i := 0; i < b.Len(); i++ {
+		if err := w.Add(b.Key(i), b.Value(i)); err != nil {
 			w.Discard()
 			return nil, err
 		}
@@ -157,27 +167,28 @@ func (j *jobRun) shuffle() ([]int64, error) {
 		t0 := j.now()
 		var dataLen, recCount int
 		for m := range j.mapOut {
-			dataLen += len(j.mapOut[m][r].arena.data)
-			recCount += len(j.mapOut[m][r].arena.recs)
+			dataLen += len(j.mapOut[m][r].arena.Bytes())
+			recCount += j.mapOut[m][r].arena.Len()
 		}
-		in := &bucketArena{data: make([]byte, 0, dataLen), recs: make([]arenaRec, 0, recCount)}
+		in := &frame.Arena{}
+		in.Grow(dataLen, recCount)
 		for m := range j.mapOut {
 			seg := &j.mapOut[m][r]
 			perReducerBytes[r] += seg.payloadBytes()
 			fetched := &seg.arena
-			if j.e.Faults != nil && fetched.len() > 0 {
-				want := fetched.checksum()
+			if j.e.Faults != nil && fetched.Len() > 0 {
+				want := fetched.Checksum()
 				fetched = j.e.Faults.fetch(fetched, m, r)
-				if fetched.checksum() != want {
+				if fetched.Checksum() != want {
 					j.res.Counters.Add(CounterShuffleCorruptions, 1)
 					fetched = &seg.arena // refetch the pristine segment
-					if fetched.checksum() != want {
+					if fetched.Checksum() != want {
 						return nil, fmt.Errorf("shuffle: segment map %d → reduce %d corrupt after refetch", m, r)
 					}
 				}
 			}
-			in.absorb(fetched)
-			seg.arena = bucketArena{} // release as we go
+			in.Absorb(fetched)
+			seg.arena = frame.Arena{} // release as we go
 		}
 		n := perReducerBytes[r]
 		shuffleBytes += n
@@ -208,22 +219,24 @@ func (j *jobRun) transfer(perReducerBytes ...int64) time.Duration {
 // plan's corruption schedule the first fetch returns a copy with one
 // deterministically chosen byte flipped; otherwise the pristine segment is
 // returned directly (no copy).
-func (p *FaultPlan) fetch(seg *bucketArena, m, r int) *bucketArena {
+func (p *FaultPlan) fetch(seg *frame.Arena, m, r int) *frame.Arena {
 	if !p.corruptSegment(m, r) {
 		return seg
 	}
-	bad := seg.clone()
-	i := int(p.roll("corrupt-byte", int64(m), int64(r)) * float64(len(bad.data)))
-	if i >= len(bad.data) {
-		i = len(bad.data) - 1
+	var bad frame.Arena
+	bad.Absorb(seg)
+	data := bad.Bytes()
+	i := int(p.roll("corrupt-byte", int64(m), int64(r)) * float64(len(data)))
+	if i >= len(data) {
+		i = len(data) - 1
 	}
-	bad.data[i] ^= 0xFF
+	data[i] ^= 0xFF
 	return &bad
 }
 
 // reduce is the reduce attempt's choice of input source: the arena the
 // shuffle grouped, or a merge of the reducer's spilled runs.
-func (j *jobRun) reduce(r int, ctx *TaskContext) (bucketArena, error) {
+func (j *jobRun) reduce(r int, ctx *TaskContext) (frame.Arena, error) {
 	if j.spill == nil {
 		src := j.reduceIn[r]
 		return attemptReduce(j.job, &src, ctx)
@@ -240,7 +253,7 @@ const maxSpillRepairs = 2
 // the groups through the reducer; when a source run fails its checksum it
 // re-executes the map task that produced it and tries again — the spilled
 // twin of the shuffle refetch.
-func (j *jobRun) reduceSpilled(r int, ctx *TaskContext) (bucketArena, error) {
+func (j *jobRun) reduceSpilled(r int, ctx *TaskContext) (frame.Arena, error) {
 	for repair := 0; ; repair++ {
 		var runs []spill.RunFile
 		for m := range j.mapOut {
@@ -257,14 +270,14 @@ func (j *jobRun) reduceSpilled(r int, ctx *TaskContext) (bucketArena, error) {
 		}
 		var ce *spill.CorruptError
 		if !errors.As(err, &ce) {
-			return bucketArena{}, err
+			return frame.Arena{}, err
 		}
 		j.res.Counters.Add(CounterShuffleCorruptions, 1)
 		if ce.Tag < 0 || repair >= maxSpillRepairs {
-			return bucketArena{}, err
+			return frame.Arena{}, err
 		}
 		if rerr := j.respill(ce.Tag, r, repair, ctx); rerr != nil {
-			return bucketArena{}, fmt.Errorf("repairing corrupt run: %w", rerr)
+			return frame.Arena{}, fmt.Errorf("repairing corrupt run: %w", rerr)
 		}
 	}
 }
@@ -297,22 +310,22 @@ func (j *jobRun) respill(m, r, repair int, ctx *TaskContext) error {
 // runs live in a directory (created under cfg.Dir from dirPattern) removed
 // when the call returns; the source runs are never deleted here — they are
 // the repair path's input.
-func reduceRuns(job *Job, cfg *spill.Config, runs []spill.RunFile, dirPattern string, ctx *TaskContext) (bucketArena, error) {
+func reduceRuns(job *Job, cfg *spill.Config, runs []spill.RunFile, dirPattern string, ctx *TaskContext) (frame.Arena, error) {
 	if len(runs) == 0 {
 		return attemptReduce(job, &arenaGroups{}, ctx)
 	}
 	dir, err := os.MkdirTemp(cfg.Dir, dirPattern)
 	if err != nil {
-		return bucketArena{}, err
+		return frame.Arena{}, err
 	}
 	defer os.RemoveAll(dir)
 	final, _, err := spill.MergeTree(cfg, dir, "merge", runs)
 	if err != nil {
-		return bucketArena{}, err
+		return frame.Arena{}, err
 	}
 	g, err := spill.NewGroups(cfg, final)
 	if err != nil {
-		return bucketArena{}, err
+		return frame.Arena{}, err
 	}
 	defer g.Close()
 	return attemptReduce(job, g, ctx)

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -105,5 +106,30 @@ func TestSingleReducerBottleneckVisibleInSimTime(t *testing.T) {
 	}, make([]int64, 8), slots)
 	if spread >= single {
 		t.Errorf("parallel reduce %v not faster than single %v", spread, single)
+	}
+}
+
+func TestMeasureSlots(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	min := func(a, b int) int {
+		if a < b {
+			return a
+		}
+		return b
+	}
+	cases := []struct {
+		par, clusterSlots, want int
+	}{
+		{0, 1024, min(procs, 1024)}, // default: min(GOMAXPROCS, slots)
+		{0, 1, 1},                   // tiny cluster bounds the default
+		{1, 1024, 1},                // serial isolation mode
+		{4, 2, 4},                   // explicit values pass through unclamped
+		{-3, 1024, min(procs, 1024)},
+	}
+	for _, c := range cases {
+		cfg := &SimConfig{MeasureParallelism: c.par}
+		if got := cfg.measureSlots(c.clusterSlots); got != c.want {
+			t.Errorf("measureSlots(par=%d, slots=%d) = %d, want %d", c.par, c.clusterSlots, got, c.want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mrskyline/internal/frame"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
 )
@@ -183,7 +184,7 @@ func TestLeaseOrderingAndReduceGating(t *testing.T) {
 	}
 	for worker, r := range []*LeaseReply{r0, r1} {
 		reduceDone(t, m, r, worker, ReduceDoneArgs{
-			FetchFailedWorker: -1, Output: mapreduce.AppendRecord(nil, []byte{'k', byte('0' + r.TaskID)}, []byte("v")),
+			FetchFailedWorker: -1, Output: frame.AppendRecord(nil, []byte{'k', byte('0' + r.TaskID)}, []byte("v")),
 			PayloadBytes: 6, WireBytes: 10,
 		})
 	}

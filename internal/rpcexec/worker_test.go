@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mrskyline/internal/frame"
 	"mrskyline/internal/mapreduce"
 )
 
@@ -176,7 +177,7 @@ func TestFetchSegmentLocalErrors(t *testing.T) {
 	}
 
 	// Stored but corrupt (checksum mismatch).
-	seg := mapreduce.AppendRecord(nil, []byte("k"), []byte("v"))
+	seg := frame.AppendRecord(nil, []byte("k"), []byte("v"))
 	w.store[storeKey{job: 9, task: 0}] = [][]byte{seg}
 	_, _, _, err = w.fetchSegment(lease, MapSource{MapTask: 0, WorkerID: 3, Checksum: mapreduce.SegmentChecksum(seg) + 1})
 	if err == nil || !strings.Contains(err.Error(), "corrupt") {

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+
+	"mrskyline/internal/frame"
 )
 
 // bufSize derives the per-reader buffer size from the budget: a merge
@@ -30,10 +32,9 @@ func (c *Config) bufSize() int {
 type Merger struct {
 	cfg     *Config
 	readers []*RunReader
-	keys    [][]byte // current head record per reader; nil = drained
+	keys    [][]byte // current head record per open reader
 	vals    [][]byte
 	advance int // reader whose head was handed out by the last Next
-	open    int
 }
 
 // NewMerger opens every run. The run list must not exceed the config's
@@ -57,7 +58,6 @@ func NewMerger(cfg *Config, runs []RunFile) (*Merger, error) {
 			return nil, err
 		}
 		m.readers[i] = r
-		m.open++
 		cfg.Stats.addResident(int64(bs))
 		if err := m.pull(i); err != nil {
 			m.Close()
@@ -70,19 +70,20 @@ func NewMerger(cfg *Config, runs []RunFile) (*Merger, error) {
 // pull advances reader i to its next record.
 func (m *Merger) pull(i int) error {
 	k, v, err := m.readers[i].Next()
-	switch {
-	case err == io.EOF:
-		m.keys[i], m.vals[i] = nil, nil
-		m.readers[i].Close()
-		m.readers[i] = nil
-		m.open--
-		m.cfg.Stats.addResident(-int64(m.cfg.bufSize()))
+	if err == io.EOF {
+		m.drop(i)
 		return nil
-	case err != nil:
-		return err
 	}
 	m.keys[i], m.vals[i] = k, v
-	return nil
+	return err
+}
+
+// drop closes reader i, drained or abandoned. Its nil reader marks it so:
+// a nil key is a record like any other.
+func (m *Merger) drop(i int) {
+	m.readers[i].Close()
+	m.readers[i], m.keys[i], m.vals[i] = nil, nil, nil
+	m.cfg.Stats.addResident(-int64(m.cfg.bufSize()))
 }
 
 // Next returns the smallest head record. The slices are valid until the
@@ -96,10 +97,7 @@ func (m *Merger) Next() (key, value []byte, err error) {
 	}
 	best := -1
 	for i, k := range m.keys {
-		if m.readers[i] == nil && k == nil {
-			continue
-		}
-		if m.keys[i] == nil {
+		if m.readers[i] == nil {
 			continue
 		}
 		if best == -1 || bytes.Compare(k, m.keys[best]) < 0 {
@@ -118,10 +116,7 @@ func (m *Merger) Next() (key, value []byte, err error) {
 func (m *Merger) Close() {
 	for i, r := range m.readers {
 		if r != nil {
-			r.Close()
-			m.readers[i] = nil
-			m.open--
-			m.cfg.Stats.addResident(-int64(m.cfg.bufSize()))
+			m.drop(i)
 		}
 	}
 }
@@ -228,8 +223,7 @@ type Groups struct {
 	nextVal []byte
 
 	key  []byte
-	vals [][]byte
-	aren []byte
+	vals frame.Arena // the current group's values, keyless
 }
 
 // NewGroups opens the group stream over runs (at most fan-in of them).
@@ -241,14 +235,14 @@ func NewGroups(cfg *Config, runs []RunFile) (*Groups, error) {
 	return &Groups{m: m}, nil
 }
 
-// Next returns the next key group. Returned slices are valid until the
+// Next returns the next key group; a zero-length key or value is nil, as
+// it is from a resident arena. Returned slices are valid until the
 // following Next call; ok is false when the stream is cleanly drained.
 func (g *Groups) Next() (key []byte, vals [][]byte, ok bool, err error) {
 	if g.done {
 		return nil, nil, false, nil
 	}
-	g.aren = g.aren[:0]
-	g.vals = g.vals[:0]
+	g.vals.Reset()
 	if !g.pending {
 		k, v, err := g.m.Next()
 		if err == io.EOF {
@@ -265,7 +259,7 @@ func (g *Groups) Next() (key []byte, vals [][]byte, ok bool, err error) {
 		g.pending = true
 	}
 	g.key = append(g.key[:0], g.nextKey...)
-	g.appendVal(g.nextVal)
+	g.vals.Add(nil, g.nextVal)
 	g.pending = false
 	for {
 		k, v, err := g.m.Next()
@@ -284,25 +278,16 @@ func (g *Groups) Next() (key []byte, vals [][]byte, ok bool, err error) {
 			g.pending = true
 			break
 		}
-		g.appendVal(v)
+		g.vals.Add(nil, v)
 	}
-	// Arena growth may have reallocated; rebuild value views against the
-	// final backing array.
-	vals = make([][]byte, len(g.vals))
-	copy(vals, g.vals)
+	vals = make([][]byte, g.vals.Len())
+	for i := range vals {
+		vals[i] = g.vals.Value(i)
+	}
+	if len(g.key) == 0 {
+		return nil, vals, true, nil
+	}
 	return g.key, vals, true, nil
-}
-
-// appendVal copies one value into the group arena and records its span.
-func (g *Groups) appendVal(v []byte) {
-	off := len(g.aren)
-	g.aren = append(g.aren, v...)
-	end := off + len(v)
-	if len(v) == 0 {
-		g.vals = append(g.vals, nil)
-		return
-	}
-	g.vals = append(g.vals, g.aren[off:end:end])
 }
 
 // Close releases the underlying merger; safe to call at any point.

@@ -1,17 +1,18 @@
 package spill
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
+
+	"mrskyline/internal/frame"
 )
 
-// Run file layout. Records are length-prefixed with the same uvarint
-// framing shuffle segments use on the rpcexec wire, bracketed by a fixed
-// header and trailer:
+// Run file layout. Records are framed by internal/frame — the framing
+// shuffle segments use on the rpcexec wire — bracketed by a fixed header
+// and trailer:
 //
 //	magic   8 bytes  "SKYRUN1\n"
 //	records          uvarint(klen) key uvarint(vlen) value ...
@@ -20,9 +21,9 @@ import (
 //	sum     8 bytes  little-endian FNV-1a over everything above
 //
 // The checksum covers the magic, every record byte and the two trailer
-// counts, and is verified incrementally as a reader streams the file: a
-// flipped bit anywhere surfaces as *CorruptError by the time the run is
-// drained, before its consumer commits anything derived from it.
+// counts, and is verified incrementally as a frame.Reader streams the
+// file: a flipped bit anywhere surfaces as *CorruptError by the time the
+// run is drained, before its consumer commits anything derived from it.
 
 const (
 	runMagic       = "SKYRUN1\n"
@@ -46,14 +47,11 @@ type RunFile struct {
 	FrameBytes int64
 }
 
-// runWriter streams one run file, hashing as it writes.
+// runWriter streams one run file through a hashing frame.Writer.
 type runWriter struct {
-	f       *os.File
-	bw      *bufio.Writer
-	h       io.Writer // bw tee'd into the FNV hash
-	sum     interface{ Sum64() uint64 }
-	rf      RunFile
-	scratch [2 * binary.MaxVarintLen64]byte
+	f  *os.File
+	fw *frame.Writer
+	rf RunFile
 }
 
 // createRun opens a new run file at path.
@@ -62,12 +60,9 @@ func createRun(path string, tag int) (*runWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spill: creating run: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	h := fnv.New64a()
-	w := &runWriter{f: f, bw: bw, h: io.MultiWriter(bw, h), sum: h, rf: RunFile{Path: path, Tag: tag}}
-	if _, err := w.h.Write([]byte(runMagic)); err != nil {
-		f.Close()
-		os.Remove(path)
+	w := &runWriter{f: f, fw: frame.NewWriter(f, 1<<16), rf: RunFile{Path: path, Tag: tag}}
+	if err := w.fw.Raw([]byte(runMagic)); err != nil {
+		w.abort()
 		return nil, err
 	}
 	return w, nil
@@ -75,53 +70,27 @@ func createRun(path string, tag int) (*runWriter, error) {
 
 // add appends one framed record.
 func (w *runWriter) add(key, value []byte) error {
-	n := binary.PutUvarint(w.scratch[:], uint64(len(key)))
-	if _, err := w.h.Write(w.scratch[:n]); err != nil {
-		return err
-	}
-	if _, err := w.h.Write(key); err != nil {
-		return err
-	}
-	n = binary.PutUvarint(w.scratch[:], uint64(len(value)))
-	if _, err := w.h.Write(w.scratch[:n]); err != nil {
-		return err
-	}
-	if _, err := w.h.Write(value); err != nil {
-		return err
-	}
 	w.rf.Records++
 	w.rf.PayloadBytes += int64(len(key) + len(value))
-	w.rf.FrameBytes += int64(uvarintLen(uint64(len(key))) + len(key) + uvarintLen(uint64(len(value))) + len(value))
-	return nil
+	return w.fw.Record(key, value)
 }
 
 // finish writes the trailer and closes the file, returning the completed
 // descriptor. The file is removed on error.
 func (w *runWriter) finish() (RunFile, error) {
-	rf, err := w.finishInner()
+	w.rf.FrameBytes = w.fw.Offset() - int64(len(runMagic))
+	var counts [16]byte
+	binary.LittleEndian.PutUint64(counts[0:], uint64(w.rf.Records))
+	binary.LittleEndian.PutUint64(counts[8:], uint64(w.rf.FrameBytes))
+	err := w.fw.Raw(counts[:])
+	if err == nil {
+		err = w.fw.Finish()
+	}
+	if err == nil {
+		err = w.f.Close()
+	}
 	if err != nil {
-		w.f.Close()
-		os.Remove(w.rf.Path)
-		return RunFile{}, err
-	}
-	return rf, nil
-}
-
-func (w *runWriter) finishInner() (RunFile, error) {
-	var buf [runTrailerSize]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(w.rf.Records))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(w.rf.FrameBytes))
-	if _, err := w.h.Write(buf[:16]); err != nil {
-		return RunFile{}, err
-	}
-	binary.LittleEndian.PutUint64(buf[16:], w.sum.Sum64())
-	if _, err := w.bw.Write(buf[16:24]); err != nil {
-		return RunFile{}, err
-	}
-	if err := w.bw.Flush(); err != nil {
-		return RunFile{}, err
-	}
-	if err := w.f.Close(); err != nil {
+		w.abort()
 		return RunFile{}, err
 	}
 	return w.rf, nil
@@ -133,29 +102,15 @@ func (w *runWriter) abort() {
 	os.Remove(w.rf.Path)
 }
 
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // RunReader replays one run file in record order, verifying the checksum
 // incrementally; the final Next that returns io.EOF has proven the whole
 // file intact (or returned *CorruptError).
 type RunReader struct {
-	rf        RunFile
-	f         *os.File
-	br        *bufio.Reader
-	h         interface{ Sum64() uint64 }
-	hw        io.Writer
-	remaining int64 // record-region bytes left
-	read      int64 // records consumed
-	buf       []byte
-	wantSum   uint64
-	scratch   [8]byte
+	rf      RunFile
+	f       *os.File
+	fr      *frame.Reader
+	read    int64 // records consumed
+	wantSum uint64
 }
 
 // OpenRun opens a run file for streaming. bufSize shapes the read buffer
@@ -168,133 +123,81 @@ func OpenRun(rf RunFile, bufSize int) (*RunReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spill: opening run: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
+	r := &RunReader{rf: rf, f: f, fr: frame.NewReader(f, bufSize)}
+	if err := r.open(); err != nil {
 		f.Close()
 		return nil, err
 	}
-	r := &RunReader{rf: rf, f: f}
-	// The trailer is read up front: the counts locate the record region
-	// and the stored checksum is compared once streaming reaches the end.
-	if st.Size() < int64(len(runMagic))+runTrailerSize {
-		f.Close()
-		return nil, &CorruptError{Path: rf.Path, Tag: rf.Tag}
-	}
-	var trailer [runTrailerSize]byte
-	if _, err := f.ReadAt(trailer[:], st.Size()-runTrailerSize); err != nil {
-		f.Close()
-		return nil, err
-	}
-	count := int64(binary.LittleEndian.Uint64(trailer[0:]))
-	frames := int64(binary.LittleEndian.Uint64(trailer[8:]))
-	r.wantSum = binary.LittleEndian.Uint64(trailer[16:])
-	if frames != st.Size()-int64(len(runMagic))-runTrailerSize || count < 0 {
-		f.Close()
-		return nil, &CorruptError{Path: rf.Path, Tag: rf.Tag}
-	}
-	r.remaining = frames
-	r.rf.Records = count
-	r.rf.FrameBytes = frames
-	h := fnv.New64a()
-	r.h, r.hw = h, h
-	r.br = bufio.NewReaderSize(f, bufSize)
-	var magic [len(runMagic)]byte
-	if _, err := io.ReadFull(r.br, magic[:]); err != nil || string(magic[:]) != runMagic {
-		f.Close()
-		return nil, &CorruptError{Path: rf.Path, Tag: rf.Tag}
-	}
-	r.hw.Write(magic[:])
 	return r, nil
 }
 
-// Next returns the next record. The returned slices are valid until the
-// following Next call. At end of file the checksum is verified: a clean
-// end returns io.EOF, a mismatch returns *CorruptError.
+// open reads the trailer up front — the counts locate the record region,
+// the stored checksum is compared once streaming reaches its end — then
+// the magic.
+func (r *RunReader) open() error {
+	st, err := r.f.Stat()
+	if err != nil {
+		return err
+	}
+	if st.Size() < int64(len(runMagic))+runTrailerSize {
+		return r.corrupt(nil)
+	}
+	var trailer [runTrailerSize]byte
+	if _, err := r.f.ReadAt(trailer[:], st.Size()-runTrailerSize); err != nil {
+		return err
+	}
+	r.rf.Records = int64(binary.LittleEndian.Uint64(trailer[0:]))
+	r.rf.FrameBytes = int64(binary.LittleEndian.Uint64(trailer[8:]))
+	r.wantSum = binary.LittleEndian.Uint64(trailer[16:])
+	if r.rf.FrameBytes != st.Size()-int64(len(runMagic))-runTrailerSize || r.rf.Records < 0 {
+		return r.corrupt(nil)
+	}
+	var magic [len(runMagic)]byte
+	if err := r.fr.Raw(magic[:]); err != nil || string(magic[:]) != runMagic {
+		return r.corrupt(nil)
+	}
+	r.fr.Limit(r.rf.FrameBytes)
+	return nil
+}
+
+// Next returns the next record; zero-length keys and values are nil. The
+// returned slices are valid until the following Next call. At end of file
+// the checksum is verified: a clean end returns io.EOF, a mismatch returns
+// *CorruptError.
 func (r *RunReader) Next() (key, value []byte, err error) {
-	if r.remaining == 0 {
+	key, value, err = r.fr.Next()
+	if err == io.EOF {
 		return nil, nil, r.verify()
 	}
-	// Reads interleave with hash updates in exact file order (klen prefix,
-	// key, vlen prefix, value) so the incremental sum matches the writer's.
-	klen, err := r.readLen()
-	if err != nil {
-		return nil, nil, err
+	if r.read++; err != nil || r.read > r.rf.Records {
+		return nil, nil, r.corrupt(err)
 	}
-	if cap(r.buf) < klen {
-		r.buf = make([]byte, klen)
-	}
-	r.buf = r.buf[:klen]
-	if _, err := io.ReadFull(r.br, r.buf); err != nil {
-		return nil, nil, r.corrupt()
-	}
-	r.hw.Write(r.buf)
-	r.remaining -= int64(klen)
-	vlen, err := r.readLen()
-	if err != nil {
-		return nil, nil, err
-	}
-	need := klen + vlen
-	if cap(r.buf) < need {
-		grown := make([]byte, need)
-		copy(grown, r.buf)
-		r.buf = grown
-	}
-	r.buf = r.buf[:need]
-	if _, err := io.ReadFull(r.br, r.buf[klen:]); err != nil {
-		return nil, nil, r.corrupt()
-	}
-	r.hw.Write(r.buf[klen:])
-	r.remaining -= int64(vlen)
-	r.read++
-	if r.read > r.rf.Records {
-		return nil, nil, r.corrupt()
-	}
-	return r.buf[:klen:klen], r.buf[klen:need:need], nil
+	return key, value, nil
 }
 
-// readLen reads one uvarint length prefix, bounded by the remaining
-// record-region bytes.
-func (r *RunReader) readLen() (int, error) {
-	n := 0
-	for shift := uint(0); ; shift += 7 {
-		if r.remaining == 0 || shift > 63 {
-			return 0, r.corrupt()
-		}
-		b, err := r.br.ReadByte()
-		if err != nil {
-			return 0, r.corrupt()
-		}
-		r.scratch[0] = b
-		r.hw.Write(r.scratch[:1])
-		r.remaining--
-		n |= int(b&0x7f) << shift
-		if b < 0x80 {
-			break
-		}
-	}
-	if n < 0 || int64(n) > r.remaining {
-		return 0, r.corrupt()
-	}
-	return n, nil
-}
-
-// verify checks the trailer checksum once the record region is drained.
+// verify checks the record count and the trailer checksum once the record
+// region is drained.
 func (r *RunReader) verify() error {
-	if r.read != r.rf.Records {
-		return r.corrupt()
-	}
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(r.rf.Records))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(r.rf.FrameBytes))
-	r.hw.Write(buf[:])
-	if r.h.Sum64() != r.wantSum {
-		return r.corrupt()
+	var counts [16]byte
+	binary.LittleEndian.PutUint64(counts[0:], uint64(r.rf.Records))
+	binary.LittleEndian.PutUint64(counts[8:], uint64(r.rf.FrameBytes))
+	h := r.fr.Hash()
+	h.Write(counts[:])
+	if r.read != r.rf.Records || h.Sum64() != r.wantSum {
+		return r.corrupt(nil)
 	}
 	return io.EOF
 }
 
-func (r *RunReader) corrupt() error {
-	return &CorruptError{Path: r.rf.Path, Tag: r.rf.Tag}
+// corrupt names the run around the reader's report; a break the reader did
+// not see (trailer shape, record count, sum) vouches for nothing: offset 0.
+func (r *RunReader) corrupt(cause error) error {
+	ce := &CorruptError{Path: r.rf.Path, Tag: r.rf.Tag}
+	var fe *frame.CorruptError
+	if errors.As(cause, &fe) {
+		ce.Frame = *fe
+	}
+	return ce
 }
 
 // Close releases the underlying file.

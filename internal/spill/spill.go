@@ -35,6 +35,7 @@ import (
 	"os"
 	"sync/atomic"
 
+	"mrskyline/internal/frame"
 	"mrskyline/internal/obs"
 )
 
@@ -139,14 +140,18 @@ func (s *Stats) addResident(delta int64) {
 }
 
 // CorruptError reports a run file whose contents do not match its
-// checksum. Tag carries the producer identity the writer recorded (the
-// engine stores the map-task id there), so the consumer can re-execute
-// the producer instead of merely failing.
+// checksum: frame's report of where, plus what the repair needs. Tag
+// carries the producer identity the writer recorded (the engine stores the
+// map-task id there), so the consumer can re-execute the producer instead
+// of merely failing.
 type CorruptError struct {
-	Path string
-	Tag  int
+	Path  string
+	Tag   int
+	Frame frame.CorruptError
 }
 
 func (e *CorruptError) Error() string {
 	return fmt.Sprintf("spill: run %s (tag %d) failed its checksum", e.Path, e.Tag)
 }
+
+func (e *CorruptError) Unwrap() error { return &e.Frame }

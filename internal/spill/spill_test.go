@@ -484,3 +484,22 @@ func BenchmarkSpillMerge(b *testing.B) {
 		}
 	}
 }
+
+// TestEmptyRecordIsARecord: a run whose first record has an empty key and
+// an empty value is not a drained run. The merger used a nil head key as
+// its "drained" sentinel, so this stream came back as zero records and a
+// clean EOF.
+func TestEmptyRecordIsARecord(t *testing.T) {
+	cfg := testConfig(t, 1<<20, 0)
+	recs := []rec{{nil, nil}, {[]byte("a"), []byte("1")}, {[]byte("b"), []byte("2")}}
+	runs := writeAll(t, cfg, "empty", 0, recs)
+	got := drain(t, cfg, runs)
+	if len(got) != len(recs) {
+		t.Fatalf("merged %d of %d records", len(got), len(recs))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i].k, recs[i].k) || !bytes.Equal(got[i].v, recs[i].v) {
+			t.Errorf("record %d = (%q, %q), want (%q, %q)", i, got[i].k, got[i].v, recs[i].k, recs[i].v)
+		}
+	}
+}

@@ -1,32 +1,23 @@
 package spill
 
 import (
-	"bytes"
-	"cmp"
-	"encoding/binary"
 	"fmt"
 	"path/filepath"
-	"slices"
-)
 
-// arenaRec locates one record inside a Writer's arena (key at off, value
-// immediately after), mirroring the engine's bucket-arena layout.
-type arenaRec struct {
-	off  int
-	klen int32
-	vlen int32
-}
+	"mrskyline/internal/frame"
+)
 
 // arenaRecOverhead is the bookkeeping cost per buffered record charged
 // against the budget alongside the payload bytes.
 const arenaRecOverhead = 16
 
-// Writer accumulates records and flushes a sorted run file whenever its
-// resident bytes (payload plus per-record bookkeeping) exceed the
-// config's budget. Runs cut this way are totally ordered in arrival time
-// — every record of run i was added before every record of run i+1 — so a
-// merge that breaks key ties by run index reproduces the global
-// (key, arrival order) of a single in-memory sort.
+// Writer accumulates records in a frame.Arena — the resident shuffle's own
+// buffer and sort, so spilled and resident paths order identically — and
+// flushes a sorted run file whenever its resident bytes (payload plus
+// per-record bookkeeping) exceed the config's budget. Runs cut this way are
+// totally ordered in arrival time — every record of run i was added before
+// every record of run i+1 — so a merge that breaks key ties by run index
+// reproduces the global (key, arrival order) of a single in-memory sort.
 //
 // A Writer is not safe for concurrent use; the engine drives one writer
 // per shuffle segment.
@@ -36,8 +27,7 @@ type Writer struct {
 	tag    int
 	seq    int
 
-	data []byte
-	recs []arenaRec
+	buf  frame.Arena
 	runs []RunFile
 }
 
@@ -50,45 +40,29 @@ func NewWriter(cfg *Config, prefix string, tag int) *Writer {
 
 // resident is the writer's budget charge.
 func (w *Writer) resident() int64 {
-	return int64(len(w.data)) + int64(len(w.recs))*arenaRecOverhead
+	return int64(len(w.buf.Bytes())) + int64(w.buf.Len())*arenaRecOverhead
 }
 
 // Add buffers one record (bytes are copied, so callers may reuse their
 // scratch), spilling a sorted run first if the arena is over budget.
 func (w *Writer) Add(key, value []byte) error {
-	if w.cfg.Budget > 0 && len(w.recs) > 0 && w.resident()+int64(len(key)+len(value))+arenaRecOverhead > w.cfg.Budget {
+	if w.cfg.Budget > 0 && w.buf.Len() > 0 && w.resident()+int64(len(key)+len(value))+arenaRecOverhead > w.cfg.Budget {
 		if err := w.spill(); err != nil {
 			return err
 		}
 	}
-	off := len(w.data)
-	w.data = append(w.data, key...)
-	w.data = append(w.data, value...)
-	w.recs = append(w.recs, arenaRec{off: off, klen: int32(len(key)), vlen: int32(len(value))})
+	w.buf.Add(key, value)
 	w.cfg.Stats.addResident(int64(len(key)+len(value)) + arenaRecOverhead)
 	return nil
 }
 
 // Len returns the number of records currently buffered in memory.
-func (w *Writer) Len() int { return len(w.recs) }
-
-func (w *Writer) key(i int) []byte {
-	r := w.recs[i]
-	end := r.off + int(r.klen)
-	return w.data[r.off:end:end]
-}
-
-func (w *Writer) value(i int) []byte {
-	r := w.recs[i]
-	lo := r.off + int(r.klen)
-	end := lo + int(r.vlen)
-	return w.data[lo:end:end]
-}
+func (w *Writer) Len() int { return w.buf.Len() }
 
 // spill sorts the arena (stable: key bytes, then arrival order) and
 // writes it as one run file.
 func (w *Writer) spill() error {
-	idx := w.sortedIndex()
+	idx := w.buf.SortedIndex()
 	path := filepath.Join(w.cfg.Dir, fmt.Sprintf("%s-%d.run", w.prefix, w.seq))
 	w.seq++
 	rw, err := createRun(path, w.tag)
@@ -96,7 +70,7 @@ func (w *Writer) spill() error {
 		return err
 	}
 	for _, i := range idx {
-		if err := rw.add(w.key(int(i)), w.value(int(i))); err != nil {
+		if err := rw.add(w.buf.Key(int(i)), w.buf.Value(int(i))); err != nil {
 			rw.abort()
 			return err
 		}
@@ -113,7 +87,7 @@ func (w *Writer) spill() error {
 	}
 	w.cfg.Metrics.Count("mr.spill.runs", 1)
 	w.cfg.Metrics.Count("mr.spill.bytes", rf.PayloadBytes)
-	w.data, w.recs = w.data[:0], w.recs[:0]
+	w.buf.Reset()
 	return nil
 }
 
@@ -121,13 +95,12 @@ func (w *Writer) spill() error {
 // run written, in arrival order. A writer that never received a record
 // returns nil. The writer must not be reused afterwards.
 func (w *Writer) Finish() ([]RunFile, error) {
-	if len(w.recs) > 0 {
+	if w.buf.Len() > 0 {
 		if err := w.spill(); err != nil {
 			return nil, err
 		}
 	}
-	w.data = nil
-	w.recs = nil
+	w.buf = frame.Arena{}
 	return w.runs, nil
 }
 
@@ -135,55 +108,7 @@ func (w *Writer) Finish() ([]RunFile, error) {
 // on error paths.
 func (w *Writer) Discard() {
 	w.cfg.Stats.addResident(-w.resident())
-	w.data, w.recs = nil, nil
+	w.buf = frame.Arena{}
 	removeRuns(w.runs)
 	w.runs = nil
-}
-
-// sortKey pairs a record index with the big-endian packing of its key's
-// first eight bytes plus the key length — the same prefix trick the
-// engine's in-memory shuffle sorts with, so spilled and resident paths
-// order identically.
-type sortKey struct {
-	prefix uint64
-	klen   int32
-	idx    int32
-}
-
-func keyPrefix(k []byte) uint64 {
-	if len(k) >= 8 {
-		return binary.BigEndian.Uint64(k)
-	}
-	var p uint64
-	for i, b := range k {
-		p |= uint64(b) << (56 - 8*i)
-	}
-	return p
-}
-
-// sortedIndex orders the arena's records by key bytes, ties broken by
-// arrival order.
-func (w *Writer) sortedIndex() []int32 {
-	sk := make([]sortKey, len(w.recs))
-	for i := range sk {
-		sk[i] = sortKey{prefix: keyPrefix(w.key(i)), klen: w.recs[i].klen, idx: int32(i)}
-	}
-	slices.SortFunc(sk, func(x, y sortKey) int {
-		if x.prefix != y.prefix {
-			return cmp.Compare(x.prefix, y.prefix)
-		}
-		if x.klen > 8 && y.klen > 8 {
-			if c := bytes.Compare(w.key(int(x.idx))[8:], w.key(int(y.idx))[8:]); c != 0 {
-				return c
-			}
-		} else if x.klen != y.klen {
-			return cmp.Compare(x.klen, y.klen)
-		}
-		return cmp.Compare(x.idx, y.idx)
-	})
-	idx := make([]int32, len(sk))
-	for i, k := range sk {
-		idx[i] = k.idx
-	}
-	return idx
 }

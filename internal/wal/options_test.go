@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mrskyline/internal/frame"
 )
 
 func TestParseSyncMode(t *testing.T) {
@@ -77,9 +79,13 @@ func TestExists(t *testing.T) {
 }
 
 func TestLogErrorTypes(t *testing.T) {
-	te := &tornError{Path: "wal-5.log", Off: 10, Lost: 4}
+	te := &tornError{Frame: frame.CorruptError{Off: 10}, Path: "wal-5.log", Lost: 4}
 	if !strings.Contains(te.Error(), "wal-5.log") || !strings.Contains(te.Error(), "offset 10") {
 		t.Fatalf("tornError.Error() = %q, want path and offset", te.Error())
+	}
+	var fc *frame.CorruptError
+	if !errors.As(error(te), &fc) || fc.Off != 10 {
+		t.Fatalf("tornError does not unwrap to the frame layer's report: %v", fc)
 	}
 	fe := &fatalError{err: os.ErrInvalid}
 	if !errors.Is(fe, os.ErrInvalid) {

@@ -1,53 +1,28 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"time"
 
+	"mrskyline/internal/frame"
 	"mrskyline/internal/obs"
 )
 
-// Segment file layout. Records are length-prefixed like spill's SKYRUN1
-// runs, but because a log grows record by record the checksum cannot be a
-// single end-of-file trailer: each record instead carries the running
-// FNV-1a over every byte of the file so far (magic, all earlier frames,
-// payloads and sums, this record's frame and payload). A reader replays
-// the same incremental hash, so a flipped bit or torn write anywhere is
-// caught at the first record it touches:
+// Segment file layout. A record's payload is one internal/frame chunk, as
+// in spill's SKYRUN1 runs, but because a log grows record by record the
+// checksum cannot be a single end-of-file trailer: each record instead
+// carries the running frame.Hash over every byte of the file so far
+// (magic, all earlier frames, payloads and sums, this record's frame and
+// payload). A reader replays the same incremental hash, so a flipped bit
+// or torn write anywhere is caught at the first record it touches:
 //
 //	magic   8 bytes  "SKYWAL1\n"
 //	records          uvarint(plen) payload sum8
 //
 // where sum8 is the little-endian running FNV-1a just described.
 const segMagic = "SKYWAL1\n"
-
-// fnv64a is a resumable 64-bit FNV-1a state (same parameters as
-// hash/fnv): the value IS the checksum, so a scanner can branch the hash
-// at a record boundary without re-reading the prefix.
-type fnv64a uint64
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func newFNV() fnv64a { return fnvOffset64 }
-
-func (h *fnv64a) Write(p []byte) (int, error) {
-	s := uint64(*h)
-	for _, b := range p {
-		s ^= uint64(b)
-		s *= fnvPrime64
-	}
-	*h = fnv64a(s)
-	return len(p), nil
-}
-
-func (h fnv64a) Sum64() uint64 { return uint64(h) }
 
 // segInfo describes one sealed segment: the generations its records span
 // and its path. An empty segment has lastGen == firstGen-1.
@@ -69,7 +44,7 @@ type segmentLog struct {
 	reg      *obs.Registry
 
 	f                 *os.File
-	h                 fnv64a
+	h                 frame.Hash
 	size              int64
 	records           int64
 	firstGen, lastGen uint64
@@ -94,7 +69,7 @@ func (l *segmentLog) openSegment(firstGen uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}
-	h := newFNV()
+	h := frame.NewHash()
 	if _, err := f.Write([]byte(segMagic)); err != nil {
 		f.Close()
 		os.Remove(path)
@@ -129,14 +104,10 @@ func (l *segmentLog) append(gen uint64, payload []byte) error {
 			return err
 		}
 	}
-	l.buf = binary.AppendUvarint(l.buf[:0], uint64(len(payload)))
-	l.buf = append(l.buf, payload...)
+	l.buf = frame.AppendChunk(l.buf[:0], payload)
 	h := l.h // branch the running hash so a failed append leaves it intact
 	h.Write(l.buf)
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], h.Sum64())
-	h.Write(sum[:])
-	l.buf = append(l.buf, sum[:]...)
+	l.buf = frame.AppendSum(l.buf, &h)
 	crashPoint("append.write", gen, l.f, l.buf)
 	if _, err := l.f.Write(l.buf); err != nil {
 		if terr := l.truncateTo(l.size); terr != nil {
@@ -208,22 +179,20 @@ func (l *segmentLog) close() error {
 	return nil
 }
 
-// tornError reports a segment whose bytes stop checksumming at Off —
+// tornError reports a segment whose bytes stop checksumming at Frame.Off —
 // either a torn tail (recoverable by truncation when it is the final
 // segment) or hard corruption (anywhere else).
 type tornError struct {
-	Path string
-	Off  int64 // last offset at which the segment was intact
-	Lost int64 // bytes past Off
+	Frame frame.CorruptError // Off: last offset at which the segment was intact
+	Path  string
+	Lost  int64 // bytes past Off
 }
 
 func (e *tornError) Error() string {
-	return fmt.Sprintf("wal: segment %s breaks at offset %d (%d bytes unreadable)", e.Path, e.Off, e.Lost)
+	return fmt.Sprintf("wal: segment %s breaks at offset %d (%d bytes unreadable)", e.Path, e.Frame.Off, e.Lost)
 }
 
-// maxRecordBytes bounds a single record frame during scanning, so a
-// corrupt length prefix cannot drive a giant allocation.
-const maxRecordBytes = 1 << 30
+func (e *tornError) Unwrap() error { return &e.Frame }
 
 // scanSegment replays one segment's records, verifying the running
 // checksum record by record. It returns every intact payload (aliasing
@@ -235,33 +204,33 @@ func scanSegment(path string) (payloads [][]byte, goodOff int64, err error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("wal: reading segment: %w", err)
 	}
-	if len(b) < len(segMagic) || string(b[:len(segMagic)]) != segMagic {
-		return nil, 0, &tornError{Path: path, Off: 0, Lost: int64(len(b))}
+	torn := func(off int) error {
+		return &tornError{Frame: frame.CorruptError{Off: int64(off)}, Path: path, Lost: int64(len(b) - off)}
 	}
-	h := newFNV()
-	h.Write(b[:len(segMagic)])
-	off := int64(len(segMagic))
-	for off < int64(len(b)) {
-		plen, n := binary.Uvarint(b[off:])
-		if n <= 0 || plen > maxRecordBytes || plen > uint64(math.MaxInt64) ||
-			int64(plen) > int64(len(b))-off-int64(n)-8 {
+	if len(b) < len(segMagic) || string(b[:len(segMagic)]) != segMagic {
+		return nil, 0, torn(0)
+	}
+	off := len(segMagic)
+	h := frame.NewHash()
+	h.Write(b[:off])
+	for off < len(b) {
+		payload, end, err := frame.Chunk(b, off)
+		if err != nil {
 			break
 		}
-		end := off + int64(n) + int64(plen)
 		hr := h
 		hr.Write(b[off:end])
-		if binary.LittleEndian.Uint64(b[end:end+8]) != hr.Sum64() {
+		if !frame.CheckSum(b, end, &hr) {
 			break
 		}
-		hr.Write(b[end : end+8])
 		h = hr
-		payloads = append(payloads, b[off+int64(n):end])
-		off = end + 8
+		payloads = append(payloads, payload)
+		off = end + frame.SumSize
 	}
-	if off != int64(len(b)) {
-		return payloads, off, &tornError{Path: path, Off: off, Lost: int64(len(b)) - off}
+	if off != len(b) {
+		return payloads, int64(off), torn(off)
 	}
-	return payloads, off, nil
+	return payloads, int64(off), nil
 }
 
 // syncDir fsyncs a directory so entry creations, renames and removals

@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,11 +10,12 @@ import (
 	"strconv"
 	"strings"
 
+	"mrskyline/internal/frame"
 	"mrskyline/internal/tuple"
 )
 
-// Snapshot file layout — a full-file checksum in the SKYRUN1 style, since
-// a checkpoint is written in one piece and renamed into place:
+// Snapshot file layout — a frame.Writer stream under one full-file checksum,
+// since a checkpoint is written in one piece and renamed into place:
 //
 //	magic   8 bytes  "SKYSNAP\n"
 //	payload          version, gen, dim, ppd, windowCap (uvarints)
@@ -68,19 +67,11 @@ func writeSnapshot(dir string, st snapshotState) (string, error) {
 		os.Remove(tmp)
 		return "", err
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	h := newFNV()
-	w := io.MultiWriter(bw, &h)
-
-	var scratch []byte
-	emit := func(b []byte) error {
-		_, err := w.Write(b)
-		return err
-	}
-	if err := emit([]byte(snapMagic)); err != nil {
+	w := frame.NewWriter(f, 1<<16)
+	if err := w.Raw([]byte(snapMagic)); err != nil {
 		return abort(err)
 	}
-	scratch = binary.AppendUvarint(scratch[:0], snapVersion)
+	scratch := binary.AppendUvarint(nil, snapVersion)
 	scratch = binary.AppendUvarint(scratch, st.Gen)
 	scratch = binary.AppendUvarint(scratch, uint64(st.Dim))
 	scratch = binary.AppendUvarint(scratch, uint64(st.PPD))
@@ -91,24 +82,18 @@ func writeSnapshot(dir string, st snapshotState) (string, error) {
 	for _, v := range st.Hi {
 		scratch = binary.LittleEndian.AppendUint64(scratch, math.Float64bits(v))
 	}
-	scratch = binary.AppendUvarint(scratch, uint64(len(st.Meta)))
-	scratch = append(scratch, st.Meta...)
+	scratch = frame.AppendChunk(scratch, st.Meta)
 	scratch = binary.AppendUvarint(scratch, uint64(len(st.Rows)))
-	if err := emit(scratch); err != nil {
+	if err := w.Raw(scratch); err != nil {
 		return abort(err)
 	}
 	for _, t := range st.Rows {
 		scratch = tuple.AppendEncode(scratch[:0], t)
-		if err := emit(scratch); err != nil {
+		if err := w.Raw(scratch); err != nil {
 			return abort(err)
 		}
 	}
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], h.Sum64())
-	if _, err := bw.Write(sum[:]); err != nil {
-		return abort(err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := w.Finish(); err != nil {
 		return abort(err)
 	}
 	if err := f.Sync(); err != nil {
@@ -140,13 +125,13 @@ func readSnapshot(path string) (*snapshotState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: reading snapshot: %w", err)
 	}
-	if len(b) < len(snapMagic)+8 || string(b[:len(snapMagic)]) != snapMagic {
+	if len(b) < len(snapMagic)+frame.SumSize || string(b[:len(snapMagic)]) != snapMagic {
 		return nil, fmt.Errorf("%w: %s: bad magic or truncated", errSnapCorrupt, path)
 	}
-	body, sum := b[:len(b)-8], binary.LittleEndian.Uint64(b[len(b)-8:])
-	h := newFNV()
+	body := b[:len(b)-frame.SumSize]
+	h := frame.NewHash()
 	h.Write(body)
-	if h.Sum64() != sum {
+	if !frame.CheckSum(b, len(body), &h) {
 		return nil, fmt.Errorf("%w: %s: checksum mismatch", errSnapCorrupt, path)
 	}
 	p := body[len(snapMagic):]
@@ -193,15 +178,12 @@ func readSnapshot(path string) (*snapshotState, error) {
 		st.Hi[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*(st.Dim+i):]))
 	}
 	p = p[16*st.Dim:]
-	metaLen, err := next()
+	meta, n, err := frame.Chunk(p, 0)
 	if err != nil {
-		return nil, err
-	}
-	if metaLen > uint64(len(p)) {
 		return nil, fmt.Errorf("%w: %s: truncated meta", errSnapCorrupt, path)
 	}
-	st.Meta = append([]byte(nil), p[:metaLen]...)
-	p = p[metaLen:]
+	st.Meta = append([]byte(nil), meta...)
+	p = p[n:]
 	count, err := next()
 	if err != nil {
 		return nil, err

@@ -8,9 +8,9 @@
 // materialized intermediates (and BSP from checkpointed supersteps) to the
 // always-on maintenance layer:
 //
-//   - Every delta batch is appended to the log — uvarint framing with an
-//     incremental FNV-1a trailer per record, the same checksum style as
-//     internal/spill's SKYRUN1 runs — BEFORE it is applied to the resident
+//   - Every delta batch is appended to the log — an internal/frame chunk
+//     and the running frame.Hash of the file so far, the pieces spill's
+//     SKYRUN1 runs are laid out on — BEFORE it is applied to the resident
 //     state, under a configurable fsync policy (always / batch / interval).
 //   - A background checkpointer serializes the resident state at its
 //     current generation G (rows in global arrival order, which reproduces

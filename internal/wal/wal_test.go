@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mrskyline/internal/frame"
 	"mrskyline/internal/maintain"
 	"mrskyline/internal/tuple"
 )
@@ -195,37 +196,6 @@ func TestScanTornTail(t *testing.T) {
 	}
 }
 
-func TestScanBitFlip(t *testing.T) {
-	dir := t.TempDir()
-	l, err := openLog(dir, 1, 1<<20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for gen := uint64(1); gen <= 5; gen++ {
-		if err := l.append(gen, []byte{9, 9, 9, byte(gen)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.close(); err != nil {
-		t.Fatal(err)
-	}
-	path := segPath(dir, 1)
-	orig, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pos := 0; pos < len(orig); pos++ {
-		b := append([]byte(nil), orig...)
-		b[pos] ^= 0x40
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := scanSegment(path); err == nil {
-			t.Fatalf("bit flip at offset %d went undetected", pos)
-		}
-	}
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := snapshotState{
@@ -251,11 +221,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotCorruptionDetected: a checkpoint whose checksum is right
+// but whose fields are not still reads as errSnapCorrupt — the bounds
+// checks behind the sum, which no bit flip reaches (TestCorruptionSweep
+// has those). Each case edits the payload and re-sums the file.
 func TestSnapshotCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	path, err := writeSnapshot(dir, snapshotState{
 		Gen: 3, Dim: 2, PPD: 2, Lo: tuple.Tuple{0, 0}, Hi: tuple.Tuple{1, 1},
-		Rows: tuple.List{{0.5, 0.5}},
+		Meta: []byte("m"), Rows: tuple.List{{0.5, 0.5}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,25 +238,42 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pos := 0; pos < len(orig); pos++ {
-		b := append([]byte(nil), orig...)
-		b[pos] ^= 0x01
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, rerr := readSnapshot(path)
-		if !errors.Is(rerr, errSnapCorrupt) {
-			t.Fatalf("flip at %d: error = %v, want errSnapCorrupt", pos, rerr)
-		}
+	// Payload offsets: version, gen, dim, ppd, windowCap are one byte each
+	// after the magic; 32 bytes of domain; the meta chunk; the row count.
+	const (
+		version  = len(snapMagic)
+		dim      = version + 2
+		metaLen  = version + 5 + 32
+		rowCount = metaLen + 2
+	)
+	body := orig[:len(orig)-frame.SumSize]
+	cases := map[string]func(b []byte) []byte{
+		"unsupported version":   func(b []byte) []byte { b[version] = snapVersion + 1; return b },
+		"zero dimensionality":   func(b []byte) []byte { b[dim] = 0; return b },
+		"domain overruns":       func(b []byte) []byte { b[dim] = 100; return b },
+		"header value too big":  func(b []byte) []byte { return append(append(b[:dim:dim], 0xff, 0xff, 0xff, 0xff, 0x7f), b[dim+1:]...) },
+		"meta overruns":         func(b []byte) []byte { b[metaLen] = 0x7f; return b },
+		"row count implausible": func(b []byte) []byte { b[rowCount] = 0x7f; return b },
+		"row of another dim":    func(b []byte) []byte { b[rowCount+1] = 1; return b[:len(b)-8] },
+		"trailing bytes":        func(b []byte) []byte { return append(b, 0) },
+		"header cut short":      func(b []byte) []byte { return b[:version+1] },
 	}
-	// Truncations must be caught too.
-	for cut := len(orig) - 1; cut >= 0; cut -= 7 {
-		if err := os.WriteFile(path, orig[:cut], 0o644); err != nil {
+	for name, edit := range cases {
+		b := edit(append([]byte(nil), body...))
+		h := frame.NewHash()
+		h.Write(b)
+		if err := os.WriteFile(path, frame.AppendSum(b, &h), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, rerr := readSnapshot(path); !errors.Is(rerr, errSnapCorrupt) {
-			t.Fatalf("truncation to %d: error = %v, want errSnapCorrupt", cut, rerr)
+			t.Errorf("%s: error = %v, want errSnapCorrupt", name, rerr)
 		}
+	}
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readSnapshot(path); err != nil {
+		t.Fatalf("restored snapshot: %v", err)
 	}
 }
 
