@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	mrskyline "mrskyline"
 )
 
 func writeTempCSV(t *testing.T, content string) string {
@@ -71,83 +69,6 @@ func TestRunMaximizeValidation(t *testing.T) {
 func TestRunMissingInput(t *testing.T) {
 	if err := run(filepath.Join(t.TempDir(), "nope.csv"), "", "MR-GPSRS", 2, 1, 0, 0, 2, "", false, 0, ""); err == nil {
 		t.Error("missing input accepted")
-	}
-}
-
-func TestRunViaDFSEndToEnd(t *testing.T) {
-	data, err := mrskyline.Generate("anticorrelated", 800, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := mrskyline.WriteCSV(&sb, data); err != nil {
-		t.Fatal(err)
-	}
-	in := writeTempCSV(t, sb.String())
-	outDirect := filepath.Join(t.TempDir(), "direct.csv")
-	outDFS := filepath.Join(t.TempDir(), "dfs.csv")
-
-	if err := run(in, outDirect, "MR-GPMRS", 3, 2, 0, 0, 0, "", false, 0, ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := runViaDFS(in, outDFS, "MR-GPMRS", 3, 2, 0, 0, 0, "", false, 0, ""); err != nil {
-		t.Fatal(err)
-	}
-	direct := readLines(t, outDirect)
-	viaDFS := readLines(t, outDFS)
-	if len(direct) != len(viaDFS) {
-		t.Fatalf("direct skyline has %d tuples, via-dfs %d", len(direct), len(viaDFS))
-	}
-	set := map[string]bool{}
-	for _, l := range direct {
-		set[l] = true
-	}
-	for _, l := range viaDFS {
-		if !set[l] {
-			t.Fatalf("via-dfs tuple %q missing from direct result", l)
-		}
-	}
-}
-
-func TestRunViaDFSValidation(t *testing.T) {
-	in := writeTempCSV(t, "0.1,0.2\n")
-	if err := runViaDFS(in, "", "MR-GPSRS", 2, 1, 0, 0, 2, "1", false, 0, ""); err == nil {
-		t.Error("maximize accepted with -via-dfs")
-	}
-	if err := runViaDFS(in, "", "MR-Angle", 2, 1, 0, 0, 2, "", false, 0, ""); err == nil {
-		t.Error("baseline accepted with -via-dfs")
-	}
-	empty := writeTempCSV(t, "# only comments\n")
-	if err := runViaDFS(empty, "", "MR-GPSRS", 2, 1, 0, 0, 2, "", false, 0, ""); err == nil {
-		t.Error("comment-only input accepted")
-	}
-}
-
-func TestProbeCSV(t *testing.T) {
-	d, card, err := probeCSV([]byte("# c\n0.1,0.2,0.3\n0.4,0.5,0.6\n"))
-	if err != nil || d != 3 {
-		t.Fatalf("probeCSV = %d, %d, %v", d, card, err)
-	}
-	if card < 1 {
-		t.Errorf("card estimate = %d", card)
-	}
-	if _, _, err := probeCSV([]byte("")); err == nil {
-		t.Error("empty content accepted")
-	}
-}
-
-func TestCSVBounds(t *testing.T) {
-	lo, hi, err := csvBounds([]byte("1,10\n3,5\n2,20\n"), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo[0] != 1 || lo[1] != 5 || hi[0] != 3 || hi[1] != 20 {
-		t.Errorf("bounds = %v %v", lo, hi)
-	}
-	// Constant dimension widens.
-	lo, hi, err = csvBounds([]byte("1,7\n2,7\n"), 2)
-	if err != nil || hi[1] <= lo[1] {
-		t.Errorf("constant-dim bounds = %v %v, %v", lo, hi, err)
 	}
 }
 

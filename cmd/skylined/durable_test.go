@@ -323,3 +323,44 @@ func TestDeleteDataset(t *testing.T) {
 		t.Fatalf("re-register after delete: %d %s", code, body)
 	}
 }
+
+// TestPlainOverDurableDoesNotResurrect: re-registering a durable maintained
+// name as a plain dataset must not leave the old directory behind for a
+// restart to bring back. Whatever the server serves under the name before
+// the restart, it serves after it.
+func TestPlainOverDurableDoesNotResurrect(t *testing.T) {
+	svc, err := mrskyline.NewService(mrskyline.ServiceConfig{Nodes: 2, SlotsPerNode: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	dataDir := t.TempDir()
+	first := newServer(svc, dataDir)
+	ts := httptest.NewServer(first.handler())
+	defer ts.Close()
+
+	if code, body := postJSON(t, ts.URL+"/v1/datasets", map[string]any{"name": "x", "data": seedData[:2], "maintain": true}); code != 200 {
+		t.Fatalf("register maintained: %d %s", code, body)
+	}
+	if code, _ := postJSON(t, ts.URL+"/v1/datasets", map[string]any{"name": "x", "data": seedData}); code != http.StatusConflict {
+		t.Errorf("plain over durable: %d, want 409", code)
+	}
+	served := func(s *server) string {
+		ds := s.datasets["x"]
+		if ds == nil {
+			return "none"
+		}
+		return fmt.Sprintf("rows=%d maintained=%t", ds.size(), ds.maint != nil)
+	}
+	before := served(first)
+	first.closeDatasets()
+
+	restarted := newServer(svc, dataDir)
+	if err := restarted.restoreDatasets(); err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.closeDatasets()
+	if after := served(restarted); after != before {
+		t.Fatalf("restart serves %q as %s, before it served %s", "x", after, before)
+	}
+}

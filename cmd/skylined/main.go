@@ -643,21 +643,24 @@ func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			writeError(w, &httpError{http.StatusBadRequest, `"maintain_dim"/"maintain_ppd"/"maintain_window" require "maintain": true`})
 			return
 		}
+		// A durable dataset owns an on-disk directory that restoreDatasets
+		// brings back at startup: replacing it, with either kind, would
+		// overwrite its logged state or let that state resurrect over the
+		// replacement. Require an explicit DELETE first, as for any durable
+		// registration over a loaded name.
+		dir := ""
+		if req.Maintain {
+			dir = s.datasetDir(req.Name)
+		}
+		s.mu.RLock()
+		old, loaded := s.datasets[req.Name]
+		s.mu.RUnlock()
+		if loaded && (old.dir != "" || dir != "") {
+			writeError(w, &httpError{http.StatusConflict, fmt.Sprintf("dataset %q already exists; DELETE it first", req.Name)})
+			return
+		}
 		ds := &dataset{plain: s.svc.Dataset(data)}
 		if req.Maintain {
-			dir := s.datasetDir(req.Name)
-			if dir != "" {
-				// A durable dataset owns an on-disk directory; silently
-				// overwriting it would destroy logged state. Require an explicit
-				// DELETE first.
-				s.mu.RLock()
-				_, loaded := s.datasets[req.Name]
-				s.mu.RUnlock()
-				if loaded {
-					writeError(w, &httpError{http.StatusConflict, fmt.Sprintf("dataset %q already exists; DELETE it first", req.Name)})
-					return
-				}
-			}
 			h, err := s.svc.OpenMaintained(data, mrskyline.MaintainOptions{
 				Dim:        req.MaintainDim,
 				PPD:        req.MaintainPPD,

@@ -1,8 +1,9 @@
 // Chaos: fault tolerance end to end — every task's first attempt is
-// crashed, a storage node dies mid-experiment and is repaired, and the
-// skyline still comes out exactly right. Demonstrates the engine's task
-// retry, the task history, and DFS re-replication. This example drives the
-// internal engine directly (the public API hides these knobs).
+// crashed, then a seeded fault plan adds stragglers, corrupted shuffle
+// fetches and a node death, and the skyline still comes out exactly right.
+// Demonstrates the engine's task retry, speculation and checksummed
+// shuffle. This example drives the internal engine directly (the public API
+// hides these knobs).
 //
 //	go run ./examples/chaos
 package main
@@ -10,12 +11,12 @@ package main
 import (
 	"fmt"
 	"log"
+	"sync/atomic"
 	"time"
 
 	"mrskyline/internal/cluster"
 	"mrskyline/internal/core"
 	"mrskyline/internal/datagen"
-	"mrskyline/internal/dfs"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/skyline"
 	"mrskyline/internal/tuple"
@@ -29,45 +30,20 @@ func main() {
 	eng := mapreduce.NewEngine(clus)
 
 	// Crash the first attempt of every single task.
-	crashed := 0
+	var crashed atomic.Int64
 	eng.FaultInjector = func(phase mapreduce.Phase, taskID, attempt int) error {
 		if attempt == 1 {
-			crashed++
+			crashed.Add(1)
 			return fmt.Errorf("chaos: %v task %d attempt %d killed", phase, taskID, attempt)
 		}
 		return nil
 	}
 
-	// Store the dataset in the simulated DFS, lose a storage node, repair.
+	// Run MR-GPMRS — the PPD job, then the skyline job — while every task
+	// crashes once.
 	const card, d = 20_000, 3
 	data := datagen.Generate(datagen.AntiCorrelated, card, d, 99)
-	fsys, err := dfs.New(dfs.Config{BlockSize: 64 * 1024, Replication: 2, Nodes: clus.Nodes()})
-	if err != nil {
-		log.Fatal(err)
-	}
-	w, _ := fsys.Create("data.csv")
-	if err := datagen.WriteCSV(w, data); err != nil {
-		log.Fatal(err)
-	}
-	w.Close()
-
-	if err := fsys.SetNodeDown("node2", true); err != nil {
-		log.Fatal(err)
-	}
-	if err := fsys.ReReplicate(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("node2 lost; blocks re-replicated onto surviving nodes")
-
-	// Run MR-GPMRS straight off the damaged-but-repaired file system while
-	// every task crashes once.
-	cfg := core.Config{
-		Engine:       eng,
-		NumReducers:  4,
-		DecodeRecord: core.CSVRecordDecoder(d),
-	}
-	sky, stats, err := core.GPMRSFromInput(cfg,
-		mapreduce.DFSLineInput{FS: fsys, Path: "data.csv"}, d, card)
+	sky, stats, err := core.GPMRS(core.Config{Engine: eng, NumReducers: 4}, data)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +54,7 @@ func main() {
 		log.Fatalf("skyline wrong under chaos: %d vs %d tuples", len(sky), len(want))
 	}
 
-	fmt.Printf("crashed %d first attempts — every task retried on another node\n", crashed)
+	fmt.Printf("crashed %d first attempts — every task retried on another node\n", crashed.Load())
 	fmt.Printf("skyline: %d of %d tuples, verified against the sequential oracle\n", len(sky), card)
 	fmt.Printf("grid: PPD %d, %d non-empty partitions, %d after pruning, %d groups\n",
 		stats.PPD, stats.NonEmpty, stats.Surviving, stats.Groups)

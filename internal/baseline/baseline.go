@@ -51,8 +51,6 @@ type Config struct {
 	// for; defaults to the mapper count, following the baseline paper's
 	// "one partition per map slot" guidance.
 	AngularPartitions int
-	// MaxAttempts bounds task attempts.
-	MaxAttempts int
 	// Lo and Hi bound the data domain per dimension; both nil selects the
 	// unit box [0,1)^d. MR-BNL splits each dimension at the domain
 	// midpoint; MR-Angle measures angles from the domain origin.
@@ -284,7 +282,6 @@ func runSingleReducerJob(cfg *Config, name string, data tuple.List, funcs *mapre
 		Input:       mapreduce.TupleInput(data),
 		NumMappers:  cfg.mappers(),
 		NumReducers: 1,
-		MaxAttempts: cfg.MaxAttempts,
 		Kind:        kind,
 		Spec:        spec,
 		NewMapper:   funcs.NewMapper,

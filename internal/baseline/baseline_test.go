@@ -2,8 +2,6 @@ package baseline_test
 
 import (
 	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 
 	"mrskyline/internal/baseline"
@@ -33,7 +31,6 @@ var algos = []algo{
 	{"MR-SFS", baseline.MRSFS},
 	{"MR-Angle", baseline.MRAngle},
 	{"SKY-MR", baseline.SKYMR},
-	{"MR-Bitmap", baseline.MRBitmap},
 }
 
 func TestAgainstReference(t *testing.T) {
@@ -160,45 +157,5 @@ func TestBoundaryTuples(t *testing.T) {
 		if !tuple.EqualAsSet(got, want) {
 			t.Fatalf("%s: got %v, want %v", a.name, got, want)
 		}
-	}
-}
-
-func TestMRBitmapDiscreteDomains(t *testing.T) {
-	// MR-Bitmap's natural habitat: few distinct values per dimension.
-	cfg := testConfig(t)
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		d := 1 + rng.Intn(4)
-		data := make(tuple.List, 300)
-		for i := range data {
-			data[i] = make(tuple.Tuple, d)
-			for k := range data[i] {
-				data[i][k] = float64(rng.Intn(5)) / 5
-			}
-		}
-		got, stats, err := baseline.MRBitmap(cfg, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tuple.EqualAsSet(got, skyline.Naive(data)) {
-			t.Fatalf("trial %d: MR-Bitmap wrong on discrete data", trial)
-		}
-		if stats.Partitions < 1 || stats.Partitions > 5*d {
-			t.Errorf("trial %d: %d bit-slices for %d-valued %d-d data", trial, stats.Partitions, 5, d)
-		}
-	}
-}
-
-func TestMRBitmapRejectsContinuousDomains(t *testing.T) {
-	// The paper's exclusion, reproduced: continuous data exceeds the
-	// distinct-value budget and MR-Bitmap refuses rather than exploding.
-	cfg := testConfig(t)
-	data := datagen.Generate(datagen.Independent, baseline.MaxBitmapDistinct+100, 2, 9)
-	_, _, err := baseline.MRBitmap(cfg, data)
-	if err == nil {
-		t.Fatal("continuous domain accepted")
-	}
-	if !strings.Contains(err.Error(), "distinct values") {
-		t.Errorf("unexpected error: %v", err)
 	}
 }

@@ -95,7 +95,6 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 		Input:       mapreduce.TupleInput(data),
 		NumMappers:  cfg.mappers(),
 		NumReducers: reducers,
-		MaxAttempts: cfg.MaxAttempts,
 		Cache:       cache,
 		NewMapper: func() mapreduce.Mapper {
 			var (
@@ -180,7 +179,6 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 		Input:       mapreduce.RecordsInput(res1.Output),
 		NumMappers:  cfg.mappers(),
 		NumReducers: reducers,
-		MaxAttempts: cfg.MaxAttempts,
 		Cache:       cache,
 		NewMapper: func() mapreduce.Mapper {
 			var t *quadTree

@@ -1,8 +1,9 @@
 // Package cluster simulates the compute side of a MapReduce deployment: a
 // set of named nodes, each with a fixed number of task slots, onto which
-// map and reduce tasks are scheduled with data-locality preference and
-// bounded retry — the role Hadoop's JobTracker/TaskTrackers play in the
-// paper's 13-machine cluster.
+// map and reduce tasks are scheduled with bounded retry — the role Hadoop's
+// JobTracker/TaskTrackers play in the paper's 13-machine cluster. Data
+// locality is not modelled: inputs live in memory, and no simulated cost
+// depends on where a task runs.
 //
 // Tasks run as goroutines, so the wall-clock behaviour of the simulated
 // cluster mirrors the parallelism structure of the real one: a job with a
@@ -35,9 +36,6 @@ type Node struct {
 type Task struct {
 	// Name is used in error messages.
 	Name string
-	// Preferred lists nodes that hold the task's input locally; the
-	// scheduler places the task there when a slot is free.
-	Preferred []string
 	// Run executes the task on the given node and slot (0-based within the
 	// node; SlotTrack(node, slot) names its trace track). A non-nil error
 	// triggers a retry on a different node (when possible) up to the
@@ -49,8 +47,6 @@ type Task struct {
 type Stats struct {
 	// TasksRun counts task attempts that were started.
 	TasksRun int64
-	// LocalityHits counts attempts placed on a preferred node.
-	LocalityHits int64
 	// Retries counts attempts after a failure.
 	Retries int64
 	// PerNode counts attempts per node name.
@@ -226,20 +222,14 @@ func (c *Cluster) takeSlot(node string) int {
 // below and the engine's virtual-clock driver: it picks the node for one
 // task attempt from a snapshot of slot state and blocks on nothing.
 //
-// Preferred nodes with a free slot win (a local placement); otherwise the
-// first node in configuration order with one. Nodes in down never qualify,
-// nodes in avoid (where the task already failed) only once avoid covers
-// every alive node — it is then cleared rather than starving the task. A
-// successful placement is counted in stats when non-nil. An empty node
-// with a nil error means every usable slot is busy: wait for a release.
-func Place(nodes []Node, free map[string]int, down, avoid map[string]bool, preferred []string, retry bool, stats *Stats) (node string, err error) {
+// The first node in configuration order with a free slot wins. Nodes in
+// down never qualify, nodes in avoid (where the task already failed) only
+// once avoid covers every alive node — it is then cleared rather than
+// starving the task. A successful placement is counted in stats when
+// non-nil. An empty node with a nil error means every usable slot is busy:
+// wait for a release.
+func Place(nodes []Node, free map[string]int, down, avoid map[string]bool, retry bool, stats *Stats) (node string, err error) {
 	for {
-		for _, p := range preferred {
-			if !avoid[p] && !down[p] && free[p] > 0 {
-				stats.Count(p, true, retry)
-				return p, nil
-			}
-		}
 		alive, usable := 0, 0
 		for _, n := range nodes {
 			if down[n.Name] {
@@ -251,7 +241,7 @@ func Place(nodes []Node, free map[string]int, down, avoid map[string]bool, prefe
 			}
 			usable++
 			if free[n.Name] > 0 {
-				stats.Count(n.Name, false, retry)
+				stats.Count(n.Name, retry)
 				return n.Name, nil
 			}
 		}
@@ -268,14 +258,11 @@ func Place(nodes []Node, free map[string]int, down, avoid map[string]bool, prefe
 // Count records one started attempt; Place calls it, and so do the engine's
 // drivers for attempts they start without asking Place. A nil Stats counts
 // nothing.
-func (s *Stats) Count(node string, local, retry bool) {
+func (s *Stats) Count(node string, retry bool) {
 	if s == nil {
 		return
 	}
 	s.TasksRun++
-	if local {
-		s.LocalityHits++
-	}
 	if retry {
 		s.Retries++
 	}
@@ -295,7 +282,7 @@ func (c *Cluster) acquire(task *Task, avoid map[string]bool, retry bool, stats *
 		if *aborted {
 			return "", 0, errAborted
 		}
-		node, err := Place(c.nodes, c.free, c.down, avoid, task.Preferred, retry, stats)
+		node, err := Place(c.nodes, c.free, c.down, avoid, retry, stats)
 		if err != nil {
 			return "", 0, err
 		}

@@ -108,36 +108,6 @@ func TestSlotLimitRespected(t *testing.T) {
 	}
 }
 
-func TestLocalityPreference(t *testing.T) {
-	c, _ := cluster.Uniform(4, 4)
-	var mu sync.Mutex
-	placed := map[string]string{}
-	tasks := make([]cluster.Task, 16)
-	for i := range tasks {
-		name := fmt.Sprintf("t%d", i)
-		pref := fmt.Sprintf("node%d", i%4)
-		tasks[i] = cluster.Task{
-			Name:      name,
-			Preferred: []string{pref},
-			Run: func(node string, _ int) error {
-				mu.Lock()
-				placed[name] = node
-				mu.Unlock()
-				return nil
-			},
-		}
-	}
-	var stats cluster.Stats
-	if err := c.Run(tasks, 1, &stats); err != nil {
-		t.Fatal(err)
-	}
-	// With 4 slots per node and 4 tasks per preferred node, every task fits
-	// on its preferred node.
-	if stats.LocalityHits != 16 {
-		t.Errorf("locality hits = %d, want 16 (placements: %v)", stats.LocalityHits, placed)
-	}
-}
-
 func TestRetryOnDifferentNode(t *testing.T) {
 	c, _ := cluster.Uniform(3, 1)
 	var mu sync.Mutex

@@ -41,11 +41,10 @@ func BuildBitstring(cfg *Config, g *grid.Grid, input mapreduce.Input, disablePru
 		Input:       input,
 		NumMappers:  cfg.mappers(),
 		NumReducers: 1,
-		MaxAttempts: cfg.MaxAttempts,
 		NewMapper:   funcs.NewMapper,
 		NewReducer:  funcs.NewReducer,
 	}
-	cfg.markKind(job, KindBitstringGen, bitstringSpec{Grid: gridSpecOf(g), DisablePruning: disablePruning})
+	markKind(job, KindBitstringGen, bitstringSpec{Grid: gridSpecOf(g), DisablePruning: disablePruning})
 	doneExch := cfg.Engine.WallTracer().Timed(obs.DriverTrack, "bitstring-exchange", obs.CatAlgo, "algo.bitstring_exchange.ns")
 	res, err := cfg.Engine.RunContext(cfg.ctx(), job)
 	doneExch()
@@ -87,9 +86,6 @@ func newBitstringMapper(cfg *Config, g *grid.Grid) mapreduce.Mapper {
 			t, err := decode(rec)
 			if err != nil {
 				return err
-			}
-			if t == nil {
-				return nil
 			}
 			if len(t) != g.Dim() {
 				return fmt.Errorf("core: tuple dimensionality %d does not match grid d=%d", len(t), g.Dim())
@@ -156,9 +152,6 @@ func newPPDSelectMapper(cfg *Config, ladder *grid.Ladder) mapreduce.Mapper {
 			t, err := decode(rec)
 			if err != nil {
 				return err
-			}
-			if t == nil {
-				return nil
 			}
 			if len(t) != ladder.Dim() {
 				return fmt.Errorf("core: tuple dimensionality %d, want %d", len(t), ladder.Dim())
@@ -288,11 +281,10 @@ func ChoosePPDAndBitstring(cfg *Config, d, card int, input mapreduce.Input, disa
 		Input:       input,
 		NumMappers:  cfg.mappers(),
 		NumReducers: 1,
-		MaxAttempts: cfg.MaxAttempts,
 		NewMapper:   funcs.NewMapper,
 		NewReducer:  funcs.NewReducer,
 	}
-	cfg.markKind(job, KindPPDSelect, ppdSelectSpec{
+	markKind(job, KindPPDSelect, ppdSelectSpec{
 		D: d, Card: card, Lo: cfg.Lo, Hi: cfg.Hi,
 		Candidates: candidates, DisablePruning: disablePruning,
 	})
@@ -329,21 +321,15 @@ func ChoosePPDAndBitstring(cfg *Config, d, card int, input mapreduce.Input, disa
 }
 
 // prepareInput resolves the grid + global bitstring for a skyline run over
-// an arbitrary input source. A fixed PPD uses the plain Algorithm 1–2 job.
-// With PPD 0 and a TPP target, the PPD comes directly from Equation 4
-// (n = (c/TPP)^(1/d)); with neither, the full Section 3.3 selection job
-// runs. card is the (possibly estimated) input cardinality.
+// the encoded dataset: a fixed PPD uses the plain Algorithm 1–2 job, PPD 0
+// the Section 3.3 selection job. card is the input cardinality.
 func prepareInput(cfg *Config, input mapreduce.Input, d, card int) (*BitstringResult, error) {
 	if err := cfg.validate(d); err != nil {
 		return nil, err
 	}
-	ppd := cfg.PPD
-	if ppd == 0 && cfg.TPP > 0 {
-		ppd = grid.PPDForTPP(card, d, cfg.TPP, grid.MaxPartitions)
-	}
-	if ppd != 0 {
+	if cfg.PPD != 0 {
 		doneGrid := cfg.Engine.WallTracer().Timed(obs.DriverTrack, "grid-build", obs.CatAlgo, "algo.grid_build.ns")
-		g, err := cfg.newGrid(d, ppd)
+		g, err := cfg.newGrid(d, cfg.PPD)
 		doneGrid()
 		if err != nil {
 			return nil, err

@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"strconv"
-	"strings"
 	"testing"
 
 	"mrskyline/internal/cluster"
@@ -23,78 +21,58 @@ func internalTestConfig(t testing.TB) *Config {
 	return &Config{Engine: mapreduce.NewEngine(c)}
 }
 
-// csvInput renders data as the text records CSVRecordDecoder reads, with a
-// comment and a blank line for it to skip.
-func csvInput(data tuple.List) mapreduce.Input {
-	recs := []mapreduce.Record{{Value: []byte("# header")}, {Value: nil}}
-	for _, t := range data {
-		fields := make([]string, len(t))
-		for k, v := range t {
-			fields[k] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		recs = append(recs, mapreduce.Record{Value: []byte(strings.Join(fields, ","))})
-	}
-	return mapreduce.MemoryInput{Records: recs}
-}
-
 // TestChoosePPDMatchesReference holds the one-pass Section 3.3 job to what
 // it replaces: a separate fixed-grid bitstring job per candidate,
 // grid.ChoosePPD on their occupied-partition counts, and the winner's pruned
 // bitstring. PPD, bitstring bytes and both exact counters must agree.
 func TestChoosePPDMatchesReference(t *testing.T) {
 	const card = 1500
-	for _, codec := range []string{"binary", "csv"} {
-		for _, dist := range []datagen.Distribution{datagen.Independent, datagen.Correlated, datagen.AntiCorrelated} {
-			for _, d := range []int{1, 2, 3, 5} {
-				for seed := int64(0); seed < 10; seed++ {
-					data := datagen.Generate(dist, card, d, seed)
-					cfg := internalTestConfig(t)
-					input := mapreduce.Input(mapreduce.TupleInput(data))
-					if codec == "csv" {
-						cfg.DecodeRecord = CSVRecordDecoder(d)
-						input = csvInput(data)
-					}
-					name := fmt.Sprintf("%s/%v/d%d/seed%d", codec, dist, d, seed)
+	for _, dist := range []datagen.Distribution{datagen.Independent, datagen.Correlated, datagen.AntiCorrelated} {
+		for _, d := range []int{1, 2, 3, 5} {
+			for seed := int64(0); seed < 10; seed++ {
+				data := datagen.Generate(dist, card, d, seed)
+				cfg := internalTestConfig(t)
+				input := mapreduce.TupleInput(data)
+				name := fmt.Sprintf("%v/d%d/seed%d", dist, d, seed)
 
-					rho := make(map[int]int)
-					for _, j := range ppdCandidates(card, d, cfg.MaxPPDCandidates) {
-						g, err := cfg.newGrid(d, j)
-						if err != nil {
-							t.Fatal(err)
-						}
-						occ, err := BuildBitstring(cfg, g, input, true)
-						if err != nil {
-							t.Fatalf("%s: candidate %d: %v", name, j, err)
-						}
-						rho[j] = occ.NonEmpty
-					}
-					best := grid.ChoosePPD(card, d, rho)
-					g, err := cfg.newGrid(d, best)
+				rho := make(map[int]int)
+				for _, j := range ppdCandidates(card, d, cfg.MaxPPDCandidates) {
+					g, err := cfg.newGrid(d, j)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := BuildBitstring(cfg, g, input, false)
+					occ, err := BuildBitstring(cfg, g, input, true)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s: candidate %d: %v", name, j, err)
 					}
+					rho[j] = occ.NonEmpty
+				}
+				best := grid.ChoosePPD(card, d, rho)
+				g, err := cfg.newGrid(d, best)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := BuildBitstring(cfg, g, input, false)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-					got, err := ChoosePPDAndBitstring(cfg, d, card, input, false)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if got.PPD != best || got.Grid.PPD() != best || !got.AutoPPD {
-						t.Fatalf("%s: chose PPD %d (grid %d), reference %d", name, got.PPD, got.Grid.PPD(), best)
-					}
-					if !bytes.Equal(got.Bitstring.Encode(), want.Bitstring.Encode()) {
-						t.Fatalf("%s: bitstring differs from the reference at PPD %d", name, best)
-					}
-					if got.NonEmpty != rho[best] {
-						t.Fatalf("%s: NonEmpty %d, reference %d", name, got.NonEmpty, rho[best])
-					}
-					for _, c := range []string{"bitstring.nonempty", "bitstring.surviving"} {
-						if g, w := got.Job.Counters.Get(c), want.Job.Counters.Get(c); g != w {
-							t.Fatalf("%s: counter %s = %d, reference %d", name, c, g, w)
-						}
+				got, err := ChoosePPDAndBitstring(cfg, d, card, input, false)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got.PPD != best || got.Grid.PPD() != best || !got.AutoPPD {
+					t.Fatalf("%s: chose PPD %d (grid %d), reference %d", name, got.PPD, got.Grid.PPD(), best)
+				}
+				if !bytes.Equal(got.Bitstring.Encode(), want.Bitstring.Encode()) {
+					t.Fatalf("%s: bitstring differs from the reference at PPD %d", name, best)
+				}
+				if got.NonEmpty != rho[best] {
+					t.Fatalf("%s: NonEmpty %d, reference %d", name, got.NonEmpty, rho[best])
+				}
+				for _, c := range []string{"bitstring.nonempty", "bitstring.surviving"} {
+					if g, w := got.Job.Counters.Get(c), want.Job.Counters.Get(c); g != w {
+						t.Fatalf("%s: counter %s = %d, reference %d", name, c, g, w)
 					}
 				}
 			}

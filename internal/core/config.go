@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"mrskyline/internal/datagen"
 	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/skyline"
@@ -36,11 +35,6 @@ type Config struct {
 	// PPD fixes the partitions-per-dimension. Zero selects it with the
 	// MapReduce heuristic of Section 3.3.
 	PPD int
-	// TPP, with PPD 0, derives the grid granularity directly from
-	// Equation 4 (n = (c/TPP)^(1/d)) instead of running the Section 3.3
-	// selection job. Zero means "no target": PPD 0 then selects via the
-	// MapReduce heuristic.
-	TPP int
 	// MaxPPDCandidates bounds how many candidate PPD values the Section
 	// 3.3 job evaluates. The paper's mappers build one bitstring for every
 	// integer in [2, c^(1/d)], which is quadratic-plus memory at high
@@ -60,21 +54,12 @@ type Config struct {
 	// DisablePruning skips the Equation 2 partition pruning on the global
 	// bitstring (occupancy only). Ablation switch; never an improvement.
 	DisablePruning bool
-	// MaxAttempts bounds task attempts per the engine's retry policy.
-	MaxAttempts int
 
 	// Lo and Hi bound the data domain per dimension (half-open boxes
 	// [Lo, Hi)); both nil selects the unit box [0,1)^d the synthetic
 	// generators produce. Tuples outside the box are clamped into boundary
 	// grid cells, which degrades pruning but never correctness.
 	Lo, Hi []float64
-
-	// DecodeRecord parses one input record into a tuple inside map tasks.
-	// Nil selects the binary tuple codec (the format mapreduce.TupleInput
-	// produces). CSVRecordDecoder reads comma-separated text, the format
-	// DFS-resident datasets use. A (nil, nil) return skips the record
-	// (blank lines, comments).
-	DecodeRecord func(rec mapreduce.Record) (tuple.Tuple, error)
 }
 
 // ctx resolves the run context.
@@ -85,51 +70,16 @@ func (c *Config) ctx() context.Context {
 	return context.Background()
 }
 
-// decode parses a record with the configured decoder.
-func (c *Config) decode(rec mapreduce.Record) (tuple.Tuple, error) {
-	if c.DecodeRecord != nil {
-		return c.DecodeRecord(rec)
-	}
-	return mapreduce.DecodeTupleRecord(rec)
-}
-
-// scratchDecoder is decode for a mapper that does not retain tuples: with
-// the default codec every call overwrites and returns one scratch tuple, so
-// the result is valid only until the next call. The scratch tuple belongs
-// to the returned closure; a mapper takes its own per task attempt, because
-// the Config is shared by all of a job's concurrent tasks. A custom
-// DecodeRecord keeps returning its own tuples.
+// scratchDecoder decodes records for a mapper that does not retain tuples:
+// every call overwrites and returns one scratch tuple, so the result is
+// valid only until the next call. The scratch tuple belongs to the returned
+// closure, not to c: a mapper takes its own per task attempt, because the
+// Config is shared by all of a job's concurrent tasks.
 func (c *Config) scratchDecoder(d int) func(mapreduce.Record) (tuple.Tuple, error) {
-	if c.DecodeRecord != nil {
-		return c.DecodeRecord
-	}
 	scratch := make(tuple.Tuple, d)
 	return func(rec mapreduce.Record) (tuple.Tuple, error) {
 		t, _, err := tuple.DecodeInto(scratch, rec.Value)
 		return t, err
-	}
-}
-
-// CSVRecordDecoder returns a DecodeRecord for comma-separated text records
-// of dimensionality d; blank and '#'-comment lines are skipped. A record
-// with a NaN or infinite field is an error: the number parser accepts both,
-// and every dominance kernel assumes finite inputs.
-func CSVRecordDecoder(d int) func(rec mapreduce.Record) (tuple.Tuple, error) {
-	return func(rec mapreduce.Record) (tuple.Tuple, error) {
-		t, err := datagen.ParseTupleLine(string(rec.Value))
-		if err != nil {
-			return nil, err
-		}
-		if t == nil {
-			return nil, nil
-		}
-		if len(t) != d {
-			return nil, fmt.Errorf("core: CSV record has %d fields, want %d", len(t), d)
-		}
-		if !t.Valid() {
-			return nil, fmt.Errorf("core: CSV record %q has a non-finite field", rec.Value)
-		}
-		return t, nil
 	}
 }
 

@@ -395,25 +395,3 @@ func TestAllTuplesIdentical(t *testing.T) {
 		}
 	}
 }
-
-func TestTPPDrivenPPD(t *testing.T) {
-	// With PPD 0 and a TPP target, Equation 4 fixes the grid directly:
-	// n = (c/TPP)^(1/d). 3200 tuples at TPP 50 in 2-d → n = 8.
-	cfg := testConfig(t, 3, 2)
-	cfg.TPP = 50
-	data := datagen.Generate(datagen.AntiCorrelated, 3200, 2, 41)
-	want := skyline.Naive(data)
-	got, stats, err := core.GPSRS(cfg, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tuple.EqualAsSet(got, want) {
-		t.Fatal("wrong skyline with TPP-driven PPD")
-	}
-	if stats.PPD != 8 {
-		t.Errorf("PPD = %d, want 8 (Equation 4)", stats.PPD)
-	}
-	if stats.AutoPPD {
-		t.Error("Equation 4 path must not report the Section 3.3 job")
-	}
-}

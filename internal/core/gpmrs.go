@@ -21,17 +21,6 @@ func GPMRS(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 	return compute(cfg, data, AlgoGPMRS, 0)
 }
 
-// GPMRSFromInput is GPMRS over an arbitrary input source; see
-// GPSRSFromInput for the contract of d and approxCard.
-func GPMRSFromInput(cfg Config, input mapreduce.Input, d, approxCard int) (tuple.List, *Stats, error) {
-	start := time.Now()
-	prep, err := prepareInput(&cfg, input, d, approxCard)
-	if err != nil {
-		return nil, nil, err
-	}
-	return gpmrsRun(cfg, input, prep, start)
-}
-
 // gpmrsRun executes the skyline job of MR-GPMRS against an already-prepared
 // grid and bitstring; Hybrid reuses it after making its choice.
 func gpmrsRun(cfg Config, input mapreduce.Input, prep *BitstringResult, start time.Time) (tuple.List, *Stats, error) {
@@ -52,13 +41,12 @@ func gpmrsRun(cfg Config, input mapreduce.Input, prep *BitstringResult, start ti
 		Input:       input,
 		NumMappers:  cfg.mappers(),
 		NumReducers: r,
-		MaxAttempts: cfg.MaxAttempts,
 		Cache:       mapreduce.Cache{cacheKeyBitstring: bs.Encode()},
 		Partition:   funcs.Partition,
 		NewMapper:   funcs.NewMapper,
 		NewReducer:  funcs.NewReducer,
 	}
-	cfg.markKind(job, KindGPMRS, skySpec{Grid: gridSpecOf(g), Kernel: int(cfg.Kernel), Merge: int(cfg.Merge)})
+	markKind(job, KindGPMRS, skySpec{Grid: gridSpecOf(g), Kernel: int(cfg.Kernel), Merge: int(cfg.Merge)})
 	res, err := cfg.Engine.RunContext(cfg.ctx(), job)
 	if err != nil {
 		return nil, nil, err
@@ -111,8 +99,8 @@ func newGPMRSMapper(cfg *Config, g *grid.Grid) mapreduce.Mapper {
 				}
 				state = newLocalState(g, bs, cfg.Kernel)
 			}
-			t, err := cfg.decode(rec)
-			if err != nil || t == nil {
+			t, err := mapreduce.DecodeTupleRecord(rec)
+			if err != nil {
 				return err
 			}
 			return state.add(ctx.Trace.Metrics(), t)

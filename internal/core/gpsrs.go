@@ -19,21 +19,6 @@ func GPSRS(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 	return compute(cfg, data, AlgoGPSRS, 0)
 }
 
-// GPSRSFromInput is GPSRS over an arbitrary input source (e.g. a
-// DFS-resident CSV file read through mapreduce.DFSLineInput with
-// CSVRecordDecoder) without materializing the data in memory. d is the
-// dimensionality; approxCard is the input cardinality — an estimate
-// suffices, and it is only consulted by the Section 3.3 PPD job when
-// cfg.PPD is 0.
-func GPSRSFromInput(cfg Config, input mapreduce.Input, d, approxCard int) (tuple.List, *Stats, error) {
-	start := time.Now()
-	prep, err := prepareInput(&cfg, input, d, approxCard)
-	if err != nil {
-		return nil, nil, err
-	}
-	return gpsrsRun(cfg, input, prep, start)
-}
-
 // gpsrsRun executes the skyline job of MR-GPSRS against an already-prepared
 // grid and bitstring; Hybrid reuses it after making its choice.
 func gpsrsRun(cfg Config, input mapreduce.Input, prep *BitstringResult, start time.Time) (tuple.List, *Stats, error) {
@@ -47,12 +32,11 @@ func gpsrsRun(cfg Config, input mapreduce.Input, prep *BitstringResult, start ti
 		Input:       input,
 		NumMappers:  cfg.mappers(),
 		NumReducers: 1,
-		MaxAttempts: cfg.MaxAttempts,
 		Cache:       mapreduce.Cache{cacheKeyBitstring: bs.Encode()},
 		NewMapper:   funcs.NewMapper,
 		NewReducer:  funcs.NewReducer,
 	}
-	cfg.markKind(job, KindGPSRS, skySpec{Grid: gridSpecOf(g), Kernel: int(cfg.Kernel)})
+	markKind(job, KindGPSRS, skySpec{Grid: gridSpecOf(g), Kernel: int(cfg.Kernel)})
 	res, err := cfg.Engine.RunContext(cfg.ctx(), job)
 	if err != nil {
 		return nil, nil, err
@@ -129,8 +113,8 @@ func newGPMapper(cfg *Config, g *grid.Grid) mapreduce.Mapper {
 				}
 				state = newLocalState(g, bs, cfg.Kernel)
 			}
-			t, err := cfg.decode(rec)
-			if err != nil || t == nil {
+			t, err := mapreduce.DecodeTupleRecord(rec)
+			if err != nil {
 				return err
 			}
 			return state.add(ctx.Trace.Metrics(), t)

@@ -16,9 +16,8 @@ import (
 // registered here let rpcexec worker processes reconstruct the job's
 // functions by calling the same …Funcs constructor the driver called, which
 // is what makes process-executor output byte-identical to the in-process
-// engine's. Jobs
-// configured with a custom DecodeRecord are not stamped with a kind (a Go
-// function cannot be serialized), so they stay in-process-only.
+// engine's. Every core job is stamped, so every core job can run on the
+// process executor.
 
 // Job kinds registered by this package.
 const (
@@ -74,15 +73,9 @@ type ppdSelectSpec struct {
 	DisablePruning bool      `json:"disablePruning,omitempty"`
 }
 
-// markKind stamps a job with its kind and serialized spec when the job is
-// reconstructible out of process — i.e. when records are decoded with the
-// default binary tuple codec. A custom DecodeRecord closure cannot cross a
-// process boundary, so such jobs keep an empty Kind and the process
-// executor rejects them with a clear error.
-func (c *Config) markKind(job *mapreduce.Job, kind string, spec any) {
-	if c.DecodeRecord != nil {
-		return
-	}
+// markKind stamps a job with its kind and serialized spec, from which a
+// worker process reconstructs its functions.
+func markKind(job *mapreduce.Job, kind string, spec any) {
 	b, err := json.Marshal(spec)
 	if err != nil {
 		panic(fmt.Sprintf("core: marshalling %s spec: %v", kind, err)) // specs are plain data; cannot fail

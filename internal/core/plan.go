@@ -22,8 +22,8 @@ type Plan struct {
 }
 
 // Prepare validates data, encodes it once and runs the bitstring phase
-// under cfg (Engine, Ctx, NumMappers, PPD/TPP/MaxPPDCandidates, Lo/Hi,
-// DisablePruning, MaxAttempts). data must be non-empty.
+// under cfg (Engine, Ctx, NumMappers, PPD/MaxPPDCandidates, Lo/Hi,
+// DisablePruning). data must be non-empty.
 func Prepare(cfg Config, data tuple.List) (*Plan, error) {
 	if err := data.Validate(); err != nil {
 		return nil, err
@@ -78,7 +78,7 @@ func compute(cfg Config, data tuple.List, algo Algorithm, threshold int64) (tupl
 
 // Run executes algo's skyline job over the prepared dataset. cfg supplies
 // what belongs to the query — Engine, Ctx, NumMappers, NumReducers, Kernel,
-// Merge, MaxAttempts; the grid, its bounds and the PPD are the plan's. The
+// Merge; the grid, its bounds and the PPD are the plan's. The
 // Stats are those of a one-shot run over the same data (the bitstring
 // phase's share is read from the job the plan kept) except the wall-clock
 // fields: SkylineTime and Total measure this call only.

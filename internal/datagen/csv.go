@@ -84,22 +84,3 @@ func ReadCSV(r io.Reader) (tuple.List, error) {
 	}
 	return out, nil
 }
-
-// ParseTupleLine parses one CSV line into a tuple; it is the record decoder
-// the MapReduce text input format uses.
-func ParseTupleLine(line string) (tuple.Tuple, error) {
-	line = strings.TrimSpace(line)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return nil, nil
-	}
-	fields := strings.Split(line, ",")
-	t := make(tuple.Tuple, len(fields))
-	for k, f := range fields {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, fmt.Errorf("datagen: field %d: %w", k+1, err)
-		}
-		t[k] = v
-	}
-	return t, nil
-}

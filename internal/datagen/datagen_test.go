@@ -195,24 +195,6 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-func TestParseTupleLine(t *testing.T) {
-	tp, err := datagen.ParseTupleLine(" 0.5 , 0.25 ")
-	if err != nil || !tp.Equal(tuple.Tuple{0.5, 0.25}) {
-		t.Errorf("ParseTupleLine = %v, %v", tp, err)
-	}
-	tp, err = datagen.ParseTupleLine("# comment")
-	if err != nil || tp != nil {
-		t.Errorf("comment line = %v, %v", tp, err)
-	}
-	tp, err = datagen.ParseTupleLine("")
-	if err != nil || tp != nil {
-		t.Errorf("blank line = %v, %v", tp, err)
-	}
-	if _, err := datagen.ParseTupleLine("a,b"); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
 func BenchmarkGenerateAntiCorrelated(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -39,9 +39,8 @@ type Job struct {
 	Name string
 	// Input supplies the splits; required.
 	Input Input
-	// NumMappers is the desired mapper count. Chunkable inputs honour it;
-	// block-backed inputs derive the count from their block layout.
-	// Defaults to the cluster's total slot count.
+	// NumMappers is the desired mapper count (an input with fewer records
+	// yields fewer splits). Defaults to the cluster's total slot count.
 	NumMappers int
 	// NumReducers is the reduce task count; defaults to 1 (the shape of
 	// MR-BNL, MR-Angle and MR-GPSRS).
@@ -212,8 +211,8 @@ type resolvedJob struct {
 }
 
 // resolve validates the job and computes its task layout: one split per map
-// task, chunkable inputs being asked for job.NumMappers of them or, by
-// default, one per slot.
+// task, the input being asked for job.NumMappers of them or, by default,
+// one per slot.
 func (e *Engine) resolve(job *Job) (*resolvedJob, error) {
 	switch {
 	case job.Input == nil:
@@ -296,13 +295,11 @@ func (e *Engine) RunContext(ctx context.Context, job *Job) (*Result, error) {
 // on a virtual clock (virtual.go), or runLeased over a fleet of remote
 // workers that pull leases and report back (leased.go).
 
-// phase describes one superstep to a driver: which tasks exist, where they
-// would like to run, and what one attempt of a task does.
+// phase describes one superstep to a driver: which tasks exist and what one
+// attempt of a task does.
 type phase struct {
 	phase    Phase
 	numTasks int
-	// preferred lists the nodes holding the task's input locally.
-	preferred func(task int) []string
 	// body is the user half of one attempt. It has no side effects outside
 	// ctx: whatever the attempt produced is installed by the returned
 	// commit, which attempt calls only once the body has succeeded.
@@ -323,9 +320,8 @@ type phase struct {
 func newPhase(p Phase, numTasks int) *phase {
 	return &phase{
 		phase: p, numTasks: numTasks, metric: "mr.task." + p.String() + ".ns",
-		preferred: func(int) []string { return nil },
-		staged:    make([]*Counters, numTasks),
-		durs:      make([]time.Duration, numTasks),
+		staged: make([]*Counters, numTasks),
+		durs:   make([]time.Duration, numTasks),
 	}
 }
 
@@ -502,8 +498,7 @@ func (j *jobRun) runWall(ctx context.Context, ph *phase) error {
 	for t := range tasks {
 		attempts := 0 // one task's attempts run one after another
 		tasks[t] = cluster.Task{
-			Name:      j.taskName(ph, t),
-			Preferred: ph.preferred(t),
+			Name: j.taskName(ph, t),
 			Run: func(node string, slot int) error {
 				attempts++
 				return j.attempt(ph, TaskRecord{Phase: ph.phase, TaskID: t, Attempt: attempts, Node: node, Slot: slot})
@@ -584,7 +579,6 @@ func (e *Engine) runJob(ctx context.Context, job *Job, rj *resolvedJob) (_ *Resu
 
 	// ---- Map phase -------------------------------------------------------
 	maps := newPhase(PhaseMap, rj.numMappers)
-	maps.preferred = func(m int) []string { return rj.splits[m].Hosts() }
 	maps.body = func(m int, ctx *TaskContext) (func(), error) {
 		segs, err := attemptMap(job, rj, rj.splits[m], ctx)
 		if err != nil {

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"mrskyline/internal/cluster"
-	"mrskyline/internal/dfs"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/spill"
 )
@@ -346,109 +345,6 @@ func TestMapErrorPropagates(t *testing.T) {
 	job.MaxAttempts = 2
 	if _, err := e.Run(job); err == nil || !strings.Contains(err.Error(), "map exploded") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestDFSLineInput(t *testing.T) {
-	// Lines crossing block boundaries must be read exactly once.
-	fsys, err := dfs.New(dfs.Config{BlockSize: 10, Replication: 2, Nodes: []string{"node0", "node1", "node2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	var content bytes.Buffer
-	for i := 0; i < 40; i++ {
-		line := fmt.Sprintf("line-%02d-%s", i, strings.Repeat("x", i%7))
-		lines = append(lines, line)
-		content.WriteString(line)
-		content.WriteByte('\n')
-	}
-	if err := fsys.WriteFile("input.txt", content.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-
-	in := mapreduce.DFSLineInput{FS: fsys, Path: "input.txt"}
-	splits, err := in.Splits(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(splits) < 2 {
-		t.Fatalf("expected multiple splits, got %d", len(splits))
-	}
-	var got []string
-	for _, s := range splits {
-		if len(s.Hosts()) == 0 {
-			t.Error("split has no hosts")
-		}
-		if err := s.Each(func(rec mapreduce.Record) error {
-			got = append(got, string(rec.Value))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(got, lines) {
-		t.Fatalf("split healing broken:\ngot  %d lines %v\nwant %d lines %v", len(got), got[:5], len(lines), lines[:5])
-	}
-}
-
-func TestDFSLineInputNoTrailingNewline(t *testing.T) {
-	fsys, _ := dfs.New(dfs.Config{BlockSize: 8, Replication: 1, Nodes: []string{"n0"}})
-	fsys.WriteFile("f", []byte("aaa\nbbbbbbbbbb\nccc")) // no trailing \n
-	in := mapreduce.DFSLineInput{FS: fsys, Path: "f"}
-	splits, err := in.Splits(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, s := range splits {
-		s.Each(func(rec mapreduce.Record) error {
-			got = append(got, string(rec.Value))
-			return nil
-		})
-	}
-	want := []string{"aaa", "bbbbbbbbbb", "ccc"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
-func TestDFSLineInputCRLF(t *testing.T) {
-	fsys, _ := dfs.New(dfs.Config{BlockSize: 64, Replication: 1, Nodes: []string{"n0"}})
-	fsys.WriteFile("f", []byte("a\r\nb\r\n"))
-	in := mapreduce.DFSLineInput{FS: fsys, Path: "f"}
-	splits, _ := in.Splits(0)
-	var got []string
-	for _, s := range splits {
-		s.Each(func(rec mapreduce.Record) error {
-			got = append(got, string(rec.Value))
-			return nil
-		})
-	}
-	if !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Errorf("got %v", got)
-	}
-}
-
-func TestWordCountOverDFS(t *testing.T) {
-	fsys, err := dfs.New(dfs.Config{BlockSize: 32, Replication: 2, Nodes: []string{"node0", "node1", "node2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsys.WriteFile("corpus", []byte("to be or not to be\nthat is the question\nto be is to do\n"))
-	e := newEngine(t, 3, 2)
-	job := wordCountJob(nil, 1, 2)
-	job.Input = mapreduce.DFSLineInput{FS: fsys, Path: "corpus"}
-	res, err := e.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := countsFromResult(res)
-	if got["to"] != 4 || got["be"] != 3 || got["question"] != 1 {
-		t.Errorf("counts = %v", got)
-	}
-	if res.ClusterStats.LocalityHits == 0 {
-		t.Error("no locality hits scheduling DFS splits")
 	}
 }
 

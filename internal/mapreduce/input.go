@@ -1,25 +1,17 @@
 package mapreduce
 
-import (
-	"bytes"
-	"fmt"
-	"io"
+import "mrskyline/internal/tuple"
 
-	"mrskyline/internal/dfs"
-	"mrskyline/internal/tuple"
-)
-
-// Input provides the splits of a job's input data. hint is the desired
-// split count for sources that can chunk freely; block-backed sources
-// ignore it.
+// Input provides the splits of a job's input data: hint is the desired
+// split count, one split per map task. Inputs live in memory — where a
+// split's bytes sit is not modelled (no SimConfig cost depends on it), so a
+// split is just its records.
 type Input interface {
 	Splits(hint int) ([]Split, error)
 }
 
 // Split is one mapper's share of the input.
 type Split interface {
-	// Hosts lists nodes holding the split's data locally (may be empty).
-	Hosts() []string
 	// Each streams the split's records in order.
 	Each(fn func(Record) error) error
 }
@@ -28,8 +20,8 @@ type Split interface {
 // In-memory record input
 
 // MemoryInput serves records from memory, chunked into the hinted number of
-// splits. It is the fast path used by the experiment harness, where data is
-// generated in-process.
+// splits. Every job reads one: a dataset through TupleInput, a previous
+// job's output through RecordsInput.
 type MemoryInput struct {
 	// Records are served in order, round-robin-free: split i gets the i-th
 	// contiguous chunk.
@@ -58,8 +50,6 @@ func (m MemoryInput) Splits(hint int) ([]Split, error) {
 }
 
 type memorySplit []Record
-
-func (s memorySplit) Hosts() []string { return nil }
 
 func (s memorySplit) Each(fn func(Record) error) error {
 	for _, r := range s {
@@ -106,135 +96,6 @@ func uvarintLen(v uint64) int {
 func DecodeTupleRecord(rec Record) (tuple.Tuple, error) {
 	t, _, err := tuple.Decode(rec.Value)
 	return t, err
-}
-
-// ---------------------------------------------------------------------------
-// DFS-backed line input
-
-// DFSLineInput reads newline-separated records from a file in the simulated
-// distributed file system. One split is produced per block, and split
-// boundaries are healed the way Hadoop's TextInputFormat heals them: a
-// split whose offset is non-zero skips the (partial) line it starts inside,
-// and every split reads past its end to finish its last line.
-type DFSLineInput struct {
-	FS   *dfs.FS
-	Path string
-}
-
-// Splits implements Input.
-func (in DFSLineInput) Splits(int) ([]Split, error) {
-	blocks, err := in.FS.Blocks(in.Path)
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: listing blocks: %w", err)
-	}
-	info, err := in.FS.Stat(in.Path)
-	if err != nil {
-		return nil, err
-	}
-	splits := make([]Split, len(blocks))
-	for i, b := range blocks {
-		splits[i] = &dfsLineSplit{
-			fs:       in.FS,
-			path:     in.Path,
-			offset:   b.Offset,
-			length:   int64(b.Length),
-			fileSize: info.Size,
-			hosts:    b.Hosts,
-		}
-	}
-	return splits, nil
-}
-
-type dfsLineSplit struct {
-	fs       *dfs.FS
-	path     string
-	offset   int64
-	length   int64
-	fileSize int64
-	hosts    []string
-}
-
-func (s *dfsLineSplit) Hosts() []string { return s.hosts }
-
-func (s *dfsLineSplit) Each(fn func(Record) error) error {
-	r := &dfsReader{fs: s.fs, path: s.path, pos: s.offset}
-	pos := s.offset
-	// A split that does not start the file begins mid-line (or exactly at a
-	// line start — indistinguishable without reading backwards), so it
-	// skips through the first newline; the previous split owns that line.
-	if s.offset > 0 {
-		skipped, err := r.readLine()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		pos += int64(len(skipped))
-	}
-	// Read lines while their first byte is at or before the split end: a
-	// line starting exactly at the boundary belongs to this split, because
-	// the next split unconditionally skips its first line (Hadoop's
-	// LineRecordReader contract).
-	end := s.offset + s.length
-	for pos <= end && pos < s.fileSize {
-		line, err := r.readLine()
-		if err == io.EOF && len(line) == 0 {
-			return nil
-		}
-		if err != nil && err != io.EOF {
-			return err
-		}
-		pos += int64(len(line))
-		rec := bytes.TrimSuffix(line, []byte("\n"))
-		rec = bytes.TrimSuffix(rec, []byte("\r"))
-		if err := fn(Record{Value: rec}); err != nil {
-			return err
-		}
-		if err == io.EOF {
-			return nil
-		}
-	}
-	return nil
-}
-
-// dfsReader is a buffered line reader over FS.ReadAt.
-type dfsReader struct {
-	fs   *dfs.FS
-	path string
-	pos  int64
-	buf  []byte
-	eof  bool
-}
-
-// readLine returns the next line including its trailing newline (if any).
-// io.EOF is returned together with the final unterminated line, or alone.
-func (r *dfsReader) readLine() ([]byte, error) {
-	var line []byte
-	for {
-		if i := bytes.IndexByte(r.buf, '\n'); i >= 0 {
-			line = append(line, r.buf[:i+1]...)
-			r.buf = r.buf[i+1:]
-			return line, nil
-		}
-		line = append(line, r.buf...)
-		r.buf = r.buf[:0]
-		if r.eof {
-			if len(line) == 0 {
-				return nil, io.EOF
-			}
-			return line, io.EOF
-		}
-		chunk := make([]byte, 64*1024)
-		n, err := r.fs.ReadAt(r.path, chunk, r.pos)
-		r.pos += int64(n)
-		r.buf = append(r.buf, chunk[:n]...)
-		if err == io.EOF {
-			r.eof = true
-		} else if err != nil {
-			return nil, err
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------

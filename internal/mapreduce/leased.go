@@ -237,7 +237,7 @@ func (l *Leases) Grant(worker int) (Lease, bool) {
 			}
 			st.issued++
 			st.leased = true
-			lj.j.res.ClusterStats.Count(l.nodes[worker], false, st.issued > 1)
+			lj.j.res.ClusterStats.Count(l.nodes[worker], st.issued > 1)
 			ls := Lease{Job: lj.id, Phase: p, Task: t, Attempt: st.issued}
 			if p == PhaseMap {
 				ls.Split = lj.splits[t]

@@ -5,9 +5,10 @@
 // The engine preserves the structural properties the paper's arguments
 // depend on:
 //
-//   - Input files are split per mapper (via internal/dfs blocks or
-//     in-memory chunking) and map tasks are scheduled with data locality on
-//     a simulated multi-node cluster (internal/cluster).
+//   - Input is split per mapper (in-memory chunks of encoded records) and
+//     map tasks are scheduled onto the slots of a simulated multi-node
+//     cluster (internal/cluster). Where a split's bytes sit is not
+//     modelled: the paper's cost model counts what crosses the shuffle.
 //   - Mappers and reducers are stateless tasks communicating only through
 //     the key-value shuffle; all map output is genuinely serialized, so
 //     communication volume is measured rather than assumed.

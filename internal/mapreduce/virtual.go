@@ -147,7 +147,7 @@ func (j *jobRun) runVirtual(ctx context.Context, ph *phase) error {
 			if st.done {
 				continue
 			}
-			node, err := cluster.Place(v.nodes, v.free, v.dead, st.avoid, ph.preferred(req.task), req.retry, &res.ClusterStats)
+			node, err := cluster.Place(v.nodes, v.free, v.dead, st.avoid, req.retry, &res.ClusterStats)
 			if err != nil {
 				return fmt.Errorf("task %q: %w", j.taskName(ph, req.task), err)
 			}
@@ -209,7 +209,7 @@ func (j *jobRun) runVirtual(ctx context.Context, ph *phase) error {
 			tasks[a.task].specTried = true
 			launch(a.task, dup, true)
 			// A duplicate is a started attempt like any other.
-			res.ClusterStats.Count(v.slots[dup].node, false, false)
+			res.ClusterStats.Count(v.slots[dup].node, false)
 			res.Counters.Add(CounterSpeculativeLaunched, 1)
 		}
 	}

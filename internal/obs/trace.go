@@ -51,9 +51,9 @@ type Tracer struct {
 	epoch time.Time
 	spans []Span
 	vbase time.Duration
-	reg   *Registry
-	// noSpans marks a metrics-only tracer (NewMetricsOnly); it never
-	// changes after construction.
+	// reg and noSpans (a metrics-only tracer, NewMetricsOnly) never change
+	// after construction, so Metrics and Record read them unlocked.
+	reg     *Registry
 	noSpans bool
 }
 
@@ -66,9 +66,9 @@ func New() *Tracer {
 }
 
 // NewMetricsOnly creates a tracer that keeps metrics and no spans: Enabled,
-// Now, Metrics, ResetMetrics and the histogram side of Timed behave as on a
-// New tracer, while Start hands out inert SpanRefs and Record returns
-// without storing anything or taking the lock, so Spans stays empty. A
+// Now, Metrics and the histogram side of Timed behave as on a New tracer,
+// while Start hands out inert SpanRefs and Record returns without storing
+// anything or taking the lock, so Spans stays empty. A
 // process that serves requests indefinitely uses this — a span log grows
 // with every job, phase, slot and task served and is never read back.
 func NewMetricsOnly() *Tracer {
@@ -95,19 +95,6 @@ func (t *Tracer) Metrics() *Registry {
 		return nil
 	}
 	return t.reg
-}
-
-// ResetMetrics replaces the metrics registry with a fresh one, so a
-// caller sharing one tracer across measurement units (e.g. one BENCH
-// record per figure) can snapshot per-unit metrics while spans keep
-// accumulating on the shared timeline.
-func (t *Tracer) ResetMetrics() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.reg = NewRegistry()
-	t.mu.Unlock()
 }
 
 // Record stores a span with explicit timestamps — the entry point for

@@ -22,7 +22,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	if tr.VirtualBase() != 0 {
 		t.Fatal("nil tracer VirtualBase != 0")
 	}
-	tr.ResetMetrics()
 	if tr.Metrics() != nil {
 		t.Fatal("nil tracer Metrics != nil")
 	}
@@ -131,19 +130,6 @@ func TestTracerConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestResetMetricsKeepsSpans(t *testing.T) {
-	tr := New()
-	tr.Metrics().Count("c", 7)
-	tr.Record(Span{Track: "driver", Name: "x", Start: 0, End: 1})
-	tr.ResetMetrics()
-	if got := tr.Metrics().Snapshot(); len(got.Counters) != 0 {
-		t.Fatalf("counters survived reset: %+v", got)
-	}
-	if len(tr.Spans()) != 1 {
-		t.Fatal("spans lost on metrics reset")
-	}
-}
-
 // TestMetricsOnlyTracerKeepsNoSpans: every way of recording a span is
 // discarded, from any number of goroutines, while the tracer stays enabled
 // and its metrics side — Timed's histogram included — works as on New.
@@ -178,9 +164,5 @@ func TestMetricsOnlyTracerKeepsNoSpans(t *testing.T) {
 	}
 	if tr.Metrics().Counter("c") != 400 {
 		t.Errorf("counter = %d, want 400", tr.Metrics().Counter("c"))
-	}
-	tr.ResetMetrics()
-	if tr.Metrics().Counter("c") != 0 {
-		t.Error("ResetMetrics kept the old registry")
 	}
 }

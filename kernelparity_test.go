@@ -11,7 +11,7 @@ import (
 // on fixed workloads; skyline cardinality is pinned alongside as a sanity
 // anchor. The table holds two kinds of row.
 //
-// The 30 baseline rows (MR-BNL, MR-SFS, MR-Angle, SKY-MR, MR-Bitmap) were
+// The 24 baseline rows (MR-BNL, MR-SFS, MR-Angle, SKY-MR) were
 // captured with the scalar tuple-at-a-time window before the columnar
 // block kernel replaced it and have not changed since: Insert, Dominated
 // and FilterBy must classify exactly the pairs the scalar loops did —
@@ -36,54 +36,48 @@ func TestKernelCountParity(t *testing.T) {
 		size  int
 	}
 	want := map[string]golden{
-		"independent/MR-GPMRS/bnl":     {19873, 88},
-		"independent/MR-GPMRS/sfs":     {17954, 88},
-		"independent/MR-GPSRS/bnl":     {13995, 88},
-		"independent/MR-GPSRS/sfs":     {12076, 88},
-		"independent/Hybrid/bnl":       {13995, 88},
-		"independent/Hybrid/sfs":       {12076, 88},
-		"independent/MR-BNL/bnl":       {20716, 88},
-		"independent/MR-BNL/sfs":       {20716, 88},
-		"independent/MR-SFS/bnl":       {18458, 88},
-		"independent/MR-SFS/sfs":       {18458, 88},
-		"independent/MR-Angle/bnl":     {15604, 88},
-		"independent/MR-Angle/sfs":     {15604, 88},
-		"independent/SKY-MR/bnl":       {9754, 88},
-		"independent/SKY-MR/sfs":       {9754, 88},
-		"independent/MR-Bitmap/bnl":    {6000, 88},
-		"independent/MR-Bitmap/sfs":    {6000, 88},
-		"anticorrelated/MR-GPMRS/bnl":  {101923, 551},
-		"anticorrelated/MR-GPMRS/sfs":  {100748, 551},
-		"anticorrelated/MR-GPSRS/bnl":  {65706, 551},
-		"anticorrelated/MR-GPSRS/sfs":  {64531, 551},
-		"anticorrelated/Hybrid/bnl":    {65706, 551},
-		"anticorrelated/Hybrid/sfs":    {64531, 551},
-		"anticorrelated/MR-BNL/bnl":    {98548, 551},
-		"anticorrelated/MR-BNL/sfs":    {98548, 551},
-		"anticorrelated/MR-SFS/bnl":    {95951, 551},
-		"anticorrelated/MR-SFS/sfs":    {95951, 551},
-		"anticorrelated/MR-Angle/bnl":  {242746, 551},
-		"anticorrelated/MR-Angle/sfs":  {242746, 551},
-		"anticorrelated/SKY-MR/bnl":    {32007, 551},
-		"anticorrelated/SKY-MR/sfs":    {32007, 551},
-		"anticorrelated/MR-Bitmap/bnl": {6000, 551},
-		"anticorrelated/MR-Bitmap/sfs": {6000, 551},
-		"correlated/MR-GPMRS/bnl":      {3387, 4},
-		"correlated/MR-GPMRS/sfs":      {2588, 4},
-		"correlated/MR-GPSRS/bnl":      {3281, 4},
-		"correlated/MR-GPSRS/sfs":      {2482, 4},
-		"correlated/Hybrid/bnl":        {3281, 4},
-		"correlated/Hybrid/sfs":        {2482, 4},
-		"correlated/MR-BNL/bnl":        {10847, 4},
-		"correlated/MR-BNL/sfs":        {10847, 4},
-		"correlated/MR-SFS/bnl":        {9000, 4},
-		"correlated/MR-SFS/sfs":        {9000, 4},
-		"correlated/MR-Angle/bnl":      {2602, 4},
-		"correlated/MR-Angle/sfs":      {2602, 4},
-		"correlated/SKY-MR/bnl":        {2335, 4},
-		"correlated/SKY-MR/sfs":        {2335, 4},
-		"correlated/MR-Bitmap/bnl":     {6000, 4},
-		"correlated/MR-Bitmap/sfs":     {6000, 4},
+		"independent/MR-GPMRS/bnl":    {19873, 88},
+		"independent/MR-GPMRS/sfs":    {17954, 88},
+		"independent/MR-GPSRS/bnl":    {13995, 88},
+		"independent/MR-GPSRS/sfs":    {12076, 88},
+		"independent/Hybrid/bnl":      {13995, 88},
+		"independent/Hybrid/sfs":      {12076, 88},
+		"independent/MR-BNL/bnl":      {20716, 88},
+		"independent/MR-BNL/sfs":      {20716, 88},
+		"independent/MR-SFS/bnl":      {18458, 88},
+		"independent/MR-SFS/sfs":      {18458, 88},
+		"independent/MR-Angle/bnl":    {15604, 88},
+		"independent/MR-Angle/sfs":    {15604, 88},
+		"independent/SKY-MR/bnl":      {9754, 88},
+		"independent/SKY-MR/sfs":      {9754, 88},
+		"anticorrelated/MR-GPMRS/bnl": {101923, 551},
+		"anticorrelated/MR-GPMRS/sfs": {100748, 551},
+		"anticorrelated/MR-GPSRS/bnl": {65706, 551},
+		"anticorrelated/MR-GPSRS/sfs": {64531, 551},
+		"anticorrelated/Hybrid/bnl":   {65706, 551},
+		"anticorrelated/Hybrid/sfs":   {64531, 551},
+		"anticorrelated/MR-BNL/bnl":   {98548, 551},
+		"anticorrelated/MR-BNL/sfs":   {98548, 551},
+		"anticorrelated/MR-SFS/bnl":   {95951, 551},
+		"anticorrelated/MR-SFS/sfs":   {95951, 551},
+		"anticorrelated/MR-Angle/bnl": {242746, 551},
+		"anticorrelated/MR-Angle/sfs": {242746, 551},
+		"anticorrelated/SKY-MR/bnl":   {32007, 551},
+		"anticorrelated/SKY-MR/sfs":   {32007, 551},
+		"correlated/MR-GPMRS/bnl":     {3387, 4},
+		"correlated/MR-GPMRS/sfs":     {2588, 4},
+		"correlated/MR-GPSRS/bnl":     {3281, 4},
+		"correlated/MR-GPSRS/sfs":     {2482, 4},
+		"correlated/Hybrid/bnl":       {3281, 4},
+		"correlated/Hybrid/sfs":       {2482, 4},
+		"correlated/MR-BNL/bnl":       {10847, 4},
+		"correlated/MR-BNL/sfs":       {10847, 4},
+		"correlated/MR-SFS/bnl":       {9000, 4},
+		"correlated/MR-SFS/sfs":       {9000, 4},
+		"correlated/MR-Angle/bnl":     {2602, 4},
+		"correlated/MR-Angle/sfs":     {2602, 4},
+		"correlated/SKY-MR/bnl":       {2335, 4},
+		"correlated/SKY-MR/sfs":       {2335, 4},
 	}
 	for _, dist := range []string{"independent", "anticorrelated", "correlated"} {
 		data, err := mrskyline.Generate(dist, 1500, 4, 7)

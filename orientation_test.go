@@ -129,9 +129,6 @@ func TestMixedMinMaxSkyline(t *testing.T) {
 	wantSet := fmt.Sprint(canon(oracle))
 
 	for _, algo := range mrskyline.Algorithms() {
-		if algo == mrskyline.MRBitmap {
-			continue // rejects continuous domains
-		}
 		opts := mrskyline.Options{Algorithm: algo, Nodes: 2, Maximize: maximize}
 		res, err := mrskyline.Compute(data, opts)
 		if err != nil {

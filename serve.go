@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"mrskyline/internal/cluster"
@@ -128,48 +127,20 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	s := &Service{exec: cfg.Executor, timeout: cfg.QueryTimeout, walCfg: cfg}
 	if s.exec != nil {
 		s.trace = s.exec.WallTracer()
-	} else if err := s.newEngine(cfg); err != nil {
-		return nil, err
+	} else {
+		eng, err := newEngine(Options{Nodes: cfg.Nodes, SlotsPerNode: cfg.SlotsPerNode, SpillBudget: cfg.SpillBudget, SpillDir: cfg.SpillDir})
+		if err != nil {
+			return nil, err
+		}
+		// Metrics only: a Service never reads a span back, and a retained
+		// span log would grow with every task of every query for the
+		// daemon's life.
+		s.trace = obs.NewMetricsOnly()
+		eng.SetTrace(s.trace)
+		s.exec, s.cluster = eng, eng.Cluster()
 	}
 	s.exec.SetAdmission(maxInFlight, maxQueue)
 	return s, nil
-}
-
-// newEngine gives the service its default executor: an in-process engine on
-// a fresh simulated cluster.
-func (s *Service) newEngine(cfg ServiceConfig) error {
-	nodes := cfg.Nodes
-	if nodes == 0 {
-		nodes = 8
-	}
-	slots := cfg.SlotsPerNode
-	if slots == 0 {
-		slots = 2
-	}
-	if nodes < 0 || slots < 0 {
-		return fmt.Errorf("mrskyline: negative cluster shape %d nodes × %d slots", cfg.Nodes, cfg.SlotsPerNode)
-	}
-	c, err := cluster.Uniform(nodes, slots)
-	if err != nil {
-		return fmt.Errorf("mrskyline: %w", err)
-	}
-	eng := mapreduce.NewEngine(c)
-	if cfg.SpillBudget > 0 {
-		dir := cfg.SpillDir
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
-			return fmt.Errorf("mrskyline: SpillDir %q is not a usable directory", dir)
-		}
-		eng.Spill = &spill.Config{Dir: dir, Budget: cfg.SpillBudget, Stats: &spill.Stats{}}
-	}
-	// Metrics only: a Service never reads a span back, and a retained span
-	// log would grow with every task of every query for the daemon's life.
-	s.trace = obs.NewMetricsOnly()
-	eng.SetTrace(s.trace)
-	s.exec, s.cluster = eng, c
-	return nil
 }
 
 // Close releases the service's executor. With an external Executor that

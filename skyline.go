@@ -43,6 +43,7 @@
 package mrskyline
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
@@ -80,16 +81,11 @@ const (
 	// SKYMR is the sampling/sky-quadtree algorithm SKY-MR [Park et al.,
 	// PVLDB 2013], provided as an extension baseline.
 	SKYMR Algorithm = "SKY-MR"
-	// MRBitmap is the MR-Bitmap baseline [Zhang et al., DASFAA-W 2011 /
-	// Tan et al., VLDB 2001]. It requires a bounded number of distinct
-	// values per dimension and errors otherwise — the reason the paper
-	// excludes it from its continuous-domain experiments.
-	MRBitmap Algorithm = "MR-Bitmap"
 )
 
 // Algorithms lists every supported Algorithm value.
 func Algorithms() []Algorithm {
-	return []Algorithm{GPMRS, GPSRS, Hybrid, MRBNL, MRSFS, MRAngle, SKYMR, MRBitmap}
+	return []Algorithm{GPMRS, GPSRS, Hybrid, MRBNL, MRSFS, MRAngle, SKYMR}
 }
 
 // Options configures Compute. The zero value is ready to use: MR-GPMRS on
@@ -190,7 +186,7 @@ func emptyResult(opts Options) *Result {
 // options fail identically on empty and non-empty data.
 func validateOptions(opts Options) error {
 	switch algorithmOrDefault(opts.Algorithm) {
-	case GPMRS, GPSRS, Hybrid, MRBNL, MRSFS, MRAngle, SKYMR, MRBitmap:
+	case GPMRS, GPSRS, Hybrid, MRBNL, MRSFS, MRAngle, SKYMR:
 	default:
 		return fmt.Errorf("mrskyline: unknown algorithm %q", opts.Algorithm)
 	}
@@ -253,8 +249,6 @@ func computeOn(ctx context.Context, eng mapreduce.Executor, data [][]float64, op
 		sky, bs, err = baseline.MRSFS(cfg, work)
 	case SKYMR:
 		sky, bs, err = baseline.SKYMR(cfg, work)
-	case MRBitmap:
-		sky, bs, err = baseline.MRBitmap(cfg, work)
 	case MRAngle:
 		sky, bs, err = baseline.MRAngle(cfg, work)
 	default:
@@ -404,14 +398,16 @@ func algorithmOrDefault(a Algorithm) Algorithm {
 	return a
 }
 
+// newEngine builds the default executor: an in-process engine on a fresh
+// simulated cluster of opts' shape (8 nodes × 2 slots unless set), with the
+// spilled shuffle when opts carries a budget. The one-shot entry points
+// build one per call, NewService one for the service's life; of opts only
+// the cluster shape and the spill fields are read.
 func newEngine(opts Options) (*mapreduce.Engine, error) {
-	nodes := opts.Nodes
-	if nodes == 0 {
-		nodes = 8
-	}
-	slots := opts.SlotsPerNode
-	if slots == 0 {
-		slots = 2
+	nodes := cmp.Or(opts.Nodes, 8)
+	slots := cmp.Or(opts.SlotsPerNode, 2)
+	if nodes < 0 || slots < 0 {
+		return nil, fmt.Errorf("mrskyline: negative cluster shape %d nodes × %d slots", opts.Nodes, opts.SlotsPerNode)
 	}
 	c, err := cluster.Uniform(nodes, slots)
 	if err != nil {

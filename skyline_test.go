@@ -177,8 +177,10 @@ func TestComputeValidation(t *testing.T) {
 	if _, err := mrskyline.Compute([][]float64{{1, 2}, {3}}, mrskyline.Options{}); err == nil {
 		t.Error("ragged data accepted")
 	}
-	if _, err := mrskyline.Compute([][]float64{{1}}, mrskyline.Options{Algorithm: "MR-Quantum"}); err == nil {
-		t.Error("unknown algorithm accepted")
+	for _, algo := range []mrskyline.Algorithm{"MR-Quantum", "MR-Bitmap"} {
+		if _, err := mrskyline.Compute([][]float64{{1}}, mrskyline.Options{Algorithm: algo}); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+			t.Errorf("%s: err = %v, want unknown algorithm", algo, err)
+		}
 	}
 }
 
