@@ -240,7 +240,11 @@ func TestSkylinedSigkillRecovery(t *testing.T) {
 	}
 	// Differential check: the recovered skyline must equal a fresh rebuild
 	// of exactly the batches the recovered generation covers.
-	ref, err := mrskyline.OpenMaintained(seedData, mrskyline.MaintainOptions{})
+	svc, err := mrskyline.NewService(mrskyline.ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := svc.OpenMaintained(seedData, mrskyline.MaintainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

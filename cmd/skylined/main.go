@@ -182,9 +182,9 @@ type server struct {
 // serves queries over them (rows checked once, job 1 prepared once), or a
 // maintained skyline handle when the dataset was registered with
 // "maintain": true. Maintained entries serve regular queries from their
-// current resident rows, which change under deltas, so they take the same
-// path as inline rows. dir is the durable directory ("" for memory-only
-// entries).
+// current resident rows, which change under deltas, so each query takes a
+// transient handle over them, as inline rows do. dir is the durable
+// directory ("" for memory-only entries).
 type dataset struct {
 	plain *mrskyline.Dataset
 	maint *mrskyline.MaintainedSkyline
@@ -290,9 +290,9 @@ func validateDatasetName(name string) error {
 
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/skyline", s.postOnly(s.handleSkyline))
-	mux.HandleFunc("/v1/constrained", s.postOnly(s.handleConstrained))
-	mux.HandleFunc("/v1/subspace", s.postOnly(s.handleSubspace))
+	for _, route := range []string{"/v1/skyline", "/v1/constrained", "/v1/subspace"} {
+		mux.HandleFunc(route, s.handleQuery(route))
+	}
 	mux.HandleFunc("/v1/datasets", s.handleDatasets)
 	mux.HandleFunc("DELETE /v1/datasets/{name}", s.handleDeleteDataset)
 	mux.HandleFunc("POST /v1/datasets/{name}/deltas", s.handleDeltas)
@@ -320,9 +320,9 @@ type queryRequest struct {
 	Reducers  int    `json:"reducers,omitempty"`
 
 	// Constraints applies to /v1/constrained: one range per dimension; a
-	// missing side is unbounded.
+	// missing side is unbounded. Any other route rejects it.
 	Constraints []rangeJSON `json:"constraints,omitempty"`
-	// Dims applies to /v1/subspace.
+	// Dims applies to /v1/subspace; any other route rejects it.
 	Dims []int `json:"dims,omitempty"`
 }
 
@@ -393,65 +393,81 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func (s *server) postOnly(h func(w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
+// decodeBody parses a request's JSON body into v.
+func decodeBody(r *http.Request, v any) error {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		return &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
+	}
+	return nil
+}
+
+// handleQuery serves one query route — /v1/skyline, /v1/constrained or
+// /v1/subspace — over a registered dataset or rows sent inline. A
+// route-specific field sent to another route is a 400, not dropped.
+func (s *server) handleQuery(route string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			writeError(w, &httpError{http.StatusMethodNotAllowed, "POST required"})
 			return
 		}
-		h(w, r)
+		res, err := s.query(r, route)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, queryResponse{Skyline: res.Skyline, Stats: res.Stats})
 	}
 }
 
-// querier is what a query request runs against: a registered plain
-// dataset's handle, or rows that came with the request.
-type querier interface {
-	Compute(ctx context.Context, opts mrskyline.Options) (*mrskyline.Result, error)
-	ComputeConstrained(ctx context.Context, constraints []mrskyline.Range, opts mrskyline.Options) (*mrskyline.Result, error)
-	ComputeSubspace(ctx context.Context, dims []int, opts mrskyline.Options) (*mrskyline.Result, error)
-}
-
-// adhocRows is the querier for rows no handle exists for: inline "data",
-// or a maintained dataset's residents as of this request.
-type adhocRows struct {
-	svc  *mrskyline.Service
-	rows [][]float64
-}
-
-func (a adhocRows) Compute(ctx context.Context, opts mrskyline.Options) (*mrskyline.Result, error) {
-	return a.svc.Compute(ctx, a.rows, opts)
-}
-
-func (a adhocRows) ComputeConstrained(ctx context.Context, constraints []mrskyline.Range, opts mrskyline.Options) (*mrskyline.Result, error) {
-	return a.svc.ComputeConstrained(ctx, a.rows, constraints, opts)
-}
-
-func (a adhocRows) ComputeSubspace(ctx context.Context, dims []int, opts mrskyline.Options) (*mrskyline.Result, error) {
-	return a.svc.ComputeSubspace(ctx, a.rows, dims, opts)
-}
-
-// decodeQuery parses the body and resolves the dataset reference.
-func (s *server) decodeQuery(r *http.Request) (*queryRequest, querier, error) {
+// query decodes a request to route and runs it.
+func (s *server) query(r *http.Request, route string) (*mrskyline.Result, error) {
 	var q queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-		return nil, nil, &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
+	if err := decodeBody(r, &q); err != nil {
+		return nil, err
 	}
+	if q.Constraints != nil && route != "/v1/constrained" {
+		return nil, &httpError{http.StatusBadRequest, route + ` does not read "constraints" (only /v1/constrained does)`}
+	}
+	if q.Dims != nil && route != "/v1/subspace" {
+		return nil, &httpError{http.StatusBadRequest, route + ` does not read "dims" (only /v1/subspace does)`}
+	}
+	h, err := s.resolve(&q)
+	if err != nil {
+		return nil, err
+	}
+	switch route {
+	case "/v1/constrained":
+		constraints := make([]mrskyline.Range, len(q.Constraints))
+		for i, rng := range q.Constraints {
+			constraints[i] = rng.toRange()
+		}
+		return h.ComputeConstrained(r.Context(), constraints, q.options())
+	case "/v1/subspace":
+		return h.ComputeSubspace(r.Context(), q.Dims, q.options())
+	}
+	return h.Compute(r.Context(), q.options())
+}
+
+// resolve returns the handle a query runs on: a registered plain dataset's,
+// or a transient one over inline "data" or a maintained dataset's residents
+// as of this request.
+func (s *server) resolve(q *queryRequest) (*mrskyline.Dataset, error) {
 	if q.Dataset == "" {
-		return &q, adhocRows{s.svc, q.Data}, nil
+		return s.svc.Dataset(q.Data), nil
 	}
 	if q.Data != nil {
-		return nil, nil, &httpError{http.StatusBadRequest, `"dataset" and "data" are mutually exclusive`}
+		return nil, &httpError{http.StatusBadRequest, `"dataset" and "data" are mutually exclusive`}
 	}
 	s.mu.RLock()
 	ds, ok := s.datasets[q.Dataset]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, nil, &httpError{http.StatusNotFound, fmt.Sprintf("unknown dataset %q", q.Dataset)}
+		return nil, &httpError{http.StatusNotFound, fmt.Sprintf("unknown dataset %q", q.Dataset)}
 	}
 	if ds.maint != nil {
-		return &q, adhocRows{s.svc, ds.maint.Rows()}, nil
+		return s.svc.Dataset(ds.maint.Rows()), nil
 	}
-	return &q, ds.plain, nil
+	return ds.plain, nil
 }
 
 // lookupMaintained resolves a path's {name} to a maintained dataset.
@@ -480,8 +496,8 @@ func (s *server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Deltas []mrskyline.Delta `json:"deltas"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, &httpError{http.StatusBadRequest, "bad request body: " + err.Error()})
+	if err := decodeBody(r, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	if len(req.Deltas) == 0 {
@@ -518,52 +534,6 @@ func (s *server) handleMaintainedSkyline(w http.ResponseWriter, r *http.Request)
 	}
 	snap := h.Skyline()
 	writeJSON(w, map[string]any{"gen": snap.Gen, "changed": true, "skyline": snap.Skyline})
-}
-
-func (s *server) handleSkyline(w http.ResponseWriter, r *http.Request) {
-	q, src, err := s.decodeQuery(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	res, err := src.Compute(r.Context(), q.options())
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, queryResponse{Skyline: res.Skyline, Stats: res.Stats})
-}
-
-func (s *server) handleConstrained(w http.ResponseWriter, r *http.Request) {
-	q, src, err := s.decodeQuery(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	constraints := make([]mrskyline.Range, len(q.Constraints))
-	for i, rng := range q.Constraints {
-		constraints[i] = rng.toRange()
-	}
-	res, err := src.ComputeConstrained(r.Context(), constraints, q.options())
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, queryResponse{Skyline: res.Skyline, Stats: res.Stats})
-}
-
-func (s *server) handleSubspace(w http.ResponseWriter, r *http.Request) {
-	q, src, err := s.decodeQuery(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	res, err := src.ComputeSubspace(r.Context(), q.Dims, q.options())
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, queryResponse{Skyline: res.Skyline, Stats: res.Stats})
 }
 
 // datasetRequest registers a named dataset: inline rows or a synthetic
@@ -613,8 +583,8 @@ func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{"datasets": list})
 	case http.MethodPost:
 		var req datasetRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, &httpError{http.StatusBadRequest, "bad request body: " + err.Error()})
+		if err := decodeBody(r, &req); err != nil {
+			writeError(w, err)
 			return
 		}
 		if err := validateDatasetName(req.Name); err != nil {
@@ -639,8 +609,8 @@ func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			writeError(w, &httpError{http.StatusBadRequest, `either "data" or "generate" is required`})
 			return
 		}
-		if !req.Maintain && (req.MaintainDim != 0 || req.MaintainPPD != 0 || req.MaintainWindow != 0) {
-			writeError(w, &httpError{http.StatusBadRequest, `"maintain_dim"/"maintain_ppd"/"maintain_window" require "maintain": true`})
+		if !req.Maintain && (req.MaintainDim != 0 || req.MaintainPPD != 0 || req.MaintainWindow != 0 || req.Maximize != nil) {
+			writeError(w, &httpError{http.StatusBadRequest, `"maintain_dim"/"maintain_ppd"/"maintain_window"/"maximize" require "maintain": true`})
 			return
 		}
 		// A durable dataset owns an on-disk directory that restoreDatasets

@@ -5,7 +5,7 @@ package mrskyline
 // the grid, per-cell local skylines and the pruning bitstring resident so
 // a delta batch costs work proportional to the cells it touches, while
 // Compute-style queries rebuild all of it per call. Handles come from
-// OpenMaintained or Service.OpenMaintained; the latter also publishes
+// Service.OpenMaintained and Service.RestoreMaintained, which publish
 // maintenance counters into the service's metrics registry.
 
 import (
@@ -19,7 +19,7 @@ import (
 	"mrskyline/internal/wal"
 )
 
-// MaintainOptions shapes OpenMaintained. The zero value derives
+// MaintainOptions shapes Service.OpenMaintained. The zero value derives
 // everything from the seed data.
 type MaintainOptions struct {
 	// Dim fixes the dimensionality; required only when the seed data is
@@ -58,9 +58,6 @@ type MaintainOptions struct {
 	// logged batches (default 256; negative disables automatic
 	// checkpoints — Close still writes a final one).
 	CheckpointEvery int
-	// SegmentBytes rolls the log to a new segment file once the active one
-	// reaches this size (default 1 MiB).
-	SegmentBytes int64
 }
 
 // ErrNoDurableState is wrapped by RestoreMaintained when the DataDir
@@ -127,7 +124,7 @@ type MaintainedSkyline struct {
 	m      *maintain.Maintained
 	d      *wal.Durable // nil for memory-only handles
 	orient Orientation
-	reg    *obs.Registry // nil unless opened through a Service
+	reg    *obs.Registry // the opening Service's
 }
 
 // durableMeta is the opaque blob persisted in every snapshot: the pieces
@@ -148,7 +145,6 @@ func walOptions(opts MaintainOptions, reg *obs.Registry) (wal.Options, error) {
 	return wal.Options{
 		Sync:            mode,
 		SyncEvery:       opts.SyncInterval,
-		SegmentBytes:    opts.SegmentBytes,
 		CheckpointEvery: opts.CheckpointEvery,
 		Metrics:         reg,
 	}, nil
@@ -156,12 +152,16 @@ func walOptions(opts MaintainOptions, reg *obs.Registry) (wal.Options, error) {
 
 // OpenMaintained seeds a maintained skyline with data. The data is
 // copied; later mutations of the caller's rows do not affect the handle.
-// With opts.DataDir set the handle is durable — see MaintainOptions.
-func OpenMaintained(data [][]float64, opts MaintainOptions) (*MaintainedSkyline, error) {
-	return openMaintained(data, opts, nil)
-}
-
-func openMaintained(data [][]float64, opts MaintainOptions, reg *obs.Registry) (*MaintainedSkyline, error) {
+// With opts.DataDir set the handle is durable — see MaintainOptions — and
+// zero WAL knobs take the service-wide defaults (ServiceConfig.WALSync and
+// friends). The handle's maintenance counters (maintain.deltas.*,
+// maintain.publishes) and, for durable handles, the wal.* durability series
+// land in the service's metrics registry alongside the mr.* series, so
+// MetricsJSON and /v1/stats cover churn too. The handle itself serves reads
+// from resident state and never runs MapReduce jobs on the service's
+// cluster.
+func (s *Service) OpenMaintained(data [][]float64, opts MaintainOptions) (*MaintainedSkyline, error) {
+	opts, reg := s.applyWALDefaults(opts), s.trace.Metrics()
 	if opts.Maximize != nil && len(data) > 0 && len(opts.Maximize) != len(data[0]) {
 		return nil, fmt.Errorf("mrskyline: Maximize has %d entries for %d-dimensional data", len(opts.Maximize), len(data[0]))
 	}
@@ -204,12 +204,10 @@ func openMaintained(data [][]float64, opts MaintainOptions, reg *obs.Registry) (
 // directory was written under). Grid shape, sliding-window size and
 // orientation come from the persisted state; opts.Dim, PPD, WindowSize
 // and Maximize are ignored. Restoring a directory that holds no durable
-// state returns an error wrapping ErrNoDurableState.
-func RestoreMaintained(opts MaintainOptions) (*MaintainedSkyline, error) {
-	return restoreMaintained(opts, nil)
-}
-
-func restoreMaintained(opts MaintainOptions, reg *obs.Registry) (*MaintainedSkyline, error) {
+// state returns an error wrapping ErrNoDurableState. Recovery metrics
+// (wal.recovery.ns, wal.replay.*) land in the service's registry.
+func (s *Service) RestoreMaintained(opts MaintainOptions) (*MaintainedSkyline, error) {
+	opts, reg := s.applyWALDefaults(opts), s.trace.Metrics()
 	if opts.DataDir == "" {
 		return nil, fmt.Errorf("mrskyline: RestoreMaintained needs DataDir")
 	}
@@ -229,23 +227,6 @@ func restoreMaintained(opts MaintainOptions, reg *obs.Registry) (*MaintainedSkyl
 		}
 	}
 	return &MaintainedSkyline{m: d.Maintained(), d: d, orient: NewOrientation(meta.Maximize), reg: reg}, nil
-}
-
-// OpenMaintained seeds a maintained skyline attached to the service: its
-// maintenance counters (maintain.deltas.*, maintain.publishes) and — for
-// durable handles — the wal.* durability series land in the service's
-// metrics registry alongside the mr.* series, so MetricsJSON and
-// /v1/stats cover churn too. The handle itself serves reads from resident
-// state and never runs MapReduce jobs on the service's cluster.
-func (s *Service) OpenMaintained(data [][]float64, opts MaintainOptions) (*MaintainedSkyline, error) {
-	return openMaintained(data, s.applyWALDefaults(opts), s.trace.Metrics())
-}
-
-// RestoreMaintained is the Service counterpart of the package-level
-// RestoreMaintained; recovery metrics (wal.recovery.ns, wal.replay.*)
-// land in the service's registry.
-func (s *Service) RestoreMaintained(opts MaintainOptions) (*MaintainedSkyline, error) {
-	return restoreMaintained(s.applyWALDefaults(opts), s.trace.Metrics())
 }
 
 // ApplyDeltas applies a batch of inserts and deletes atomically and

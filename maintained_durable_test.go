@@ -25,7 +25,7 @@ func TestDurableMaintainedRestartRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ds")
 	seed := durableRows(rng, 40, 3)
 
-	h, err := OpenMaintained(seed, MaintainOptions{DataDir: dir, Sync: "always"})
+	h, err := mustService(t, ServiceConfig{}).OpenMaintained(seed, MaintainOptions{DataDir: dir, Sync: "always"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestDurableMaintainedRestartRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := RestoreMaintained(MaintainOptions{DataDir: dir})
+	r, err := mustService(t, ServiceConfig{}).RestoreMaintained(MaintainOptions{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDurableMaximizeSurvivesRestore(t *testing.T) {
 	data := [][]float64{{1, 9}, {2, 8}, {9, 1}}
 	maximize := []bool{false, true}
 
-	h, err := OpenMaintained(data, MaintainOptions{DataDir: dir, Maximize: maximize})
+	h, err := mustService(t, ServiceConfig{}).OpenMaintained(data, MaintainOptions{DataDir: dir, Maximize: maximize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDurableMaximizeSurvivesRestore(t *testing.T) {
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := RestoreMaintained(MaintainOptions{DataDir: dir})
+	r, err := mustService(t, ServiceConfig{}).RestoreMaintained(MaintainOptions{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,19 +103,19 @@ func TestDurableMaximizeSurvivesRestore(t *testing.T) {
 }
 
 func TestRestoreMaintainedErrors(t *testing.T) {
-	if _, err := RestoreMaintained(MaintainOptions{}); err == nil {
+	if _, err := mustService(t, ServiceConfig{}).RestoreMaintained(MaintainOptions{}); err == nil {
 		t.Fatal("RestoreMaintained without DataDir succeeded")
 	}
-	if _, err := RestoreMaintained(MaintainOptions{DataDir: t.TempDir()}); !errors.Is(err, ErrNoDurableState) {
+	if _, err := mustService(t, ServiceConfig{}).RestoreMaintained(MaintainOptions{DataDir: t.TempDir()}); !errors.Is(err, ErrNoDurableState) {
 		t.Fatalf("restore of empty dir = %v, want ErrNoDurableState", err)
 	}
-	if _, err := OpenMaintained([][]float64{{1, 2}}, MaintainOptions{DataDir: t.TempDir(), Sync: "sometimes"}); err == nil || !strings.Contains(err.Error(), "sync mode") {
+	if _, err := mustService(t, ServiceConfig{}).OpenMaintained([][]float64{{1, 2}}, MaintainOptions{DataDir: t.TempDir(), Sync: "sometimes"}); err == nil || !strings.Contains(err.Error(), "sync mode") {
 		t.Fatalf("bad sync mode error = %v", err)
 	}
 }
 
 func TestMemoryOnlyHandleCloseNoop(t *testing.T) {
-	h, err := OpenMaintained([][]float64{{1, 2}, {2, 1}}, MaintainOptions{})
+	h, err := mustService(t, ServiceConfig{}).OpenMaintained([][]float64{{1, 2}, {2, 1}}, MaintainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,5 +180,8 @@ func TestServiceConfigWALValidation(t *testing.T) {
 	}
 	if _, err := NewService(ServiceConfig{WALSyncInterval: -1}); err == nil {
 		t.Fatal("NewService accepted a negative WALSyncInterval")
+	}
+	if _, err := NewService(ServiceConfig{Nodes: -3}); err == nil {
+		t.Fatal("NewService accepted a negative cluster shape")
 	}
 }

@@ -84,7 +84,7 @@ func TestMaintainedMatchesCompute(t *testing.T) {
 func TestMaintainedMaximizeOrientation(t *testing.T) {
 	// Under Maximize both dimensions, the skyline keeps the HIGHEST values.
 	data := [][]float64{{1, 1}, {9, 9}, {2, 8}}
-	h, err := OpenMaintained(data, MaintainOptions{Maximize: []bool{true, true}})
+	h, err := mustService(t, ServiceConfig{}).OpenMaintained(data, MaintainOptions{Maximize: []bool{true, true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMaintainedMaximizeOrientation(t *testing.T) {
 }
 
 func TestContinuousQuery(t *testing.T) {
-	h, err := OpenMaintained([][]float64{{0.5, 0.5}}, MaintainOptions{})
+	h, err := mustService(t, ServiceConfig{}).OpenMaintained([][]float64{{0.5, 0.5}}, MaintainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +150,13 @@ func TestContinuousQuery(t *testing.T) {
 }
 
 func TestMaintainedErrors(t *testing.T) {
-	if _, err := OpenMaintained(nil, MaintainOptions{}); err == nil {
+	if _, err := mustService(t, ServiceConfig{}).OpenMaintained(nil, MaintainOptions{}); err == nil {
 		t.Fatal("empty seed without Dim accepted")
 	}
-	if _, err := OpenMaintained([][]float64{{1, 2}}, MaintainOptions{Maximize: []bool{true}}); err == nil {
+	if _, err := mustService(t, ServiceConfig{}).OpenMaintained([][]float64{{1, 2}}, MaintainOptions{Maximize: []bool{true}}); err == nil {
 		t.Fatal("Maximize dimensionality mismatch accepted")
 	}
-	h, err := OpenMaintained([][]float64{{1, 2}}, MaintainOptions{})
+	h, err := mustService(t, ServiceConfig{}).OpenMaintained([][]float64{{1, 2}}, MaintainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestMaintainedErrors(t *testing.T) {
 }
 
 func TestMaintainedSlidingWindow(t *testing.T) {
-	h, err := OpenMaintained(nil, MaintainOptions{Dim: 2, WindowSize: 4})
+	h, err := mustService(t, ServiceConfig{}).OpenMaintained(nil, MaintainOptions{Dim: 2, WindowSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

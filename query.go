@@ -33,25 +33,11 @@ func (r Range) contains(v float64) bool { return v >= r.Min && v <= r.Max }
 // validated before range filtering: a row with a NaN value is an error,
 // not a silently filtered-out tuple (NaN lies outside every Range).
 func ComputeConstrained(data [][]float64, constraints []Range, opts Options) (*Result, error) {
-	if err := validateOptions(opts); err != nil {
-		return nil, err
-	}
-	if err := validateConstraints(constraints, opts); err != nil {
-		return nil, err
-	}
-	filtered, err := filterConstrained(data, constraints, false)
+	s, err := oneShot(opts)
 	if err != nil {
 		return nil, err
 	}
-	if len(filtered) == 0 {
-		return emptyResult(opts), nil
-	}
-	eng, err := newEngine(opts)
-	if err != nil {
-		return nil, err
-	}
-	// The filter has just validated every row, kept or not.
-	return computeOn(context.Background(), eng, filtered, opts, true)
+	return s.Dataset(data).ComputeConstrained(context.Background(), constraints, opts)
 }
 
 // validateConstraints checks the data-independent constraint invariants:
@@ -119,24 +105,11 @@ rows:
 // duplicate or negative dims selection, or a Maximize length disagreeing
 // with dims, is an error regardless of data.
 func ComputeSubspace(data [][]float64, dims []int, opts Options) (*Result, error) {
-	if err := validateOptions(opts); err != nil {
-		return nil, err
-	}
-	if err := validateDims(dims, opts); err != nil {
-		return nil, err
-	}
-	projected, err := projectSubspace(data, dims)
+	s, err := oneShot(opts)
 	if err != nil {
 		return nil, err
 	}
-	if len(projected) == 0 {
-		return emptyResult(opts), nil
-	}
-	eng, err := newEngine(opts)
-	if err != nil {
-		return nil, err
-	}
-	return computeOn(context.Background(), eng, projected, opts, false)
+	return s.Dataset(data).ComputeSubspace(context.Background(), dims, opts)
 }
 
 // validateDims checks the data-independent subspace invariants: a

@@ -126,19 +126,3 @@ func TestComputeSubspaceValidation(t *testing.T) {
 		t.Errorf("empty subspace = %v, %v", res, err)
 	}
 }
-
-func TestComputeSubspaceAgainstNaive(t *testing.T) {
-	data, _ := mrskyline.Generate("anticorrelated", 300, 5, 8)
-	dims := []int{1, 3, 4}
-	res, err := mrskyline.ComputeSubspace(data, dims, mrskyline.Options{Nodes: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	projected := make([][]float64, len(data))
-	for i, row := range data {
-		projected[i] = []float64{row[1], row[3], row[4]}
-	}
-	if !sameSet(res.Skyline, naive(projected, nil)) {
-		t.Fatal("subspace skyline disagrees with reference")
-	}
-}

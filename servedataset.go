@@ -3,22 +3,24 @@ package mrskyline
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mrskyline/internal/tuple"
 )
 
-// Dataset is an immutable dataset registered with a Service, for callers
-// that query the same rows many times (cmd/skylined's named datasets). Its
-// methods are the Service's Compute, ComputeConstrained and ComputeSubspace
-// over those rows — same arguments otherwise, same validation, same errors,
-// byte-identical skylines — minus the work that is a function of the rows
-// alone and not of the request:
+// Dataset is an immutable set of rows queried through a Service, and the
+// one implementation of a skyline query: the package-level Compute,
+// ComputeConstrained and ComputeSubspace run a Dataset on a one-shot
+// cluster, Service.Compute runs one over the rows of its request, and
+// cmd/skylined registers one per named dataset. Work that is a function of
+// the rows alone and not of the request is kept across a handle's queries:
 //
-//   - Rows are checked once, on first use, and the verdict is kept. A
+//   - Rows are checked on first use, and a well-formed verdict is kept. A
 //     dataset with a ragged or non-finite row is still a Dataset; its
 //     queries take the unprepared path and fail (or, for a subspace that
-//     avoids the bad column, succeed) exactly as the Service methods do.
+//     avoids the bad column, succeed) with the package-level functions'
+//     errors.
 //   - For the grid algorithms (GPMRS, GPSRS, Hybrid) the handle keeps one
 //     prepared plan: the rows oriented and encoded as the job input, and the
 //     grid and pruned bitstring the Section 3.3 job chose — all pure
@@ -27,10 +29,11 @@ import (
 //     kept key run only their skyline job; a query with another key prepares
 //     its own plan, which then replaces the kept one, so a handle never
 //     holds more than one encoded copy of its rows. A plan whose job failed
-//     is not kept.
+//     is not kept. Constrained and subspace queries run over rows that
+//     differ per request and keep no plan.
 //
 // Stats of a query served from the kept plan equal those of the same query
-// through the Service (the first job's share of ShuffleBytes, PPD,
+// on a fresh handle (the first job's share of ShuffleBytes, PPD,
 // Partitions, NonEmpty and Surviving is read from the job the plan
 // remembers) except Runtime, which is the wall time of this request: it
 // includes the bitstring job only for the request that ran it.
@@ -42,8 +45,10 @@ type Dataset struct {
 	svc  *Service
 	rows [][]float64
 
-	checkRows sync.Once
-	rowsOK    bool
+	// wellFormed is set once every row is known to have the first row's
+	// width and finite values: by valid, or by a constrained query's
+	// filter, which checks every row on its way.
+	wellFormed atomic.Bool
 
 	mu   sync.Mutex
 	slot *planSlot
@@ -92,31 +97,84 @@ func (s *Service) Dataset(rows [][]float64) *Dataset {
 // Len returns the number of rows.
 func (d *Dataset) Len() int { return len(d.rows) }
 
-// valid reports whether every row is well-formed, checking on first call.
+// valid reports whether the (non-empty) rows are all well-formed. Only a
+// yes is kept: a malformed dataset's queries fail or take the
+// unprepared path anyway. The per-row test is tuple.CheckAt's, written out
+// so that the scan — the one row check of a package-level Compute — makes
+// no call per row.
 func (d *Dataset) valid() bool {
-	d.checkRows.Do(func() {
-		for i, row := range d.rows {
-			if tuple.CheckAt(i, row, len(d.rows[0])) != nil {
-				return
-			}
+	if d.wellFormed.Load() {
+		return true
+	}
+	n := len(d.rows[0])
+	for _, row := range d.rows {
+		if n == 0 || len(row) != n || !tuple.Tuple(row).Valid() {
+			return false
 		}
-		d.rowsOK = true
-	})
-	return d.rowsOK
+	}
+	d.wellFormed.Store(true)
+	return true
 }
 
-// Compute is Service.Compute over the dataset's rows.
+// Compute returns the skyline of the dataset's rows under opts, on the
+// service's cluster, under ctx and the service deadline.
 func (d *Dataset) Compute(ctx context.Context, opts Options) (*Result, error) {
+	return d.query(ctx, opts, nil, nil)
+}
+
+// ComputeConstrained returns the constrained skyline of the dataset's rows
+// (see the package-level ComputeConstrained).
+func (d *Dataset) ComputeConstrained(ctx context.Context, constraints []Range, opts Options) (*Result, error) {
+	return d.query(ctx, opts, validateConstraints(constraints, opts), func(rows [][]float64) ([][]float64, error) {
+		checked := d.wellFormed.Load()
+		kept, err := filterConstrained(rows, constraints, checked)
+		if err == nil && !checked {
+			d.wellFormed.Store(true)
+		}
+		return kept, err
+	})
+}
+
+// ComputeSubspace returns the subspace skyline of the dataset's rows over
+// dims (see the package-level ComputeSubspace).
+func (d *Dataset) ComputeSubspace(ctx context.Context, dims []int, opts Options) (*Result, error) {
+	return d.query(ctx, opts, validateDims(dims, opts), func(rows [][]float64) ([][]float64, error) {
+		return projectSubspace(rows, dims)
+	})
+}
+
+// query is the body of every skyline query. Options are checked first and
+// argErr — the query shape's own argument check — second, both before the
+// empty-data fast path. The deadline starts next: selecting the rows
+// (sel; nil for every row) is part of serving the query, so an expired
+// context is not billed only against the MapReduce jobs. The jobs run from
+// the kept plan when the query is over every row of a well-formed dataset
+// with a grid algorithm, and from scratch otherwise.
+func (d *Dataset) query(ctx context.Context, opts Options, argErr error, sel func([][]float64) ([][]float64, error)) (*Result, error) {
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
-	if len(d.rows) == 0 {
-		return emptyResult(opts), nil
+	if argErr != nil {
+		return nil, argErr
 	}
 	ctx, cancel := d.svc.queryCtx(ctx)
 	defer cancel()
-	if ok := d.valid(); !ok || !algorithmOrDefault(opts.Algorithm).grid() {
-		return computeOn(ctx, d.svc.exec, d.rows, opts, ok)
+	rows := d.rows
+	if sel != nil {
+		var err error
+		if rows, err = sel(rows); err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	if len(rows) == 0 {
+		return &Result{Stats: Stats{Algorithm: string(algorithmOrDefault(opts.Algorithm))}}, nil
+	}
+	ok := d.valid()
+	if sel != nil || !ok || !algorithmOrDefault(opts.Algorithm).grid() {
+		return computeOn(ctx, d.svc.exec, rows, opts, ok)
 	}
 	start := time.Now()
 	p, err := d.plan(ctx, opts)
@@ -124,19 +182,6 @@ func (d *Dataset) Compute(ctx context.Context, opts Options) (*Result, error) {
 		return nil, err
 	}
 	return p.run(ctx, d.svc.exec, opts, start)
-}
-
-// ComputeConstrained is Service.ComputeConstrained over the dataset's rows.
-// The rows inside the box differ per request, so nothing is kept; only the
-// row check is not repeated.
-func (d *Dataset) ComputeConstrained(ctx context.Context, constraints []Range, opts Options) (*Result, error) {
-	return d.svc.constrained(ctx, d.rows, constraints, opts, d.valid())
-}
-
-// ComputeSubspace is Service.ComputeSubspace over the dataset's rows; as
-// with ComputeConstrained only the row check is not repeated.
-func (d *Dataset) ComputeSubspace(ctx context.Context, dims []int, opts Options) (*Result, error) {
-	return d.svc.subspace(ctx, d.rows, dims, opts, d.valid())
 }
 
 // plan returns the prepared plan for opts over the (valid, non-empty) rows:

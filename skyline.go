@@ -27,7 +27,7 @@
 // # Validation contract
 //
 // Every entry point — Compute, ComputeConstrained, ComputeSubspace, and
-// the Service equivalents — validates its arguments identically whether
+// the Dataset methods they run — validates its arguments identically whether
 // the input data is empty or not: an unknown Options.Algorithm or
 // Options.Kernel, a negative cluster shape, a constraint or subspace
 // selection inconsistent with Options.Maximize, NaN constraint bounds, an
@@ -163,22 +163,25 @@ type Result struct {
 // algorithm or kernel fails on empty data too (see the package-level
 // validation contract).
 func Compute(data [][]float64, opts Options) (*Result, error) {
-	if err := validateOptions(opts); err != nil {
+	s, err := oneShot(opts)
+	if err != nil {
 		return nil, err
 	}
-	if len(data) == 0 {
-		return emptyResult(opts), nil
+	return s.Dataset(data).Compute(context.Background(), opts)
+}
+
+// oneShot validates opts and returns the service a package-level query
+// runs on: a fresh engine of opts' shape, with no admission bound and no
+// deadline.
+func oneShot(opts Options) (*Service, error) {
+	if err := validateOptions(opts); err != nil {
+		return nil, err
 	}
 	eng, err := newEngine(opts)
 	if err != nil {
 		return nil, err
 	}
-	return computeOn(context.Background(), eng, data, opts, false)
-}
-
-// emptyResult is the successful outcome of any query over empty data.
-func emptyResult(opts Options) *Result {
-	return &Result{Stats: Stats{Algorithm: string(algorithmOrDefault(opts.Algorithm))}}
+	return &Service{exec: eng}, nil
 }
 
 // validateOptions checks the data-independent parts of opts — the
@@ -214,14 +217,12 @@ func validateOptions(opts Options) error {
 // computeOn runs the pipeline — orientation, row validation, algorithm
 // dispatch — on an existing executor, which may be shared across
 // concurrent callers (Service runs all its queries through one) and may be
-// the in-process engine or a multi-process backend. opts must already have
-// passed validateOptions; ctx bounds every MapReduce job of the run.
-// validated says the caller has already found every row of data well-formed
-// (same width, finite values), so the row check is not repeated.
+// the in-process engine or a multi-process backend. data is non-empty and
+// opts must already have passed validateOptions; ctx bounds every MapReduce
+// job of the run. validated says the caller has already found every row of
+// data well-formed (same width, finite values), so the row check is not
+// repeated.
 func computeOn(ctx context.Context, eng mapreduce.Executor, data [][]float64, opts Options, validated bool) (*Result, error) {
-	if len(data) == 0 {
-		return emptyResult(opts), nil
-	}
 	algo := algorithmOrDefault(opts.Algorithm)
 	if algo.grid() {
 		start := time.Now()

@@ -56,29 +56,6 @@ func sameSet(a, b [][]float64) bool {
 	return true
 }
 
-func TestComputeAllAlgorithms(t *testing.T) {
-	data, err := mrskyline.Generate("anticorrelated", 400, 3, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := naive(data, nil)
-	for _, algo := range mrskyline.Algorithms() {
-		res, err := mrskyline.Compute(data, mrskyline.Options{Algorithm: algo, Nodes: 4})
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if !sameSet(res.Skyline, want) {
-			t.Fatalf("%s: wrong skyline (%d vs %d tuples)", algo, len(res.Skyline), len(want))
-		}
-		if res.Stats.SkylineSize != len(res.Skyline) {
-			t.Errorf("%s: SkylineSize %d != %d", algo, res.Stats.SkylineSize, len(res.Skyline))
-		}
-		if res.Stats.Runtime <= 0 {
-			t.Errorf("%s: Runtime = %v", algo, res.Stats.Runtime)
-		}
-	}
-}
-
 func TestComputeDefaultsToGPMRS(t *testing.T) {
 	data, _ := mrskyline.Generate("independent", 200, 2, 1)
 	res, err := mrskyline.Compute(data, mrskyline.Options{})
