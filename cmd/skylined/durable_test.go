@@ -17,7 +17,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -366,5 +368,64 @@ func TestPlainOverDurableDoesNotResurrect(t *testing.T) {
 	defer restarted.closeDatasets()
 	if after := served(restarted); after != before {
 		t.Fatalf("restart serves %q as %s, before it served %s", "x", after, before)
+	}
+}
+
+// TestConcurrentRegistrationsOfOneName: a plain and a durable registration
+// of one name sent at once end as one 200 and one 409, as they do one after
+// the other, and a restart serves exactly the durable datasets served
+// before it — no directory is left behind under a name that went plain.
+func TestConcurrentRegistrationsOfOneName(t *testing.T) {
+	svc, err := mrskyline.NewService(mrskyline.ServiceConfig{Nodes: 2, SlotsPerNode: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	dataDir := t.TempDir()
+	first := newServer(svc, dataDir)
+	h := first.handler()
+	for i := 0; i < 40; i++ {
+		name := fmt.Sprintf("race%d", i)
+		codes := make([]int, 2)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for k, maintain := range []bool{false, true} {
+			raw, err := json.Marshal(map[string]any{"name": name, "data": seedData, "maintain": maintain})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				<-start
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets", bytes.NewReader(raw)))
+				codes[k] = rec.Code
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if slices.Sort(codes); !slices.Equal(codes, []int{http.StatusOK, http.StatusConflict}) {
+			t.Errorf("%s: plain and durable registrations answered %v, want one 200 and one 409", name, codes)
+		}
+	}
+	durable := func(s *server) map[string]string {
+		out := map[string]string{}
+		for name, ds := range s.datasets {
+			if ds.dir != "" {
+				out[name] = fmt.Sprintf("rows=%d gen=%d", ds.size(), ds.maint.Generation())
+			}
+		}
+		return out
+	}
+	before := durable(first)
+	first.closeDatasets()
+	restarted := newServer(svc, dataDir)
+	if err := restarted.restoreDatasets(); err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.closeDatasets()
+	if after := durable(restarted); !reflect.DeepEqual(after, before) {
+		t.Fatalf("restart serves durable datasets %v, before it served %v", after, before)
 	}
 }

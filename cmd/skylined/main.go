@@ -176,6 +176,12 @@ type server struct {
 
 	mu       sync.RWMutex
 	datasets map[string]*dataset
+
+	// regMu makes a registration one step: POST holds it from the name
+	// check through opening the handle to installing it, DELETE for its
+	// whole run, so two registrations of one name cannot both pass the
+	// check. Queries never take it, so they do not wait on a large seed.
+	regMu sync.Mutex
 }
 
 // dataset is one cache entry: plain rows with the Service handle that
@@ -622,6 +628,8 @@ func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		if req.Maintain {
 			dir = s.datasetDir(req.Name)
 		}
+		s.regMu.Lock()
+		defer s.regMu.Unlock()
 		s.mu.RLock()
 		old, loaded := s.datasets[req.Name]
 		s.mu.RUnlock()
@@ -645,7 +653,7 @@ func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			ds = &dataset{maint: h, dir: dir}
 		}
 		s.mu.Lock()
-		if old := s.datasets[req.Name]; old != nil && old.maint != nil {
+		if loaded && old.maint != nil {
 			old.maint.Close()
 		}
 		s.datasets[req.Name] = ds
@@ -667,6 +675,8 @@ func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 // from disk, so the name is immediately reusable.
 func (s *server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
 	s.mu.Lock()
 	ds, ok := s.datasets[name]
 	if ok {

@@ -7,9 +7,6 @@
 //     local skyline per subspace; a single reducer merges the subspace
 //     skylines and removes cross-subspace false positives using the
 //     subspace codes.
-//   - MR-SFS [same source]: MR-BNL with the presorting local kernel. The
-//     paper skips it experimentally ("less efficient than MR-BNL"); it is
-//     included here for completeness and the kernel ablation.
 //   - MR-Angle [Chen, Hwang, Wu: MapReduce skyline query processing with a
 //     new angular partitioning approach, IPDPS Workshops 2012]: tuples are
 //     partitioned by hyperspherical angles (adapting [Vlachou et al.,
@@ -112,7 +109,8 @@ type Stats struct {
 	// Algorithm names the baseline.
 	Algorithm string
 	// Partitions is the number of data partitions used (2^d subspaces for
-	// MR-BNL/MR-SFS, angular cells for MR-Angle).
+	// MR-BNL, angular cells for MR-Angle, unpruned quadtree leaves for
+	// SKY-MR).
 	Partitions int
 	// SkylineSize is the global skyline cardinality.
 	SkylineSize int
@@ -122,37 +120,9 @@ type Stats struct {
 	ShuffleBytes int64
 	// Total is the wall-clock duration of the run.
 	Total time.Duration
-	// SimulatedTotal is the simulated cluster time of the job; zero unless
+	// SimulatedTotal is the simulated cluster time of the run; zero unless
 	// the engine carries a mapreduce.SimConfig.
 	SimulatedTotal time.Duration
-	// ReduceOutputRecords is the final job's reduce output record count,
-	// used by the chaos harness to check recovery did not duplicate or drop
-	// output.
-	ReduceOutputRecords int64
-	// TaskFailures, SpeculativeLaunched, SpeculativeWon, NodeFailures and
-	// ShuffleCorruptions sum the engine's fault-injection counters across
-	// the baseline's jobs; all zero without a mapreduce.FaultPlan.
-	TaskFailures        int64
-	SpeculativeLaunched int64
-	SpeculativeWon      int64
-	NodeFailures        int64
-	ShuffleCorruptions  int64
-}
-
-// addFaultCounters folds the fault-injection counters of the run's jobs
-// into the stats; the last result's reduce output count is recorded (it is
-// the job that emits the skyline).
-func (s *Stats) addFaultCounters(results ...*mapreduce.Result) {
-	for _, res := range results {
-		s.TaskFailures += res.Counters.Get(mapreduce.CounterTaskFailures)
-		s.SpeculativeLaunched += res.Counters.Get(mapreduce.CounterSpeculativeLaunched)
-		s.SpeculativeWon += res.Counters.Get(mapreduce.CounterSpeculativeWon)
-		s.NodeFailures += res.Counters.Get(mapreduce.CounterNodeFailures)
-		s.ShuffleCorruptions += res.Counters.Get(mapreduce.CounterShuffleCorruptions)
-	}
-	if len(results) > 0 {
-		s.ReduceOutputRecords = results[len(results)-1].Counters.Get(mapreduce.CounterReduceOutputRecords)
-	}
 }
 
 const counterDominanceTests = "baseline.dominance.tests"
@@ -160,7 +130,7 @@ const counterDominanceTests = "baseline.dominance.tests"
 // recordDominanceTests is where a task accounts for its kernel work, once,
 // when it flushes: the job counter behind Stats.DominanceTests and the
 // service-lifetime obs counter receive the same number from the one Count
-// the task threaded through every window operation and batch kernel.
+// the task threaded through every window operation.
 func recordDominanceTests(ctx *mapreduce.TaskContext, cnt *skyline.Count) {
 	ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
 	ctx.Trace.Metrics().Count(window.MetricDominanceTests, cnt.DominanceTests)
@@ -179,11 +149,9 @@ func getWindow(m map[int]*window.Window, p, dim int) *window.Window {
 
 // newPartitionMapper builds the shared baseline mapper: maintain one
 // columnar local-skyline window per partition id (locate routes tuples to
-// partitions) and emit (partition, window) on flush. Non-BNL kernels
-// buffer per partition and run the batch kernel at flush time.
-func newPartitionMapper(dim int, locate func(t tuple.Tuple) int, kernel skyline.Kernel) mapreduce.Mapper {
+// partitions) and emit (partition, window) on flush.
+func newPartitionMapper(dim int, locate func(t tuple.Tuple) int) mapreduce.Mapper {
 	windows := make(map[int]*window.Window)
-	pending := make(map[int]tuple.List) // batch-kernel buffers
 	var cnt skyline.Count
 	var inserts window.InsertSampler
 	return mapreduce.MapperFuncs{
@@ -192,20 +160,10 @@ func newPartitionMapper(dim int, locate func(t tuple.Tuple) int, kernel skyline.
 			if err != nil {
 				return err
 			}
-			p := locate(t)
-			if kernel != skyline.KernelBNL {
-				pending[p] = append(pending[p], t)
-				return nil
-			}
-			inserts.Insert(ctx.Trace.Metrics(), getWindow(windows, p, dim), t, &cnt)
+			inserts.Insert(ctx.Trace.Metrics(), getWindow(windows, locate(t), dim), t, &cnt)
 			return nil
 		},
 		FlushFn: func(ctx *mapreduce.TaskContext, emit mapreduce.Emitter) error {
-			doneLocal := ctx.Trace.Timed(ctx.Track, "local-skyline", obs.CatAlgo, "algo.local_skyline.ns")
-			for p, buf := range pending {
-				windows[p] = window.FromList(dim, kernel.Compute(buf, &cnt))
-			}
-			doneLocal()
 			recordDominanceTests(ctx, &cnt)
 			var scratch []byte
 			for _, w := range sortedWindows(windows) {
@@ -257,18 +215,17 @@ func newSingleReducer(dim int, finishReduce func(s map[int]*window.Window, cnt *
 	}
 }
 
-// singleReducerFuncs wires the shared shape of all three baselines: mappers
+// singleReducerFuncs wires the shared shape of MR-BNL and MR-Angle: mappers
 // maintain one columnar local-skyline window per partition id and emit
 // (partition, window); a single reducer merges and finishes. The
 // finishReduce callback implements the algorithm-specific global merge.
 func singleReducerFuncs(
 	dim int,
 	locate func(t tuple.Tuple) int,
-	kernel skyline.Kernel,
 	finishReduce func(s map[int]*window.Window, cnt *skyline.Count) tuple.List,
 ) *mapreduce.JobFuncs {
 	return &mapreduce.JobFuncs{
-		NewMapper:  func() mapreduce.Mapper { return newPartitionMapper(dim, locate, kernel) },
+		NewMapper:  func() mapreduce.Mapper { return newPartitionMapper(dim, locate) },
 		NewReducer: func() mapreduce.Reducer { return newSingleReducer(dim, finishReduce) },
 	}
 }
@@ -326,7 +283,7 @@ func sortedWindows(m map[int]*window.Window) []idWindow {
 }
 
 func buildStats(name string, partitions int, sky tuple.List, res *mapreduce.Result, start time.Time) *Stats {
-	st := &Stats{
+	return &Stats{
 		Algorithm:      name,
 		Partitions:     partitions,
 		SkylineSize:    len(sky),
@@ -335,6 +292,4 @@ func buildStats(name string, partitions int, sky tuple.List, res *mapreduce.Resu
 		Total:          time.Since(start),
 		SimulatedTotal: res.SimulatedTime,
 	}
-	st.addFaultCounters(res)
-	return st
 }

@@ -6,15 +6,13 @@ import (
 	"mrskyline/internal/datagen"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
-	"mrskyline/internal/skyline"
 	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
 )
 
-// TestTaskPublishesKernelMetrics drives MR-BNL's and MR-SFS's two tasks by
-// hand: each publishes exactly the dominance tests it counted — the batch
-// kernel's included — and times one in window.InsertSampleEvery of the
-// Inserts it makes.
+// TestTaskPublishesKernelMetrics drives MR-BNL's two tasks by hand: each
+// publishes exactly the dominance tests it counted and times one in
+// window.InsertSampleEvery of the Inserts it makes.
 func TestTaskPublishesKernelMetrics(t *testing.T) {
 	const d = 3
 	data := datagen.Generate(datagen.AntiCorrelated, 1000, d, 3)
@@ -43,41 +41,35 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 		}
 	}
 
-	for _, kernel := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS} {
-		funcs := halfspaceFuncs(d, []float64{0.5, 0.5, 0.5}, kernel)
-		var keys, values [][]byte
-		mapInserts := len(data)
-		if kernel != skyline.KernelBNL {
-			mapInserts = 0 // a batch kernel buffers; nothing goes through Insert
+	funcs := halfspaceFuncs(d, []float64{0.5, 0.5, 0.5})
+	var keys, values [][]byte
+	check("mapper", len(data), func(ctx *mapreduce.TaskContext) error {
+		m := funcs.NewMapper()
+		for _, rec := range recs {
+			if err := m.Map(ctx, rec, nil); err != nil {
+				return err
+			}
 		}
-		check(kernel.String()+" mapper", mapInserts, func(ctx *mapreduce.TaskContext) error {
-			m := funcs.NewMapper()
-			for _, rec := range recs {
-				if err := m.Map(ctx, rec, nil); err != nil {
-					return err
-				}
-			}
-			return m.Flush(ctx, func(k, v []byte) {
-				keys = append(keys, append([]byte(nil), k...))
-				values = append(values, append([]byte(nil), v...))
-			})
+		return m.Flush(ctx, func(k, v []byte) {
+			keys = append(keys, append([]byte(nil), k...))
+			values = append(values, append([]byte(nil), v...))
 		})
-		reduceInserts := 0
-		for _, v := range values {
-			l, _, err := tuple.DecodeList(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reduceInserts += len(l)
+	})
+	reduceInserts := 0
+	for _, v := range values {
+		l, _, err := tuple.DecodeList(v)
+		if err != nil {
+			t.Fatal(err)
 		}
-		check(kernel.String()+" reducer", reduceInserts, func(ctx *mapreduce.TaskContext) error {
-			r := funcs.NewReducer()
-			for i, k := range keys {
-				if err := r.Reduce(ctx, k, values[i:i+1], nil); err != nil {
-					return err
-				}
-			}
-			return r.Flush(ctx, func(_, _ []byte) {})
-		})
+		reduceInserts += len(l)
 	}
+	check("reducer", reduceInserts, func(ctx *mapreduce.TaskContext) error {
+		r := funcs.NewReducer()
+		for i, k := range keys {
+			if err := r.Reduce(ctx, k, values[i:i+1], nil); err != nil {
+				return err
+			}
+		}
+		return r.Flush(ctx, func(_, _ []byte) {})
+	})
 }

@@ -37,13 +37,27 @@ func subspaceMayDominate(a, b int) bool {
 // subspaces, BNL local skylines on the mappers, a single reducer merging
 // subspace skylines and removing cross-subspace false positives.
 func MRBNL(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
-	return mrHalfspace(cfg, "mr-bnl", data, skyline.KernelBNL)
-}
+	start := time.Now()
+	if err := data.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := cfg.validate(data.Dim()); err != nil {
+		return nil, nil, err
+	}
+	if len(data) == 0 {
+		return nil, &Stats{Algorithm: "MR-BNL"}, nil
+	}
+	d := data.Dim()
+	if d > 20 {
+		return nil, nil, fmt.Errorf("baseline: %d dimensions give 2^%d subspaces; MR-BNL is not applicable", d, d)
+	}
 
-// MRSFS is MR-BNL with the sort-filter-skyline local kernel, the variant
-// the paper cites and skips; see the package comment.
-func MRSFS(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
-	return mrHalfspace(cfg, "mr-sfs", data, skyline.KernelSFS)
+	mid := cfg.mid(d)
+	sky, res, err := runSingleReducerJob(&cfg, "mr-bnl", data, halfspaceFuncs(d, mid), KindHalfspace, halfspaceSpecBytes(d, mid))
+	if err != nil {
+		return nil, nil, err
+	}
+	return sky, buildStats("MR-BNL", 1<<uint(d), sky, res, start), nil
 }
 
 // halfspaceFinish is MR-BNL's global merge: filter each subspace skyline
@@ -72,33 +86,4 @@ func halfspaceFinish(s map[int]*window.Window, cnt *skyline.Count) tuple.List {
 		out = append(out, s[c].Rows()...)
 	}
 	return out
-}
-
-func mrHalfspace(cfg Config, name string, data tuple.List, kernel skyline.Kernel) (tuple.List, *Stats, error) {
-	start := time.Now()
-	if err := data.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := cfg.validate(data.Dim()); err != nil {
-		return nil, nil, err
-	}
-	algoName := "MR-BNL"
-	if kernel == skyline.KernelSFS {
-		algoName = "MR-SFS"
-	}
-	if len(data) == 0 {
-		return nil, &Stats{Algorithm: algoName}, nil
-	}
-	d := data.Dim()
-	if d > 20 {
-		return nil, nil, fmt.Errorf("baseline: %d dimensions give 2^%d subspaces; MR-BNL is not applicable", d, d)
-	}
-
-	mid := cfg.mid(d)
-	sky, res, err := runSingleReducerJob(&cfg, name, data,
-		halfspaceFuncs(d, mid, kernel), KindHalfspace, halfspaceSpecBytes(d, mid, kernel))
-	if err != nil {
-		return nil, nil, err
-	}
-	return sky, buildStats(algoName, 1<<uint(d), sky, res, start), nil
 }

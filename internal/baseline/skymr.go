@@ -268,7 +268,7 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 			unpruned++
 		}
 	}
-	st := &Stats{
+	return sky, &Stats{
 		Algorithm:      "SKY-MR",
 		Partitions:     unpruned,
 		SkylineSize:    len(sky),
@@ -276,9 +276,7 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 		ShuffleBytes:   res1.Counters.Get(mapreduce.CounterShuffleBytes) + res2.Counters.Get(mapreduce.CounterShuffleBytes),
 		Total:          time.Since(start),
 		SimulatedTotal: res1.SimulatedTime + res2.SimulatedTime,
-	}
-	st.addFaultCounters(res1, res2)
-	return sky, st, nil
+	}, nil
 }
 
 // bounds returns the configured domain (unit box by default).

@@ -19,7 +19,6 @@ const (
 	AlgoGPSRS  = "MR-GPSRS"
 	AlgoGPMRS  = "MR-GPMRS"
 	AlgoBNL    = "MR-BNL"
-	AlgoSFS    = "MR-SFS"
 	AlgoAngle  = "MR-Angle"
 	AlgoSKYMR  = "SKY-MR"
 	AlgoHybrid = "Hybrid"
@@ -30,10 +29,10 @@ func PaperAlgorithms() []string {
 	return []string{AlgoGPSRS, AlgoGPMRS, AlgoBNL, AlgoAngle}
 }
 
-// AllAlgorithms returns every implemented algorithm, including the MR-SFS
-// baseline the paper skips and the future-work Hybrid.
+// AllAlgorithms returns every implemented algorithm: the paper's four, the
+// SKY-MR extension and the future-work Hybrid.
 func AllAlgorithms() []string {
-	return []string{AlgoGPSRS, AlgoGPMRS, AlgoBNL, AlgoSFS, AlgoAngle, AlgoSKYMR, AlgoHybrid}
+	return []string{AlgoGPSRS, AlgoGPMRS, AlgoBNL, AlgoAngle, AlgoSKYMR, AlgoHybrid}
 }
 
 // Measurement is one algorithm execution on one dataset.
@@ -119,7 +118,7 @@ func runAlgorithm(name string, s Setup, data tupleList, opts measureOpts) (Measu
 			ShuffleBytes:   st.ShuffleBytes,
 		}, nil
 
-	case AlgoBNL, AlgoSFS, AlgoAngle, AlgoSKYMR:
+	case AlgoBNL, AlgoAngle, AlgoSKYMR:
 		cfg := baseline.Config{Engine: eng, NumMappers: s.Mappers}
 		var (
 			st  *baseline.Stats
@@ -128,8 +127,6 @@ func runAlgorithm(name string, s Setup, data tupleList, opts measureOpts) (Measu
 		switch name {
 		case AlgoBNL:
 			_, st, err = baseline.MRBNL(cfg, data)
-		case AlgoSFS:
-			_, st, err = baseline.MRSFS(cfg, data)
 		case AlgoSKYMR:
 			_, st, err = baseline.SKYMR(cfg, data)
 		default:

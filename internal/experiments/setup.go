@@ -183,7 +183,7 @@ func (s Setup) shouldSkip(algo string, dist datagen.Distribution, card, d int) b
 		return false
 	}
 	switch algo {
-	case AlgoBNL, AlgoSFS, AlgoAngle:
+	case AlgoBNL, AlgoAngle:
 		return d >= 7 && card >= 20_000
 	case AlgoGPSRS:
 		return d >= 8 && card >= 50_000

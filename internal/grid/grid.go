@@ -241,40 +241,19 @@ func (g *Grid) PartitionDominates(i, j int) bool {
 	return true
 }
 
-// InADR reports whether p_j ∈ p_i.ADR (Definition 4): p_j may contain
-// tuples that dominate tuples of p_i.
-//
-// It compares the two indices digit by digit (a partition index is its
-// coordinates in radix n, most significant first), so neither coordinate
-// vector is materialized: ComparePartitions calls it for every pair of a
-// task's partitions.
-func (g *Grid) InADR(j, i int) bool {
-	if i == j {
-		return false
-	}
-	if i < 0 || i >= g.total || j < 0 || j >= g.total {
-		panic(fmt.Sprintf("grid: partition index %d or %d out of range [0,%d)", j, i, g.total))
-	}
-	for _, s := range g.strides {
-		if j/s > i/s {
-			return false
-		}
-		i %= s
-		j %= s
-	}
-	return true
-}
-
-// ADRDims is InADR that also says what the grid has left undecided between
-// the two partitions: when p_j ∈ p_i.ADR it appends to dst, in ascending
-// order, the dimensions on which the two cells share a coordinate, and
-// returns the extended slice and true; otherwise it returns dst unchanged
-// and false. On every other dimension p_j's coordinate is the lower one,
-// and since a value's cell coordinate is monotone in the value (cellCoord),
-// every tuple of p_j is strictly below every tuple of p_i there — so a
-// tuple of p_j dominates a tuple of p_i exactly when it is ≤ on the
-// returned dimensions. The same digit walk as InADR; nothing is
-// materialized beyond dst.
+// ADRDims reports whether p_j ∈ p_i.ADR (Definition 4: p_j may contain
+// tuples that dominate tuples of p_i) and says what the grid has left
+// undecided between the two partitions: when p_j ∈ p_i.ADR it appends to
+// dst, in ascending order, the dimensions on which the two cells share a
+// coordinate, and returns the extended slice and true; otherwise it returns
+// dst unchanged and false. On every other dimension p_j's coordinate is the
+// lower one, and since a value's cell coordinate is monotone in the value
+// (cellCoord), every tuple of p_j is strictly below every tuple of p_i
+// there — so a tuple of p_j dominates a tuple of p_i exactly when it is ≤
+// on the returned dimensions. It compares the two indices digit by digit (a
+// partition index is its coordinates in radix n, most significant first),
+// so no coordinate vector is materialized beyond dst, and a dst with room
+// for d entries makes it allocation-free.
 func (g *Grid) ADRDims(j, i int, dst []int) ([]int, bool) {
 	if i < 0 || i >= g.total || j < 0 || j >= g.total {
 		panic(fmt.Sprintf("grid: partition index %d or %d out of range [0,%d)", j, i, g.total))

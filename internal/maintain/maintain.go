@@ -614,7 +614,7 @@ func (m *Maintained) publishLocked() {
 	}
 
 	active := m.sortedCells()
-	coords := make([]int, d)
+	coords, adrDims := make([]int, d), make([]int, 0, d)
 	for _, k := range active {
 		if !newPruned.Get(k) {
 			continue
@@ -636,7 +636,7 @@ func (m *Maintained) publishLocked() {
 			}
 		}
 		if stale {
-			m.contrib[k] = m.contribution(k, active, newPruned)
+			m.contrib[k] = m.contribution(k, active, newPruned, adrDims)
 			m.stats.ContribRecomputes++
 		}
 	}
@@ -672,12 +672,14 @@ func inWeakADR(c, k []int) bool {
 
 // contribution computes surviving cell k's slice of the global skyline:
 // its local skyline filtered by the windows of every surviving cell in
-// its ADR (Algorithm 5 restricted to k). active must be ascending.
-func (m *Maintained) contribution(k int, active []int, pruned *bitstring.Bitstring) tuple.List {
+// its ADR (Algorithm 5 restricted to k) on every dimension. active must be
+// ascending; scratch, with room for d entries, keeps the ADR test from
+// allocating.
+func (m *Maintained) contribution(k int, active []int, pruned *bitstring.Bitstring, scratch []int) tuple.List {
 	ck := m.cells[k]
 	var filters []*window.Window
 	for _, j := range active {
-		if j != k && pruned.Get(j) && m.g.InADR(j, k) {
+		if _, in := m.g.ADRDims(j, k, scratch[:0]); in && pruned.Get(j) {
 			filters = append(filters, m.cells[j].sky)
 		}
 	}

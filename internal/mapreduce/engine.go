@@ -54,13 +54,10 @@ type Job struct {
 	// Partition routes map-output keys to reducers; defaults to
 	// HashPartition.
 	Partition PartitionFunc
-	// NewCombiner, when non-nil, constructs a map-side combiner per map
-	// task; see Combiner.
-	NewCombiner func() Combiner
 	// Kind and Spec, when set, make the job executable out of process: Kind
 	// names a builder registered with RegisterKind and Spec is the builder's
 	// serialized parameters, from which worker processes reconstruct the
-	// mapper/reducer/combiner/partition functions. The in-process engine
+	// mapper/reducer/partition functions. The in-process engine
 	// ignores both and always runs the closures above; a leased engine
 	// rejects jobs whose Kind is empty or unregistered.
 	Kind string
@@ -658,7 +655,7 @@ func (e *Engine) runJob(ctx context.Context, job *Job, rj *resolvedJob) (_ *Resu
 
 // attemptMap executes the user half of one map-task attempt: feed the split
 // through a fresh Mapper, partition its output into per-reducer segments,
-// apply the combiner, and record the attempt's I/O counters in
+// and record the attempt's I/O counters in
 // ctx.Counters. It has no side effects outside ctx and its return value, so
 // an attempt can be retried, discarded or re-run for repair freely.
 func attemptMap(job *Job, rj *resolvedJob, split Split, ctx *TaskContext) ([]segment, error) {
@@ -696,45 +693,9 @@ func attemptMap(job *Job, rj *resolvedJob, split Split, ctx *TaskContext) ([]seg
 	if err != nil {
 		return nil, err
 	}
-	if job.NewCombiner != nil {
-		if err := combineSegments(job.NewCombiner(), segs); err != nil {
-			return nil, fmt.Errorf("combiner: %w", err)
-		}
-	}
 	ctx.Counters.Add(CounterMapInputRecords, inRecords)
 	ctx.Counters.Add(CounterMapOutputRecords, emitted)
 	return segs, nil
-}
-
-// combineSegments applies a map-side combiner to every per-reducer segment
-// in place: records are grouped by key (in byte order, for determinism, via
-// the same sort-based grouping the shuffle uses), folded through the
-// combiner, and re-emitted into fresh arenas.
-func combineSegments(c Combiner, segs []segment) error {
-	for r := range segs {
-		b := &segs[r].arena
-		if b.Len() == 0 {
-			continue
-		}
-		idx := b.SortedIndex()
-		var dst frame.Arena
-		for _, g := range b.GroupRuns(idx) {
-			key := b.Key(int(idx[g.Lo]))
-			values := make([][]byte, 0, g.Hi-g.Lo)
-			for _, i := range idx[g.Lo:g.Hi] {
-				values = append(values, b.Value(int(i)))
-			}
-			vals, err := c.Combine(key, values)
-			if err != nil {
-				return err
-			}
-			for _, v := range vals {
-				dst.Add(key, v)
-			}
-		}
-		segs[r].arena = dst
-	}
-	return nil
 }
 
 // attemptReduce executes the user half of one reduce-task attempt, pulling

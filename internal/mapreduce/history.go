@@ -1,9 +1,7 @@
 package mapreduce
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -91,36 +89,4 @@ func (h *History) Failed() []TaskRecord {
 		}
 	}
 	return out
-}
-
-// Summary renders a compact per-phase digest: attempt counts, failures,
-// and the slowest successful task of each phase.
-func (h *History) Summary() string {
-	var b strings.Builder
-	for _, phase := range []Phase{PhaseMap, PhaseReduce} {
-		attempts, failures := 0, 0
-		var slowest TaskRecord
-		for _, r := range h.Records() {
-			if r.Phase != phase {
-				continue
-			}
-			attempts++
-			if r.Killed {
-				continue
-			}
-			if r.Err != "" {
-				failures++
-				continue
-			}
-			if r.Duration > slowest.Duration {
-				slowest = r
-			}
-		}
-		if attempts == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%s: %d attempts, %d failed; slowest task %d on %s (%v)\n",
-			phase, attempts, failures, slowest.TaskID, slowest.Node, slowest.Duration)
-	}
-	return b.String()
 }

@@ -52,21 +52,6 @@ func TestHistoryRecordsAllAttempts(t *testing.T) {
 	}
 }
 
-func TestHistorySummary(t *testing.T) {
-	e := newEngine(t, 2, 2)
-	res, err := e.Run(wordCountJob([]string{"x y z"}, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := res.History.Summary()
-	if !strings.Contains(sum, "map: 1 attempts, 0 failed") {
-		t.Errorf("summary = %q", sum)
-	}
-	if !strings.Contains(sum, "reduce: 1 attempts, 0 failed") {
-		t.Errorf("summary = %q", sum)
-	}
-}
-
 func TestHistoryNilSafe(t *testing.T) {
 	var h *mapreduce.History
 	if h.Records() != nil || h.Failed() != nil {

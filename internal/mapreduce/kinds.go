@@ -12,7 +12,7 @@ import (
 // Jobs built in the driver close over live Go state (grids, bitstrings,
 // configuration), which cannot cross a process boundary. The kind registry
 // is the bridge: a job that sets Job.Kind and Job.Spec names a registered
-// builder that reconstructs its Mapper/Reducer/Combiner/Partition functions
+// builder that reconstructs its Mapper/Reducer/Partition functions
 // from the spec bytes alone. Worker processes link the same binary, so a
 // kind registered in an init() on the driver is registered in the worker
 // too; everything else the tasks need travels in the job's distributed
@@ -21,13 +21,11 @@ import (
 // the two paths stay byte-for-byte comparable.
 
 // JobFuncs is the executable half of a job, reconstructed from a spec by a
-// registered kind builder. NewCombiner and Partition may be nil (no
-// combiner; hash partitioning).
+// registered kind builder. Partition may be nil (hash partitioning).
 type JobFuncs struct {
-	NewMapper   func() Mapper
-	NewReducer  func() Reducer
-	NewCombiner func() Combiner
-	Partition   PartitionFunc
+	NewMapper  func() Mapper
+	NewReducer func() Reducer
+	Partition  PartitionFunc
 }
 
 // KindBuilder reconstructs a job's functions from its serialized spec.
@@ -132,12 +130,11 @@ type RemoteTask struct {
 	// attempts to the external-memory merge: fetched segments are written
 	// through a budget-tracked spill writer and reduced over a streaming
 	// run merge instead of one materialized arena, so a worker's resident
-	// reduce input stays bounded by the budget. SpillFanIn caps the merge
-	// fan-in (0 uses the spill package default). Map attempts are
-	// unaffected — their output is bounded by the split size.
+	// reduce input stays bounded by the budget; the merge runs at the
+	// spill package's default fan-in. Map attempts are unaffected — their
+	// output is bounded by the split size.
 	SpillBudget int64
 	SpillDir    string
-	SpillFanIn  int
 }
 
 // run executes one attempt of the task through the engine's attempt
@@ -161,7 +158,7 @@ func (t *RemoteTask) run(p Phase, body func(job *Job, rj *resolvedJob, ctx *Task
 		if funcs.NewMapper == nil || funcs.NewReducer == nil {
 			return nil, fmt.Errorf("mapreduce: kind %q built incomplete JobFuncs", t.Kind)
 		}
-		job.NewMapper, job.NewReducer, job.NewCombiner = funcs.NewMapper, funcs.NewReducer, funcs.NewCombiner
+		job.NewMapper, job.NewReducer = funcs.NewMapper, funcs.NewReducer
 		if rj.partition = funcs.Partition; rj.partition == nil {
 			rj.partition = HashPartition
 		}
@@ -172,9 +169,9 @@ func (t *RemoteTask) run(p Phase, body func(job *Job, rj *resolvedJob, ctx *Task
 }
 
 // RunRemoteMap executes one map-task attempt on a worker process: the
-// framed split records are fed through the kind's Mapper (combiner
-// applied), and the per-reducer output comes back as framed segments
-// (nil for empty segments).
+// framed split records are fed through the kind's Mapper, and the
+// per-reducer output comes back as framed segments (nil for empty
+// segments).
 func RunRemoteMap(t *RemoteTask, split []byte) (out [][]byte, counters *Counters, err error) {
 	counters, err = t.run(PhaseMap, func(job *Job, rj *resolvedJob, ctx *TaskContext) (func(), error) {
 		recs, err := decodeRecords(split)
@@ -246,7 +243,7 @@ func (t *RemoteTask) reduce(job *Job, segs [][]byte, ctx *TaskContext) (frame.Ar
 		return frame.Arena{}, fmt.Errorf("creating spill directory: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	cfg := &spill.Config{Dir: dir, Budget: t.SpillBudget, FanIn: t.SpillFanIn}
+	cfg := &spill.Config{Dir: dir, Budget: t.SpillBudget}
 	w := spill.NewWriter(cfg, "seg", t.TaskID)
 	err = each(w.Add)
 	var runs []spill.RunFile

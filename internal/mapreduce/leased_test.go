@@ -41,7 +41,7 @@ func init() {
 			return nil, errors.New("job was never shipped")
 		}
 		j := v.(*mapreduce.Job)
-		return &mapreduce.JobFuncs{NewMapper: j.NewMapper, NewReducer: j.NewReducer, NewCombiner: j.NewCombiner, Partition: j.Partition}, nil
+		return &mapreduce.JobFuncs{NewMapper: j.NewMapper, NewReducer: j.NewReducer, Partition: j.Partition}, nil
 	})
 }
 

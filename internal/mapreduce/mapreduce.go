@@ -157,23 +157,6 @@ func (r ReducerFuncs) Flush(ctx *TaskContext, emit Emitter) error {
 	return r.FlushFn(ctx, emit)
 }
 
-// Combiner performs map-side pre-aggregation: after a map task finishes,
-// each of its per-reducer output groups is folded through Combine before
-// crossing the shuffle, cutting communication volume the way Hadoop's
-// combiners do. Combine receives all map-local values of one key and
-// returns the values that should be shipped (commonly a single one).
-type Combiner interface {
-	Combine(key []byte, values [][]byte) ([][]byte, error)
-}
-
-// CombinerFunc adapts a function to the Combiner interface.
-type CombinerFunc func(key []byte, values [][]byte) ([][]byte, error)
-
-// Combine implements Combiner.
-func (f CombinerFunc) Combine(key []byte, values [][]byte) ([][]byte, error) {
-	return f(key, values)
-}
-
 // PartitionFunc routes a map-output key to one of r reducers.
 type PartitionFunc func(key []byte, r int) int
 

@@ -35,7 +35,7 @@
 //
 // A New tracer keeps every span until it is dropped, which is what a run
 // that ends by writing its trace wants (skybench/skyreport -trace, a
-// Job.Trace, rpcexec's Config.TraceDir). Nothing that lives as long as the
+// Job.Trace). Nothing that lives as long as the
 // process it observes may hold one: mrskyline.Service runs on
 // NewMetricsOnly, which records histograms and counters and discards
 // spans at the call, so its memory does not grow with requests served.

@@ -3,8 +3,6 @@ package rpcexec
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -219,8 +217,8 @@ func TestDifferentialProcessVsInprocess(t *testing.T) {
 // the mappers' score-ordered runs and fail the task on a run out of order,
 // so the order has to survive the transport. One seed of core's multiset
 // differential runs here on real worker processes — over the RPC wire, and
-// again with every segment spilled to run files and merged at fan-in 2 —
-// under every in-task kernel, against skyline.Naive.
+// again with every segment spilled to run files and merged — under every
+// in-task kernel, against skyline.Naive.
 func TestGridAlgorithmsOverProcessWorkers(t *testing.T) {
 	const workers = 3
 	algos := map[string]func(core.Config, tuple.List) (tuple.List, *core.Stats, error){
@@ -228,7 +226,7 @@ func TestGridAlgorithmsOverProcessWorkers(t *testing.T) {
 	}
 	for name, cfg := range map[string]Config{
 		"wire":    {Workers: workers},
-		"spilled": {Workers: workers, SpillBudget: 1024, SpillDir: t.TempDir(), SpillFanIn: 2},
+		"spilled": {Workers: workers, SpillBudget: 1024, SpillDir: t.TempDir()},
 	} {
 		pe := newProcExec(t, cfg)
 		for _, d := range []int{2, 5} {
@@ -278,29 +276,5 @@ func TestWallTracerPlumbed(t *testing.T) {
 	}
 	if wire < 0 {
 		t.Error("rpc.shuffle.wire.bytes counter missing")
-	}
-}
-
-// TestWorkersWriteTraces checks Config.TraceDir end to end on real worker
-// processes: after one job and a clean Close, every worker has left its
-// own worker-<i>.trace.json and each is a well-formed Chrome trace.
-func TestWorkersWriteTraces(t *testing.T) {
-	dir := t.TempDir()
-	pe := newProcExec(t, Config{Workers: 2, TraceDir: dir})
-	if _, err := pe.RunContext(context.Background(), sumJob("traced", 5, 80, 3, 2, 0, 0)); err != nil {
-		t.Fatalf("RunContext: %v", err)
-	}
-	if err := pe.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	for _, name := range []string{"worker-0.trace.json", "worker-1.trace.json"} {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Errorf("worker trace missing: %v", err)
-			continue
-		}
-		if err := obs.ValidateChromeTraceJSON(raw); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
 	}
 }

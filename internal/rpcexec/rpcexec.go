@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"time"
 
@@ -37,18 +36,14 @@ type Config struct {
 	// event ("map", "reduce", "fetch", "serve", optionally ":n"). Tests
 	// only.
 	Chaos []string
-	// TraceDir, when set, makes each worker write its own obs Chrome trace
-	// to TraceDir/worker-<i>.trace.json on clean exit.
-	TraceDir string
 	// SpillBudget and SpillDir, when SpillBudget > 0, switch workers to
 	// the external-memory shuffle: map-output segments are stored as files
 	// under a per-worker subdirectory of SpillDir (served to peers from
-	// disk) and reduce attempts merge spilled runs under the budget
-	// instead of materializing their whole input. SpillFanIn caps the
-	// merge fan-in (0 uses the spill package default).
+	// disk) and reduce attempts merge spilled runs under the budget, at the
+	// spill package's default fan-in, instead of materializing their whole
+	// input.
 	SpillBudget int64
 	SpillDir    string
-	SpillFanIn  int
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -81,13 +76,8 @@ func (c *Config) withDefaults() (Config, error) {
 	if err := spill.ValidateSetup(cfg.SpillBudget, cfg.SpillDir); err != nil {
 		return cfg, fmt.Errorf("rpcexec: %w", err)
 	}
-	if cfg.SpillBudget > 0 {
-		if cfg.SpillDir == "" {
-			return cfg, errors.New("rpcexec: Config.SpillDir is required when SpillBudget is set")
-		}
-		if cfg.SpillFanIn < 0 || cfg.SpillFanIn == 1 {
-			return cfg, fmt.Errorf("rpcexec: Config.SpillFanIn must be >= 2 (or 0 for the default), got %d", cfg.SpillFanIn)
-		}
+	if cfg.SpillBudget > 0 && cfg.SpillDir == "" {
+		return cfg, errors.New("rpcexec: Config.SpillDir is required when SpillBudget is set")
 	}
 	return cfg, nil
 }
@@ -151,15 +141,10 @@ func (p *ProcExecutor) spawn(i int) error {
 	if i < len(p.cfg.Chaos) && p.cfg.Chaos[i] != "" {
 		cmd.Env = append(cmd.Env, workerEnvChaos+"="+p.cfg.Chaos[i])
 	}
-	if p.cfg.TraceDir != "" {
-		path := filepath.Join(p.cfg.TraceDir, fmt.Sprintf("worker-%d.trace.json", i))
-		cmd.Env = append(cmd.Env, workerEnvTrace+"="+path)
-	}
 	if p.cfg.SpillBudget > 0 {
 		cmd.Env = append(cmd.Env,
 			workerEnvSpillBudget+"="+strconv.FormatInt(p.cfg.SpillBudget, 10),
 			workerEnvSpillDir+"="+p.cfg.SpillDir,
-			workerEnvSpillFanIn+"="+strconv.Itoa(p.cfg.SpillFanIn),
 		)
 	}
 	cmd.Stderr = os.Stderr

@@ -9,9 +9,8 @@ import (
 )
 
 // TestSpilledProcessMatchesExpected: workers running under a tiny spill
-// budget (every segment cut into many runs, fan-in 2 forcing multi-round
-// merges) must produce exactly the output of the in-memory wire across a
-// spread of task layouts.
+// budget (every segment cut into many runs) must produce exactly the output
+// of the in-memory wire across a spread of task layouts.
 func TestSpilledProcessMatchesExpected(t *testing.T) {
 	shapes := []struct{ keys, records, mappers, reducers int }{
 		{6, 90, 4, 3},
@@ -23,7 +22,6 @@ func TestSpilledProcessMatchesExpected(t *testing.T) {
 		Workers:     2,
 		SpillBudget: 256,
 		SpillDir:    t.TempDir(),
-		SpillFanIn:  2,
 	})
 	for _, s := range shapes {
 		res, err := pe.RunContext(context.Background(),
@@ -51,7 +49,7 @@ func TestChaosCorruptRefetch(t *testing.T) {
 	}{
 		{"memory", func(t *testing.T) Config { return Config{Workers: 2} }},
 		{"spilled", func(t *testing.T) Config {
-			return Config{Workers: 2, SpillBudget: 256, SpillDir: t.TempDir(), SpillFanIn: 2}
+			return Config{Workers: 2, SpillBudget: 256, SpillDir: t.TempDir()}
 		}},
 	}
 	for _, tc := range cases {
@@ -94,11 +92,9 @@ func TestChaosCorruptRefetch(t *testing.T) {
 func TestSpillConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Workers: 1, SpillBudget: -1},
-		{Workers: 1, SpillBudget: 1024},                                             // budget without dir
-		{Workers: 1, SpillBudget: 1024, SpillDir: "/no/such/dir/exists/here"},       // dir missing
-		{Workers: 1, SpillBudget: 1024, SpillDir: string([]byte{0}), SpillFanIn: 2}, // unusable dir
-		{Workers: 1, SpillBudget: 1024, SpillDir: ".", SpillFanIn: 1},               // fan-in 1
-		{Workers: 1, SpillBudget: 1024, SpillDir: ".", SpillFanIn: -3},              // negative fan-in
+		{Workers: 1, SpillBudget: 1024},                                       // budget without dir
+		{Workers: 1, SpillBudget: 1024, SpillDir: "/no/such/dir/exists/here"}, // dir missing
+		{Workers: 1, SpillBudget: 1024, SpillDir: string([]byte{0})},          // unusable dir
 	}
 	for i, cfg := range bad {
 		if pe, err := New(cfg); err == nil {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"mrskyline/internal/mapreduce"
-	"mrskyline/internal/obs"
 )
 
 // Environment variables wiring a spawned worker to its master. The worker
@@ -24,16 +23,14 @@ const (
 	workerEnvAddr        = "MRSKYLINE_WORKER"
 	workerEnvIndex       = "MRSKYLINE_WORKER_INDEX"
 	workerEnvChaos       = "MRSKYLINE_WORKER_CHAOS"
-	workerEnvTrace       = "MRSKYLINE_WORKER_TRACE"
 	workerEnvSpillBudget = "MRSKYLINE_WORKER_SPILL_BUDGET"
 	workerEnvSpillDir    = "MRSKYLINE_WORKER_SPILL_DIR"
-	workerEnvSpillFanIn  = "MRSKYLINE_WORKER_SPILL_FANIN"
 )
 
 // WorkerMain turns the process into an rpcexec worker when the
 // MRSKYLINE_WORKER environment variable names a master address, and
 // returns without doing anything otherwise. Binaries that want to host
-// workers (cmd/skylined, cmd/skybench, test binaries via TestMain) call it
+// workers (cmd/skylined, bench/, test binaries via TestMain) call it
 // first thing in main.
 func WorkerMain() {
 	addr := os.Getenv(workerEnvAddr)
@@ -60,7 +57,6 @@ type worker struct {
 	node  string
 	cl    *rpc.Client
 	chaos *chaosSpec
-	tr    *obs.Tracer
 
 	exit atomic.Bool // set when the master asks us to shut down
 
@@ -97,9 +93,6 @@ func runWorker(masterAddr string) error {
 		files: make(map[storeKey][]string),
 		peers: make(map[string]*rpc.Client),
 		infos: make(map[int64]*JobInfoReply),
-	}
-	if path := os.Getenv(workerEnvTrace); path != "" {
-		w.tr = obs.New()
 	}
 	if sp, err := workerSpillFromEnv(index); err != nil {
 		return err
@@ -179,7 +172,6 @@ func runWorker(masterAddr string) error {
 			return fmt.Errorf("unknown lease kind %q", lease.Kind)
 		}
 	}
-	w.writeTrace()
 	return nil
 }
 
@@ -246,7 +238,6 @@ func (w *worker) dropJobs(ids []int64) {
 type workerSpill struct {
 	dir    string
 	budget int64
-	fanIn  int
 }
 
 // workerSpillFromEnv builds the worker's spill state from the environment
@@ -265,17 +256,11 @@ func workerSpillFromEnv(index int) (*workerSpill, error) {
 	if base == "" {
 		return nil, fmt.Errorf("worker spill budget set without a directory")
 	}
-	fanIn := 0
-	if s := os.Getenv(workerEnvSpillFanIn); s != "" {
-		if fanIn, err = strconv.Atoi(s); err != nil {
-			return nil, fmt.Errorf("worker spill fan-in %q invalid", s)
-		}
-	}
 	dir, err := os.MkdirTemp(base, fmt.Sprintf("worker%d-", index))
 	if err != nil {
 		return nil, fmt.Errorf("worker spill dir: %w", err)
 	}
-	return &workerSpill{dir: dir, budget: budget, fanIn: fanIn}, nil
+	return &workerSpill{dir: dir, budget: budget}, nil
 }
 
 // putSegs stores one map task's output segments: in memory normally, as
@@ -365,7 +350,6 @@ func (w *worker) remoteTask(info *JobInfoReply, lease *LeaseReply) *mapreduce.Re
 	if w.spill != nil {
 		t.SpillBudget = w.spill.budget
 		t.SpillDir = w.spill.dir
-		t.SpillFanIn = w.spill.fanIn
 	}
 	return t
 }
@@ -375,7 +359,6 @@ func (w *worker) remoteTask(info *JobInfoReply, lease *LeaseReply) *mapreduce.Re
 // their checksums and sizes. A returned error means the master is
 // unreachable; task errors travel inside the report.
 func (w *worker) runMap(lease *LeaseReply) error {
-	sp := w.tr.Start(w.node, fmt.Sprintf("map:%d", lease.TaskID), obs.CatTask)
 	args := &MapDoneArgs{WorkerID: w.id, JobID: lease.JobID, TaskID: lease.TaskID, Attempt: lease.Attempt}
 	info, err := w.jobInfo(lease.JobID)
 	if err == nil {
@@ -399,7 +382,6 @@ func (w *worker) runMap(lease *LeaseReply) error {
 	if err != nil {
 		args.Err = err.Error()
 	}
-	sp.End()
 	return w.cl.Call("Master.MapDone", args, &Empty{})
 }
 
@@ -408,7 +390,6 @@ func (w *worker) runMap(lease *LeaseReply) error {
 // one refetch), feed them to the kind's reducer in map-task order, and
 // report the framed output.
 func (w *worker) runReduce(lease *LeaseReply) error {
-	sp := w.tr.Start(w.node, fmt.Sprintf("reduce:%d", lease.TaskID), obs.CatTask)
 	args := &ReduceDoneArgs{
 		WorkerID: w.id, JobID: lease.JobID, TaskID: lease.TaskID, Attempt: lease.Attempt,
 		FetchFailedWorker: -1,
@@ -449,7 +430,6 @@ func (w *worker) runReduce(lease *LeaseReply) error {
 	if err != nil {
 		args.Err = err.Error()
 	}
-	sp.End()
 	return w.cl.Call("Master.ReduceDone", args, &Empty{})
 }
 
@@ -481,9 +461,7 @@ func (w *worker) fetchSegment(lease *LeaseReply, src MapSource) (seg []byte, wir
 		}
 		w.chaos.maybeKill(ChaosFetch)
 		var reply FetchReply
-		sp := w.tr.Start(w.node, fmt.Sprintf("fetch:m%d→r%d", src.MapTask, lease.TaskID), obs.CatShuffle)
 		callErr := w.callPeer(src.Addr, &FetchArgs{JobID: lease.JobID, MapTask: src.MapTask, Reduce: lease.TaskID}, &reply)
-		sp.End()
 		if callErr != nil {
 			lastErr = fmt.Errorf("fetch map %d from %s: %w", src.MapTask, workerNode(src.WorkerID), callErr)
 			continue
@@ -530,21 +508,6 @@ func (w *worker) callPeer(addr string, args *FetchArgs, reply *FetchReply) error
 		}
 	}
 	return nil
-}
-
-// writeTrace dumps the worker's obs trace on clean exit (chaos-killed
-// workers, by design, leave none).
-func (w *worker) writeTrace() {
-	path := os.Getenv(workerEnvTrace)
-	if path == "" || w.tr == nil {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	obs.WriteChromeTrace(f, w.tr)
 }
 
 // workerFetchService serves the peer shuffle: Worker.Fetch returns one

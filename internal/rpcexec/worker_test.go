@@ -3,8 +3,6 @@ package rpcexec
 import (
 	"context"
 	"net/rpc"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -114,53 +112,6 @@ func TestInprocessWorkersEndToEnd(t *testing.T) {
 	}
 	if want := sumJobExpected(4, 64, 2); !recordsEqual(res.Output, want) {
 		t.Fatalf("second output mismatch:\n got %s\nwant %s", formatRecords(res.Output), formatRecords(want))
-	}
-}
-
-// TestInprocessWorkerTrace covers the worker-side tracer: spans recorded
-// around tasks and the Chrome trace written on clean exit.
-func TestInprocessWorkerTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "worker.trace.json")
-	t.Setenv(workerEnvTrace, path)
-
-	cfg := inprocConfig(1)
-	m, err := newMaster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	started := make(chan error, 1)
-	go func() { started <- runWorker(m.addr) }()
-	deadline := time.Now().Add(10 * time.Second)
-	for m.registeredWorkers() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker did not register")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	pe := &ProcExecutor{Engine: m.eng, cfg: cfg, m: m}
-	if _, err := pe.RunContext(context.Background(), sumJob("traced-worker", 3, 30, 2, 2, 0, 0)); err != nil {
-		t.Fatalf("RunContext: %v", err)
-	}
-
-	m.beginShutdown()
-	select {
-	case err := <-started:
-		if err != nil {
-			t.Fatalf("worker exit: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker did not exit")
-	}
-	m.stop()
-
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("worker trace not written: %v", err)
-	}
-	for _, want := range []string{"map:", "reduce:"} {
-		if !strings.Contains(string(b), want) {
-			t.Errorf("worker trace has no %q span", want)
-		}
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // on fixed workloads; skyline cardinality is pinned alongside as a sanity
 // anchor. The table holds two kinds of row.
 //
-// The 24 baseline rows (MR-BNL, MR-SFS, MR-Angle, SKY-MR) were
-// captured with the scalar tuple-at-a-time window before the columnar
+// The 12 baseline rows (MR-BNL, MR-Angle; SKY-MR's are in internal/baseline)
+// were captured with the scalar tuple-at-a-time window before the columnar
 // block kernel replaced it and have not changed since: Insert, Dominated
 // and FilterBy must classify exactly the pairs the scalar loops did —
 // including scans a dominator cuts short mid-block — so any drift there
@@ -44,12 +44,8 @@ func TestKernelCountParity(t *testing.T) {
 		"independent/Hybrid/sfs":      {12076, 88},
 		"independent/MR-BNL/bnl":      {20716, 88},
 		"independent/MR-BNL/sfs":      {20716, 88},
-		"independent/MR-SFS/bnl":      {18458, 88},
-		"independent/MR-SFS/sfs":      {18458, 88},
 		"independent/MR-Angle/bnl":    {15604, 88},
 		"independent/MR-Angle/sfs":    {15604, 88},
-		"independent/SKY-MR/bnl":      {9754, 88},
-		"independent/SKY-MR/sfs":      {9754, 88},
 		"anticorrelated/MR-GPMRS/bnl": {101923, 551},
 		"anticorrelated/MR-GPMRS/sfs": {100748, 551},
 		"anticorrelated/MR-GPSRS/bnl": {65706, 551},
@@ -58,12 +54,8 @@ func TestKernelCountParity(t *testing.T) {
 		"anticorrelated/Hybrid/sfs":   {64531, 551},
 		"anticorrelated/MR-BNL/bnl":   {98548, 551},
 		"anticorrelated/MR-BNL/sfs":   {98548, 551},
-		"anticorrelated/MR-SFS/bnl":   {95951, 551},
-		"anticorrelated/MR-SFS/sfs":   {95951, 551},
 		"anticorrelated/MR-Angle/bnl": {242746, 551},
 		"anticorrelated/MR-Angle/sfs": {242746, 551},
-		"anticorrelated/SKY-MR/bnl":   {32007, 551},
-		"anticorrelated/SKY-MR/sfs":   {32007, 551},
 		"correlated/MR-GPMRS/bnl":     {3387, 4},
 		"correlated/MR-GPMRS/sfs":     {2588, 4},
 		"correlated/MR-GPSRS/bnl":     {3281, 4},
@@ -72,12 +64,8 @@ func TestKernelCountParity(t *testing.T) {
 		"correlated/Hybrid/sfs":       {2482, 4},
 		"correlated/MR-BNL/bnl":       {10847, 4},
 		"correlated/MR-BNL/sfs":       {10847, 4},
-		"correlated/MR-SFS/bnl":       {9000, 4},
-		"correlated/MR-SFS/sfs":       {9000, 4},
 		"correlated/MR-Angle/bnl":     {2602, 4},
 		"correlated/MR-Angle/sfs":     {2602, 4},
-		"correlated/SKY-MR/bnl":       {2335, 4},
-		"correlated/SKY-MR/sfs":       {2335, 4},
 	}
 	for _, dist := range []string{"independent", "anticorrelated", "correlated"} {
 		data, err := mrskyline.Generate(dist, 1500, 4, 7)

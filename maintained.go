@@ -162,8 +162,14 @@ func walOptions(opts MaintainOptions, reg *obs.Registry) (wal.Options, error) {
 // cluster.
 func (s *Service) OpenMaintained(data [][]float64, opts MaintainOptions) (*MaintainedSkyline, error) {
 	opts, reg := s.applyWALDefaults(opts), s.trace.Metrics()
-	if opts.Maximize != nil && len(data) > 0 && len(opts.Maximize) != len(data[0]) {
-		return nil, fmt.Errorf("mrskyline: Maximize has %d entries for %d-dimensional data", len(opts.Maximize), len(data[0]))
+	dim := opts.Dim // an empty seed's only dimensionality
+	if len(data) > 0 {
+		dim = len(data[0])
+	}
+	if dim > 0 {
+		if err := checkMaximize(opts.Maximize, dim); err != nil {
+			return nil, err
+		}
 	}
 	orient := NewOrientation(opts.Maximize)
 	seed := make(tuple.List, len(data))

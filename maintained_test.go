@@ -156,6 +156,9 @@ func TestMaintainedErrors(t *testing.T) {
 	if _, err := mustService(t, ServiceConfig{}).OpenMaintained([][]float64{{1, 2}}, MaintainOptions{Maximize: []bool{true}}); err == nil {
 		t.Fatal("Maximize dimensionality mismatch accepted")
 	}
+	if _, err := mustService(t, ServiceConfig{}).OpenMaintained(nil, MaintainOptions{Dim: 3, Maximize: []bool{true}}); err == nil {
+		t.Fatal("Maximize mismatching Dim accepted on an empty seed")
+	}
 	h, err := mustService(t, ServiceConfig{}).OpenMaintained([][]float64{{1, 2}}, MaintainOptions{})
 	if err != nil {
 		t.Fatal(err)

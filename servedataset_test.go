@@ -337,11 +337,11 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 	rows := mustGenerate(t, "anticorrelated", 1500, 3, 8)
 	var cases []Options
 	for _, algo := range []Algorithm{GPSRS, GPMRS, Hybrid} {
-		for _, kernel := range []string{"bnl", "sfs", "dc"} {
+		for _, kernel := range []string{"bnl", "sfs"} {
 			cases = append(cases, Options{Algorithm: algo, Kernel: kernel})
 		}
 	}
-	for _, algo := range []Algorithm{MRBNL, MRSFS, MRAngle, SKYMR} {
+	for _, algo := range []Algorithm{MRBNL, MRAngle} {
 		cases = append(cases, Options{Algorithm: algo})
 	}
 	reg := svc.trace.Metrics()

@@ -11,8 +11,8 @@
 // Two algorithms from the paper are provided — MR-GPSRS (grid partitioning,
 // single reducer) and MR-GPMRS (grid partitioning, multiple parallel
 // reducers) — together with the baselines they were evaluated against
-// (MR-BNL, MR-SFS, MR-Angle) and the paper's future-work Hybrid that picks
-// between the two automatically. All of them execute as real MapReduce
+// (MR-BNL, MR-Angle) and the paper's future-work Hybrid that picks between
+// the two automatically. All of them execute as real MapReduce
 // jobs: input splits, serialized shuffle, distributed cache, task retry,
 // scheduled over a simulated multi-node cluster.
 //
@@ -74,18 +74,13 @@ const (
 	Hybrid Algorithm = "Hybrid"
 	// MRBNL is the MR-BNL baseline [Zhang et al., DASFAA-W 2011].
 	MRBNL Algorithm = "MR-BNL"
-	// MRSFS is the MR-SFS baseline [Zhang et al., DASFAA-W 2011].
-	MRSFS Algorithm = "MR-SFS"
 	// MRAngle is the MR-Angle baseline [Chen et al., IPDPS-W 2012].
 	MRAngle Algorithm = "MR-Angle"
-	// SKYMR is the sampling/sky-quadtree algorithm SKY-MR [Park et al.,
-	// PVLDB 2013], provided as an extension baseline.
-	SKYMR Algorithm = "SKY-MR"
 )
 
 // Algorithms lists every supported Algorithm value.
 func Algorithms() []Algorithm {
-	return []Algorithm{GPMRS, GPSRS, Hybrid, MRBNL, MRSFS, MRAngle, SKYMR}
+	return []Algorithm{GPMRS, GPSRS, Hybrid, MRBNL, MRAngle}
 }
 
 // Options configures Compute. The zero value is ready to use: MR-GPMRS on
@@ -109,8 +104,7 @@ type Options struct {
 	// all dimensions minimize. Length must equal the data dimensionality.
 	Maximize []bool
 	// Kernel names the in-task local skyline kernel for the grid
-	// algorithms: "bnl" (default, the paper's Algorithm 4), "sfs" or "dc"
-	// (divide & conquer).
+	// algorithms: "bnl" (default, the paper's Algorithm 4) or "sfs".
 	Kernel string
 	// SpillBudget, when positive, bounds shuffle residency in bytes: map
 	// outputs beyond the budget spill to sorted run files and reducers
@@ -189,7 +183,7 @@ func oneShot(opts Options) (*Service, error) {
 // options fail identically on empty and non-empty data.
 func validateOptions(opts Options) error {
 	switch algorithmOrDefault(opts.Algorithm) {
-	case GPMRS, GPSRS, Hybrid, MRBNL, MRSFS, MRAngle, SKYMR:
+	case GPMRS, GPSRS, Hybrid, MRBNL, MRAngle:
 	default:
 		return fmt.Errorf("mrskyline: unknown algorithm %q", opts.Algorithm)
 	}
@@ -246,10 +240,6 @@ func computeOn(ctx context.Context, eng mapreduce.Executor, data [][]float64, op
 	switch algo {
 	case MRBNL:
 		sky, bs, err = baseline.MRBNL(cfg, work)
-	case MRSFS:
-		sky, bs, err = baseline.MRSFS(cfg, work)
-	case SKYMR:
-		sky, bs, err = baseline.SKYMR(cfg, work)
 	case MRAngle:
 		sky, bs, err = baseline.MRAngle(cfg, work)
 	default:
@@ -385,10 +375,8 @@ func kernelFromOptions(opts Options) (skyline.Kernel, error) {
 		return skyline.KernelBNL, nil
 	case "sfs":
 		return skyline.KernelSFS, nil
-	case "dc":
-		return skyline.KernelDC, nil
 	default:
-		return 0, fmt.Errorf("mrskyline: unknown kernel %q (want bnl|sfs|dc)", opts.Kernel)
+		return 0, fmt.Errorf("mrskyline: unknown kernel %q (want bnl|sfs)", opts.Kernel)
 	}
 }
 

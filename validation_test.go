@@ -48,6 +48,10 @@ func TestValidationContract(t *testing.T) {
 	}{
 		{"compute/unknown algorithm", compute(mrskyline.Options{Algorithm: "MR-Nope"}), true},
 		{"compute/unknown kernel", compute(mrskyline.Options{Kernel: "quantum"}), true},
+		// Not served: SKY-MR and D&C run only in the figures, MR-SFS nowhere.
+		{"compute/MR-SFS", compute(mrskyline.Options{Algorithm: "MR-SFS"}), true},
+		{"compute/SKY-MR", compute(mrskyline.Options{Algorithm: "SKY-MR"}), true},
+		{"compute/dc kernel", compute(mrskyline.Options{Kernel: "dc"}), true},
 		{"compute/negative nodes", compute(mrskyline.Options{Nodes: -1}), true},
 		{"compute/negative slots", compute(mrskyline.Options{SlotsPerNode: -2}), true},
 		{"compute/negative mappers", compute(mrskyline.Options{Mappers: -3}), true},
