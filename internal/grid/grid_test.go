@@ -117,6 +117,40 @@ func inADR(g *grid.Grid, j, i int) bool {
 	return i != j
 }
 
+// TestInADRMatchesCoordinateDefinition checks the membership ADRDims
+// reports against Definition 4 written out on coordinates, for every
+// ordered pair of a 3-d grid, and that the test itself allocates nothing
+// when given a scratch slice with room: maintain runs it per pair of cells.
+func TestInADRMatchesCoordinateDefinition(t *testing.T) {
+	g := mustGrid(t, 3, 5)
+	ci, cj := make([]int, 3), make([]int, 3)
+	scratch := make([]int, 0, 3)
+	for i := 0; i < g.NumPartitions(); i++ {
+		for j := 0; j < g.NumPartitions(); j++ {
+			g.Coords(i, ci)
+			g.Coords(j, cj)
+			want := i != j
+			for k := range ci {
+				if cj[k] > ci[k] {
+					want = false
+				}
+			}
+			if _, got := g.ADRDims(j, i, scratch[:0]); got != want {
+				t.Fatalf("ADRDims(%d, %d) reports %v, coordinates %v vs %v say %v", j, i, got, cj, ci, want)
+			}
+		}
+	}
+	var sink bool
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, a := g.ADRDims(31, 124, scratch[:0])
+		_, b := g.ADRDims(124, 31, scratch[:0])
+		sink = a || b
+	}); allocs != 0 {
+		t.Errorf("ADRDims membership allocates %v times per pair of calls, want 0", allocs)
+	}
+	_ = sink
+}
+
 // TestADRDimsMatchesCoordinates checks ADRDims against materialized
 // coordinates for ordered pairs of each grid: it reports Definition 4's
 // membership, returns exactly the dimensions on which the two cells share a coordinate,
