@@ -75,14 +75,16 @@ func (c *Config) ctx() context.Context {
 	return context.Background()
 }
 
-// mid returns the per-dimension domain midpoints for d dimensions.
+// mid returns the per-dimension domain midpoints for d dimensions. Halving
+// before adding is (lo + hi) / 2 wherever that sum is finite and normal,
+// and stays finite where it overflows (bounds near ±MaxFloat64).
 func (c *Config) mid(d int) []float64 {
 	m := make([]float64, d)
 	for k := range m {
 		if c.Lo == nil {
 			m[k] = 0.5
 		} else {
-			m[k] = (c.Lo[k] + c.Hi[k]) / 2
+			m[k] = c.Lo[k]/2 + c.Hi[k]/2
 		}
 	}
 	return m

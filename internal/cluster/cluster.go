@@ -274,12 +274,14 @@ func (s *Stats) Count(node string, retry bool) {
 
 // acquire blocks until Place finds a node, then claims the lowest free
 // slot on it. Exactly one Stats record is made per started attempt, under
-// c.mu, so PerNode counts stay in lockstep with TasksRun.
-func (c *Cluster) acquire(task *Task, avoid map[string]bool, retry bool, stats *Stats, aborted *bool) (string, int, error) {
+// c.mu, so PerNode counts stay in lockstep with TasksRun. A cancelled ctx
+// aborts too, even before RunContext's watcher has seen it: a slot freed by
+// the cancellation itself must not place another attempt.
+func (c *Cluster) acquire(ctx context.Context, task *Task, avoid map[string]bool, retry bool, stats *Stats, aborted *bool) (string, int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if *aborted {
+		if *aborted || ctx.Err() != nil {
 			return "", 0, errAborted
 		}
 		node, err := Place(c.nodes, c.free, c.down, avoid, retry, stats)
@@ -386,8 +388,11 @@ func (c *Cluster) RunContext(ctx context.Context, tasks []Task, maxAttempts int,
 			avoid := make(map[string]bool)
 			var lastErr error
 			for attempt := 1; attempt <= maxAttempts; attempt++ {
-				node, slot, err := c.acquire(&task, avoid, attempt > 1, stats, &aborted)
+				node, slot, err := c.acquire(ctx, &task, avoid, attempt > 1, stats, &aborted)
 				if err == errAborted {
+					if ctxErr := ctx.Err(); ctxErr != nil {
+						fail(ctxErr) // no-op once the watcher or a failure got there first
+					}
 					return // job already failed elsewhere
 				}
 				if err != nil {

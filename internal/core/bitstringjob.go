@@ -139,13 +139,20 @@ func ppdSelectFuncs(cfg *Config, card int, ladder *grid.Ladder, disablePruning b
 // newPPDSelectMapper builds the Section 3.3 mapper: one local occupancy
 // bitstring per candidate PPD, emitted keyed by the candidate on flush. Each
 // record is one pass: decode into the mapper's scratch tuple, locate it on
-// every level of the ladder, set one bit per level.
+// the live levels of the ladder, set one bit per level.
+//
+// Levels are live until one fills. Once every bit of level j is set here,
+// j's global bitstring is full too, so j scores exactly 0 and, ties going to
+// the smaller PPD, no level above j can win: from then on the mapper locates
+// on the levels below j only, and flushes levels 0…j, each complete.
 func newPPDSelectMapper(cfg *Config, ladder *grid.Ladder) mapreduce.Mapper {
 	locals := make([]*bitstring.Bitstring, ladder.Len())
+	occupied := make([]int, ladder.Len())
 	for i := range locals {
 		locals[i] = bitstring.New(ladder.Grid(i).NumPartitions())
 	}
 	cells := make([]int, ladder.Len())
+	live := ladder.Len() // levels still located; below Len, level live is full
 	decode := cfg.scratchDecoder(ladder.Dim())
 	return mapreduce.MapperFuncs{
 		MapFn: func(_ *mapreduce.TaskContext, rec mapreduce.Record, _ mapreduce.Emitter) error {
@@ -156,13 +163,20 @@ func newPPDSelectMapper(cfg *Config, ladder *grid.Ladder) mapreduce.Mapper {
 			if len(t) != ladder.Dim() {
 				return fmt.Errorf("core: tuple dimensionality %d, want %d", len(t), ladder.Dim())
 			}
-			for i, p := range ladder.Locate(t, cells) {
+			for i, p := range ladder.Locate(t, cells[:live]) {
+				if locals[i].Get(p) {
+					continue
+				}
 				locals[i].Set(p)
+				if occupied[i]++; occupied[i] == locals[i].Len() {
+					live = i
+					break
+				}
 			}
 			return nil
 		},
 		FlushFn: func(_ *mapreduce.TaskContext, emit mapreduce.Emitter) error {
-			for i, local := range locals {
+			for i, local := range locals[:min(live+1, len(locals))] {
 				emit(encodeKey(ladder.Grid(i).PPD()), local.Encode())
 			}
 			return nil
@@ -172,7 +186,10 @@ func newPPDSelectMapper(cfg *Config, ladder *grid.Ladder) mapreduce.Mapper {
 
 // newPPDSelectReducer builds the Section 3.3 reducer: merge each
 // candidate's bitstrings, count ρ, pick the candidate minimizing
-// |c/ρ − c/j^d|, prune the winner and emit uvarint(best) ++ bitstring.
+// |c/ρ − c/j^d|, prune the winner and emit uvarint(best) ++ bitstring. A
+// candidate above a mapper's full level arrives without that mapper's bits,
+// or not at all; it cannot win (see newPPDSelectMapper), so only the
+// winner's bitstring needs to be complete, and it is.
 func newPPDSelectReducer(card int, ladder *grid.Ladder, disablePruning bool) mapreduce.Reducer {
 	merged := make([]*bitstring.Bitstring, ladder.Len()) // nil: candidate received nothing
 	return mapreduce.ReducerFuncs{

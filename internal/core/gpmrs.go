@@ -99,11 +99,7 @@ func newGPMRSMapper(cfg *Config, g *grid.Grid) mapreduce.Mapper {
 				}
 				state = newLocalState(g, bs, cfg.Kernel)
 			}
-			t, err := mapreduce.DecodeTupleRecord(rec)
-			if err != nil {
-				return err
-			}
-			return state.add(ctx.Trace.Metrics(), t)
+			return state.add(ctx.Trace.Metrics(), rec)
 		},
 		FlushFn: func(ctx *mapreduce.TaskContext, emit mapreduce.Emitter) error {
 			if state == nil {

@@ -46,21 +46,29 @@ type localState struct {
 	// which need the whole partition before running.
 	pending map[int]tuple.List
 	inserts window.InsertSampler
+	// scratch is the tuple the next record decodes into; it is replaced by
+	// a fresh one whenever a window or pending keeps it.
+	scratch tuple.Tuple
 }
 
 func newLocalState(g *grid.Grid, bs *bitstring.Bitstring, kernel skyline.Kernel) *localState {
-	ls := &localState{partWindows: partWindows{g: g, s: make(winMap)}, bs: bs, kernel: kernel}
+	ls := &localState{partWindows: partWindows{g: g, s: make(winMap)}, bs: bs, kernel: kernel, scratch: make(tuple.Tuple, g.Dim())}
 	if kernel != skyline.KernelBNL {
 		ls.pending = make(map[int]tuple.List)
 	}
 	return ls
 }
 
-// add processes one input tuple (Algorithm 3 lines 2–8): locate its
-// partition, skip it when the bitstring pruned the partition, otherwise
-// fold it into the partition's local skyline window. reg receives the
-// task's sampled Insert latencies (nil: none).
-func (ls *localState) add(reg *obs.Registry, t tuple.Tuple) error {
+// add processes one input record (Algorithm 3 lines 2–8): decode its tuple,
+// locate its partition, skip it when the bitstring pruned the partition,
+// otherwise fold it into the partition's local skyline window. reg receives
+// the task's sampled Insert latencies (nil: none). Only a tuple the window
+// or pending keeps costs an allocation.
+func (ls *localState) add(reg *obs.Registry, rec mapreduce.Record) error {
+	t, _, err := tuple.DecodeInto(ls.scratch, rec.Value)
+	if err != nil {
+		return err
+	}
 	if len(t) != ls.g.Dim() {
 		return fmt.Errorf("core: tuple dimensionality %d does not match grid d=%d", len(t), ls.g.Dim())
 	}
@@ -70,9 +78,10 @@ func (ls *localState) add(reg *obs.Registry, t tuple.Tuple) error {
 	}
 	if ls.pending != nil {
 		ls.pending[j] = append(ls.pending[j], t)
+	} else if !ls.inserts.Insert(reg, ls.s.window(j, ls.g.Dim()), t, &ls.cnt) {
 		return nil
 	}
-	ls.inserts.Insert(reg, ls.s.window(j, ls.g.Dim()), t, &ls.cnt)
+	ls.scratch = make(tuple.Tuple, ls.g.Dim())
 	return nil
 }
 

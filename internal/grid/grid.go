@@ -29,6 +29,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 
 	"mrskyline/internal/tuple"
 )
@@ -64,6 +65,35 @@ func unitBox(d int) (lo, hi tuple.Tuple) {
 	lo, hi = make(tuple.Tuple, d), make(tuple.Tuple, d)
 	for k := range hi {
 		hi[k] = 1
+	}
+	return lo, hi
+}
+
+// DataBounds returns grid bounds [lo, hi) for a non-empty data set: per
+// dimension the smallest and the largest value (values equal to hi clamp
+// into the top cell, which is always safe). A constant dimension would be
+// an empty extent, which NewWithBounds rejects, so it is widened to
+// [lo, lo+1) — or, where lo+1 rounds back to lo (|lo| ≥ 2^53), by one ulp
+// toward the finite side: hi moves up, except at MaxFloat64, where lo moves
+// down.
+func DataBounds(data tuple.List) (lo, hi tuple.Tuple) {
+	lo, hi = data[0].Clone(), data[0].Clone()
+	for _, t := range data[1:] {
+		lo.MinWith(t)
+		hi.MaxWith(t)
+	}
+	for k := range lo {
+		if hi[k] > lo[k] {
+			continue
+		}
+		switch {
+		case lo[k]+1 > lo[k]:
+			hi[k] = lo[k] + 1
+		case lo[k] < math.MaxFloat64:
+			hi[k] = math.Nextafter(lo[k], math.Inf(1))
+		default:
+			lo[k] = math.Nextafter(lo[k], math.Inf(-1))
+		}
 	}
 	return lo, hi
 }

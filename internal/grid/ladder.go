@@ -7,9 +7,9 @@ import (
 )
 
 // Ladder is a series of grids over one domain — the candidate PPDs of
-// Section 3.3, in the order given — that locates a tuple on all of them in
-// one pass. Ladders are immutable after construction and safe for
-// concurrent use.
+// Section 3.3, in strictly ascending order — that locates a tuple on all of
+// them, or on a leading run of them, in one pass. Ladders are immutable
+// after construction and safe for concurrent use.
 type Ladder struct {
 	d     int
 	lo    tuple.Tuple
@@ -28,10 +28,17 @@ type rung struct {
 }
 
 // NewLadder builds one grid per entry of ppds, all over the box [lo, hi);
-// lo and hi both nil select the unit box, as New does.
+// lo and hi both nil select the unit box, as New does. The PPDs must be
+// strictly ascending: level i is coarser than level i+1, which the PPD
+// selection job's early stop relies on.
 func NewLadder(d int, ppds []int, lo, hi tuple.Tuple) (*Ladder, error) {
 	if len(ppds) == 0 {
 		return nil, fmt.Errorf("grid: ladder needs at least one PPD")
+	}
+	for i := 1; i < len(ppds); i++ {
+		if ppds[i] <= ppds[i-1] {
+			return nil, fmt.Errorf("grid: ladder PPDs not strictly ascending: %d after %d", ppds[i], ppds[i-1])
+		}
 	}
 	if lo == nil && hi == nil {
 		lo, hi = unitBox(d)
@@ -72,19 +79,19 @@ func (l *Ladder) Level(ppd int) (int, bool) {
 	return 0, false
 }
 
-// Locate writes the partition index of t on every level into dst (which
-// must have length Len) and returns dst: dst[i] == Grid(i).Locate(t) for
-// every t, computed with one subtraction per dimension instead of one per
-// dimension and level.
+// Locate writes the partition index of t on the leading len(dst) levels
+// into dst (len(dst) ≤ Len) and returns dst: dst[i] == Grid(i).Locate(t)
+// for every t, computed with one subtraction per dimension instead of one
+// per dimension and level. Levels past len(dst) cost nothing.
 func (l *Ladder) Locate(t tuple.Tuple, dst []int) []int {
 	levels := len(l.grids)
-	if len(t) != l.d || len(dst) != levels {
+	if len(t) != l.d || len(dst) > levels {
 		panic(fmt.Sprintf("grid: ladder of d=%d with %d levels given a %d-tuple and %d slots", l.d, levels, len(t), len(dst)))
 	}
 	clear(dst)
 	for k, v := range t {
 		off := v - l.lo[k]
-		for i, r := range l.rungs[k*levels : (k+1)*levels] {
+		for i, r := range l.rungs[k*levels : k*levels+len(dst)] {
 			dst[i] += cellCoord(off, r.width, r.n) * r.stride
 		}
 	}

@@ -3,6 +3,7 @@ package grid_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mrskyline/internal/grid"
@@ -32,13 +33,29 @@ func candidateSeries(card, d, max int) []int {
 }
 
 // checkLadder asserts the cell-identity rule for one tuple: every level of
-// the ladder puts t where a grid built on its own puts it.
+// the ladder puts t where a grid built on its own puts it, and a locate
+// into every prefix dst[:k] fills exactly the head of the full locate and
+// leaves dst[k:] alone.
 func checkLadder(t *testing.T, l *grid.Ladder, ref []*grid.Grid, p tuple.Tuple, dst []int) {
 	t.Helper()
 	l.Locate(p, dst)
 	for i, g := range ref {
 		if want := g.Locate(p); dst[i] != want {
 			t.Fatalf("d=%d PPD %d tuple %v: ladder cell %d, Grid.Locate %d", g.Dim(), g.PPD(), p, dst[i], want)
+		}
+	}
+	full := slices.Clone(dst)
+	for k := range dst {
+		for i := range dst {
+			dst[i] = -1
+		}
+		if got := l.Locate(p, dst[:k]); len(got) != k || !slices.Equal(got, full[:k]) {
+			t.Fatalf("d=%d tuple %v: prefix of %d levels located %v, full locate %v", l.Dim(), p, k, got, full)
+		}
+		for i, c := range dst[k:] {
+			if c != -1 {
+				t.Fatalf("d=%d tuple %v: prefix of %d levels wrote level %d", l.Dim(), p, k, k+i)
+			}
 		}
 	}
 }
@@ -161,13 +178,26 @@ func TestLadderRejects(t *testing.T) {
 	if _, err := grid.NewLadder(2, []int{2}, tuple.Tuple{0, 1}, tuple.Tuple{1, 1}); err == nil {
 		t.Error("empty domain accepted")
 	}
+	for _, ppds := range [][]int{{3, 2}, {2, 4, 3}, {2, 2}, {2, 3, 3}} {
+		if _, err := grid.NewLadder(2, ppds, nil, nil); err == nil {
+			t.Errorf("PPDs %v accepted", ppds)
+		}
+	}
 	l, err := grid.NewLadder(2, []int{2, 3}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A short dst is legal: it names the leading levels.
+	if got := l.Locate(tuple.Tuple{0.9, 0.1}, make([]int, 1)); len(got) != 1 || got[0] != l.Grid(0).Locate(tuple.Tuple{0.9, 0.1}) {
+		t.Errorf("short dst located %v", got)
+	}
+	if got := l.Locate(tuple.Tuple{0.9, 0.1}, nil); len(got) != 0 {
+		t.Errorf("empty dst located %v", got)
+	}
 	for name, call := range map[string]func(){
 		"short tuple": func() { l.Locate(tuple.Tuple{0.5}, make([]int, 2)) },
-		"short dst":   func() { l.Locate(tuple.Tuple{0.5, 0.5}, make([]int, 1)) },
+		"long tuple":  func() { l.Locate(tuple.Tuple{0.5, 0.5, 0.5}, make([]int, 2)) },
+		"long dst":    func() { l.Locate(tuple.Tuple{0.5, 0.5}, make([]int, 3)) },
 	} {
 		func() {
 			defer func() {

@@ -272,24 +272,14 @@ func domain(d int, cfg Config, data tuple.List) (lo, hi tuple.Tuple, err error) 
 		}
 		return tuple.Tuple(cfg.Lo).Clone(), tuple.Tuple(cfg.Hi).Clone(), nil
 	}
-	lo = make(tuple.Tuple, d)
-	hi = make(tuple.Tuple, d)
-	if len(data) == 0 {
-		for k := range hi {
-			hi[k] = 1
-		}
+	if len(data) > 0 {
+		lo, hi = grid.DataBounds(data)
 		return lo, hi, nil
 	}
-	copy(lo, data[0])
-	copy(hi, data[0])
-	for _, t := range data[1:] {
-		lo.MinWith(t)
-		hi.MaxWith(t)
-	}
-	for k := 0; k < d; k++ {
-		if hi[k] <= lo[k] {
-			hi[k] = lo[k] + 1
-		}
+	lo = make(tuple.Tuple, d)
+	hi = make(tuple.Tuple, d)
+	for k := range hi {
+		hi[k] = 1
 	}
 	return lo, hi, nil
 }

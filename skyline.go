@@ -52,6 +52,7 @@ import (
 	"mrskyline/internal/baseline"
 	"mrskyline/internal/cluster"
 	"mrskyline/internal/core"
+	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/skyline"
 	"mrskyline/internal/spill"
@@ -231,7 +232,7 @@ func computeOn(ctx context.Context, eng mapreduce.Executor, data [][]float64, op
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := domainBounds(work)
+	lo, hi := grid.DataBounds(work)
 	cfg := baseline.Config{Engine: eng, Ctx: ctx, NumMappers: opts.Mappers, Lo: lo, Hi: hi}
 	var (
 		sky tuple.List
@@ -328,7 +329,7 @@ func newGridPlan(ctx context.Context, eng mapreduce.Executor, data [][]float64, 
 	if err != nil {
 		return nil, err
 	}
-	cfg.Lo, cfg.Hi = domainBounds(work)
+	cfg.Lo, cfg.Hi = grid.DataBounds(work)
 	plan, err := core.Prepare(cfg, work)
 	if err != nil {
 		return nil, err
@@ -414,26 +415,6 @@ func newEngine(opts Options) (*mapreduce.Engine, error) {
 		eng.Spill = &spill.Config{Dir: dir, Budget: opts.SpillBudget, Stats: &spill.Stats{}}
 	}
 	return eng, nil
-}
-
-// domainBounds computes a half-open bounding box [lo, hi) for the grid.
-// Values equal to a dimension's maximum clamp into the top grid cell, which
-// is always safe, so hi is simply the observed maximum (widened when the
-// dimension is constant, since grids reject empty extents).
-func domainBounds(data tuple.List) (lo, hi tuple.Tuple) {
-	d := data.Dim()
-	lo = data[0].Clone()
-	hi = data[0].Clone()
-	for _, t := range data[1:] {
-		lo.MinWith(t)
-		hi.MaxWith(t)
-	}
-	for k := 0; k < d; k++ {
-		if hi[k] <= lo[k] {
-			hi[k] = lo[k] + 1
-		}
-	}
-	return lo, hi
 }
 
 // Orientation captures a per-dimension min/max preference, normalized

@@ -2,6 +2,7 @@ package mrskyline_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -172,8 +173,10 @@ func TestComputeEmpty(t *testing.T) {
 }
 
 func TestComputeConstantDimension(t *testing.T) {
-	// A constant dimension makes the bounding box empty on that axis; the
-	// facade must widen it rather than fail.
+	// A constant dimension makes the bounding box empty on that axis; every
+	// algorithm and the maintained handle must widen it rather than fail —
+	// also where lo+1 rounds back to lo (|lo| ≥ 2^53) and at ±MaxFloat64,
+	// where only one side of lo is finite.
 	data := [][]float64{{1, 7}, {2, 7}, {3, 7}}
 	res, err := mrskyline.Compute(data, mrskyline.Options{Nodes: 2})
 	if err != nil {
@@ -181,6 +184,38 @@ func TestComputeConstantDimension(t *testing.T) {
 	}
 	if len(res.Skyline) != 1 || res.Skyline[0][0] != 1 {
 		t.Errorf("constant-dim skyline = %v", res.Skyline)
+	}
+
+	svc, err := mrskyline.NewService(mrskyline.ServiceConfig{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []float64{1e17, -1e300, math.MaxFloat64, -math.MaxFloat64} {
+		rows := make([][]float64, 60)
+		for i := range rows {
+			rows[i] = []float64{rng.Float64(), c, rng.Float64()}
+		}
+		want := naive(rows, nil)
+		for _, algo := range mrskyline.Algorithms() {
+			res, err := mrskyline.Compute(rows, mrskyline.Options{Algorithm: algo, Nodes: 2})
+			if err != nil {
+				t.Errorf("constant %g, %s: %v", c, algo, err)
+				continue
+			}
+			if !sameSet(res.Skyline, want) {
+				t.Errorf("constant %g, %s: %d skyline rows, naive has %d", c, algo, len(res.Skyline), len(want))
+			}
+		}
+		h, err := svc.OpenMaintained(rows, mrskyline.MaintainOptions{})
+		if err != nil {
+			t.Errorf("constant %g, OpenMaintained: %v", c, err)
+			continue
+		}
+		if got := h.Skyline().Skyline; !sameSet(got, want) {
+			t.Errorf("constant %g, maintained: %d skyline rows, naive has %d", c, len(got), len(want))
+		}
 	}
 }
 
