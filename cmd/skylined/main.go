@@ -399,9 +399,13 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// decodeBody parses a request's JSON body into v.
+// decodeBody parses a request's JSON body into v. A field v does not have
+// is a 400 naming it: a misspelled "maximize" or "algorithm" dropped would
+// answer a different query than the one asked.
 func decodeBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		return &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
 	}
 	return nil

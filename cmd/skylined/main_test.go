@@ -254,7 +254,8 @@ func TestErrorMapping(t *testing.T) {
 
 // TestFieldIgnoredIsBadRequest: a field the route does not read is a 400,
 // not dropped ("maximize" dropped from a plain registration would serve the
-// min-skyline); without it the request succeeds.
+// min-skyline), and so is a field no route reads (a misspelled "maximize"
+// would too); without it the request succeeds.
 func TestFieldIgnoredIsBadRequest(t *testing.T) {
 	ts := newTestServer(t, mrskyline.ServiceConfig{Nodes: 2})
 	data := [][]float64{{1, 2}, {2, 1}, {3, 3}}
@@ -268,9 +269,12 @@ func TestFieldIgnoredIsBadRequest(t *testing.T) {
 		{"/v1/constrained", "dims", map[string]any{"data": data, "constraints": box, "dims": []int{0}}},
 		{"/v1/subspace", "constraints", map[string]any{"data": data, "dims": []int{0}, "constraints": box}},
 		{"/v1/datasets", "maximize", map[string]any{"name": "x", "data": data, "maximize": []bool{true, true}}},
+		{"/v1/skyline", "maximise", map[string]any{"data": data, "maximise": []bool{true, true}}},
+		{"/v1/skyline", "algoritm", map[string]any{"data": data, "algoritm": "MR-BNL"}},
+		{"/v1/datasets", "mantain", map[string]any{"name": "y", "data": data, "mantain": true}},
 	} {
-		if code, raw := postJSON(t, ts.URL+tc.path, tc.body); code != http.StatusBadRequest {
-			t.Errorf("%s with %q: status %d (%s), want 400", tc.path, tc.stray, code, raw)
+		if code, raw := postJSON(t, ts.URL+tc.path, tc.body); code != http.StatusBadRequest || !bytes.Contains(raw, []byte(tc.stray)) {
+			t.Errorf("%s with %q: status %d (%s), want a 400 naming the field", tc.path, tc.stray, code, raw)
 		}
 		delete(tc.body, tc.stray)
 		if code, raw := postJSON(t, ts.URL+tc.path, tc.body); code != http.StatusOK {

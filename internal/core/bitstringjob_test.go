@@ -23,15 +23,15 @@ func internalTestConfig(t testing.TB) *Config {
 	return &Config{Engine: mapreduce.NewEngine(c)}
 }
 
-// TestChoosePPDMatchesReference holds the one-pass Section 3.3 job, its
-// dead-candidate rule included, to what it replaces: a fixed-grid bitstring
-// job per candidate, grid.ChoosePPD on their occupied-partition counts, and
-// the winner's pruned bitstring. PPD, bitstring bytes, NonEmpty and both
-// exact counters must agree, and the job may shuffle no more than the same
-// job whose mappers emit every candidate. Rows come in three layouts: as
-// generated; sorted, so that some splits fill a candidate and others never
-// do; and copies of one row but the last, so that at d ≥ 2 no split fills
-// one.
+// TestChoosePPDMatchesReference holds job 1, its dead-candidate rule
+// included, to a reference that shares no job code: locate every row on
+// each candidate grid, count ρ, let grid.ChoosePPD pick, prune the winner.
+// Every case runs auto PPD and two fixed PPDs, 2 and the largest candidate;
+// PPD, AutoPPD, bitstring bytes, NonEmpty and both exact counters must
+// agree, and the auto job may shuffle no more than the same job whose
+// mappers emit every candidate. Rows come in three layouts: as generated;
+// sorted, so that some splits fill a candidate and others never do; and
+// copies of one row but the last, so that at d ≥ 2 no split fills one.
 func TestChoosePPDMatchesReference(t *testing.T) {
 	cases, cut := 0, 0
 	for _, dist := range []datagen.Distribution{datagen.Independent, datagen.Correlated, datagen.AntiCorrelated} {
@@ -62,54 +62,28 @@ func TestChoosePPDMatchesReference(t *testing.T) {
 	}
 }
 
-// checkChoosePPD runs ChoosePPDAndBitstring over rows and checks it against
-// the per-candidate reference and the emit-every-candidate job. It reports
-// whether the job shuffled less than the latter.
+// checkChoosePPD runs ChoosePPDAndBitstring over rows at auto PPD and at
+// the fixed PPDs 2 and nm, checks each against referenceJobOne, and checks
+// the auto run against the emit-every-candidate job. It reports whether the
+// auto run shuffled less than the latter.
 func checkChoosePPD(t *testing.T, name string, cfg *Config, rows tuple.List) bool {
 	t.Helper()
 	d, card := rows.Dim(), len(rows)
 	input := mapreduce.TupleInput(rows)
-	candidates := ppdCandidates(card, d, cfg.MaxPPDCandidates)
-
-	rho := make(map[int]int)
-	for _, j := range candidates {
-		g, err := cfg.newGrid(d, j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		occ, err := BuildBitstring(cfg, g, input, true)
-		if err != nil {
-			t.Fatalf("%s: candidate %d: %v", name, j, err)
-		}
-		rho[j] = occ.NonEmpty
-	}
-	best := grid.ChoosePPD(card, d, rho)
-	g, err := cfg.newGrid(d, best)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := BuildBitstring(cfg, g, input, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	candidates := ppdCandidates(card, d)
 	got, err := ChoosePPDAndBitstring(cfg, d, card, input, false)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if got.PPD != best || got.Grid.PPD() != best || !got.AutoPPD {
-		t.Fatalf("%s: chose PPD %d (grid %d), reference %d", name, got.PPD, got.Grid.PPD(), best)
-	}
-	if !bytes.Equal(got.Bitstring.Encode(), want.Bitstring.Encode()) {
-		t.Fatalf("%s: bitstring differs from the reference at PPD %d", name, best)
-	}
-	if got.NonEmpty != rho[best] {
-		t.Fatalf("%s: NonEmpty %d, reference %d", name, got.NonEmpty, rho[best])
-	}
-	for _, c := range []string{"bitstring.nonempty", "bitstring.surviving"} {
-		if g, w := got.Job.Counters.Get(c), want.Job.Counters.Get(c); g != w {
-			t.Fatalf("%s: counter %s = %d, reference %d", name, c, g, w)
+	checkJobOne(t, name+"/auto", got, true, rows, candidates)
+	for _, ppd := range slices.Compact([]int{2, grid.MaxCandidatePPD(card, d, grid.MaxPartitions)}) {
+		fixed := *cfg
+		fixed.PPD = ppd
+		one, err := ChoosePPDAndBitstring(&fixed, d, card, input, false)
+		if err != nil {
+			t.Fatalf("%s/ppd%d: %v", name, ppd, err)
 		}
+		checkJobOne(t, fmt.Sprintf("%s/ppd%d", name, ppd), one, false, rows, []int{ppd})
 	}
 
 	ladder, err := grid.NewLadder(d, candidates, cfg.Lo, cfg.Hi)
@@ -132,6 +106,53 @@ func checkChoosePPD(t *testing.T, name string, cfg *Config, rows tuple.List) boo
 		t.Fatalf("%s: shuffled %d B, every candidate emitted %d B", name, shuffled, bound)
 	}
 	return shuffled < bound
+}
+
+// checkJobOne compares one job-1 result with referenceJobOne over the same
+// rows and candidates.
+func checkJobOne(t *testing.T, name string, got *BitstringResult, auto bool, rows tuple.List, candidates []int) {
+	t.Helper()
+	best, want, nonEmpty := referenceJobOne(t, rows, candidates)
+	if got.PPD != best || got.Grid.PPD() != best || got.AutoPPD != auto {
+		t.Fatalf("%s: chose PPD %d (grid %d, auto %v), reference %d (auto %v)", name, got.PPD, got.Grid.PPD(), got.AutoPPD, best, auto)
+	}
+	if !bytes.Equal(got.Bitstring.Encode(), want.Encode()) {
+		t.Fatalf("%s: bitstring differs from the reference at PPD %d", name, best)
+	}
+	if got.NonEmpty != nonEmpty {
+		t.Fatalf("%s: NonEmpty %d, reference %d", name, got.NonEmpty, nonEmpty)
+	}
+	for c, w := range map[string]int{"bitstring.nonempty": nonEmpty, "bitstring.surviving": want.Count()} {
+		if g := got.Job.Counters.Get(c); g != int64(w) {
+			t.Fatalf("%s: counter %s = %d, reference %d", name, c, g, w)
+		}
+	}
+}
+
+// referenceJobOne is job 1 without MapReduce over the unit box: it locates
+// every row on each candidate grid, counts ρ, lets grid.ChoosePPD pick and
+// prunes the winner's bitstring. It returns the winner, its pruned
+// bitstring and its ρ.
+func referenceJobOne(t *testing.T, rows tuple.List, candidates []int) (int, *bitstring.Bitstring, int) {
+	t.Helper()
+	d := rows.Dim()
+	grids := make(map[int]*grid.Grid, len(candidates))
+	occ := make(map[int]*bitstring.Bitstring, len(candidates))
+	rho := make(map[int]int, len(candidates))
+	for _, j := range candidates {
+		g, err := grid.New(d, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := bitstring.New(g.NumPartitions())
+		for _, r := range rows {
+			bs.Set(g.Locate(r))
+		}
+		grids[j], occ[j], rho[j] = g, bs, bs.Count()
+	}
+	best := grid.ChoosePPD(len(rows), d, rho)
+	grids[best].Prune(occ[best])
+	return best, occ[best], rho[best]
 }
 
 // everyCandidateMapper is the PPD-select mapper without the dead-candidate
@@ -183,17 +204,23 @@ func TestChoosePPDDeadCandidateRuleFires(t *testing.T) {
 }
 
 // TestJobOneMapFnAllocs pins the per-record cost the scratch decode buys:
-// on the default codec neither job-1 mapper allocates per record.
+// on the default codec the job-1 mapper does not allocate per record, over
+// the candidate series or over one level (a fixed PPD).
 func TestJobOneMapFnAllocs(t *testing.T) {
 	const d = 3
-	ladder, err := grid.NewLadder(d, ppdCandidates(150_000, d, 0), nil, nil)
+	candidates := ppdCandidates(150_000, d)
+	series, err := grid.NewLadder(d, candidates, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := grid.NewLadder(d, candidates[len(candidates)-1:], nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := mapreduce.TupleInput(datagen.Generate(datagen.Independent, 512, d, 1)).Records
 	for name, m := range map[string]mapreduce.Mapper{
-		"ppd-select":    newPPDSelectMapper(&Config{}, ladder),
-		"bitstring-gen": newBitstringMapper(&Config{}, ladder.Grid(ladder.Len()-1)),
+		"ppd-select": newPPDSelectMapper(series),
+		"one level":  newPPDSelectMapper(one),
 	} {
 		i := 0
 		if n := testing.AllocsPerRun(2000, func() {
@@ -209,24 +236,32 @@ func TestJobOneMapFnAllocs(t *testing.T) {
 
 // TestJobOneMapFnRejectsDimension: the per-record dimensionality check
 // survives the scratch decode, for records narrower and wider than d, and
-// survives the PPD-select mapper's coarsest candidate filling, after which
-// it locates nothing.
+// survives the coarsest level filling, after which the mapper locates
+// nothing — over the candidate series and over one level (a fixed PPD).
 func TestJobOneMapFnRejectsDimension(t *testing.T) {
-	ladder, err := grid.NewLadder(3, []int{2, 4}, nil, nil)
+	series, err := grid.NewLadder(3, []int{2, 4}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := newPPDSelectMapper(&Config{}, ladder)
-	for c := 0; c < 8; c++ {
-		corner := tuple.Tuple{0.25 + 0.5*float64(c>>2&1), 0.25 + 0.5*float64(c>>1&1), 0.25 + 0.5*float64(c&1)}
-		if err := full.Map(nil, mapreduce.Record{Value: tuple.Encode(corner)}, nil); err != nil {
-			t.Fatal(err)
+	one, err := grid.NewLadder(3, []int{2}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := func(ladder *grid.Ladder) mapreduce.Mapper {
+		m := newPPDSelectMapper(ladder)
+		for c := 0; c < 8; c++ {
+			corner := tuple.Tuple{0.25 + 0.5*float64(c>>2&1), 0.25 + 0.5*float64(c>>1&1), 0.25 + 0.5*float64(c&1)}
+			if err := m.Map(nil, mapreduce.Record{Value: tuple.Encode(corner)}, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return m
 	}
 	for name, m := range map[string]mapreduce.Mapper{
-		"ppd-select":             newPPDSelectMapper(&Config{}, ladder),
-		"ppd-select, PPD 2 full": full,
-		"bitstring-gen":          newBitstringMapper(&Config{}, ladder.Grid(0)),
+		"ppd-select":             newPPDSelectMapper(series),
+		"ppd-select, PPD 2 full": full(series),
+		"one level":              newPPDSelectMapper(one),
+		"one level, full":        full(one),
 	} {
 		for _, bad := range []tuple.Tuple{{0.5, 0.5}, {0.1, 0.2, 0.3, 0.4}, {}} {
 			if err := m.Map(nil, mapreduce.Record{Value: tuple.Encode(bad)}, nil); err == nil {

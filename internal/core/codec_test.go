@@ -117,27 +117,22 @@ func TestPartMapDecodeErrors(t *testing.T) {
 
 func TestPPDCandidates(t *testing.T) {
 	// Full series for small cardinality.
-	got := ppdCandidates(100, 2, -1) // nm = 10
+	got := ppdCandidates(100, 2) // nm = 10
 	if len(got) != 9 || got[0] != 2 || got[len(got)-1] != 10 {
 		t.Errorf("full candidates = %v", got)
 	}
-	// Thinned series keeps endpoints and stays within the bound.
-	got = ppdCandidates(1_000_000, 2, 8) // nm = 1000
-	if len(got) > 8 || got[0] != 2 || got[len(got)-1] != 1000 {
+	// Thinned series fills the bound, keeps endpoints and strictly ascends.
+	got = ppdCandidates(1_000_000, 2) // nm = 1000
+	if len(got) != DefaultMaxPPDCandidates || got[0] != 2 || got[len(got)-1] != 1000 {
 		t.Errorf("thinned candidates = %v", got)
 	}
-	// Default bound applies when 0.
-	got = ppdCandidates(1_000_000, 2, 0)
-	if len(got) > DefaultMaxPPDCandidates {
-		t.Errorf("default-thinned candidates = %v", got)
-	}
-	// A bound of 1 keeps the fallback PPD alone (and used to divide by zero).
-	got = ppdCandidates(1_000_000, 2, 1)
-	if len(got) != 1 || got[0] != 2 {
-		t.Errorf("bound-1 candidates = %v", got)
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Errorf("thinned candidates not strictly ascending: %v", got)
+		}
 	}
 	// Tiny data: nm = 2, single candidate.
-	got = ppdCandidates(5, 3, 0)
+	got = ppdCandidates(5, 3)
 	if len(got) != 1 || got[0] != 2 {
 		t.Errorf("tiny candidates = %v", got)
 	}

@@ -8,7 +8,6 @@ import (
 	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/skyline"
-	"mrskyline/internal/tuple"
 )
 
 // Config parametrizes the grid-partitioning skyline algorithms. The zero
@@ -32,18 +31,10 @@ type Config struct {
 	// number of cluster nodes, matching the paper's "one reducer per node".
 	NumReducers int
 
-	// PPD fixes the partitions-per-dimension. Zero selects it with the
-	// MapReduce heuristic of Section 3.3.
+	// PPD fixes the partitions-per-dimension: job 1 runs it as its one
+	// candidate. Zero selects it with the MapReduce heuristic of Section
+	// 3.3 over a candidate series thinned to DefaultMaxPPDCandidates.
 	PPD int
-	// MaxPPDCandidates bounds how many candidate PPD values the Section
-	// 3.3 job evaluates. The paper's mappers build one bitstring for every
-	// integer in [2, c^(1/d)], which is quadratic-plus memory at high
-	// cardinality; by default this implementation thins the series to at
-	// most DefaultMaxPPDCandidates values spread evenly across the range
-	// (always including both endpoints). Set to a negative value to force
-	// the full series. A bound of 1 evaluates the single candidate 2, which
-	// makes the job a plain bitstring generation at PPD 2.
-	MaxPPDCandidates int
 
 	// Kernel is the local-skyline algorithm inside tasks (default BNL, the
 	// paper's Algorithm 4; SFS is the future-work ablation).
@@ -70,23 +61,6 @@ func (c *Config) ctx() context.Context {
 	return context.Background()
 }
 
-// scratchDecoder decodes records for a mapper that does not retain tuples:
-// every call overwrites and returns one scratch tuple, so the result is
-// valid only until the next call. The scratch tuple belongs to the returned
-// closure, not to c: a mapper takes its own per task attempt, because the
-// Config is shared by all of a job's concurrent tasks.
-func (c *Config) scratchDecoder(d int) func(mapreduce.Record) (tuple.Tuple, error) {
-	scratch := make(tuple.Tuple, d)
-	return func(rec mapreduce.Record) (tuple.Tuple, error) {
-		t, _, err := tuple.DecodeInto(scratch, rec.Value)
-		return t, err
-	}
-}
-
-// DefaultMaxPPDCandidates is the default thinning bound for the PPD
-// selection job.
-const DefaultMaxPPDCandidates = 16
-
 // validate normalizes and checks the configuration against the data shape.
 func (c *Config) validate(d int) error {
 	if c.Engine == nil {
@@ -108,15 +82,6 @@ func (c *Config) validate(d int) error {
 		return fmt.Errorf("core: bounds dimensionality %d/%d does not match data d=%d", len(c.Lo), len(c.Hi), d)
 	}
 	return nil
-}
-
-// newGrid builds a d-dimensional grid with n PPD over the configured
-// domain (unit box by default).
-func (c *Config) newGrid(d, n int) (*grid.Grid, error) {
-	if c.Lo == nil {
-		return grid.New(d, n)
-	}
-	return grid.NewWithBounds(d, n, c.Lo, c.Hi)
 }
 
 func (c *Config) mappers() int {

@@ -139,41 +139,6 @@ func TestAutoPPD(t *testing.T) {
 	}
 }
 
-func TestAutoPPDFullCandidateSeries(t *testing.T) {
-	cfg := testConfig(t, 2, 2)
-	cfg.MaxPPDCandidates = -1 // full series of Section 3.3
-	data := datagen.Generate(datagen.AntiCorrelated, 300, 2, 23)
-	want := skyline.Naive(data)
-	got, _, err := core.GPSRS(cfg, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tuple.EqualAsSet(got, want) {
-		t.Fatal("wrong skyline with full candidate series")
-	}
-}
-
-// TestAutoPPDSingleCandidate: a candidate bound of 1 evaluates PPD 2 alone
-// instead of dividing by zero while thinning the series.
-func TestAutoPPDSingleCandidate(t *testing.T) {
-	cfg := testConfig(t, 2, 2)
-	cfg.MaxPPDCandidates = 1
-	data := datagen.Generate(datagen.AntiCorrelated, 600, 2, 29)
-	want := skyline.Naive(data)
-	for _, a := range algos {
-		got, stats, err := a.run(cfg, data)
-		if err != nil {
-			t.Fatalf("%s: %v", a.name, err)
-		}
-		if !tuple.EqualAsSet(got, want) {
-			t.Fatalf("%s: wrong skyline with a single candidate", a.name)
-		}
-		if stats.PPD != 2 || !stats.AutoPPD {
-			t.Errorf("%s: PPD %d (auto %v), want the lone candidate 2", a.name, stats.PPD, stats.AutoPPD)
-		}
-	}
-}
-
 func TestEmptyInput(t *testing.T) {
 	cfg := testConfig(t, 2, 1)
 	for _, a := range algos {

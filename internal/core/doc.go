@@ -1,13 +1,13 @@
 // Package core implements the paper's contribution: grid-partitioning-based
 // skyline computation in MapReduce.
 //
-//   - Bitstring generation (Section 3.2, Algorithms 1–2): mappers build
-//     local occupancy bitstrings; a single reducer ORs them and prunes
-//     dominated partitions (Equation 2).
-//   - PPD selection (Section 3.3): mappers emit one local bitstring per
-//     candidate partitions-per-dimension value; the reducer merges per
-//     candidate and picks the PPD whose achieved tuples-per-partition is
-//     closest to the independent-distribution prediction of Equation 3.
+//   - Job 1, PPD selection and bitstring generation (Sections 3.2–3.3):
+//     mappers emit one local occupancy bitstring per candidate
+//     partitions-per-dimension value; the single reducer ORs them per
+//     candidate, picks the PPD whose achieved tuples-per-partition is
+//     closest to the independent-distribution prediction of Equation 3, and
+//     prunes its dominated partitions (Equation 2). A fixed PPD is the one
+//     candidate, which makes the job Algorithms 1–2.
 //   - MR-GPSRS (Section 4, Algorithms 3–6): mappers compute per-partition
 //     local skylines gated by the bitstring and eliminate cross-partition
 //     false positives locally; a single reducer merges per-partition

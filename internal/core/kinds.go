@@ -21,14 +21,12 @@ import (
 
 // Job kinds registered by this package.
 const (
-	KindBitstringGen = "core/bitstring-gen"
-	KindPPDSelect    = "core/ppd-select"
-	KindGPSRS        = "core/gpsrs"
-	KindGPMRS        = "core/gpmrs"
+	KindPPDSelect = "core/ppd-select"
+	KindGPSRS     = "core/gpsrs"
+	KindGPMRS     = "core/gpmrs"
 )
 
 func init() {
-	mapreduce.RegisterKind(KindBitstringGen, buildBitstringKind)
 	mapreduce.RegisterKind(KindPPDSelect, buildPPDSelectKind)
 	mapreduce.RegisterKind(KindGPSRS, buildGPSRSKind)
 	mapreduce.RegisterKind(KindGPMRS, buildGPMRSKind)
@@ -55,12 +53,6 @@ type skySpec struct {
 	Grid   gridSpec `json:"grid"`
 	Kernel int      `json:"kernel"`
 	Merge  int      `json:"merge,omitempty"` // GPMRS only
-}
-
-// bitstringSpec parametrizes the Algorithm 1–2 bitstring job.
-type bitstringSpec struct {
-	Grid           gridSpec `json:"grid"`
-	DisablePruning bool     `json:"disablePruning,omitempty"`
 }
 
 // ppdSelectSpec parametrizes the Section 3.3 PPD-selection job.
@@ -107,18 +99,6 @@ func buildGPMRSKind(spec []byte) (*mapreduce.JobFuncs, error) {
 	return gpmrsFuncs(&Config{Kernel: skyline.Kernel(s.Kernel), Merge: grid.MergeStrategy(s.Merge)}, g), nil
 }
 
-func buildBitstringKind(spec []byte) (*mapreduce.JobFuncs, error) {
-	var s bitstringSpec
-	if err := json.Unmarshal(spec, &s); err != nil {
-		return nil, fmt.Errorf("core: bitstring spec: %w", err)
-	}
-	g, err := s.Grid.build()
-	if err != nil {
-		return nil, err
-	}
-	return bitstringFuncs(&Config{}, g, s.DisablePruning), nil
-}
-
 func buildPPDSelectKind(spec []byte) (*mapreduce.JobFuncs, error) {
 	var s ppdSelectSpec
 	if err := json.Unmarshal(spec, &s); err != nil {
@@ -128,5 +108,5 @@ func buildPPDSelectKind(spec []byte) (*mapreduce.JobFuncs, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: ppd-select spec: %w", err)
 	}
-	return ppdSelectFuncs(&Config{}, s.Card, ladder, s.DisablePruning), nil
+	return ppdSelectFuncs(s.Card, ladder, s.DisablePruning), nil
 }

@@ -10,10 +10,10 @@ import (
 // Plan is the part of a grid skyline run over an in-memory dataset that
 // does not depend on which skyline job follows, or on how often: the
 // dataset encoded once as a job input, and the grid and pruned global
-// bitstring the Section 3.3 (or Algorithm 1–2) job derived from it. Both
-// are pure functions of the data, the domain bounds, the PPD setting and
-// the mapper count, so a caller that queries one immutable dataset
-// repeatedly prepares once and calls Run per query. A Plan is immutable
+// bitstring job 1 (the Section 3.3 job) derived from it. Both are pure
+// functions of the data, the domain bounds, the PPD setting and the mapper
+// count, so a caller that queries one immutable dataset repeatedly
+// prepares once and calls Run per query. A Plan is immutable
 // and safe for concurrent Runs.
 type Plan struct {
 	input mapreduce.Input
@@ -21,9 +21,9 @@ type Plan struct {
 	prep  *BitstringResult
 }
 
-// Prepare validates data, encodes it once and runs the bitstring phase
-// under cfg (Engine, Ctx, NumMappers, PPD/MaxPPDCandidates, Lo/Hi,
-// DisablePruning). data must be non-empty.
+// Prepare validates data, encodes it once and runs job 1 under cfg
+// (Engine, Ctx, NumMappers, PPD, Lo/Hi, DisablePruning). data must be
+// non-empty.
 func Prepare(cfg Config, data tuple.List) (*Plan, error) {
 	if err := data.Validate(); err != nil {
 		return nil, err

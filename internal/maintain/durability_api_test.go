@@ -150,9 +150,9 @@ func TestCheckBatch(t *testing.T) {
 		t.Fatalf("CheckBatch rejected a valid batch: %v", err)
 	}
 	bad := [][]Delta{
-		{{Op: OpInsert, Row: tuple.Tuple{0.1, 0.2}}},           // wrong dim
-		{{Op: Op(9), Row: tuple.Tuple{0.1, 0.2, 0.3}}},         // unknown op
-		{{Op: OpInsert, Row: tuple.Tuple{0.1, 0.2, nan()}}},    // NaN
+		{{Op: OpInsert, Row: tuple.Tuple{0.1, 0.2}}},        // wrong dim
+		{{Op: Op(9), Row: tuple.Tuple{0.1, 0.2, 0.3}}},      // unknown op
+		{{Op: OpInsert, Row: tuple.Tuple{0.1, 0.2, nan()}}}, // NaN
 	}
 	gen := m.Generation()
 	for i, b := range bad {

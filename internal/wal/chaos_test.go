@@ -137,12 +137,12 @@ func TestChaosCrashRecovery(t *testing.T) {
 		mode  SyncMode
 	}{
 		// Mid-append crashes, every stage of a batch's life.
-		{"append.write", 3, 0, SyncAlways},   // record never reaches disk
-		{"append.write", 3, 60, SyncAlways},  // torn write: 60% of the record persisted
-		{"append.write", 5, 30, SyncBatch},   // torn write under group commit
+		{"append.write", 3, 0, SyncAlways},  // record never reaches disk
+		{"append.write", 3, 60, SyncAlways}, // torn write: 60% of the record persisted
+		{"append.write", 5, 30, SyncBatch},  // torn write under group commit
 		{"append.unsynced", 4, 0, SyncAlways},
-		{"append.synced", 4, 0, SyncAlways},  // durable but crash before apply+ack
-		{"applied", 6, 0, SyncAlways},        // applied but crash before ack
+		{"append.synced", 4, 0, SyncAlways}, // durable but crash before apply+ack
+		{"applied", 6, 0, SyncAlways},       // applied but crash before ack
 		{"applied", 6, 0, SyncBatch},
 		{"applied", 6, 0, SyncInterval},
 		// Mid-checkpoint crashes. hit 2 for ckpt.written skips the

@@ -180,8 +180,9 @@ func oneShot(opts Options) (*Service, error) {
 }
 
 // validateOptions checks the data-independent parts of opts — the
-// algorithm and kernel names and the simulated cluster shape — so invalid
-// options fail identically on empty and non-empty data.
+// algorithm and kernel names, the simulated cluster shape and the PPD — so
+// invalid options fail identically on empty and non-empty data, whichever
+// algorithm runs.
 func validateOptions(opts Options) error {
 	switch algorithmOrDefault(opts.Algorithm) {
 	case GPMRS, GPSRS, Hybrid, MRBNL, MRAngle:
@@ -202,6 +203,9 @@ func validateOptions(opts Options) error {
 	}
 	if opts.Reducers < 0 {
 		return fmt.Errorf("mrskyline: Reducers must be ≥ 0, got %d", opts.Reducers)
+	}
+	if opts.PPD < 0 || opts.PPD == 1 {
+		return fmt.Errorf("mrskyline: PPD must be 0 (auto) or ≥ 2, got %d", opts.PPD)
 	}
 	if err := spill.ValidateSetup(opts.SpillBudget, opts.SpillDir); err != nil {
 		return fmt.Errorf("mrskyline: %w", err)

@@ -56,6 +56,9 @@ func TestValidationContract(t *testing.T) {
 		{"compute/negative slots", compute(mrskyline.Options{SlotsPerNode: -2}), true},
 		{"compute/negative mappers", compute(mrskyline.Options{Mappers: -3}), true},
 		{"compute/negative reducers", compute(mrskyline.Options{Reducers: -1}), true},
+		{"compute/negative ppd", compute(mrskyline.Options{PPD: -1}), true},
+		{"compute/ppd 1", compute(mrskyline.Options{PPD: 1}), true},
+		{"compute/MR-BNL ppd 1", compute(mrskyline.Options{Algorithm: mrskyline.MRBNL, PPD: 1}), true},
 		{"compute/maximize length vs d", compute(mrskyline.Options{Maximize: []bool{true}}), false},
 		{"constrained/no constraints", constrained(nil, mrskyline.Options{}), true},
 		{"constrained/nan bound", constrained([]mrskyline.Range{{Min: nan, Max: 1}, mrskyline.Unbounded()}, mrskyline.Options{}), true},
@@ -63,6 +66,7 @@ func TestValidationContract(t *testing.T) {
 		{"constrained/maximize vs constraints", constrained(unb, mrskyline.Options{Maximize: []bool{true}}), true},
 		{"constrained/unknown algorithm", constrained(unb, mrskyline.Options{Algorithm: "MR-Nope"}), true},
 		{"constrained/unknown kernel", constrained(unb, mrskyline.Options{Kernel: "quantum"}), true},
+		{"constrained/negative ppd", constrained(unb, mrskyline.Options{PPD: -1}), true},
 		{"constrained/arity vs d", constrained([]mrskyline.Range{mrskyline.Unbounded()}, mrskyline.Options{}), false},
 		{"subspace/empty dims", subspace(nil, mrskyline.Options{}), true},
 		{"subspace/negative dim", subspace([]int{0, -1}, mrskyline.Options{}), true},
@@ -70,6 +74,7 @@ func TestValidationContract(t *testing.T) {
 		{"subspace/maximize vs dims", subspace([]int{0}, mrskyline.Options{Maximize: []bool{true, false}}), true},
 		{"subspace/unknown algorithm", subspace([]int{0}, mrskyline.Options{Algorithm: "MR-Nope"}), true},
 		{"subspace/unknown kernel", subspace([]int{0}, mrskyline.Options{Kernel: "quantum"}), true},
+		{"subspace/ppd 1", subspace([]int{0}, mrskyline.Options{PPD: 1}), true},
 		{"subspace/dim vs d", subspace([]int{5}, mrskyline.Options{}), false},
 	}
 	for _, tc := range cases {
