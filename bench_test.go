@@ -111,6 +111,34 @@ func BenchmarkExtensionSKYMR(b *testing.B) { benchFigure(b, "extension-skymr") }
 // cluster grows at a fixed workload (not a paper figure).
 func BenchmarkExtensionScaleOut(b *testing.B) { benchFigure(b, "extension-scaleout") }
 
+// benchCompute times one package-level Compute over a generated dataset,
+// with default Options: the operation of the benchmark harness's batch
+// workloads (seed 7), without its CSV round trip. Run with -benchmem and
+// -cpu 1 (the harness's batch runs leave one core free): bytes per op is
+// what the harness's rss_mb follows, and ns/op settles what its
+// throughput cannot resolve.
+func benchCompute(b *testing.B, dist string, card, dim int) {
+	data, err := mrskyline.Generate(dist, card, dim, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mrskyline.Compute(data, mrskyline.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkComputeIndep is batch-indep's operation: independent
+// 150 000 × 3, where the input pass and job 1 outweigh the skyline.
+func BenchmarkComputeIndep(b *testing.B) { benchCompute(b, "independent", 150000, 3) }
+
+// BenchmarkComputeAnti is batch-anti's operation: anticorrelated
+// 40 000 × 5, where the dominance kernel leads.
+func BenchmarkComputeAnti(b *testing.B) { benchCompute(b, "anticorrelated", 40000, 5) }
+
 // BenchmarkServiceSession is the in-package reading of the benchmark
 // harness's serve-query workload, without HTTP: one iteration is two
 // concurrent sessions against one Service, each the harness's four requests

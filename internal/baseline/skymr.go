@@ -92,7 +92,7 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 	// ---- Job 1: per-leaf local skylines --------------------------------
 	local := &mapreduce.Job{
 		Name:        "sky-mr-local",
-		Input:       mapreduce.TupleInput(data),
+		Input:       mapreduce.EncodeTuples(data),
 		NumMappers:  cfg.mappers(),
 		NumReducers: reducers,
 		Cache:       cache,

@@ -21,20 +21,13 @@ type Plan struct {
 	prep  *BitstringResult
 }
 
-// Prepare validates data, encodes it once and runs job 1 under cfg
-// (Engine, Ctx, NumMappers, PPD, Lo/Hi, DisablePruning). data must be
-// non-empty.
-func Prepare(cfg Config, data tuple.List) (*Plan, error) {
-	if err := data.Validate(); err != nil {
-		return nil, err
-	}
-	// Nothing below the encoding may mention data: the input is a copy,
-	// and a reference held across the bitstring job (even len(data) in the
-	// return) keeps the whole list alive for the job's duration.
-	p := &Plan{input: mapreduce.TupleInput(data), card: len(data)}
-	d := data.Dim()
+// Prepare runs job 1 under cfg (Engine, Ctx, NumMappers, PPD, Lo/Hi,
+// DisablePruning) over in, a non-empty dataset EncodeRows has checked and
+// encoded, and keeps in as the input of every skyline job the plan runs.
+func Prepare(cfg Config, in mapreduce.TupleArena) (*Plan, error) {
+	p := &Plan{input: in, card: in.Len()}
 	var err error
-	if p.prep, err = prepareInput(&cfg, p.input, d, p.card); err != nil {
+	if p.prep, err = prepareInput(&cfg, p.input, in.Dim(), p.card); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -62,14 +55,20 @@ func (a Algorithm) String() string {
 	}
 }
 
-// compute is the one-shot run behind GPSRS, GPMRS and Hybrid: prepare, then
-// the skyline job, with Stats.Total covering both.
+// compute is the one-shot run behind GPSRS, GPMRS and Hybrid: check and
+// encode data, prepare, then the skyline job, with Stats.Total covering
+// all of it. The domain is cfg's Lo/Hi (the unit box when nil), not the
+// data's bounds.
 func compute(cfg Config, data tuple.List, algo Algorithm, threshold int64) (tuple.List, *Stats, error) {
 	start := time.Now()
 	if len(data) == 0 {
 		return nil, &Stats{Algorithm: algo.String()}, nil
 	}
-	plan, err := Prepare(cfg, data)
+	in, _, _, err := EncodeRows(data, nil, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := Prepare(cfg, in)
 	if err != nil {
 		return nil, nil, err
 	}

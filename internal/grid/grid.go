@@ -71,17 +71,23 @@ func unitBox(d int) (lo, hi tuple.Tuple) {
 
 // DataBounds returns grid bounds [lo, hi) for a non-empty data set: per
 // dimension the smallest and the largest value (values equal to hi clamp
-// into the top cell, which is always safe). A constant dimension would be
-// an empty extent, which NewWithBounds rejects, so it is widened to
-// [lo, lo+1) — or, where lo+1 rounds back to lo (|lo| ≥ 2^53), by one ulp
-// toward the finite side: hi moves up, except at MaxFloat64, where lo moves
-// down.
+// into the top cell, which is always safe), widened by WidenBounds.
 func DataBounds(data tuple.List) (lo, hi tuple.Tuple) {
 	lo, hi = data[0].Clone(), data[0].Clone()
 	for _, t := range data[1:] {
 		lo.MinWith(t)
 		hi.MaxWith(t)
 	}
+	WidenBounds(lo, hi)
+	return lo, hi
+}
+
+// WidenBounds turns the per-dimension minima lo and maxima hi of a data set
+// into grid bounds, in place. A constant dimension would be an empty
+// extent, which NewWithBounds rejects, so it is widened to [lo, lo+1) — or,
+// where lo+1 rounds back to lo (|lo| ≥ 2^53), by one ulp toward the finite
+// side: hi moves up, except at MaxFloat64, where lo moves down.
+func WidenBounds(lo, hi tuple.Tuple) {
 	for k := range lo {
 		if hi[k] > lo[k] {
 			continue
@@ -95,7 +101,6 @@ func DataBounds(data tuple.List) (lo, hi tuple.Tuple) {
 			lo[k] = math.Nextafter(lo[k], math.Inf(-1))
 		}
 	}
-	return lo, hi
 }
 
 // NewWithBounds returns a grid over the box [lo, hi) with n partitions per

@@ -1,6 +1,10 @@
 package mapreduce
 
-import "mrskyline/internal/tuple"
+import (
+	"fmt"
+
+	"mrskyline/internal/tuple"
+)
 
 // Input provides the splits of a job's input data: hint is the desired
 // split count, one split per map task. Inputs live in memory — where a
@@ -16,12 +20,22 @@ type Split interface {
 	Each(fn func(Record) error) error
 }
 
+// splitCount resolves a split hint for n records: at least one split, and
+// no more splits than records when there are any. Split i of k holds
+// records [i·n/k, (i+1)·n/k), the boundaries every Input here uses.
+func splitCount(n, hint int) int {
+	k := max(hint, 1)
+	if n > 0 {
+		k = min(k, n)
+	}
+	return k
+}
+
 // ---------------------------------------------------------------------------
 // In-memory record input
 
 // MemoryInput serves records from memory, chunked into the hinted number of
-// splits. Every job reads one: a dataset through TupleInput, a previous
-// job's output through RecordsInput.
+// splits. A previous job's output feeds the next one through RecordsInput.
 type MemoryInput struct {
 	// Records are served in order, round-robin-free: split i gets the i-th
 	// contiguous chunk.
@@ -30,21 +44,10 @@ type MemoryInput struct {
 
 // Splits implements Input.
 func (m MemoryInput) Splits(hint int) ([]Split, error) {
-	if hint < 1 {
-		hint = 1
-	}
 	n := len(m.Records)
-	if hint > n && n > 0 {
-		hint = n
-	}
-	if n == 0 {
-		return []Split{memorySplit(nil)}, nil
-	}
-	splits := make([]Split, 0, hint)
-	for i := 0; i < hint; i++ {
-		lo := i * n / hint
-		hi := (i + 1) * n / hint
-		splits = append(splits, memorySplit(m.Records[lo:hi]))
+	splits := make([]Split, splitCount(n, hint))
+	for i := range splits {
+		splits[i] = memorySplit(m.Records[i*n/len(splits) : (i+1)*n/len(splits)])
 	}
 	return splits, nil
 }
@@ -60,24 +63,98 @@ func (s memorySplit) Each(fn func(Record) error) error {
 	return nil
 }
 
-// TupleInput adapts a tuple list into an input: each record's value is the
-// binary encoding of one tuple (key nil). Every value is a capacity-clipped
-// window of one exactly sized arena, so the input is the arena plus the
-// record slice whatever the cardinality, and it copies data: later changes
-// to the list do not reach it. Building it is a full encoding pass, and
-// nothing that reads an input writes to it, so internal/core builds one per
-// run and gives the same input to the bitstring job and the skyline job.
-func TupleInput(data tuple.List) MemoryInput {
-	size := 0
-	for _, t := range data {
-		size += uvarintLen(uint64(len(t))) + 8*len(t)
+// ---------------------------------------------------------------------------
+// Encoded tuple input
+
+// TupleArena is a dataset encoded as a job input: record i is the
+// tuple.AppendEncode bytes of the i-th tuple (key nil), and every record
+// has the same d dimensions and so the same stride, packed into one exactly
+// sized []byte that holds no pointers. Its splits are views: Splits cuts at
+// MemoryInput's boundaries and Each yields capacity-clipped windows of the
+// arena, so a job reads the same bytes in the same order as from
+// TupleInput's records without a Record per tuple being held. Put fills
+// it; nothing that reads an input writes to it, so one arena serves every
+// job of a run, concurrently.
+type TupleArena struct {
+	buf       []byte
+	d, stride int
+}
+
+// NewTupleArena returns an arena for n tuples of d dimensions, to be
+// filled with Put.
+func NewTupleArena(n, d int) TupleArena {
+	stride := uvarintLen(uint64(d)) + 8*d
+	return TupleArena{buf: make([]byte, n*stride), d: d, stride: stride}
+}
+
+// Put encodes t as record i; t must have the arena's d dimensions. Put is
+// the one encoder of a job's input records: EncodeTuples, TupleInput and
+// core.EncodeRows, every grid query's input pass, write through it.
+func (a TupleArena) Put(i int, t tuple.Tuple) {
+	if len(tuple.AppendEncode(a.record(i)[:0], t)) != a.stride {
+		panic(fmt.Sprintf("mapreduce: %d-dimensional tuple put into a %d-dimensional arena", len(t), a.d))
 	}
-	buf := make([]byte, 0, size)
-	recs := make([]Record, len(data))
+}
+
+// record returns record i's bytes, a window that cannot grow into the
+// next record.
+func (a TupleArena) record(i int) []byte {
+	return a.buf[i*a.stride : (i+1)*a.stride : (i+1)*a.stride]
+}
+
+// Len returns the number of records.
+func (a TupleArena) Len() int { return len(a.buf) / a.stride }
+
+// Dim returns the records' dimensionality.
+func (a TupleArena) Dim() int { return a.d }
+
+// Splits implements Input.
+func (a TupleArena) Splits(hint int) ([]Split, error) {
+	n := a.Len()
+	splits := make([]Split, splitCount(n, hint))
+	for i := range splits {
+		lo, hi := i*n/len(splits), (i+1)*n/len(splits)
+		splits[i] = arenaSplit{buf: a.buf[lo*a.stride : hi*a.stride], stride: a.stride}
+	}
+	return splits, nil
+}
+
+// arenaSplit is a run of an arena's records.
+type arenaSplit struct {
+	buf    []byte
+	stride int
+}
+
+// Each yields each record's bytes as a window that cannot grow into the
+// next record.
+func (s arenaSplit) Each(fn func(Record) error) error {
+	for off := 0; off < len(s.buf); off += s.stride {
+		if err := fn(Record{Value: s.buf[off : off+s.stride : off+s.stride]}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// EncodeTuples encodes a tuple list, whose tuples must share one
+// dimensionality, into a TupleArena: a copy, so later changes to the list
+// do not reach it.
+func EncodeTuples(data tuple.List) TupleArena {
+	a := NewTupleArena(len(data), data.Dim())
 	for i, t := range data {
-		start := len(buf)
-		buf = tuple.AppendEncode(buf, t)
-		recs[i] = Record{Value: buf[start:len(buf):len(buf)]}
+		a.Put(i, t)
+	}
+	return a
+}
+
+// TupleInput is EncodeTuples with the arena's records listed, for callers
+// that want the Records themselves; a job over a dataset reads the arena
+// and holds no Record per tuple.
+func TupleInput(data tuple.List) MemoryInput {
+	a := EncodeTuples(data)
+	recs := make([]Record, len(data))
+	for i := range recs {
+		recs[i] = Record{Value: a.record(i)}
 	}
 	return MemoryInput{Records: recs}
 }
@@ -92,7 +169,7 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// DecodeTupleRecord recovers a tuple from a TupleInput record.
+// DecodeTupleRecord recovers a tuple from a TupleArena record.
 func DecodeTupleRecord(rec Record) (tuple.Tuple, error) {
 	t, _, err := tuple.Decode(rec.Value)
 	return t, err

@@ -226,7 +226,8 @@ func CheckAt(i int, t Tuple, d int) error {
 
 // malformedAt words the failure of Validate and CheckAt; kept apart so that
 // their per-tuple checks stay small (Validate's loop makes no call per
-// tuple; every Compute runs it over the whole dataset twice).
+// tuple; a grid query over well-formed rows checks each row once, in the
+// Dataset handle's scan or in its input pass).
 func malformedAt(i int, t Tuple, d int) error {
 	switch {
 	case d == 0:

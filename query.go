@@ -138,7 +138,7 @@ func validateDims(dims []int, opts Options) error {
 
 // projectSubspace checks dims against the data's dimensionality and
 // returns the projected rows, each a capacity-clipped window of one
-// len(data) × len(dims) slab (the mapreduce.TupleInput arena idiom): one
+// len(data) × len(dims) slab (the mapreduce.TupleArena idiom): one
 // allocation for the values instead of one per row, and an append to a row
 // cannot reach its neighbour.
 func projectSubspace(data [][]float64, dims []int) ([][]float64, error) {

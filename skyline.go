@@ -213,7 +213,7 @@ func validateOptions(opts Options) error {
 	return nil
 }
 
-// computeOn runs the pipeline — orientation, row validation, algorithm
+// computeOn runs the pipeline — row validation, orientation, algorithm
 // dispatch — on an existing executor, which may be shared across
 // concurrent callers (Service runs all its queries through one) and may be
 // the in-process engine or a multi-process backend. data is non-empty and
@@ -278,20 +278,22 @@ func checkMaximize(maximize []bool, d int) error {
 // orientRows returns non-empty data under maximize's all-minimize view:
 // maximized dimensions are negated once (exact in IEEE 754), so the rest of
 // the pipeline is pure minimization with no per-comparison orientation
-// branching. Rows are checked on the way unless validated.
+// branching. Unless validated, each row is checked before it is negated, so
+// a malformed row is reported with the caller's values.
 func orientRows(data [][]float64, maximize []bool, validated bool) (Orientation, tuple.List, error) {
-	if err := checkMaximize(maximize, len(data[0])); err != nil {
+	d := len(data[0])
+	if err := checkMaximize(maximize, d); err != nil {
 		return Orientation{}, nil, err
 	}
 	orient := NewOrientation(maximize)
 	work := make(tuple.List, len(data))
 	for i, row := range data {
-		work[i] = tuple.Tuple(orient.Apply(row))
-	}
-	if !validated {
-		if err := work.Validate(); err != nil {
-			return Orientation{}, nil, fmt.Errorf("mrskyline: %w", err)
+		if !validated {
+			if err := tuple.CheckAt(i, row, d); err != nil {
+				return Orientation{}, nil, fmt.Errorf("mrskyline: %w", err)
+			}
 		}
+		work[i] = tuple.Tuple(orient.Apply(row))
 	}
 	return orient, work, nil
 }
@@ -322,19 +324,24 @@ func gridConfig(ctx context.Context, eng mapreduce.Executor, opts Options) (core
 	}, nil
 }
 
-// newGridPlan orients data, bounds its domain and runs the bitstring phase
-// — everything a grid query does before its skyline job.
+// newGridPlan checks, orients, bounds and encodes data in one pass
+// (core.EncodeRows) and runs the bitstring phase over the encoding —
+// everything a grid query does before its skyline job.
 func newGridPlan(ctx context.Context, eng mapreduce.Executor, data [][]float64, opts Options, validated bool) (*gridPlan, error) {
-	orient, work, err := orientRows(data, opts.Maximize, validated)
-	if err != nil {
+	if err := checkMaximize(opts.Maximize, len(data[0])); err != nil {
 		return nil, err
+	}
+	orient := NewOrientation(opts.Maximize)
+	in, lo, hi, err := core.EncodeRows(data, orient.signs, validated)
+	if err != nil {
+		return nil, fmt.Errorf("mrskyline: %w", err)
 	}
 	cfg, err := gridConfig(ctx, eng, opts)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Lo, cfg.Hi = grid.DataBounds(work)
-	plan, err := core.Prepare(cfg, work)
+	cfg.Lo, cfg.Hi = lo, hi
+	plan, err := core.Prepare(cfg, in)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package mrskyline_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	mrskyline "mrskyline"
@@ -91,6 +92,26 @@ func TestValidationContract(t *testing.T) {
 			}
 		})
 	}
+
+	// A malformed row is reported with the values the caller wrote, under
+	// every algorithm and query shape: rows are checked before maximized
+	// dimensions are negated, never after.
+	t.Run("malformed row under Maximize", func(t *testing.T) {
+		bad := [][]float64{{1, 2}, {3, math.Inf(1)}}
+		const want = "at index 1: (3, +Inf)"
+		for _, algo := range mrskyline.Algorithms() {
+			opts := mrskyline.Options{Algorithm: algo, Maximize: []bool{true, true}}
+			for shape, c := range map[string]call{
+				"compute":     compute(opts),
+				"constrained": constrained(unb, opts),
+				"subspace":    subspace([]int{0, 1}, opts),
+			} {
+				if err := c(bad); err == nil || !strings.HasSuffix(err.Error(), want) {
+					t.Errorf("%s/%s: error %v, want one ending %q", shape, algo, err, want)
+				}
+			}
+		}
+	})
 }
 
 // TestConstrainedRejectsNaNRows pins the NaN-row fix: a NaN lies outside
