@@ -6,6 +6,7 @@ import (
 	"mrskyline/internal/core"
 	"mrskyline/internal/datagen"
 	"mrskyline/internal/mapreduce"
+	"mrskyline/internal/tuple"
 )
 
 // BenchmarkPPDSelectJob times the Section 3.3 job alone — candidate ladder,
@@ -30,16 +31,16 @@ func BenchmarkPPDSelectJob(b *testing.B) {
 	}
 }
 
-// benchGPMRS times one core.GPMRS run per iteration on the default 8 × 2
-// cluster and reports the run's exact dominance-test count beside it.
-func benchGPMRS(b *testing.B, dist datagen.Distribution, card, d int) {
+// benchGrid times one run of a grid algorithm per iteration on the default
+// 8 × 2 cluster and reports the run's exact dominance-test count beside it.
+func benchGrid(b *testing.B, run func(core.Config, tuple.List) (tuple.List, *core.Stats, error), dist datagen.Distribution, card, d int) {
 	cfg := testConfig(b, 8, 2)
 	data := datagen.Generate(dist, card, d, 3)
 	var tests int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sky, st, err := core.GPMRS(cfg, data)
+		sky, st, err := run(cfg, data)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,9 +55,17 @@ func benchGPMRS(b *testing.B, dist datagen.Distribution, card, d int) {
 // BenchmarkGPMRSAnti is the benchmark's batch-anti operation inside the
 // package: anticorrelated 40 000 × 5, where the window kernel is most of the
 // run and Algorithm 5 most of the kernel.
-func BenchmarkGPMRSAnti(b *testing.B) { benchGPMRS(b, datagen.AntiCorrelated, 40_000, 5) }
+func BenchmarkGPMRSAnti(b *testing.B) { benchGrid(b, core.GPMRS, datagen.AntiCorrelated, 40_000, 5) }
 
 // BenchmarkGPMRSIndepSmall is the small-window guard: independent
 // 20 000 × 4, the serve-query dataset shape, where every window holds a
 // handful of tuples and per-window fixed cost is what shows.
-func BenchmarkGPMRSIndepSmall(b *testing.B) { benchGPMRS(b, datagen.Independent, 20_000, 4) }
+func BenchmarkGPMRSIndepSmall(b *testing.B) {
+	benchGrid(b, core.GPMRS, datagen.Independent, 20_000, 4)
+}
+
+// BenchmarkGPSRSIndepSmall is MR-GPSRS, the skyline job with one bucket, on
+// the same shape: the algorithm a serve-query inline request runs.
+func BenchmarkGPSRSIndepSmall(b *testing.B) {
+	benchGrid(b, core.GPSRS, datagen.Independent, 20_000, 4)
+}

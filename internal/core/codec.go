@@ -82,12 +82,7 @@ func appendPartMap(dst []byte, wm winMap, parts []int) []byte {
 	return dst
 }
 
-// encodePartMap is appendPartMap into a fresh buffer.
-func encodePartMap(wm winMap, parts []int) []byte {
-	return appendPartMap(nil, wm, parts)
-}
-
-// decodePartMap parses one encodePartMap payload.
+// decodePartMap parses one appendPartMap payload.
 func decodePartMap(b []byte) (partMap, error) {
 	cnt, n := binary.Uvarint(b)
 	if n <= 0 {

@@ -56,7 +56,7 @@ func TestPartMapRoundTrip(t *testing.T) {
 		}
 		wm := winMapOf(2, pm)
 		parts := wm.sortedPartitions()
-		enc := encodePartMap(wm, parts)
+		enc := appendPartMap(nil, wm, parts)
 		dec, err := decodePartMap(enc)
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +80,7 @@ func TestPartMapRoundTrip(t *testing.T) {
 
 func TestPartMapSubsetEncoding(t *testing.T) {
 	wm := winMapOf(1, map[int]tuple.List{1: {{0.1}}, 2: {{0.2}}, 3: {{0.3}}})
-	enc := encodePartMap(wm, []int{1, 3, 99}) // 99 absent: skipped
+	enc := appendPartMap(nil, wm, []int{1, 3, 99}) // 99 absent: skipped
 	dec, err := decodePartMap(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestPartMapSubsetEncoding(t *testing.T) {
 
 func TestPartMapEmptyListsSkipped(t *testing.T) {
 	wm := winMap{5: window.New(1)}
-	enc := encodePartMap(wm, []int{5})
+	enc := appendPartMap(nil, wm, []int{5})
 	dec, err := decodePartMap(enc)
 	if err != nil || len(dec) != 0 {
 		t.Errorf("empty-list encoding: %v, %v", dec, err)
@@ -101,7 +101,7 @@ func TestPartMapEmptyListsSkipped(t *testing.T) {
 
 func TestPartMapDecodeErrors(t *testing.T) {
 	wm := winMapOf(2, map[int]tuple.List{1: {{0.5, 0.5}}})
-	enc := encodePartMap(wm, []int{1})
+	enc := appendPartMap(nil, wm, []int{1})
 	for i := 0; i < len(enc); i++ {
 		if _, err := decodePartMap(enc[:i]); err == nil {
 			t.Errorf("truncation to %d bytes accepted", i)

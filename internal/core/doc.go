@@ -8,22 +8,26 @@
 //     closest to the independent-distribution prediction of Equation 3, and
 //     prunes its dominated partitions (Equation 2). A fixed PPD is the one
 //     candidate, which makes the job Algorithms 1–2.
-//   - MR-GPSRS (Section 4, Algorithms 3–6): mappers compute per-partition
-//     local skylines gated by the bitstring and eliminate cross-partition
-//     false positives locally; a single reducer merges per-partition
-//     windows and repeats the elimination globally.
-//   - MR-GPMRS (Section 5, Algorithms 7–9): mappers additionally generate
+//   - The skyline job of MR-GPMRS (Section 5, Algorithms 7–9): mappers
+//     compute per-partition local skylines gated by the bitstring and
+//     eliminate cross-partition false positives locally, then generate
 //     independent partition groups from the bitstring, merge them down to
-//     the reducer count (Section 5.4.1), and route each group's local
-//     skylines to its reducer; reducers finish their groups independently
-//     and in parallel, emitting each replicated partition only from its
-//     designated responsible group (Section 5.4.2).
+//     the reducer count (Section 5.4.1), and send each bucket's local
+//     skylines to its reducer as one record; reducers finish their buckets
+//     independently and in parallel, emitting each replicated partition
+//     only from its designated responsible bucket (Section 5.4.2).
+//   - MR-GPSRS (Section 4, Algorithms 3–6) is that job with one bucket,
+//     sent to one reducer, holding and outputting every surviving
+//     partition: Algorithm 3's single key, on which Algorithm 9 is
+//     Algorithm 6. The job's spec says which rule forms the buckets.
 //
 // # Configuration and state
 //
-// Static job configuration (dimensionality, PPD, reducer count, kernel,
-// merge strategy) is captured in task closures — the moral equivalent of
-// Hadoop's JobConf. The data-dependent global bitstring travels through the
+// Static job configuration (grid bounds and PPD, kernel, bucket rule and
+// merge strategy) is a small serializable spec per job — the moral
+// equivalent of Hadoop's JobConf — from which the driver and every rpcexec
+// worker build the same task functions (kinds.go); the reducer count is
+// the job's. The data-dependent global bitstring travels through the
 // engine's distributed cache, exactly as the paper prescribes. Tasks keep
 // no other shared state.
 //

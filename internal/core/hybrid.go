@@ -25,8 +25,8 @@ func Hybrid(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 	return compute(cfg, data, AlgoHybrid, DefaultHybridThreshold)
 }
 
-// HybridWithThreshold is Hybrid with an explicit switching threshold;
-// the ablation benchmarks sweep it.
+// HybridWithThreshold is Hybrid with an explicit switching threshold, so
+// tests can force either side of the switch.
 func HybridWithThreshold(cfg Config, data tuple.List, threshold int64) (tuple.List, *Stats, error) {
 	return compute(cfg, data, AlgoHybrid, threshold)
 }

@@ -6,13 +6,12 @@ import (
 
 	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
-	"mrskyline/internal/skyline"
 )
 
 // Every core job's task functions are pure functions of a small
 // serializable parameter set: the grid is rebuilt from (d, ppd, bounds),
-// the global bitstring travels in the distributed cache, and GPMRS group
-// structure is recomputed in-task from that bitstring. The kinds
+// the global bitstring travels in the distributed cache, and the skyline
+// job's buckets are formed again in-task from that bitstring. The kinds
 // registered here let rpcexec worker processes reconstruct the job's
 // functions by calling the same …Funcs constructor the driver called, which
 // is what makes process-executor output byte-identical to the in-process
@@ -22,14 +21,12 @@ import (
 // Job kinds registered by this package.
 const (
 	KindPPDSelect = "core/ppd-select"
-	KindGPSRS     = "core/gpsrs"
-	KindGPMRS     = "core/gpmrs"
+	KindSkyline   = "core/skyline"
 )
 
 func init() {
 	mapreduce.RegisterKind(KindPPDSelect, buildPPDSelectKind)
-	mapreduce.RegisterKind(KindGPSRS, buildGPSRSKind)
-	mapreduce.RegisterKind(KindGPMRS, buildGPMRSKind)
+	mapreduce.RegisterKind(KindSkyline, buildSkylineKind)
 }
 
 // gridSpec is a grid flattened to its construction parameters.
@@ -48,11 +45,14 @@ func (s gridSpec) build() (*grid.Grid, error) {
 	return grid.NewWithBounds(s.D, s.PPD, s.Lo, s.Hi)
 }
 
-// skySpec parametrizes the GPSRS/GPMRS skyline jobs.
+// skySpec parametrizes the skyline job of MR-GPSRS and MR-GPMRS.
 type skySpec struct {
 	Grid   gridSpec `json:"grid"`
 	Kernel int      `json:"kernel"`
-	Merge  int      `json:"merge,omitempty"` // GPMRS only
+	Merge  int      `json:"merge,omitempty"` // MR-GPMRS only
+	// OneBucket selects MR-GPSRS's one bucket over MR-GPMRS's merged
+	// groups (skySpec.buckets).
+	OneBucket bool `json:"oneBucket,omitempty"`
 }
 
 // ppdSelectSpec parametrizes the Section 3.3 PPD-selection job.
@@ -75,28 +75,16 @@ func markKind(job *mapreduce.Job, kind string, spec any) {
 	job.Kind, job.Spec = kind, b
 }
 
-func buildGPSRSKind(spec []byte) (*mapreduce.JobFuncs, error) {
+func buildSkylineKind(spec []byte) (*mapreduce.JobFuncs, error) {
 	var s skySpec
 	if err := json.Unmarshal(spec, &s); err != nil {
-		return nil, fmt.Errorf("core: gpsrs spec: %w", err)
+		return nil, fmt.Errorf("core: skyline spec: %w", err)
 	}
 	g, err := s.Grid.build()
 	if err != nil {
 		return nil, err
 	}
-	return gpsrsFuncs(&Config{Kernel: skyline.Kernel(s.Kernel)}, g), nil
-}
-
-func buildGPMRSKind(spec []byte) (*mapreduce.JobFuncs, error) {
-	var s skySpec
-	if err := json.Unmarshal(spec, &s); err != nil {
-		return nil, fmt.Errorf("core: gpmrs spec: %w", err)
-	}
-	g, err := s.Grid.build()
-	if err != nil {
-		return nil, err
-	}
-	return gpmrsFuncs(&Config{Kernel: skyline.Kernel(s.Kernel), Merge: grid.MergeStrategy(s.Merge)}, g), nil
+	return skyFuncs(s, g), nil
 }
 
 func buildPPDSelectKind(spec []byte) (*mapreduce.JobFuncs, error) {

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"maps"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"mrskyline/internal/bitstring"
 	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
@@ -33,10 +37,15 @@ func TestUnorderedRunFailsTheTask(t *testing.T) {
 			t.Errorf("%s: a window was kept for the failed partition", name)
 		}
 
-		// The same through the MR-GPSRS reducer, as the engine would call it.
-		ctx := &mapreduce.TaskContext{NumMappers: 2, NumReducers: 1, Counters: mapreduce.NewCounters(), Trace: obs.NewMetricsOnly()}
-		values := [][]byte{tuple.EncodeList(sorted), tuple.EncodeList(run)}
-		err = newGPSRSReducer(g).Reduce(ctx, encodeKey(0), values, func(_, _ []byte) {})
+		// The same through MR-GPSRS's one-bucket reducer, as the engine
+		// would call it: each value is one mapper's partition map, holding
+		// its run of partition 0 (uvarint count 1, uvarint partition 0).
+		ctx := &mapreduce.TaskContext{
+			NumMappers: 2, NumReducers: 1, Counters: mapreduce.NewCounters(), Trace: obs.NewMetricsOnly(),
+			Cache: mapreduce.Cache{cacheKeyBitstring: bitstring.FromIndices(g.NumPartitions(), 0).Encode()},
+		}
+		values := [][]byte{append([]byte{1, 0}, tuple.EncodeList(sorted)...), append([]byte{1, 0}, tuple.EncodeList(run)...)}
+		err = newSkyReducer(skySpec{OneBucket: true}, g).Reduce(ctx, encodeKey(0), values, func(_, _ []byte) {})
 		if err == nil || !strings.Contains(err.Error(), "run out of score order") {
 			t.Errorf("%s: reducer error = %v", name, err)
 		}
@@ -50,5 +59,47 @@ func TestUnorderedRunFailsTheTask(t *testing.T) {
 	}
 	if err := pw.mergeRuns(0, []tuple.List{sorted}); err == nil {
 		t.Error("a partition was merged twice")
+	}
+}
+
+// TestOneBucketIsMergeGroupsAtOneReducer pins what lets MR-GPSRS run as
+// MR-GPMRS's skyline job: over seeded random bitstrings, the empty one and
+// single-partition ones among them, the one-bucket rule forms exactly the
+// bucket — partitions and responsibilities — that merging the independent
+// groups down to one reducer forms, under either merge strategy.
+func TestOneBucketIsMergeGroupsAtOneReducer(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		d, ppd := 1+rng.Intn(4), 2+rng.Intn(3)
+		g, err := grid.New(d, ppd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.NumPartitions()
+		bs := bitstring.New(n)
+		switch trial % 4 {
+		case 0: // empty
+		case 1:
+			bs.Set(rng.Intn(n))
+		default:
+			density := rng.Float64()
+			for i := 0; i < n; i++ {
+				if rng.Float64() < density {
+					bs.Set(i)
+				}
+			}
+		}
+		got := skySpec{OneBucket: true}.buckets(g, bs, 1)
+		for _, strat := range []grid.MergeStrategy{grid.MergeByComputation, grid.MergeByCommunication} {
+			want := grid.MergeGroups(g.IndependentGroups(bs), 1, strat)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d (%v, %d set): %d buckets, MergeGroups has %d", trial, strat, bs.Count(), len(got), len(want))
+			}
+			for i := range want {
+				if got[i].ID != want[i].ID || !slices.Equal(got[i].Partitions, want[i].Partitions) || !maps.Equal(got[i].Responsible, want[i].Responsible) {
+					t.Fatalf("trial %d (%v): bucket %+v, MergeGroups has %+v", trial, strat, got[i], want[i])
+				}
+			}
+		}
 	}
 }

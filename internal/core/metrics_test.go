@@ -40,8 +40,9 @@ func sampledInserts(n int) int64 {
 	return int64((n + window.InsertSampleEvery - 1) / window.InsertSampleEvery)
 }
 
-// TestTaskPublishesKernelMetrics drives every skyline task of MR-GPSRS and
-// MR-GPMRS by hand, under every in-task kernel: each task publishes exactly
+// TestTaskPublishesKernelMetrics drives the skyline job's mapper and
+// reducer by hand, with MR-GPSRS's one-bucket spec and MR-GPMRS's, under
+// every in-task kernel: each task publishes exactly
 // the dominance tests it counted — batch kernels' included — once, and
 // times one in window.InsertSampleEvery of the Inserts it makes. Only
 // mappers make any: reducers merge sorted runs with a membership check, so
@@ -62,8 +63,10 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 
 	type emitted struct{ key, value []byte }
 	for _, kernel := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS, skyline.KernelDC} {
-		cfg := &Config{Kernel: kernel}
-		for name, funcs := range map[string]*mapreduce.JobFuncs{"gpsrs": gpsrsFuncs(cfg, g), "gpmrs": gpmrsFuncs(cfg, g)} {
+		for name, funcs := range map[string]*mapreduce.JobFuncs{
+			"gpsrs": skyFuncs(skySpec{Kernel: int(kernel), OneBucket: true}, g),
+			"gpmrs": skyFuncs(skySpec{Kernel: int(kernel)}, g),
+		} {
 			var out []emitted
 			counted, published, samples := taskMetrics(t, cache, func(ctx *mapreduce.TaskContext) error {
 				m := funcs.NewMapper()
@@ -87,15 +90,13 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 				t.Errorf("%s/%s mapper: %d sampled inserts over %d records, want %d", name, kernel, samples, len(data), want)
 			}
 
-			// Reducers: MR-GPSRS has one task receiving every key,
-			// MR-GPMRS one task per bucket key.
+			// Reducers: one task per bucket key; MR-GPSRS has one bucket.
 			tasks := map[string][]emitted{}
 			for _, e := range out {
-				k := ""
-				if name == "gpmrs" {
-					k = string(e.key)
-				}
-				tasks[k] = append(tasks[k], e)
+				tasks[string(e.key)] = append(tasks[string(e.key)], e)
+			}
+			if name == "gpsrs" && len(tasks) != 1 {
+				t.Errorf("gpsrs/%s: %d bucket keys, want 1", kernel, len(tasks))
 			}
 			for _, in := range tasks {
 				counted, published, samples := taskMetrics(t, cache, func(ctx *mapreduce.TaskContext) error {

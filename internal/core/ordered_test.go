@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -23,7 +24,8 @@ import (
 // seed; every tenth seed is large enough that windows outgrow the in-place
 // sweep and take the E-sum-ordered path, and seed 7 runs through the spilled
 // shuffle, where a run crosses run files and a merge tree on its way to the
-// reducer. rpcexec's TestGridAlgorithmsOverProcessWorkers sends one seed
+// reducer. MR-GPMRS at one reducer must return MR-GPSRS's bytes and
+// counters exactly. rpcexec's TestGridAlgorithmsOverProcessWorkers sends one seed
 // over the RPC wire.
 func TestGridAlgorithmsMatchNaiveAsMultisets(t *testing.T) {
 	seeds := 30
@@ -56,8 +58,10 @@ func TestGridAlgorithmsMatchNaiveAsMultisets(t *testing.T) {
 				want := skyline.Naive(data)
 				for _, kernel := range kernels {
 					cfg := core.Config{Engine: eng, Kernel: kernel, PPD: 2 + seed%2, NumMappers: 1 + seed%7, NumReducers: 1 + seed%4}
+					var srs tuple.List
+					var srsSt *core.Stats
 					for _, a := range algos {
-						got, _, err := a.run(cfg, data)
+						got, st, err := a.run(cfg, data)
 						name := fmt.Sprintf("seed %d %v d=%d %s/%v", seed, dist, d, a.name, kernel)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
@@ -65,6 +69,28 @@ func TestGridAlgorithmsMatchNaiveAsMultisets(t *testing.T) {
 						if !tuple.EqualAsMultiset(got, want) {
 							t.Fatalf("%s: got %d tuples, naive has %d", name, len(got), len(want))
 						}
+						if a.name == "GPSRS" {
+							srs, srsSt = got, st
+						}
+					}
+					// MR-GPSRS is MR-GPMRS's skyline job with one bucket: at
+					// one reducer the two return the same bytes from the same
+					// work.
+					one := cfg
+					one.NumReducers = 1
+					got, st, err := core.GPMRS(one, data)
+					name := fmt.Sprintf("seed %d %v d=%d GPMRS(r=1)/%v", seed, dist, d, kernel)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !bytes.Equal(tuple.EncodeList(got), tuple.EncodeList(srs)) {
+						t.Fatalf("%s: skyline differs from GPSRS's", name)
+					}
+					if st.DominanceTests != srsSt.DominanceTests || st.MapperPartCmpMax != srsSt.MapperPartCmpMax ||
+						st.ReducerPartCmpMax != srsSt.ReducerPartCmpMax || st.ShuffleBytes != srsSt.ShuffleBytes {
+						t.Fatalf("%s: tests/partCmp map/partCmp reduce/shuffle bytes %d/%d/%d/%d, GPSRS %d/%d/%d/%d", name,
+							st.DominanceTests, st.MapperPartCmpMax, st.ReducerPartCmpMax, st.ShuffleBytes,
+							srsSt.DominanceTests, srsSt.MapperPartCmpMax, srsSt.ReducerPartCmpMax, srsSt.ShuffleBytes)
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/tuple"
 )
@@ -86,33 +87,24 @@ func (p *Plan) Run(cfg Config, algo Algorithm) (tuple.List, *Stats, error) {
 }
 
 func (p *Plan) run(cfg Config, algo Algorithm, threshold int64, start time.Time) (tuple.List, *Stats, error) {
-	switch algo {
-	case AlgoGPSRS:
-		return gpsrsRun(cfg, p.input, p.prep, start)
-	case AlgoGPMRS:
-		return gpmrsRun(cfg, p.input, p.prep, start)
-	}
 	prep := p.prep
-	surviving := int64(prep.Bitstring.Count())
-	var estWorkload int64
-	if prep.NonEmpty > 0 {
-		estWorkload = surviving * int64(p.card) / int64(prep.NonEmpty)
+	var groups []grid.Group
+	multi := algo == AlgoGPMRS
+	if multi {
+		groups = prep.Grid.IndependentGroups(prep.Bitstring)
+	} else if algo == AlgoHybrid && cfg.reducers() > 1 {
+		var estWorkload int64
+		if prep.NonEmpty > 0 {
+			estWorkload = int64(prep.Bitstring.Count()) * int64(p.card) / int64(prep.NonEmpty)
+		}
+		if estWorkload > threshold {
+			groups = prep.Grid.IndependentGroups(prep.Bitstring)
+			multi = len(groups) >= 2
+		}
 	}
-	groups := prep.Grid.IndependentGroups(prep.Bitstring)
-	useMulti := estWorkload > threshold && len(groups) >= 2 && cfg.reducers() > 1
-
-	var (
-		sky tuple.List
-		st  *Stats
-		err error
-	)
-	if useMulti {
-		sky, st, err = gpmrsRun(cfg, p.input, prep, start)
-	} else {
-		sky, st, err = gpsrsRun(cfg, p.input, prep, start)
-	}
-	if err != nil {
-		return nil, nil, err
+	sky, st, err := skylineRun(cfg, p.input, prep, multi, groups, start)
+	if err != nil || algo != AlgoHybrid {
+		return sky, st, err
 	}
 	st.Algorithm = "Hybrid(" + st.Algorithm + ")"
 	return sky, st, nil

@@ -2,8 +2,10 @@
 // algorithms are built from: the block-nested-loop insertion of
 // Algorithm 4 (InsertTuple), the BNL skyline [Börzsönyi et al., ICDE 2001],
 // the sort-filter-skyline variant with presorting [Chomicki et al., ICDE
-// 2003], a naive O(n²) reference used by tests, and the cross-partition
-// false-positive elimination of Algorithm 5 (ComparePartitions).
+// 2003], a naive O(n²) reference used by tests, and Filter, the scalar
+// form of the inner operation of Algorithm 5. Algorithm 5 itself, the
+// cross-partition false-positive elimination, is comparePartitions in
+// mrskyline/internal/core, over window.FilterOn.
 //
 // The production dominance hot path lives in the columnar block kernel of
 // mrskyline/internal/skyline/window; BNL, SFS and Filter here run on it.
