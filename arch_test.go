@@ -124,6 +124,16 @@ func TestArchitecture(t *testing.T) {
 			},
 		},
 		{
+			"One map body per grid mapper",
+			"Job 1's mapper and the skyline job's each read a split in one loop over its arena " +
+				"(mapreduce.ArenaMapper); a single record reaches that loop as a one-record arena. " +
+				"A per-record decode beside it would be a second map body to keep in step.",
+			func() []string {
+				core := nonTest.where(inDir("internal/core"))
+				return join(core.calls("DecodeInto"), core.methodDecls("localState", "add"))
+			},
+		},
+		{
 			"One query path",
 			"A skyline query is written once, in the Dataset handle: the package-level functions " +
 				"and Service.Compute only wrap it, skylined hands it every source of rows, and " +

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -401,12 +402,17 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // decodeBody parses a request's JSON body into v. A field v does not have
 // is a 400 naming it: a misspelled "maximize" or "algorithm" dropped would
-// answer a different query than the one asked.
+// answer a different query than the one asked. So is anything but white
+// space after the value: a second object holding "maximize" would be
+// dropped the same way.
 func decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return &httpError{http.StatusBadRequest, "bad request body: data after the JSON value"}
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -285,6 +286,38 @@ func TestFieldIgnoredIsBadRequest(t *testing.T) {
 	body := map[string]any{"name": "m", "data": data, "maintain": true, "maximize": []bool{true, true}}
 	if code, raw := postJSON(t, ts.URL+"/v1/datasets", body); code != http.StatusOK || !bytes.Contains(raw, []byte(`"skyline_size":1`)) {
 		t.Errorf("maintained registration with maximize: status %d: %s", code, raw)
+	}
+}
+
+// TestBodyValidationRejectsTrailingData: a body is one JSON value. What
+// follows it, other than white space, is a 400 rather than dropped: a
+// second object carrying "maximize" would otherwise serve the min-skyline.
+func TestBodyValidationRejectsTrailingData(t *testing.T) {
+	ts := newTestServer(t, mrskyline.ServiceConfig{Nodes: 2})
+	const body = `{"data":[[1,2],[2,1],[3,3]]}`
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"trailing object", "/v1/skyline", body + ` {"maximize":[true,true]}`, http.StatusBadRequest},
+		{"trailing garbage", "/v1/skyline", body + ` garbage`, http.StatusBadRequest},
+		{"second array", "/v1/skyline", body + `[[4,4]]`, http.StatusBadRequest},
+		{"trailing object on registration", "/v1/datasets", `{"name":"t","data":[[1,2]]}{"maintain":true}`, http.StatusBadRequest},
+		{"trailing newline", "/v1/skyline", body + "\n", http.StatusOK},
+		{"trailing white space", "/v1/skyline", body + " \r\n\t ", http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, resp.StatusCode, raw, tc.want)
+		}
 	}
 }
 

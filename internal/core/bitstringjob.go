@@ -40,7 +40,7 @@ func ppdSelectFuncs(card int, ladder *grid.Ladder, disablePruning bool) *mapredu
 
 // newPPDSelectMapper builds the Section 3.3 mapper: one local occupancy
 // bitstring per candidate PPD, emitted keyed by the candidate on flush. Each
-// record is one pass: decode into the mapper's scratch tuple (the mapper
+// tuple is one pass: read it into the mapper's scratch tuple (the mapper
 // retains no tuple, so one per task attempt serves the whole split), locate
 // it on the live levels of the ladder, set one bit per level.
 //
@@ -49,7 +49,8 @@ func ppdSelectFuncs(card int, ladder *grid.Ladder, disablePruning bool) *mapredu
 // the smaller PPD, no level above j can win: from then on the mapper locates
 // on the levels below j only, and flushes levels 0…j, each complete. On a
 // one-level ladder (a fixed PPD) a full level only stops the locating: its
-// bits are all set already.
+// bits are all set already. Once level 0 is full nothing is located at all,
+// and the mapper stops reading its split.
 func newPPDSelectMapper(ladder *grid.Ladder) mapreduce.Mapper {
 	locals := make([]*bitstring.Bitstring, ladder.Len())
 	occupied := make([]int, ladder.Len())
@@ -59,23 +60,22 @@ func newPPDSelectMapper(ladder *grid.Ladder) mapreduce.Mapper {
 	cells := make([]int, ladder.Len())
 	live := ladder.Len() // levels still located; below Len, level live is full
 	scratch := make(tuple.Tuple, ladder.Dim())
-	return mapreduce.MapperFuncs{
-		MapFn: func(_ *mapreduce.TaskContext, rec mapreduce.Record, _ mapreduce.Emitter) error {
-			t, _, err := tuple.DecodeInto(scratch, rec.Value)
-			if err != nil {
-				return err
+	return mapreduce.ArenaMapperFuncs{
+		MapArenaFn: func(_ *mapreduce.TaskContext, a mapreduce.TupleArena, _ mapreduce.Emitter) error {
+			if a.Dim() != ladder.Dim() {
+				return fmt.Errorf("core: tuple dimensionality %d, want %d", a.Dim(), ladder.Dim())
 			}
-			if len(t) != ladder.Dim() {
-				return fmt.Errorf("core: tuple dimensionality %d, want %d", len(t), ladder.Dim())
-			}
-			for i, p := range ladder.Locate(t, cells[:live]) {
-				if locals[i].Get(p) {
-					continue
-				}
-				locals[i].Set(p)
-				if occupied[i]++; occupied[i] == locals[i].Len() {
-					live = i
-					break
+			for r := 0; r < a.Len() && live > 0; r++ {
+				a.Load(r, scratch)
+				for i, p := range ladder.Locate(scratch, cells[:live]) {
+					if locals[i].Get(p) {
+						continue
+					}
+					locals[i].Set(p)
+					if occupied[i]++; occupied[i] == locals[i].Len() {
+						live = i
+						break
+					}
 				}
 			}
 			return nil

@@ -46,7 +46,7 @@ type localState struct {
 	// which need the whole partition before running.
 	pending map[int]tuple.List
 	inserts window.InsertSampler
-	// scratch is the tuple the next record decodes into; it is replaced by
+	// scratch is the tuple the next record is read into; it is replaced by
 	// a fresh one whenever a window or pending keeps it.
 	scratch tuple.Tuple
 }
@@ -59,29 +59,44 @@ func newLocalState(g *grid.Grid, bs *bitstring.Bitstring, kernel skyline.Kernel)
 	return ls
 }
 
-// add processes one input record (Algorithm 3 lines 2–8): decode its tuple,
-// locate its partition, skip it when the bitstring pruned the partition,
-// otherwise fold it into the partition's local skyline window. reg receives
-// the task's sampled Insert latencies (nil: none). Only a tuple the window
-// or pending keeps costs an allocation.
-func (ls *localState) add(reg *obs.Registry, rec mapreduce.Record) error {
-	t, _, err := tuple.DecodeInto(ls.scratch, rec.Value)
-	if err != nil {
-		return err
+// mapArena processes a run of input tuples (Algorithm 3 lines 2–8): per
+// tuple, read it into the scratch tuple, locate its partition, skip it when
+// the bitstring pruned the partition, otherwise fold it into the
+// partition's local skyline window. reg receives the task's sampled Insert
+// latencies (nil: none). Only a tuple the window or pending keeps costs an
+// allocation.
+func (ls *localState) mapArena(reg *obs.Registry, a mapreduce.TupleArena) error {
+	d := ls.g.Dim()
+	if a.Dim() != d {
+		return fmt.Errorf("core: tuple dimensionality %d does not match grid d=%d", a.Dim(), d)
 	}
-	if len(t) != ls.g.Dim() {
-		return fmt.Errorf("core: tuple dimensionality %d does not match grid d=%d", len(t), ls.g.Dim())
+	// The windows of the partitions inserted into lately, by partition mod
+	// 16, so that a tuple does not look its window up in the map: no window
+	// is removed before finish. The 16 slots are fixed, whatever the grid.
+	var recent [16]struct {
+		p int
+		w *window.Window
 	}
-	j := ls.g.Locate(t)
-	if !ls.bs.Get(j) {
-		return nil
+	for i := range a.Len() {
+		t := ls.scratch
+		a.Load(i, t)
+		j := ls.g.Locate(t)
+		if !ls.bs.Get(j) {
+			continue
+		}
+		if ls.pending != nil {
+			ls.pending[j] = append(ls.pending[j], t)
+		} else {
+			e := &recent[j%len(recent)]
+			if e.w == nil || e.p != j {
+				e.p, e.w = j, ls.s.window(j, d)
+			}
+			if !ls.inserts.Insert(reg, e.w, t, &ls.cnt) {
+				continue
+			}
+		}
+		ls.scratch = make(tuple.Tuple, d)
 	}
-	if ls.pending != nil {
-		ls.pending[j] = append(ls.pending[j], t)
-	} else if !ls.inserts.Insert(reg, ls.s.window(j, ls.g.Dim()), t, &ls.cnt) {
-		return nil
-	}
-	ls.scratch = make(tuple.Tuple, ls.g.Dim())
 	return nil
 }
 

@@ -124,8 +124,8 @@ func newSkyMapper(s skySpec, g *grid.Grid) mapreduce.Mapper {
 		state *localState
 		bs    *bitstring.Bitstring
 	)
-	return mapreduce.MapperFuncs{
-		MapFn: func(ctx *mapreduce.TaskContext, rec mapreduce.Record, _ mapreduce.Emitter) error {
+	return mapreduce.ArenaMapperFuncs{
+		MapArenaFn: func(ctx *mapreduce.TaskContext, a mapreduce.TupleArena, _ mapreduce.Emitter) error {
 			if state == nil {
 				var err error
 				bs, _, err = bitstring.Decode(ctx.Cache.MustGet(cacheKeyBitstring))
@@ -134,7 +134,7 @@ func newSkyMapper(s skySpec, g *grid.Grid) mapreduce.Mapper {
 				}
 				state = newLocalState(g, bs, skyline.Kernel(s.Kernel))
 			}
-			return state.add(ctx.Trace.Metrics(), rec)
+			return state.mapArena(ctx.Trace.Metrics(), a)
 		},
 		FlushFn: func(ctx *mapreduce.TaskContext, emit mapreduce.Emitter) error {
 			if state == nil {

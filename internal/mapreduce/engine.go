@@ -679,11 +679,7 @@ func attemptMap(job *Job, rj *resolvedJob, split Split, ctx *TaskContext) ([]seg
 		emitted++
 	}
 	mapper := job.NewMapper()
-	inRecords := int64(0)
-	err := split.Each(func(rec Record) error {
-		inRecords++
-		return mapper.Map(ctx, rec, emit)
-	})
+	inRecords, err := mapSplit(mapper, split, ctx, emit)
 	if err == nil {
 		err = mapper.Flush(ctx, emit)
 	}
@@ -696,6 +692,28 @@ func attemptMap(job *Job, rj *resolvedJob, split Split, ctx *TaskContext) ([]seg
 	ctx.Counters.Add(CounterMapInputRecords, inRecords)
 	ctx.Counters.Add(CounterMapOutputRecords, emitted)
 	return segs, nil
+}
+
+// mapSplit feeds split through mapper and returns how many records it
+// read: the whole split in one MapArena call when the split is an arena's
+// and the mapper an ArenaMapper, otherwise record by record through Map.
+// An empty split is never mapped, as Map is never called on one.
+func mapSplit(mapper Mapper, split Split, ctx *TaskContext, emit Emitter) (int64, error) {
+	if s, ok := split.(arenaSplit); ok {
+		if am, ok := mapper.(ArenaMapper); ok {
+			a := TupleArena(s)
+			if a.Len() == 0 {
+				return 0, nil
+			}
+			return int64(a.Len()), am.MapArena(ctx, a, emit)
+		}
+	}
+	n := int64(0)
+	err := split.Each(func(rec Record) error {
+		n++
+		return mapper.Map(ctx, rec, emit)
+	})
+	return n, err
 }
 
 // attemptReduce executes the user half of one reduce-task attempt, pulling

@@ -1,7 +1,9 @@
 package mapreduce
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"mrskyline/internal/tuple"
 )
@@ -70,21 +72,23 @@ func (s memorySplit) Each(fn func(Record) error) error {
 // tuple.AppendEncode bytes of the i-th tuple (key nil), and every record
 // has the same d dimensions and so the same stride, packed into one exactly
 // sized []byte that holds no pointers. Its splits are views: Splits cuts at
-// MemoryInput's boundaries and Each yields capacity-clipped windows of the
-// arena, so a job reads the same bytes in the same order as from
-// TupleInput's records without a Record per tuple being held. Put fills
-// it; nothing that reads an input writes to it, so one arena serves every
-// job of a run, concurrently.
+// MemoryInput's boundaries into arenas clipped at the split's end, whose
+// Each yields capacity-clipped windows of the records, so a job reads the
+// same bytes in the same order as from TupleInput's records without a
+// Record per tuple being held; an ArenaMapper is handed the split's arena
+// itself. Put fills it; nothing that reads an input writes to it, so one
+// arena serves every job of a run, concurrently.
 type TupleArena struct {
-	buf       []byte
-	d, stride int
+	buf []byte
+	// n records of d dimensions, stride bytes each: len(buf) is n·stride.
+	n, d, stride int
 }
 
 // NewTupleArena returns an arena for n tuples of d dimensions, to be
 // filled with Put.
 func NewTupleArena(n, d int) TupleArena {
 	stride := uvarintLen(uint64(d)) + 8*d
-	return TupleArena{buf: make([]byte, n*stride), d: d, stride: stride}
+	return TupleArena{buf: make([]byte, n*stride), n: n, d: d, stride: stride}
 }
 
 // Put encodes t as record i; t must have the arena's d dimensions. Put is
@@ -103,33 +107,45 @@ func (a TupleArena) record(i int) []byte {
 }
 
 // Len returns the number of records.
-func (a TupleArena) Len() int { return len(a.buf) / a.stride }
+func (a TupleArena) Len() int { return a.n }
 
 // Dim returns the records' dimensionality.
 func (a TupleArena) Dim() int { return a.d }
 
-// Splits implements Input.
+// Load writes the tuple of record i into dst, which must have Dim values,
+// reading its d float64s in place: the records are well-formed by
+// construction, so there is no header to parse and nothing to fail.
+func (a TupleArena) Load(i int, dst tuple.Tuple) {
+	end := (i + 1) * a.stride
+	b := a.buf[end-8*a.d : end]
+	for k := range dst[:a.d] {
+		dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))
+		b = b[8:]
+	}
+}
+
+// Splits implements Input. Each split is an arena over a run of a's
+// records whose capacity ends where the run does.
 func (a TupleArena) Splits(hint int) ([]Split, error) {
 	n := a.Len()
 	splits := make([]Split, splitCount(n, hint))
 	for i := range splits {
 		lo, hi := i*n/len(splits), (i+1)*n/len(splits)
-		splits[i] = arenaSplit{buf: a.buf[lo*a.stride : hi*a.stride], stride: a.stride}
+		end := hi * a.stride
+		splits[i] = arenaSplit{buf: a.buf[lo*a.stride : end : end], n: hi - lo, d: a.d, stride: a.stride}
 	}
 	return splits, nil
 }
 
-// arenaSplit is a run of an arena's records.
-type arenaSplit struct {
-	buf    []byte
-	stride int
-}
+// arenaSplit is a run of an arena's records, itself an arena.
+type arenaSplit TupleArena
 
 // Each yields each record's bytes as a window that cannot grow into the
 // next record.
 func (s arenaSplit) Each(fn func(Record) error) error {
-	for off := 0; off < len(s.buf); off += s.stride {
-		if err := fn(Record{Value: s.buf[off : off+s.stride : off+s.stride]}); err != nil {
+	a := TupleArena(s)
+	for i := range a.Len() {
+		if err := fn(Record{Value: a.record(i)}); err != nil {
 			return err
 		}
 	}

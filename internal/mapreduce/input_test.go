@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"mrskyline/internal/datagen"
@@ -36,7 +38,9 @@ func splitValues(t *testing.T, in mapreduce.Input, hint int) [][][]byte {
 // TestTupleArenaSplits: an arena's splits are MemoryInput's over
 // TupleInput's records — same boundaries, same values in the same order —
 // and each value is a window that an append cannot grow into the next
-// record. On the leased driver both inputs frame byte-identical splits.
+// record, as each split's view of the arena, which an ArenaMapper is
+// handed, cannot grow into the next split. On the leased driver both
+// inputs frame byte-identical splits.
 func TestTupleArenaSplits(t *testing.T) {
 	for _, n := range []int{0, 1, 15, 16, 17, 1000} {
 		data := datagen.Generate(datagen.AntiCorrelated, n, 3, int64(n))
@@ -45,6 +49,15 @@ func TestTupleArenaSplits(t *testing.T) {
 			t.Errorf("n = %d: arena holds %d records", n, arena.Len())
 		}
 		for _, hint := range []int{0, 1, 16, n + 3} {
+			splits, err := arena.Splits(hint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s, split := range splits {
+				if b := mapreduce.ArenaSplitBytes(split); cap(b) != len(b) {
+					t.Errorf("n = %d, hint %d: split %d views %d bytes with capacity %d", n, hint, s, len(b), cap(b))
+				}
+			}
 			got, want := splitValues(t, arena, hint), splitValues(t, records, hint)
 			if len(got) != len(want) {
 				t.Fatalf("n = %d, hint %d: %d splits, want %d", n, hint, len(got), len(want))
@@ -104,4 +117,103 @@ func leasedSplits(t *testing.T, in mapreduce.Input, mappers int) [][]byte {
 		t.Fatalf("job ended with %v, want context.Canceled", err)
 	}
 	return splits
+}
+
+// TestArenaMapperReadsWholeSplits: over an arena, an ArenaMapper's task
+// reads its split in one MapArena call, and an empty split in none, on the
+// wall clock and on the virtual one; over the same tuples as records, Map
+// hands MapArenaFn one record at a time. Both read the same tuples in the
+// same order and count them as map input records. Only an empty input has
+// empty splits: a job runs no more map tasks than it has records. A record
+// that is not one encoded tuple fails the task.
+func TestArenaMapperReadsWholeSplits(t *testing.T) {
+	const d = 3
+	job := func(in mapreduce.Input, mappers int) *mapreduce.Job {
+		return &mapreduce.Job{
+			Name: "arena", Input: in, NumMappers: mappers, NumReducers: 1,
+			NewMapper: func() mapreduce.Mapper {
+				calls := 0
+				row := make(tuple.Tuple, d)
+				return mapreduce.ArenaMapperFuncs{
+					MapArenaFn: func(_ *mapreduce.TaskContext, a mapreduce.TupleArena, emit mapreduce.Emitter) error {
+						calls++
+						for i := range a.Len() {
+							a.Load(i, row)
+							emit([]byte("row"), tuple.Encode(row))
+						}
+						return nil
+					},
+					FlushFn: func(_ *mapreduce.TaskContext, emit mapreduce.Emitter) error {
+						emit([]byte("calls"), []byte{byte(calls)})
+						return nil
+					},
+				}
+			},
+			NewReducer: func() mapreduce.Reducer {
+				return mapreduce.ReducerFuncs{ReduceFn: func(_ *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emitter) error {
+					for _, v := range values {
+						emit(key, v)
+					}
+					return nil
+				}}
+			},
+		}
+	}
+	virtual := newEngine(t, 2, 2)
+	virtual.Faults = &mapreduce.FaultPlan{Seed: 1}
+	for name, e := range map[string]*mapreduce.Engine{"wall": newEngine(t, 2, 2), "virtual": virtual} {
+		for _, shape := range [][2]int{{10, 3}, {10, 14}, {0, 3}} {
+			n, mappers := shape[0], shape[1]
+			data := datagen.Generate(datagen.Independent, n, d, 1)
+			var want []byte
+			for _, tp := range data {
+				want = append(want, tuple.Encode(tp)...)
+			}
+			splits, err := mapreduce.MemoryInput{Records: make([]mapreduce.Record, n)}.Splits(mappers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range []mapreduce.Input{mapreduce.EncodeTuples(data), mapreduce.TupleInput(data)} {
+				_, arena := in.(mapreduce.TupleArena)
+				res, err := e.Run(job(in, mappers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rows, calls []byte
+				for _, rec := range res.Output {
+					if string(rec.Key) == "row" {
+						rows = append(rows, rec.Value...)
+					} else {
+						calls = append(calls, rec.Value...)
+					}
+				}
+				where := fmt.Sprintf("%s, n = %d, %d mappers, arena %v", name, n, mappers, arena)
+				if len(calls) != len(splits) {
+					t.Errorf("%s: %d map tasks, want %d", where, len(calls), len(splits))
+				}
+				if !bytes.Equal(rows, want) {
+					t.Errorf("%s: mapped tuples differ from the input's", where)
+				}
+				if got := res.Counters.Get(mapreduce.CounterMapInputRecords); got != int64(n) {
+					t.Errorf("%s: %d map input records, want %d", where, got, n)
+				}
+				for m, c := range calls[:min(len(calls), len(splits))] {
+					size := 0
+					splits[m].Each(func(mapreduce.Record) error { size++; return nil })
+					want := size // Map: one call per record
+					if arena {
+						want = min(size, 1)
+					}
+					if int(c) != want {
+						t.Errorf("%s: mapper %d made %d MapArena calls over %d records, want %d", where, m, c, size, want)
+					}
+				}
+			}
+		}
+	}
+
+	bad := mapreduce.MemoryInput{Records: []mapreduce.Record{{Value: tuple.Encode(tuple.Tuple{1, 2, 3})}, {Value: []byte{3, 1, 2}}}}
+	if _, err := newEngine(t, 2, 2).Run(job(bad, 1)); err == nil || !strings.Contains(err.Error(), "not one encoded tuple") {
+		t.Errorf("a truncated record: %v, want a failed task", err)
+	}
 }

@@ -21,6 +21,7 @@
 package mapreduce
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 
@@ -93,12 +94,58 @@ type TaskContext struct {
 // attempt, so implementations may keep per-split state in struct fields
 // without synchronization.
 type Mapper interface {
-	// Map is invoked once per input record.
+	// Map is invoked once per input record — unless the mapper is an
+	// ArenaMapper and the split a TupleArena's, when the whole split goes
+	// to MapArena in one call instead (see ArenaMapper).
 	Map(ctx *TaskContext, rec Record, emit Emitter) error
 	// Flush is invoked once after the split is exhausted. Algorithms that
 	// aggregate per split (every algorithm in this repository) emit their
 	// results here.
 	Flush(ctx *TaskContext, emit Emitter) error
+}
+
+// ArenaMapper is a Mapper that also reads a whole split of tuple records
+// at once. A map attempt whose split is a non-empty view of a TupleArena
+// (the input of every grid job) calls MapArena once, with that view, in
+// place of Map per record; CounterMapInputRecords counts the view's Len all
+// the same. Any other split — a MemoryInput's, or the framed records a
+// leased worker receives — still goes through Map, so MapArena and Map
+// must map the same records identically.
+type ArenaMapper interface {
+	Mapper
+	MapArena(ctx *TaskContext, a TupleArena, emit Emitter) error
+}
+
+// ArenaMapperFuncs adapts plain functions to ArenaMapper; FlushFn may be
+// nil. Its Map hands MapArenaFn a one-record arena, so one function serves
+// both entry points.
+type ArenaMapperFuncs struct {
+	MapArenaFn func(ctx *TaskContext, a TupleArena, emit Emitter) error
+	FlushFn    func(ctx *TaskContext, emit Emitter) error
+}
+
+// MapArena implements ArenaMapper.
+func (m ArenaMapperFuncs) MapArena(ctx *TaskContext, a TupleArena, emit Emitter) error {
+	return m.MapArenaFn(ctx, a, emit)
+}
+
+// Map implements Mapper: rec's value must be exactly one encoded tuple,
+// which MapArenaFn receives as a one-record arena.
+func (m ArenaMapperFuncs) Map(ctx *TaskContext, rec Record, emit Emitter) error {
+	v := rec.Value
+	d, n := binary.Uvarint(v)
+	if n <= 0 || d > uint64(len(v)/8) || n+8*int(d) != len(v) {
+		return fmt.Errorf("mapreduce: a %d-byte record is not one encoded tuple", len(v))
+	}
+	return m.MapArenaFn(ctx, TupleArena{buf: v[:len(v):len(v)], n: 1, d: int(d), stride: len(v)}, emit)
+}
+
+// Flush implements Mapper.
+func (m ArenaMapperFuncs) Flush(ctx *TaskContext, emit Emitter) error {
+	if m.FlushFn == nil {
+		return nil
+	}
+	return m.FlushFn(ctx, emit)
 }
 
 // Reducer processes the groups assigned to one reduce task. One Reducer
