@@ -109,13 +109,16 @@ func TestArchitecture(t *testing.T) {
 			},
 		},
 		{
-			"One encode pass",
+			"One input pass: the rows are the job input",
 			"A grid query's rows reach job 1 in one pass (core.EncodeRows): one row check, one " +
-				"orientation, one bounds fold widened by the rule grid.DataBounds also applies, and " +
-				"one encoder into a pointer-free arena whose splits are views. core.Prepare checks " +
-				"no row again, and no query builds a Record per tuple.",
+				"orientation, one bounds fold widened by the rule grid.DataBounds also applies. The " +
+				"job input is the caller's rows (mapreduce.TupleRows), or one oriented copy of them; " +
+				"nothing encodes a dataset before a job reads it. core.Prepare checks no row again, " +
+				"and no query builds a Record per tuple.",
 			func() []string {
 				return join(
+					nonTest.idents("TupleArena", "NewTupleArena", "EncodeTuples"),
+					tree.where(isFile("internal/core/input.go")).calls("tuple.AppendEncode", "tuple.Encode"),
 					tree.where(isFile("internal/core/plan.go")).calls("Validate"),
 					nonTest.where(inDir(".", "internal/core")).calls("TupleInput"),
 					exactly(1, "WidenBounds call in DataBounds", tree.where(isFile("internal/grid/grid.go")).callsInFunc("DataBounds", "WidenBounds")),
@@ -125,8 +128,8 @@ func TestArchitecture(t *testing.T) {
 		},
 		{
 			"One map body per grid mapper",
-			"Job 1's mapper and the skyline job's each read a split in one loop over its arena " +
-				"(mapreduce.ArenaMapper); a single record reaches that loop as a one-record arena. " +
+			"Job 1's mapper and the skyline job's each read a split in one loop over its rows " +
+				"(mapreduce.RowsMapper); a split of records reaches that loop decoded once into rows. " +
 				"A per-record decode beside it would be a second map body to keep in step.",
 			func() []string {
 				core := nonTest.where(inDir("internal/core"))
@@ -137,7 +140,7 @@ func TestArchitecture(t *testing.T) {
 			"One query path",
 			"A skyline query is written once, in the Dataset handle: the package-level functions " +
 				"and Service.Compute only wrap it, skylined hands it every source of rows, and " +
-				"skylined decodes a request body in one place (where a body cap will go).",
+				"skylined decodes a request body in one place, which caps its size.",
 			func() []string {
 				found := join(
 					nonTest.where(inDir(".", "cmd/*")).idents("adhocRows", "querier", "SegmentBytes"),

@@ -138,7 +138,11 @@ func main() {
 	// Graceful shutdown on SIGINT/SIGTERM: stop accepting requests, write a
 	// final checkpoint for every durable dataset, shut worker processes
 	// down. A later restart with the same -datadir replays nothing.
-	httpSrv := &http.Server{Handler: web.handler()}
+	httpSrv := &http.Server{
+		Handler:           web.handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	shutdownDone := make(chan struct{})
@@ -171,6 +175,8 @@ func main() {
 // request body.
 type server struct {
 	svc *mrskyline.Service
+	// maxBody caps a request body's bytes (maxBodyBytes; decodeBody).
+	maxBody int64
 	// dataDir is the root for durable maintained datasets ("" = memory
 	// only); each lives in dataDir/datasets/<name>/.
 	dataDir string
@@ -206,7 +212,7 @@ func (d *dataset) size() int {
 }
 
 func newServer(svc *mrskyline.Service, dataDir string) *server {
-	return &server{svc: svc, dataDir: dataDir, datasets: make(map[string]*dataset)}
+	return &server{svc: svc, maxBody: maxBodyBytes, dataDir: dataDir, datasets: make(map[string]*dataset)}
 }
 
 // datasetDir returns the durable directory for name, or "" when the
@@ -400,21 +406,40 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// decodeBody parses a request's JSON body into v. A field v does not have
-// is a 400 naming it: a misspelled "maximize" or "algorithm" dropped would
-// answer a different query than the one asked. So is anything but white
-// space after the value: a second object holding "maximize" would be
-// dropped the same way.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// What a connection may cost the daemon before a handler runs, and what a
+// body may. A client gets readHeaderTimeout to send a request's headers and
+// an idle keep-alive connection is closed after idleTimeout; neither bounds
+// a query, which the service deadline does. maxBodyBytes is 16 times the
+// ≈ 16 MB catalog the serve-query benchmark uploads.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxBodyBytes      = 256 << 20
+)
+
+// decodeBody parses a request's JSON body into v. A body over s.maxBody
+// bytes is a 413, read no further. A field v does not have is a 400 naming
+// it: a misspelled "maximize" or "algorithm" dropped would answer a
+// different query than the one asked. So is anything but white space after
+// the value: a second object holding "maximize" would be dropped the same
+// way.
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
+	msg := "bad request body: "
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		}
+		msg += "data after the JSON value"
+	} else {
+		msg += err.Error()
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return &httpError{http.StatusBadRequest, "bad request body: data after the JSON value"}
+	if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+		return &httpError{http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", tooLarge.Limit)}
 	}
-	return nil
+	return &httpError{http.StatusBadRequest, msg}
 }
 
 // handleQuery serves one query route — /v1/skyline, /v1/constrained or
@@ -426,7 +451,7 @@ func (s *server) handleQuery(route string) http.HandlerFunc {
 			writeError(w, &httpError{http.StatusMethodNotAllowed, "POST required"})
 			return
 		}
-		res, err := s.query(r, route)
+		res, err := s.query(w, r, route)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -436,9 +461,9 @@ func (s *server) handleQuery(route string) http.HandlerFunc {
 }
 
 // query decodes a request to route and runs it.
-func (s *server) query(r *http.Request, route string) (*mrskyline.Result, error) {
+func (s *server) query(w http.ResponseWriter, r *http.Request, route string) (*mrskyline.Result, error) {
 	var q queryRequest
-	if err := decodeBody(r, &q); err != nil {
+	if err := s.decodeBody(w, r, &q); err != nil {
 		return nil, err
 	}
 	if q.Constraints != nil && route != "/v1/constrained" {
@@ -512,7 +537,7 @@ func (s *server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Deltas []mrskyline.Delta `json:"deltas"`
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -599,7 +624,7 @@ func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{"datasets": list})
 	case http.MethodPost:
 		var req datasetRequest
-		if err := decodeBody(r, &req); err != nil {
+		if err := s.decodeBody(w, r, &req); err != nil {
 			writeError(w, err)
 			return
 		}

@@ -321,6 +321,65 @@ func TestBodyValidationRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestBodyValidationHostileBodies: a body over the server's cap is a 413
+// with the JSON error body, on every route that reads one, and so is one
+// whose value fits but whose trailing bytes do not; a truncated or too
+// deeply nested body is a 400. A body of exactly the cap is served.
+func TestBodyValidationHostileBodies(t *testing.T) {
+	svc, err := mrskyline.NewService(mrskyline.ServiceConfig{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(svc, "")
+	if srv.maxBody != 256<<20 {
+		t.Errorf("default body cap %d bytes, want 256 MiB", srv.maxBody)
+	}
+	const limit = 64 << 10
+	srv.maxBody = limit
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(ts.Close)
+	if code, raw := postJSON(t, ts.URL+"/v1/datasets", map[string]any{"name": "m", "data": [][]float64{{1, 2}}, "maintain": true}); code != http.StatusOK {
+		t.Fatalf("registration: status %d: %s", code, raw)
+	}
+
+	big := `{"data":[` + strings.Repeat("[0.5,0.5],", limit/10) + `[1,1]]}`
+	const small = `{"data":[[1,2],[2,1]]}`
+	nested := `{"data":` + strings.Repeat("[", 20000) + strings.Repeat("]", 20000) + `}`
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"oversized query", "/v1/skyline", big, http.StatusRequestEntityTooLarge},
+		{"oversized constrained", "/v1/constrained", big, http.StatusRequestEntityTooLarge},
+		{"oversized registration", "/v1/datasets", `{"name":"b",` + big[1:], http.StatusRequestEntityTooLarge},
+		{"oversized deltas", "/v1/datasets/m/deltas", `{"deltas":[` + strings.Repeat(`{"op":"insert","row":[0.5,0.5]},`, limit/30) + `{"op":"insert","row":[1,1]}]}`, http.StatusRequestEntityTooLarge},
+		{"oversized trailing space", "/v1/skyline", small + strings.Repeat(" ", limit), http.StatusRequestEntityTooLarge},
+		{"exactly the cap", "/v1/skyline", small + strings.Repeat(" ", limit-len(small)), http.StatusOK},
+		{"truncated", "/v1/skyline", big[:1000], http.StatusBadRequest},
+		{"truncated mid-number", "/v1/skyline", `{"data":[[1,2],[2,1.`, http.StatusBadRequest},
+		{"truncated deltas", "/v1/datasets/m/deltas", `{"deltas":[{"op":"insert","row":[1`, http.StatusBadRequest},
+		{"deeply nested", "/v1/skyline", nested, http.StatusBadRequest},
+		{"deeply nested registration", "/v1/datasets", `{"name":"n","data":` + nested[len(`{"data":`):], http.StatusBadRequest},
+	} {
+		if len(tc.body) > limit == (tc.want != http.StatusRequestEntityTooLarge) {
+			t.Fatalf("%s: a %d-byte body against a %d-byte cap cannot test status %d", tc.name, len(tc.body), limit, tc.want)
+		}
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error string }
+		decErr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d (%q), want %d", tc.name, resp.StatusCode, body.Error, tc.want)
+		}
+		if tc.want != http.StatusOK && (decErr != nil || body.Error == "") {
+			t.Errorf("%s: error body %q (%v), want a JSON error", tc.name, body.Error, decErr)
+		}
+	}
+}
+
 // TestConcurrentHTTPQueries is the serving acceptance check: 32
 // concurrent HTTP queries against one server, zero errors.
 func TestConcurrentHTTPQueries(t *testing.T) {

@@ -238,7 +238,7 @@ func singleReducerFuncs(
 func runSingleReducerJob(cfg *Config, name string, data tuple.List, funcs *mapreduce.JobFuncs, kind string, spec []byte) (tuple.List, *mapreduce.Result, error) {
 	job := &mapreduce.Job{
 		Name:        name,
-		Input:       mapreduce.EncodeTuples(data),
+		Input:       mapreduce.TupleInput(data),
 		NumMappers:  cfg.mappers(),
 		NumReducers: 1,
 		Kind:        kind,

@@ -92,7 +92,7 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 	// ---- Job 1: per-leaf local skylines --------------------------------
 	local := &mapreduce.Job{
 		Name:        "sky-mr-local",
-		Input:       mapreduce.EncodeTuples(data),
+		Input:       mapreduce.TupleInput(data),
 		NumMappers:  cfg.mappers(),
 		NumReducers: reducers,
 		Cache:       cache,

@@ -8,7 +8,6 @@ import (
 	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
-	"mrskyline/internal/tuple"
 )
 
 // BitstringResult is the outcome of job 1, the Section 3.3 job.
@@ -40,9 +39,8 @@ func ppdSelectFuncs(card int, ladder *grid.Ladder, disablePruning bool) *mapredu
 
 // newPPDSelectMapper builds the Section 3.3 mapper: one local occupancy
 // bitstring per candidate PPD, emitted keyed by the candidate on flush. Each
-// tuple is one pass: read it into the mapper's scratch tuple (the mapper
-// retains no tuple, so one per task attempt serves the whole split), locate
-// it on the live levels of the ladder, set one bit per level.
+// row of its split is one pass: locate it on the live levels of the ladder,
+// set one bit per level.
 //
 // Levels are live until one fills. Once every bit of level j is set here,
 // j's global bitstring is full too, so j scores exactly 0 and, ties going to
@@ -59,15 +57,13 @@ func newPPDSelectMapper(ladder *grid.Ladder) mapreduce.Mapper {
 	}
 	cells := make([]int, ladder.Len())
 	live := ladder.Len() // levels still located; below Len, level live is full
-	scratch := make(tuple.Tuple, ladder.Dim())
-	return mapreduce.ArenaMapperFuncs{
-		MapArenaFn: func(_ *mapreduce.TaskContext, a mapreduce.TupleArena, _ mapreduce.Emitter) error {
-			if a.Dim() != ladder.Dim() {
-				return fmt.Errorf("core: tuple dimensionality %d, want %d", a.Dim(), ladder.Dim())
+	return mapreduce.RowsMapperFuncs{
+		MapRowsFn: func(_ *mapreduce.TaskContext, rows [][]float64, _ mapreduce.Emitter) error {
+			if len(rows[0]) != ladder.Dim() {
+				return fmt.Errorf("core: tuple dimensionality %d, want %d", len(rows[0]), ladder.Dim())
 			}
-			for r := 0; r < a.Len() && live > 0; r++ {
-				a.Load(r, scratch)
-				for i, p := range ladder.Locate(scratch, cells[:live]) {
+			for r := 0; r < len(rows) && live > 0; r++ {
+				for i, p := range ladder.Locate(rows[r], cells[:live]) {
 					if locals[i].Get(p) {
 						continue
 					}
@@ -241,7 +237,7 @@ func ChoosePPDAndBitstring(cfg *Config, d, card int, input mapreduce.Input, disa
 }
 
 // prepareInput resolves the grid + global bitstring for a skyline run over
-// the encoded dataset with job 1. card is the input cardinality.
+// the input dataset with job 1. card is the input cardinality.
 func prepareInput(cfg *Config, input mapreduce.Input, d, card int) (*BitstringResult, error) {
 	if err := cfg.validate(d); err != nil {
 		return nil, err

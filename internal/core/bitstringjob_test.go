@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -203,9 +204,23 @@ func TestChoosePPDDeadCandidateRuleFires(t *testing.T) {
 	}
 }
 
-// TestJobOneMapFnAllocs pins the per-record cost the scratch decode buys:
-// on the default codec the job-1 mapper does not allocate per record, over
-// the candidate series or over one level (a fixed PPD).
+// mapThrough runs m as the one map task of a job over recs on eng, so that
+// the split reaches m as a map attempt's does — decoded once into a batch
+// by the engine's mapSplit — and returns the job's error. Every attempt of
+// the task gets m itself, so its state carries over from call to call.
+func mapThrough(eng mapreduce.Executor, m mapreduce.Mapper, recs ...mapreduce.Record) error {
+	_, err := eng.RunContext(context.Background(), &mapreduce.Job{
+		Name: "job 1", Input: mapreduce.RecordsInput(recs), NumMappers: 1, NumReducers: 1,
+		NewMapper:  func() mapreduce.Mapper { return m },
+		NewReducer: func() mapreduce.Reducer { return mapreduce.ReducerFuncs{} },
+	})
+	return err
+}
+
+// TestJobOneMapFnAllocs pins job 1's map body to no per-row allocation, on
+// the default codec, over the candidate series and over one level (a fixed
+// PPD): a map task over a 512-record split allocates as many objects as one
+// over twice the records, give or take the engine's own noise.
 func TestJobOneMapFnAllocs(t *testing.T) {
 	const d = 3
 	candidates := ppdCandidates(150_000, d)
@@ -217,27 +232,28 @@ func TestJobOneMapFnAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := mapreduce.TupleInput(datagen.Generate(datagen.Independent, 512, d, 1)).Records
-	for name, m := range map[string]mapreduce.Mapper{
-		"ppd-select": newPPDSelectMapper(series),
-		"one level":  newPPDSelectMapper(one),
-	} {
-		i := 0
-		if n := testing.AllocsPerRun(2000, func() {
-			if err := m.Map(nil, recs[i%len(recs)], nil); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		}); n != 0 {
-			t.Errorf("%s MapFn: %v allocs per record, want 0", name, n)
+	eng := internalTestConfig(t).Engine
+	for name, ladder := range map[string]*grid.Ladder{"ppd-select": series, "one level": one} {
+		var counts []float64
+		for _, n := range []int{512, 1024} {
+			recs := mapreduce.TupleInput(datagen.Generate(datagen.Independent, n, d, 1)).Records
+			counts = append(counts, testing.AllocsPerRun(20, func() {
+				if err := mapThrough(eng, newPPDSelectMapper(ladder), recs...); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		if extra := counts[1] - counts[0]; extra > 64 {
+			t.Errorf("%s: a map task allocates %v objects over 512 records, %v over 1024: %v per extra row, want none", name, counts[0], counts[1], extra/512)
 		}
 	}
 }
 
-// TestJobOneMapFnRejectsDimension: the per-record dimensionality check
-// survives the scratch decode, for records narrower and wider than d, and
-// survives the coarsest level filling, after which the mapper locates
-// nothing — over the candidate series and over one level (a fixed PPD).
+// TestJobOneMapFnRejectsDimension: the dimensionality check survives the
+// batch decode, for records narrower and wider than d, alone in a split or
+// beside well-formed ones, and survives the coarsest level filling, after
+// which the mapper locates nothing — over the candidate series and over one
+// level (a fixed PPD). A rejected split leaves the mapper usable.
 func TestJobOneMapFnRejectsDimension(t *testing.T) {
 	series, err := grid.NewLadder(3, []int{2, 4}, nil, nil)
 	if err != nil {
@@ -247,13 +263,17 @@ func TestJobOneMapFnRejectsDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := internalTestConfig(t).Engine
+	rec := func(t tuple.Tuple) mapreduce.Record { return mapreduce.Record{Value: tuple.Encode(t)} }
+	good := rec(tuple.Tuple{0.1, 0.2, 0.3})
 	full := func(ladder *grid.Ladder) mapreduce.Mapper {
 		m := newPPDSelectMapper(ladder)
+		var corners []mapreduce.Record
 		for c := 0; c < 8; c++ {
-			corner := tuple.Tuple{0.25 + 0.5*float64(c>>2&1), 0.25 + 0.5*float64(c>>1&1), 0.25 + 0.5*float64(c&1)}
-			if err := m.Map(nil, mapreduce.Record{Value: tuple.Encode(corner)}, nil); err != nil {
-				t.Fatal(err)
-			}
+			corners = append(corners, rec(tuple.Tuple{0.25 + 0.5*float64(c>>2&1), 0.25 + 0.5*float64(c>>1&1), 0.25 + 0.5*float64(c&1)}))
+		}
+		if err := mapThrough(eng, m, corners...); err != nil {
+			t.Fatal(err)
 		}
 		return m
 	}
@@ -264,14 +284,16 @@ func TestJobOneMapFnRejectsDimension(t *testing.T) {
 		"one level, full":        full(one),
 	} {
 		for _, bad := range []tuple.Tuple{{0.5, 0.5}, {0.1, 0.2, 0.3, 0.4}, {}} {
-			if err := m.Map(nil, mapreduce.Record{Value: tuple.Encode(bad)}, nil); err == nil {
-				t.Errorf("%s accepted a %d-dimensional record", name, len(bad))
-			}
-			if err := m.Map(nil, mapreduce.Record{Value: tuple.Encode(tuple.Tuple{0.1, 0.2, 0.3})}, nil); err != nil {
-				t.Errorf("%s after a bad record: %v", name, err)
+			for _, split := range [][]mapreduce.Record{{rec(bad)}, {good, rec(bad)}, {rec(bad), good}} {
+				if err := mapThrough(eng, m, split...); err == nil {
+					t.Errorf("%s accepted a %d-dimensional record in a split of %d", name, len(bad), len(split))
+				}
+				if err := mapThrough(eng, m, good); err != nil {
+					t.Errorf("%s after a bad split: %v", name, err)
+				}
 			}
 		}
-		if err := m.Map(nil, mapreduce.Record{Value: []byte{3, 1, 2}}, nil); err == nil {
+		if err := mapThrough(eng, m, mapreduce.Record{Value: []byte{3, 1, 2}}); err == nil {
 			t.Errorf("%s accepted a truncated record", name)
 		}
 	}

@@ -12,35 +12,37 @@ import (
 //     unless checked says the caller already found every row well-formed,
 //     so a malformed row fails with Validate's text, index and values;
 //   - negates the dimensions whose sign is −1 (signs is nil, or holds one
-//     ±1 per dimension);
+//     ±1 per dimension) into the row's view of one oriented copy;
 //   - folds the oriented row into the per-dimension minima and maxima with
-//     tuple's MinWith/MaxWith (so of a −0 and a +0 the first seen stays);
-//   - encodes the oriented row as the row's record of one exactly sized
-//     mapreduce.TupleArena.
+//     tuple's MinWith/MaxWith (so of a −0 and a +0 the first seen stays).
 //
-// lo and hi are then grid.DataBounds of the oriented rows, bit for bit: the
-// same fold, widened by grid.WidenBounds. The arena is the rows' only copy
-// a run keeps; no oriented row list, Record slice or second check is made.
-func EncodeRows[Row ~[]float64](rows []Row, signs []float64, checked bool) (in mapreduce.TupleArena, lo, hi tuple.Tuple, err error) {
+// The input is the rows themselves when signs is nil: nothing is copied,
+// and the jobs read, and their windows keep, the caller's rows. Otherwise
+// it is the oriented copy, one []float64 with capacity-clipped row views
+// into it. lo and hi are then grid.DataBounds of the oriented rows, bit for
+// bit: the same fold, widened by grid.WidenBounds.
+func EncodeRows(rows [][]float64, signs []float64, checked bool) (in mapreduce.TupleRows, lo, hi tuple.Tuple, err error) {
 	d := len(rows[0])
-	in = mapreduce.NewTupleArena(len(rows), d)
-	lo, hi = make(tuple.Tuple, d), make(tuple.Tuple, d)
-	var oriented tuple.Tuple
+	in = rows
+	var flat []float64
 	if signs != nil {
-		oriented = make(tuple.Tuple, d)
+		in = make(mapreduce.TupleRows, len(rows))
+		flat = make([]float64, len(rows)*d)
 	}
+	lo, hi = make(tuple.Tuple, d), make(tuple.Tuple, d)
 	for i, row := range rows {
 		t := tuple.Tuple(row)
 		if !checked {
 			if err := tuple.CheckAt(i, t, d); err != nil {
-				return mapreduce.TupleArena{}, nil, nil, err
+				return nil, nil, nil, err
 			}
 		}
 		if signs != nil {
+			oriented := flat[i*d : (i+1)*d : (i+1)*d]
 			for k, s := range signs {
 				oriented[k] = t[k] * s
 			}
-			t = oriented
+			in[i], t = oriented, oriented
 		}
 		if i == 0 {
 			copy(lo, t)
@@ -49,7 +51,6 @@ func EncodeRows[Row ~[]float64](rows []Row, signs []float64, checked bool) (in m
 			lo.MinWith(t)
 			hi.MaxWith(t)
 		}
-		in.Put(i, t)
 	}
 	grid.WidenBounds(lo, hi)
 	return in, lo, hi, nil

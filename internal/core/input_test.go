@@ -32,8 +32,8 @@ func signPatterns(d int) [][]float64 {
 	return patterns
 }
 
-// arenaBytes concatenates an input's record values in split order.
-func arenaBytes(t *testing.T, in mapreduce.Input) []byte {
+// inputBytes concatenates an input's record values in split order.
+func inputBytes(t *testing.T, in mapreduce.Input) []byte {
 	t.Helper()
 	splits, err := in.Splits(1)
 	if err != nil {
@@ -63,8 +63,10 @@ func sameBits(a, b tuple.Tuple) bool {
 
 // TestEncodeRowsMatchesSweeps holds the one input pass to the sweeps it
 // replaced: orienting every row into a list, grid.DataBounds over that
-// list, and TupleInput's records over it. The arena must hold exactly the
-// records' bytes, lo/hi must be DataBounds' bit for bit (a −0 beside a +0
+// list, and TupleInput's records over it. The input must encode to exactly
+// the records' bytes — the caller's rows themselves under the identity
+// orientation, capacity-clipped views of one oriented copy otherwise, the
+// caller's rows unwritten either way — lo/hi must be DataBounds' bit for bit (a −0 beside a +0
 // keeps the first one seen, which Go's builtin min would not), and
 // malformed rows must fail with Validate's text and index over the
 // caller's rows, never the negated ones.
@@ -109,18 +111,30 @@ func TestEncodeRowsMatchesSweeps(t *testing.T) {
 			}
 			wantLo, wantHi := grid.DataBounds(oriented)
 			for _, checked := range []bool{false, true} {
-				in, lo, hi, err := core.EncodeRows(rows, signs, checked)
+				before := rows.Clone()
+				in, lo, hi, err := core.EncodeRows(asRows(rows), signs, checked)
 				if err != nil {
 					t.Fatalf("%s signs %v: %v", name, signs, err)
 				}
-				if in.Len() != len(rows) || in.Dim() != d {
-					t.Errorf("%s signs %v: arena of %d × %d, want %d × %d", name, signs, in.Len(), in.Dim(), len(rows), d)
+				if len(in) != len(rows) {
+					t.Errorf("%s signs %v: %d input rows, want %d", name, signs, len(in), len(rows))
 				}
-				if got := arenaBytes(t, in); !bytes.Equal(got, want) {
-					t.Errorf("%s signs %v: arena bytes differ from TupleInput's records", name, signs)
+				for i, row := range in[:min(len(in), len(rows))] {
+					if caller := &rows[i][0] == &row[0]; caller != (signs == nil) || (!caller && cap(row) != d) {
+						t.Errorf("%s signs %v: input row %d is the caller's %v, %d values, capacity %d", name, signs, i, caller, len(row), cap(row))
+						break
+					}
+				}
+				if got := inputBytes(t, in); !bytes.Equal(got, want) {
+					t.Errorf("%s signs %v: input bytes differ from TupleInput's records", name, signs)
 				}
 				if !sameBits(lo, wantLo) || !sameBits(hi, wantHi) {
 					t.Errorf("%s signs %v: bounds [%v, %v), DataBounds [%v, %v)", name, signs, lo, hi, wantLo, wantHi)
+				}
+				for i := range rows {
+					if !sameBits(rows[i], before[i]) {
+						t.Fatalf("%s signs %v: the pass wrote caller row %d", name, signs, i)
+					}
 				}
 			}
 		}
@@ -157,32 +171,48 @@ func TestEncodeRowsMatchesSweeps(t *testing.T) {
 	}
 }
 
-// TestEncodeRowsAllocs guards the pass's footprint: a constant number of
-// objects whatever the cardinality (the arena, the bounds and one scratch
-// row — no per-row allocation), and no more bytes than the arena's
-// n·(1 + 8d) plus 4 KiB. The runtime rounds a large object up to whole
-// 8 KiB pages, so the larger n makes the arena exactly 50 of them.
+// TestEncodeRowsAllocs guards the pass's footprint. Under the identity
+// orientation it copies nothing: at most 4 objects and 4 KiB (the bounds)
+// whatever the cardinality. Under any other it allocates a constant number
+// of objects — the oriented copy's values and row views, and the bounds; no
+// per-row allocation — and no more bytes than the copy's n·8d values and
+// n·24 row views plus 4 KiB. The runtime rounds a large object up to whole
+// 8 KiB pages.
 func TestEncodeRowsAllocs(t *testing.T) {
 	const d = 3
-	signs := []float64{1, -1, 1}
-	var counts []float64
-	for _, n := range []int{1024, 16384} {
-		rows := datagen.Generate(datagen.Independent, n, d, 1)
-		encode := func() {
-			if _, _, _, err := core.EncodeRows(rows, signs, false); err != nil {
-				t.Fatal(err)
+	for _, signs := range [][]float64{nil, {1, -1, 1}} {
+		var counts []float64
+		for _, n := range []int{1024, 16384} {
+			rows := asRows(datagen.Generate(datagen.Independent, n, d, 1))
+			encode := func() {
+				if _, _, _, err := core.EncodeRows(rows, signs, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			counts = append(counts, testing.AllocsPerRun(5, encode))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			encode()
+			runtime.ReadMemStats(&after)
+			limit := uint64(4096)
+			if signs != nil {
+				limit += uint64(n * (8*d + 24))
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+				t.Errorf("signs %v, n = %d: the pass allocated %d bytes, want ≤ %d", signs, n, got, limit)
 			}
 		}
-		counts = append(counts, testing.AllocsPerRun(5, encode))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		encode()
-		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*(1+8*d)+4096); got > limit {
-			t.Errorf("n = %d: the pass allocated %d bytes, want ≤ %d", n, got, limit)
+		if counts[0] != counts[1] || counts[0] > 4 {
+			t.Errorf("signs %v: allocations per pass = %v at n = 1024 and 16384, want one constant ≤ 4", signs, counts)
 		}
 	}
-	if counts[0] != counts[1] || counts[0] > 4 {
-		t.Errorf("allocations per pass = %v at n = 1024 and 16384, want one constant ≤ 4", counts)
+}
+
+// asRows returns a tuple list as plain rows, the same backing arrays.
+func asRows(data tuple.List) [][]float64 {
+	rows := make([][]float64, len(data))
+	for i, t := range data {
+		rows[i] = t
 	}
+	return rows
 }

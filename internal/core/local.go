@@ -46,29 +46,25 @@ type localState struct {
 	// which need the whole partition before running.
 	pending map[int]tuple.List
 	inserts window.InsertSampler
-	// scratch is the tuple the next record is read into; it is replaced by
-	// a fresh one whenever a window or pending keeps it.
-	scratch tuple.Tuple
 }
 
 func newLocalState(g *grid.Grid, bs *bitstring.Bitstring, kernel skyline.Kernel) *localState {
-	ls := &localState{partWindows: partWindows{g: g, s: make(winMap)}, bs: bs, kernel: kernel, scratch: make(tuple.Tuple, g.Dim())}
+	ls := &localState{partWindows: partWindows{g: g, s: make(winMap)}, bs: bs, kernel: kernel}
 	if kernel != skyline.KernelBNL {
 		ls.pending = make(map[int]tuple.List)
 	}
 	return ls
 }
 
-// mapArena processes a run of input tuples (Algorithm 3 lines 2–8): per
-// tuple, read it into the scratch tuple, locate its partition, skip it when
-// the bitstring pruned the partition, otherwise fold it into the
-// partition's local skyline window. reg receives the task's sampled Insert
-// latencies (nil: none). Only a tuple the window or pending keeps costs an
-// allocation.
-func (ls *localState) mapArena(reg *obs.Registry, a mapreduce.TupleArena) error {
+// mapRows processes a run of input rows (Algorithm 3 lines 2–8): per row,
+// locate its partition, skip it when the bitstring pruned the partition,
+// otherwise fold it into the partition's local skyline window. reg
+// receives the task's sampled Insert latencies (nil: none). A window or
+// pending keeps the row itself: no tuple is allocated for a kept row.
+func (ls *localState) mapRows(reg *obs.Registry, rows [][]float64) error {
 	d := ls.g.Dim()
-	if a.Dim() != d {
-		return fmt.Errorf("core: tuple dimensionality %d does not match grid d=%d", a.Dim(), d)
+	if len(rows[0]) != d {
+		return fmt.Errorf("core: tuple dimensionality %d does not match grid d=%d", len(rows[0]), d)
 	}
 	// The windows of the partitions inserted into lately, by partition mod
 	// 16, so that a tuple does not look its window up in the map: no window
@@ -77,25 +73,21 @@ func (ls *localState) mapArena(reg *obs.Registry, a mapreduce.TupleArena) error 
 		p int
 		w *window.Window
 	}
-	for i := range a.Len() {
-		t := ls.scratch
-		a.Load(i, t)
+	for _, row := range rows {
+		t := tuple.Tuple(row)
 		j := ls.g.Locate(t)
 		if !ls.bs.Get(j) {
 			continue
 		}
 		if ls.pending != nil {
 			ls.pending[j] = append(ls.pending[j], t)
-		} else {
-			e := &recent[j%len(recent)]
-			if e.w == nil || e.p != j {
-				e.p, e.w = j, ls.s.window(j, d)
-			}
-			if !ls.inserts.Insert(reg, e.w, t, &ls.cnt) {
-				continue
-			}
+			continue
 		}
-		ls.scratch = make(tuple.Tuple, d)
+		e := &recent[j%len(recent)]
+		if e.w == nil || e.p != j {
+			e.p, e.w = j, ls.s.window(j, d)
+		}
+		ls.inserts.Insert(reg, e.w, t, &ls.cnt)
 	}
 	return nil
 }

@@ -59,7 +59,10 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 	}
 	cache := mapreduce.Cache{cacheKeyBitstring: bs.Encode()}
 	data := datagen.Generate(datagen.AntiCorrelated, 1000, d, 3)
-	recs := mapreduce.TupleInput(data).Records
+	rows := make([][]float64, len(data))
+	for i, t := range data {
+		rows[i] = t
+	}
 
 	type emitted struct{ key, value []byte }
 	for _, kernel := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS, skyline.KernelDC} {
@@ -69,11 +72,9 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 		} {
 			var out []emitted
 			counted, published, samples := taskMetrics(t, cache, func(ctx *mapreduce.TaskContext) error {
-				m := funcs.NewMapper()
-				for _, rec := range recs {
-					if err := m.Map(ctx, rec, nil); err != nil {
-						return err
-					}
+				m := funcs.NewMapper().(mapreduce.RowsMapper)
+				if err := m.MapRows(ctx, rows, nil); err != nil {
+					return err
 				}
 				return m.Flush(ctx, func(k, v []byte) {
 					out = append(out, emitted{append([]byte(nil), k...), append([]byte(nil), v...)})

@@ -10,7 +10,7 @@ import (
 
 // Plan is the part of a grid skyline run over an in-memory dataset that
 // does not depend on which skyline job follows, or on how often: the
-// dataset encoded once as a job input, and the grid and pruned global
+// dataset's rows as the job input, and the grid and pruned global
 // bitstring job 1 (the Section 3.3 job) derived from it. Both are pure
 // functions of the data, the domain bounds, the PPD setting and the mapper
 // count, so a caller that queries one immutable dataset repeatedly
@@ -24,11 +24,11 @@ type Plan struct {
 
 // Prepare runs job 1 under cfg (Engine, Ctx, NumMappers, PPD, Lo/Hi,
 // DisablePruning) over in, a non-empty dataset EncodeRows has checked and
-// encoded, and keeps in as the input of every skyline job the plan runs.
-func Prepare(cfg Config, in mapreduce.TupleArena) (*Plan, error) {
-	p := &Plan{input: in, card: in.Len()}
+// oriented, and keeps in as the input of every skyline job the plan runs.
+func Prepare(cfg Config, in mapreduce.TupleRows) (*Plan, error) {
+	p := &Plan{input: in, card: len(in)}
 	var err error
-	if p.prep, err = prepareInput(&cfg, p.input, in.Dim(), p.card); err != nil {
+	if p.prep, err = prepareInput(&cfg, p.input, len(in[0]), p.card); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -56,8 +56,8 @@ func (a Algorithm) String() string {
 	}
 }
 
-// compute is the one-shot run behind GPSRS, GPMRS and Hybrid: check and
-// encode data, prepare, then the skyline job, with Stats.Total covering
+// compute is the one-shot run behind GPSRS, GPMRS and Hybrid: check data,
+// prepare, then the skyline job, with Stats.Total covering
 // all of it. The domain is cfg's Lo/Hi (the unit box when nil), not the
 // data's bounds.
 func compute(cfg Config, data tuple.List, algo Algorithm, threshold int64) (tuple.List, *Stats, error) {
@@ -65,7 +65,11 @@ func compute(cfg Config, data tuple.List, algo Algorithm, threshold int64) (tupl
 	if len(data) == 0 {
 		return nil, &Stats{Algorithm: algo.String()}, nil
 	}
-	in, _, _, err := EncodeRows(data, nil, false)
+	rows := make([][]float64, len(data))
+	for i, t := range data {
+		rows[i] = t
+	}
+	in, _, _, err := EncodeRows(rows, nil, false)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -695,25 +695,24 @@ func attemptMap(job *Job, rj *resolvedJob, split Split, ctx *TaskContext) ([]seg
 }
 
 // mapSplit feeds split through mapper and returns how many records it
-// read: the whole split in one MapArena call when the split is an arena's
-// and the mapper an ArenaMapper, otherwise record by record through Map.
-// An empty split is never mapped, as Map is never called on one.
+// read: a RowsMapper's whole split in one MapRows call (splitRows), any
+// other mapper's record by record through Map. An empty split is never
+// mapped, as Map is never called on one.
 func mapSplit(mapper Mapper, split Split, ctx *TaskContext, emit Emitter) (int64, error) {
-	if s, ok := split.(arenaSplit); ok {
-		if am, ok := mapper.(ArenaMapper); ok {
-			a := TupleArena(s)
-			if a.Len() == 0 {
-				return 0, nil
-			}
-			return int64(a.Len()), am.MapArena(ctx, a, emit)
-		}
+	rm, ok := mapper.(RowsMapper)
+	if !ok {
+		n := int64(0)
+		err := split.Each(func(rec Record) error {
+			n++
+			return mapper.Map(ctx, rec, emit)
+		})
+		return n, err
 	}
-	n := int64(0)
-	err := split.Each(func(rec Record) error {
-		n++
-		return mapper.Map(ctx, rec, emit)
-	})
-	return n, err
+	rows, err := splitRows(split)
+	if err != nil || len(rows) == 0 {
+		return 0, err
+	}
+	return int64(len(rows)), rm.MapRows(ctx, rows, emit)
 }
 
 // attemptReduce executes the user half of one reduce-task attempt, pulling

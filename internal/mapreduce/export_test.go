@@ -1,4 +1,4 @@
 package mapreduce
 
-// ArenaSplitBytes returns the bytes an arena's split views.
-func ArenaSplitBytes(s Split) []byte { return s.(arenaSplit).buf }
+// SplitRows returns the rows a TupleRows split views.
+func SplitRows(s Split) [][]float64 { return s.(rowsSplit) }

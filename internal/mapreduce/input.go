@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"mrskyline/internal/tuple"
 )
@@ -66,112 +65,66 @@ func (s memorySplit) Each(fn func(Record) error) error {
 }
 
 // ---------------------------------------------------------------------------
-// Encoded tuple input
+// Tuple input
 
-// TupleArena is a dataset encoded as a job input: record i is the
-// tuple.AppendEncode bytes of the i-th tuple (key nil), and every record
-// has the same d dimensions and so the same stride, packed into one exactly
-// sized []byte that holds no pointers. Its splits are views: Splits cuts at
-// MemoryInput's boundaries into arenas clipped at the split's end, whose
-// Each yields capacity-clipped windows of the records, so a job reads the
-// same bytes in the same order as from TupleInput's records without a
-// Record per tuple being held; an ArenaMapper is handed the split's arena
-// itself. Put fills it; nothing that reads an input writes to it, so one
-// arena serves every job of a run, concurrently.
-type TupleArena struct {
-	buf []byte
-	// n records of d dimensions, stride bytes each: len(buf) is n·stride.
-	n, d, stride int
-}
+// TupleRows is a dataset held as a job input in place: record i is the
+// tuple.AppendEncode bytes of row i (key nil). Every row must have the same
+// width, as core.EncodeRows, which checks the rows, guarantees. Its splits
+// are views: Splits cuts at MemoryInput's boundaries into capacity-clipped
+// runs of the rows. A RowsMapper is handed a split's rows themselves; only a consumer of records — the leased driver framing a
+// split, or a Mapper's Map — makes Each encode them, so a job reads the
+// same bytes in the same order as from TupleInput's records. Nothing that
+// reads an input writes to it, so one TupleRows serves every job of a run,
+// concurrently, and a mapper may keep a row it is handed.
+type TupleRows [][]float64
 
-// NewTupleArena returns an arena for n tuples of d dimensions, to be
-// filled with Put.
-func NewTupleArena(n, d int) TupleArena {
-	stride := uvarintLen(uint64(d)) + 8*d
-	return TupleArena{buf: make([]byte, n*stride), n: n, d: d, stride: stride}
-}
-
-// Put encodes t as record i; t must have the arena's d dimensions. Put is
-// the one encoder of a job's input records: EncodeTuples, TupleInput and
-// core.EncodeRows, every grid query's input pass, write through it.
-func (a TupleArena) Put(i int, t tuple.Tuple) {
-	if len(tuple.AppendEncode(a.record(i)[:0], t)) != a.stride {
-		panic(fmt.Sprintf("mapreduce: %d-dimensional tuple put into a %d-dimensional arena", len(t), a.d))
-	}
-}
-
-// record returns record i's bytes, a window that cannot grow into the
-// next record.
-func (a TupleArena) record(i int) []byte {
-	return a.buf[i*a.stride : (i+1)*a.stride : (i+1)*a.stride]
-}
-
-// Len returns the number of records.
-func (a TupleArena) Len() int { return a.n }
-
-// Dim returns the records' dimensionality.
-func (a TupleArena) Dim() int { return a.d }
-
-// Load writes the tuple of record i into dst, which must have Dim values,
-// reading its d float64s in place: the records are well-formed by
-// construction, so there is no header to parse and nothing to fail.
-func (a TupleArena) Load(i int, dst tuple.Tuple) {
-	end := (i + 1) * a.stride
-	b := a.buf[end-8*a.d : end]
-	for k := range dst[:a.d] {
-		dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))
-		b = b[8:]
-	}
-}
-
-// Splits implements Input. Each split is an arena over a run of a's
-// records whose capacity ends where the run does.
-func (a TupleArena) Splits(hint int) ([]Split, error) {
-	n := a.Len()
+// Splits implements Input.
+func (r TupleRows) Splits(hint int) ([]Split, error) {
+	n := len(r)
 	splits := make([]Split, splitCount(n, hint))
 	for i := range splits {
 		lo, hi := i*n/len(splits), (i+1)*n/len(splits)
-		end := hi * a.stride
-		splits[i] = arenaSplit{buf: a.buf[lo*a.stride : end : end], n: hi - lo, d: a.d, stride: a.stride}
+		splits[i] = rowsSplit(r[lo:hi:hi])
 	}
 	return splits, nil
 }
 
-// arenaSplit is a run of an arena's records, itself an arena.
-type arenaSplit TupleArena
+// rowsSplit is a run of a TupleRows' rows.
+type rowsSplit [][]float64
 
-// Each yields each record's bytes as a window that cannot grow into the
-// next record.
-func (s arenaSplit) Each(fn func(Record) error) error {
-	a := TupleArena(s)
-	for i := range a.Len() {
-		if err := fn(Record{Value: a.record(i)}); err != nil {
+// Each encodes the split's rows into one exactly sized buffer and yields
+// each row's record.
+func (s rowsSplit) Each(fn func(Record) error) error { return eachEncoded(s, fn) }
+
+// eachEncoded encodes rows into one exactly sized buffer and yields each
+// row's record, a window of the buffer that cannot grow into the next
+// record. It is the one encoder of a job's input records: TupleInput and
+// TupleRows' splits write through it.
+func eachEncoded[R ~[]float64](rows []R, fn func(Record) error) error {
+	size := 0
+	for _, r := range rows {
+		size += uvarintLen(uint64(len(r))) + 8*len(r)
+	}
+	buf := make([]byte, 0, size)
+	for _, r := range rows {
+		start := len(buf)
+		buf = tuple.AppendEncode(buf, tuple.Tuple(r))
+		if err := fn(Record{Value: buf[start:len(buf):len(buf)]}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// EncodeTuples encodes a tuple list, whose tuples must share one
-// dimensionality, into a TupleArena: a copy, so later changes to the list
-// do not reach it.
-func EncodeTuples(data tuple.List) TupleArena {
-	a := NewTupleArena(len(data), data.Dim())
-	for i, t := range data {
-		a.Put(i, t)
-	}
-	return a
-}
-
-// TupleInput is EncodeTuples with the arena's records listed, for callers
-// that want the Records themselves; a job over a dataset reads the arena
-// and holds no Record per tuple.
+// TupleInput lists a tuple list's records, encoded as TupleRows' are, for
+// callers that want the Records themselves; a grid query's job reads
+// TupleRows and holds no Record per tuple.
 func TupleInput(data tuple.List) MemoryInput {
-	a := EncodeTuples(data)
-	recs := make([]Record, len(data))
-	for i := range recs {
-		recs[i] = Record{Value: a.record(i)}
-	}
+	recs := make([]Record, 0, len(data))
+	eachEncoded(data, func(rec Record) error {
+		recs = append(recs, rec)
+		return nil
+	})
 	return MemoryInput{Records: recs}
 }
 
@@ -185,7 +138,45 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// DecodeTupleRecord recovers a tuple from a TupleArena record.
+// splitRows returns a split's rows for a RowsMapper. A TupleRows split's
+// rows are returned as they are: TupleRows' own contract is one width. Any
+// other split's records are decoded once into one batch: one []float64 for
+// the values and capacity-clipped row views into it, every record checked
+// to be exactly one encoded tuple of the first record's dimensionality.
+func splitRows(split Split) ([][]float64, error) {
+	if s, ok := split.(rowsSplit); ok {
+		return s, nil
+	}
+	recs, ok := split.(memorySplit)
+	if !ok {
+		if err := split.Each(func(rec Record) error {
+			recs = append(recs, rec)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+	}
+	if len(recs) == 0 {
+		return nil, nil
+	}
+	d, h := binary.Uvarint(recs[0].Value)
+	if h <= 0 || d > uint64(len(recs[0].Value)/8) {
+		return nil, fmt.Errorf("mapreduce: a %d-byte record is not one encoded tuple", len(recs[0].Value))
+	}
+	k := int(d)
+	flat := make([]float64, len(recs)*k)
+	rows := make([][]float64, len(recs))
+	for i, rec := range recs {
+		t, m, err := tuple.DecodeInto(flat[i*k:(i+1)*k:(i+1)*k], rec.Value)
+		if err != nil || len(t) != k || m != len(rec.Value) {
+			return nil, fmt.Errorf("mapreduce: a %d-byte record is not one encoded tuple of %d dimensions", len(rec.Value), k)
+		}
+		rows[i] = t
+	}
+	return rows, nil
+}
+
+// DecodeTupleRecord recovers a tuple from a TupleInput or TupleRows record.
 func DecodeTupleRecord(rec Record) (tuple.Tuple, error) {
 	t, _, err := tuple.Decode(rec.Value)
 	return t, err

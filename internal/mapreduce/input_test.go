@@ -35,30 +35,44 @@ func splitValues(t *testing.T, in mapreduce.Input, hint int) [][][]byte {
 	return out
 }
 
-// TestTupleArenaSplits: an arena's splits are MemoryInput's over
-// TupleInput's records — same boundaries, same values in the same order —
-// and each value is a window that an append cannot grow into the next
-// record, as each split's view of the arena, which an ArenaMapper is
-// handed, cannot grow into the next split. On the leased driver both
-// inputs frame byte-identical splits.
-func TestTupleArenaSplits(t *testing.T) {
+// asRows returns a tuple list as plain rows, the same backing arrays.
+func asRows(data tuple.List) [][]float64 {
+	rows := make([][]float64, len(data))
+	for i, t := range data {
+		rows[i] = t
+	}
+	return rows
+}
+
+// TestTupleRowsSplits: a TupleRows' splits are MemoryInput's over
+// TupleInput's records — same boundaries, same values in the same order
+// from Each — and each split views the rows with its capacity clipped, so
+// an append to a split's rows cannot reach the next split's. Each record
+// is a window that an append cannot grow into the next record. On the
+// leased driver both inputs frame byte-identical splits.
+func TestTupleRowsSplits(t *testing.T) {
 	for _, n := range []int{0, 1, 15, 16, 17, 1000} {
 		data := datagen.Generate(datagen.AntiCorrelated, n, 3, int64(n))
-		arena, records := mapreduce.EncodeTuples(data), mapreduce.TupleInput(data)
-		if arena.Len() != n {
-			t.Errorf("n = %d: arena holds %d records", n, arena.Len())
-		}
+		rows, records := mapreduce.TupleRows(asRows(data)), mapreduce.TupleInput(data)
 		for _, hint := range []int{0, 1, 16, n + 3} {
-			splits, err := arena.Splits(hint)
+			splits, err := rows.Splits(hint)
 			if err != nil {
 				t.Fatal(err)
 			}
+			next := 0
 			for s, split := range splits {
-				if b := mapreduce.ArenaSplitBytes(split); cap(b) != len(b) {
-					t.Errorf("n = %d, hint %d: split %d views %d bytes with capacity %d", n, hint, s, len(b), cap(b))
+				v := mapreduce.SplitRows(split)
+				if cap(v) != len(v) {
+					t.Errorf("n = %d, hint %d: split %d views %d rows with capacity %d", n, hint, s, len(v), cap(v))
+				}
+				for i := range v {
+					if &v[i][0] != &data[next][0] {
+						t.Fatalf("n = %d, hint %d: split %d row %d is not the input's row %d", n, hint, s, i, next)
+					}
+					next++
 				}
 			}
-			got, want := splitValues(t, arena, hint), splitValues(t, records, hint)
+			got, want := splitValues(t, rows, hint), splitValues(t, records, hint)
 			if len(got) != len(want) {
 				t.Fatalf("n = %d, hint %d: %d splits, want %d", n, hint, len(got), len(want))
 			}
@@ -75,16 +89,21 @@ func TestTupleArenaSplits(t *testing.T) {
 		}
 	}
 
-	vals := splitValues(t, mapreduce.EncodeTuples(tuple.List{{1, 2}, {3, 4}}), 1)[0]
-	next := bytes.Clone(vals[1])
-	_ = append(vals[0], 0xff, 0xff, 0xff)
-	if !bytes.Equal(vals[1], next) {
-		t.Errorf("appending to a record changed the next one: %x, want %x", vals[1], next)
+	for name, in := range map[string]mapreduce.Input{
+		"TupleRows":  mapreduce.TupleRows{{1, 2}, {3, 4}},
+		"TupleInput": mapreduce.TupleInput(tuple.List{{1, 2}, {3, 4}}),
+	} {
+		vals := splitValues(t, in, 1)[0]
+		next := bytes.Clone(vals[1])
+		_ = append(vals[0], 0xff, 0xff, 0xff)
+		if !bytes.Equal(vals[1], next) {
+			t.Errorf("%s: appending to a record changed the next one: %x, want %x", name, vals[1], next)
+		}
 	}
 
 	data := datagen.Generate(datagen.Independent, 17, 3, 1)
 	want := leasedSplits(t, mapreduce.TupleInput(data), 4)
-	if got := leasedSplits(t, mapreduce.EncodeTuples(data), 4); len(got) != len(want) {
+	if got := leasedSplits(t, mapreduce.TupleRows(asRows(data)), 4); len(got) != len(want) {
 		t.Fatalf("leased: %d splits, want %d", len(got), len(want))
 	} else {
 		for m := range want {
@@ -119,26 +138,28 @@ func leasedSplits(t *testing.T, in mapreduce.Input, mappers int) [][]byte {
 	return splits
 }
 
-// TestArenaMapperReadsWholeSplits: over an arena, an ArenaMapper's task
-// reads its split in one MapArena call, and an empty split in none, on the
-// wall clock and on the virtual one; over the same tuples as records, Map
-// hands MapArenaFn one record at a time. Both read the same tuples in the
-// same order and count them as map input records. Only an empty input has
-// empty splits: a job runs no more map tasks than it has records. A record
-// that is not one encoded tuple fails the task.
-func TestArenaMapperReadsWholeSplits(t *testing.T) {
+// TestRowsMapperReadsWholeSplits: a RowsMapper's task reads its split in
+// one MapRows call, and an empty split in none, on the wall clock and on
+// the virtual one, whether the input is TupleRows, whose rows it is handed
+// themselves, or TupleInput's records, which it is handed decoded once into
+// capacity-clipped rows. Both read the same tuples in the same order and
+// count them as map input records. Only an empty input has empty splits: a
+// job runs no more map tasks than it has records. A record that is not one
+// encoded tuple of the split's dimensionality fails the task.
+func TestRowsMapperReadsWholeSplits(t *testing.T) {
 	const d = 3
-	job := func(in mapreduce.Input, mappers int) *mapreduce.Job {
+	job := func(in mapreduce.Input, mappers int, check func(i int, row []float64) error) *mapreduce.Job {
 		return &mapreduce.Job{
-			Name: "arena", Input: in, NumMappers: mappers, NumReducers: 1,
+			Name: "rows", Input: in, NumMappers: mappers, NumReducers: 1,
 			NewMapper: func() mapreduce.Mapper {
 				calls := 0
-				row := make(tuple.Tuple, d)
-				return mapreduce.ArenaMapperFuncs{
-					MapArenaFn: func(_ *mapreduce.TaskContext, a mapreduce.TupleArena, emit mapreduce.Emitter) error {
+				return mapreduce.RowsMapperFuncs{
+					MapRowsFn: func(_ *mapreduce.TaskContext, rows [][]float64, emit mapreduce.Emitter) error {
 						calls++
-						for i := range a.Len() {
-							a.Load(i, row)
+						for i, row := range rows {
+							if err := check(i, row); err != nil {
+								return err
+							}
 							emit([]byte("row"), tuple.Encode(row))
 						}
 						return nil
@@ -173,9 +194,26 @@ func TestArenaMapperReadsWholeSplits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, in := range []mapreduce.Input{mapreduce.EncodeTuples(data), mapreduce.TupleInput(data)} {
-				_, arena := in.(mapreduce.TupleArena)
-				res, err := e.Run(job(in, mappers))
+			owned := map[*float64]bool{}
+			for _, tp := range data {
+				owned[&tp[0]] = true
+			}
+			for _, rowsInput := range []bool{true, false} {
+				in, check := mapreduce.Input(mapreduce.TupleInput(data)), func(i int, row []float64) error {
+					if len(row) != d || cap(row) != d || owned[&row[0]] {
+						return fmt.Errorf("decoded row %d: %d values, capacity %d, the input's own %v", i, len(row), cap(row), owned[&row[0]])
+					}
+					return nil
+				}
+				if rowsInput {
+					in, check = mapreduce.TupleRows(asRows(data)), func(i int, row []float64) error {
+						if !owned[&row[0]] {
+							return fmt.Errorf("row %d is a copy, not the input's row", i)
+						}
+						return nil
+					}
+				}
+				res, err := e.Run(job(in, mappers, check))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -187,7 +225,7 @@ func TestArenaMapperReadsWholeSplits(t *testing.T) {
 						calls = append(calls, rec.Value...)
 					}
 				}
-				where := fmt.Sprintf("%s, n = %d, %d mappers, arena %v", name, n, mappers, arena)
+				where := fmt.Sprintf("%s, n = %d, %d mappers, TupleRows %v", name, n, mappers, rowsInput)
 				if len(calls) != len(splits) {
 					t.Errorf("%s: %d map tasks, want %d", where, len(calls), len(splits))
 				}
@@ -200,20 +238,26 @@ func TestArenaMapperReadsWholeSplits(t *testing.T) {
 				for m, c := range calls[:min(len(calls), len(splits))] {
 					size := 0
 					splits[m].Each(func(mapreduce.Record) error { size++; return nil })
-					want := size // Map: one call per record
-					if arena {
-						want = min(size, 1)
-					}
-					if int(c) != want {
-						t.Errorf("%s: mapper %d made %d MapArena calls over %d records, want %d", where, m, c, size, want)
+					if want := min(size, 1); int(c) != want {
+						t.Errorf("%s: mapper %d made %d MapRows calls over %d records, want %d", where, m, c, size, want)
 					}
 				}
 			}
 		}
 	}
 
-	bad := mapreduce.MemoryInput{Records: []mapreduce.Record{{Value: tuple.Encode(tuple.Tuple{1, 2, 3})}, {Value: []byte{3, 1, 2}}}}
-	if _, err := newEngine(t, 2, 2).Run(job(bad, 1)); err == nil || !strings.Contains(err.Error(), "not one encoded tuple") {
-		t.Errorf("a truncated record: %v, want a failed task", err)
+	accept := func(int, []float64) error { return nil }
+	for name, in := range map[string]mapreduce.Input{
+		"a truncated record": mapreduce.MemoryInput{Records: []mapreduce.Record{{Value: tuple.Encode(tuple.Tuple{1, 2, 3})}, {Value: []byte{3, 1, 2}}}},
+		"a narrower record":  mapreduce.MemoryInput{Records: []mapreduce.Record{{Value: tuple.Encode(tuple.Tuple{1, 2, 3})}, {Value: tuple.Encode(tuple.Tuple{1, 2})}}},
+		"a wider record":     mapreduce.MemoryInput{Records: []mapreduce.Record{{Value: tuple.Encode(tuple.Tuple{1, 2, 3})}, {Value: tuple.Encode(tuple.Tuple{1, 2, 3, 4})}}},
+		"a trailing byte":    mapreduce.MemoryInput{Records: []mapreduce.Record{{Value: append(tuple.Encode(tuple.Tuple{1, 2, 3}), 0)}}},
+	} {
+		if _, err := newEngine(t, 2, 2).Run(job(in, 1, accept)); err == nil || !strings.Contains(err.Error(), "not one encoded tuple") {
+			t.Errorf("%s: %v, want a failed task", name, err)
+		}
+	}
+	if err := (mapreduce.RowsMapperFuncs{}).Map(nil, mapreduce.Record{}, nil); err == nil {
+		t.Error("RowsMapperFuncs.Map accepted a record")
 	}
 }

@@ -5,10 +5,11 @@
 // The engine preserves the structural properties the paper's arguments
 // depend on:
 //
-//   - Input is split per mapper (in-memory chunks of encoded records) and
-//     map tasks are scheduled onto the slots of a simulated multi-node
-//     cluster (internal/cluster). Where a split's bytes sit is not
-//     modelled: the paper's cost model counts what crosses the shuffle.
+//   - Input is split per mapper (in-memory chunks of tuple rows or of
+//     encoded records) and map tasks are scheduled onto the slots of a
+//     simulated multi-node cluster (internal/cluster). Where a split's
+//     bytes sit is not modelled: the paper's cost model counts what
+//     crosses the shuffle.
 //   - Mappers and reducers are stateless tasks communicating only through
 //     the key-value shuffle; all map output is genuinely serialized, so
 //     communication volume is measured rather than assumed.
@@ -21,7 +22,7 @@
 package mapreduce
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 
@@ -94,9 +95,9 @@ type TaskContext struct {
 // attempt, so implementations may keep per-split state in struct fields
 // without synchronization.
 type Mapper interface {
-	// Map is invoked once per input record — unless the mapper is an
-	// ArenaMapper and the split a TupleArena's, when the whole split goes
-	// to MapArena in one call instead (see ArenaMapper).
+	// Map is invoked once per input record — unless the mapper is a
+	// RowsMapper, which is handed the whole split's rows in one MapRows
+	// call instead (see RowsMapper).
 	Map(ctx *TaskContext, rec Record, emit Emitter) error
 	// Flush is invoked once after the split is exhausted. Algorithms that
 	// aggregate per split (every algorithm in this repository) emit their
@@ -104,44 +105,38 @@ type Mapper interface {
 	Flush(ctx *TaskContext, emit Emitter) error
 }
 
-// ArenaMapper is a Mapper that also reads a whole split of tuple records
-// at once. A map attempt whose split is a non-empty view of a TupleArena
-// (the input of every grid job) calls MapArena once, with that view, in
-// place of Map per record; CounterMapInputRecords counts the view's Len all
-// the same. Any other split — a MemoryInput's, or the framed records a
-// leased worker receives — still goes through Map, so MapArena and Map
-// must map the same records identically.
-type ArenaMapper interface {
+// RowsMapper is a Mapper that reads a whole split of tuple rows at once,
+// which is how the engine feeds it: a map attempt calls MapRows once with
+// its split's rows, in place of Map per record, and an empty split not at
+// all. A TupleRows split goes as it is, its rows of one width by
+// TupleRows' contract; any other split's records are decoded once into a
+// batch, each required to be one encoded tuple of the first record's
+// dimensionality (splitRows). CounterMapInputRecords counts the rows. The rows are read-only
+// and outlive the attempt, so a mapper may keep a row it is handed.
+type RowsMapper interface {
 	Mapper
-	MapArena(ctx *TaskContext, a TupleArena, emit Emitter) error
+	MapRows(ctx *TaskContext, rows [][]float64, emit Emitter) error
 }
 
-// ArenaMapperFuncs adapts plain functions to ArenaMapper; FlushFn may be
-// nil. Its Map hands MapArenaFn a one-record arena, so one function serves
-// both entry points.
-type ArenaMapperFuncs struct {
-	MapArenaFn func(ctx *TaskContext, a TupleArena, emit Emitter) error
-	FlushFn    func(ctx *TaskContext, emit Emitter) error
+// RowsMapperFuncs adapts plain functions to RowsMapper; FlushFn may be nil.
+type RowsMapperFuncs struct {
+	MapRowsFn func(ctx *TaskContext, rows [][]float64, emit Emitter) error
+	FlushFn   func(ctx *TaskContext, emit Emitter) error
 }
 
-// MapArena implements ArenaMapper.
-func (m ArenaMapperFuncs) MapArena(ctx *TaskContext, a TupleArena, emit Emitter) error {
-	return m.MapArenaFn(ctx, a, emit)
+// MapRows implements RowsMapper.
+func (m RowsMapperFuncs) MapRows(ctx *TaskContext, rows [][]float64, emit Emitter) error {
+	return m.MapRowsFn(ctx, rows, emit)
 }
 
-// Map implements Mapper: rec's value must be exactly one encoded tuple,
-// which MapArenaFn receives as a one-record arena.
-func (m ArenaMapperFuncs) Map(ctx *TaskContext, rec Record, emit Emitter) error {
-	v := rec.Value
-	d, n := binary.Uvarint(v)
-	if n <= 0 || d > uint64(len(v)/8) || n+8*int(d) != len(v) {
-		return fmt.Errorf("mapreduce: a %d-byte record is not one encoded tuple", len(v))
-	}
-	return m.MapArenaFn(ctx, TupleArena{buf: v[:len(v):len(v)], n: 1, d: int(d), stride: len(v)}, emit)
+// Map implements Mapper. The engine never calls it on a RowsMapper, so it
+// only fails.
+func (m RowsMapperFuncs) Map(*TaskContext, Record, Emitter) error {
+	return errors.New("mapreduce: a RowsMapper reads whole splits through MapRows")
 }
 
 // Flush implements Mapper.
-func (m ArenaMapperFuncs) Flush(ctx *TaskContext, emit Emitter) error {
+func (m RowsMapperFuncs) Flush(ctx *TaskContext, emit Emitter) error {
 	if m.FlushFn == nil {
 		return nil
 	}

@@ -22,15 +22,16 @@ import (
 //     avoids the bad column, succeed) with the package-level functions'
 //     errors.
 //   - For the grid algorithms (GPMRS, GPSRS, Hybrid) the handle keeps one
-//     prepared plan: the rows oriented and encoded as the job input, and the
-//     grid and pruned bitstring the Section 3.3 job chose — all pure
-//     functions of the rows, Options.Maximize's sign vector, Options.PPD and
-//     Options.Mappers, which together are the plan's key. Queries with the
-//     kept key run only their skyline job; a query with another key prepares
-//     its own plan, which then replaces the kept one, so a handle never
-//     holds more than one encoded copy of its rows. A plan whose job failed
-//     is not kept. Constrained and subspace queries run over rows that
-//     differ per request and keep no plan.
+//     prepared plan: the job input, and the grid and pruned bitstring the
+//     Section 3.3 job chose — all pure functions of the rows,
+//     Options.Maximize's sign vector, Options.PPD and Options.Mappers,
+//     which together are the plan's key. The job input is the rows
+//     themselves when nothing is maximized, else one oriented copy of them.
+//     Queries with the kept key run only their skyline job; a query with
+//     another key prepares its own plan, which then replaces the kept one,
+//     so a handle never holds more than one copy of its rows. A plan whose
+//     job failed is not kept. Constrained and subspace queries run over
+//     rows that differ per request and keep no plan.
 //
 // Stats of a query served from the kept plan equal those of the same query
 // on a fresh handle (the first job's share of ShuffleBytes, PPD,

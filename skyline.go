@@ -300,7 +300,7 @@ func orientRows(data [][]float64, maximize []bool, validated bool) (Orientation,
 
 // gridPlan is a dataset prepared for the grid algorithms under one
 // orientation: the request-independent half of the run (core.Plan — the
-// encoded input and the Section 3.3 job's grid and bitstring) plus the
+// rows input and the Section 3.3 job's grid and bitstring) plus the
 // orientation that maps skylines back. It is immutable; a Dataset handle
 // keeps one and runs every matching query from it.
 type gridPlan struct {
@@ -324,9 +324,10 @@ func gridConfig(ctx context.Context, eng mapreduce.Executor, opts Options) (core
 	}, nil
 }
 
-// newGridPlan checks, orients, bounds and encodes data in one pass
-// (core.EncodeRows) and runs the bitstring phase over the encoding —
-// everything a grid query does before its skyline job.
+// newGridPlan checks, orients and bounds data in one pass (core.EncodeRows)
+// and runs the bitstring phase over the rows it returns — data itself
+// under the identity orientation, else one oriented copy — everything a
+// grid query does before its skyline job.
 func newGridPlan(ctx context.Context, eng mapreduce.Executor, data [][]float64, opts Options, validated bool) (*gridPlan, error) {
 	if err := checkMaximize(opts.Maximize, len(data[0])); err != nil {
 		return nil, err
