@@ -140,12 +140,18 @@ func TestArchitecture(t *testing.T) {
 			"One query path",
 			"A skyline query is written once, in the Dataset handle: the package-level functions " +
 				"and Service.Compute only wrap it, skylined hands it every source of rows, and " +
-				"skylined decodes a request body in one place, which caps its size.",
+				"skylined reads a request body in one place, which caps its size and reads it once, " +
+				"and turns a body's number into a float64 in one place, the row reader's fillRow.",
 			func() []string {
+				skylined := nonTest.where(inDir("cmd/skylined"))
 				found := join(
 					nonTest.where(inDir(".", "cmd/*")).idents("adhocRows", "querier", "SegmentBytes"),
 					rootSrc.methodDecls("Service", "ComputeConstrained", "ComputeSubspace"),
-					exactly(1, "json.NewDecoder call in cmd/skylined", nonTest.where(inDir("cmd/skylined")).calls("json.NewDecoder")),
+					exactly(1, "json.NewDecoder call in cmd/skylined", skylined.calls("json.NewDecoder")),
+					exactly(1, "http.MaxBytesReader call in cmd/skylined", skylined.calls("http.MaxBytesReader")),
+					exactly(1, "io.ReadAll call in cmd/skylined", skylined.calls("io.ReadAll")),
+					exactly(1, "strconv.ParseFloat call in cmd/skylined", skylined.calls("strconv.ParseFloat")),
+					exactly(1, "strconv.ParseFloat call in fillRow", skylined.callsInFunc("fillRow", "strconv.ParseFloat")),
 				)
 				for _, fn := range []string{"filterConstrained", "projectSubspace", "queryCtx"} {
 					found = append(found, exactly(1, fn+" call site", rootSrc.calls(fn))...)

@@ -34,6 +34,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -417,27 +418,52 @@ const (
 	maxBodyBytes      = 256 << 20
 )
 
-// decodeBody parses a request's JSON body into v. A body over s.maxBody
-// bytes is a 413, read no further. A field v does not have is a 400 naming
+// decodeBody parses a request's JSON body into v. The body is read once,
+// whole, through the cap: a body over s.maxBody bytes is a 413, read no
+// further. When v is a query or a registration, its top-level "data" row
+// matrix is lifted out by the row reader (liftRows), so a null or non-JSON
+// number in it is a 400 naming its row and column, and encoding/json
+// decodes only the envelope left. A field v does not have is a 400 naming
 // it: a misspelled "maximize" or "algorithm" dropped would answer a
 // different query than the one asked. So is anything but white space after
 // the value: a second object holding "maximize" would be dropped the same
 // way.
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	dec.DisallowUnknownFields()
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+		return &httpError{http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", tooLarge.Limit)}
+	}
 	msg := "bad request body: "
-	err := dec.Decode(v)
+	if err != nil {
+		return &httpError{http.StatusBadRequest, msg + err.Error()}
+	}
+	var data *[][]float64 // where the body's "data" rows go
+	switch v := v.(type) {
+	case *queryRequest:
+		data = &v.Data
+	case *datasetRequest:
+		data = &v.Data
+	}
+	var rows [][]float64
+	found := false
+	if data != nil {
+		if body, rows, found, err = liftRows(body); err != nil {
+			return &httpError{http.StatusBadRequest, msg + err.Error()}
+		}
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(v)
 	if err == nil {
 		if _, err = dec.Token(); err == io.EOF {
+			if found {
+				*data = rows
+			}
 			return nil
 		}
 		msg += "data after the JSON value"
 	} else {
 		msg += err.Error()
-	}
-	if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
-		return &httpError{http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", tooLarge.Limit)}
 	}
 	return &httpError{http.StatusBadRequest, msg}
 }
@@ -535,7 +561,7 @@ func (s *server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req struct {
-		Deltas []mrskyline.Delta `json:"deltas"`
+		Deltas []deltaJSON `json:"deltas"`
 	}
 	if err := s.decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
@@ -545,7 +571,11 @@ func (s *server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &httpError{http.StatusBadRequest, `"deltas" is required and must be non-empty`})
 		return
 	}
-	res, err := h.ApplyDeltas(req.Deltas)
+	deltas := make([]mrskyline.Delta, len(req.Deltas))
+	for i, d := range req.Deltas {
+		deltas[i] = mrskyline.Delta{Op: d.Op, Row: d.Row}
+	}
+	res, err := h.ApplyDeltas(deltas)
 	if err != nil {
 		writeError(w, err)
 		return
