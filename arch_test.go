@@ -141,7 +141,8 @@ func TestArchitecture(t *testing.T) {
 			"A skyline query is written once, in the Dataset handle: the package-level functions " +
 				"and Service.Compute only wrap it, skylined hands it every source of rows, and " +
 				"skylined reads a request body in one place, which caps its size and reads it once, " +
-				"and turns a body's number into a float64 in one place, the row reader's fillRow.",
+				"turns a body's number into a float64 in one place, the row reader's fillRow, " +
+				"and turns a float64 into response text in one place, the row writer's appendRow.",
 			func() []string {
 				skylined := nonTest.where(inDir("cmd/skylined"))
 				found := join(
@@ -152,6 +153,8 @@ func TestArchitecture(t *testing.T) {
 					exactly(1, "io.ReadAll call in cmd/skylined", skylined.calls("io.ReadAll")),
 					exactly(1, "strconv.ParseFloat call in cmd/skylined", skylined.calls("strconv.ParseFloat")),
 					exactly(1, "strconv.ParseFloat call in fillRow", skylined.callsInFunc("fillRow", "strconv.ParseFloat")),
+					exactly(1, "strconv.AppendFloat call in cmd/skylined", skylined.calls("strconv.AppendFloat")),
+					exactly(1, "strconv.AppendFloat call in appendRow", skylined.callsInFunc("appendRow", "strconv.AppendFloat")),
 				)
 				for _, fn := range []string{"filterConstrained", "projectSubspace", "queryCtx"} {
 					found = append(found, exactly(1, fn+" call site", rootSrc.calls(fn))...)

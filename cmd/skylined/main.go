@@ -203,6 +203,26 @@ type dataset struct {
 	plain *mrskyline.Dataset
 	maint *mrskyline.MaintainedSkyline
 	dir   string
+
+	// textMu guards text, the maintained skyline's latest generation as a
+	// changed poll's body. It lives and dies with the entry, so replacing
+	// or deleting the dataset drops it.
+	textMu sync.Mutex
+	text   *skylineText
+}
+
+// skylineBody returns the body of a changed poll on the maintained
+// skyline's latest generation. One caller builds a generation's text, from
+// the previous generation's; callers that arrive meanwhile wait for it and
+// share it. The bytes are never written to again, so the caller sends them
+// after textMu is released and a slow reader stalls no other poller.
+func (d *dataset) skylineBody() []byte {
+	d.textMu.Lock()
+	defer d.textMu.Unlock()
+	if d.text == nil || d.text.gen != d.maint.Generation() {
+		d.text = d.text.next(d.maint.Skyline())
+	}
+	return d.text.body
 }
 
 func (d *dataset) size() int {
@@ -367,11 +387,6 @@ func (q *queryRequest) options() mrskyline.Options {
 	}
 }
 
-type queryResponse struct {
-	Skyline [][]float64     `json:"skyline"`
-	Stats   mrskyline.Stats `json:"stats"`
-}
-
 // httpError pairs a message with its status code.
 type httpError struct {
 	code int
@@ -405,6 +420,14 @@ func writeError(w http.ResponseWriter, err error) {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeBody sends body, a JSON value and its newline as writeJSON would
+// have written them, with its length.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // What a connection may cost the daemon before a handler runs, and what a
@@ -470,7 +493,9 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 
 // handleQuery serves one query route — /v1/skyline, /v1/constrained or
 // /v1/subspace — over a registered dataset or rows sent inline. A
-// route-specific field sent to another route is a 400, not dropped.
+// route-specific field sent to another route is a 400, not dropped. The
+// answer is {"skyline":[…],"stats":{…}}: the rows through the row writer,
+// the stats through encoding/json.
 func (s *server) handleQuery(route string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -482,7 +507,11 @@ func (s *server) handleQuery(route string) http.HandlerFunc {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, queryResponse{Skyline: res.Skyline, Stats: res.Stats})
+		// Stats holds no float, so it always marshals.
+		stats, _ := json.Marshal(res.Stats)
+		b := appendRows([]byte(`{"skyline":`), res.Skyline)
+		b = append(append(append(b, `,"stats":`...), stats...), "}\n"...)
+		writeBody(w, b)
 	}
 }
 
@@ -538,7 +567,7 @@ func (s *server) resolve(q *queryRequest) (*mrskyline.Dataset, error) {
 }
 
 // lookupMaintained resolves a path's {name} to a maintained dataset.
-func (s *server) lookupMaintained(r *http.Request) (*mrskyline.MaintainedSkyline, error) {
+func (s *server) lookupMaintained(r *http.Request) (*dataset, error) {
 	name := r.PathValue("name")
 	s.mu.RLock()
 	ds, ok := s.datasets[name]
@@ -549,13 +578,13 @@ func (s *server) lookupMaintained(r *http.Request) (*mrskyline.MaintainedSkyline
 	if ds.maint == nil {
 		return nil, &httpError{http.StatusConflict, fmt.Sprintf("dataset %q is not maintained (register it with \"maintain\": true)", name)}
 	}
-	return ds.maint, nil
+	return ds, nil
 }
 
 // handleDeltas applies a batch of inserts/deletes to a maintained
 // dataset and reports the new generation.
 func (s *server) handleDeltas(w http.ResponseWriter, r *http.Request) {
-	h, err := s.lookupMaintained(r)
+	ds, err := s.lookupMaintained(r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -575,7 +604,7 @@ func (s *server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	for i, d := range req.Deltas {
 		deltas[i] = mrskyline.Delta{Op: d.Op, Row: d.Row}
 	}
-	res, err := h.ApplyDeltas(deltas)
+	res, err := ds.maint.ApplyDeltas(deltas)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -585,9 +614,11 @@ func (s *server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 
 // handleMaintainedSkyline serves the latest maintained skyline. With
 // ?since_gen=N it is a cheap continuous-query poll: when the generation
-// still equals N the response is {"gen":N,"changed":false} with no rows.
+// still equals N the response is {"changed":false,"gen":N} with no rows.
+// Otherwise it is the latest generation's text, built once for every
+// request that reads it (dataset.skylineBody).
 func (s *server) handleMaintainedSkyline(w http.ResponseWriter, r *http.Request) {
-	h, err := s.lookupMaintained(r)
+	ds, err := s.lookupMaintained(r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -598,13 +629,13 @@ func (s *server) handleMaintainedSkyline(w http.ResponseWriter, r *http.Request)
 			writeError(w, &httpError{http.StatusBadRequest, "bad since_gen: " + err.Error()})
 			return
 		}
-		if cur := h.Generation(); cur == since {
-			writeJSON(w, map[string]any{"gen": cur, "changed": false})
+		if cur := ds.maint.Generation(); cur == since {
+			b := strconv.AppendUint([]byte(`{"changed":false,"gen":`), cur, 10)
+			writeBody(w, append(b, "}\n"...))
 			return
 		}
 	}
-	snap := h.Skyline()
-	writeJSON(w, map[string]any{"gen": snap.Gen, "changed": true, "skyline": snap.Skyline})
+	writeBody(w, ds.skylineBody())
 }
 
 // datasetRequest registers a named dataset: inline rows or a synthetic

@@ -44,11 +44,27 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 	return resp.StatusCode, out
 }
 
+// queryResponse is a query route's answer as encoding/json reads and
+// writes it; skylined writes its rows through the row writer.
+type queryResponse struct {
+	Skyline [][]float64     `json:"skyline"`
+	Stats   mrskyline.Stats `json:"stats"`
+}
+
+// decodeQueryResponse decodes a query route's answer and holds its bytes
+// to encoding/json's: re-encoding what it decodes must give them back.
 func decodeQueryResponse(t *testing.T, raw []byte) queryResponse {
 	t.Helper()
 	var qr queryResponse
 	if err := json.Unmarshal(raw, &qr); err != nil {
 		t.Fatalf("bad query response %s: %v", raw, err)
+	}
+	var ref bytes.Buffer
+	if err := json.NewEncoder(&ref).Encode(qr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, ref.Bytes()) {
+		t.Fatalf("query response is not encoding/json's bytes:\n got %s\nwant %s", raw, ref.Bytes())
 	}
 	return qr
 }

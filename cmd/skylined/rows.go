@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"math"
+	"math/bits"
 	"strconv"
 
 	mrskyline "mrskyline"
@@ -416,4 +420,157 @@ func syntaxErr(b []byte, i int, what string) error {
 		return fmt.Errorf("%s: %w", what, errEnd)
 	}
 	return fmt.Errorf("%s at byte %d, found %q", what, i, b[i])
+}
+
+// The row writer: every row matrix skylined answers with leaves as text
+// here, never through encoding/json, in the bytes encoding/json writes for
+// a [][]float64 of finite values. A maintained skyline's text is built once
+// per generation (skylineText), reusing the previous generation's text for
+// every row the two share.
+
+// appendRows appends rows as encoding/json writes a [][]float64: null for
+// a nil matrix, [] for an empty one. Every value must be finite, as in any
+// skyline: encoding/json refuses NaN and ±Inf.
+func appendRows(b []byte, rows [][]float64) []byte {
+	if rows == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, row := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendRow(b, row)
+	}
+	return append(b, ']')
+}
+
+// appendRow appends one row as encoding/json writes a []float64 (null for
+// nil). A value is its shortest decimal that reads back as the same float64,
+// in encoding/json's format: 'f' for zeros and 1e-6 ≤ |v| < 1e21, 'e'
+// otherwise with a negative one-digit exponent's leading zero dropped
+// (e-07 is written e-7). This is the one place a float64 becomes text.
+func appendRow(b []byte, row []float64) []byte {
+	if row == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for j, v := range row {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		format := byte('f')
+		if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		b = strconv.AppendFloat(b, v, format, -1, 64)
+		if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return append(b, ']')
+}
+
+// skylineText is one generation of a maintained skyline as the body of a
+// changed poll — {"changed":true,"gen":G,"skyline":[…]} and a newline, the
+// bytes encoding/json writes for that map — with what the next
+// generation's build reads: the rows it holds, where each row's text lies
+// and an index from a row's bits to its position. It is never written to
+// once built, so a response may still be sending body after the next
+// generation has replaced it.
+type skylineText struct {
+	gen  uint64
+	body []byte
+	rows [][]float64
+	// Row i's text is body[offs[i] : offs[i+1]-1]; the byte after it is
+	// the ',' before the next row or the matrix's ']'.
+	offs []int
+	// index is an open-addressing table, a power of two long, of row
+	// positions plus one (0 is an empty slot), probed linearly from the
+	// row's rowHash.
+	index []int32
+}
+
+// next builds the text of snap, a later generation than t's (t may be
+// nil). A row whose bits equal a row of t copies that row's text; every
+// other row is formatted.
+func (t *skylineText) next(snap *mrskyline.MaintainedSnapshot) *skylineText {
+	rows := snap.Skyline
+	nt := &skylineText{gen: snap.Gen, rows: rows, offs: make([]int, len(rows)+1)}
+	if len(rows) > 0 {
+		nt.index = make([]int32, 1<<bits.Len(uint(2*len(rows))))
+	}
+	mask := uint64(len(nt.index) - 1)
+	size := 64
+	if t != nil {
+		size += len(t.body) + len(t.body)/8
+	}
+	b := append(make([]byte, 0, size), `{"changed":true,"gen":`...)
+	b = strconv.AppendUint(b, snap.Gen, 10)
+	b = append(b, `,"skyline":[`...)
+	var h uint64
+	var scratch []byte
+	for i, row := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		nt.offs[i] = len(b)
+		h, scratch = rowHash(row, scratch)
+		if j := t.find(row, h); j >= 0 {
+			b = append(b, t.body[t.offs[j]:t.offs[j+1]-1]...)
+		} else {
+			b = appendRow(b, row)
+		}
+		k := h & mask
+		for nt.index[k] != 0 {
+			k = (k + 1) & mask
+		}
+		nt.index[k] = int32(i + 1)
+	}
+	b = append(b, ']')
+	nt.offs[len(rows)] = len(b)
+	nt.body = append(b, "}\n"...)
+	return nt
+}
+
+// find returns the position of a row of t whose bits equal row's, or -1.
+// h is rowHash(row). A candidate is compared bit for bit, never trusted on
+// its hash, so −0 never finds 0.
+func (t *skylineText) find(row []float64, h uint64) int {
+	if t == nil || len(t.index) == 0 {
+		return -1
+	}
+	mask := uint64(len(t.index) - 1)
+	for k := h & mask; t.index[k] != 0; k = (k + 1) & mask {
+		if j := int(t.index[k] - 1); sameBits(t.rows[j], row) {
+			return j
+		}
+	}
+	return -1
+}
+
+// rowSeed keys rowHash, so that which rows collide is not known to a
+// client choosing them.
+var rowSeed = maphash.MakeSeed()
+
+// rowHash hashes row's bits, using scratch (returned, grown) for the bytes.
+func rowHash(row []float64, scratch []byte) (uint64, []byte) {
+	scratch = scratch[:0]
+	for _, v := range row {
+		scratch = binary.LittleEndian.AppendUint64(scratch, math.Float64bits(v))
+	}
+	return maphash.Bytes(rowSeed, scratch), scratch
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
