@@ -142,7 +142,7 @@ func TestArchitecture(t *testing.T) {
 				"and Service.Compute only wrap it, skylined hands it every source of rows, and " +
 				"skylined reads a request body in one place, which caps its size and reads it once, " +
 				"turns a body's number into a float64 in one place, the row reader's fillRow, " +
-				"and turns a float64 into response text in one place, the row writer's appendRow.",
+				"and leaves turning a float64 into response text to encoding/json.",
 			func() []string {
 				skylined := nonTest.where(inDir("cmd/skylined"))
 				found := join(
@@ -153,8 +153,7 @@ func TestArchitecture(t *testing.T) {
 					exactly(1, "io.ReadAll call in cmd/skylined", skylined.calls("io.ReadAll")),
 					exactly(1, "strconv.ParseFloat call in cmd/skylined", skylined.calls("strconv.ParseFloat")),
 					exactly(1, "strconv.ParseFloat call in fillRow", skylined.callsInFunc("fillRow", "strconv.ParseFloat")),
-					exactly(1, "strconv.AppendFloat call in cmd/skylined", skylined.calls("strconv.AppendFloat")),
-					exactly(1, "strconv.AppendFloat call in appendRow", skylined.callsInFunc("appendRow", "strconv.AppendFloat")),
+					skylined.calls("strconv.AppendFloat", "strconv.FormatFloat"),
 				)
 				for _, fn := range []string{"filterConstrained", "projectSubspace", "queryCtx"} {
 					found = append(found, exactly(1, fn+" call site", rootSrc.calls(fn))...)

@@ -216,13 +216,17 @@ type dataset struct {
 // the previous generation's; callers that arrive meanwhile wait for it and
 // share it. The bytes are never written to again, so the caller sends them
 // after textMu is released and a slow reader stalls no other poller.
-func (d *dataset) skylineBody() []byte {
+func (d *dataset) skylineBody() ([]byte, error) {
 	d.textMu.Lock()
 	defer d.textMu.Unlock()
 	if d.text == nil || d.text.gen != d.maint.Generation() {
-		d.text = d.text.next(d.maint.Skyline())
+		t := d.text.next(d.maint.Skyline())
+		if t.err != nil {
+			return nil, &httpError{http.StatusInternalServerError, t.err.Error()}
+		}
+		d.text = t
 	}
-	return d.text.body
+	return d.text.body, nil
 }
 
 func (d *dataset) size() int {
@@ -387,6 +391,11 @@ func (q *queryRequest) options() mrskyline.Options {
 	}
 }
 
+type queryResponse struct {
+	Skyline [][]float64     `json:"skyline"`
+	Stats   mrskyline.Stats `json:"stats"`
+}
+
 // httpError pairs a message with its status code.
 type httpError struct {
 	code int
@@ -493,9 +502,7 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 
 // handleQuery serves one query route — /v1/skyline, /v1/constrained or
 // /v1/subspace — over a registered dataset or rows sent inline. A
-// route-specific field sent to another route is a 400, not dropped. The
-// answer is {"skyline":[…],"stats":{…}}: the rows through the row writer,
-// the stats through encoding/json.
+// route-specific field sent to another route is a 400, not dropped.
 func (s *server) handleQuery(route string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -507,11 +514,7 @@ func (s *server) handleQuery(route string) http.HandlerFunc {
 			writeError(w, err)
 			return
 		}
-		// Stats holds no float, so it always marshals.
-		stats, _ := json.Marshal(res.Stats)
-		b := appendRows([]byte(`{"skyline":`), res.Skyline)
-		b = append(append(append(b, `,"stats":`...), stats...), "}\n"...)
-		writeBody(w, b)
+		writeJSON(w, queryResponse{Skyline: res.Skyline, Stats: res.Stats})
 	}
 }
 
@@ -549,6 +552,9 @@ func (s *server) query(w http.ResponseWriter, r *http.Request, route string) (*m
 // as of this request.
 func (s *server) resolve(q *queryRequest) (*mrskyline.Dataset, error) {
 	if q.Dataset == "" {
+		if q.Data == nil {
+			return nil, &httpError{http.StatusBadRequest, `either "dataset" or "data" is required`}
+		}
 		return s.svc.Dataset(q.Data), nil
 	}
 	if q.Data != nil {
@@ -635,7 +641,12 @@ func (s *server) handleMaintainedSkyline(w http.ResponseWriter, r *http.Request)
 			return
 		}
 	}
-	writeBody(w, ds.skylineBody())
+	body, err := ds.skylineBody()
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeBody(w, body)
 }
 
 // datasetRequest registers a named dataset: inline rows or a synthetic

@@ -44,13 +44,6 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 	return resp.StatusCode, out
 }
 
-// queryResponse is a query route's answer as encoding/json reads and
-// writes it; skylined writes its rows through the row writer.
-type queryResponse struct {
-	Skyline [][]float64     `json:"skyline"`
-	Stats   mrskyline.Stats `json:"stats"`
-}
-
 // decodeQueryResponse decodes a query route's answer and holds its bytes
 // to encoding/json's: re-encoding what it decodes must give them back.
 func decodeQueryResponse(t *testing.T, raw []byte) queryResponse {
@@ -237,12 +230,18 @@ func TestErrorMapping(t *testing.T) {
 		want int
 	}{
 		{"unknown algorithm", "/v1/skyline", map[string]any{"data": [][]float64{}, "algorithm": "nope"}, http.StatusBadRequest},
-		{"unknown kernel on empty data", "/v1/skyline", map[string]any{"kernel": "quantum"}, http.StatusBadRequest},
+		{"unknown kernel on empty data", "/v1/skyline", map[string]any{"data": [][]float64{}, "kernel": "quantum"}, http.StatusBadRequest},
 		{"missing constraints", "/v1/constrained", map[string]any{"data": [][]float64{{1, 2}}}, http.StatusBadRequest},
 		{"duplicate dims", "/v1/subspace", map[string]any{"data": [][]float64{{1, 2}}, "dims": []int{0, 0}}, http.StatusBadRequest},
 		// NaN is not expressible in JSON, so exercise the pre-filter row
 		// validation with its other trigger: a ragged row.
 		{"invalid row", "/v1/constrained", map[string]any{"dataset": "badrows", "constraints": []map[string]any{{}, {}}}, http.StatusBadRequest},
+		// A query names its rows: a body with neither "dataset" nor "data"
+		// has none to answer over.
+		{"no rows", "/v1/skyline", map[string]any{}, http.StatusBadRequest},
+		{"null data", "/v1/skyline", map[string]any{"data": nil}, http.StatusBadRequest},
+		{"options only", "/v1/skyline", map[string]any{"algorithm": "MR-BNL"}, http.StatusBadRequest},
+		{"empty data", "/v1/skyline", map[string]any{"data": [][]float64{}}, http.StatusOK},
 	}
 	code, raw := postJSON(t, ts.URL+"/v1/datasets", map[string]any{
 		"name": "badrows",

@@ -422,56 +422,6 @@ func syntaxErr(b []byte, i int, what string) error {
 	return fmt.Errorf("%s at byte %d, found %q", what, i, b[i])
 }
 
-// The row writer: every row matrix skylined answers with leaves as text
-// here, never through encoding/json, in the bytes encoding/json writes for
-// a [][]float64 of finite values. A maintained skyline's text is built once
-// per generation (skylineText), reusing the previous generation's text for
-// every row the two share.
-
-// appendRows appends rows as encoding/json writes a [][]float64: null for
-// a nil matrix, [] for an empty one. Every value must be finite, as in any
-// skyline: encoding/json refuses NaN and ±Inf.
-func appendRows(b []byte, rows [][]float64) []byte {
-	if rows == nil {
-		return append(b, "null"...)
-	}
-	b = append(b, '[')
-	for i, row := range rows {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendRow(b, row)
-	}
-	return append(b, ']')
-}
-
-// appendRow appends one row as encoding/json writes a []float64 (null for
-// nil). A value is its shortest decimal that reads back as the same float64,
-// in encoding/json's format: 'f' for zeros and 1e-6 ≤ |v| < 1e21, 'e'
-// otherwise with a negative one-digit exponent's leading zero dropped
-// (e-07 is written e-7). This is the one place a float64 becomes text.
-func appendRow(b []byte, row []float64) []byte {
-	if row == nil {
-		return append(b, "null"...)
-	}
-	b = append(b, '[')
-	for j, v := range row {
-		if j > 0 {
-			b = append(b, ',')
-		}
-		format := byte('f')
-		if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-			format = 'e'
-		}
-		b = strconv.AppendFloat(b, v, format, -1, 64)
-		if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return append(b, ']')
-}
-
 // skylineText is one generation of a maintained skyline as the body of a
 // changed poll — {"changed":true,"gen":G,"skyline":[…]} and a newline, the
 // bytes encoding/json writes for that map — with what the next
@@ -490,11 +440,14 @@ type skylineText struct {
 	// positions plus one (0 is an empty slot), probed linearly from the
 	// row's rowHash.
 	index []int32
+	// err is encoding/json's error on a row, which leaves the text
+	// unfinished. No skyline holds a NaN or an infinity, so none has one.
+	err error
 }
 
 // next builds the text of snap, a later generation than t's (t may be
 // nil). A row whose bits equal a row of t copies that row's text; every
-// other row is formatted.
+// other row is formatted by encoding/json.
 func (t *skylineText) next(snap *mrskyline.MaintainedSnapshot) *skylineText {
 	rows := snap.Skyline
 	nt := &skylineText{gen: snap.Gen, rows: rows, offs: make([]int, len(rows)+1)}
@@ -520,7 +473,12 @@ func (t *skylineText) next(snap *mrskyline.MaintainedSnapshot) *skylineText {
 		if j := t.find(row, h); j >= 0 {
 			b = append(b, t.body[t.offs[j]:t.offs[j+1]-1]...)
 		} else {
-			b = appendRow(b, row)
+			text, err := json.Marshal(row)
+			if err != nil {
+				nt.err = fmt.Errorf("skyline row %d: %w", i, err)
+				return nt
+			}
+			b = append(b, text...)
 		}
 		k := h & mask
 		for nt.index[k] != 0 {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,8 +18,8 @@ import (
 	mrskyline "mrskyline"
 )
 
-// referenceEncode is a changed poll's body as skylined wrote it before the
-// row writer: the map through encoding/json.
+// referenceEncode is a changed poll's body as skylined wrote it before a
+// generation's text was kept: the map through encoding/json.
 func referenceEncode(tb testing.TB, snap *mrskyline.MaintainedSnapshot) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -282,78 +281,6 @@ func TestMaintainedTextLifecycle(t *testing.T) {
 	poll(ts, rowsA)
 }
 
-// fuzzRows builds a row matrix from fuzz bytes: width%5 coordinates a row,
-// each 8 bytes read as a float64's bits with a NaN's or an infinity's top
-// exponent bit cleared, so every value is finite. Width 0 gives
-// len(data)%4 empty rows and, on no data, a nil matrix; width ≥ 128 makes
-// the first row nil.
-func fuzzRows(width uint8, data []byte) [][]float64 {
-	w := int(width % 5)
-	if w == 0 {
-		if len(data) == 0 {
-			return nil
-		}
-		return make([][]float64, len(data)%4)
-	}
-	vals := make([]float64, len(data)/8)
-	for i := range vals {
-		b := binary.LittleEndian.Uint64(data[8*i:])
-		if v := math.Float64frombits(b); math.IsNaN(v) || math.IsInf(v, 0) {
-			b &^= 1 << 62
-		}
-		vals[i] = math.Float64frombits(b)
-	}
-	rows := make([][]float64, 0, len(vals)/w+1)
-	for len(vals) >= w {
-		rows = append(rows, vals[:w])
-		vals = vals[w:]
-	}
-	if width >= 128 && len(rows) > 0 {
-		rows[0] = nil
-	}
-	return rows
-}
-
-// fuzzBytes is the data fuzzRows reads vals back from.
-func fuzzBytes(vals ...float64) []byte {
-	var b []byte
-	for _, v := range vals {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
-}
-
-// FuzzEncodeRowsMatchesStdlib: on any matrix of finite values, appendRows
-// writes the bytes json.Marshal writes for a [][]float64.
-func FuzzEncodeRowsMatchesStdlib(f *testing.F) {
-	f.Add(uint8(0), []byte{})
-	f.Add(uint8(0), []byte{1, 2, 3})
-	f.Add(uint8(130), fuzzBytes(1, 2))
-	for _, vals := range [][]float64{
-		{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-7},
-		{1e-6, 9.999999999999999e-7, -1e-6, 1e-10, 2.5e-8},
-		{1e20, 1e21, -1e21, 999999999999999900000, 1.2345e22},
-		{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 2.2250738585072014e-308},
-		{0.1, 1.0 / 3, 123456789012, -0.5, 1},
-		{100, 1e-5, 0.000123, 12345.678},
-		{math.NaN(), math.Inf(1), math.Inf(-1)},
-	} {
-		for _, w := range []uint8{1, 3, 4} {
-			f.Add(w, fuzzBytes(vals...))
-		}
-	}
-	f.Fuzz(func(t *testing.T, width uint8, data []byte) {
-		rows := fuzzRows(width, data)
-		want, err := json.Marshal(rows)
-		if err != nil {
-			t.Fatalf("json.Marshal(%v): %v", rows, err)
-		}
-		if got := appendRows(nil, rows); !bytes.Equal(got, want) {
-			t.Fatalf("appendRows(%v)\n got %s\nwant %s", rows, got, want)
-		}
-	})
-}
-
 // TestSkylineTextReusesRows: a generation's text copies the previous
 // generation's text for every row whose bits it holds, and formats the
 // rest — a −0 where the previous text held 0 among them.
@@ -387,7 +314,7 @@ func hashOf(row []float64) uint64 {
 // serve-churn batch (32 deletes, 32 inserts) on an anticorrelated 200 000 × 4
 // maintained skyline: /text from the previous generation's text, as
 // skylined does, /stdlib through encoding/json (referenceEncode) as before
-// the row writer. Both include taking the snapshot.
+// the text was kept. Both include taking the snapshot.
 func BenchmarkMaintainedPoll(b *testing.B) {
 	data, err := mrskyline.Generate("anticorrelated", 200_000, 4, 7)
 	if err != nil {

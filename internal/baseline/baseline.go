@@ -127,14 +127,12 @@ type Stats struct {
 	SimulatedTotal time.Duration
 }
 
-const counterDominanceTests = "baseline.dominance.tests"
-
 // recordDominanceTests is where a task accounts for its kernel work, once,
 // when it flushes: the job counter behind Stats.DominanceTests and the
 // service-lifetime obs counter receive the same number from the one Count
 // the task threaded through every window operation.
 func recordDominanceTests(ctx *mapreduce.TaskContext, cnt *skyline.Count) {
-	ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+	ctx.Counters.Add(mapreduce.CounterDominanceTests, cnt.DominanceTests)
 	ctx.Trace.Metrics().Count(window.MetricDominanceTests, cnt.DominanceTests)
 }
 
@@ -289,7 +287,7 @@ func buildStats(name string, partitions int, sky tuple.List, res *mapreduce.Resu
 		Algorithm:      name,
 		Partitions:     partitions,
 		SkylineSize:    len(sky),
-		DominanceTests: res.Counters.Get(counterDominanceTests),
+		DominanceTests: res.Counters.Get(mapreduce.CounterDominanceTests),
 		ShuffleBytes:   res.Counters.Get(mapreduce.CounterShuffleBytes),
 		Total:          time.Since(start),
 		SimulatedTotal: res.SimulatedTime,

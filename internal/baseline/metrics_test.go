@@ -26,7 +26,7 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 		if err := task(ctx); err != nil {
 			t.Fatal(err)
 		}
-		counted, published := ctx.Counters.Get(counterDominanceTests), tr.Metrics().Counter(window.MetricDominanceTests)
+		counted, published := ctx.Counters.Get(mapreduce.CounterDominanceTests), tr.Metrics().Counter(window.MetricDominanceTests)
 		if counted == 0 || published != counted {
 			t.Errorf("%s: published %d dominance tests, counted %d", what, published, counted)
 		}

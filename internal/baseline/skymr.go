@@ -272,7 +272,7 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 		Algorithm:      "SKY-MR",
 		Partitions:     unpruned,
 		SkylineSize:    len(sky),
-		DominanceTests: res1.Counters.Get(counterDominanceTests) + res2.Counters.Get(counterDominanceTests),
+		DominanceTests: res1.Counters.Get(mapreduce.CounterDominanceTests) + res2.Counters.Get(mapreduce.CounterDominanceTests),
 		ShuffleBytes:   res1.Counters.Get(mapreduce.CounterShuffleBytes) + res2.Counters.Get(mapreduce.CounterShuffleBytes),
 		Total:          time.Since(start),
 		SimulatedTotal: res1.SimulatedTime + res2.SimulatedTime,

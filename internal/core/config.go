@@ -173,7 +173,6 @@ const (
 	// fold it into the job-level maxima below.
 	counterPartCmpMapMax    = "gp.partcmp.map"
 	counterPartCmpReduceMax = "gp.partcmp.reduce"
-	counterDominanceTests   = "gp.dominance.tests"
 )
 
 // cacheKeyBitstring is the distributed-cache entry holding the global

@@ -138,7 +138,7 @@ func (pw *partWindows) recordCounters(ctx *mapreduce.TaskContext, phase mapreduc
 		name = counterPartCmpReduceMax
 	}
 	ctx.Counters.SetMax(name, pw.partCmp)
-	ctx.Counters.Add(counterDominanceTests, pw.cnt.DominanceTests)
+	ctx.Counters.Add(mapreduce.CounterDominanceTests, pw.cnt.DominanceTests)
 	ctx.Trace.Metrics().Count(window.MetricDominanceTests, pw.cnt.DominanceTests)
 }
 

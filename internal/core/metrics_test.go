@@ -31,7 +31,7 @@ func taskMetrics(t *testing.T, cache mapreduce.Cache, body func(ctx *mapreduce.T
 			samples = h.Count
 		}
 	}
-	return ctx.Counters.Get(counterDominanceTests), tr.Metrics().Counter(window.MetricDominanceTests), samples
+	return ctx.Counters.Get(mapreduce.CounterDominanceTests), tr.Metrics().Counter(window.MetricDominanceTests), samples
 }
 
 // sampledInserts is the number of latencies a task that made n Inserts

@@ -262,7 +262,7 @@ func finishStats(st *Stats, res *mapreduce.Result, sky tuple.List, skyStart, sta
 	st.SkylineSize = len(sky)
 	st.MapperPartCmpMax = res.Counters.GetMax(counterPartCmpMapMax)
 	st.ReducerPartCmpMax = res.Counters.GetMax(counterPartCmpReduceMax)
-	st.DominanceTests = res.Counters.Get(counterDominanceTests)
+	st.DominanceTests = res.Counters.Get(mapreduce.CounterDominanceTests)
 	st.ShuffleBytes += res.Counters.Get(mapreduce.CounterShuffleBytes)
 	st.ReduceOutputRecords = res.Counters.Get(mapreduce.CounterReduceOutputRecords)
 	st.TaskFailures += res.Counters.Get(mapreduce.CounterTaskFailures)

@@ -14,6 +14,10 @@ const (
 	CounterMapOutputRecords = "map.output.records"
 	// CounterShuffleBytes counts key+value bytes crossing the shuffle.
 	CounterShuffleBytes = "shuffle.bytes"
+	// CounterDominanceTests counts the tuple-pair dominance tests a job's
+	// tasks ran: the kernel work of the grid jobs and of the baselines
+	// alike. The engine does not maintain it; each task adds its own.
+	CounterDominanceTests = "dominance.tests"
 	// CounterReduceInputKeys counts distinct keys seen by reducers.
 	CounterReduceInputKeys = "reduce.input.keys"
 	// CounterReduceInputRecords counts values fed to Reduce calls.

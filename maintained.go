@@ -11,7 +11,6 @@ package mrskyline
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"mrskyline/internal/maintain"
 	"mrskyline/internal/obs"
@@ -43,21 +42,9 @@ type MaintainOptions struct {
 	// reopens the directory to the exact pre-crash state after a restart.
 	// The directory is created if missing, must be empty on first open, and
 	// must not be shared between handles. Empty keeps the handle
-	// memory-only, exactly as before.
+	// memory-only, exactly as before. The log's fsync and checkpoint policy
+	// is the Service's (ServiceConfig.WALSync and friends).
 	DataDir string
-	// Sync selects the WAL fsync policy for durable handles: "always"
-	// (fsync before every acknowledged batch; the default), "batch" (group
-	// commit — acknowledged batches are fsynced by a background syncer,
-	// coalescing bursts) or "interval" (time-driven fsync every
-	// SyncInterval; crash loss window is at most one interval of
-	// acknowledged batches).
-	Sync string
-	// SyncInterval is the fsync cadence for Sync="interval" (default 50ms).
-	SyncInterval time.Duration
-	// CheckpointEvery triggers a background checkpoint after that many
-	// logged batches (default 256; negative disables automatic
-	// checkpoints — Close still writes a final one).
-	CheckpointEvery int
 }
 
 // ErrNoDurableState is wrapped by RestoreMaintained when the DataDir
@@ -133,35 +120,18 @@ type durableMeta struct {
 	Maximize []bool `json:"maximize,omitempty"`
 }
 
-// walOptions translates the public knobs into wal.Options.
-func walOptions(opts MaintainOptions, reg *obs.Registry) (wal.Options, error) {
-	mode := wal.SyncAlways
-	if opts.Sync != "" {
-		var err error
-		if mode, err = wal.ParseSyncMode(opts.Sync); err != nil {
-			return wal.Options{}, fmt.Errorf("mrskyline: %w", err)
-		}
-	}
-	return wal.Options{
-		Sync:            mode,
-		SyncEvery:       opts.SyncInterval,
-		CheckpointEvery: opts.CheckpointEvery,
-		Metrics:         reg,
-	}, nil
-}
-
 // OpenMaintained seeds a maintained skyline with data. The data is
 // copied; later mutations of the caller's rows do not affect the handle.
-// With opts.DataDir set the handle is durable — see MaintainOptions — and
-// zero WAL knobs take the service-wide defaults (ServiceConfig.WALSync and
-// friends). The handle's maintenance counters (maintain.deltas.*,
-// maintain.publishes) and, for durable handles, the wal.* durability series
-// land in the service's metrics registry alongside the mr.* series, so
-// MetricsJSON and /v1/stats cover churn too. The handle itself serves reads
+// With opts.DataDir set the handle is durable — see MaintainOptions — under
+// the service's WAL policy (ServiceConfig.WALSync and friends). The
+// handle's maintenance counters (maintain.deltas.*, maintain.publishes)
+// and, for durable handles, the wal.* durability series land in the
+// service's metrics registry alongside the mr.* series, so MetricsJSON and
+// /v1/stats cover churn too. The handle itself serves reads
 // from resident state and never runs MapReduce jobs on the service's
 // cluster.
 func (s *Service) OpenMaintained(data [][]float64, opts MaintainOptions) (*MaintainedSkyline, error) {
-	opts, reg := s.applyWALDefaults(opts), s.trace.Metrics()
+	reg := s.trace.Metrics()
 	dim := opts.Dim // an empty seed's only dimensionality
 	if len(data) > 0 {
 		dim = len(data[0])
@@ -188,15 +158,11 @@ func (s *Service) OpenMaintained(data [][]float64, opts MaintainOptions) (*Maint
 		}
 		return &MaintainedSkyline{m: m, orient: orient, reg: reg}, nil
 	}
-	wo, err := walOptions(opts, reg)
-	if err != nil {
-		return nil, err
-	}
 	meta, err := json.Marshal(durableMeta{Maximize: opts.Maximize})
 	if err != nil {
 		return nil, fmt.Errorf("mrskyline: %w", err)
 	}
-	d, err := wal.Create(opts.DataDir, seed, cfg, meta, wo)
+	d, err := wal.Create(opts.DataDir, seed, cfg, meta, s.wal)
 	if err != nil {
 		return nil, fmt.Errorf("mrskyline: %w", err)
 	}
@@ -213,15 +179,10 @@ func (s *Service) OpenMaintained(data [][]float64, opts MaintainOptions) (*Maint
 // state returns an error wrapping ErrNoDurableState. Recovery metrics
 // (wal.recovery.ns, wal.replay.*) land in the service's registry.
 func (s *Service) RestoreMaintained(opts MaintainOptions) (*MaintainedSkyline, error) {
-	opts, reg := s.applyWALDefaults(opts), s.trace.Metrics()
 	if opts.DataDir == "" {
 		return nil, fmt.Errorf("mrskyline: RestoreMaintained needs DataDir")
 	}
-	wo, err := walOptions(opts, reg)
-	if err != nil {
-		return nil, err
-	}
-	d, err := wal.Recover(opts.DataDir, wo)
+	d, err := wal.Recover(opts.DataDir, s.wal)
 	if err != nil {
 		return nil, fmt.Errorf("mrskyline: %w", err)
 	}
@@ -232,7 +193,7 @@ func (s *Service) RestoreMaintained(opts MaintainOptions) (*MaintainedSkyline, e
 			return nil, fmt.Errorf("mrskyline: corrupt handle metadata in %s: %w", opts.DataDir, err)
 		}
 	}
-	return &MaintainedSkyline{m: d.Maintained(), d: d, orient: NewOrientation(meta.Maximize), reg: reg}, nil
+	return &MaintainedSkyline{m: d.Maintained(), d: d, orient: NewOrientation(meta.Maximize), reg: s.trace.Metrics()}, nil
 }
 
 // ApplyDeltas applies a batch of inserts and deletes atomically and
@@ -335,8 +296,8 @@ func (h *MaintainedSkyline) Durable() bool { return h.d != nil }
 
 // Checkpoint forces a durable handle to write a checkpoint now, bounding
 // the next recovery's replay to batches applied after it. It is a no-op
-// on memory-only handles. Automatic checkpoints (CheckpointEvery) make
-// calling this optional.
+// on memory-only handles. Automatic checkpoints
+// (ServiceConfig.WALCheckpointEvery) make calling this optional.
 func (h *MaintainedSkyline) Checkpoint() error {
 	if h.d == nil {
 		return nil

@@ -25,7 +25,7 @@ func TestDurableMaintainedRestartRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ds")
 	seed := durableRows(rng, 40, 3)
 
-	h, err := mustService(t, ServiceConfig{}).OpenMaintained(seed, MaintainOptions{DataDir: dir, Sync: "always"})
+	h, err := mustService(t, ServiceConfig{}).OpenMaintained(seed, MaintainOptions{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,6 @@ func TestRestoreMaintainedErrors(t *testing.T) {
 	if _, err := mustService(t, ServiceConfig{}).RestoreMaintained(MaintainOptions{DataDir: t.TempDir()}); !errors.Is(err, ErrNoDurableState) {
 		t.Fatalf("restore of empty dir = %v, want ErrNoDurableState", err)
 	}
-	if _, err := mustService(t, ServiceConfig{}).OpenMaintained([][]float64{{1, 2}}, MaintainOptions{DataDir: t.TempDir(), Sync: "sometimes"}); err == nil || !strings.Contains(err.Error(), "sync mode") {
-		t.Fatalf("bad sync mode error = %v", err)
-	}
 }
 
 func TestMemoryOnlyHandleCloseNoop(t *testing.T) {
@@ -175,8 +172,8 @@ func TestServiceDurableMaintained(t *testing.T) {
 }
 
 func TestServiceConfigWALValidation(t *testing.T) {
-	if _, err := NewService(ServiceConfig{WALSync: "nope"}); err == nil {
-		t.Fatal("NewService accepted an unknown WALSync")
+	if _, err := NewService(ServiceConfig{WALSync: "sometimes"}); err == nil || !strings.Contains(err.Error(), "sync mode") {
+		t.Fatalf("NewService with an unknown WALSync: error = %v", err)
 	}
 	if _, err := NewService(ServiceConfig{WALSyncInterval: -1}); err == nil {
 		t.Fatal("NewService accepted a negative WALSyncInterval")

@@ -47,13 +47,17 @@ type ServiceConfig struct {
 	// Executor is supplied (configure spilling on the executor instead).
 	SpillBudget int64
 	SpillDir    string
-	// WALSync, WALSyncInterval and WALCheckpointEvery are service-wide
-	// defaults for durable maintained handles (MaintainOptions.DataDir
-	// set) opened through this Service: any handle that leaves the
-	// corresponding MaintainOptions field zero inherits the service value.
-	// WALSync is "always", "batch" or "interval" (empty means the
-	// per-handle default, "always"). They do not affect memory-only
-	// handles.
+	// WALSync, WALSyncInterval and WALCheckpointEvery are the write-ahead
+	// log policy of every durable maintained handle (MaintainOptions.DataDir
+	// set) opened or restored through this Service. WALSync selects when
+	// the log is fsynced: "always" (before every acknowledged batch; the
+	// default when empty), "batch" (group commit: a background syncer
+	// fsyncs acknowledged batches, coalescing bursts) or "interval" (every
+	// WALSyncInterval, default 50ms; a crash loses at most one interval of
+	// acknowledged batches). WALCheckpointEvery triggers a background
+	// checkpoint after that many logged batches (default 256; negative
+	// disables automatic checkpoints, and Close still writes a final one).
+	// They do not affect memory-only handles.
 	WALSync            string
 	WALSyncInterval    time.Duration
 	WALCheckpointEvery int
@@ -77,21 +81,7 @@ type Service struct {
 	cluster *cluster.Cluster // the simulated cluster; nil when an external Executor was supplied
 	trace   *obs.Tracer
 	timeout time.Duration
-	walCfg  ServiceConfig // only the WAL* fields are read back
-}
-
-// applyWALDefaults fills zero WAL knobs from the service-wide defaults.
-func (s *Service) applyWALDefaults(opts MaintainOptions) MaintainOptions {
-	if opts.Sync == "" {
-		opts.Sync = s.walCfg.WALSync
-	}
-	if opts.SyncInterval == 0 {
-		opts.SyncInterval = s.walCfg.WALSyncInterval
-	}
-	if opts.CheckpointEvery == 0 {
-		opts.CheckpointEvery = s.walCfg.WALCheckpointEvery
-	}
-	return opts
+	wal     wal.Options // every durable maintained handle's
 }
 
 // NewService builds a Service on a fresh simulated cluster, or on
@@ -103,8 +93,10 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if err := spill.ValidateSetup(cfg.SpillBudget, cfg.SpillDir); err != nil {
 		return nil, fmt.Errorf("mrskyline: %w", err)
 	}
+	walOpts := wal.Options{SyncEvery: cfg.WALSyncInterval, CheckpointEvery: cfg.WALCheckpointEvery}
 	if cfg.WALSync != "" {
-		if _, err := wal.ParseSyncMode(cfg.WALSync); err != nil {
+		var err error
+		if walOpts.Sync, err = wal.ParseSyncMode(cfg.WALSync); err != nil {
 			return nil, fmt.Errorf("mrskyline: %w", err)
 		}
 	}
@@ -125,7 +117,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	case maxQueue < 0:
 		maxQueue = 0
 	}
-	s := &Service{exec: cfg.Executor, timeout: cfg.QueryTimeout, walCfg: cfg}
+	s := &Service{exec: cfg.Executor, timeout: cfg.QueryTimeout, wal: walOpts}
 	if s.exec != nil {
 		s.trace = s.exec.WallTracer()
 	} else {
@@ -141,6 +133,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		s.exec, s.cluster = eng, eng.Cluster()
 	}
 	s.exec.SetAdmission(maxInFlight, maxQueue)
+	s.wal.Metrics = s.trace.Metrics()
 	return s, nil
 }
 
