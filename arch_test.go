@@ -91,7 +91,10 @@ func TestArchitecture(t *testing.T) {
 			"One job 1",
 			"Job 1 is one job: a fixed PPD runs the Section 3.3 job with itself as the one " +
 				"candidate, so there is no Algorithms 1–2 job beside it, no kind for one, and no " +
-				"knob that reshapes the candidate series.",
+				"knob that reshapes the candidate series. Its mappers stop locating on candidates " +
+				"that can no longer win, so its answer is held to the per-candidate reference's on " +
+				"every driver, with Ladder prefixes equal to the full locate, under the race detector " +
+				"too (CI's Race step runs every test).",
 			func() []string {
 				return nonTest.idents("BuildBitstring", "KindBitstringGen", "newBitstringMapper", "bitstringSpec", "MaxPPDCandidates", "scratchDecoder")
 			},
@@ -110,19 +113,28 @@ func TestArchitecture(t *testing.T) {
 		},
 		{
 			"One input pass: the rows are the job input",
-			"A grid query's rows reach job 1 in one pass (core.EncodeRows): one row check, one " +
-				"orientation, one bounds fold widened by the rule grid.DataBounds also applies. The " +
+			"Every algorithm's rows reach its jobs in one pass (core.EncodeRows): one row check, " +
+				"one orientation, one bounds fold widened by the rule grid.DataBounds also applies. The " +
 				"job input is the caller's rows (mapreduce.TupleRows), or one oriented copy of them; " +
-				"nothing encodes a dataset before a job reads it. core.Prepare checks no row again, " +
-				"and no query builds a Record per tuple.",
+				"nothing encodes a dataset before a job reads it. core.Prepare and the baselines' rows " +
+				"entries check no row again, no query builds a Record per tuple, and every mapper, grid " +
+				"or baseline, reads its split as rows. The shuffle key of a partition id " +
+				"(mapreduce.IntKey) and a task's per-partition windows (window.Map) are written once. " +
+				"Under the race detector the pass, the rows input's splits and every query leaving the " +
+				"caller's rows unwritten run in CI's Race step, which runs every test.",
 			func() []string {
+				jobs := nonTest.where(inDir("internal/core", "internal/baseline"))
 				return join(
 					nonTest.idents("TupleArena", "NewTupleArena", "EncodeTuples"),
+					tree.idents("DecodeTupleRecord", "orientRows"),
 					tree.where(isFile("internal/core/input.go")).calls("tuple.AppendEncode", "tuple.Encode"),
 					tree.where(isFile("internal/core/plan.go")).calls("Validate"),
-					nonTest.where(inDir(".", "internal/core")).calls("TupleInput"),
+					nonTest.where(inDir(".", "internal/core", "internal/baseline")).calls("TupleInput"),
 					exactly(1, "WidenBounds call in DataBounds", tree.where(isFile("internal/grid/grid.go")).callsInFunc("DataBounds", "WidenBounds")),
 					exactly(1, "WidenBounds call in EncodeRows", tree.where(isFile("internal/core/input.go")).callsInFunc("EncodeRows", "WidenBounds")),
+					nonTest.idents("encodeKey", "decodeKey", "winMap", "getWindow", "sortedWindows", "sortedPartitions"),
+					jobs.idents("BigEndian"),
+					exactly(1, "map of *Window", tree.mapsOf("Window")),
 				)
 			},
 		},
@@ -411,6 +423,23 @@ func (files goFiles) typeDecls(name string) []string {
 	return files.inspect(func(n ast.Node) (string, bool) {
 		ts, ok := n.(*ast.TypeSpec)
 		return "type " + name, ok && ts.Name.Name == name
+	})
+}
+
+// mapsOf finds map types whose values are pointers to the named type
+// ("T" or "pkg.T", as in calls).
+func (files goFiles) mapsOf(elem string) []string {
+	return files.inspect(func(n ast.Node) (string, bool) {
+		m, ok := n.(*ast.MapType)
+		if !ok {
+			return "", false
+		}
+		star, ok := m.Value.(*ast.StarExpr)
+		if !ok {
+			return "", false
+		}
+		name, qualified := calleeName(star.X)
+		return "map[…]*" + qualified, name == elem || qualified == elem
 	})
 }
 

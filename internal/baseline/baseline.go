@@ -42,12 +42,9 @@ type Config struct {
 	// context.Background().
 	Ctx context.Context
 	// NumMappers is the map task count; defaults to the cluster's total
-	// slots.
+	// slots. MR-Angle aims for as many angular partitions, following the
+	// baseline paper's "one partition per map slot" guidance.
 	NumMappers int
-	// AngularPartitions is the number of angular partitions MR-Angle aims
-	// for; defaults to the mapper count, following the baseline paper's
-	// "one partition per map slot" guidance.
-	AngularPartitions int
 	// Lo and Hi bound the data domain per dimension; both nil selects the
 	// unit box [0,1)^d. MR-BNL splits each dimension at the domain
 	// midpoint; MR-Angle measures angles from the domain origin.
@@ -75,28 +72,29 @@ func (c *Config) ctx() context.Context {
 	return context.Background()
 }
 
+// bounds returns the configured domain for d dimensions, the unit box by
+// default: MR-Angle measures angles from lo, SKY-MR's quadtree spans it.
+func (c *Config) bounds(d int) (lo, hi tuple.Tuple) {
+	lo, hi = make(tuple.Tuple, d), make(tuple.Tuple, d)
+	for k := range hi {
+		if c.Lo == nil {
+			hi[k] = 1
+		} else {
+			lo[k], hi[k] = c.Lo[k], c.Hi[k]
+		}
+	}
+	return lo, hi
+}
+
 // mid returns the per-dimension domain midpoints for d dimensions. Halving
 // before adding is (lo + hi) / 2 wherever that sum is finite and normal,
 // and stays finite where it overflows (bounds near ±MaxFloat64).
 func (c *Config) mid(d int) []float64 {
-	m := make([]float64, d)
+	lo, m := c.bounds(d)
 	for k := range m {
-		if c.Lo == nil {
-			m[k] = 0.5
-		} else {
-			m[k] = c.Lo[k]/2 + c.Hi[k]/2
-		}
+		m[k] = lo[k]/2 + m[k]/2
 	}
 	return m
-}
-
-// origin returns the per-dimension domain origin for d dimensions.
-func (c *Config) origin(d int) []float64 {
-	o := make([]float64, d)
-	if c.Lo != nil {
-		copy(o, c.Lo)
-	}
-	return o
 }
 
 func (c *Config) mappers() int {
@@ -136,39 +134,42 @@ func recordDominanceTests(ctx *mapreduce.TaskContext, cnt *skyline.Count) {
 	ctx.Trace.Metrics().Count(window.MetricDominanceTests, cnt.DominanceTests)
 }
 
-// getWindow returns the partition's columnar window from m, creating an
-// empty one on first use.
-func getWindow(m map[int]*window.Window, p, dim int) *window.Window {
-	w := m[p]
-	if w == nil {
-		w = window.New(dim)
-		m[p] = w
-	}
-	return w
-}
+// router sends a row to its partition; keep false drops the row.
+type router func(t tuple.Tuple) (p int, keep bool)
 
-// newPartitionMapper builds the shared baseline mapper: maintain one
-// columnar local-skyline window per partition id (locate routes tuples to
-// partitions) and emit (partition, window) on flush.
-func newPartitionMapper(dim int, locate func(t tuple.Tuple) int) mapreduce.Mapper {
-	windows := make(map[int]*window.Window)
+// newPartitionMapper builds the one baseline mapper, a
+// mapreduce.RowsMapper: it routes each row of its split to a partition,
+// folds the row into that partition's columnar local-skyline window, which
+// keeps the row itself, and emits (partition, window) per partition on
+// flush. locator returns the attempt's router, once, before its first row.
+func newPartitionMapper(dim int, locator func(ctx *mapreduce.TaskContext) (router, error)) mapreduce.Mapper {
+	windows := make(window.Map)
 	var cnt skyline.Count
 	var inserts window.InsertSampler
-	return mapreduce.MapperFuncs{
-		MapFn: func(ctx *mapreduce.TaskContext, rec mapreduce.Record, _ mapreduce.Emitter) error {
-			t, err := mapreduce.DecodeTupleRecord(rec)
+	return mapreduce.RowsMapperFuncs{
+		MapRowsFn: func(ctx *mapreduce.TaskContext, rows [][]float64, _ mapreduce.Emitter) error {
+			if len(rows[0]) != dim {
+				return fmt.Errorf("baseline: tuple dimensionality %d does not match d=%d", len(rows[0]), dim)
+			}
+			route, err := locator(ctx)
 			if err != nil {
 				return err
 			}
-			inserts.Insert(ctx.Trace.Metrics(), getWindow(windows, locate(t), dim), t, &cnt)
+			reg := ctx.Trace.Metrics()
+			for _, row := range rows {
+				t := tuple.Tuple(row)
+				if p, keep := route(t); keep {
+					inserts.Insert(reg, windows.Get(p, dim), t, &cnt)
+				}
+			}
 			return nil
 		},
 		FlushFn: func(ctx *mapreduce.TaskContext, emit mapreduce.Emitter) error {
 			recordDominanceTests(ctx, &cnt)
 			var scratch []byte
-			for _, w := range sortedWindows(windows) {
-				scratch = tuple.AppendEncodeList(scratch[:0], w.win.Rows())
-				emit(encodeKey(w.id), scratch)
+			for _, p := range windows.Sorted() {
+				scratch = tuple.AppendEncodeList(scratch[:0], windows[p].Rows())
+				emit(mapreduce.IntKey(p), scratch)
 			}
 			return nil
 		},
@@ -178,17 +179,17 @@ func newPartitionMapper(dim int, locate func(t tuple.Tuple) int) mapreduce.Mappe
 // newSingleReducer builds the shared baseline reducer: merge the mappers'
 // per-partition windows, then run the algorithm-specific global merge
 // (finishReduce) and emit the skyline.
-func newSingleReducer(dim int, finishReduce func(s map[int]*window.Window, cnt *skyline.Count) tuple.List) mapreduce.Reducer {
-	s := make(map[int]*window.Window)
+func newSingleReducer(dim int, finishReduce func(s window.Map, cnt *skyline.Count) tuple.List) mapreduce.Reducer {
+	s := make(window.Map)
 	var cnt skyline.Count
 	var inserts window.InsertSampler
 	return mapreduce.ReducerFuncs{
 		ReduceFn: func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, _ mapreduce.Emitter) error {
-			p, err := decodeKey(key)
+			p, err := mapreduce.ParseIntKey(key)
 			if err != nil {
 				return err
 			}
-			w, reg := getWindow(s, p, dim), ctx.Trace.Metrics()
+			w, reg := s.Get(p, dim), ctx.Trace.Metrics()
 			for _, v := range values {
 				l, _, err := tuple.DecodeList(v)
 				if err != nil {
@@ -216,27 +217,25 @@ func newSingleReducer(dim int, finishReduce func(s map[int]*window.Window, cnt *
 }
 
 // singleReducerFuncs wires the shared shape of MR-BNL and MR-Angle: mappers
-// maintain one columnar local-skyline window per partition id and emit
-// (partition, window); a single reducer merges and finishes. The
-// finishReduce callback implements the algorithm-specific global merge.
-func singleReducerFuncs(
-	dim int,
-	locate func(t tuple.Tuple) int,
-	finishReduce func(s map[int]*window.Window, cnt *skyline.Count) tuple.List,
-) *mapreduce.JobFuncs {
+// route rows with route into one columnar local-skyline window per
+// partition and emit (partition, window); a single reducer merges and
+// finishes. The finishReduce callback implements the algorithm-specific
+// global merge.
+func singleReducerFuncs(dim int, route router, finishReduce func(s window.Map, cnt *skyline.Count) tuple.List) *mapreduce.JobFuncs {
+	locator := func(*mapreduce.TaskContext) (router, error) { return route, nil }
 	return &mapreduce.JobFuncs{
-		NewMapper:  func() mapreduce.Mapper { return newPartitionMapper(dim, locate) },
+		NewMapper:  func() mapreduce.Mapper { return newPartitionMapper(dim, locator) },
 		NewReducer: func() mapreduce.Reducer { return newSingleReducer(dim, finishReduce) },
 	}
 }
 
-// runSingleReducerJob executes a single-reducer job over data. A non-empty
-// kind stamps the job for the process executor (its builder must then
-// reconstruct funcs from spec; see kinds.go).
-func runSingleReducerJob(cfg *Config, name string, data tuple.List, funcs *mapreduce.JobFuncs, kind string, spec []byte) (tuple.List, *mapreduce.Result, error) {
+// runSingleReducerJob executes a single-reducer job over in, stamped with
+// kind and spec for the process executor (the kind's builder reconstructs
+// funcs from spec; see kinds.go).
+func runSingleReducerJob(cfg *Config, name string, in mapreduce.TupleRows, funcs *mapreduce.JobFuncs, kind string, spec []byte) (tuple.List, *mapreduce.Result, error) {
 	job := &mapreduce.Job{
 		Name:        name,
-		Input:       mapreduce.TupleInput(data),
+		Input:       in,
 		NumMappers:  cfg.mappers(),
 		NumReducers: 1,
 		Kind:        kind,
@@ -259,27 +258,25 @@ func runSingleReducerJob(cfg *Config, name string, data tuple.List, funcs *mapre
 	return out, res, nil
 }
 
-type idWindow struct {
-	id  int
-	win *window.Window
-}
-
-// sortedWindows returns windows ordered by partition id for deterministic
-// emission.
-func sortedWindows(m map[int]*window.Window) []idWindow {
-	out := make([]idWindow, 0, len(m))
-	for id, w := range m {
-		if w.Len() == 0 {
-			continue
-		}
-		out = append(out, idWindow{id, w})
+// overList runs a baseline over a tuple list: data is checked first, as
+// the rows entries check nothing, then handed to run as the job input in
+// place (one slice of row headers, no values copied). No rows is an empty
+// run of the baseline called name.
+func overList(cfg Config, data tuple.List, name string, run func(Config, mapreduce.TupleRows) (tuple.List, *Stats, error)) (tuple.List, *Stats, error) {
+	if err := data.Validate(); err != nil {
+		return nil, nil, err
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].id < out[j-1].id; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	if len(data) == 0 {
+		if err := cfg.validate(0); err != nil {
+			return nil, nil, err
 		}
+		return nil, &Stats{Algorithm: name}, nil
 	}
-	return out
+	rows := make(mapreduce.TupleRows, len(data))
+	for i, t := range data {
+		rows[i] = t
+	}
+	return run(cfg, rows)
 }
 
 func buildStats(name string, partitions int, sky tuple.List, res *mapreduce.Result, start time.Time) *Stats {

@@ -134,7 +134,7 @@ func TestMRBNLRejectsAbsurdDimensionality(t *testing.T) {
 
 func TestMRAngleExplicitPartitions(t *testing.T) {
 	cfg := testConfig(t)
-	cfg.AngularPartitions = 16
+	cfg.NumMappers = 16
 	data := datagen.Generate(datagen.Independent, 400, 3, 9)
 	got, stats, err := baseline.MRAngle(cfg, data)
 	if err != nil {

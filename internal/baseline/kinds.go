@@ -8,15 +8,19 @@ import (
 	"mrskyline/internal/tuple"
 )
 
-// KindHalfspace is the job kind of the MR-BNL half-space job: the
-// subspace routing and the cross-subspace merge are pure functions of
-// (d, mid), so worker processes reconstruct the job's functions
-// with the halfspaceFuncs call the driver made. MR-Angle and SKY-MR jobs
-// are not stamped with a kind and stay in-process-only.
-const KindHalfspace = "baseline/halfspace"
+// The job kinds of the single-reducer baselines. Each job's routing and
+// global merge are pure functions of plain data — (d, mid) for MR-BNL's
+// half-spaces, (d, target, origin) for MR-Angle's angular grid — so worker
+// processes reconstruct the job's functions with the call the driver made.
+// SKY-MR's jobs carry no kind and are the only in-process-only jobs.
+const (
+	KindHalfspace = "baseline/halfspace"
+	KindAngle     = "baseline/angle"
+)
 
 func init() {
 	mapreduce.RegisterKind(KindHalfspace, buildHalfspaceKind)
+	mapreduce.RegisterKind(KindAngle, buildAngleKind)
 }
 
 // halfspaceSpec parametrizes the MR-BNL job.
@@ -25,12 +29,19 @@ type halfspaceSpec struct {
 	Mid []float64 `json:"mid"`
 }
 
-// halfspaceSpecBytes serializes the spec; specs are plain data, so
-// marshalling cannot fail.
-func halfspaceSpecBytes(d int, mid []float64) []byte {
-	b, err := json.Marshal(halfspaceSpec{D: d, Mid: mid})
+// angleSpec parametrizes the MR-Angle job.
+type angleSpec struct {
+	D      int       `json:"d"`
+	Target int       `json:"target"`
+	Origin []float64 `json:"origin"`
+}
+
+// specBytes serializes a spec; specs are plain data, so marshalling cannot
+// fail.
+func specBytes(spec any) []byte {
+	b, err := json.Marshal(spec)
 	if err != nil {
-		panic(fmt.Sprintf("baseline: marshalling halfspace spec: %v", err))
+		panic(fmt.Sprintf("baseline: marshalling job spec: %v", err))
 	}
 	return b
 }
@@ -46,8 +57,25 @@ func buildHalfspaceKind(spec []byte) (*mapreduce.JobFuncs, error) {
 	return halfspaceFuncs(s.D, s.Mid), nil
 }
 
+func buildAngleKind(spec []byte) (*mapreduce.JobFuncs, error) {
+	var s angleSpec
+	if err := json.Unmarshal(spec, &s); err != nil {
+		return nil, fmt.Errorf("baseline: angle spec: %w", err)
+	}
+	if len(s.Origin) != s.D {
+		return nil, fmt.Errorf("baseline: angle spec origin has %d dims, want %d", len(s.Origin), s.D)
+	}
+	return angleFuncs(newAnglePartitioner(s.D, s.Target, s.Origin)), nil
+}
+
 // halfspaceFuncs wires the MR-BNL job's task functions, for the driver and
 // for the KindHalfspace builder alike.
 func halfspaceFuncs(d int, mid []float64) *mapreduce.JobFuncs {
-	return singleReducerFuncs(d, func(t tuple.Tuple) int { return subspaceOf(t, mid) }, halfspaceFinish)
+	return singleReducerFuncs(d, func(t tuple.Tuple) (int, bool) { return subspaceOf(t, mid), true }, halfspaceFinish)
+}
+
+// angleFuncs wires the MR-Angle job's task functions, for the driver and
+// for the KindAngle builder alike.
+func angleFuncs(ap *anglePartitioner) *mapreduce.JobFuncs {
+	return singleReducerFuncs(ap.d, ap.locate, ap.finish)
 }

@@ -16,7 +16,10 @@ import (
 func TestTaskPublishesKernelMetrics(t *testing.T) {
 	const d = 3
 	data := datagen.Generate(datagen.AntiCorrelated, 1000, d, 3)
-	recs := mapreduce.TupleInput(data).Records
+	rows := make([][]float64, len(data))
+	for i, t := range data {
+		rows[i] = t
+	}
 
 	// check runs task as one attempt under a metrics-only tracer.
 	check := func(what string, inserts int, task func(ctx *mapreduce.TaskContext) error) {
@@ -45,10 +48,8 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 	var keys, values [][]byte
 	check("mapper", len(data), func(ctx *mapreduce.TaskContext) error {
 		m := funcs.NewMapper()
-		for _, rec := range recs {
-			if err := m.Map(ctx, rec, nil); err != nil {
-				return err
-			}
+		if err := m.(mapreduce.RowsMapper).MapRows(ctx, rows, nil); err != nil {
+			return err
 		}
 		return m.Flush(ctx, func(k, v []byte) {
 			keys = append(keys, append([]byte(nil), k...))

@@ -2,9 +2,9 @@ package baseline
 
 import (
 	"math"
-	"sort"
 	"time"
 
+	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/skyline"
 	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
@@ -37,9 +37,6 @@ func newAnglePartitioner(d, target int, origin []float64) *anglePartitioner {
 			k = 1
 		}
 	}
-	if origin == nil {
-		origin = make([]float64, d)
-	}
 	return &anglePartitioner{d: d, k: k, width: (math.Pi / 2) / float64(k), origin: origin}
 }
 
@@ -52,8 +49,9 @@ func (a *anglePartitioner) partitions() int {
 	return p
 }
 
-// locate returns the angular partition id of t.
-func (a *anglePartitioner) locate(t tuple.Tuple) int {
+// locate returns the angular partition id of t and keeps every row. An id
+// may be negative: an angle is NaN where the values reach ±MaxFloat64.
+func (a *anglePartitioner) locate(t tuple.Tuple) (int, bool) {
 	id := 0
 	// v is the tuple relative to the domain origin (clamped to the first
 	// quadrant); tail2 accumulates v_{i+1}² + … + v_d² from the back.
@@ -88,46 +86,42 @@ func (a *anglePartitioner) locate(t tuple.Tuple) int {
 			tail2 = 0
 		}
 	}
-	return id
+	return id, true
 }
 
-// MRAngle computes the skyline with the MR-Angle baseline: angular
-// partitioning, BNL local skylines on the mappers, and a single reducer
-// merging all local skylines with BNL. Angular partitions cannot dominate
-// one another, so the reducer performs a full merge.
-func MRAngle(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
-	start := time.Now()
-	if err := data.Validate(); err != nil {
-		return nil, nil, err
+// finish is MR-Angle's global merge: angular partitions cannot dominate
+// one another, so every partition's local skyline, in partition order, is
+// inserted into one window.
+func (a *anglePartitioner) finish(s window.Map, cnt *skyline.Count) tuple.List {
+	merge := window.New(a.d)
+	for _, id := range s.Sorted() {
+		for _, t := range s[id].Rows() {
+			merge.Insert(t, cnt)
+		}
 	}
-	if err := cfg.validate(data.Dim()); err != nil {
-		return nil, nil, err
-	}
-	if len(data) == 0 {
-		return nil, &Stats{Algorithm: "MR-Angle"}, nil
-	}
-	d := data.Dim()
-	target := cfg.AngularPartitions
-	if target < 1 {
-		target = cfg.mappers()
-	}
-	ap := newAnglePartitioner(d, target, cfg.origin(d))
+	return merge.Rows()
+}
 
-	sky, res, err := runSingleReducerJob(&cfg, "mr-angle", data, singleReducerFuncs(d, ap.locate,
-		func(s map[int]*window.Window, cnt *skyline.Count) tuple.List {
-			ids := make([]int, 0, len(s))
-			for id := range s {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
-			merge := window.New(d)
-			for _, id := range ids {
-				for _, t := range s[id].Rows() {
-					merge.Insert(t, cnt)
-				}
-			}
-			return merge.Rows()
-		}), "", nil) // no kind: the angle partitioner is not spec-serialized
+// MRAngle computes the skyline of data with the MR-Angle baseline: angular
+// partitioning, BNL local skylines on the mappers, and a single reducer
+// merging all local skylines with BNL. data is checked first.
+func MRAngle(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
+	return overList(cfg, data, "MR-Angle", MRAngleRows)
+}
+
+// MRAngleRows is MRAngle over non-empty rows already checked to be of one
+// width and finite, as core.EncodeRows returns them: the job reads them in
+// place and checks none of them again.
+func MRAngleRows(cfg Config, in mapreduce.TupleRows) (tuple.List, *Stats, error) {
+	start := time.Now()
+	d := len(in[0])
+	if err := cfg.validate(d); err != nil {
+		return nil, nil, err
+	}
+	origin, _ := cfg.bounds(d)
+	ap := newAnglePartitioner(d, cfg.mappers(), origin)
+	spec := specBytes(angleSpec{D: d, Target: cfg.mappers(), Origin: origin})
+	sky, res, err := runSingleReducerJob(&cfg, "mr-angle", in, angleFuncs(ap), KindAngle, spec)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,9 +2,9 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/skyline"
 	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
@@ -33,27 +33,29 @@ func subspaceMayDominate(a, b int) bool {
 	return a != b && a&^b == 0
 }
 
-// MRBNL computes the skyline with the MR-BNL baseline: 2^d half-space
-// subspaces, BNL local skylines on the mappers, a single reducer merging
-// subspace skylines and removing cross-subspace false positives.
+// MRBNL computes the skyline of data with the MR-BNL baseline: 2^d
+// half-space subspaces, BNL local skylines on the mappers, a single reducer
+// merging subspace skylines and removing cross-subspace false positives.
+// data is checked first.
 func MRBNL(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
+	return overList(cfg, data, "MR-BNL", MRBNLRows)
+}
+
+// MRBNLRows is MRBNL over non-empty rows already checked to be of one
+// width and finite, as core.EncodeRows returns them: the job reads them in
+// place and checks none of them again.
+func MRBNLRows(cfg Config, in mapreduce.TupleRows) (tuple.List, *Stats, error) {
 	start := time.Now()
-	if err := data.Validate(); err != nil {
+	d := len(in[0])
+	if err := cfg.validate(d); err != nil {
 		return nil, nil, err
 	}
-	if err := cfg.validate(data.Dim()); err != nil {
-		return nil, nil, err
-	}
-	if len(data) == 0 {
-		return nil, &Stats{Algorithm: "MR-BNL"}, nil
-	}
-	d := data.Dim()
 	if d > 20 {
 		return nil, nil, fmt.Errorf("baseline: %d dimensions give 2^%d subspaces; MR-BNL is not applicable", d, d)
 	}
 
 	mid := cfg.mid(d)
-	sky, res, err := runSingleReducerJob(&cfg, "mr-bnl", data, halfspaceFuncs(d, mid), KindHalfspace, halfspaceSpecBytes(d, mid))
+	sky, res, err := runSingleReducerJob(&cfg, "mr-bnl", in, halfspaceFuncs(d, mid), KindHalfspace, specBytes(halfspaceSpec{D: d, Mid: mid}))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -63,12 +65,8 @@ func MRBNL(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 // halfspaceFinish is MR-BNL's global merge: filter each subspace skyline
 // by every subspace that may dominate it, then output the union. Windows
 // stay columnar throughout, so every pass runs on the block kernel.
-func halfspaceFinish(s map[int]*window.Window, cnt *skyline.Count) tuple.List {
-	codes := make([]int, 0, len(s))
-	for c := range s {
-		codes = append(codes, c)
-	}
-	sort.Ints(codes)
+func halfspaceFinish(s window.Map, cnt *skyline.Count) tuple.List {
+	codes := s.Sorted()
 	for _, b := range codes {
 		w := s[b]
 		for _, a := range codes {

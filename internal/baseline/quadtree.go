@@ -140,6 +140,13 @@ func (t *quadTree) locate(p tuple.Tuple) *quadNode {
 	return n
 }
 
+// route is SKY-MR job 1's router: a row goes to its leaf, unless the
+// sample pruned the leaf.
+func (t *quadTree) route(p tuple.Tuple) (int, bool) {
+	leaf := t.locate(p)
+	return leaf.id, !leaf.pruned
+}
+
 // numLeaves returns the leaf count.
 func (t *quadTree) numLeaves() int { return len(t.leaves) }
 

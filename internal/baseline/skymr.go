@@ -46,30 +46,27 @@ const (
 
 const cacheKeySample = "skymr-sample"
 
-// SKYMR computes the skyline with the SKY-MR algorithm.
+// SKYMR computes the skyline of data with the SKY-MR algorithm. data is
+// checked first.
 func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
+	return overList(cfg, data, "SKY-MR", skyMR)
+}
+
+// skyMR is SKYMR over non-empty checked rows, job 1's input.
+func skyMR(cfg Config, in mapreduce.TupleRows) (tuple.List, *Stats, error) {
 	start := time.Now()
-	if err := data.Validate(); err != nil {
+	d := len(in[0])
+	if err := cfg.validate(d); err != nil {
 		return nil, nil, err
 	}
-	if err := cfg.validate(data.Dim()); err != nil {
-		return nil, nil, err
-	}
-	if len(data) == 0 {
-		return nil, &Stats{Algorithm: "SKY-MR"}, nil
-	}
-	d := data.Dim()
 	lo, hi := cfg.bounds(d)
 
 	// Deterministic sample: evenly strided over the input, so every task
 	// (and every retry) sees the same quadtree.
-	sampleSize := DefaultSampleSize
-	if sampleSize > len(data) {
-		sampleSize = len(data)
-	}
+	sampleSize := min(DefaultSampleSize, len(in))
 	sample := make(tuple.List, sampleSize)
 	for i := range sample {
-		sample[i] = data[i*len(data)/sampleSize]
+		sample[i] = in[i*len(in)/sampleSize]
 	}
 	qt, err := buildQuadTree(sample, lo, hi, DefaultQuadLeafCapacity, DefaultQuadMaxDepth)
 	if err != nil {
@@ -92,47 +89,18 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 	// ---- Job 1: per-leaf local skylines --------------------------------
 	local := &mapreduce.Job{
 		Name:        "sky-mr-local",
-		Input:       mapreduce.TupleInput(data),
+		Input:       in,
 		NumMappers:  cfg.mappers(),
 		NumReducers: reducers,
 		Cache:       cache,
 		NewMapper: func() mapreduce.Mapper {
-			var (
-				t       *quadTree
-				windows map[int]*window.Window
-				cnt     skyline.Count
-				inserts window.InsertSampler
-			)
-			return mapreduce.MapperFuncs{
-				MapFn: func(ctx *mapreduce.TaskContext, rec mapreduce.Record, _ mapreduce.Emitter) error {
-					if t == nil {
-						var err error
-						if t, err = rebuild(ctx); err != nil {
-							return err
-						}
-						windows = make(map[int]*window.Window)
-					}
-					tp, err := mapreduce.DecodeTupleRecord(rec)
-					if err != nil {
-						return err
-					}
-					leaf := t.locate(tp)
-					if leaf.pruned {
-						return nil
-					}
-					inserts.Insert(ctx.Trace.Metrics(), getWindow(windows, leaf.id, d), tp, &cnt)
-					return nil
-				},
-				FlushFn: func(ctx *mapreduce.TaskContext, emit mapreduce.Emitter) error {
-					recordDominanceTests(ctx, &cnt)
-					var scratch []byte
-					for _, w := range sortedWindows(windows) {
-						scratch = tuple.AppendEncodeList(scratch[:0], w.win.Rows())
-						emit(encodeKey(w.id), scratch)
-					}
-					return nil
-				},
-			}
+			return newPartitionMapper(d, func(ctx *mapreduce.TaskContext) (router, error) {
+				t, err := rebuild(ctx)
+				if err != nil {
+					return nil, err
+				}
+				return t.route, nil
+			})
 		},
 		NewReducer: func() mapreduce.Reducer {
 			var cnt skyline.Count
@@ -191,7 +159,7 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 							return err
 						}
 					}
-					a, err := decodeKey(rec.Key)
+					a, err := mapreduce.ParseIntKey(rec.Key)
 					if err != nil {
 						return err
 					}
@@ -205,7 +173,7 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 						if t.mayDominate(a, b) && !t.leaves[b].pruned {
 							scratch = append(scratch[:0], tagFilter)
 							scratch = append(scratch, rec.Value...)
-							emit(encodeKey(b), scratch)
+							emit(mapreduce.IntKey(b), scratch)
 						}
 					}
 					return nil
@@ -277,18 +245,4 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 		Total:          time.Since(start),
 		SimulatedTotal: res1.SimulatedTime + res2.SimulatedTime,
 	}, nil
-}
-
-// bounds returns the configured domain (unit box by default).
-func (c *Config) bounds(d int) (lo, hi tuple.Tuple) {
-	lo = make(tuple.Tuple, d)
-	hi = make(tuple.Tuple, d)
-	for k := 0; k < d; k++ {
-		if c.Lo == nil {
-			hi[k] = 1
-		} else {
-			lo[k], hi[k] = c.Lo[k], c.Hi[k]
-		}
-	}
-	return lo, hi
 }

@@ -78,7 +78,7 @@ func newPPDSelectMapper(ladder *grid.Ladder) mapreduce.Mapper {
 		},
 		FlushFn: func(_ *mapreduce.TaskContext, emit mapreduce.Emitter) error {
 			for i, local := range locals[:min(live+1, len(locals))] {
-				emit(encodeKey(ladder.Grid(i).PPD()), local.Encode())
+				emit(mapreduce.IntKey(ladder.Grid(i).PPD()), local.Encode())
 			}
 			return nil
 		},
@@ -95,7 +95,7 @@ func newPPDSelectReducer(card int, ladder *grid.Ladder, disablePruning bool) map
 	merged := make([]*bitstring.Bitstring, ladder.Len()) // nil: candidate received nothing
 	return mapreduce.ReducerFuncs{
 		ReduceFn: func(_ *mapreduce.TaskContext, key []byte, values [][]byte, _ mapreduce.Emitter) error {
-			j, err := decodeKey(key)
+			j, err := mapreduce.ParseIntKey(key)
 			if err != nil {
 				return err
 			}

@@ -177,7 +177,7 @@ func everyCandidateMapper(ladder *grid.Ladder) mapreduce.Mapper {
 		},
 		FlushFn: func(_ *mapreduce.TaskContext, emit mapreduce.Emitter) error {
 			for i, local := range locals {
-				emit(encodeKey(ladder.Grid(i).PPD()), local.Encode())
+				emit(mapreduce.IntKey(ladder.Grid(i).PPD()), local.Encode())
 			}
 			return nil
 		},
@@ -198,7 +198,7 @@ func TestChoosePPDDeadCandidateRuleFires(t *testing.T) {
 	if got.PPD != 2 || got.NonEmpty != 8 {
 		t.Fatalf("chose PPD %d with %d non-empty cells, want PPD 2 with 8", got.PPD, got.NonEmpty)
 	}
-	one := len(encodeKey(2)) + len(bitstring.New(8).Encode())
+	one := len(mapreduce.IntKey(2)) + len(bitstring.New(8).Encode())
 	if n, b := got.Job.Counters.Get(mapreduce.CounterMapOutputRecords), got.Job.Counters.Get(mapreduce.CounterShuffleBytes); n != mappers || b != int64(mappers*one) {
 		t.Fatalf("shuffled %d records, %d B; want %d PPD-2 bitstrings, %d B", n, b, mappers, mappers*one)
 	}

@@ -8,33 +8,10 @@ import (
 	"mrskyline/internal/tuple"
 )
 
-func TestKeyRoundTrip(t *testing.T) {
-	for _, id := range []int{0, 1, 255, 1 << 20, 1<<40 + 3} {
-		got, err := decodeKey(encodeKey(id))
-		if err != nil || got != id {
-			t.Errorf("decodeKey(encodeKey(%d)) = %d, %v", id, got, err)
-		}
-	}
-	if _, err := decodeKey([]byte{1, 2, 3}); err == nil {
-		t.Error("short key accepted")
-	}
-}
-
-func TestKeyOrderingMatchesNumeric(t *testing.T) {
-	prev := encodeKey(0)
-	for id := 1; id < 5000; id += 7 {
-		cur := encodeKey(id)
-		if string(prev) >= string(cur) {
-			t.Fatalf("key ordering broken at %d", id)
-		}
-		prev = cur
-	}
-}
-
-// winMapOf columnarizes per-partition tuple lists into a winMap for
+// windowMapOf columnarizes per-partition tuple lists into a window.Map for
 // encoding tests.
-func winMapOf(dim int, lists map[int]tuple.List) winMap {
-	wm := make(winMap, len(lists))
+func windowMapOf(dim int, lists map[int]tuple.List) window.Map {
+	wm := make(window.Map, len(lists))
 	for p, l := range lists {
 		wm[p] = window.FromList(dim, l)
 	}
@@ -54,8 +31,8 @@ func TestPartMapRoundTrip(t *testing.T) {
 			}
 			pm[p] = l
 		}
-		wm := winMapOf(2, pm)
-		parts := wm.sortedPartitions()
+		wm := windowMapOf(2, pm)
+		parts := wm.Sorted()
 		enc := appendPartMap(nil, wm, parts)
 		dec, err := decodePartMap(enc)
 		if err != nil {
@@ -79,7 +56,7 @@ func TestPartMapRoundTrip(t *testing.T) {
 }
 
 func TestPartMapSubsetEncoding(t *testing.T) {
-	wm := winMapOf(1, map[int]tuple.List{1: {{0.1}}, 2: {{0.2}}, 3: {{0.3}}})
+	wm := windowMapOf(1, map[int]tuple.List{1: {{0.1}}, 2: {{0.2}}, 3: {{0.3}}})
 	enc := appendPartMap(nil, wm, []int{1, 3, 99}) // 99 absent: skipped
 	dec, err := decodePartMap(enc)
 	if err != nil {
@@ -91,7 +68,7 @@ func TestPartMapSubsetEncoding(t *testing.T) {
 }
 
 func TestPartMapEmptyListsSkipped(t *testing.T) {
-	wm := winMap{5: window.New(1)}
+	wm := window.Map{5: window.New(1)}
 	enc := appendPartMap(nil, wm, []int{5})
 	dec, err := decodePartMap(enc)
 	if err != nil || len(dec) != 0 {
@@ -100,7 +77,7 @@ func TestPartMapEmptyListsSkipped(t *testing.T) {
 }
 
 func TestPartMapDecodeErrors(t *testing.T) {
-	wm := winMapOf(2, map[int]tuple.List{1: {{0.5, 0.5}}})
+	wm := windowMapOf(2, map[int]tuple.List{1: {{0.5, 0.5}}})
 	enc := appendPartMap(nil, wm, []int{1})
 	for i := 0; i < len(enc); i++ {
 		if _, err := decodePartMap(enc[:i]); err == nil {

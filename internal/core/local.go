@@ -18,7 +18,7 @@ import (
 // all of its window operations work in.
 type partWindows struct {
 	g   *grid.Grid
-	s   winMap
+	s   window.Map
 	cnt skyline.Count
 	// partCmp counts partition-wise comparisons (Algorithm 5 line 3
 	// executions) performed by this task.
@@ -49,7 +49,7 @@ type localState struct {
 }
 
 func newLocalState(g *grid.Grid, bs *bitstring.Bitstring, kernel skyline.Kernel) *localState {
-	ls := &localState{partWindows: partWindows{g: g, s: make(winMap)}, bs: bs, kernel: kernel}
+	ls := &localState{partWindows: partWindows{g: g, s: make(window.Map)}, bs: bs, kernel: kernel}
 	if kernel != skyline.KernelBNL {
 		ls.pending = make(map[int]tuple.List)
 	}
@@ -85,7 +85,7 @@ func (ls *localState) mapRows(reg *obs.Registry, rows [][]float64) error {
 		}
 		e := &recent[j%len(recent)]
 		if e.w == nil || e.p != j {
-			e.p, e.w = j, ls.s.window(j, d)
+			e.p, e.w = j, ls.s.Get(j, d)
 		}
 		ls.inserts.Insert(reg, e.w, t, &ls.cnt)
 	}
@@ -97,7 +97,7 @@ func (ls *localState) mapRows(reg *obs.Registry, rows [][]float64) error {
 // lines 9–10), then put every window in score order — once, and after
 // Algorithm 5 has shrunk it, which needs no order — so each partition
 // leaves the mapper as one sorted run. It returns the resulting window map.
-func (ls *localState) finish() winMap {
+func (ls *localState) finish() window.Map {
 	for p, data := range ls.pending {
 		ls.s[p] = window.FromList(ls.g.Dim(), ls.kernel.Compute(data, &ls.cnt))
 	}
@@ -163,7 +163,7 @@ func (pw *partWindows) recordCounters(ctx *mapreduce.TaskContext, phase mapreduc
 // removed early is itself dominated by a tuple in a window that also
 // filters S_p, by ADR transitivity).
 func (pw *partWindows) comparePartitions() {
-	parts := pw.s.sortedPartitions()
+	parts := pw.s.Sorted()
 	for _, p := range parts {
 		sp := pw.s[p]
 		adr, dims := pw.adr[:0], pw.dims[:0]
@@ -205,7 +205,7 @@ func (pw *partWindows) comparePartitions() {
 // in ascending order; only, when non-nil, names the partitions to output.
 func (pw *partWindows) emitRows(emit mapreduce.Emitter, only map[int]bool) {
 	var scratch []byte
-	for _, p := range pw.s.sortedPartitions() {
+	for _, p := range pw.s.Sorted() {
 		if only != nil && !only[p] {
 			continue
 		}

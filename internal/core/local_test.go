@@ -11,6 +11,7 @@ import (
 	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
+	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
 )
 
@@ -28,7 +29,7 @@ func TestUnorderedRunFailsTheTask(t *testing.T) {
 		"by score":       {{0.4, 0.4}, {0.1, 0.1}},
 		"by coordinates": {{0.25, 2e-20}, {0.25, 1e-20}},
 	} {
-		pw := partWindows{g: g, s: make(winMap)}
+		pw := partWindows{g: g, s: make(window.Map)}
 		err := pw.mergeRuns(0, []tuple.List{sorted, run})
 		if err == nil || !strings.Contains(err.Error(), "partition 0 run out of score order") {
 			t.Errorf("%s: mergeRuns error = %v", name, err)
@@ -45,12 +46,12 @@ func TestUnorderedRunFailsTheTask(t *testing.T) {
 			Cache: mapreduce.Cache{cacheKeyBitstring: bitstring.FromIndices(g.NumPartitions(), 0).Encode()},
 		}
 		values := [][]byte{append([]byte{1, 0}, tuple.EncodeList(sorted)...), append([]byte{1, 0}, tuple.EncodeList(run)...)}
-		err = newSkyReducer(skySpec{OneBucket: true}, g).Reduce(ctx, encodeKey(0), values, func(_, _ []byte) {})
+		err = newSkyReducer(skySpec{OneBucket: true}, g).Reduce(ctx, mapreduce.IntKey(0), values, func(_, _ []byte) {})
 		if err == nil || !strings.Contains(err.Error(), "run out of score order") {
 			t.Errorf("%s: reducer error = %v", name, err)
 		}
 	}
-	pw := partWindows{g: g, s: make(winMap)}
+	pw := partWindows{g: g, s: make(window.Map)}
 	if err := pw.mergeRuns(0, []tuple.List{sorted, sorted}); err != nil {
 		t.Fatalf("sorted runs rejected: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
 	"mrskyline/internal/skyline"
+	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
 )
 
@@ -109,7 +110,7 @@ func (s skySpec) buckets(g *grid.Grid, bs *bitstring.Bitstring, r int) []grid.Me
 // in [0, min(r, groups)), so identity routing sends bucket b to reduce task
 // b (Algorithm 8's "i % r" with the merge step already applied).
 func bucketPartition(key []byte, r int) int {
-	b, err := decodeKey(key)
+	b, err := mapreduce.ParseIntKey(key)
 	if err != nil || b < 0 {
 		return 0
 	}
@@ -152,7 +153,7 @@ func newSkyMapper(s skySpec, g *grid.Grid) mapreduce.Mapper {
 				if len(scratch) <= 1 {
 					continue // this mapper holds nothing for the bucket
 				}
-				emit(encodeKey(mg.ID), scratch)
+				emit(mapreduce.IntKey(mg.ID), scratch)
 			}
 			return nil
 		},
@@ -169,7 +170,7 @@ func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 	return mapreduce.ReducerFuncs{
 		ReduceFn: func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emitter) error {
 			defer ctx.Trace.Timed(ctx.Track, "merge", obs.CatAlgo, "algo.merge.ns")()
-			b, err := decodeKey(key)
+			b, err := mapreduce.ParseIntKey(key)
 			if err != nil {
 				return err
 			}
@@ -205,7 +206,7 @@ func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 					runs[p] = append(runs[p], l)
 				}
 			}
-			group.s = make(winMap, len(runs))
+			group.s = make(window.Map, len(runs))
 			for p, r := range runs {
 				if err := group.mergeRuns(p, r); err != nil {
 					return err

@@ -247,3 +247,29 @@ func BenchmarkShuffleTraced(b *testing.B) {
 		}
 	}
 }
+
+// TestIntKeyRoundTrip: every id survives IntKey and ParseIntKey, negative
+// ones too (an angular partition can be one), and a key of any other width
+// is refused.
+func TestIntKeyRoundTrip(t *testing.T) {
+	for _, id := range []int{0, 1, 255, 1 << 20, 1<<40 + 3, -1, -1 << 40} {
+		got, err := mapreduce.ParseIntKey(mapreduce.IntKey(id))
+		if err != nil || got != id {
+			t.Errorf("ParseIntKey(IntKey(%d)) = %d, %v", id, got, err)
+		}
+	}
+	if _, err := mapreduce.ParseIntKey([]byte{1, 2, 3}); err == nil {
+		t.Error("short key accepted")
+	}
+}
+
+func TestIntKeyOrderingMatchesNumeric(t *testing.T) {
+	prev := mapreduce.IntKey(0)
+	for id := 1; id < 5000; id += 7 {
+		cur := mapreduce.IntKey(id)
+		if string(prev) >= string(cur) {
+			t.Fatalf("key ordering broken at %d", id)
+		}
+		prev = cur
+	}
+}

@@ -71,9 +71,10 @@ func (s memorySplit) Each(fn func(Record) error) error {
 // tuple.AppendEncode bytes of row i (key nil). Every row must have the same
 // width, as core.EncodeRows, which checks the rows, guarantees. Its splits
 // are views: Splits cuts at MemoryInput's boundaries into capacity-clipped
-// runs of the rows. A RowsMapper is handed a split's rows themselves; only a consumer of records — the leased driver framing a
-// split, or a Mapper's Map — makes Each encode them, so a job reads the
-// same bytes in the same order as from TupleInput's records. Nothing that
+// runs of the rows. A RowsMapper is handed a split's rows themselves; only a
+// consumer of records — the leased driver framing a split, or a Mapper's
+// Map — makes Each encode them, so a job reads the same bytes in the same
+// order as from TupleInput's records. Nothing that
 // reads an input writes to it, so one TupleRows serves every job of a run,
 // concurrently, and a mapper may keep a row it is handed.
 type TupleRows [][]float64
@@ -174,12 +175,6 @@ func splitRows(split Split) ([][]float64, error) {
 		rows[i] = t
 	}
 	return rows, nil
-}
-
-// DecodeTupleRecord recovers a tuple from a TupleInput or TupleRows record.
-func DecodeTupleRecord(rec Record) (tuple.Tuple, error) {
-	t, _, err := tuple.Decode(rec.Value)
-	return t, err
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@
 package mapreduce
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -207,4 +208,21 @@ func HashPartition(key []byte, r int) int {
 	h := fnv.New32a()
 	h.Write(key)
 	return int(h.Sum32() % uint32(r))
+}
+
+// IntKey renders an integer id as the 8-byte big-endian shuffle key every
+// job of this repository keys its partitions, buckets and levels by: for
+// non-negative ids the engine's lexicographic key order is numeric order.
+func IntKey(id int) []byte {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], uint64(id))
+	return b[:]
+}
+
+// ParseIntKey recovers the id of a key made by IntKey.
+func ParseIntKey(k []byte) (int, error) {
+	if len(k) != 8 {
+		return 0, fmt.Errorf("mapreduce: malformed key of %d bytes", len(k))
+	}
+	return int(binary.BigEndian.Uint64(k)), nil
 }

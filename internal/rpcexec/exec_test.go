@@ -191,6 +191,10 @@ func TestDifferentialProcessVsInprocess(t *testing.T) {
 			sky, _, err := baseline.MRBNL(baseline.Config{Engine: exec, NumMappers: workers}, data)
 			return sky, err
 		}},
+		{"MR-Angle", func(exec mapreduce.Executor, data tuple.List) (tuple.List, error) {
+			sky, _, err := baseline.MRAngle(baseline.Config{Engine: exec, NumMappers: workers}, data)
+			return sky, err
+		}},
 	}
 	dists := []datagen.Distribution{datagen.AntiCorrelated, datagen.Independent, datagen.Correlated}
 

@@ -144,7 +144,7 @@ func (s *Service) OpenMaintained(data [][]float64, opts MaintainOptions) (*Maint
 	orient := NewOrientation(opts.Maximize)
 	seed := make(tuple.List, len(data))
 	for i, row := range data {
-		seed[i] = tuple.Tuple(orient.Apply(row)).Clone()
+		seed[i] = orient.copyOf(row)
 	}
 	cfg := maintain.Config{
 		Dim:       opts.Dim,
@@ -211,7 +211,7 @@ func (h *MaintainedSkyline) ApplyDeltas(deltas []Delta) (DeltaResult, error) {
 		default:
 			return DeltaResult{}, fmt.Errorf("mrskyline: unknown delta op %q (delta %d)", d.Op, i)
 		}
-		batch[i].Row = tuple.Tuple(h.orient.Apply(d.Row)).Clone()
+		batch[i].Row = h.orient.copyOf(d.Row)
 	}
 	var res maintain.ApplyResult
 	var err error
@@ -249,7 +249,7 @@ func (h *MaintainedSkyline) Skyline() *MaintainedSnapshot {
 func (h *MaintainedSkyline) snapshotRows(s *maintain.Snapshot) *MaintainedSnapshot {
 	out := &MaintainedSnapshot{Gen: s.Gen, Skyline: make([][]float64, len(s.Skyline))}
 	for i, t := range s.Skyline {
-		out.Skyline[i] = tuple.Tuple(h.orient.Apply(t)).Clone()
+		out.Skyline[i] = h.orient.copyOf(t)
 	}
 	return out
 }
@@ -257,10 +257,11 @@ func (h *MaintainedSkyline) snapshotRows(s *maintain.Snapshot) *MaintainedSnapsh
 // Rows returns a copy of every resident tuple in the caller's
 // orientation — the dataset a full recompute would run over.
 func (h *MaintainedSkyline) Rows() [][]float64 {
-	rows := h.m.Rows()
+	rows := h.m.Rows() // fresh copies, oriented here in place
 	out := make([][]float64, len(rows))
 	for i, t := range rows {
-		out[i] = tuple.Tuple(h.orient.Apply(t)).Clone()
+		h.orient.applyInPlace(t)
+		out[i] = t
 	}
 	return out
 }

@@ -109,6 +109,31 @@ func TestMaintainedMaximizeOrientation(t *testing.T) {
 	}
 }
 
+// TestMaintainedCopiesEachRowOnce: Rows and Skyline hand out one fresh copy
+// of each row in the caller's orientation — one allocation a row plus a
+// constant, whether or not a dimension is maximized — and Rows gives back
+// the seed's values.
+func TestMaintainedCopiesEachRowOnce(t *testing.T) {
+	data := mustGenerate(t, "anticorrelated", 2000, 3, 4)
+	for _, maximize := range [][]bool{nil, {true, false, true}} {
+		h, err := mustService(t, ServiceConfig{}).OpenMaintained(data, MaintainOptions{Maximize: maximize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Rows(); !reflect.DeepEqual(sortRows(got), sortRows(data)) {
+			t.Fatalf("Maximize %v: Rows does not give back the seed", maximize)
+		}
+		const slack = 8
+		if n := testing.AllocsPerRun(5, func() { h.Rows() }); n > float64(len(data)+slack) {
+			t.Errorf("Maximize %v: Rows makes %.0f allocations for %d rows", maximize, n, len(data))
+		}
+		sky := len(h.Skyline().Skyline)
+		if n := testing.AllocsPerRun(5, func() { h.Skyline() }); n > float64(sky+slack) {
+			t.Errorf("Maximize %v: Skyline makes %.0f allocations for %d rows", maximize, n, sky)
+		}
+	}
+}
+
 func TestContinuousQuery(t *testing.T) {
 	h, err := mustService(t, ServiceConfig{}).OpenMaintained([][]float64{{0.5, 0.5}}, MaintainOptions{})
 	if err != nil {

@@ -52,7 +52,6 @@ import (
 	"mrskyline/internal/baseline"
 	"mrskyline/internal/cluster"
 	"mrskyline/internal/core"
-	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/skyline"
 	"mrskyline/internal/spill"
@@ -232,11 +231,10 @@ func computeOn(ctx context.Context, eng mapreduce.Executor, data [][]float64, op
 		return p.run(ctx, eng, opts, start)
 	}
 
-	orient, work, err := orientRows(data, opts.Maximize, validated)
+	orient, in, lo, hi, err := orientInput(data, opts.Maximize, validated)
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := grid.DataBounds(work)
 	cfg := baseline.Config{Engine: eng, Ctx: ctx, NumMappers: opts.Mappers, Lo: lo, Hi: hi}
 	var (
 		sky tuple.List
@@ -244,9 +242,9 @@ func computeOn(ctx context.Context, eng mapreduce.Executor, data [][]float64, op
 	)
 	switch algo {
 	case MRBNL:
-		sky, bs, err = baseline.MRBNL(cfg, work)
+		sky, bs, err = baseline.MRBNLRows(cfg, in)
 	case MRAngle:
-		sky, bs, err = baseline.MRAngle(cfg, work)
+		sky, bs, err = baseline.MRAngleRows(cfg, in)
 	default:
 		return nil, fmt.Errorf("mrskyline: unknown algorithm %q", opts.Algorithm)
 	}
@@ -275,27 +273,23 @@ func checkMaximize(maximize []bool, d int) error {
 	return nil
 }
 
-// orientRows returns non-empty data under maximize's all-minimize view:
-// maximized dimensions are negated once (exact in IEEE 754), so the rest of
-// the pipeline is pure minimization with no per-comparison orientation
-// branching. Unless validated, each row is checked before it is negated, so
-// a malformed row is reported with the caller's values.
-func orientRows(data [][]float64, maximize []bool, validated bool) (Orientation, tuple.List, error) {
-	d := len(data[0])
-	if err := checkMaximize(maximize, d); err != nil {
-		return Orientation{}, nil, err
+// orientInput is the one pass from non-empty data to every algorithm's
+// job input: Maximize is checked against data's width, then
+// core.EncodeRows checks each row (unless validated) before it negates the
+// row's maximized dimensions, so a malformed row is reported with the
+// caller's values, and folds the bounds, grid.DataBounds of the oriented
+// rows bit for bit. The input is data itself under the identity
+// orientation, else one oriented copy.
+func orientInput(data [][]float64, maximize []bool, validated bool) (Orientation, mapreduce.TupleRows, tuple.Tuple, tuple.Tuple, error) {
+	if err := checkMaximize(maximize, len(data[0])); err != nil {
+		return Orientation{}, nil, nil, nil, err
 	}
 	orient := NewOrientation(maximize)
-	work := make(tuple.List, len(data))
-	for i, row := range data {
-		if !validated {
-			if err := tuple.CheckAt(i, row, d); err != nil {
-				return Orientation{}, nil, fmt.Errorf("mrskyline: %w", err)
-			}
-		}
-		work[i] = tuple.Tuple(orient.Apply(row))
+	in, lo, hi, err := core.EncodeRows(data, orient.signs, validated)
+	if err != nil {
+		return Orientation{}, nil, nil, nil, fmt.Errorf("mrskyline: %w", err)
 	}
-	return orient, work, nil
+	return orient, in, lo, hi, nil
 }
 
 // gridPlan is a dataset prepared for the grid algorithms under one
@@ -324,18 +318,13 @@ func gridConfig(ctx context.Context, eng mapreduce.Executor, opts Options) (core
 	}, nil
 }
 
-// newGridPlan checks, orients and bounds data in one pass (core.EncodeRows)
-// and runs the bitstring phase over the rows it returns — data itself
-// under the identity orientation, else one oriented copy — everything a
-// grid query does before its skyline job.
+// newGridPlan takes data through the input pass (orientInput) and runs the
+// bitstring phase over the rows it returns, everything a grid query does
+// before its skyline job.
 func newGridPlan(ctx context.Context, eng mapreduce.Executor, data [][]float64, opts Options, validated bool) (*gridPlan, error) {
-	if err := checkMaximize(opts.Maximize, len(data[0])); err != nil {
-		return nil, err
-	}
-	orient := NewOrientation(opts.Maximize)
-	in, lo, hi, err := core.EncodeRows(data, orient.signs, validated)
+	orient, in, lo, hi, err := orientInput(data, opts.Maximize, validated)
 	if err != nil {
-		return nil, fmt.Errorf("mrskyline: %w", err)
+		return nil, err
 	}
 	cfg, err := gridConfig(ctx, eng, opts)
 	if err != nil {
@@ -470,14 +459,24 @@ func (o Orientation) Apply(row []float64) []float64 {
 	if o.signs == nil {
 		return row
 	}
-	out := make([]float64, len(row))
-	for k, v := range row {
-		if k < len(o.signs) {
-			v *= o.signs[k]
-		}
-		out[k] = v
-	}
+	return o.copyOf(row)
+}
+
+// copyOf returns a fresh copy of row under the orientation, under every
+// orientation one allocation.
+func (o Orientation) copyOf(row []float64) []float64 {
+	out := tuple.Tuple(row).Clone()
+	o.applyInPlace(out)
 	return out
+}
+
+// applyInPlace negates row's maximized dimensions where it stands.
+func (o Orientation) applyInPlace(row []float64) {
+	for k, s := range o.signs {
+		if k < len(row) {
+			row[k] *= s
+		}
+	}
 }
 
 // restore maps a skyline computed under the all-minimize view back to the
