@@ -13,20 +13,33 @@
 //   - Insert locates the target cell, dominance-tests the tuple against
 //     that cell's local skyline only (Algorithm 4), and sets the cell's
 //     occupancy bit. No other cell's window is touched.
-//   - Delete removes the tuple from its cell; only when the tuple was part
-//     of the cell's local skyline is that one cell's window rebuilt from
-//     its members. Cells the deleted cell's bitstring bit had pruned
-//     reappear through the survivor re-derivation, with their local
-//     skylines already maintained — no recompute outside the affected
-//     cell.
+//   - Delete finds the first equal member by a fingerprint kept in its
+//     key, reading only a matching member's row. Only when the tuple was on
+//     the cell's local skyline is the window repaired: every member outside
+//     it is dominated by a window row, and unless that row is the deleted
+//     one it still is, so BNL over the window's other rows and the members
+//     the deleted row dominates, in arrival order, gives the window a replay
+//     of every member would. Cells the deleted cell's bitstring bit had
+//     pruned reappear through the survivor re-derivation, with their local
+//     skylines already maintained.
 //
 // The global skyline is assembled from per-cell contributions: a
 // surviving cell's contribution is its local skyline filtered by the
 // windows of the surviving cells in its anti-dominating region
-// (Algorithm 5), and a contribution is only recomputed when the cell — or
-// a cell in its ADR — changed since the last batch. Local skylines are
-// maintained for pruned cells too, which is what makes delete-repair
-// cheap: un-pruning is a bitstring flip, not a recompute.
+// (Algorithm 5). A publish refreshes a contribution only when a row entered
+// or left a window of the cell's weak ADR, and only from those rows: E, the
+// rows that entered a window this batch (by insert or repair) and are still
+// in it, and D, the window rows the batch deleted. A row the cell published
+// stays unless an E row of its ADR dominates it; a row it held back stays
+// held back unless a D row of its ADR dominates it; its own E rows, the rows
+// a D row dominates, and every row when nothing is cached take the full test
+// against the ADR windows. That is exact by transitivity: a row evicted from
+// a window is dominated by the row that evicted it, and while a cell
+// survives so does every occupied cell of its ADR (a cell that pruned one
+// would prune it too), so a dominator can only disappear by deletion, which
+// D covers. Local skylines are maintained for pruned cells too, which is
+// what makes delete-repair cheap: un-pruning is a bitstring flip, not a
+// recompute.
 //
 // Writers serialize on an internal mutex; every mutation batch publishes
 // an immutable snapshot through an atomic pointer with a monotonically
@@ -40,6 +53,8 @@ package maintain
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -149,29 +164,53 @@ type Stats struct {
 	SkylineSize int
 }
 
-// member is one resident tuple: its value plus a global arrival sequence
-// number (the sliding-window eviction order).
+// member is one resident tuple: its value, and a key with the global arrival
+// sequence number (the sliding-window eviction order) above a fingerprint of
+// the value. Keys ascend with arrival; a delete reads only matching rows.
 type member struct {
 	t   tuple.Tuple
-	seq uint64
+	key uint64
+}
+
+const fpBits = 16 // a member key's fingerprint bits; its sequence number has 48
+
+// fingerprint hashes t's values to fpBits bits. Rows that Tuple.Equal calls
+// equal hash alike: v+0 turns -0 into +0.
+func fingerprint(t tuple.Tuple) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range t {
+		h = (h ^ math.Float64bits(v+0)) * 1099511628211
+	}
+	return h >> (64 - fpBits)
 }
 
 // cell is one non-empty grid partition: every resident member in arrival
 // order, plus the local skyline of those members (the window a mapper of
-// Algorithm 3 would hold for this partition).
+// Algorithm 3 would hold for this partition). The window holds its rows in
+// arrival order too: an insert appends, an eviction keeps the order, and a
+// repair re-inserts in arrival order.
 type cell struct {
 	members []member
 	sky     *window.Window
 }
 
-// rebuild reconstructs the cell's local skyline from its members in
-// arrival order — exactly the BNL insertion a fresh build performs, so
-// incremental and rebuilt windows are indistinguishable.
-func (c *cell) rebuild(cnt *window.Count) {
-	c.sky.Reset()
-	for _, mb := range c.members {
-		c.sky.Insert(mb.t, cnt)
+// cellRow is a row of a cell's window, tagged with its cell.
+type cellRow struct {
+	cell int
+	t    tuple.Tuple
+}
+
+// same reports whether a and b are one resident row, not two equal ones.
+func same(a, b tuple.Tuple) bool { return &a[0] == &b[0] }
+
+// indexSame returns the position of row t in rows, or -1.
+func indexSame(rows tuple.List, t tuple.Tuple) int {
+	for i, u := range rows {
+		if same(u, t) {
+			return i
+		}
 	}
+	return -1
 }
 
 // fifoRef locates one resident tuple for sliding-window eviction.
@@ -194,16 +233,20 @@ type Maintained struct {
 	// contrib caches, per surviving cell, its slice of the global skyline:
 	// the cell's local skyline filtered by surviving ADR windows.
 	contrib map[int]tuple.List
-	// dirty marks cells whose local skyline (or existence) changed since
-	// the last publish.
-	dirty map[int]struct{}
-	seq   uint64
-	fifo  []fifoRef // arrival order; WindowCap > 0 only
-	head  int       // fifo's logical start (popped prefix)
-	size  int
-	gen   uint64
-	cnt   window.Count
-	stats Stats
+	// entered and gone live for one batch: the rows that entered a window
+	// (insert or repair) and the window rows that left with their member
+	// (delete or eviction). A cell's window changes only through them, and
+	// publishLocked refreshes contributions from them.
+	entered, gone []cellRow
+	scratch       tuple.List       // a repair's or a refresh's rows
+	filters       []*window.Window // a refresh's ADR windows
+	seq           uint64
+	fifo          []fifoRef // arrival order; WindowCap > 0 only
+	head          int       // fifo's logical start (popped prefix)
+	size          int
+	gen           uint64
+	cnt           window.Count
+	stats         Stats
 
 	snap atomic.Pointer[Snapshot]
 }
@@ -251,7 +294,6 @@ func New(data tuple.List, cfg Config) (*Maintained, error) {
 		occ:     bitstring.New(g.NumPartitions()),
 		pruned:  bitstring.New(g.NumPartitions()),
 		contrib: make(map[int]tuple.List),
-		dirty:   make(map[int]struct{}),
 	}
 	if cfg.SeedGen > 0 {
 		m.gen = cfg.SeedGen - 1
@@ -306,44 +348,47 @@ func (m *Maintained) Snapshot() *Snapshot { return m.snap.Load() }
 
 // Rows returns a copy of every resident tuple in deterministic order
 // (ascending cell index, arrival order within a cell) — the exact multiset
-// a full recompute would run over.
+// a full recompute would run over. The copies share one block (see
+// copyRows).
 func (m *Maintained) Rows() tuple.List {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(tuple.List, 0, m.size)
+	out, flat := make(tuple.List, 0, m.size), make([]float64, 0, m.size*m.g.Dim())
 	for _, idx := range m.sortedCells() {
-		for _, mb := range m.cells[idx].members {
-			out = append(out, mb.t.Clone())
-		}
+		out, flat = copyRows(out, flat, m.cells[idx].members)
 	}
 	return out
 }
 
 // ArrivalRows returns a copy of every resident tuple in global arrival
-// order (the sequence inserts happened in, deletions excised). Reseeding a
-// fresh Maintained with this list reproduces the current state exactly:
-// per-cell member order, every cell window, the sliding-window eviction
-// order, and therefore the published skyline bytes — which is what makes
-// it the canonical checkpoint serialization for durable recovery.
+// order (the sequence inserts happened in, deletions excised), in one block
+// like Rows. Reseeding a fresh Maintained with this list reproduces the
+// current state exactly: per-cell member order, every cell window, the
+// sliding-window eviction order, and therefore the published skyline bytes
+// — which is what makes it the canonical checkpoint serialization for
+// durable recovery.
 func (m *Maintained) ArrivalRows() tuple.List {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	type seqRow struct {
-		seq uint64
-		t   tuple.Tuple
-	}
-	rows := make([]seqRow, 0, m.size)
+	rows := make([]member, 0, m.size)
 	for _, c := range m.cells {
-		for _, mb := range c.members {
-			rows = append(rows, seqRow{seq: mb.seq, t: mb.t})
-		}
+		rows = append(rows, c.members...)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].seq < rows[j].seq })
-	out := make(tuple.List, len(rows))
-	for i, r := range rows {
-		out[i] = r.t.Clone()
-	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
+	out, _ := copyRows(make(tuple.List, 0, len(rows)), make([]float64, 0, len(rows)*m.g.Dim()), rows)
 	return out
+}
+
+// copyRows appends copies of the members' rows to out, carved from flat's
+// spare capacity, which must hold them all: the copies share one block, and
+// each row's capacity ends at its length, so appending to one row cannot
+// reach the next.
+func copyRows(out tuple.List, flat []float64, members []member) (tuple.List, []float64) {
+	for _, mb := range members {
+		flat = append(flat, mb.t...)
+		out = append(out, flat[len(flat)-len(mb.t):len(flat):len(flat)])
+	}
+	return out, flat
 }
 
 // Bounds returns copies of the grid domain ([lo, hi) per dimension). A
@@ -463,7 +508,8 @@ func (m *Maintained) Apply(deltas []Delta) (ApplyResult, error) {
 }
 
 // insertLocked adds t to its cell: append to members, fold into the
-// cell's local skyline (Algorithm 4), set the occupancy bit.
+// cell's local skyline (Algorithm 4), set the occupancy bit. An entrant joins
+// E only while a contribution is cached: a cell with none is refreshed in full.
 func (m *Maintained) insertLocked(t tuple.Tuple) {
 	j := m.g.Locate(t)
 	c := m.cells[j]
@@ -471,18 +517,17 @@ func (m *Maintained) insertLocked(t tuple.Tuple) {
 		c = &cell{sky: window.New(m.g.Dim())}
 		m.cells[j] = c
 		m.occ.Set(j)
-		m.dirty[j] = struct{}{}
 	}
-	m.seq++
-	c.members = append(c.members, member{t: t, seq: m.seq})
+	if m.seq++; m.seq>>(64-fpBits) != 0 {
+		panic("maintain: arrival sequence exhausted") // 2^48 inserts without a reseed
+	}
+	c.members = append(c.members, member{t: t, key: m.seq<<fpBits | fingerprint(t)})
 	m.size++
 	if m.cap > 0 {
 		m.fifo = append(m.fifo, fifoRef{cellIdx: j, seq: m.seq})
 	}
-	if c.sky.Insert(t, &m.cnt) {
-		// The window changed (t entered, possibly evicting): the cell's
-		// contribution and those of cells it prunes/filters are stale.
-		m.dirty[j] = struct{}{}
+	if c.sky.Insert(t, &m.cnt) && len(m.contrib) > 0 {
+		m.entered = append(m.entered, cellRow{j, t})
 	}
 }
 
@@ -495,40 +540,61 @@ func (m *Maintained) deleteLocked(row tuple.Tuple) bool {
 	if c == nil {
 		return false
 	}
-	at := -1
+	fp := fingerprint(row)
 	for i, mb := range c.members {
-		if mb.t.Equal(row) {
-			at = i
-			break
+		if mb.key&(1<<fpBits-1) == fp && mb.t.Equal(row) {
+			m.removeMemberLocked(j, c, i)
+			return true
 		}
 	}
-	if at < 0 {
-		return false
-	}
-	removed := c.members[at].t
-	m.removeMemberLocked(j, c, at, removed)
-	return true
+	return false
 }
 
 // removeMemberLocked excises members[at] from cell j and repairs state:
-// the cell's window is rebuilt only if the removed tuple was in it, and
 // an emptied cell clears its occupancy bit — the cells its bitstring bit
 // had pruned resurface at the next publish through PruneInto, their local
-// skylines already current.
-func (m *Maintained) removeMemberLocked(j int, c *cell, at int, removed tuple.Tuple) {
+// skylines already current — and a removed window row is recorded in gone
+// and repaired.
+func (m *Maintained) removeMemberLocked(j int, c *cell, at int) {
+	x := c.members[at].t
 	c.members = append(c.members[:at], c.members[at+1:]...)
 	m.size--
+	w := c.sky.Rows()
+	in := indexSame(w, x)
+	if in >= 0 {
+		m.gone = append(m.gone, cellRow{j, x})
+	}
 	if len(c.members) == 0 {
 		delete(m.cells, j)
 		m.occ.Clear(j)
-		m.dirty[j] = struct{}{}
 		return
 	}
-	if c.sky.Contains(removed) {
-		c.rebuild(&m.cnt)
-		m.stats.CellRebuilds++
-		m.dirty[j] = struct{}{}
+	if in < 0 {
+		return
 	}
+	// Repair (see the package comment): BNL over the window's other rows and
+	// the members x dominates. Until one of those members enters, the window
+	// holds old rows only, which dominate none of each other: they append
+	// untested.
+	m.scratch = append(append(m.scratch[:0], w[:in]...), w[in+1:]...)
+	c.sky.Reset()
+	p, grown := 0, false
+	for _, mb := range c.members {
+		switch {
+		case p < len(m.scratch) && same(mb.t, m.scratch[p]):
+			p++
+			if grown {
+				c.sky.Insert(mb.t, &m.cnt)
+			} else {
+				c.sky.Append(mb.t)
+			}
+		case m.dominatedBy(tuple.List{x}, mb.t) && c.sky.Insert(mb.t, &m.cnt):
+			grown = true
+			m.entered = append(m.entered, cellRow{j, mb.t})
+		}
+	}
+	clear(m.scratch)
+	m.stats.CellRebuilds++
 }
 
 // evictOldestLocked removes the oldest resident tuple (sliding-window
@@ -542,13 +608,11 @@ func (m *Maintained) evictOldestLocked() {
 		m.head = 0
 	}
 	c := m.cells[ref.cellIdx]
-	for i, mb := range c.members {
-		if mb.seq == ref.seq {
-			m.removeMemberLocked(ref.cellIdx, c, i, mb.t)
-			return
-		}
+	i := sort.Search(len(c.members), func(i int) bool { return c.members[i].key>>fpBits >= ref.seq })
+	if i == len(c.members) || c.members[i].key>>fpBits != ref.seq {
+		panic(fmt.Sprintf("maintain: fifo references missing member seq %d in cell %d", ref.seq, ref.cellIdx))
 	}
-	panic(fmt.Sprintf("maintain: fifo references missing member seq %d in cell %d", ref.seq, ref.cellIdx))
+	m.removeMemberLocked(ref.cellIdx, c, i)
 }
 
 // sortedCells returns the non-empty cell indexes ascending.
@@ -564,69 +628,55 @@ func (m *Maintained) sortedCells() []int {
 // publishLocked re-derives survivors, refreshes the stale per-cell
 // contributions, and publishes the next snapshot.
 //
-// A contribution is stale when its cell changed (window content, creation,
-// removal, or survival flip) or when any changed cell lies in its ADR —
-// changed cells can start or stop filtering it. Everything else is reused
-// from the previous publish, which is what keeps a batch touching one
-// cell from paying for the whole grid.
+// A contribution is stale when it is not cached (the cell is new or has
+// just stopped being pruned) or when a row entered or left a window of its
+// weak ADR this batch. A survival flip elsewhere leaves it exact: a cell of
+// k's ADR that a flip prunes or un-prunes takes k with it. Everything else
+// is reused from the previous publish, which is what keeps a batch touching
+// one cell from paying for the whole grid.
 func (m *Maintained) publishLocked() {
-	newPruned := bitstring.New(m.g.NumPartitions())
-	m.g.PruneInto(newPruned, m.occ)
-
-	// changed = dirty cells ∪ cells whose survival bit flipped. A flip can
-	// only happen at a cell that is non-empty now (bit may have set) or was
-	// removed this batch (already in dirty).
-	changed := make([]int, 0, len(m.dirty))
-	seen := make(map[int]struct{}, len(m.dirty))
-	for j := range m.dirty {
-		changed = append(changed, j)
-		seen[j] = struct{}{}
-	}
-	for j := range m.cells {
-		if _, dup := seen[j]; !dup && newPruned.Get(j) != m.pruned.Get(j) {
-			changed = append(changed, j)
-			seen[j] = struct{}{}
-		}
-	}
-	sort.Ints(changed)
-
-	d := m.g.Dim()
-	changedCoords := make([][]int, len(changed))
-	for i, j := range changed {
-		changedCoords[i] = m.g.Coords(j, make([]int, d))
-	}
-
-	// Drop contributions of cells that no longer survive.
+	pruned := bitstring.New(m.g.NumPartitions())
+	m.g.PruneInto(pruned, m.occ)
 	for j := range m.contrib {
-		if j >= 0 && (!newPruned.Get(j) || m.cells[j] == nil) {
+		if !pruned.Get(j) {
 			delete(m.contrib, j)
 		}
 	}
 
+	// The cells a row entered or left, as coordinates, then E: the rows
+	// that entered a window this batch and are still in it.
+	var touched []int
+	for _, r := range append(m.entered, m.gone...) {
+		touched = append(touched, r.cell)
+	}
+	sort.Ints(touched)
+	touched = slices.Compact(touched)
+	d := m.g.Dim()
+	coords := make([]int, (len(touched)+1)*d)
+	for i, j := range touched {
+		m.g.Coords(j, coords[i*d:(i+1)*d])
+	}
+	entered := m.entered[:0]
+	for _, e := range m.entered {
+		if c := m.cells[e.cell]; c != nil && indexSame(c.sky.Rows(), e.t) >= 0 {
+			entered = append(entered, e)
+		}
+	}
+
 	active := m.sortedCells()
-	coords, adrDims := make([]int, d), make([]int, 0, d)
+	kc, adrDims := coords[len(touched)*d:], make([]int, 0, d)
 	for _, k := range active {
-		if !newPruned.Get(k) {
+		if !pruned.Get(k) {
 			continue
 		}
 		_, cached := m.contrib[k]
+		m.g.Coords(k, kc)
 		stale := !cached
-		if !stale {
-			if _, ok := seen[k]; ok {
-				stale = true
-			}
-		}
-		if !stale {
-			m.g.Coords(k, coords)
-			for _, cc := range changedCoords {
-				if inWeakADR(cc, coords) {
-					stale = true
-					break
-				}
-			}
+		for i := range touched {
+			stale = stale || inWeakADR(coords[i*d:(i+1)*d], kc)
 		}
 		if stale {
-			m.contrib[k] = m.contribution(k, active, newPruned, adrDims)
+			m.contrib[k] = m.refresh(k, active, pruned, entered, adrDims)
 			m.stats.ContribRecomputes++
 		}
 	}
@@ -640,10 +690,8 @@ func (m *Maintained) publishLocked() {
 		sky = append(sky, m.contrib[k]...)
 	}
 
-	m.pruned = newPruned
-	for j := range m.dirty {
-		delete(m.dirty, j)
-	}
+	m.pruned = pruned
+	m.entered, m.gone = nil, nil
 	m.gen++
 	m.snap.Store(&Snapshot{Gen: m.gen, Skyline: sky})
 }
@@ -660,23 +708,59 @@ func inWeakADR(c, k []int) bool {
 	return true
 }
 
-// contribution computes surviving cell k's slice of the global skyline:
-// its local skyline filtered by the windows of every surviving cell in
-// its ADR (Algorithm 5 restricted to k) on every dimension. active must be
+// refresh computes surviving cell k's slice of the global skyline — its
+// window's rows that no row of a surviving ADR window dominates, in window
+// order — from its cached contribution and the batch's E (entered) and D
+// (m.gone) rows, by the rule of the package comment. active must be
 // ascending; scratch, with room for d entries, keeps the ADR test from
 // allocating.
-func (m *Maintained) contribution(k int, active []int, pruned *bitstring.Bitstring, scratch []int) tuple.List {
-	ck := m.cells[k]
-	var filters []*window.Window
-	for _, j := range active {
-		if _, in := m.g.ADRDims(j, k, scratch[:0]); in && pruned.Get(j) {
-			filters = append(filters, m.cells[j].sky)
-		}
+func (m *Maintained) refresh(k int, active []int, pruned *bitstring.Bitstring, entered []cellRow, scratch []int) tuple.List {
+	inADR := func(j int) bool {
+		_, in := m.g.ADRDims(j, k, scratch[:0])
+		return in
 	}
-	rows := ck.sky.Rows()
+	old, cached := m.contrib[k]
+	buf := m.scratch[:0]
+	pick := func(rows []cellRow, keep func(j int) bool) tuple.List {
+		from := len(buf)
+		for _, r := range rows {
+			if keep(r.cell) {
+				buf = append(buf, r.t)
+			}
+		}
+		return buf[from:]
+	}
+	var added, removed, own tuple.List
+	if cached {
+		added, removed = pick(entered, inADR), pick(m.gone, inADR)
+		own = pick(entered, func(j int) bool { return j == k })
+	}
+	filters, built := m.filters[:0], false // the surviving ADR windows, once a row needs them
+	rows := m.cells[k].sky.Rows()
 	out := make(tuple.List, 0, len(rows))
+	p := 0 // old's rows before p are behind the walk: both are in window order
 next:
 	for _, t := range rows {
+		if cached && indexSame(own, t) < 0 {
+			if i := indexSame(old[p:], t); i >= 0 {
+				p += i + 1
+				if !m.dominatedBy(added, t) {
+					out = append(out, t)
+				}
+				continue
+			}
+			if !m.dominatedBy(removed, t) {
+				continue
+			}
+		}
+		if !built {
+			for _, j := range active {
+				if inADR(j) && pruned.Get(j) {
+					filters = append(filters, m.cells[j].sky)
+				}
+			}
+			built = true
+		}
 		for _, f := range filters {
 			if f.Dominated(t, &m.cnt) {
 				continue next
@@ -684,5 +768,21 @@ next:
 		}
 		out = append(out, t)
 	}
+	clear(buf)
+	clear(filters)
+	m.scratch, m.filters = buf[:0], filters[:0]
 	return out
+}
+
+// dominatedBy reports whether a row of by dominates t, counting one test per
+// row it compares.
+func (m *Maintained) dominatedBy(by tuple.List, t tuple.Tuple) bool {
+	for i, u := range by {
+		if tuple.Dominates(u, t) {
+			m.cnt.Add(int64(i + 1))
+			return true
+		}
+	}
+	m.cnt.Add(int64(len(by)))
+	return false
 }

@@ -132,24 +132,6 @@ func (w *Window) Rows() tuple.List {
 // At returns the i-th tuple of the window.
 func (w *Window) At(i int) tuple.Tuple { return w.rows[i] }
 
-// Contains reports whether the window holds a tuple equal to t — same
-// values on every dimension. It is a pure membership scan: no dominance
-// classification happens and no counters advance (equality is not a
-// dominance test under Definition 1). The incremental maintainer uses it
-// to decide whether a deleted tuple was part of a cell's local skyline.
-// Nil-safe.
-func (w *Window) Contains(t tuple.Tuple) bool {
-	if w == nil {
-		return false
-	}
-	for _, u := range w.rows {
-		if u.Equal(t) {
-			return true
-		}
-	}
-	return false
-}
-
 // Reset empties the window in place, retaining the column and row capacity
 // for reuse. Callers that rebuild a window from scratch repeatedly (the
 // delete-repair path of the incremental maintainer) avoid reallocating its

@@ -279,40 +279,12 @@ func FuzzInsertDifferential(f *testing.F) {
 	})
 }
 
-func TestContains(t *testing.T) {
-	w := window.FromList(2, tuple.List{{0.1, 0.9}, {0.9, 0.1}})
-	if !w.Contains(tuple.Tuple{0.1, 0.9}) || !w.Contains(tuple.Tuple{0.9, 0.1}) {
-		t.Fatal("Contains missed a held tuple")
-	}
-	if w.Contains(tuple.Tuple{0.5, 0.5}) {
-		t.Fatal("Contains reported an absent tuple")
-	}
-	// Value equality, not identity: a fresh equal slice matches, and no
-	// dominance counters advance (Contains is bookkeeping, not work).
-	var cnt window.Count
-	if w.Dominated(tuple.Tuple{0.95, 0.95}, &cnt); cnt.DominanceTests == 0 {
-		t.Fatal("sanity: Dominated should count tests")
-	}
-	before := cnt.DominanceTests
-	_ = w.Contains(tuple.Tuple{0.1, 0.9})
-	if cnt.DominanceTests != before {
-		t.Fatal("Contains advanced dominance counters")
-	}
-	var nilW *window.Window
-	if nilW.Contains(tuple.Tuple{0.1, 0.9}) {
-		t.Fatal("nil window Contains reported true")
-	}
-}
-
 func TestReset(t *testing.T) {
 	var cnt window.Count
 	w := window.FromList(2, tuple.List{{0.4, 0.6}, {0.6, 0.4}})
 	w.Reset()
 	if w.Len() != 0 {
 		t.Fatalf("Len after Reset = %d, want 0", w.Len())
-	}
-	if w.Contains(tuple.Tuple{0.4, 0.6}) {
-		t.Fatal("Reset window still contains old tuple")
 	}
 	// The reset window behaves exactly like a fresh one under inserts —
 	// the delete-repair rebuild path of the incremental maintainer.

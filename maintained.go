@@ -245,17 +245,26 @@ func (h *MaintainedSkyline) Skyline() *MaintainedSnapshot {
 }
 
 // snapshotRows copies a published snapshot out in the caller's
-// orientation.
+// orientation, every row in one block.
 func (h *MaintainedSkyline) snapshotRows(s *maintain.Snapshot) *MaintainedSnapshot {
 	out := &MaintainedSnapshot{Gen: s.Gen, Skyline: make([][]float64, len(s.Skyline))}
+	if len(s.Skyline) == 0 {
+		return out
+	}
+	d := h.m.Dim()
+	flat := make([]float64, len(s.Skyline)*d)
 	for i, t := range s.Skyline {
-		out.Skyline[i] = h.orient.copyOf(t)
+		row := flat[i*d : (i+1)*d : (i+1)*d] // an append cannot reach the next row
+		copy(row, t)
+		h.orient.applyInPlace(row)
+		out.Skyline[i] = row
 	}
 	return out
 }
 
 // Rows returns a copy of every resident tuple in the caller's
-// orientation — the dataset a full recompute would run over.
+// orientation — the dataset a full recompute would run over. The copies
+// share one block, and appending to one row cannot reach the next.
 func (h *MaintainedSkyline) Rows() [][]float64 {
 	rows := h.m.Rows() // fresh copies, oriented here in place
 	out := make([][]float64, len(rows))

@@ -110,9 +110,10 @@ func TestMaintainedMaximizeOrientation(t *testing.T) {
 }
 
 // TestMaintainedCopiesEachRowOnce: Rows and Skyline hand out one fresh copy
-// of each row in the caller's orientation — one allocation a row plus a
-// constant, whether or not a dimension is maximized — and Rows gives back
-// the seed's values.
+// of each row in the caller's orientation, all rows in one block — a
+// constant number of allocations whatever the row count, whether or not a
+// dimension is maximized — and Rows gives back the seed's values. A
+// caller's append to one row must not overwrite the next.
 func TestMaintainedCopiesEachRowOnce(t *testing.T) {
 	data := mustGenerate(t, "anticorrelated", 2000, 3, 4)
 	for _, maximize := range [][]bool{nil, {true, false, true}} {
@@ -123,13 +124,20 @@ func TestMaintainedCopiesEachRowOnce(t *testing.T) {
 		if got := h.Rows(); !reflect.DeepEqual(sortRows(got), sortRows(data)) {
 			t.Fatalf("Maximize %v: Rows does not give back the seed", maximize)
 		}
-		const slack = 8
-		if n := testing.AllocsPerRun(5, func() { h.Rows() }); n > float64(len(data)+slack) {
+		const limit = 4
+		if n := testing.AllocsPerRun(5, func() { h.Rows() }); n > limit {
 			t.Errorf("Maximize %v: Rows makes %.0f allocations for %d rows", maximize, n, len(data))
 		}
-		sky := len(h.Skyline().Skyline)
-		if n := testing.AllocsPerRun(5, func() { h.Skyline() }); n > float64(sky+slack) {
-			t.Errorf("Maximize %v: Skyline makes %.0f allocations for %d rows", maximize, n, sky)
+		sky := h.Skyline().Skyline
+		if n := testing.AllocsPerRun(5, func() { h.Skyline() }); n > limit {
+			t.Errorf("Maximize %v: Skyline makes %.0f allocations for %d rows", maximize, n, len(sky))
+		}
+		for _, rows := range [][][]float64{h.Rows(), sky} {
+			next := append([]float64(nil), rows[1]...)
+			_ = append(rows[0], -1)
+			if !reflect.DeepEqual(rows[1], next) {
+				t.Fatalf("Maximize %v: an append to one row overwrote the next", maximize)
+			}
 		}
 	}
 }
