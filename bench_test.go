@@ -116,19 +116,23 @@ func BenchmarkExtensionScaleOut(b *testing.B) { benchFigure(b, "extension-scaleo
 // workloads (seed 7), without its CSV round trip. Run with -benchmem and
 // -cpu 1 (the harness's batch runs leave one core free): bytes per op is
 // what the harness's rss_mb follows, and ns/op settles what its
-// throughput cannot resolve.
+// throughput cannot resolve. tests/op is the run's exact DominanceTests.
 func benchCompute(b *testing.B, dist string, card, dim int) {
 	data, err := mrskyline.Generate(dist, card, dim, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
+	var tests int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mrskyline.Compute(data, mrskyline.Options{}); err != nil {
+		res, err := mrskyline.Compute(data, mrskyline.Options{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		tests = res.Stats.DominanceTests
 	}
+	b.ReportMetric(float64(tests), "tests/op")
 }
 
 // BenchmarkComputeIndep is batch-indep's operation: independent

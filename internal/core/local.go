@@ -102,7 +102,7 @@ func (ls *localState) finish() window.Map {
 		ls.s[p] = window.FromList(ls.g.Dim(), ls.kernel.Compute(data, &ls.cnt))
 	}
 	ls.pending = nil
-	ls.comparePartitions()
+	ls.comparePartitions(nil)
 	for _, w := range ls.s {
 		w.Order(&ls.sc)
 	}
@@ -142,11 +142,10 @@ func (pw *partWindows) recordCounters(ctx *mapreduce.TaskContext, phase mapreduc
 	ctx.Trace.Metrics().Count(window.MetricDominanceTests, pw.cnt.DominanceTests)
 }
 
-// comparePartitions implements Algorithm 5 applied to every partition of S
-// (as Algorithm 3 lines 9–10 and Algorithm 6 lines 7–8 do): for each local
-// skyline S_p, remove the tuples dominated by a tuple of any S_q with
-// q ∈ p.ADR. partCmp is incremented once per (p, q) pair processed — the
-// "critical operation" the Section 6 cost model estimates.
+// comparePartitions implements Algorithm 5 (Algorithm 3 lines 9–10,
+// Algorithm 6 lines 7–8) on the partitions of S that only names, all when
+// nil: remove from S_p the tuples dominated by a tuple of any S_q, q ∈ p.ADR.
+// partCmp counts the (p, q) pairs processed, Section 6's critical operation.
 //
 // A pair is compared only on what the grid has not already decided: on
 // every dimension where q's cell coordinate is below p's, all of S_q is
@@ -162,9 +161,12 @@ func (pw *partWindows) recordCounters(ctx *mapreduce.TaskContext, phase mapreduc
 // S in place during the loop cannot change the outcome (a window tuple
 // removed early is itself dominated by a tuple in a window that also
 // filters S_p, by ADR transitivity).
-func (pw *partWindows) comparePartitions() {
+func (pw *partWindows) comparePartitions(only map[int]bool) {
 	parts := pw.s.Sorted()
 	for _, p := range parts {
+		if only != nil && !only[p] {
+			continue
+		}
 		sp := pw.s[p]
 		adr, dims := pw.adr[:0], pw.dims[:0]
 		for _, q := range parts {

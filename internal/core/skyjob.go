@@ -189,7 +189,7 @@ func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 			if mg == nil {
 				return fmt.Errorf("core: reducer received unknown bucket %d", b)
 			}
-			// Lines 1–8: merge the mappers' windows per partition.
+			// Lines 1–8: gather the mappers' runs per partition.
 			runs := make(map[int][]tuple.List)
 			for _, v := range values {
 				pm, err := decodePartMap(v)
@@ -206,14 +206,28 @@ func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 					runs[p] = append(runs[p], l)
 				}
 			}
+			// Section 5.4.2: merge what the bucket outputs; the rest filters, raw.
 			group.s = make(window.Map, len(runs))
-			for p, r := range runs {
-				if err := group.mergeRuns(p, r); err != nil {
-					return err
+			var raw []int
+			var rawRuns [][]tuple.List
+			for _, p := range mg.Partitions {
+				if r, ok := runs[p]; ok && mg.Responsible[p] {
+					if err := group.mergeRuns(p, r); err != nil {
+						return err
+					}
+				} else if ok {
+					raw, rawRuns = append(raw, p), append(rawRuns, r)
 				}
 			}
+			ws, err := window.Dominators(g.Dim(), rawRuns)
+			if err != nil {
+				return fmt.Errorf("core: partition %d run out of score order", raw[len(ws)])
+			}
+			for i := range ws {
+				group.s[raw[i]] = &ws[i]
+			}
 			// Lines 9–10: eliminate false positives within the bucket.
-			group.comparePartitions()
+			group.comparePartitions(mg.Responsible)
 			// Line 11 + Section 5.4.2: output only designated partitions.
 			group.emitRows(emit, mg.Responsible)
 			return nil

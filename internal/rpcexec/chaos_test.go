@@ -32,12 +32,23 @@ type chaosResult struct {
 // expected to die.
 func runChaosSum(t *testing.T, chaos []string, chaosWorker int) chaosResult {
 	t.Helper()
+	return runChaos(t, chaos, chaosWorker, false)
+}
+
+// runChaos is runChaosSum; gated holds every other worker's map attempts
+// until chaosWorker is dead, so it leases every map it can before its kill.
+func runChaos(t *testing.T, chaos []string, chaosWorker int, gated bool) chaosResult {
+	t.Helper()
 	tr := obs.New()
 	pe := newProcExec(t, fastTimings(Config{Workers: 2, Chaos: chaos, Trace: tr}))
 	pids := pe.WorkerPIDs()
 
 	const keys, records, mappers, reducers = 6, 90, 4, 3
-	res, err := pe.RunContext(context.Background(), sumJob("chaos", keys, records, mappers, reducers, 10, 10))
+	spec := sumSpec{MapSleepMs: 10, ReduceSleepMs: 10}
+	if gated {
+		spec.AwaitDeathOf = pids[chaosWorker]
+	}
+	res, err := pe.RunContext(context.Background(), sumJobOf("chaos", keys, records, mappers, reducers, spec))
 	if err != nil {
 		t.Fatalf("chaos job did not recover: %v", err)
 	}
@@ -151,8 +162,10 @@ func TestChaosKillWhileServingFetch(t *testing.T) {
 
 // TestChaosNthEvent: the "event:n" form arms the kill on the nth
 // occurrence — worker 0 completes its first map and dies at its second.
+// Worker 1's maps wait for worker 0 to die: it holds one map at a time, so
+// worker 0 leases at least two of the four, whatever the scheduling.
 func TestChaosNthEvent(t *testing.T) {
-	c := runChaosSum(t, []string{ChaosMap + ":2"}, 0)
+	c := runChaos(t, []string{ChaosMap + ":2"}, 0, true)
 	assertDeathObserved(t, c)
 	// The worker completed a map before dying, so that map's output was
 	// lost and re-executed: more successful map attempts than map tasks.

@@ -30,14 +30,10 @@ type sumSpec struct {
 	// worker polling every LeasePoll reliably grabs the next pending task.
 	MapSleepMs    int
 	ReduceSleepMs int
-}
-
-func sumSpecBytes(mapMs, reduceMs int) []byte {
-	b, err := json.Marshal(sumSpec{MapSleepMs: mapMs, ReduceSleepMs: reduceMs})
-	if err != nil {
-		panic(err)
-	}
-	return b
+	// AwaitDeathOf, when set, holds every map attempt of any other process
+	// until process AwaitDeathOf is gone (for at most 10 s), so that process
+	// leases every map it can until it dies.
+	AwaitDeathOf int `json:",omitempty"`
 }
 
 func newSumMapper(s sumSpec) mapreduce.Mapper {
@@ -47,6 +43,11 @@ func newSumMapper(s sumSpec) mapreduce.Mapper {
 			return nil
 		},
 		FlushFn: func(_ *mapreduce.TaskContext, _ mapreduce.Emitter) error {
+			if s.AwaitDeathOf != 0 && s.AwaitDeathOf != os.Getpid() {
+				for deadline := time.Now().Add(10 * time.Second); processAlive(s.AwaitDeathOf) && time.Now().Before(deadline); {
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
 			time.Sleep(time.Duration(s.MapSleepMs) * time.Millisecond)
 			return nil
 		},
@@ -90,6 +91,11 @@ func init() {
 // sumJob builds a runnable sum job: records records round-robined over keys
 // k0..k<keys-1> with value i, split into mappers map tasks.
 func sumJob(name string, keys, records, mappers, reducers, mapSleepMs, reduceSleepMs int) *mapreduce.Job {
+	return sumJobOf(name, keys, records, mappers, reducers, sumSpec{MapSleepMs: mapSleepMs, ReduceSleepMs: reduceSleepMs})
+}
+
+// sumJobOf is sumJob with its whole spec given.
+func sumJobOf(name string, keys, records, mappers, reducers int, s sumSpec) *mapreduce.Job {
 	recs := make([]mapreduce.Record, records)
 	for i := range recs {
 		recs[i] = mapreduce.Record{
@@ -97,7 +103,10 @@ func sumJob(name string, keys, records, mappers, reducers, mapSleepMs, reduceSle
 			Value: binary.AppendUvarint(nil, uint64(i)),
 		}
 	}
-	spec := sumSpecBytes(mapSleepMs, reduceSleepMs)
+	spec, err := json.Marshal(s)
+	if err != nil {
+		panic(err)
+	}
 	funcs, err := mapreduce.BuildKind(testSumKind, spec)
 	if err != nil {
 		panic(err)

@@ -246,6 +246,48 @@ func MergeRuns(dim int, runs []tuple.List, sc *Scratch, c *Count) (*Window, erro
 	return out, nil
 }
 
+// Dominators columnarizes each of parts — one partition's runs of
+// dim-dimensional tuples, each in score order — into a window of all their
+// tuples' values, in run order, with no dominance test. Such a window may
+// hold dominated tuples, and its rows are nil tuples from one slice all
+// the windows share, so it pins none of the runs: it is fit only to be
+// the by of FilterOn. The windows' columns share one exact-size backing
+// array. Runs are checked against the order as MergeRuns checks them; at
+// the first run out of order Dominators returns the windows of the parts
+// before that run's, and ErrRunOrder.
+func Dominators(dim int, parts [][]tuple.List) ([]Window, error) {
+	sizes, lanes, most := make([]int, len(parts)), 0, 0
+	for i, runs := range parts {
+		for _, run := range runs {
+			sizes[i] += len(run)
+		}
+		lanes, most = lanes+blocks(sizes[i])*BlockSize, max(most, sizes[i])
+	}
+	ws, heads := make([]Window, len(parts)), make([][]float64, dim*len(parts))
+	buf, rows := make([]float64, dim*lanes), make(tuple.List, most)
+	for i, runs := range parts {
+		w, m := &ws[i], sizes[i]
+		c := blocks(m) * BlockSize
+		w.dim, w.cols = dim, heads[i*dim:(i+1)*dim]
+		for k := range w.cols {
+			w.cols[k] = buf[k*c : k*c : (k+1)*c]
+		}
+		for _, run := range runs {
+			for j, t := range run {
+				if j > 0 && Before(Score(t), t, Score(run[j-1]), run[j-1]) {
+					return ws[:i], ErrRunOrder
+				}
+				for k, col := range w.cols {
+					w.cols[k] = append(col, t[k])
+				}
+			}
+		}
+		w.rows, buf = rows[:m:m], buf[dim*c:]
+		w.pad()
+	}
+	return ws, nil
+}
+
 // mergeKeys merges the score-ordered key runs a and b into dst, a's key
 // first when neither sorts before the other. Tuples are only looked at when
 // two scores tie.

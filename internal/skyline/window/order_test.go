@@ -315,3 +315,60 @@ func TestMergeRunsRejectsUnorderedRun(t *testing.T) {
 		t.Errorf("empty runs rejected: %v", err)
 	}
 }
+
+// TestDominatorsIsTheRunsUnion: each window Dominators builds holds its
+// part's runs, concatenated, in block-padded columns of exactly its blocks
+// beside nil rows, and filters as a window of the same tuples does —
+// dominated tuples and duplicates included. A run out of order stops it at
+// that run's part.
+func TestDominatorsIsTheRunsUnion(t *testing.T) {
+	var sc Scratch
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		d := 1 + rng.Intn(5)
+		parts := make([][]tuple.List, rng.Intn(5))
+		for i := range parts {
+			for r := rng.Intn(4); r > 0; r-- {
+				raw := make([]byte, rng.Intn(30)*d)
+				rng.Read(raw)
+				run := paletteList(raw, d)
+				SortByScore(run)
+				parts[i] = append(parts[i], run)
+			}
+		}
+		ws, err := Dominators(d, parts)
+		if err != nil || len(ws) != len(parts) {
+			t.Fatalf("trial %d: %d windows for %d parts, err %v", trial, len(ws), len(parts), err)
+		}
+		raw := make([]byte, rng.Intn(20)*d)
+		rng.Read(raw)
+		wl, dims := paletteList(raw, d), dimsOf(uint8(rng.Intn(1<<d)), d)
+		for i := range ws {
+			w, union := &ws[i], slices.Concat(parts[i]...)
+			if w.Len() != len(union) || slices.ContainsFunc(w.Rows(), func(r tuple.Tuple) bool { return r != nil }) {
+				t.Fatalf("trial %d part %d: %d rows %v for %d tuples, want nil rows", trial, i, w.Len(), w.Rows(), len(union))
+			}
+			for k, col := range w.cols {
+				for r, u := range union {
+					if col[r] != u[k] {
+						t.Fatalf("trial %d part %d: column %d row %d holds %v, the runs %v", trial, i, k, r, col[r], u[k])
+					}
+				}
+				if cap(col) != blocks(len(union))*BlockSize || slices.ContainsFunc(col[len(col):cap(col)], func(v float64) bool { return !math.IsInf(v, 1) }) {
+					t.Fatalf("trial %d part %d: column capacity %d or padding wrong for %d tuples", trial, i, cap(col), len(union))
+				}
+			}
+			got, want := FromList(d, wl), FromList(d, wl)
+			got.FilterOn(w, dims, &sc, nil)
+			want.FilterOn(FromList(d, union), dims, &sc, nil)
+			if !sameRows(got.Rows(), want.Rows()) {
+				t.Fatalf("trial %d part %d: filtered to %v, a window of the runs filters to %v", trial, i, got.Rows(), want.Rows())
+			}
+		}
+	}
+	good, bad := tuple.List{{0.1, 0.2}, {0.3, 0.3}}, tuple.List{{0.5, 2e-20}, {0.5, 1e-20}}
+	ws, err := Dominators(2, [][]tuple.List{{good}, {good, bad}, {good}})
+	if !errors.Is(err, ErrRunOrder) || len(ws) != 1 || ws[0].Len() != len(good) {
+		t.Errorf("unordered run in part 1: %d windows, err %v", len(ws), err)
+	}
+}

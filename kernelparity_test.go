@@ -36,8 +36,8 @@ func TestKernelCountParity(t *testing.T) {
 		size  int
 	}
 	want := map[string]golden{
-		"independent/MR-GPMRS/bnl":    {19873, 88},
-		"independent/MR-GPMRS/sfs":    {17954, 88},
+		"independent/MR-GPMRS/bnl":    {14149, 88},
+		"independent/MR-GPMRS/sfs":    {12230, 88},
 		"independent/MR-GPSRS/bnl":    {13995, 88},
 		"independent/MR-GPSRS/sfs":    {12076, 88},
 		"independent/Hybrid/bnl":      {13995, 88},
@@ -46,8 +46,8 @@ func TestKernelCountParity(t *testing.T) {
 		"independent/MR-BNL/sfs":      {20716, 88},
 		"independent/MR-Angle/bnl":    {15604, 88},
 		"independent/MR-Angle/sfs":    {15604, 88},
-		"anticorrelated/MR-GPMRS/bnl": {101923, 551},
-		"anticorrelated/MR-GPMRS/sfs": {100748, 551},
+		"anticorrelated/MR-GPMRS/bnl": {65964, 551},
+		"anticorrelated/MR-GPMRS/sfs": {64789, 551},
 		"anticorrelated/MR-GPSRS/bnl": {65706, 551},
 		"anticorrelated/MR-GPSRS/sfs": {64531, 551},
 		"anticorrelated/Hybrid/bnl":   {65706, 551},
@@ -56,8 +56,8 @@ func TestKernelCountParity(t *testing.T) {
 		"anticorrelated/MR-BNL/sfs":   {98548, 551},
 		"anticorrelated/MR-Angle/bnl": {242746, 551},
 		"anticorrelated/MR-Angle/sfs": {242746, 551},
-		"correlated/MR-GPMRS/bnl":     {3387, 4},
-		"correlated/MR-GPMRS/sfs":     {2588, 4},
+		"correlated/MR-GPMRS/bnl":     {3281, 4},
+		"correlated/MR-GPMRS/sfs":     {2482, 4},
 		"correlated/MR-GPSRS/bnl":     {3281, 4},
 		"correlated/MR-GPSRS/sfs":     {2482, 4},
 		"correlated/Hybrid/bnl":       {3281, 4},
