@@ -18,6 +18,17 @@ func windowMapOf(dim int, lists map[int]tuple.List) window.Map {
 	return wm
 }
 
+// decodePartMap reads an appendPartMap payload back into tuple lists.
+func decodePartMap(b []byte) (map[int]tuple.List, error) {
+	pm := make(map[int]tuple.List)
+	err := eachPart(b, func(p int, list []byte) error {
+		l, _, err := tuple.DecodeList(list)
+		pm[p] = l
+		return err
+	})
+	return pm, err
+}
+
 func TestPartMapRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 50; trial++ {

@@ -6,6 +6,7 @@ import (
 
 	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
+	"mrskyline/internal/skyline/window"
 )
 
 // Every core job's task functions are pure functions of a small
@@ -53,6 +54,8 @@ type skySpec struct {
 	// OneBucket selects MR-GPSRS's one bucket over MR-GPMRS's merged
 	// groups (skySpec.buckets).
 	OneBucket bool `json:"oneBucket,omitempty"`
+	// pool is the job's window pool, made by skyFuncs and never serialized.
+	pool *window.Pool
 }
 
 // ppdSelectSpec parametrizes the Section 3.3 PPD-selection job.

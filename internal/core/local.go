@@ -17,9 +17,10 @@ import (
 // columnar windows, the task's comparison telemetry, and the one scratch
 // all of its window operations work in.
 type partWindows struct {
-	g   *grid.Grid
-	s   window.Map
-	cnt skyline.Count
+	g    *grid.Grid
+	s    window.Map
+	pool *window.Pool // the job's; nil allocates every window
+	cnt  skyline.Count
 	// partCmp counts partition-wise comparisons (Algorithm 5 line 3
 	// executions) performed by this task.
 	partCmp int64
@@ -48,8 +49,8 @@ type localState struct {
 	inserts window.InsertSampler
 }
 
-func newLocalState(g *grid.Grid, bs *bitstring.Bitstring, kernel skyline.Kernel) *localState {
-	ls := &localState{partWindows: partWindows{g: g, s: make(window.Map)}, bs: bs, kernel: kernel}
+func newLocalState(g *grid.Grid, bs *bitstring.Bitstring, kernel skyline.Kernel, pool *window.Pool) *localState {
+	ls := &localState{partWindows: partWindows{g: g, s: make(window.Map), pool: pool}, bs: bs, kernel: kernel}
 	if kernel != skyline.KernelBNL {
 		ls.pending = make(map[int]tuple.List)
 	}
@@ -85,7 +86,11 @@ func (ls *localState) mapRows(reg *obs.Registry, rows [][]float64) error {
 		}
 		e := &recent[j%len(recent)]
 		if e.w == nil || e.p != j {
-			e.p, e.w = j, ls.s.Get(j, d)
+			e.p, e.w = j, ls.s[j]
+			if e.w == nil {
+				e.w = ls.pool.Get(d)
+				ls.s[j] = e.w
+			}
 		}
 		ls.inserts.Insert(reg, e.w, t, &ls.cnt)
 	}
@@ -117,7 +122,7 @@ func (pw *partWindows) mergeRuns(p int, runs []tuple.List) error {
 	if _, dup := pw.s[p]; dup {
 		return fmt.Errorf("core: partition %d merged twice", p)
 	}
-	w, err := window.MergeRuns(pw.g.Dim(), runs, &pw.sc, &pw.cnt)
+	w, err := window.MergeRuns(pw.g.Dim(), runs, pw.pool, &pw.sc, &pw.cnt)
 	if err != nil {
 		return fmt.Errorf("core: partition %d run out of score order", p)
 	}
@@ -201,6 +206,17 @@ func (pw *partWindows) comparePartitions(only map[int]bool) {
 			delete(pw.s, p)
 		}
 	}
+}
+
+// release hands the windows of the partitions only names, all when nil,
+// back to the job's pool once the task has emitted them.
+func (pw *partWindows) release(only map[int]bool) {
+	for p, w := range pw.s {
+		if only == nil || only[p] {
+			pw.pool.Put(w)
+		}
+	}
+	pw.s = nil
 }
 
 // emitRows outputs the task's skyline tuples, one record each, partitions

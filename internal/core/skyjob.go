@@ -75,8 +75,10 @@ func skylineRun(cfg Config, input mapreduce.Input, prep *BitstringResult, multi 
 }
 
 // skyFuncs wires the skyline job's task functions from its spec, for the
-// driver and for the KindSkyline builder alike.
+// driver and for the KindSkyline builder alike, around the job's one window
+// pool (DESIGN §11, "Window lifecycle").
 func skyFuncs(s skySpec, g *grid.Grid) *mapreduce.JobFuncs {
+	s.pool = new(window.Pool)
 	return &mapreduce.JobFuncs{
 		NewMapper:  func() mapreduce.Mapper { return newSkyMapper(s, g) },
 		NewReducer: func() mapreduce.Reducer { return newSkyReducer(s, g) },
@@ -133,7 +135,7 @@ func newSkyMapper(s skySpec, g *grid.Grid) mapreduce.Mapper {
 				if err != nil {
 					return err
 				}
-				state = newLocalState(g, bs, skyline.Kernel(s.Kernel))
+				state = newLocalState(g, bs, skyline.Kernel(s.Kernel), s.pool)
 			}
 			return state.mapRows(ctx.Trace.Metrics(), rows)
 		},
@@ -155,6 +157,7 @@ func newSkyMapper(s skySpec, g *grid.Grid) mapreduce.Mapper {
 				}
 				emit(mapreduce.IntKey(mg.ID), scratch)
 			}
+			state.release(nil)
 			return nil
 		},
 	}
@@ -189,33 +192,43 @@ func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 			if mg == nil {
 				return fmt.Errorf("core: reducer received unknown bucket %d", b)
 			}
-			// Lines 1–8: gather the mappers' runs per partition.
-			runs := make(map[int][]tuple.List)
+			// Lines 1–8: gather the mappers' runs per partition. Only what
+			// the bucket outputs is decoded into tuples; the rest stays bytes.
+			runs, raws := make(map[int][]tuple.List), make(map[int][][]byte)
 			for _, v := range values {
-				pm, err := decodePartMap(v)
-				if err != nil {
-					return err
-				}
-				for p, l := range pm {
+				err := eachPart(v, func(p int, list []byte) error {
 					if !mg.HasPartition(p) {
 						return fmt.Errorf("core: bucket %d received foreign partition %d", b, p)
+					}
+					if !mg.Responsible[p] {
+						raws[p] = append(raws[p], list)
+						return nil
+					}
+					l, _, err := tuple.DecodeList(list)
+					if err != nil {
+						return fmt.Errorf("core: partition %d: %w", p, err)
 					}
 					if runs[p] == nil {
 						runs[p] = make([]tuple.List, 0, len(values))
 					}
 					runs[p] = append(runs[p], l)
+					return nil
+				})
+				if err != nil {
+					return err
 				}
 			}
-			// Section 5.4.2: merge what the bucket outputs; the rest filters, raw.
-			group.s = make(window.Map, len(runs))
+			// Section 5.4.2: merge what the bucket outputs; the rest filters,
+			// columnarized from its runs' bytes.
+			group.s = make(window.Map, len(runs)+len(raws))
 			var raw []int
-			var rawRuns [][]tuple.List
+			var rawRuns [][][]byte
 			for _, p := range mg.Partitions {
-				if r, ok := runs[p]; ok && mg.Responsible[p] {
+				if r, ok := runs[p]; ok {
 					if err := group.mergeRuns(p, r); err != nil {
 						return err
 					}
-				} else if ok {
+				} else if r, ok := raws[p]; ok {
 					raw, rawRuns = append(raw, p), append(rawRuns, r)
 				}
 			}
@@ -228,8 +241,10 @@ func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 			}
 			// Lines 9–10: eliminate false positives within the bucket.
 			group.comparePartitions(mg.Responsible)
-			// Line 11 + Section 5.4.2: output only designated partitions.
+			// Line 11 + Section 5.4.2: output only designated partitions. The
+			// merged windows go on; the raw ones share one backing and do not.
 			group.emitRows(emit, mg.Responsible)
+			group.release(mg.Responsible)
 			return nil
 		},
 		FlushFn: func(ctx *mapreduce.TaskContext, _ mapreduce.Emitter) error {

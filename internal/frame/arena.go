@@ -28,11 +28,12 @@ type Arena struct {
 	recs []arenaRec
 }
 
-// Add copies one key/value pair into the arena. Because the bytes are
-// copied here, emitters are free to reuse their scratch buffers — the basis
-// of the Emitter contract.
+// Add copies one key/value pair into the arena, growing the payload at most
+// once. Because the bytes are copied here, emitters are free to reuse their
+// scratch buffers — the basis of the Emitter contract.
 func (a *Arena) Add(key, value []byte) {
 	off := len(a.data)
+	a.data = slices.Grow(a.data, len(key)+len(value))
 	a.data = append(a.data, key...)
 	a.data = append(a.data, value...)
 	a.recs = append(a.recs, arenaRec{off: off, klen: int32(len(key)), vlen: int32(len(value))})

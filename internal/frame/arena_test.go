@@ -135,6 +135,28 @@ func TestArenaViewsCapacityClamped(t *testing.T) {
 	}
 }
 
+// TestArenaAddAllocations: a record into an empty arena grows the payload
+// once and the locators once, whatever the key and value lengths; a record
+// into an arena with room allocates nothing. The race detector's build
+// allocates on its own, so -race skips it.
+func TestArenaAddAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	key, value := []byte("bucket-7"), bytes.Repeat([]byte{0xAB}, 300)
+	var a Arena
+	if n := testing.AllocsPerRun(100, func() {
+		a = Arena{}
+		a.Add(key, value)
+	}); n != 2 {
+		t.Errorf("one record into an empty arena: %v allocations, want 2", n)
+	}
+	a.Grow(10*(len(key)+len(value)), 10)
+	if n := testing.AllocsPerRun(5, func() { a.Add(key, value) }); n != 0 {
+		t.Errorf("one record into an arena with room: %v allocations, want 0", n)
+	}
+}
+
 // TestArenaStability checks the tie-break: equal keys keep arrival order,
 // which is what gives reducers the (mapper index, emission order) value
 // sequence.

@@ -143,7 +143,7 @@ func BenchmarkMergeRuns(b *testing.B) {
 	var c window.Count
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := window.MergeRuns(5, runs, &sc, &c); err != nil {
+		if _, err := window.MergeRuns(5, runs, nil, &sc, &c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -165,11 +165,11 @@ func BenchmarkFilterOn(b *testing.B) {
 		{0b01111, 0b01000, []int{3, 4}},
 		{0b11010, 0b01010, []int{0, 1, 2, 3}},
 	} {
-		w, err := window.MergeRuns(5, ledgerPartition(pair.w, &sc), &sc, nil)
+		w, err := window.MergeRuns(5, ledgerPartition(pair.w, &sc), nil, &sc, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		by, err := window.MergeRuns(5, ledgerPartition(pair.by, &sc), &sc, nil)
+		by, err := window.MergeRuns(5, ledgerPartition(pair.by, &sc), nil, &sc, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

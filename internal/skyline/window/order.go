@@ -192,8 +192,8 @@ var ErrRunOrder = errors.New("window: run out of score order")
 // order yields ErrRunOrder, never a window that silently kept a dominated
 // tuple. Runs are merged pairwise, neighbours first and the earlier run
 // first on ties, so k runs of n tuples in all cost n·log k comparisons and
-// the result is deterministic.
-func MergeRuns(dim int, runs []tuple.List, sc *Scratch, c *Count) (*Window, error) {
+// the result is deterministic. The window it returns is drawn from pl.
+func MergeRuns(dim int, runs []tuple.List, pl *Pool, sc *Scratch, c *Count) (*Window, error) {
 	keys, ends := sc.keys[:0], sc.ends[:0]
 	for r, run := range runs {
 		for i, t := range run {
@@ -224,8 +224,9 @@ func MergeRuns(dim int, runs []tuple.List, sc *Scratch, c *Count) (*Window, erro
 	}
 	sc.ends = ends
 	// Fold into the scratch's window, whose columns have grown to the task's
-	// largest merge, and hand out an exact-size copy: a merged window costs
-	// what it holds, not what its growth or a guess of its size would.
+	// largest merge, and hand out a copy reserved once at the final size: a
+	// merged window costs what it holds, not what its growth or a guess of
+	// its size would.
 	if sc.win == nil || sc.win.dim != dim {
 		sc.win = New(dim)
 	}
@@ -236,50 +237,65 @@ func MergeRuns(dim int, runs []tuple.List, sc *Scratch, c *Count) (*Window, erro
 			w.Append(t)
 		}
 	}
-	out := New(dim)
-	out.rows = slices.Clone(w.rows)
-	out.reserve(len(w.rows)) // whole blocks, padded behind the rows just set
+	out := pl.Get(dim)
+	out.reserve(len(w.rows))
+	out.rows = append(out.rows, w.rows...)
 	for k, col := range w.cols {
 		out.cols[k] = append(out.cols[k], col...)
 	}
+	out.pad()
 	clear(w.rows) // hold no tuple beyond the call
 	return out, nil
 }
 
-// Dominators columnarizes each of parts — one partition's runs of
-// dim-dimensional tuples, each in score order — into a window of all their
-// tuples' values, in run order, with no dominance test. Such a window may
-// hold dominated tuples, and its rows are nil tuples from one slice all
-// the windows share, so it pins none of the runs: it is fit only to be
-// the by of FilterOn. The windows' columns share one exact-size backing
-// array. Runs are checked against the order as MergeRuns checks them; at
-// the first run out of order Dominators returns the windows of the parts
-// before that run's, and ErrRunOrder.
-func Dominators(dim int, parts [][]tuple.List) ([]Window, error) {
+// Dominators columnarizes each of parts — one partition's runs, each an
+// encoded tuple list of dim-dimensional tuples in score order — into a
+// window of all their tuples' values, in run order, straight from the
+// bytes: no tuple is decoded into its own storage and none is dominance
+// tested. Such a window may hold dominated tuples, and its rows are nil
+// tuples from one slice all the windows share, so it pins nothing: it is fit
+// only to be the by of FilterOn, and a Pool refuses it. The windows'
+// columns share one exact-size backing array. Runs are checked against the
+// order as MergeRuns checks them; at the first run out of order Dominators
+// returns the windows of the parts before that run's, and ErrRunOrder. A run
+// that is not a well-formed list fails it before any window is built.
+func Dominators(dim int, parts [][][]byte) ([]Window, error) {
 	sizes, lanes, most := make([]int, len(parts)), 0, 0
 	for i, runs := range parts {
 		for _, run := range runs {
-			sizes[i] += len(run)
+			n, _, err := tuple.ScanList(run, nil, nil)
+			if err != nil {
+				return nil, err
+			}
+			sizes[i] += n
 		}
 		lanes, most = lanes+blocks(sizes[i])*BlockSize, max(most, sizes[i])
 	}
 	ws, heads := make([]Window, len(parts)), make([][]float64, dim*len(parts))
 	buf, rows := make([]float64, dim*lanes), make(tuple.List, most)
+	t, prev := make(tuple.Tuple, dim), make(tuple.Tuple, 0, dim)
 	for i, runs := range parts {
 		w, m := &ws[i], sizes[i]
 		c := blocks(m) * BlockSize
-		w.dim, w.cols = dim, heads[i*dim:(i+1)*dim]
+		w.dim, w.cols, w.shared = dim, heads[i*dim:(i+1)*dim], true
 		for k := range w.cols {
-			w.cols[k] = buf[k*c : k*c : (k+1)*c]
+			w.cols[k] = buf[k*c : k*c+m : (k+1)*c]
 		}
+		j := 0
 		for _, run := range runs {
-			for j, t := range run {
-				if j > 0 && Before(Score(t), t, Score(run[j-1]), run[j-1]) {
-					return ws[:i], ErrRunOrder
+			prev = prev[:0]
+			_, _, err := tuple.ScanList(run, t, func(u tuple.Tuple) error {
+				if len(prev) > 0 && Before(Score(u), u, Score(prev), prev) {
+					return ErrRunOrder
 				}
 				for k, col := range w.cols {
-					w.cols[k] = append(col, t[k])
+					col[j] = u[k]
 				}
+				j, prev = j+1, append(prev[:0], u...)
+				return nil
+			})
+			if err != nil {
+				return ws[:i], err
 			}
 		}
 		w.rows, buf = rows[:m:m], buf[dim*c:]

@@ -285,7 +285,7 @@ func TestMergeRunsIsSFSOverTheUnion(t *testing.T) {
 			union = append(union, run...)
 		}
 		var cnt Count
-		w, err := MergeRuns(d, runs, &sc, &cnt)
+		w, err := MergeRuns(d, runs, nil, &sc, &cnt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,21 +306,34 @@ func TestMergeRunsRejectsUnorderedRun(t *testing.T) {
 		"by coordinates": {{0.5, 2e-20}, {0.5, 1e-20}}, // equal sums, second dominates first
 	} {
 		for _, runs := range [][]tuple.List{{bad}, {good, bad}, {bad, good}} {
-			if w, err := MergeRuns(2, runs, new(Scratch), nil); !errors.Is(err, ErrRunOrder) {
+			if w, err := MergeRuns(2, runs, nil, new(Scratch), nil); !errors.Is(err, ErrRunOrder) {
 				t.Errorf("%s: merged an unordered run into %v (err %v)", name, w.Rows(), err)
 			}
 		}
 	}
-	if _, err := MergeRuns(2, []tuple.List{nil, good, {}}, new(Scratch), nil); err != nil {
+	if _, err := MergeRuns(2, []tuple.List{nil, good, {}}, nil, new(Scratch), nil); err != nil {
 		t.Errorf("empty runs rejected: %v", err)
 	}
 }
 
-// TestDominatorsIsTheRunsUnion: each window Dominators builds holds its
-// part's runs, concatenated, in block-padded columns of exactly its blocks
-// beside nil rows, and filters as a window of the same tuples does —
-// dominated tuples and duplicates included. A run out of order stops it at
-// that run's part.
+// encodeParts encodes every run of every part as a tuple list, the form
+// Dominators columnarizes.
+func encodeParts(parts [][]tuple.List) [][][]byte {
+	enc := make([][][]byte, len(parts))
+	for i, runs := range parts {
+		for _, run := range runs {
+			enc[i] = append(enc[i], tuple.EncodeList(run))
+		}
+	}
+	return enc
+}
+
+// TestDominatorsIsTheRunsUnion: each window Dominators builds from its
+// part's encoded runs holds them, concatenated, in block-padded columns of
+// exactly its blocks beside nil rows, and filters as a window of the same
+// tuples does — dominated tuples and duplicates included. A run out of
+// order stops it at that run's part, one that is not a whole list before
+// any window, and a Pool refuses its windows.
 func TestDominatorsIsTheRunsUnion(t *testing.T) {
 	var sc Scratch
 	rng := rand.New(rand.NewSource(23))
@@ -336,7 +349,7 @@ func TestDominatorsIsTheRunsUnion(t *testing.T) {
 				parts[i] = append(parts[i], run)
 			}
 		}
-		ws, err := Dominators(d, parts)
+		ws, err := Dominators(d, encodeParts(parts))
 		if err != nil || len(ws) != len(parts) {
 			t.Fatalf("trial %d: %d windows for %d parts, err %v", trial, len(ws), len(parts), err)
 		}
@@ -367,8 +380,19 @@ func TestDominatorsIsTheRunsUnion(t *testing.T) {
 		}
 	}
 	good, bad := tuple.List{{0.1, 0.2}, {0.3, 0.3}}, tuple.List{{0.5, 2e-20}, {0.5, 1e-20}}
-	ws, err := Dominators(2, [][]tuple.List{{good}, {good, bad}, {good}})
+	ws, err := Dominators(2, encodeParts([][]tuple.List{{good}, {good, bad}, {good}}))
 	if !errors.Is(err, ErrRunOrder) || len(ws) != 1 || ws[0].Len() != len(good) {
 		t.Errorf("unordered run in part 1: %d windows, err %v", len(ws), err)
 	}
+	enc := encodeParts([][]tuple.List{{good}, {good}})
+	enc[1][0] = enc[1][0][:len(enc[1][0])-1]
+	if ws, err := Dominators(2, enc); err == nil || errors.Is(err, ErrRunOrder) || ws != nil {
+		t.Errorf("truncated run in part 1: %d windows, err %v", len(ws), err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a Pool took a Dominators window")
+		}
+	}()
+	new(Pool).Put(&ws[0])
 }

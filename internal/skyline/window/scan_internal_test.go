@@ -370,7 +370,7 @@ func TestPaddingSurvivesEveryMutation(t *testing.T) {
 		for _, run := range runs {
 			SortByScore(run)
 		}
-		m, err := MergeRuns(d, runs, &sc, nil)
+		m, err := MergeRuns(d, runs, nil, &sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,6 +82,9 @@ type Window struct {
 	rows tuple.List
 	// evicts is the per-block eviction mask scratch reused across Inserts.
 	evicts []uint32
+	// shared marks a Dominators window, whose backing other windows share:
+	// it is never pooled.
+	shared bool
 }
 
 // New returns an empty window for dim-dimensional tuples.
@@ -133,9 +136,9 @@ func (w *Window) Rows() tuple.List {
 func (w *Window) At(i int) tuple.Tuple { return w.rows[i] }
 
 // Reset empties the window in place, retaining the column and row capacity
-// for reuse. Callers that rebuild a window from scratch repeatedly (the
-// delete-repair path of the incremental maintainer) avoid reallocating its
-// backing arrays each time.
+// for reuse and holding no tuple. Callers that rebuild a window from scratch
+// repeatedly (the delete-repair path of the incremental maintainer, a Pool)
+// avoid reallocating its backing arrays each time.
 func (w *Window) Reset() {
 	w.truncate(0)
 }
@@ -404,8 +407,9 @@ func (w *Window) move(out, i int) {
 	}
 }
 
-// truncate keeps the first n rows.
+// truncate keeps the first n rows; the slots it cuts hold no tuple.
 func (w *Window) truncate(n int) {
+	clear(w.rows[n:])
 	w.rows = w.rows[:n]
 	for k := 0; k < w.dim; k++ {
 		w.cols[k] = w.cols[k][:n]

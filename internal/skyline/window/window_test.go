@@ -301,3 +301,36 @@ func TestReset(t *testing.T) {
 		t.Fatalf("reset-rebuilt window %v != fresh window %v", got, want)
 	}
 }
+
+// TestRemovalsDropRows: every removal — Insert's evictions, a filter, a
+// Reset — leaves no tuple in the row slots past Len, so a window pins only
+// the rows it holds, whoever reuses it next.
+func TestRemovalsDropRows(t *testing.T) {
+	pinned := func(w *window.Window) bool {
+		rows := w.Rows()
+		for _, u := range rows[len(rows):cap(rows)] {
+			if u != nil {
+				return true
+			}
+		}
+		return false
+	}
+	w := window.New(2)
+	for _, u := range (tuple.List{{0.9, 0.9}, {0.8, 0.85}, {0.7, 0.95}, {0.95, 0.6}, {0.3, 0.3}}) {
+		w.Insert(u, nil)
+	}
+	if w.Len() != 1 || pinned(w) {
+		t.Fatalf("after evictions: %v, pinning removed rows: %v", w.Rows(), pinned(w))
+	}
+	for _, u := range (tuple.List{{0.1, 0.9}, {0.9, 0.1}, {0.2, 0.5}}) {
+		w.Insert(u, nil)
+	}
+	w.FilterBy(window.FromList(2, tuple.List{{0.05, 0.45}}), nil)
+	if w.Len() != 2 || pinned(w) {
+		t.Fatalf("after a filter: %v, pinning removed rows: %v", w.Rows(), pinned(w))
+	}
+	w.Reset()
+	if w.Len() != 0 || pinned(w) {
+		t.Fatalf("after Reset: %d rows, pinning removed rows: %v", w.Len(), pinned(w))
+	}
+}

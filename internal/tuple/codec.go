@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // The binary codec is deliberately simple and allocation-conscious: tuples
@@ -71,8 +72,16 @@ func AppendEncodeList(dst []byte, l List) []byte {
 
 // EncodeList returns the wire encoding of the list.
 func EncodeList(l List) []byte {
-	return AppendEncodeList(make([]byte, 0, 2+len(l)*(1+8*l.Dim())), l)
+	return AppendEncodeList(make([]byte, 0, ListSize(len(l), l.Dim())), l)
 }
+
+// ListSize returns the encoded length of a list of n dim-dimensional tuples.
+func ListSize(n, dim int) int {
+	return uvarintLen(n) + n*(uvarintLen(dim)+8*dim)
+}
+
+// uvarintLen returns the length of x's uvarint encoding.
+func uvarintLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
 
 // DecodeList parses one list from the front of b, returning the list and
 // the number of bytes consumed. The tuples of a list share one backing
@@ -110,4 +119,39 @@ func DecodeList(b []byte) (List, int, error) {
 		off += m
 	}
 	return l, off, nil
+}
+
+// ScanList parses one list from the front of b as DecodeList does, but
+// allocates no tuple: fn receives every tuple in turn, decoded into dst (a
+// short dst is replaced once), and must not keep it past its return. A nil
+// fn reads only the framing: it decodes no value. An error from fn stops the
+// scan and is returned as it is. ScanList returns the list's count and the
+// number of bytes consumed.
+func ScanList(b []byte, dst Tuple, fn func(Tuple) error) (count, n int, err error) {
+	c, off := binary.Uvarint(b)
+	if off <= 0 {
+		return 0, 0, fmt.Errorf("tuple: truncated list header")
+	}
+	if c > uint64(len(b)-off) {
+		return 0, 0, fmt.Errorf("tuple: implausible list count %d with %d bytes left", c, len(b)-off)
+	}
+	for i := uint64(0); i < c; i++ {
+		if fn == nil {
+			dim, m := binary.Uvarint(b[off:])
+			if m <= 0 || dim > uint64(len(b)-off-m)/8 {
+				return 0, 0, fmt.Errorf("tuple: list element %d: truncated", i)
+			}
+			off += m + 8*int(dim)
+			continue
+		}
+		var m int
+		if dst, m, err = DecodeInto(dst, b[off:]); err != nil {
+			return 0, 0, fmt.Errorf("tuple: list element %d: %w", i, err)
+		}
+		if err := fn(dst); err != nil {
+			return 0, 0, err
+		}
+		off += m
+	}
+	return int(c), off, nil
 }

@@ -2,7 +2,9 @@ package tuple
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -223,6 +225,69 @@ func BenchmarkDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Decode(enc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestScanListMatchesDecodeList: ScanList hands fn exactly the tuples
+// DecodeList decodes, in order, through one reused tuple, and consumes the
+// same bytes, as does a nil fn; a truncated list fails both ways, and an
+// error from fn stops the scan and comes back as it is. ListSize is the
+// encoded length, across the uvarint widths of count and dimensionality.
+func TestScanListMatchesDecodeList(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		d := 1 + rng.Intn(6)
+		l := make(List, rng.Intn(40))
+		for i := range l {
+			l[i] = make(Tuple, d)
+			for k := range l[i] {
+				l[i][k] = rng.NormFloat64()
+			}
+		}
+		enc := append(EncodeList(l), 0xEE) // a neighbour's byte follows
+		want, wn, err := DecodeList(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got List
+		var seen *float64
+		count, n, err := ScanList(enc, nil, func(u Tuple) error {
+			if seen != nil && &u[0] != seen {
+				t.Fatalf("trial %d: ScanList decoded into a second tuple", trial)
+			}
+			seen, got = &u[0], append(got, u.Clone())
+			return nil
+		})
+		if err != nil || count != len(want) || n != wn || !slices.EqualFunc(got, want, Tuple.Equal) {
+			t.Fatalf("trial %d: ScanList %d tuples over %d bytes (%v), DecodeList %d over %d", trial, count, n, err, len(want), wn)
+		}
+		if count, n, err := ScanList(enc, nil, nil); err != nil || count != len(want) || n != wn {
+			t.Fatalf("trial %d: scan without fn %d tuples over %d bytes (%v), want %d over %d", trial, count, n, err, len(want), wn)
+		}
+		if len(l) > 0 {
+			for cut := 0; cut < wn; cut++ {
+				if _, _, err := ScanList(enc[:cut], nil, nil); err == nil {
+					t.Fatalf("trial %d: scan without fn accepted %d of %d bytes", trial, cut, wn)
+				}
+				if _, _, err := ScanList(enc[:cut], make(Tuple, d), func(Tuple) error { return nil }); err == nil {
+					t.Fatalf("trial %d: ScanList accepted %d of %d bytes", trial, cut, wn)
+				}
+			}
+			stop := errors.New("stop")
+			calls := 0
+			if _, _, err := ScanList(enc, nil, func(Tuple) error { calls++; return stop }); err != stop || calls != 1 {
+				t.Fatalf("trial %d: fn's error came back as %v after %d calls", trial, err, calls)
+			}
+		}
+	}
+	for _, c := range []struct{ n, dim int }{{0, 3}, {1, 1}, {127, 5}, {128, 5}, {20000, 1}, {3, 127}, {3, 128}, {2, 300}} {
+		l := make(List, c.n)
+		for i := range l {
+			l[i] = make(Tuple, c.dim)
+		}
+		if got, want := ListSize(c.n, c.dim), len(EncodeList(l)); got != want {
+			t.Errorf("ListSize(%d, %d) = %d, encoded %d bytes", c.n, c.dim, got, want)
 		}
 	}
 }
