@@ -175,12 +175,11 @@ func TestArchitecture(t *testing.T) {
 		},
 		{
 			"Serving surface",
-			"What is served is what a caller reaches: SKY-MR and D&C run only in the figures " +
-				"(internal/baseline, core.Config), MR-SFS nowhere, and the engine and fleet keep " +
-				"no hook that only a test sets.",
+			"What is served is what a caller reaches: MR-SFS nowhere, and the engine and fleet " +
+				"keep no hook that only a test sets.",
 			func() []string {
 				return join(
-					rootSrc.idents("MRSFS", "SKYMR", "KernelDC"),
+					rootSrc.idents("MRSFS"),
 					nonTest.idents("NewCombiner", "CombinerFunc", "InADR", "TraceDir", "SpillFanIn", "workerEnvTrace"),
 				)
 			},

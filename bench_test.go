@@ -103,10 +103,6 @@ func BenchmarkAlgorithm(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionSKYMR compares the grid algorithms against the SKY-MR
-// extension baseline (not a paper figure).
-func BenchmarkExtensionSKYMR(b *testing.B) { benchFigure(b, "extension-skymr") }
-
 // BenchmarkExtensionScaleOut measures MR-GPMRS's simulated runtime as the
 // cluster grows at a fixed workload (not a paper figure).
 func BenchmarkExtensionScaleOut(b *testing.B) { benchFigure(b, "extension-scaleout") }

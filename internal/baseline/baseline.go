@@ -73,7 +73,7 @@ func (c *Config) ctx() context.Context {
 }
 
 // bounds returns the configured domain for d dimensions, the unit box by
-// default: MR-Angle measures angles from lo, SKY-MR's quadtree spans it.
+// default: MR-Angle measures angles from lo, MR-BNL halves it (mid).
 func (c *Config) bounds(d int) (lo, hi tuple.Tuple) {
 	lo, hi = make(tuple.Tuple, d), make(tuple.Tuple, d)
 	for k := range hi {
@@ -109,8 +109,7 @@ type Stats struct {
 	// Algorithm names the baseline.
 	Algorithm string
 	// Partitions is the number of data partitions used (2^d subspaces for
-	// MR-BNL, angular cells for MR-Angle, unpruned quadtree leaves for
-	// SKY-MR).
+	// MR-BNL, angular cells for MR-Angle).
 	Partitions int
 	// SkylineSize is the global skyline cardinality.
 	SkylineSize int
@@ -134,15 +133,15 @@ func recordDominanceTests(ctx *mapreduce.TaskContext, cnt *skyline.Count) {
 	ctx.Trace.Metrics().Count(window.MetricDominanceTests, cnt.DominanceTests)
 }
 
-// router sends a row to its partition; keep false drops the row.
-type router func(t tuple.Tuple) (p int, keep bool)
+// router sends a row to its partition.
+type router func(t tuple.Tuple) int
 
 // newPartitionMapper builds the one baseline mapper, a
 // mapreduce.RowsMapper: it routes each row of its split to a partition,
 // folds the row into that partition's columnar local-skyline window, which
 // keeps the row itself, and emits (partition, window) per partition on
-// flush. locator returns the attempt's router, once, before its first row.
-func newPartitionMapper(dim int, locator func(ctx *mapreduce.TaskContext) (router, error)) mapreduce.Mapper {
+// flush.
+func newPartitionMapper(dim int, route router) mapreduce.Mapper {
 	windows := make(window.Map)
 	var cnt skyline.Count
 	var inserts window.InsertSampler
@@ -151,16 +150,10 @@ func newPartitionMapper(dim int, locator func(ctx *mapreduce.TaskContext) (route
 			if len(rows[0]) != dim {
 				return fmt.Errorf("baseline: tuple dimensionality %d does not match d=%d", len(rows[0]), dim)
 			}
-			route, err := locator(ctx)
-			if err != nil {
-				return err
-			}
 			reg := ctx.Trace.Metrics()
 			for _, row := range rows {
 				t := tuple.Tuple(row)
-				if p, keep := route(t); keep {
-					inserts.Insert(reg, windows.Get(p, dim), t, &cnt)
-				}
+				inserts.Insert(reg, windows.Get(route(t), dim), t, &cnt)
 			}
 			return nil
 		},
@@ -222,9 +215,8 @@ func newSingleReducer(dim int, finishReduce func(s window.Map, cnt *skyline.Coun
 // finishes. The finishReduce callback implements the algorithm-specific
 // global merge.
 func singleReducerFuncs(dim int, route router, finishReduce func(s window.Map, cnt *skyline.Count) tuple.List) *mapreduce.JobFuncs {
-	locator := func(*mapreduce.TaskContext) (router, error) { return route, nil }
 	return &mapreduce.JobFuncs{
-		NewMapper:  func() mapreduce.Mapper { return newPartitionMapper(dim, locator) },
+		NewMapper:  func() mapreduce.Mapper { return newPartitionMapper(dim, route) },
 		NewReducer: func() mapreduce.Reducer { return newSingleReducer(dim, finishReduce) },
 	}
 }

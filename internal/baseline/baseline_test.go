@@ -29,7 +29,6 @@ type algo struct {
 var algos = []algo{
 	{"MR-BNL", baseline.MRBNL},
 	{"MR-Angle", baseline.MRAngle},
-	{"SKY-MR", baseline.SKYMR},
 }
 
 func TestAgainstReference(t *testing.T) {
@@ -53,38 +52,6 @@ func TestAgainstReference(t *testing.T) {
 					}
 				})
 			}
-		}
-	}
-}
-
-// TestSKYMRCountParity pins SKY-MR's exact DominanceTests, with the
-// skyline size as a sanity anchor, on the workloads where the root
-// package's TestKernelCountParity captured them: 1 500 4-d rows of seed 7
-// on a 4 × 2 cluster, over the rows' bounding box. A count that moves means
-// the shared window kernel no longer classifies the pairs it did.
-func TestSKYMRCountParity(t *testing.T) {
-	for dist, want := range map[datagen.Distribution]struct {
-		tests int64
-		size  int
-	}{
-		datagen.Independent:    {9754, 88},
-		datagen.AntiCorrelated: {32007, 551},
-		datagen.Correlated:     {2335, 4},
-	} {
-		data := datagen.Generate(dist, 1500, 4, 7)
-		lo, hi := data[0].Clone(), data[0].Clone()
-		for _, tp := range data[1:] {
-			lo.MinWith(tp)
-			hi.MaxWith(tp)
-		}
-		cfg := testConfig(t)
-		cfg.Lo, cfg.Hi = lo, hi
-		_, stats, err := baseline.SKYMR(cfg, data)
-		if err != nil {
-			t.Fatalf("%v: %v", dist, err)
-		}
-		if stats.DominanceTests != want.tests || stats.SkylineSize != want.size {
-			t.Errorf("%v: tests=%d size=%d, want tests=%d size=%d", dist, stats.DominanceTests, stats.SkylineSize, want.tests, want.size)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // global merge are pure functions of plain data — (d, mid) for MR-BNL's
 // half-spaces, (d, target, origin) for MR-Angle's angular grid — so worker
 // processes reconstruct the job's functions with the call the driver made.
-// SKY-MR's jobs carry no kind and are the only in-process-only jobs.
+// Every baseline job has a kind.
 const (
 	KindHalfspace = "baseline/halfspace"
 	KindAngle     = "baseline/angle"
@@ -71,7 +71,7 @@ func buildAngleKind(spec []byte) (*mapreduce.JobFuncs, error) {
 // halfspaceFuncs wires the MR-BNL job's task functions, for the driver and
 // for the KindHalfspace builder alike.
 func halfspaceFuncs(d int, mid []float64) *mapreduce.JobFuncs {
-	return singleReducerFuncs(d, func(t tuple.Tuple) (int, bool) { return subspaceOf(t, mid), true }, halfspaceFinish)
+	return singleReducerFuncs(d, func(t tuple.Tuple) int { return subspaceOf(t, mid) }, halfspaceFinish)
 }
 
 // angleFuncs wires the MR-Angle job's task functions, for the driver and

@@ -49,9 +49,9 @@ func (a *anglePartitioner) partitions() int {
 	return p
 }
 
-// locate returns the angular partition id of t and keeps every row. An id
-// may be negative: an angle is NaN where the values reach ±MaxFloat64.
-func (a *anglePartitioner) locate(t tuple.Tuple) (int, bool) {
+// locate returns the angular partition id of t. An id may be negative: an
+// angle is NaN where the values reach ±MaxFloat64.
+func (a *anglePartitioner) locate(t tuple.Tuple) int {
 	id := 0
 	// v is the tuple relative to the domain origin (clamped to the first
 	// quadrant); tail2 accumulates v_{i+1}² + … + v_d² from the back.
@@ -86,7 +86,7 @@ func (a *anglePartitioner) locate(t tuple.Tuple) (int, bool) {
 			tail2 = 0
 		}
 	}
-	return id, true
+	return id
 }
 
 // finish is MR-Angle's global merge: angular partitions cannot dominate

@@ -43,8 +43,8 @@ type localState struct {
 	partWindows
 	bs     *bitstring.Bitstring
 	kernel skyline.Kernel
-	// buffered tuples per partition, used by the batch kernels (SFS, D&C),
-	// which need the whole partition before running.
+	// buffered tuples per partition, used by the batch kernel (SFS), which
+	// needs the whole partition before running.
 	pending map[int]tuple.List
 	inserts window.InsertSampler
 }

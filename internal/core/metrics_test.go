@@ -65,7 +65,7 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 	}
 
 	type emitted struct{ key, value []byte }
-	for _, kernel := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS, skyline.KernelDC} {
+	for _, kernel := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS} {
 		for name, funcs := range map[string]*mapreduce.JobFuncs{
 			"gpsrs": skyFuncs(skySpec{Kernel: int(kernel), OneBucket: true}, g),
 			"gpmrs": skyFuncs(skySpec{Kernel: int(kernel)}, g),

@@ -36,7 +36,7 @@ func TestGridAlgorithmsMatchNaiveAsMultisets(t *testing.T) {
 		return core.HybridWithThreshold(cfg, data, 300) // both sides of the switch occur
 	}})
 	dists := []datagen.Distribution{datagen.Independent, datagen.Correlated, datagen.AntiCorrelated}
-	kernels := []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS, skyline.KernelDC}
+	kernels := []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS}
 	for seed := 1; seed <= seeds; seed++ {
 		cl, err := cluster.Uniform(2+seed%3, 2)
 		if err != nil {

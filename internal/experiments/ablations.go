@@ -104,13 +104,13 @@ func kernelAblation(s Setup) (*FigureResult, error) {
 	const paperCard, dim = 1_000_000, 5
 	tab := &Table{
 		Title:   fmt.Sprintf("Ablation: local skyline kernel, %d-d, card=%d", dim, s.card(paperCard)),
-		Columns: []string{"algorithm", "distribution", "bnl[s]", "sfs[s]", "dc[s]"},
+		Columns: []string{"algorithm", "distribution", "bnl[s]", "sfs[s]"},
 	}
 	for _, algo := range []string{AlgoGPSRS, AlgoGPMRS} {
 		for _, dist := range []datagen.Distribution{datagen.Independent, datagen.AntiCorrelated} {
 			data, _ := s.dataset(dist, paperCard, dim)
 			row := []string{algo, dist.String()}
-			for _, k := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS, skyline.KernelDC} {
+			for _, k := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS} {
 				opts := defaultMeasureOpts()
 				opts.kernel = k
 				m, err := runAlgorithm(algo, s, data, opts)
@@ -159,35 +159,6 @@ func hybridAblation(s Setup) (*FigureResult, error) {
 		tab.Add(append(row, chose)...)
 	}
 	return &FigureResult{Name: "Ablation: hybrid", Tables: []*Table{tab}}, nil
-}
-
-// skymrExtension compares the grid-partitioning algorithms against SKY-MR
-// [Park et al., PVLDB 2013], the sampling/quadtree competitor the paper
-// discusses in related work but does not measure. Not a paper figure — an
-// extension experiment.
-func skymrExtension(s Setup) (*FigureResult, error) {
-	const paperCard = 1_000_000
-	tab := &Table{
-		Title:   fmt.Sprintf("Extension: grid bitstring vs SKY-MR sampling, card=%d", s.card(paperCard)),
-		Columns: []string{"distribution", "dim", "MR-GPSRS[s]", "MR-GPMRS[s]", "SKY-MR[s]", "skyline"},
-	}
-	for _, dist := range []datagen.Distribution{datagen.Independent, datagen.AntiCorrelated} {
-		for _, dim := range []int{3, 6, 8} {
-			data, _ := s.dataset(dist, paperCard, dim)
-			row := []string{dist.String(), strconv.Itoa(dim)}
-			sky := 0
-			for _, algo := range []string{AlgoGPSRS, AlgoGPMRS, AlgoSKYMR} {
-				m, err := runAlgorithm(algo, s, data, defaultMeasureOpts())
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmtDuration(m.Runtime))
-				sky = m.SkylineSize
-			}
-			tab.Add(append(row, strconv.Itoa(sky))...)
-		}
-	}
-	return &FigureResult{Name: "Extension: SKY-MR comparison", Tables: []*Table{tab}}, nil
 }
 
 // scaleoutExtension measures MR-GPMRS's simulated runtime as the cluster

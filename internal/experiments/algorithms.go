@@ -20,7 +20,6 @@ const (
 	AlgoGPMRS  = "MR-GPMRS"
 	AlgoBNL    = "MR-BNL"
 	AlgoAngle  = "MR-Angle"
-	AlgoSKYMR  = "SKY-MR"
 	AlgoHybrid = "Hybrid"
 )
 
@@ -29,10 +28,10 @@ func PaperAlgorithms() []string {
 	return []string{AlgoGPSRS, AlgoGPMRS, AlgoBNL, AlgoAngle}
 }
 
-// AllAlgorithms returns every implemented algorithm: the paper's four, the
-// SKY-MR extension and the future-work Hybrid.
+// AllAlgorithms returns every implemented algorithm: the paper's four and
+// the future-work Hybrid.
 func AllAlgorithms() []string {
-	return []string{AlgoGPSRS, AlgoGPMRS, AlgoBNL, AlgoAngle, AlgoSKYMR, AlgoHybrid}
+	return []string{AlgoGPSRS, AlgoGPMRS, AlgoBNL, AlgoAngle, AlgoHybrid}
 }
 
 // Measurement is one algorithm execution on one dataset.
@@ -118,20 +117,13 @@ func runAlgorithm(name string, s Setup, data tupleList, opts measureOpts) (Measu
 			ShuffleBytes:   st.ShuffleBytes,
 		}, nil
 
-	case AlgoBNL, AlgoAngle, AlgoSKYMR:
+	case AlgoBNL, AlgoAngle:
 		cfg := baseline.Config{Engine: eng, NumMappers: s.Mappers}
-		var (
-			st  *baseline.Stats
-			err error
-		)
-		switch name {
-		case AlgoBNL:
-			_, st, err = baseline.MRBNL(cfg, data)
-		case AlgoSKYMR:
-			_, st, err = baseline.SKYMR(cfg, data)
-		default:
-			_, st, err = baseline.MRAngle(cfg, data)
+		run := baseline.MRAngle
+		if name == AlgoBNL {
+			run = baseline.MRBNL
 		}
+		_, st, err := run(cfg, data)
 		if err != nil {
 			return Measurement{}, fmt.Errorf("experiments: %s: %w", name, err)
 		}

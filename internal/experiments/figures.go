@@ -22,8 +22,7 @@ func FigureNames() []string {
 	return []string{
 		"fig7", "fig8", "fig9", "fig10", "fig11",
 		"ablation-merge", "ablation-prune", "ablation-ppd",
-		"ablation-kernel", "ablation-hybrid", "extension-skymr",
-		"extension-scaleout",
+		"ablation-kernel", "ablation-hybrid", "extension-scaleout",
 	}
 }
 
@@ -51,8 +50,6 @@ func RunFigure(name string, s Setup) (*FigureResult, error) {
 		return kernelAblation(s)
 	case "ablation-hybrid":
 		return hybridAblation(s)
-	case "extension-skymr":
-		return skymrExtension(s)
 	case "extension-scaleout":
 		return scaleoutExtension(s)
 	default:

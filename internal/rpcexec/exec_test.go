@@ -236,7 +236,7 @@ func TestGridAlgorithmsOverProcessWorkers(t *testing.T) {
 		for _, d := range []int{2, 5} {
 			data := datagen.Generate(datagen.AntiCorrelated, 1200, d, 11)
 			want := skyline.Naive(data)
-			for _, kernel := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS, skyline.KernelDC} {
+			for _, kernel := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS} {
 				for algo, run := range algos {
 					got, _, err := run(core.Config{Engine: pe, Kernel: kernel, PPD: 2, NumMappers: 5, NumReducers: workers}, data)
 					if err != nil {

@@ -39,10 +39,10 @@ func TestWindowDominanceFreeInvariant(t *testing.T) {
 	}
 }
 
-// TestAllKernelsAgree checks that the four kernels compute identical
-// skylines (as sets) on arbitrary inputs.
+// TestAllKernelsAgree checks that the kernels compute identical skylines
+// (as sets) on arbitrary inputs.
 func TestAllKernelsAgree(t *testing.T) {
-	kernels := []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS, skyline.KernelDC}
+	kernels := []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS}
 	f := func(seed int64, nRaw uint8, dRaw uint8, discrete bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw) % 150
@@ -57,21 +57,6 @@ func TestAllKernelsAgree(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestFilterIsIdempotent checks Filter(Filter(s, by), by) = Filter(s, by).
-func TestFilterIsIdempotent(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := randomList(rng, rng.Intn(60), 3, true)
-		by := randomList(rng, rng.Intn(60), 3, true)
-		once := skyline.Filter(s.Clone(), by, nil)
-		twice := skyline.Filter(once.Clone(), by, nil)
-		return tuple.EqualAsSet(once, twice) && len(once) == len(twice)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -2,13 +2,12 @@
 // algorithms are built from: the block-nested-loop insertion of
 // Algorithm 4 (InsertTuple), the BNL skyline [Börzsönyi et al., ICDE 2001],
 // the sort-filter-skyline variant with presorting [Chomicki et al., ICDE
-// 2003], a naive O(n²) reference used by tests, and Filter, the scalar
-// form of the inner operation of Algorithm 5. Algorithm 5 itself, the
+// 2003] and a naive O(n²) reference used by tests. Algorithm 5, the
 // cross-partition false-positive elimination, is comparePartitions in
 // mrskyline/internal/core, over window.FilterOn.
 //
 // The production dominance hot path lives in the columnar block kernel of
-// mrskyline/internal/skyline/window; BNL, SFS and Filter here run on it.
+// mrskyline/internal/skyline/window; BNL and SFS here run on it.
 // InsertTuple is retained as the scalar reference the window package's
 // differential tests compare against, pair for pair.
 package skyline
@@ -121,26 +120,6 @@ func Naive(data tuple.List) tuple.List {
 	return out
 }
 
-// Filter removes from s every tuple dominated by a tuple of by, returning
-// the reduced slice (s is modified in place). It is the inner operation of
-// ComparePartitions (Algorithm 5, line 3). The filtering list is
-// columnarized once and scanned with the block kernel; callers filtering
-// by the same window repeatedly should hold a window.Window and use
-// FilterBy directly.
-func Filter(s tuple.List, by tuple.List, c *Count) tuple.List {
-	if len(s) == 0 || len(by) == 0 {
-		return s
-	}
-	bw := window.FromList(len(by[0]), by)
-	out := s[:0]
-	for _, t := range s {
-		if !bw.Dominated(t, c) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Kernel selects the local-skyline algorithm used inside mappers and
 // reducers. The paper's algorithms use BNL (Algorithm 4); SFS is the
 // future-work variant evaluated in the ablation benchmarks.
@@ -151,8 +130,6 @@ const (
 	KernelBNL Kernel = iota
 	// KernelSFS is sort-filter-skyline with presorting.
 	KernelSFS
-	// KernelDC is the divide-and-conquer algorithm of Börzsönyi et al.
-	KernelDC
 )
 
 // String implements fmt.Stringer for Kernel.
@@ -162,8 +139,6 @@ func (k Kernel) String() string {
 		return "bnl"
 	case KernelSFS:
 		return "sfs"
-	case KernelDC:
-		return "dc"
 	default:
 		return "unknown"
 	}
@@ -174,8 +149,6 @@ func (k Kernel) Compute(data tuple.List, c *Count) tuple.List {
 	switch k {
 	case KernelSFS:
 		return SFS(data, c)
-	case KernelDC:
-		return DC(data, c)
 	default:
 		return BNL(data, c)
 	}

@@ -206,24 +206,6 @@ func TestAntiChain(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	var c skyline.Count
-	s := tuple.List{{2, 2}, {0, 5}, {9, 9}}
-	by := tuple.List{{1, 1}, {8, 8}}
-	got := skyline.Filter(s, by, &c)
-	want := tuple.List{{0, 5}}
-	if !tuple.EqualAsSet(got, want) {
-		t.Errorf("Filter = %v, want %v", got, want)
-	}
-	if c.DominanceTests == 0 {
-		t.Error("Filter comparisons not counted")
-	}
-	// Filtering by nothing keeps everything.
-	if got := skyline.Filter(s.Clone(), nil, nil); len(got) != 3 {
-		t.Errorf("Filter by empty = %v", got)
-	}
-}
-
 func TestSFSDoesNotMutateInput(t *testing.T) {
 	data := tuple.List{{3, 3}, {1, 1}, {2, 2}}
 	orig := data.Clone()
@@ -248,7 +230,6 @@ func TestNilCountIsSafe(t *testing.T) {
 	data := tuple.List{{1, 2}, {2, 1}}
 	skyline.BNL(data, nil)
 	skyline.SFS(data, nil)
-	skyline.Filter(data.Clone(), data, nil)
 }
 
 func TestSFSComparesLessOnSkylineHeavyInput(t *testing.T) {

@@ -11,8 +11,7 @@ import (
 // on fixed workloads; skyline cardinality is pinned alongside as a sanity
 // anchor. The table holds two kinds of row.
 //
-// The 12 baseline rows (MR-BNL, MR-Angle; SKY-MR's are in internal/baseline)
-// were captured with the scalar tuple-at-a-time window before the columnar
+// The 12 baseline rows (MR-BNL, MR-Angle) were captured with the scalar tuple-at-a-time window before the columnar
 // block kernel replaced it and have not changed since: Insert, Dominated
 // and FilterBy must classify exactly the pairs the scalar loops did —
 // including scans a dominator cuts short mid-block — so any drift there

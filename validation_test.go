@@ -49,7 +49,7 @@ func TestValidationContract(t *testing.T) {
 	}{
 		{"compute/unknown algorithm", compute(mrskyline.Options{Algorithm: "MR-Nope"}), true},
 		{"compute/unknown kernel", compute(mrskyline.Options{Kernel: "quantum"}), true},
-		// Not served: SKY-MR and D&C run only in the figures, MR-SFS nowhere.
+		// Not implemented.
 		{"compute/MR-SFS", compute(mrskyline.Options{Algorithm: "MR-SFS"}), true},
 		{"compute/SKY-MR", compute(mrskyline.Options{Algorithm: "SKY-MR"}), true},
 		{"compute/dc kernel", compute(mrskyline.Options{Kernel: "dc"}), true},
