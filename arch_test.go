@@ -185,6 +185,18 @@ func TestArchitecture(t *testing.T) {
 			},
 		},
 		{
+			"One in-task kernel",
+			"A map or reduce task builds its local skylines one way, Algorithm 4's window " +
+				"insert: no option, request field or job spec picks a batch kernel, and no mapper " +
+				"buffers a partition to hand one. skyline.BNL and skyline.SFS are standalone kernels.",
+			func() []string {
+				return join(
+					nonTest.identsMatching(regexp.MustCompile(`^Kernel(BNL|SFS)?$`)),
+					nonTest.where(inDir("internal/core")).idents("pending"),
+				)
+			},
+		},
+		{
 			"No per-call registry path, no span log in Service",
 			"The serve path pays per request only for the request: windows do not publish to the " +
 				"metrics registry per call, and a Service keeps no span log.",
@@ -202,6 +214,84 @@ func TestArchitecture(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCIRunPatternsNameTests: a `go test -run` that matches no test passes
+// while it runs nothing, so a CI step would go on passing after the test it
+// names was deleted or renamed. Every |-alternative of each -run in
+// .github/workflows/ci.yml must match a Test function of the packages on
+// its line (-run XXX, which runs none on purpose, is exempt), and each
+// -fuzz must match exactly one Fuzz function there, as go test requires.
+func TestCIRunPatternsNameTests(t *testing.T) {
+	const ci = ".github/workflows/ci.yml"
+	raw, err := os.ReadFile(ci)
+	if err != nil {
+		t.Fatal(err)
+	}
+	self, err := parser.ParseFile(token.NewFileSet(), "arch_test.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := map[string][]string{} // package dir → its test files' functions
+	for _, f := range append(parseTree(t), goFile{path: "arch_test.go", test: true, ast: self}) {
+		for _, d := range f.ast.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && f.test && fd.Recv == nil {
+				funcs[path.Dir(f.path)] = append(funcs[path.Dir(f.path)], fd.Name.Name)
+			}
+		}
+	}
+	// A command ends at an unquoted &, ; or |; a pattern may be quoted.
+	command := regexp.MustCompile(`go test (?:[^&;|']|'[^']*')*`)
+	flag := regexp.MustCompile(`-(run|fuzz|bench)[ =](?:'([^']*)'|(\S+))`)
+	for i, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		for _, cmd := range command.FindAllString(line, -1) {
+			var pkgs, names []string
+			for _, w := range strings.Fields(flag.ReplaceAllString(cmd, "")) {
+				if strings.HasPrefix(w, ".") {
+					pkgs = append(pkgs, w)
+				}
+			}
+			for dir, fns := range funcs {
+				if slices.ContainsFunc(pkgs, func(p string) bool { return pkgNames(p, dir) }) {
+					names = append(names, fns...)
+				}
+			}
+			count := func(prefix, pattern string) int {
+				n := 0
+				for _, name := range names {
+					if ok, _ := regexp.MatchString(pattern, name); ok && strings.HasPrefix(name, prefix) {
+						n++
+					}
+				}
+				return n
+			}
+			for _, m := range flag.FindAllStringSubmatch(cmd, -1) {
+				pattern := m[2] + m[3]
+				if n := count("Fuzz", pattern); m[1] == "fuzz" && n != 1 {
+					t.Errorf("%s:%d: -fuzz %q matches %d Fuzz functions in %v, want 1", ci, i+1, pattern, n, pkgs)
+				}
+				for _, alt := range strings.Split(pattern, "|") {
+					if m[1] == "run" && pattern != "XXX" && count("Test", alt) == 0 {
+						t.Errorf("%s:%d: -run alternative %q matches no Test function in %v", ci, i+1, alt, pkgs)
+					}
+				}
+			}
+		}
+	}
+}
+
+// pkgNames reports whether the go test package argument pkg ("." or
+// "./a/b/", either with a "/..." suffix) names the package in dir.
+func pkgNames(pkg, dir string) bool {
+	pkg = strings.Trim(strings.TrimPrefix(pkg, "./"), "/")
+	if rest, ok := strings.CutSuffix(pkg, "..."); ok {
+		rest = strings.Trim(rest, "./")
+		return rest == "" || dir == rest || strings.HasPrefix(dir, rest+"/")
+	}
+	return dir == pkg
 }
 
 // goFile is one parsed Go file; path is slash-separated and relative to the

@@ -76,10 +76,6 @@ func BenchmarkAblationPruning(b *testing.B) { benchFigure(b, "ablation-prune") }
 // heuristic.
 func BenchmarkAblationPPD(b *testing.B) { benchFigure(b, "ablation-ppd") }
 
-// BenchmarkAblationKernel swaps the in-task local skyline kernel (BNL vs
-// SFS), the paper's "optimize the local skyline computation" future work.
-func BenchmarkAblationKernel(b *testing.B) { benchFigure(b, "ablation-kernel") }
-
 // BenchmarkAblationHybrid compares the future-work Hybrid against fixed
 // algorithm choices across the regimes where each base algorithm wins.
 func BenchmarkAblationHybrid(b *testing.B) { benchFigure(b, "ablation-hybrid") }

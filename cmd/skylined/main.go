@@ -351,7 +351,6 @@ type queryRequest struct {
 	Data    [][]float64 `json:"data,omitempty"`
 
 	Algorithm string `json:"algorithm,omitempty"`
-	Kernel    string `json:"kernel,omitempty"`
 	Maximize  []bool `json:"maximize,omitempty"`
 	PPD       int    `json:"ppd,omitempty"`
 	Mappers   int    `json:"mappers,omitempty"`
@@ -383,7 +382,6 @@ func (r rangeJSON) toRange() mrskyline.Range {
 func (q *queryRequest) options() mrskyline.Options {
 	return mrskyline.Options{
 		Algorithm: mrskyline.Algorithm(q.Algorithm),
-		Kernel:    q.Kernel,
 		Maximize:  q.Maximize,
 		PPD:       q.PPD,
 		Mappers:   q.Mappers,

@@ -230,7 +230,8 @@ func TestErrorMapping(t *testing.T) {
 		want int
 	}{
 		{"unknown algorithm", "/v1/skyline", map[string]any{"data": [][]float64{}, "algorithm": "nope"}, http.StatusBadRequest},
-		{"unknown kernel on empty data", "/v1/skyline", map[string]any{"data": [][]float64{}, "kernel": "quantum"}, http.StatusBadRequest},
+		// A retired field is an unknown one: the strict decoder refuses it.
+		{"retired kernel field", "/v1/skyline", map[string]any{"data": [][]float64{}, "kernel": "bnl"}, http.StatusBadRequest},
 		{"missing constraints", "/v1/constrained", map[string]any{"data": [][]float64{{1, 2}}}, http.StatusBadRequest},
 		{"duplicate dims", "/v1/subspace", map[string]any{"data": [][]float64{{1, 2}}, "dims": []int{0, 0}}, http.StatusBadRequest},
 		// NaN is not expressible in JSON, so exercise the pre-filter row

@@ -7,7 +7,6 @@ import (
 
 	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
-	"mrskyline/internal/skyline"
 )
 
 // Config parametrizes the grid-partitioning skyline algorithms. The zero
@@ -36,9 +35,6 @@ type Config struct {
 	// 3.3 over a candidate series thinned to DefaultMaxPPDCandidates.
 	PPD int
 
-	// Kernel is the local-skyline algorithm inside tasks (default BNL, the
-	// paper's Algorithm 4; SFS is the future-work ablation).
-	Kernel skyline.Kernel
 	// Merge selects the group-merging policy of Section 5.4.1 (default:
 	// computation-cost balancing, the paper's choice).
 	Merge grid.MergeStrategy

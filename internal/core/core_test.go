@@ -78,7 +78,7 @@ func TestAgainstReferenceAcrossShapes(t *testing.T) {
 		if d >= 5 {
 			cfg.PPD = 2 + rng.Intn(2)
 		}
-		cfg.Kernel = skyline.Kernel(rng.Intn(2)) // BNL or SFS
+		rng.Intn(2) // discarded; drawn so that the later draws, and the trials, stay put
 		if rng.Intn(2) == 0 {
 			cfg.Merge = grid.MergeByCommunication
 		}
@@ -91,9 +91,9 @@ func TestAgainstReferenceAcrossShapes(t *testing.T) {
 				t.Fatalf("trial %d %s: %v", trial, a.name, err)
 			}
 			if !tuple.EqualAsSet(got, want) {
-				t.Fatalf("trial %d %s (card=%d d=%d dist=%v m=%d r=%d ppd=%d kernel=%v merge=%v prune=%v): got %d want %d",
+				t.Fatalf("trial %d %s (card=%d d=%d dist=%v m=%d r=%d ppd=%d merge=%v prune=%v): got %d want %d",
 					trial, a.name, card, d, dist, cfg.NumMappers, cfg.NumReducers, cfg.PPD,
-					cfg.Kernel, cfg.Merge, !cfg.DisablePruning, len(got), len(want))
+					cfg.Merge, !cfg.DisablePruning, len(got), len(want))
 			}
 		}
 	}

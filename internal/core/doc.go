@@ -23,19 +23,20 @@
 //
 // # Configuration and state
 //
-// Static job configuration (grid bounds and PPD, kernel, bucket rule and
-// merge strategy) is a small serializable spec per job — the moral
+// Static job configuration (grid bounds and PPD, bucket rule and merge
+// strategy) is a small serializable spec per job — the moral
 // equivalent of Hadoop's JobConf — from which the driver and every rpcexec
 // worker build the same task functions (kinds.go); the reducer count is
 // the job's. The data-dependent global bitstring travels through the
-// engine's distributed cache, exactly as the paper prescribes. Tasks keep
-// no other shared state.
+// engine's distributed cache, exactly as the paper prescribes. Beyond it,
+// a job's tasks in one process share only what skyFuncs makes per job: the
+// window pool and the buckets, formed once by the first task that asks.
 //
 // One deliberate deviation: the paper sends an explicit "designation
 // notification" alongside mapper output to tell reducers which of them
 // outputs a replicated partition (Section 5.4.2). Because group generation,
 // merging and designation are pure deterministic functions of the global
-// bitstring and the reducer count, every task here recomputes them and the
+// bitstring and the reducer count, the tasks form them themselves and the
 // notification is redundant; the outcome (exactly one reducer outputs each
 // partition) is identical and the shuffle carries less data.
 package core

@@ -12,7 +12,7 @@ import (
 // Every core job's task functions are pure functions of a small
 // serializable parameter set: the grid is rebuilt from (d, ppd, bounds),
 // the global bitstring travels in the distributed cache, and the skyline
-// job's buckets are formed again in-task from that bitstring. The kinds
+// job's buckets are formed in-task from that bitstring. The kinds
 // registered here let rpcexec worker processes reconstruct the job's
 // functions by calling the same …Funcs constructor the driver called, which
 // is what makes process-executor output byte-identical to the in-process
@@ -48,14 +48,15 @@ func (s gridSpec) build() (*grid.Grid, error) {
 
 // skySpec parametrizes the skyline job of MR-GPSRS and MR-GPMRS.
 type skySpec struct {
-	Grid   gridSpec `json:"grid"`
-	Kernel int      `json:"kernel"`
-	Merge  int      `json:"merge,omitempty"` // MR-GPMRS only
+	Grid  gridSpec `json:"grid"`
+	Merge int      `json:"merge,omitempty"` // MR-GPMRS only
 	// OneBucket selects MR-GPSRS's one bucket over MR-GPMRS's merged
-	// groups (skySpec.buckets).
+	// groups (skySpec.formBuckets).
 	OneBucket bool `json:"oneBucket,omitempty"`
-	// pool is the job's window pool, made by skyFuncs and never serialized.
-	pool *window.Pool
+	// pool and formed are the job's window pool and bucket slot, made by
+	// skyFuncs and never serialized.
+	pool   *window.Pool
+	formed *bucketSlot
 }
 
 // ppdSelectSpec parametrizes the Section 3.3 PPD-selection job.

@@ -41,27 +41,19 @@ type adrPart struct{ q, lo, hi int }
 // false-positive elimination.
 type localState struct {
 	partWindows
-	bs     *bitstring.Bitstring
-	kernel skyline.Kernel
-	// buffered tuples per partition, used by the batch kernel (SFS), which
-	// needs the whole partition before running.
-	pending map[int]tuple.List
+	bs      *bitstring.Bitstring
 	inserts window.InsertSampler
 }
 
-func newLocalState(g *grid.Grid, bs *bitstring.Bitstring, kernel skyline.Kernel, pool *window.Pool) *localState {
-	ls := &localState{partWindows: partWindows{g: g, s: make(window.Map), pool: pool}, bs: bs, kernel: kernel}
-	if kernel != skyline.KernelBNL {
-		ls.pending = make(map[int]tuple.List)
-	}
-	return ls
+func newLocalState(g *grid.Grid, bs *bitstring.Bitstring, pool *window.Pool) *localState {
+	return &localState{partWindows: partWindows{g: g, s: make(window.Map), pool: pool}, bs: bs}
 }
 
 // mapRows processes a run of input rows (Algorithm 3 lines 2–8): per row,
 // locate its partition, skip it when the bitstring pruned the partition,
 // otherwise fold it into the partition's local skyline window. reg
-// receives the task's sampled Insert latencies (nil: none). A window or
-// pending keeps the row itself: no tuple is allocated for a kept row.
+// receives the task's sampled Insert latencies (nil: none). A window
+// keeps the row itself: no tuple is allocated for a kept row.
 func (ls *localState) mapRows(reg *obs.Registry, rows [][]float64) error {
 	d := ls.g.Dim()
 	if len(rows[0]) != d {
@@ -80,10 +72,6 @@ func (ls *localState) mapRows(reg *obs.Registry, rows [][]float64) error {
 		if !ls.bs.Get(j) {
 			continue
 		}
-		if ls.pending != nil {
-			ls.pending[j] = append(ls.pending[j], t)
-			continue
-		}
 		e := &recent[j%len(recent)]
 		if e.w == nil || e.p != j {
 			e.p, e.w = j, ls.s[j]
@@ -97,16 +85,12 @@ func (ls *localState) mapRows(reg *obs.Registry, rows [][]float64) error {
 	return nil
 }
 
-// finish completes the local phase: materialize batch-kernel windows if
-// needed, run ComparePartitions across the mapper's partitions (Algorithm 3
-// lines 9–10), then put every window in score order — once, and after
-// Algorithm 5 has shrunk it, which needs no order — so each partition
-// leaves the mapper as one sorted run. It returns the resulting window map.
+// finish completes the local phase: run ComparePartitions across the
+// mapper's partitions (Algorithm 3 lines 9–10), then put every window in
+// score order — once, and after Algorithm 5 has shrunk it, which needs no
+// order — so each partition leaves the mapper as one sorted run. It
+// returns the resulting window map.
 func (ls *localState) finish() window.Map {
-	for p, data := range ls.pending {
-		ls.s[p] = window.FromList(ls.g.Dim(), ls.kernel.Compute(data, &ls.cnt))
-	}
-	ls.pending = nil
 	ls.comparePartitions(nil)
 	for _, w := range ls.s {
 		w.Order(&ls.sc)
@@ -136,7 +120,7 @@ func (pw *partWindows) mergeRuns(p int, runs []tuple.List) error {
 // kernel work, once, when it flushes: the job counter behind
 // Stats.DominanceTests and the service-lifetime obs counter receive the
 // same number from the one Count the task threaded through every window
-// operation and batch kernel.
+// operation.
 func (pw *partWindows) recordCounters(ctx *mapreduce.TaskContext, phase mapreduce.Phase) {
 	name := counterPartCmpMapMax
 	if phase == mapreduce.PhaseReduce {

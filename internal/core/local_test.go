@@ -46,7 +46,7 @@ func TestUnorderedRunFailsTheTask(t *testing.T) {
 			Cache: mapreduce.Cache{cacheKeyBitstring: bitstring.FromIndices(g.NumPartitions(), 0).Encode()},
 		}
 		values := [][]byte{append([]byte{1, 0}, tuple.EncodeList(sorted)...), append([]byte{1, 0}, tuple.EncodeList(run)...)}
-		err = newSkyReducer(skySpec{OneBucket: true}, g).Reduce(ctx, mapreduce.IntKey(0), values, func(_, _ []byte) {})
+		err = skyFuncs(skySpec{OneBucket: true}, g).NewReducer().Reduce(ctx, mapreduce.IntKey(0), values, func(_, _ []byte) {})
 		if err == nil || !strings.Contains(err.Error(), "run out of score order") {
 			t.Errorf("%s: reducer error = %v", name, err)
 		}
@@ -90,7 +90,7 @@ func TestOneBucketIsMergeGroupsAtOneReducer(t *testing.T) {
 				}
 			}
 		}
-		got := skySpec{OneBucket: true}.buckets(g, bs, 1)
+		got := skySpec{OneBucket: true}.formBuckets(g, bs, 1)
 		for _, strat := range []grid.MergeStrategy{grid.MergeByComputation, grid.MergeByCommunication} {
 			want := grid.MergeGroups(g.IndependentGroups(bs), 1, strat)
 			if len(got) != len(want) {

@@ -10,7 +10,6 @@ import (
 
 	"mrskyline/internal/datagen"
 	"mrskyline/internal/mapreduce"
-	"mrskyline/internal/skyline"
 	"mrskyline/internal/tuple"
 )
 
@@ -36,11 +35,11 @@ func (r *recordingExecutor) RunContext(ctx context.Context, job *mapreduce.Job) 
 // mapper is handed decoded once per split. The first is held to the records
 // of the same rows, the second to TupleInput's records of the rows oriented
 // beforehand. Job 1 runs at auto PPD and at a fixed PPD, the skyline job as
-// MR-GPSRS and MR-GPMRS under the bnl and sfs kernels, on three mappers and
-// on up to 16, more than a small dataset has rows (a job then runs one map
-// task per row). The two runs of a pair must emit the same output records,
-// byte for byte, and every counter must agree: map input records,
-// dominance tests, both partCmp maxima and shuffle bytes among them.
+// MR-GPSRS and MR-GPMRS, on three mappers and on up to 16, more than a
+// small dataset has rows (a job then runs one map task per row). The two
+// runs of a pair must emit the same output records, byte for byte, and
+// every counter must agree: map input records, dominance tests, both
+// partCmp maxima and shuffle bytes among them.
 func TestMapRowsMatchesRecords(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	constant := func(v float64) tuple.List {
@@ -104,19 +103,17 @@ func TestMapRowsMatchesRecords(t *testing.T) {
 					where := fmt.Sprintf("%s over %s, PPD %d, %d mappers", name, sides.what, ppd, mappers)
 					sameJobs(t, where+", job 1", len(rows), job1)
 					for _, algo := range []Algorithm{AlgoGPSRS, AlgoGPMRS} {
-						for _, kernel := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS} {
-							var jobs [2][]*mapreduce.Result
-							for side, plan := range plans {
-								rec := &recordingExecutor{Executor: eng}
-								c := cfg
-								c.Engine, c.Kernel = rec, kernel
-								if _, _, err := plan.Run(c, algo); err != nil {
-									t.Fatalf("%s %v/%v: %v", where, algo, kernel, err)
-								}
-								jobs[side] = rec.results
+						var jobs [2][]*mapreduce.Result
+						for side, plan := range plans {
+							rec := &recordingExecutor{Executor: eng}
+							c := cfg
+							c.Engine = rec
+							if _, _, err := plan.Run(c, algo); err != nil {
+								t.Fatalf("%s %v: %v", where, algo, err)
 							}
-							sameJobs(t, fmt.Sprintf("%s, %v/%v", where, algo, kernel), len(rows), jobs)
+							jobs[side] = rec.results
 						}
+						sameJobs(t, fmt.Sprintf("%s, %v", where, algo), len(rows), jobs)
 					}
 				}
 			}

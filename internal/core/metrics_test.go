@@ -8,7 +8,6 @@ import (
 	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
-	"mrskyline/internal/skyline"
 	"mrskyline/internal/skyline/window"
 )
 
@@ -41,10 +40,9 @@ func sampledInserts(n int) int64 {
 }
 
 // TestTaskPublishesKernelMetrics drives the skyline job's mapper and
-// reducer by hand, with MR-GPSRS's one-bucket spec and MR-GPMRS's, under
-// every in-task kernel: each task publishes exactly
-// the dominance tests it counted — batch kernels' included — once, and
-// times one in window.InsertSampleEvery of the Inserts it makes. Only
+// reducer by hand, with MR-GPSRS's one-bucket spec and MR-GPMRS's: each
+// task publishes exactly the dominance tests it counted, once, and times
+// one in window.InsertSampleEvery of the Inserts it makes. Only
 // mappers make any: reducers merge sorted runs with a membership check, so
 // they leave no Insert latency behind.
 func TestTaskPublishesKernelMetrics(t *testing.T) {
@@ -65,56 +63,50 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 	}
 
 	type emitted struct{ key, value []byte }
-	for _, kernel := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS} {
-		for name, funcs := range map[string]*mapreduce.JobFuncs{
-			"gpsrs": skyFuncs(skySpec{Kernel: int(kernel), OneBucket: true}, g),
-			"gpmrs": skyFuncs(skySpec{Kernel: int(kernel)}, g),
-		} {
-			var out []emitted
+	for name, funcs := range map[string]*mapreduce.JobFuncs{
+		"gpsrs": skyFuncs(skySpec{OneBucket: true}, g),
+		"gpmrs": skyFuncs(skySpec{}, g),
+	} {
+		var out []emitted
+		counted, published, samples := taskMetrics(t, cache, func(ctx *mapreduce.TaskContext) error {
+			m := funcs.NewMapper().(mapreduce.RowsMapper)
+			if err := m.MapRows(ctx, rows, nil); err != nil {
+				return err
+			}
+			return m.Flush(ctx, func(k, v []byte) {
+				out = append(out, emitted{append([]byte(nil), k...), append([]byte(nil), v...)})
+			})
+		})
+		if counted == 0 || published != counted {
+			t.Errorf("%s mapper: published %d dominance tests, counted %d", name, published, counted)
+		}
+		if want := sampledInserts(len(data)); samples != want {
+			t.Errorf("%s mapper: %d sampled inserts over %d records, want %d", name, samples, len(data), want)
+		}
+
+		// Reducers: one task per bucket key; MR-GPSRS has one bucket.
+		tasks := map[string][]emitted{}
+		for _, e := range out {
+			tasks[string(e.key)] = append(tasks[string(e.key)], e)
+		}
+		if name == "gpsrs" && len(tasks) != 1 {
+			t.Errorf("gpsrs: %d bucket keys, want 1", len(tasks))
+		}
+		for _, in := range tasks {
 			counted, published, samples := taskMetrics(t, cache, func(ctx *mapreduce.TaskContext) error {
-				m := funcs.NewMapper().(mapreduce.RowsMapper)
-				if err := m.MapRows(ctx, rows, nil); err != nil {
-					return err
+				r := funcs.NewReducer()
+				for _, e := range in {
+					if err := r.Reduce(ctx, e.key, [][]byte{e.value}, func(_, _ []byte) {}); err != nil {
+						return err
+					}
 				}
-				return m.Flush(ctx, func(k, v []byte) {
-					out = append(out, emitted{append([]byte(nil), k...), append([]byte(nil), v...)})
-				})
+				return r.Flush(ctx, func(_, _ []byte) {})
 			})
 			if counted == 0 || published != counted {
-				t.Errorf("%s/%s mapper: published %d dominance tests, counted %d", name, kernel, published, counted)
+				t.Errorf("%s reducer: published %d dominance tests, counted %d", name, published, counted)
 			}
-			want := int64(0) // batch kernels buffer; nothing goes through Insert
-			if kernel == skyline.KernelBNL {
-				want = sampledInserts(len(data))
-			}
-			if samples != want {
-				t.Errorf("%s/%s mapper: %d sampled inserts over %d records, want %d", name, kernel, samples, len(data), want)
-			}
-
-			// Reducers: one task per bucket key; MR-GPSRS has one bucket.
-			tasks := map[string][]emitted{}
-			for _, e := range out {
-				tasks[string(e.key)] = append(tasks[string(e.key)], e)
-			}
-			if name == "gpsrs" && len(tasks) != 1 {
-				t.Errorf("gpsrs/%s: %d bucket keys, want 1", kernel, len(tasks))
-			}
-			for _, in := range tasks {
-				counted, published, samples := taskMetrics(t, cache, func(ctx *mapreduce.TaskContext) error {
-					r := funcs.NewReducer()
-					for _, e := range in {
-						if err := r.Reduce(ctx, e.key, [][]byte{e.value}, func(_, _ []byte) {}); err != nil {
-							return err
-						}
-					}
-					return r.Flush(ctx, func(_, _ []byte) {})
-				})
-				if counted == 0 || published != counted {
-					t.Errorf("%s/%s reducer: published %d dominance tests, counted %d", name, kernel, published, counted)
-				}
-				if samples != 0 {
-					t.Errorf("%s/%s reducer: %d sampled inserts, want none", name, kernel, samples)
-				}
+			if samples != 0 {
+				t.Errorf("%s reducer: %d sampled inserts, want none", name, samples)
 			}
 		}
 	}

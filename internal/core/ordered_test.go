@@ -17,10 +17,10 @@ import (
 
 // TestGridAlgorithmsMatchNaiveAsMultisets is the differential for the
 // score-ordered skyline job: across 30 seeds × 3 distributions × d ∈ {1, 2,
-// 3, 5}, every grid algorithm under every in-task kernel returns the same
-// multiset as skyline.Naive — mappers' sorted runs, the reducers' ordered
-// merge (which fails the task on a run out of order rather than merging it)
-// and the projected ADR filter included. Task counts and PPD vary with the
+// 3, 5}, every grid algorithm returns the same multiset as skyline.Naive —
+// mappers' sorted runs, the reducers' ordered merge (which fails the task
+// on a run out of order rather than merging it) and the projected ADR
+// filter included. Task counts and PPD vary with the
 // seed; every tenth seed is large enough that windows outgrow the in-place
 // sweep and take the E-sum-ordered path, and seed 7 runs through the spilled
 // shuffle, where a run crosses run files and a merge tree on its way to the
@@ -36,7 +36,6 @@ func TestGridAlgorithmsMatchNaiveAsMultisets(t *testing.T) {
 		return core.HybridWithThreshold(cfg, data, 300) // both sides of the switch occur
 	}})
 	dists := []datagen.Distribution{datagen.Independent, datagen.Correlated, datagen.AntiCorrelated}
-	kernels := []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS}
 	for seed := 1; seed <= seeds; seed++ {
 		cl, err := cluster.Uniform(2+seed%3, 2)
 		if err != nil {
@@ -56,42 +55,40 @@ func TestGridAlgorithmsMatchNaiveAsMultisets(t *testing.T) {
 				// A few exact duplicates: every copy of a skyline tuple must come back.
 				data = append(data, data[0].Clone(), data[len(data)/2].Clone())
 				want := skyline.Naive(data)
-				for _, kernel := range kernels {
-					cfg := core.Config{Engine: eng, Kernel: kernel, PPD: 2 + seed%2, NumMappers: 1 + seed%7, NumReducers: 1 + seed%4}
-					var srs tuple.List
-					var srsSt *core.Stats
-					for _, a := range algos {
-						got, st, err := a.run(cfg, data)
-						name := fmt.Sprintf("seed %d %v d=%d %s/%v", seed, dist, d, a.name, kernel)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if !tuple.EqualAsMultiset(got, want) {
-							t.Fatalf("%s: got %d tuples, naive has %d", name, len(got), len(want))
-						}
-						if a.name == "GPSRS" {
-							srs, srsSt = got, st
-						}
-					}
-					// MR-GPSRS is MR-GPMRS's skyline job with one bucket: at
-					// one reducer the two return the same bytes from the same
-					// work.
-					one := cfg
-					one.NumReducers = 1
-					got, st, err := core.GPMRS(one, data)
-					name := fmt.Sprintf("seed %d %v d=%d GPMRS(r=1)/%v", seed, dist, d, kernel)
+				cfg := core.Config{Engine: eng, PPD: 2 + seed%2, NumMappers: 1 + seed%7, NumReducers: 1 + seed%4}
+				var srs tuple.List
+				var srsSt *core.Stats
+				for _, a := range algos {
+					got, st, err := a.run(cfg, data)
+					name := fmt.Sprintf("seed %d %v d=%d %s", seed, dist, d, a.name)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if !bytes.Equal(tuple.EncodeList(got), tuple.EncodeList(srs)) {
-						t.Fatalf("%s: skyline differs from GPSRS's", name)
+					if !tuple.EqualAsMultiset(got, want) {
+						t.Fatalf("%s: got %d tuples, naive has %d", name, len(got), len(want))
 					}
-					if st.DominanceTests != srsSt.DominanceTests || st.MapperPartCmpMax != srsSt.MapperPartCmpMax ||
-						st.ReducerPartCmpMax != srsSt.ReducerPartCmpMax || st.ShuffleBytes != srsSt.ShuffleBytes {
-						t.Fatalf("%s: tests/partCmp map/partCmp reduce/shuffle bytes %d/%d/%d/%d, GPSRS %d/%d/%d/%d", name,
-							st.DominanceTests, st.MapperPartCmpMax, st.ReducerPartCmpMax, st.ShuffleBytes,
-							srsSt.DominanceTests, srsSt.MapperPartCmpMax, srsSt.ReducerPartCmpMax, srsSt.ShuffleBytes)
+					if a.name == "GPSRS" {
+						srs, srsSt = got, st
 					}
+				}
+				// MR-GPSRS is MR-GPMRS's skyline job with one bucket: at
+				// one reducer the two return the same bytes from the same
+				// work.
+				one := cfg
+				one.NumReducers = 1
+				got, st, err := core.GPMRS(one, data)
+				name := fmt.Sprintf("seed %d %v d=%d GPMRS(r=1)", seed, dist, d)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !bytes.Equal(tuple.EncodeList(got), tuple.EncodeList(srs)) {
+					t.Fatalf("%s: skyline differs from GPSRS's", name)
+				}
+				if st.DominanceTests != srsSt.DominanceTests || st.MapperPartCmpMax != srsSt.MapperPartCmpMax ||
+					st.ReducerPartCmpMax != srsSt.ReducerPartCmpMax || st.ShuffleBytes != srsSt.ShuffleBytes {
+					t.Fatalf("%s: tests/partCmp map/partCmp reduce/shuffle bytes %d/%d/%d/%d, GPSRS %d/%d/%d/%d", name,
+						st.DominanceTests, st.MapperPartCmpMax, st.ReducerPartCmpMax, st.ShuffleBytes,
+						srsSt.DominanceTests, srsSt.MapperPartCmpMax, srsSt.ReducerPartCmpMax, srsSt.ShuffleBytes)
 				}
 			}
 		}

@@ -81,11 +81,11 @@ func compute(cfg Config, data tuple.List, algo Algorithm, threshold int64) (tupl
 }
 
 // Run executes algo's skyline job over the prepared dataset. cfg supplies
-// what belongs to the query — Engine, Ctx, NumMappers, NumReducers, Kernel,
-// Merge; the grid, its bounds and the PPD are the plan's. The
-// Stats are those of a one-shot run over the same data (the bitstring
-// phase's share is read from the job the plan kept) except the wall-clock
-// fields: SkylineTime and Total measure this call only.
+// what belongs to the query — Engine, Ctx, NumMappers, NumReducers, Merge;
+// the grid, its bounds and the PPD are the plan's. The Stats are those of
+// a one-shot run over the same data (the bitstring phase's share is read
+// from the job the plan kept) except the wall-clock fields: SkylineTime
+// and Total measure this call only.
 func (p *Plan) Run(cfg Config, algo Algorithm) (tuple.List, *Stats, error) {
 	return p.run(cfg, algo, DefaultHybridThreshold, time.Now())
 }

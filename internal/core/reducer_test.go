@@ -29,7 +29,7 @@ func reduceBucket(g *grid.Grid, s skySpec, bs *bitstring.Bitstring, r, b int, va
 	}
 	var out []byte
 	emit := func(_, v []byte) { out = append(out, v...) }
-	red := newSkyReducer(s, g)
+	red := skyFuncs(s, g).NewReducer()
 	if err := red.Reduce(ctx, mapreduce.IntKey(b), values, emit); err != nil {
 		return nil, 0, 0, err
 	}
@@ -96,7 +96,7 @@ func TestReducerMergesOnlyResponsiblePartitions(t *testing.T) {
 	}
 	bs := bitstring.FromIndices(g.NumPartitions(), 0, 1, 2, 3, 4)
 	spec := skySpec{Merge: int(grid.MergeByComputation)}
-	buckets := spec.buckets(g, bs, 2)
+	buckets := spec.formBuckets(g, bs, 2)
 	if len(buckets) != 2 || !slices.Equal(buckets[0].Partitions, []int{0, 1, 3, 4}) ||
 		!maps.Equal(buckets[0].Responsible, map[int]bool{3: true, 4: true}) {
 		t.Fatalf("buckets %+v: want bucket 0 to hold partitions 0, 1, 3, 4 and output 3 and 4", buckets)
@@ -208,7 +208,7 @@ func TestReducerMatchesMergingEverything(t *testing.T) {
 				name := fmt.Sprintf("seed %d d=%d r=%d %v", seed, d, r, strat)
 				spec := skySpec{Merge: int(strat)}
 				var sky tuple.List
-				for _, mg := range spec.buckets(g, bs, r) {
+				for _, mg := range spec.formBuckets(g, bs, r) {
 					var values [][]byte
 					runs := map[int][]tuple.List{}
 					for _, m := range split {

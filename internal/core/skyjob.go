@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"mrskyline/internal/bitstring"
 	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
-	"mrskyline/internal/skyline"
 	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
 )
@@ -38,7 +38,7 @@ func GPMRS(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 func skylineRun(cfg Config, input mapreduce.Input, prep *BitstringResult, multi bool, groups []grid.Group, start time.Time) (tuple.List, *Stats, error) {
 	g, bs := prep.Grid, prep.Bitstring
 	stats := statsFromPrep("MR-GPSRS", prep)
-	spec := skySpec{Grid: gridSpecOf(g), Kernel: int(cfg.Kernel), OneBucket: true}
+	spec := skySpec{Grid: gridSpecOf(g), OneBucket: true}
 	name, r := "mr-gpsrs", 1
 	if multi {
 		name, r = "mr-gpmrs", cfg.reducers()
@@ -76,9 +76,9 @@ func skylineRun(cfg Config, input mapreduce.Input, prep *BitstringResult, multi 
 
 // skyFuncs wires the skyline job's task functions from its spec, for the
 // driver and for the KindSkyline builder alike, around the job's one window
-// pool (DESIGN §11, "Window lifecycle").
+// pool (DESIGN §11, "Window lifecycle") and its one bucket slot.
 func skyFuncs(s skySpec, g *grid.Grid) *mapreduce.JobFuncs {
-	s.pool = new(window.Pool)
+	s.pool, s.formed = new(window.Pool), new(bucketSlot)
 	return &mapreduce.JobFuncs{
 		NewMapper:  func() mapreduce.Mapper { return newSkyMapper(s, g) },
 		NewReducer: func() mapreduce.Reducer { return newSkyReducer(s, g) },
@@ -86,14 +86,28 @@ func skyFuncs(s skySpec, g *grid.Grid) *mapreduce.JobFuncs {
 	}
 }
 
-// buckets forms the skyline job's reducer buckets over the surviving
+// bucketSlot holds a job's buckets, formed once by the first task that
+// asks for them; every task of the job reads the same bitstring and
+// reducer count, and none writes the buckets.
+type bucketSlot struct {
+	once    sync.Once
+	buckets []grid.MergedGroup
+}
+
+// buckets returns the job's buckets, formed by its first task to ask.
+func (s skySpec) buckets(g *grid.Grid, bs *bitstring.Bitstring, r int) []grid.MergedGroup {
+	s.formed.once.Do(func() { s.formed.buckets = s.formBuckets(g, bs, r) })
+	return s.formed.buckets
+}
+
+// formBuckets forms the skyline job's reducer buckets over the surviving
 // partitions of bs: a pure function of the spec, bs and the reducer count
 // r, so the driver, every mapper and every reducer form the same ones.
 // MR-GPMRS merges the independent groups of Algorithm 7 down to r (Section
 // 5.4.1). MR-GPSRS has Algorithm 3's single key: one bucket that holds, and
 // outputs, every surviving partition. That is what MergeGroups yields at
 // r = 1, without forming the groups.
-func (s skySpec) buckets(g *grid.Grid, bs *bitstring.Bitstring, r int) []grid.MergedGroup {
+func (s skySpec) formBuckets(g *grid.Grid, bs *bitstring.Bitstring, r int) []grid.MergedGroup {
 	if !s.OneBucket {
 		return grid.MergeGroups(g.IndependentGroups(bs), r, grid.MergeStrategy(s.Merge))
 	}
@@ -135,7 +149,7 @@ func newSkyMapper(s skySpec, g *grid.Grid) mapreduce.Mapper {
 				if err != nil {
 					return err
 				}
-				state = newLocalState(g, bs, skyline.Kernel(s.Kernel), s.pool)
+				state = newLocalState(g, bs, s.pool)
 			}
 			return state.mapRows(ctx.Trace.Metrics(), rows)
 		},
@@ -147,8 +161,8 @@ func newSkyMapper(s skySpec, g *grid.Grid) mapreduce.Mapper {
 			w := state.finish()
 			doneLocal()
 			state.recordCounters(ctx, mapreduce.PhaseMap)
-			// Line 11: form the buckets — identically on every mapper, as a
-			// pure function of the cached bitstring and the reducer count.
+			// Line 11: the job's buckets, a pure function of the cached
+			// bitstring and the reducer count, formed once per job.
 			var scratch []byte
 			for _, mg := range s.buckets(g, bs, ctx.NumReducers) {
 				scratch = appendPartMap(scratch[:0], w, mg.Partitions)
@@ -165,9 +179,9 @@ func newSkyMapper(s skySpec, g *grid.Grid) mapreduce.Mapper {
 
 // newSkyReducer implements Algorithm 9 for one reduce task, which is
 // Algorithm 6 when the one bucket holds every surviving partition. The
-// task's key is its bucket ID; the buckets are formed again from the cached
-// bitstring, which also yields the responsible-partition designation of
-// Section 5.4.2.
+// task's key is its bucket ID; the job's buckets, formed from the cached
+// bitstring, also carry the responsible-partition designation of Section
+// 5.4.2.
 func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 	group := partWindows{g: g}
 	return mapreduce.ReducerFuncs{

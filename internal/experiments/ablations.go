@@ -6,7 +6,6 @@ import (
 
 	"mrskyline/internal/datagen"
 	"mrskyline/internal/grid"
-	"mrskyline/internal/skyline"
 )
 
 // The ablation experiments isolate the design decisions DESIGN.md calls
@@ -95,34 +94,6 @@ func ppdAblation(s Setup) (*FigureResult, error) {
 		}
 	}
 	return &FigureResult{Name: "Ablation: PPD", Tables: []*Table{tab}}, nil
-}
-
-// kernelAblation swaps the in-task local skyline kernel (BNL, the paper's
-// Algorithm 4, vs SFS) — the "optimize the local skyline computation"
-// future-work item.
-func kernelAblation(s Setup) (*FigureResult, error) {
-	const paperCard, dim = 1_000_000, 5
-	tab := &Table{
-		Title:   fmt.Sprintf("Ablation: local skyline kernel, %d-d, card=%d", dim, s.card(paperCard)),
-		Columns: []string{"algorithm", "distribution", "bnl[s]", "sfs[s]"},
-	}
-	for _, algo := range []string{AlgoGPSRS, AlgoGPMRS} {
-		for _, dist := range []datagen.Distribution{datagen.Independent, datagen.AntiCorrelated} {
-			data, _ := s.dataset(dist, paperCard, dim)
-			row := []string{algo, dist.String()}
-			for _, k := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS} {
-				opts := defaultMeasureOpts()
-				opts.kernel = k
-				m, err := runAlgorithm(algo, s, data, opts)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmtDuration(m.Runtime))
-			}
-			tab.Add(row...)
-		}
-	}
-	return &FigureResult{Name: "Ablation: kernel", Tables: []*Table{tab}}, nil
 }
 
 // hybridAblation compares the future-work Hybrid against always-GPSRS and

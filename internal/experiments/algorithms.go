@@ -7,7 +7,6 @@ import (
 	"mrskyline/internal/baseline"
 	"mrskyline/internal/core"
 	"mrskyline/internal/grid"
-	"mrskyline/internal/skyline"
 	"mrskyline/internal/tuple"
 )
 
@@ -53,7 +52,6 @@ type Measurement struct {
 // measureOpts tweaks a single run beyond the Setup defaults.
 type measureOpts struct {
 	reducers       int
-	kernel         skyline.Kernel
 	merge          grid.MergeStrategy
 	disablePruning bool
 	ppdOverride    int // -1: keep setup; ≥0: use this value
@@ -84,7 +82,6 @@ func runAlgorithm(name string, s Setup, data tupleList, opts measureOpts) (Measu
 			NumMappers:     s.Mappers,
 			NumReducers:    reducers,
 			PPD:            ppd,
-			Kernel:         opts.kernel,
 			Merge:          opts.merge,
 			DisablePruning: opts.disablePruning,
 		}

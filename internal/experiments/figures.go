@@ -22,7 +22,7 @@ func FigureNames() []string {
 	return []string{
 		"fig7", "fig8", "fig9", "fig10", "fig11",
 		"ablation-merge", "ablation-prune", "ablation-ppd",
-		"ablation-kernel", "ablation-hybrid", "extension-scaleout",
+		"ablation-hybrid", "extension-scaleout",
 	}
 }
 
@@ -46,8 +46,6 @@ func RunFigure(name string, s Setup) (*FigureResult, error) {
 		return pruningAblation(s)
 	case "ablation-ppd":
 		return ppdAblation(s)
-	case "ablation-kernel":
-		return kernelAblation(s)
 	case "ablation-hybrid":
 		return hybridAblation(s)
 	case "extension-scaleout":

@@ -48,8 +48,7 @@ type Job struct {
 	// NewMapper constructs a fresh Mapper per map-task attempt; required.
 	NewMapper func() Mapper
 	// NewReducer constructs a fresh Reducer per reduce-task attempt;
-	// required unless NumReducers is 0 and the job is map-only... reduce
-	// is always present in this repository, so it is simply required.
+	// required.
 	NewReducer func() Reducer
 	// Partition routes map-output keys to reducers; defaults to
 	// HashPartition.

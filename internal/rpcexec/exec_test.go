@@ -221,8 +221,8 @@ func TestDifferentialProcessVsInprocess(t *testing.T) {
 // the mappers' score-ordered runs and fail the task on a run out of order,
 // so the order has to survive the transport. One seed of core's multiset
 // differential runs here on real worker processes — over the RPC wire, and
-// again with every segment spilled to run files and merged — under every
-// in-task kernel, against skyline.Naive.
+// again with every segment spilled to run files and merged — against
+// skyline.Naive.
 func TestGridAlgorithmsOverProcessWorkers(t *testing.T) {
 	const workers = 3
 	algos := map[string]func(core.Config, tuple.List) (tuple.List, *core.Stats, error){
@@ -236,15 +236,13 @@ func TestGridAlgorithmsOverProcessWorkers(t *testing.T) {
 		for _, d := range []int{2, 5} {
 			data := datagen.Generate(datagen.AntiCorrelated, 1200, d, 11)
 			want := skyline.Naive(data)
-			for _, kernel := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS} {
-				for algo, run := range algos {
-					got, _, err := run(core.Config{Engine: pe, Kernel: kernel, PPD: 2, NumMappers: 5, NumReducers: workers}, data)
-					if err != nil {
-						t.Fatalf("%s d=%d %s/%v: %v", name, d, algo, kernel, err)
-					}
-					if !tuple.EqualAsMultiset(got, want) {
-						t.Errorf("%s d=%d %s/%v: got %d tuples, naive has %d", name, d, algo, kernel, len(got), len(want))
-					}
+			for algo, run := range algos {
+				got, _, err := run(core.Config{Engine: pe, PPD: 2, NumMappers: 5, NumReducers: workers}, data)
+				if err != nil {
+					t.Fatalf("%s d=%d %s: %v", name, d, algo, err)
+				}
+				if !tuple.EqualAsMultiset(got, want) {
+					t.Errorf("%s d=%d %s: got %d tuples, naive has %d", name, d, algo, len(got), len(want))
 				}
 			}
 		}

@@ -1,15 +1,17 @@
-// Package skyline implements the centralized skyline kernels the MapReduce
-// algorithms are built from: the block-nested-loop insertion of
-// Algorithm 4 (InsertTuple), the BNL skyline [Börzsönyi et al., ICDE 2001],
-// the sort-filter-skyline variant with presorting [Chomicki et al., ICDE
-// 2003] and a naive O(n²) reference used by tests. Algorithm 5, the
-// cross-partition false-positive elimination, is comparePartitions in
-// mrskyline/internal/core, over window.FilterOn.
+// Package skyline implements the centralized skyline kernels: the
+// block-nested-loop insertion of Algorithm 4 (InsertTuple), the BNL
+// skyline [Börzsönyi et al., ICDE 2001], the sort-filter-skyline variant
+// with presorting [Chomicki et al., ICDE 2003] and a naive O(n²)
+// reference used by tests. Algorithm 5, the cross-partition false-positive
+// elimination, is comparePartitions in mrskyline/internal/core, over
+// window.FilterOn.
 //
-// The production dominance hot path lives in the columnar block kernel of
-// mrskyline/internal/skyline/window; BNL and SFS here run on it.
-// InsertTuple is retained as the scalar reference the window package's
-// differential tests compare against, pair for pair.
+// The MapReduce tasks do not call BNL or SFS: a task inserts its rows one
+// by one into the columnar windows of mrskyline/internal/skyline/window,
+// the production dominance hot path. BNL and SFS are standalone kernels
+// on the same windows, and InsertTuple is retained as the scalar
+// reference the window package's differential tests compare against, pair
+// for pair.
 package skyline
 
 import (
@@ -60,9 +62,7 @@ func InsertTuple(t tuple.Tuple, s tuple.List, c *Count) tuple.List {
 }
 
 // BNL computes the skyline of data with the block-nested-loop algorithm on
-// the columnar window kernel, assuming the window always fits in memory
-// (it does in every mapper and reducer of this repository: windows hold
-// local skylines only).
+// the columnar window kernel, assuming the window always fits in memory.
 func BNL(data tuple.List, c *Count) tuple.List {
 	if len(data) == 0 {
 		return nil
@@ -118,38 +118,4 @@ func Naive(data tuple.List) tuple.List {
 		}
 	}
 	return out
-}
-
-// Kernel selects the local-skyline algorithm used inside mappers and
-// reducers. The paper's algorithms use BNL (Algorithm 4); SFS is the
-// future-work variant evaluated in the ablation benchmarks.
-type Kernel int
-
-const (
-	// KernelBNL is the block-nested-loop window of Algorithm 4.
-	KernelBNL Kernel = iota
-	// KernelSFS is sort-filter-skyline with presorting.
-	KernelSFS
-)
-
-// String implements fmt.Stringer for Kernel.
-func (k Kernel) String() string {
-	switch k {
-	case KernelBNL:
-		return "bnl"
-	case KernelSFS:
-		return "sfs"
-	default:
-		return "unknown"
-	}
-}
-
-// Compute runs the selected kernel over data.
-func (k Kernel) Compute(data tuple.List, c *Count) tuple.List {
-	switch k {
-	case KernelSFS:
-		return SFS(data, c)
-	default:
-		return BNL(data, c)
-	}
 }

@@ -160,24 +160,30 @@ func TestSkylineMinimalityAndCompleteness(t *testing.T) {
 	}
 }
 
+// kernels are the package's two skyline computations, by name.
+var kernels = []struct {
+	name    string
+	compute func(tuple.List, *skyline.Count) tuple.List
+}{{"bnl", skyline.BNL}, {"sfs", skyline.SFS}}
+
 func TestEmptyAndSingleton(t *testing.T) {
-	for _, k := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS} {
-		if got := k.Compute(nil, nil); len(got) != 0 {
-			t.Errorf("%v: empty input produced %v", k, got)
+	for _, k := range kernels {
+		if got := k.compute(nil, nil); len(got) != 0 {
+			t.Errorf("%s: empty input produced %v", k.name, got)
 		}
 		one := tuple.List{{3, 4}}
-		if got := k.Compute(one, nil); len(got) != 1 || !got[0].Equal(one[0]) {
-			t.Errorf("%v: singleton input produced %v", k, got)
+		if got := k.compute(one, nil); len(got) != 1 || !got[0].Equal(one[0]) {
+			t.Errorf("%s: singleton input produced %v", k.name, got)
 		}
 	}
 }
 
 func TestAllDuplicates(t *testing.T) {
 	data := tuple.List{{1, 1}, {1, 1}, {1, 1}}
-	for _, k := range []skyline.Kernel{skyline.KernelBNL, skyline.KernelSFS} {
-		got := k.Compute(data, nil)
+	for _, k := range kernels {
+		got := k.compute(data, nil)
 		if len(got) == 0 || !got[0].Equal(tuple.Tuple{1, 1}) {
-			t.Errorf("%v: all-duplicates skyline = %v", k, got)
+			t.Errorf("%s: all-duplicates skyline = %v", k.name, got)
 		}
 	}
 }
@@ -214,15 +220,6 @@ func TestSFSDoesNotMutateInput(t *testing.T) {
 		if !data[i].Equal(orig[i]) {
 			t.Fatal("SFS reordered the caller's slice")
 		}
-	}
-}
-
-func TestKernelString(t *testing.T) {
-	if skyline.KernelBNL.String() != "bnl" || skyline.KernelSFS.String() != "sfs" {
-		t.Error("Kernel.String wrong")
-	}
-	if skyline.Kernel(9).String() != "unknown" {
-		t.Error("unknown Kernel.String wrong")
 	}
 }
 

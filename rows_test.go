@@ -81,20 +81,13 @@ func rowQueries(svc *Service, h *Dataset, rows [][]float64) []rowQuery {
 	}
 }
 
-// rowOptions is every grid algorithm under both in-task kernels, and the
-// baselines, which have no in-task kernel choice, each with nothing
-// maximized and with mixed Maximize.
+// rowOptions is every algorithm, each with nothing maximized and with
+// mixed Maximize.
 func rowOptions() []Options {
 	var out []Options
 	for _, algo := range []Algorithm{GPSRS, GPMRS, Hybrid, MRBNL, MRAngle} {
-		kernels := []string{"bnl", "sfs"}
-		if !algo.grid() {
-			kernels = []string{""}
-		}
-		for _, kernel := range kernels {
-			for _, maximize := range [][]bool{nil, {true, false, true}} {
-				out = append(out, Options{Algorithm: algo, Kernel: kernel, Maximize: maximize})
-			}
+		for _, maximize := range [][]bool{nil, {true, false, true}} {
+			out = append(out, Options{Algorithm: algo, Maximize: maximize})
 		}
 	}
 	return out
@@ -102,8 +95,8 @@ func rowOptions() []Options {
 
 // TestQueriesLeaveRowsUntouched: every algorithm's jobs read the caller's
 // rows in place and their windows keep them, so no query may write a row,
-// or past one. After every query — each grid algorithm under bnl and sfs
-// and each baseline, with and without Maximize, through every query path —
+// or past one. After every query — each algorithm, with and without
+// Maximize, through every query path —
 // the rows are bit-identical to a copy taken before it.
 func TestQueriesLeaveRowsUntouched(t *testing.T) {
 	svc := mustService(t, ServiceConfig{Nodes: 2})

@@ -174,7 +174,7 @@ func TestDatasetHandleMatchesCompute(t *testing.T) {
 			opts Options
 			jobs int64 // 2: bitstring job + skyline job; 1: served from the kept plan
 		}{
-			{a, 2}, {a, 1}, {Options{Algorithm: GPSRS, Kernel: "sfs", Reducers: 3}, 1},
+			{a, 2}, {a, 1}, {Options{Algorithm: GPSRS, Reducers: 3}, 1},
 			{b, 2}, {b, 1}, {a, 2}, {b, 2},
 			{Options{PPD: 5}, 2}, {Options{PPD: 5, Algorithm: Hybrid}, 1},
 			{Options{PPD: 5, Mappers: 3}, 2}, {Options{Maximize: []bool{false, false, false}}, 2}, {a, 1},
@@ -229,7 +229,7 @@ func TestDatasetHandleMatchesCompute(t *testing.T) {
 		if h.Len() != 0 {
 			t.Errorf("Len = %d", h.Len())
 		}
-		for _, opts := range []Options{{}, {Algorithm: MRAngle}, {Algorithm: "nope"}, {Kernel: "quantum"}} {
+		for _, opts := range []Options{{}, {Algorithm: MRAngle}, {Algorithm: "nope"}} {
 			want, wantErr := Compute(nil, opts)
 			wantC, wantCErr := ComputeConstrained(nil, box, opts)
 			wantS, wantSErr := ComputeSubspace(nil, dims, opts)
@@ -328,24 +328,16 @@ func TestServiceRetainsNoSpans(t *testing.T) {
 	}
 }
 
-// TestTaskPublishesKernelMetrics: whatever the algorithm and the in-task
-// kernel, the registry's dominance-test counter advances by exactly the
-// query's Stats.DominanceTests — tasks publish from the Count they thread
-// through window operations and batch kernels alike.
+// TestTaskPublishesKernelMetrics: whatever the algorithm, the registry's
+// dominance-test counter advances by exactly the query's
+// Stats.DominanceTests — tasks publish from the Count they thread through
+// their window operations.
 func TestTaskPublishesKernelMetrics(t *testing.T) {
 	svc := mustService(t, ServiceConfig{Nodes: 4})
 	rows := mustGenerate(t, "anticorrelated", 1500, 3, 8)
-	var cases []Options
-	for _, algo := range []Algorithm{GPSRS, GPMRS, Hybrid} {
-		for _, kernel := range []string{"bnl", "sfs"} {
-			cases = append(cases, Options{Algorithm: algo, Kernel: kernel})
-		}
-	}
-	for _, algo := range []Algorithm{MRBNL, MRAngle} {
-		cases = append(cases, Options{Algorithm: algo})
-	}
 	reg := svc.trace.Metrics()
-	for _, opts := range cases {
+	for _, algo := range Algorithms() {
+		opts := Options{Algorithm: algo}
 		before := reg.Counter(window.MetricDominanceTests)
 		res, err := svc.Compute(context.Background(), rows, opts)
 		if err != nil {
@@ -355,8 +347,8 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 			t.Fatalf("%+v: no dominance tests counted", opts)
 		}
 		if got := reg.Counter(window.MetricDominanceTests) - before; got != res.Stats.DominanceTests {
-			t.Errorf("%s kernel %q: %s advanced by %d, Stats.DominanceTests = %d",
-				opts.Algorithm, opts.Kernel, window.MetricDominanceTests, got, res.Stats.DominanceTests)
+			t.Errorf("%s: %s advanced by %d, Stats.DominanceTests = %d",
+				algo, window.MetricDominanceTests, got, res.Stats.DominanceTests)
 		}
 	}
 }

@@ -28,11 +28,10 @@
 //
 // Every entry point — Compute, ComputeConstrained, ComputeSubspace, and
 // the Dataset methods they run — validates its arguments identically whether
-// the input data is empty or not: an unknown Options.Algorithm or
-// Options.Kernel, a negative cluster shape, a constraint or subspace
-// selection inconsistent with Options.Maximize, NaN constraint bounds, an
-// inverted Range, and duplicate or negative subspace dimensions all fail
-// regardless of data. Checks that need the data's dimensionality
+// the input data is empty or not: an unknown Options.Algorithm, a negative
+// cluster shape, a constraint or subspace selection inconsistent with
+// Options.Maximize, NaN constraint bounds, an inverted Range, and duplicate
+// or negative subspace dimensions all fail regardless of data. Checks that need the data's dimensionality
 // (Maximize/constraints/dims length versus d, ragged rows, non-finite
 // values) apply whenever data is present; rows are validated before any
 // filtering, so a dataset that Compute rejects is never silently filtered
@@ -53,7 +52,6 @@ import (
 	"mrskyline/internal/cluster"
 	"mrskyline/internal/core"
 	"mrskyline/internal/mapreduce"
-	"mrskyline/internal/skyline"
 	"mrskyline/internal/spill"
 	"mrskyline/internal/tuple"
 )
@@ -103,9 +101,6 @@ type Options struct {
 	// Maximize marks dimensions where larger values are better. Nil means
 	// all dimensions minimize. Length must equal the data dimensionality.
 	Maximize []bool
-	// Kernel names the in-task local skyline kernel for the grid
-	// algorithms: "bnl" (default, the paper's Algorithm 4) or "sfs".
-	Kernel string
 	// SpillBudget, when positive, bounds shuffle residency in bytes: map
 	// outputs beyond the budget spill to sorted run files and reducers
 	// stream a merge of those runs. 0 keeps the shuffle in memory. The
@@ -179,7 +174,7 @@ func oneShot(opts Options) (*Service, error) {
 }
 
 // validateOptions checks the data-independent parts of opts — the
-// algorithm and kernel names, the simulated cluster shape and the PPD — so
+// algorithm name, the simulated cluster shape and the PPD — so
 // invalid options fail identically on empty and non-empty data, whichever
 // algorithm runs.
 func validateOptions(opts Options) error {
@@ -187,9 +182,6 @@ func validateOptions(opts Options) error {
 	case GPMRS, GPSRS, Hybrid, MRBNL, MRAngle:
 	default:
 		return fmt.Errorf("mrskyline: unknown algorithm %q", opts.Algorithm)
-	}
-	if _, err := kernelFromOptions(opts); err != nil {
-		return err
 	}
 	if opts.Nodes < 0 {
 		return fmt.Errorf("mrskyline: Nodes must be ≥ 0, got %d", opts.Nodes)
@@ -303,19 +295,14 @@ type gridPlan struct {
 }
 
 // gridConfig maps opts onto core's configuration.
-func gridConfig(ctx context.Context, eng mapreduce.Executor, opts Options) (core.Config, error) {
-	k, err := kernelFromOptions(opts)
-	if err != nil {
-		return core.Config{}, err
-	}
+func gridConfig(ctx context.Context, eng mapreduce.Executor, opts Options) core.Config {
 	return core.Config{
 		Engine:      eng,
 		Ctx:         ctx,
 		NumMappers:  opts.Mappers,
 		NumReducers: opts.Reducers,
 		PPD:         opts.PPD,
-		Kernel:      k,
-	}, nil
+	}
 }
 
 // newGridPlan takes data through the input pass (orientInput) and runs the
@@ -326,10 +313,7 @@ func newGridPlan(ctx context.Context, eng mapreduce.Executor, data [][]float64, 
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := gridConfig(ctx, eng, opts)
-	if err != nil {
-		return nil, err
-	}
+	cfg := gridConfig(ctx, eng, opts)
 	cfg.Lo, cfg.Hi = lo, hi
 	plan, err := core.Prepare(cfg, in)
 	if err != nil {
@@ -341,10 +325,6 @@ func newGridPlan(ctx context.Context, eng mapreduce.Executor, data [][]float64, 
 // run executes opts.Algorithm's skyline job over the plan. start is when
 // the query began; Stats.Runtime counts from it.
 func (p *gridPlan) run(ctx context.Context, eng mapreduce.Executor, opts Options, start time.Time) (*Result, error) {
-	cfg, err := gridConfig(ctx, eng, opts)
-	if err != nil {
-		return nil, err
-	}
 	algo := core.AlgoHybrid
 	switch algorithmOrDefault(opts.Algorithm) {
 	case GPSRS:
@@ -352,7 +332,7 @@ func (p *gridPlan) run(ctx context.Context, eng mapreduce.Executor, opts Options
 	case GPMRS:
 		algo = core.AlgoGPMRS
 	}
-	sky, cs, err := p.plan.Run(cfg, algo)
+	sky, cs, err := p.plan.Run(gridConfig(ctx, eng, opts), algo)
 	if err != nil {
 		return nil, err
 	}
@@ -368,18 +348,6 @@ func (p *gridPlan) run(ctx context.Context, eng mapreduce.Executor, opts Options
 		DominanceTests: cs.DominanceTests,
 		ShuffleBytes:   cs.ShuffleBytes,
 	}}, nil
-}
-
-// kernelFromOptions resolves the local-kernel selection.
-func kernelFromOptions(opts Options) (skyline.Kernel, error) {
-	switch opts.Kernel {
-	case "", "bnl":
-		return skyline.KernelBNL, nil
-	case "sfs":
-		return skyline.KernelSFS, nil
-	default:
-		return 0, fmt.Errorf("mrskyline: unknown kernel %q (want bnl|sfs)", opts.Kernel)
-	}
 }
 
 func algorithmOrDefault(a Algorithm) Algorithm {

@@ -260,30 +260,3 @@ func TestDominatesHelper(t *testing.T) {
 		t.Error("mismatched lengths dominate")
 	}
 }
-
-func TestComputeKernels(t *testing.T) {
-	data, _ := mrskyline.Generate("anticorrelated", 300, 3, 6)
-	want := naive(data, nil)
-	for _, kernel := range []string{"", "bnl", "sfs"} {
-		res, err := mrskyline.Compute(data, mrskyline.Options{
-			Algorithm: mrskyline.GPMRS,
-			Nodes:     3,
-			Kernel:    kernel,
-		})
-		if err != nil {
-			t.Fatalf("kernel %q: %v", kernel, err)
-		}
-		if !sameSet(res.Skyline, want) {
-			t.Fatalf("kernel %q: wrong skyline", kernel)
-		}
-	}
-	for _, kernel := range []string{"quantum", "bbs", "dc"} {
-		if _, err := mrskyline.Compute(data, mrskyline.Options{Kernel: kernel}); err == nil {
-			t.Errorf("unknown kernel %q accepted", kernel)
-		}
-	}
-	res, err := mrskyline.Compute(data, mrskyline.Options{Kernel: "sfs", Nodes: 2})
-	if err != nil || !sameSet(res.Skyline, want) {
-		t.Errorf("Kernel \"sfs\" path broken: %v", err)
-	}
-}

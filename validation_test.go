@@ -48,11 +48,9 @@ func TestValidationContract(t *testing.T) {
 		onEmpty bool
 	}{
 		{"compute/unknown algorithm", compute(mrskyline.Options{Algorithm: "MR-Nope"}), true},
-		{"compute/unknown kernel", compute(mrskyline.Options{Kernel: "quantum"}), true},
 		// Not implemented.
 		{"compute/MR-SFS", compute(mrskyline.Options{Algorithm: "MR-SFS"}), true},
 		{"compute/SKY-MR", compute(mrskyline.Options{Algorithm: "SKY-MR"}), true},
-		{"compute/dc kernel", compute(mrskyline.Options{Kernel: "dc"}), true},
 		{"compute/negative nodes", compute(mrskyline.Options{Nodes: -1}), true},
 		{"compute/negative slots", compute(mrskyline.Options{SlotsPerNode: -2}), true},
 		{"compute/negative mappers", compute(mrskyline.Options{Mappers: -3}), true},
@@ -66,7 +64,6 @@ func TestValidationContract(t *testing.T) {
 		{"constrained/inverted range", constrained([]mrskyline.Range{{Min: 2, Max: 1}, mrskyline.Unbounded()}, mrskyline.Options{}), true},
 		{"constrained/maximize vs constraints", constrained(unb, mrskyline.Options{Maximize: []bool{true}}), true},
 		{"constrained/unknown algorithm", constrained(unb, mrskyline.Options{Algorithm: "MR-Nope"}), true},
-		{"constrained/unknown kernel", constrained(unb, mrskyline.Options{Kernel: "quantum"}), true},
 		{"constrained/negative ppd", constrained(unb, mrskyline.Options{PPD: -1}), true},
 		{"constrained/arity vs d", constrained([]mrskyline.Range{mrskyline.Unbounded()}, mrskyline.Options{}), false},
 		{"subspace/empty dims", subspace(nil, mrskyline.Options{}), true},
@@ -74,7 +71,6 @@ func TestValidationContract(t *testing.T) {
 		{"subspace/duplicate dim", subspace([]int{0, 0}, mrskyline.Options{}), true},
 		{"subspace/maximize vs dims", subspace([]int{0}, mrskyline.Options{Maximize: []bool{true, false}}), true},
 		{"subspace/unknown algorithm", subspace([]int{0}, mrskyline.Options{Algorithm: "MR-Nope"}), true},
-		{"subspace/unknown kernel", subspace([]int{0}, mrskyline.Options{Kernel: "quantum"}), true},
 		{"subspace/ppd 1", subspace([]int{0}, mrskyline.Options{PPD: 1}), true},
 		{"subspace/dim vs d", subspace([]int{5}, mrskyline.Options{}), false},
 	}
