@@ -139,8 +139,8 @@ type router func(t tuple.Tuple) int
 // newPartitionMapper builds the one baseline mapper, a
 // mapreduce.RowsMapper: it routes each row of its split to a partition,
 // folds the row into that partition's columnar local-skyline window, which
-// keeps the row itself, and emits (partition, window) per partition on
-// flush.
+// keeps the row itself, and emits (partition, the window's column list) per
+// partition on flush.
 func newPartitionMapper(dim int, route router) mapreduce.Mapper {
 	windows := make(window.Map)
 	var cnt skyline.Count
@@ -161,7 +161,7 @@ func newPartitionMapper(dim int, route router) mapreduce.Mapper {
 			recordDominanceTests(ctx, &cnt)
 			var scratch []byte
 			for _, p := range windows.Sorted() {
-				scratch = tuple.AppendEncodeList(scratch[:0], windows[p].Rows())
+				scratch = windows[p].AppendColumns(scratch[:0])
 				emit(mapreduce.IntKey(p), scratch)
 			}
 			return nil
@@ -184,7 +184,7 @@ func newSingleReducer(dim int, finishReduce func(s window.Map, cnt *skyline.Coun
 			}
 			w, reg := s.Get(p, dim), ctx.Trace.Metrics()
 			for _, v := range values {
-				l, _, err := tuple.DecodeList(v)
+				l, err := tuple.DecodeColumns(dim, v)
 				if err != nil {
 					return err
 				}
@@ -199,11 +199,7 @@ func newSingleReducer(dim int, finishReduce func(s window.Map, cnt *skyline.Coun
 			sky := finishReduce(s, &cnt)
 			doneMerge()
 			recordDominanceTests(ctx, &cnt)
-			var scratch []byte
-			for _, t := range sky {
-				scratch = tuple.AppendEncode(scratch[:0], t)
-				emit(nil, scratch)
-			}
+			emit(nil, tuple.EncodeList(sky))
 			return nil
 		},
 	}
@@ -239,15 +235,8 @@ func runSingleReducerJob(cfg *Config, name string, in mapreduce.TupleRows, funcs
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make(tuple.List, 0, len(res.Output))
-	for _, rec := range res.Output {
-		t, _, err := tuple.Decode(rec.Value)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, t)
-	}
-	return out, res, nil
+	out, err := tuple.DecodeColumns(len(in[0]), mapreduce.Values(res.Output)...)
+	return out, res, err
 }
 
 // overList runs a baseline over a tuple list: data is checked first, as

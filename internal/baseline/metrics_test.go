@@ -58,7 +58,7 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 	})
 	reduceInserts := 0
 	for _, v := range values {
-		l, _, err := tuple.DecodeList(v)
+		l, err := tuple.DecodeColumns(d, v)
 		if err != nil {
 			t.Fatal(err)
 		}

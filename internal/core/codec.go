@@ -12,16 +12,17 @@ import (
 // appendPartMap appends the serialization of a subset of wm (the partitions
 // listed in parts, skipping absent ones) to dst, growing dst once:
 //
-//	uvarint entryCount | entries × (uvarint partition | tuple list)
+//	uvarint entryCount | entries × (uvarint partition | column list)
 //
-// It is the shuffle-boundary representation of "a set of local skylines
-// S_p for non-empty partitions p"; eachPart reads it back.
+// with each window's column list (tuple.AppendColumns) in its order. It is
+// the shuffle-boundary representation of "a set of local skylines S_p for
+// non-empty partitions p"; eachPart reads it back.
 func appendPartMap(dst []byte, wm window.Map, parts []int) []byte {
 	cnt, size := 0, binary.MaxVarintLen64
 	for _, p := range parts {
 		if w := wm[p]; w.Len() > 0 {
 			cnt++
-			size += binary.MaxVarintLen64 + tuple.ListSize(w.Len(), w.Dim())
+			size += binary.MaxVarintLen64 + tuple.ColumnsSize(w.Len(), w.Dim())
 		}
 	}
 	dst = slices.Grow(dst, size)
@@ -32,16 +33,17 @@ func appendPartMap(dst []byte, wm window.Map, parts []int) []byte {
 			continue
 		}
 		dst = binary.AppendUvarint(dst, uint64(p))
-		dst = tuple.AppendEncodeList(dst, w.Rows())
+		dst = w.AppendColumns(dst)
 	}
 	return dst
 }
 
-// eachPart walks one appendPartMap payload, handing fn every entry's
-// partition and its tuple list still encoded, a subslice of b: the receiving
-// task decides what each list becomes. A list's framing is checked, not its
-// values; an error from fn stops the walk and is returned.
-func eachPart(b []byte, fn func(p int, list []byte) error) error {
+// eachPart walks one appendPartMap payload of dim-dimensional tuples,
+// handing fn every entry's partition and its column list still encoded, a
+// subslice of b: the receiving task decides what each list becomes. A
+// list's framing is checked, in O(1), not its values; an error from fn stops
+// the walk and is returned.
+func eachPart(b []byte, dim int, fn func(p int, list []byte) error) error {
 	cnt, n := binary.Uvarint(b)
 	if n <= 0 {
 		return fmt.Errorf("core: truncated partition map header")
@@ -56,7 +58,7 @@ func eachPart(b []byte, fn func(p int, list []byte) error) error {
 			return fmt.Errorf("core: truncated partition id at entry %d", i)
 		}
 		off += n
-		_, m, err := tuple.ScanList(b[off:], nil, nil)
+		_, _, m, err := tuple.SplitColumns(b[off:], dim)
 		if err != nil {
 			return fmt.Errorf("core: partition %d: %w", p, err)
 		}

@@ -21,8 +21,8 @@ func windowMapOf(dim int, lists map[int]tuple.List) window.Map {
 // decodePartMap reads an appendPartMap payload back into tuple lists.
 func decodePartMap(b []byte) (map[int]tuple.List, error) {
 	pm := make(map[int]tuple.List)
-	err := eachPart(b, func(p int, list []byte) error {
-		l, _, err := tuple.DecodeList(list)
+	err := eachPart(b, 2, func(p int, list []byte) error {
+		l, err := tuple.DecodeColumns(2, list)
 		pm[p] = l
 		return err
 	})
@@ -67,7 +67,7 @@ func TestPartMapRoundTrip(t *testing.T) {
 }
 
 func TestPartMapSubsetEncoding(t *testing.T) {
-	wm := windowMapOf(1, map[int]tuple.List{1: {{0.1}}, 2: {{0.2}}, 3: {{0.3}}})
+	wm := windowMapOf(2, map[int]tuple.List{1: {{0.1, 0}}, 2: {{0.2, 0}}, 3: {{0.3, 0}}})
 	enc := appendPartMap(nil, wm, []int{1, 3, 99}) // 99 absent: skipped
 	dec, err := decodePartMap(enc)
 	if err != nil {
@@ -79,7 +79,7 @@ func TestPartMapSubsetEncoding(t *testing.T) {
 }
 
 func TestPartMapEmptyListsSkipped(t *testing.T) {
-	wm := window.Map{5: window.New(1)}
+	wm := window.Map{5: window.New(2)}
 	enc := appendPartMap(nil, wm, []int{5})
 	dec, err := decodePartMap(enc)
 	if err != nil || len(dec) != 0 {

@@ -46,7 +46,7 @@ type localState struct {
 }
 
 func newLocalState(g *grid.Grid, bs *bitstring.Bitstring, pool *window.Pool) *localState {
-	return &localState{partWindows: partWindows{g: g, s: make(window.Map), pool: pool}, bs: bs}
+	return &localState{partWindows: partWindows{g: g, s: make(window.Map), pool: pool, sc: pool.Scratch()}, bs: bs}
 }
 
 // mapRows processes a run of input rows (Algorithm 3 lines 2–8): per row,
@@ -100,9 +100,9 @@ func (ls *localState) finish() window.Map {
 
 // mergeRuns is the reducer side of the same state (Algorithm 6 lines 1–6,
 // Algorithm 9 lines 1–8): the mappers' local skylines of partition p, each
-// a score-ordered run, merged into the partition's one ordered window. A
-// run that arrives out of order fails the task.
-func (pw *partWindows) mergeRuns(p int, runs []tuple.List) error {
+// a score-ordered run still in its column list, merged into the partition's
+// one ordered window. A run that arrives out of order fails the task.
+func (pw *partWindows) mergeRuns(p int, runs [][]byte) error {
 	if _, dup := pw.s[p]; dup {
 		return fmt.Errorf("core: partition %d merged twice", p)
 	}
@@ -193,7 +193,8 @@ func (pw *partWindows) comparePartitions(only map[int]bool) {
 }
 
 // release hands the windows of the partitions only names, all when nil,
-// back to the job's pool once the task has emitted them.
+// and the task's scratch back to the job's pool once the task has emitted
+// them.
 func (pw *partWindows) release(only map[int]bool) {
 	for p, w := range pw.s {
 		if only == nil || only[p] {
@@ -201,18 +202,17 @@ func (pw *partWindows) release(only map[int]bool) {
 		}
 	}
 	pw.s = nil
+	pw.pool.Keep(pw.sc)
+	pw.sc = window.Scratch{}
 }
 
-// emitRows outputs the task's skyline tuples, one record each, partitions
-// in ascending order; only, when non-nil, names the partitions to output.
-func (pw *partWindows) emitRows(emit mapreduce.Emitter, only map[int]bool) {
+// emitColumns outputs the task's skyline, one record per partition that
+// only names — its window's column list — in ascending partition order.
+func (pw *partWindows) emitColumns(emit mapreduce.Emitter, only map[int]bool) {
 	var scratch []byte
 	for _, p := range pw.s.Sorted() {
-		if only != nil && !only[p] {
-			continue
-		}
-		for _, t := range pw.s[p].Rows() {
-			scratch = tuple.AppendEncode(scratch[:0], t)
+		if only[p] {
+			scratch = pw.s[p].AppendColumns(scratch[:0])
 			emit(nil, scratch)
 		}
 	}

@@ -30,7 +30,7 @@ func TestUnorderedRunFailsTheTask(t *testing.T) {
 		"by coordinates": {{0.25, 2e-20}, {0.25, 1e-20}},
 	} {
 		pw := partWindows{g: g, s: make(window.Map)}
-		err := pw.mergeRuns(0, []tuple.List{sorted, run})
+		err := pw.mergeRuns(0, [][]byte{tuple.EncodeList(sorted), tuple.EncodeList(run)})
 		if err == nil || !strings.Contains(err.Error(), "partition 0 run out of score order") {
 			t.Errorf("%s: mergeRuns error = %v", name, err)
 		}
@@ -52,13 +52,13 @@ func TestUnorderedRunFailsTheTask(t *testing.T) {
 		}
 	}
 	pw := partWindows{g: g, s: make(window.Map)}
-	if err := pw.mergeRuns(0, []tuple.List{sorted, sorted}); err != nil {
+	if err := pw.mergeRuns(0, [][]byte{tuple.EncodeList(sorted), tuple.EncodeList(sorted)}); err != nil {
 		t.Fatalf("sorted runs rejected: %v", err)
 	}
-	if got := pw.s[0].Rows(); len(got) != 4 {
-		t.Errorf("merged %v, want both copies of both tuples", got)
+	if got := pw.s[0].Len(); got != 4 {
+		t.Errorf("merged %d tuples, want both copies of both tuples", got)
 	}
-	if err := pw.mergeRuns(0, []tuple.List{sorted}); err == nil {
+	if err := pw.mergeRuns(0, [][]byte{tuple.EncodeList(sorted)}); err == nil {
 		t.Error("a partition was merged twice")
 	}
 }

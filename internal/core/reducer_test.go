@@ -20,8 +20,8 @@ import (
 )
 
 // reduceBucket runs the skyline job's reducer on bucket b, as the engine
-// would call it, and returns the rows it emitted (encoded, in emission
-// order), its partCmp maximum and its dominance tests.
+// would call it, and returns the column lists it emitted (concatenated, in
+// emission order), its partCmp maximum and its dominance tests.
 func reduceBucket(g *grid.Grid, s skySpec, bs *bitstring.Bitstring, r, b int, values [][]byte) ([]byte, int64, int64, error) {
 	ctx := &mapreduce.TaskContext{
 		NumMappers: len(values), NumReducers: r, Counters: mapreduce.NewCounters(), Trace: obs.NewMetricsOnly(),
@@ -39,16 +39,21 @@ func reduceBucket(g *grid.Grid, s skySpec, bs *bitstring.Bitstring, r, b int, va
 	return out, ctx.Counters.GetMax(counterPartCmpReduceMax), ctx.Counters.Get(mapreduce.CounterDominanceTests), nil
 }
 
-// decodeRows parses a reducer's emitted records, concatenated.
-func decodeRows(t *testing.T, b []byte) tuple.List {
+// decodeRows parses a reducer's emitted records of dim-dimensional tuples,
+// concatenated.
+func decodeRows(t *testing.T, dim int, b []byte) tuple.List {
 	t.Helper()
 	var rows tuple.List
 	for len(b) > 0 {
-		u, n, err := tuple.Decode(b)
+		_, _, n, err := tuple.SplitColumns(b, dim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, b = append(rows, u), b[n:]
+		l, err := tuple.DecodeColumns(dim, b[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, b = append(rows, l...), b[n:]
 	}
 	return rows
 }
@@ -61,13 +66,17 @@ func mergeEverything(t *testing.T, g *grid.Grid, mg grid.MergedGroup, runs map[i
 	t.Helper()
 	pw := partWindows{g: g, s: make(window.Map)}
 	for p, r := range runs {
-		if err := pw.mergeRuns(p, r); err != nil {
+		enc := make([][]byte, len(r))
+		for i, run := range r {
+			enc[i] = tuple.EncodeList(run)
+		}
+		if err := pw.mergeRuns(p, enc); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pw.comparePartitions(nil)
 	var out []byte
-	pw.emitRows(func(_, v []byte) { out = append(out, v...) }, mg.Responsible)
+	pw.emitColumns(func(_, v []byte) { out = append(out, v...) }, mg.Responsible)
 	return out, pw.partCmp
 }
 
@@ -138,7 +147,7 @@ func TestReducerMergesOnlyResponsiblePartitions(t *testing.T) {
 			want = append(want, u)
 		}
 	}
-	if rows := decodeRows(t, got); len(want) != 1 || !tuple.EqualAsMultiset(rows, want) {
+	if rows := decodeRows(t, 2, got); len(want) != 1 || !tuple.EqualAsMultiset(rows, want) {
 		t.Errorf("bucket emitted %v, want %v", rows, want)
 	}
 	runs := map[int][]tuple.List{}
@@ -151,7 +160,7 @@ func TestReducerMergesOnlyResponsiblePartitions(t *testing.T) {
 	}
 	ref, refCmp := mergeEverything(t, g, mg, runs)
 	if !bytes.Equal(got, ref) {
-		t.Errorf("bucket emitted %v, merging everything emits %v", decodeRows(t, got), decodeRows(t, ref))
+		t.Errorf("bucket emitted %v, merging everything emits %v", decodeRows(t, 2, got), decodeRows(t, 2, ref))
 	}
 	// partCmp counts the pairs whose filtered side the bucket outputs: 3
 	// against 0, then 4 against 0, which removes its lone tuple; never 1
@@ -229,7 +238,7 @@ func TestReducerMatchesMergingEverything(t *testing.T) {
 					if !bytes.Equal(got, ref) || partCmp > refCmp {
 						t.Fatalf("%s bucket %d: emitted %d bytes and %d pairs, merging everything %d and %d", name, mg.ID, len(got), partCmp, len(ref), refCmp)
 					}
-					sky = append(sky, decodeRows(t, got)...)
+					sky = append(sky, decodeRows(t, d, got)...)
 				}
 				if !tuple.EqualAsMultiset(sky, skyline.Naive(data)) {
 					t.Fatalf("%s: buckets emitted %d tuples, naive has %d", name, len(sky), len(skyline.Naive(data)))

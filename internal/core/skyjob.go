@@ -66,9 +66,9 @@ func skylineRun(cfg Config, input mapreduce.Input, prep *BitstringResult, multi 
 	if err != nil {
 		return nil, nil, err
 	}
-	sky, err := decodeTupleOutput(res.Output)
+	sky, err := tuple.DecodeColumns(g.Dim(), mapreduce.Values(res.Output)...)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("core: decoding skyline output: %w", err)
 	}
 	finishStats(stats, res, sky, skyStart, start)
 	return sky, stats, nil
@@ -183,6 +183,8 @@ func newSkyMapper(s skySpec, g *grid.Grid) mapreduce.Mapper {
 // bitstring, also carry the responsible-partition designation of Section
 // 5.4.2.
 func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
+	// No pool: held to the job's end, a reducer's windows and scratch would
+	// only raise its peak (DESIGN §11, "Window lifecycle").
 	group := partWindows{g: g}
 	return mapreduce.ReducerFuncs{
 		ReduceFn: func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emitter) error {
@@ -206,26 +208,15 @@ func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 			if mg == nil {
 				return fmt.Errorf("core: reducer received unknown bucket %d", b)
 			}
-			// Lines 1–8: gather the mappers' runs per partition. Only what
-			// the bucket outputs is decoded into tuples; the rest stays bytes.
-			runs, raws := make(map[int][]tuple.List), make(map[int][][]byte)
+			// Lines 1–8: gather the mappers' runs per partition, still the
+			// column lists they crossed the shuffle as.
+			runs := make(map[int][][]byte)
 			for _, v := range values {
-				err := eachPart(v, func(p int, list []byte) error {
+				err := eachPart(v, g.Dim(), func(p int, list []byte) error {
 					if !mg.HasPartition(p) {
 						return fmt.Errorf("core: bucket %d received foreign partition %d", b, p)
 					}
-					if !mg.Responsible[p] {
-						raws[p] = append(raws[p], list)
-						return nil
-					}
-					l, _, err := tuple.DecodeList(list)
-					if err != nil {
-						return fmt.Errorf("core: partition %d: %w", p, err)
-					}
-					if runs[p] == nil {
-						runs[p] = make([]tuple.List, 0, len(values))
-					}
-					runs[p] = append(runs[p], l)
+					runs[p] = append(runs[p], list)
 					return nil
 				})
 				if err != nil {
@@ -233,20 +224,23 @@ func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 				}
 			}
 			// Section 5.4.2: merge what the bucket outputs; the rest filters,
-			// columnarized from its runs' bytes.
-			group.s = make(window.Map, len(runs)+len(raws))
+			// columnarized as it is, in a scratch a mapper kept.
+			group.s, group.sc = make(window.Map, len(runs)), s.pool.Scratch()
 			var raw []int
 			var rawRuns [][][]byte
 			for _, p := range mg.Partitions {
-				if r, ok := runs[p]; ok {
+				r, ok := runs[p]
+				switch {
+				case !ok:
+				case mg.Responsible[p]:
 					if err := group.mergeRuns(p, r); err != nil {
 						return err
 					}
-				} else if r, ok := raws[p]; ok {
+				default:
 					raw, rawRuns = append(raw, p), append(rawRuns, r)
 				}
 			}
-			ws, err := window.Dominators(g.Dim(), rawRuns)
+			ws, err := window.Dominators(g.Dim(), rawRuns, &group.sc)
 			if err != nil {
 				return fmt.Errorf("core: partition %d run out of score order", raw[len(ws)])
 			}
@@ -255,9 +249,9 @@ func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 			}
 			// Lines 9–10: eliminate false positives within the bucket.
 			group.comparePartitions(mg.Responsible)
-			// Line 11 + Section 5.4.2: output only designated partitions. The
-			// merged windows go on; the raw ones share one backing and do not.
-			group.emitRows(emit, mg.Responsible)
+			// Line 11 + Section 5.4.2: output only designated partitions. Only
+			// merged windows may be released; the raw ones share one backing.
+			group.emitColumns(emit, mg.Responsible)
 			group.release(mg.Responsible)
 			return nil
 		},
@@ -266,19 +260,6 @@ func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 			return nil
 		},
 	}
-}
-
-// decodeTupleOutput parses reducer output records (one encoded tuple each).
-func decodeTupleOutput(recs []mapreduce.Record) (tuple.List, error) {
-	out := make(tuple.List, 0, len(recs))
-	for _, rec := range recs {
-		t, _, err := tuple.Decode(rec.Value)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding skyline output: %w", err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }
 
 // statsFromPrep seeds a Stats from the bitstring phase.

@@ -624,13 +624,7 @@ func (e *Engine) runJob(ctx context.Context, job *Job, rj *resolvedJob) (_ *Resu
 	// lost after its outputs were pulled.
 	j.reduceOut = make([][]Record, rj.numReducers)
 	reduces := newPhase(PhaseReduce, rj.numReducers)
-	reduces.body = func(r int, ctx *TaskContext) (func(), error) {
-		out, err := j.reduce(r, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return func() { j.reduceOut[r] = arenaRecords(&out) }, nil
-	}
+	reduces.body = j.reduceTask
 	if err := j.runPhase(ctx, reduces); err != nil {
 		return fail(err)
 	}
@@ -650,6 +644,18 @@ func (e *Engine) runJob(ctx context.Context, job *Job, rj *resolvedJob) (_ *Resu
 		res.Output = append(res.Output, out...)
 	}
 	return res, nil
+}
+
+// reduceTask is the reduce phase's body. Its commit keeps the attempt's
+// output and lets go of the reducer's shuffled input: no later attempt of a
+// committed task runs, and one already running holds its own copy of the
+// groups (reduce).
+func (j *jobRun) reduceTask(r int, ctx *TaskContext) (func(), error) {
+	out, err := j.reduce(r, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return func() { j.reduceOut[r], j.reduceIn[r] = arenaRecords(&out), arenaGroups{} }, nil
 }
 
 // attemptMap executes the user half of one map-task attempt: feed the split

@@ -37,6 +37,15 @@ type Record struct {
 	Value []byte
 }
 
+// Values returns the values of recs, in order.
+func Values(recs []Record) [][]byte {
+	vals := make([][]byte, len(recs))
+	for i, rec := range recs {
+		vals[i] = rec.Value
+	}
+	return vals
+}
+
 // Emitter receives key-value pairs produced by Map and Reduce calls. The
 // key and value bytes are copied into the engine's shuffle arenas before
 // Emitter returns, so callers may reuse their backing arrays — emit sites

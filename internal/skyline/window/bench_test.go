@@ -109,8 +109,8 @@ func BenchmarkDominance(b *testing.B) {
 // ledgerPartition reproduces one partition of the batch-anti workload
 // (anticorrelated 40 000 × 5 at PPD 2, 16 mappers): the score-ordered local
 // skylines the mappers send for the cell whose coordinate is 1 on exactly
-// the dimensions of cell's set bits.
-func ledgerPartition(cell int, sc *window.Scratch) []tuple.List {
+// the dimensions of cell's set bits, as column lists.
+func ledgerPartition(cell int, sc *window.Scratch) [][]byte {
 	const n, d, mappers = 40000, 5, 16
 	runs := make([]tuple.List, mappers)
 	for i, t := range datagen.Generate(datagen.AntiCorrelated, n, d, 7) {
@@ -132,7 +132,11 @@ func ledgerPartition(cell int, sc *window.Scratch) []tuple.List {
 		w.Order(sc)
 		runs[m] = w.Rows()
 	}
-	return runs
+	enc := make([][]byte, mappers)
+	for m, run := range runs {
+		enc[m] = tuple.EncodeList(run)
+	}
+	return enc
 }
 
 // BenchmarkMergeRuns measures a reducer's merge of one of batch-anti's
@@ -173,7 +177,10 @@ func BenchmarkFilterOn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows := w.Rows()
+		rows, err := tuple.DecodeColumns(5, w.AppendColumns(nil))
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("E=%d/w=%d/by=%d", len(pair.dims), len(rows), by.Len()), func(b *testing.B) {
 			var c window.Count
 			for i := 0; i < b.N; i++ {

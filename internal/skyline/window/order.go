@@ -1,6 +1,7 @@
 package window
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -47,12 +48,11 @@ func Before(sa float64, a tuple.Tuple, sb float64, b tuple.Tuple) bool {
 // more dominance tests and 10 % more time.
 const smallWindow = BlockSize
 
-// sortKey is one row of a sort: its score and where the row is — its
-// position before the sort and, when MergeRuns sorts several lists at once,
-// which of them it is in.
+// sortKey is one row of a sort: its score and its position before the
+// sort.
 type sortKey struct {
-	sum      float64
-	idx, run int32
+	sum float64
+	idx int32
 }
 
 // Scratch holds the buffers ordering and projected filtering work in. One
@@ -60,16 +60,18 @@ type sortKey struct {
 // and no pair of windows allocates its own; the zero value is ready. Not
 // safe for concurrent use.
 type Scratch struct {
-	keys   []sortKey
-	rows   tuple.List
-	merged []sortKey   // MergeRuns' second key buffer
-	ends   []int       // MergeRuns' run boundaries
-	win    *Window     // MergeRuns' fold target, copied out at its final size
-	vals   []float64   // one column during a permutation; w's E-sums in FilterOn
-	tv     []float64   // the tested tuple's values on the view's columns
-	view   [][]float64 // column view of by: its own columns, or gathered ones
-	cols   [][]float64 // backing of gathered columns, one per view position
-	sums   []float64   // by's E-sums: all of them, then the candidates' in order
+	keys  []sortKey
+	spare []sortKey // sortKeys' second key buffer
+	at    []int32   // sortKeys' bucket starts
+	rows  tuple.List
+	dom   []float64   // the columns Dominators builds
+	nils  tuple.List  // the rows Dominators builds: nil tuples
+	vals  []float64   // one column during a permutation; w's E-sums in FilterOn
+	tv    []float64   // the tested tuple's values on the view's columns
+	own   [][]float64 // the filtered window's own columns on the view's dimensions
+	view  [][]float64 // column view of by: its own columns, or gathered ones
+	cols  [][]float64 // backing of gathered columns, one per view position
+	sums  []float64   // by's E-sums: all of them, then the candidates' in order; Dominators' scores
 }
 
 // grow returns b resized to n elements, reallocating — to at least twice
@@ -82,25 +84,47 @@ func grow[T any](b []T, n int) []T {
 	return b[:n]
 }
 
-// sortKeys sorts keys by (sum, original position). Most windows are a few
-// dozen tuples, where an insertion sort with the comparison inlined beats
-// the generic sort's call per comparison several times over.
-func sortKeys(keys []sortKey) {
-	if len(keys) > 4*BlockSize {
-		slices.SortFunc(keys, func(a, b sortKey) int {
-			switch {
-			case a.sum < b.sum:
-				return -1
-			case a.sum > b.sum:
-				return 1
-			}
-			return int(a.idx - b.idx)
-		})
-		return
+// bucketMin is the key count from which sortKeys distributes before it
+// sorts.
+const bucketMin = 32
+
+// sortKeys sorts keys, which are in ascending idx order, by (sum, idx) with
+// an insertion sort: stable, so equal sums keep idx order, and cheapest on
+// the few dozen keys of most windows. From bucketMin keys up a stable
+// counting sort first spreads the keys over as many buckets, splitting
+// [least, greatest sum] evenly, so the insertion sort only moves a key
+// within its bucket. (sum − least)·scale never falls as the sum grows, so
+// the buckets come in sum order however it rounds.
+func (sc *Scratch) sortKeys(keys []sortKey) {
+	n, lo, hi := len(keys), math.Inf(1), math.Inf(-1) // no span: no bucket pass
+	for i := 0; n >= bucketMin && i < n; i++ {
+		if s := keys[i].sum; s < lo {
+			lo = s
+		}
+		if s := keys[i].sum; s > hi {
+			hi = s
+		}
 	}
-	for i := 1; i < len(keys); i++ {
+	if scale := float64(n-1) / (hi - lo); scale > 0 && !math.IsInf(scale, 1) {
+		at := grow(sc.at, n+1)
+		clear(at)
+		for _, k := range keys {
+			at[int((k.sum-lo)*scale)+1]++
+		}
+		for b := 1; b < n; b++ {
+			at[b] += at[b-1]
+		}
+		sc.spare, sc.at = grow(sc.spare, n), at
+		for _, k := range keys {
+			b := int((k.sum - lo) * scale)
+			sc.spare[at[b]] = k
+			at[b]++
+		}
+		copy(keys, sc.spare)
+	}
+	for i := 1; i < n; i++ {
 		k, j := keys[i], i
-		for ; j > 0 && (k.sum < keys[j-1].sum || k.sum == keys[j-1].sum && k.idx < keys[j-1].idx); j-- {
+		for ; j > 0 && k.sum < keys[j-1].sum; j-- {
 			keys[j] = keys[j-1]
 		}
 		keys[j] = k
@@ -128,20 +152,25 @@ func (sc *Scratch) sortRows(rows tuple.List) bool {
 	// group of equal scores — where a dominating pair can hide — in
 	// coordinate order.
 	keys := sc.keys
-	sortKeys(keys)
+	sc.sortKeys(keys)
+	sortTies(keys, func(i, j int32) int { return slices.Compare(rows[i], rows[j]) })
+	return true
+}
+
+// sortTies puts every run of equal sums in keys, which are in score order,
+// into coordinate order, stably; compare compares tuples i and j
+// coordinate by coordinate.
+func sortTies(keys []sortKey, compare func(i, j int32) int) {
 	for i := 0; i < len(keys); {
 		j := i + 1
 		for j < len(keys) && keys[j].sum == keys[i].sum {
 			j++
 		}
 		if j-i > 1 {
-			slices.SortStableFunc(keys[i:j], func(a, b sortKey) int {
-				return slices.Compare(rows[a.idx], rows[b.idx])
-			})
+			slices.SortStableFunc(keys[i:j], func(a, b sortKey) int { return compare(a.idx, b.idx) })
 		}
 		i = j
 	}
-	return true
 }
 
 // permuteRows reorders rows by sc.keys.
@@ -183,87 +212,100 @@ func (w *Window) Order(sc *Scratch) {
 // ErrRunOrder is MergeRuns' verdict on a run that is not in score order.
 var ErrRunOrder = errors.New("window: run out of score order")
 
-// MergeRuns merges runs, each in score order, into one dominance-free
-// window in score order — sort-filter-skyline over presorted input. A
-// tuple is appended when no tuple already in the window dominates it;
-// nothing that sorts later can dominate it (Before is a linear extension
-// of dominance), so the window never evicts and never compacts. Every run
-// is checked against the order before anything is merged: a run out of
-// order yields ErrRunOrder, never a window that silently kept a dominated
-// tuple. Runs are merged pairwise, neighbours first and the earlier run
-// first on ties, so k runs of n tuples in all cost n·log k comparisons and
-// the result is deterministic. The window it returns is drawn from pl.
-func MergeRuns(dim int, runs []tuple.List, pl *Pool, sc *Scratch, c *Count) (*Window, error) {
-	keys, ends := sc.keys[:0], sc.ends[:0]
-	for r, run := range runs {
-		for i, t := range run {
-			s := Score(t)
-			if i > 0 && Before(s, t, keys[len(keys)-1].sum, run[i-1]) {
-				return nil, ErrRunOrder
-			}
-			keys = append(keys, sortKey{sum: s, idx: int32(i), run: int32(r)})
-		}
-		if len(run) > 0 {
-			ends = append(ends, len(keys))
-		}
+// MergeRuns merges runs — column lists (tuple.AppendColumns) of
+// dim-dimensional tuples, each in score order — into one dominance-free
+// window in score order: sort-filter-skyline over presorted input. It takes
+// the tuples in score order, equal ones in run order as a stable merge
+// would, and appends each that no tuple already in the window dominates;
+// nothing later can dominate it (Before extends dominance), so the window
+// never evicts. A run out of order yields ErrRunOrder before anything is
+// merged, never a window that kept a dominated tuple; a malformed run fails
+// too. The window is drawn from pl and built from columns (see Dominators).
+func MergeRuns(dim int, runs [][]byte, pl *Pool, sc *Scratch, c *Count) (*Window, error) {
+	ws, err := Dominators(dim, [][][]byte{runs}, sc) // the runs' columns and, in sc.sums, scores
+	if err != nil {
+		return nil, err
 	}
-	sc.keys, sc.merged = keys, grow(sc.merged, len(keys))
-	from, to := keys, sc.merged
-	for ; len(ends) > 1; from, to = to, from {
-		start, n := 0, 0
-		for i := 0; i < len(ends); i += 2 {
-			mid, end := ends[i], ends[i]
-			if i+1 < len(ends) {
-				end = ends[i+1]
-			}
-			mergeKeys(to[start:end], from[start:mid], from[mid:end], runs)
-			ends[n] = end
-			start, n = end, n+1
+	cols, n := ws[0].cols, ws[0].Len()
+	sums, keys := sc.sums[:n], grow(sc.keys, n)
+	sc.keys = keys
+	for i, s := range sums {
+		keys[i] = sortKey{sum: s, idx: int32(i)}
+	}
+	sc.sortKeys(keys)
+	sortTies(keys, func(i, j int32) int { return compareAt(cols, int(i), int(j)) })
+	w, tv := pl.Get(dim), grow(sc.tv, dim)
+	sc.tv = tv
+	for _, k := range keys {
+		for e, col := range cols {
+			tv[e] = col[k.idx]
 		}
-		ends = ends[:n]
-	}
-	sc.ends = ends
-	// Fold into the scratch's window, whose columns have grown to the task's
-	// largest merge, and hand out a copy reserved once at the final size: a
-	// merged window costs what it holds, not what its growth or a guess of
-	// its size would.
-	if sc.win == nil || sc.win.dim != dim {
-		sc.win = New(dim)
-	}
-	w := sc.win
-	w.Reset()
-	for _, k := range from {
-		if t := runs[k.run][k.idx]; !w.Dominated(t, c) {
-			w.Append(t)
+		if !w.Dominated(tv, c) {
+			w.push(tv, nil)
 		}
 	}
-	out := pl.Get(dim)
-	out.reserve(len(w.rows))
-	out.rows = append(out.rows, w.rows...)
-	for k, col := range w.cols {
-		out.cols[k] = append(out.cols[k], col...)
-	}
-	out.pad()
-	clear(w.rows) // hold no tuple beyond the call
-	return out, nil
+	return w, nil
 }
 
-// Dominators columnarizes each of parts — one partition's runs, each an
-// encoded tuple list of dim-dimensional tuples in score order — into a
-// window of all their tuples' values, in run order, straight from the
-// bytes: no tuple is decoded into its own storage and none is dominance
-// tested. Such a window may hold dominated tuples, and its rows are nil
-// tuples from one slice all the windows share, so it pins nothing: it is fit
-// only to be the by of FilterOn, and a Pool refuses it. The windows'
-// columns share one exact-size backing array. Runs are checked against the
-// order as MergeRuns checks them; at the first run out of order Dominators
-// returns the windows of the parts before that run's, and ErrRunOrder. A run
-// that is not a well-formed list fails it before any window is built.
-func Dominators(dim int, parts [][][]byte) ([]Window, error) {
+// columnize decodes runs — column lists of len(cols)-dimensional tuples,
+// each in score order — one after another into cols, whose columns are as
+// long as all of them together, and sets sums to their scores. At the first
+// run out of order it returns ErrRunOrder. The runs' framing must have been
+// checked.
+func columnize(cols [][]float64, sums []float64, runs [][]byte) error {
+	j := 0
+	for _, run := range runs {
+		n, body, _, _ := tuple.SplitColumns(run, len(cols))
+		s := sums[j : j+n]
+		clear(s)
+		for k, col := range cols {
+			col = col[j : j+n]
+			tuple.DecodeColumn(col, body, k)
+			for i, v := range col {
+				s[i] += v
+			}
+		}
+		for i := j + 1; i < j+n; i++ {
+			if sums[i] < sums[i-1] || sums[i] == sums[i-1] && compareAt(cols, i, i-1) < 0 {
+				return ErrRunOrder // Before(tuple i, tuple i−1)
+			}
+		}
+		j += n
+	}
+	return nil
+}
+
+// compareAt compares tuples i and j of cols coordinate by coordinate, as
+// Before breaks a tie.
+func compareAt(cols [][]float64, i, j int) int {
+	for _, col := range cols {
+		if col[i] != col[j] {
+			return cmp.Compare(col[i], col[j])
+		}
+	}
+	return 0
+}
+
+// Dominators columnarizes each of parts — one partition's runs, each a
+// column list of dim-dimensional tuples in score order — into a window of
+// all their tuples' values, in run order: a column copy straight from the
+// bytes, with no tuple decoded and none dominance tested. Such a window may
+// hold dominated tuples, and its rows are nil tuples from one slice all the
+// windows share, so it pins nothing: it is fit only to be the by of
+// FilterOn, and a Pool refuses it. The windows' columns share one backing
+// array in sc, valid until sc next builds windows (here or in MergeRuns),
+// and sc.sums holds the last part's scores. Every run is checked against
+// the score order; at the first run out of order Dominators returns the
+// windows of the parts before that run's, and ErrRunOrder. A run that is
+// not one well-formed column list fails it before any window is built.
+func Dominators(dim int, parts [][][]byte, sc *Scratch) ([]Window, error) {
 	sizes, lanes, most := make([]int, len(parts)), 0, 0
 	for i, runs := range parts {
 		for _, run := range runs {
-			n, _, err := tuple.ScanList(run, nil, nil)
+			n, _, m, err := tuple.SplitColumns(run, dim)
+			if err == nil && m != len(run) {
+				err = fmt.Errorf("window: %d trailing bytes after a run", len(run)-m)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -272,8 +314,8 @@ func Dominators(dim int, parts [][][]byte) ([]Window, error) {
 		lanes, most = lanes+blocks(sizes[i])*BlockSize, max(most, sizes[i])
 	}
 	ws, heads := make([]Window, len(parts)), make([][]float64, dim*len(parts))
-	buf, rows := make([]float64, dim*lanes), make(tuple.List, most)
-	t, prev := make(tuple.Tuple, dim), make(tuple.Tuple, 0, dim)
+	sc.dom, sc.nils, sc.sums = grow(sc.dom, dim*lanes), grow(sc.nils, most), grow(sc.sums, most)
+	buf, rows, sums := sc.dom, sc.nils, sc.sums
 	for i, runs := range parts {
 		w, m := &ws[i], sizes[i]
 		c := blocks(m) * BlockSize
@@ -281,45 +323,13 @@ func Dominators(dim int, parts [][][]byte) ([]Window, error) {
 		for k := range w.cols {
 			w.cols[k] = buf[k*c : k*c+m : (k+1)*c]
 		}
-		j := 0
-		for _, run := range runs {
-			prev = prev[:0]
-			_, _, err := tuple.ScanList(run, t, func(u tuple.Tuple) error {
-				if len(prev) > 0 && Before(Score(u), u, Score(prev), prev) {
-					return ErrRunOrder
-				}
-				for k, col := range w.cols {
-					col[j] = u[k]
-				}
-				j, prev = j+1, append(prev[:0], u...)
-				return nil
-			})
-			if err != nil {
-				return ws[:i], err
-			}
+		if err := columnize(w.cols, sums, runs); err != nil {
+			return ws[:i], err
 		}
 		w.rows, buf = rows[:m:m], buf[dim*c:]
 		w.pad()
 	}
 	return ws, nil
-}
-
-// mergeKeys merges the score-ordered key runs a and b into dst, a's key
-// first when neither sorts before the other. Tuples are only looked at when
-// two scores tie.
-func mergeKeys(dst, a, b []sortKey, runs []tuple.List) {
-	for i := range dst {
-		switch {
-		case len(a) == 0:
-			dst[i], b = b[0], b[1:]
-		case len(b) == 0 || a[0].sum < b[0].sum:
-			dst[i], a = a[0], a[1:]
-		case b[0].sum < a[0].sum || Before(b[0].sum, runs[b[0].run][b[0].idx], a[0].sum, runs[a[0].run][a[0].idx]):
-			dst[i], b = b[0], b[1:]
-		default:
-			dst[i], a = a[0], a[1:]
-		}
-	}
 }
 
 // FilterOn removes from w every tuple t for which some tuple u of by is
@@ -373,11 +383,14 @@ func (w *Window) FilterOn(by *Window, dims []int, sc *Scratch, c *Count) {
 		n = len(sums)
 	}
 	sc.view = view[:0]
-	sc.tv = grow(sc.tv, len(dims))
-	tv, out, end := sc.tv, 0, blocks(n)
-	for i, t := range w.rows {
-		for e, k := range dims {
-			tv[e] = t[k]
+	sc.tv, sc.own = grow(sc.tv, len(dims)), sc.own[:0]
+	for _, k := range dims {
+		sc.own = append(sc.own, w.cols[k])
+	}
+	tv, own, out, end := sc.tv, sc.own, 0, blocks(n)
+	for i := range w.rows {
+		for e, col := range own {
+			tv[e] = col[i]
 		}
 		if sums != nil {
 			end = cutBlock(sums, tsums[i])
@@ -399,15 +412,24 @@ func (w *Window) FilterOn(by *Window, dims []int, sc *Scratch, c *Count) {
 // tuple on every column cannot sum higher. Ties are kept — rounding can make
 // the sums of a dominating pair equal.
 func cutBlock(sums []float64, ts float64) int {
-	lo, hi := 0, blocks(len(sums))
-	for lo < hi {
-		if mid := (lo + hi) / 2; sums[mid*BlockSize] > ts {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	n := blocks(len(sums))
+	if n == 0 {
+		return 0
 	}
-	return lo
+	// A branch-free search: base ends on the last block opening at or below
+	// ts, if any.
+	base := 0
+	for n > 1 {
+		half := n / 2
+		if sums[(base+half)*BlockSize] <= ts {
+			base += half
+		}
+		n -= half
+	}
+	if sums[base*BlockSize] <= ts {
+		return base + 1
+	}
+	return base
 }
 
 // sumColumns sets dst[i] = ((0 + cols[dims[0]][i]) + cols[dims[1]][i]) + ….
@@ -427,7 +449,7 @@ func sumColumns(dst []float64, cols [][]float64, dims []int) []float64 {
 // the candidates' E-sums; the view's columns are block-padded as a window's
 // are.
 func (sc *Scratch) gather(by *Window, dims []int, maxT float64) (view [][]float64, sums []float64) {
-	sc.sums = grow(sc.sums, len(by.rows))
+	sc.sums, sc.keys = grow(sc.sums, len(by.rows)), grow(sc.keys, len(by.rows))
 	keys := sc.keys[:0]
 	for i, s := range sumColumns(sc.sums, by.cols, dims) {
 		if s <= maxT {
@@ -435,7 +457,7 @@ func (sc *Scratch) gather(by *Window, dims []int, maxT float64) (view [][]float6
 		}
 	}
 	sc.keys = keys
-	sortKeys(keys)
+	sc.sortKeys(keys)
 	sums = sc.sums[:len(keys)] // the keys hold what was read from it
 	for i, k := range keys {
 		sums[i] = k.sum
@@ -447,11 +469,11 @@ func (sc *Scratch) gather(by *Window, dims []int, maxT float64) (view [][]float6
 			sc.cols = append(sc.cols, nil)
 		}
 		col, src := grow(sc.cols[e], padded), by.cols[k]
-		for i := range col {
+		for i, key := range keys {
+			col[i] = src[key.idx]
+		}
+		for i := len(keys); i < padded; i++ {
 			col[i] = inf
-			if i < len(keys) {
-				col[i] = src[keys[i].idx]
-			}
 		}
 		sc.cols[e] = col
 		view = append(view, col[:len(keys)])

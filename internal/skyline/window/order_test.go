@@ -5,6 +5,7 @@
 package window
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
@@ -74,7 +75,29 @@ func scalarFilterOn(w, by tuple.List, dims []int) (kept tuple.List, tests int64)
 
 func sameRows(a, b tuple.List) bool { return slices.EqualFunc(a, b, tuple.Tuple.Equal) }
 
-// checkColumns asserts the window's two views of its tuples agree.
+// colRows returns the tuples a window's columns hold, decoded from its
+// column list.
+func colRows(t *testing.T, w *Window) tuple.List {
+	t.Helper()
+	l, err := tuple.DecodeColumns(w.dim, w.AppendColumns(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// encodeRuns encodes every run as a column list, the form MergeRuns and
+// Dominators read.
+func encodeRuns(runs []tuple.List) [][]byte {
+	enc := make([][]byte, len(runs))
+	for i, run := range runs {
+		enc[i] = tuple.EncodeList(run)
+	}
+	return enc
+}
+
+// checkColumns asserts the window's two views of its tuples agree; a
+// window built from columns has no second view, only nil rows.
 func checkColumns(t *testing.T, w *Window) {
 	t.Helper()
 	for k, col := range w.cols {
@@ -82,7 +105,7 @@ func checkColumns(t *testing.T, w *Window) {
 			t.Fatalf("column %d holds %d values for %d rows", k, len(col), len(w.rows))
 		}
 		for i, v := range col {
-			if v != w.rows[i][k] {
+			if w.rows[i] != nil && v != w.rows[i][k] {
 				t.Fatalf("column %d row %d holds %v, row says %v", k, i, v, w.rows[i][k])
 			}
 		}
@@ -265,6 +288,44 @@ func sfs(l tuple.List) tuple.List {
 	return out
 }
 
+// TestSortKeysMatchesComparisonSort: sortKeys puts keys in exactly the
+// (sum, idx) order of a comparison sort, through the insertion sort and the
+// bucket pass alike — on spread sums, on a few values repeated, and on sums
+// that span the whole float range, infinities and both zeros included.
+func TestSortKeysMatchesComparisonSort(t *testing.T) {
+	var sc Scratch
+	rng := rand.New(rand.NewSource(41))
+	draws := []func() float64{
+		rng.Float64,
+		func() float64 { return palette[rng.Intn(len(palette))] },
+		func() float64 { return float64(rng.Intn(3)) },
+		func() float64 {
+			return []float64{math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1e-310}[rng.Intn(5)]
+		},
+	}
+	for trial := 0; trial < 400; trial++ {
+		draw := draws[trial%len(draws)]
+		keys := make([]sortKey, rng.Intn(4*bucketMin))
+		for i := range keys {
+			keys[i] = sortKey{sum: draw(), idx: int32(i)}
+			if rng.Intn(8) == 0 {
+				keys[i].sum = math.Nextafter(keys[i].sum, math.Inf(1))
+			}
+		}
+		want := slices.Clone(keys)
+		slices.SortFunc(want, func(a, b sortKey) int {
+			if c := cmp.Compare(a.sum, b.sum); a.sum != b.sum && c != 0 {
+				return c
+			}
+			return cmp.Compare(a.idx, b.idx)
+		})
+		sc.sortKeys(keys)
+		if !slices.Equal(keys, want) {
+			t.Fatalf("trial %d: sorted %v, want %v", trial, keys, want)
+		}
+	}
+}
+
 func TestMergeRunsIsSFSOverTheUnion(t *testing.T) {
 	var sc Scratch
 	rng := rand.New(rand.NewSource(17))
@@ -285,13 +346,16 @@ func TestMergeRunsIsSFSOverTheUnion(t *testing.T) {
 			union = append(union, run...)
 		}
 		var cnt Count
-		w, err := MergeRuns(d, runs, nil, &sc, &cnt)
+		w, err := MergeRuns(d, encodeRuns(runs), nil, &sc, &cnt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkColumns(t, w)
-		if want := sfs(union); !sameRows(w.Rows(), want) {
-			t.Fatalf("trial %d: merged %v, want %v", trial, w.Rows(), want)
+		if slices.ContainsFunc(w.Rows(), func(r tuple.Tuple) bool { return r != nil }) {
+			t.Fatalf("trial %d: a window merged from columns holds tuples %v", trial, w.Rows())
+		}
+		if got, want := colRows(t, w), sfs(union); !sameRows(got, want) {
+			t.Fatalf("trial %d: merged %v, want %v", trial, got, want)
 		}
 		if n := int64(len(union)); cnt.DominanceTests > n*n {
 			t.Fatalf("trial %d: %d tests merging %d tuples", trial, cnt.DominanceTests, n)
@@ -306,24 +370,30 @@ func TestMergeRunsRejectsUnorderedRun(t *testing.T) {
 		"by coordinates": {{0.5, 2e-20}, {0.5, 1e-20}}, // equal sums, second dominates first
 	} {
 		for _, runs := range [][]tuple.List{{bad}, {good, bad}, {bad, good}} {
-			if w, err := MergeRuns(2, runs, nil, new(Scratch), nil); !errors.Is(err, ErrRunOrder) {
-				t.Errorf("%s: merged an unordered run into %v (err %v)", name, w.Rows(), err)
+			if w, err := MergeRuns(2, encodeRuns(runs), nil, new(Scratch), nil); !errors.Is(err, ErrRunOrder) {
+				t.Errorf("%s: merged an unordered run into %d tuples (err %v)", name, w.Len(), err)
 			}
 		}
 	}
-	if _, err := MergeRuns(2, []tuple.List{nil, good, {}}, nil, new(Scratch), nil); err != nil {
+	if _, err := MergeRuns(2, encodeRuns([]tuple.List{nil, good, {}}), nil, new(Scratch), nil); err != nil {
 		t.Errorf("empty runs rejected: %v", err)
+	}
+	for name, run := range map[string][]byte{
+		"truncated":      tuple.EncodeList(good)[:8],
+		"trailing bytes": append(tuple.EncodeList(good), 0),
+	} {
+		if _, err := MergeRuns(2, [][]byte{run}, nil, new(Scratch), nil); err == nil || errors.Is(err, ErrRunOrder) {
+			t.Errorf("%s run: err %v", name, err)
+		}
 	}
 }
 
-// encodeParts encodes every run of every part as a tuple list, the form
+// encodeParts encodes every run of every part as a column list, the form
 // Dominators columnarizes.
 func encodeParts(parts [][]tuple.List) [][][]byte {
 	enc := make([][][]byte, len(parts))
 	for i, runs := range parts {
-		for _, run := range runs {
-			enc[i] = append(enc[i], tuple.EncodeList(run))
-		}
+		enc[i] = encodeRuns(runs)
 	}
 	return enc
 }
@@ -349,7 +419,7 @@ func TestDominatorsIsTheRunsUnion(t *testing.T) {
 				parts[i] = append(parts[i], run)
 			}
 		}
-		ws, err := Dominators(d, encodeParts(parts))
+		ws, err := Dominators(d, encodeParts(parts), new(Scratch))
 		if err != nil || len(ws) != len(parts) {
 			t.Fatalf("trial %d: %d windows for %d parts, err %v", trial, len(ws), len(parts), err)
 		}
@@ -380,13 +450,13 @@ func TestDominatorsIsTheRunsUnion(t *testing.T) {
 		}
 	}
 	good, bad := tuple.List{{0.1, 0.2}, {0.3, 0.3}}, tuple.List{{0.5, 2e-20}, {0.5, 1e-20}}
-	ws, err := Dominators(2, encodeParts([][]tuple.List{{good}, {good, bad}, {good}}))
+	ws, err := Dominators(2, encodeParts([][]tuple.List{{good}, {good, bad}, {good}}), new(Scratch))
 	if !errors.Is(err, ErrRunOrder) || len(ws) != 1 || ws[0].Len() != len(good) {
 		t.Errorf("unordered run in part 1: %d windows, err %v", len(ws), err)
 	}
 	enc := encodeParts([][]tuple.List{{good}, {good}})
 	enc[1][0] = enc[1][0][:len(enc[1][0])-1]
-	if ws, err := Dominators(2, enc); err == nil || errors.Is(err, ErrRunOrder) || ws != nil {
+	if ws, err := Dominators(2, enc, new(Scratch)); err == nil || errors.Is(err, ErrRunOrder) || ws != nil {
 		t.Errorf("truncated run in part 1: %d windows, err %v", len(ws), err)
 	}
 	defer func() {

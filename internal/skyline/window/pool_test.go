@@ -70,7 +70,9 @@ func TestPoolHandsOutEmptyWindows(t *testing.T) {
 }
 
 // TestPoolConcurrentTasks: tasks that share a job's Pool from several
-// goroutines each hold a window no other task holds (run under -race).
+// goroutines each hold a window and a scratch no other task holds (run
+// under -race): the Dominators window a task builds in its scratch keeps
+// the task's values until the task keeps the scratch again.
 func TestPoolConcurrentTasks(t *testing.T) {
 	var pl Pool
 	var wg sync.WaitGroup
@@ -79,14 +81,19 @@ func TestPoolConcurrentTasks(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				w := pl.Get(2)
+				w, sc := pl.Get(2), pl.Scratch()
 				for k := 0; k <= i%20; k++ {
 					w.Append(tuple.Tuple{float64(g), float64(k)})
 				}
-				if w.Len() != i%20+1 || w.At(0)[0] != float64(g) {
+				if w.Len() != i%20+1 || w.Rows()[0][0] != float64(g) {
 					t.Errorf("goroutine %d: window holds %v", g, w.Rows())
 				}
+				ws, err := Dominators(2, [][][]byte{{w.AppendColumns(nil)}}, &sc)
+				if err != nil || ws[0].Len() != w.Len() || ws[0].cols[0][0] != float64(g) {
+					t.Errorf("goroutine %d: Dominators built %v (%v) from %d tuples", g, ws, err, w.Len())
+				}
 				pl.Put(w)
+				pl.Keep(sc)
 			}
 		}()
 	}

@@ -65,9 +65,10 @@ func (c *Count) Add(n int64) {
 
 // Window is a dominance-free local-skyline window in columnar layout:
 // cols[k][i] holds tuple i's value on dimension k, and rows[i] is the
-// original tuple handle (the algorithms emit tuples, so the row view is
-// kept alongside the columns). The zero Window is not usable; create
-// with New or FromList. A nil *Window is a valid empty read-only window.
+// original tuple handle — nil in a window built from columns (MergeRuns,
+// Dominators), which holds values, not tuples. The zero Window is not
+// usable; create with New or FromList. A nil *Window is a valid empty
+// read-only window.
 //
 // Columns are block-padded: every column has the same capacity, a whole
 // number of blocks, and the lanes from Len up to the next block boundary
@@ -120,7 +121,8 @@ func (w *Window) Len() int {
 func (w *Window) Dim() int { return w.dim }
 
 // Rows returns the window's tuples in window order — insertion order, or
-// score order after Order or MergeRuns. The slice is the
+// score order after Order; nil tuples in a window built from columns,
+// whose values AppendColumns reads. The slice is the
 // window's live backing store: it is invalidated by the next mutating
 // call, and appending to or reordering it corrupts the window. Callers
 // either treat it as a read-only snapshot or take ownership of a window
@@ -131,9 +133,6 @@ func (w *Window) Rows() tuple.List {
 	}
 	return w.rows
 }
-
-// At returns the i-th tuple of the window.
-func (w *Window) At(i int) tuple.Tuple { return w.rows[i] }
 
 // Reset empties the window in place, retaining the column and row capacity
 // for reuse and holding no tuple. Callers that rebuild a window from scratch
@@ -152,19 +151,31 @@ func (w *Window) Append(t tuple.Tuple) {
 	if len(t) != w.dim {
 		panic(fmt.Sprintf("window: tuple dimensionality %d does not match window d=%d", len(t), w.dim))
 	}
+	w.push(t, t)
+}
+
+// push appends a tuple's values with row as its handle: the tuple itself,
+// or nil in a window built from columns, which holds no tuple.
+func (w *Window) push(vals []float64, row tuple.Tuple) {
 	n := len(w.rows)
-	w.rows = append(w.rows, t)
+	w.rows = append(w.rows, row)
 	if n == cap(w.cols[0]) {
 		w.reserve(cap(w.rows)) // the columns grow as append grew the rows
 	}
 	for k, col := range w.cols {
 		col = col[:n+1]
-		col[n] = t[k]
+		col[n] = vals[k]
 		w.cols[k] = col
 	}
-	if n%BlockSize == 0 { // t opened a block
+	if n%BlockSize == 0 { // the tuple opened a block
 		w.pad()
 	}
+}
+
+// AppendColumns appends the window's column list (tuple.AppendColumns) to
+// dst: its values, dimension after dimension, in window order.
+func (w *Window) AppendColumns(dst []byte) []byte {
+	return tuple.AppendColumns(dst, w.cols)
 }
 
 // blocks returns the number of blocks n lanes occupy.
@@ -402,8 +413,8 @@ func (w *Window) move(out, i int) {
 		return
 	}
 	w.rows[out] = w.rows[i]
-	for k := 0; k < w.dim; k++ {
-		w.cols[k][out] = w.cols[k][i]
+	for _, col := range w.cols {
+		col[out] = col[i]
 	}
 }
 

@@ -49,10 +49,8 @@ func BenchmarkTupleCodec(b *testing.B) {
 			}
 		}
 		b.ReportAllocs()
-		var scratch []byte
 		for i := 0; i < b.N; i++ {
-			scratch = AppendEncodeList(scratch[:0], l)
-			if _, _, err := DecodeList(scratch); err != nil {
+			if _, err := DecodeColumns(4, EncodeList(l)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // The binary codec is deliberately simple and allocation-conscious: tuples
@@ -13,8 +14,12 @@ import (
 //
 // Wire formats (little endian):
 //
-//	Tuple: uvarint dim | dim × float64 bits
-//	List:  uvarint count | count × Tuple
+//	Tuple:   uvarint dim | dim × float64 bits
+//	Columns: uvarint count | dim × count × float64 bits, column after column
+//
+// A column list carries tuples of one dimensionality across the shuffle:
+// their values, once, without the dimensionality (the reader knows it) and
+// with the count in its shortest uvarint, so a list has one encoding.
 
 // AppendEncode appends the wire encoding of t to dst and returns the
 // extended slice.
@@ -61,97 +66,105 @@ func DecodeInto(dst Tuple, b []byte) (Tuple, int, error) {
 	return dst, off, nil
 }
 
-// AppendEncodeList appends the wire encoding of the list to dst.
-func AppendEncodeList(dst []byte, l List) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(l)))
-	for _, t := range l {
-		dst = AppendEncode(dst, t)
+// AppendColumns appends the column list of cols, one column per dimension,
+// all of one length, to dst, growing dst once.
+func AppendColumns(dst []byte, cols [][]float64) []byte {
+	n := 0
+	if len(cols) > 0 {
+		n = len(cols[0])
+	}
+	dst = binary.AppendUvarint(slices.Grow(dst, ColumnsSize(n, len(cols))), uint64(n))
+	off := len(dst)
+	dst = dst[:off+8*n*len(cols)]
+	for _, col := range cols {
+		for _, v := range col[:n] {
+			binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(v))
+			off += 8
+		}
 	}
 	return dst
 }
 
-// EncodeList returns the wire encoding of the list.
+// EncodeList returns the column list of l, whose tuples must share one
+// dimensionality.
 func EncodeList(l List) []byte {
-	return AppendEncodeList(make([]byte, 0, ListSize(len(l), l.Dim())), l)
+	cols := make([][]float64, l.Dim())
+	for k := range cols {
+		for _, t := range l {
+			cols[k] = append(cols[k], t[k])
+		}
+	}
+	return AppendColumns(nil, cols)
 }
 
-// ListSize returns the encoded length of a list of n dim-dimensional tuples.
-func ListSize(n, dim int) int {
-	return uvarintLen(n) + n*(uvarintLen(dim)+8*dim)
-}
+// ColumnsSize returns the length of the column list of n dim-dimensional
+// tuples.
+func ColumnsSize(n, dim int) int { return uvarintLen(n) + 8*n*dim }
 
 // uvarintLen returns the length of x's uvarint encoding.
 func uvarintLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
 
-// DecodeList parses one list from the front of b, returning the list and
-// the number of bytes consumed. The tuples of a list share one backing
-// array sized by the first tuple's dimensionality — each a window of it that
-// cannot grow into its neighbour — so a list costs two allocations, not one
-// per tuple; a tuple of a higher dimensionality than the first is allocated
-// on its own.
-func DecodeList(b []byte) (List, int, error) {
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("tuple: truncated list header")
+// SplitColumns reads the framing of the column list of dim-dimensional
+// tuples at the front of b, without looking at a value: its count, its
+// body — the columns, 8·count bytes each, one after another — and the
+// number of bytes the list takes.
+func SplitColumns(b []byte, dim int) (count int, body []byte, n int, err error) {
+	if dim <= 0 {
+		return 0, nil, 0, fmt.Errorf("tuple: column list of dimensionality %d", dim)
 	}
-	// A tuple occupies at least 1 byte, so count cannot exceed what remains.
-	if count > uint64(len(b)-n) {
-		return nil, 0, fmt.Errorf("tuple: implausible list count %d with %d bytes left", count, len(b)-n)
+	c, m := binary.Uvarint(b)
+	if m <= 0 {
+		return 0, nil, 0, fmt.Errorf("tuple: truncated column list header")
 	}
-	// Nor can count tuples of the first one's dimensionality hold more
-	// values than the remaining bytes do; a list that changes
-	// dimensionality falls outside the bound and decodes tuple by tuple.
-	var backing Tuple
-	dim, m := binary.Uvarint(b[n:])
-	if m > 0 && dim > 0 && dim <= uint64(len(b)-n)/8 && count <= uint64(len(b)-n)/(8*dim) {
-		backing = make(Tuple, count*dim)
+	if c > uint64(len(b)-m)/uint64(8*dim) {
+		return 0, nil, 0, fmt.Errorf("tuple: column list of %d × %d values with %d bytes left", c, dim, len(b)-m)
 	}
-	d := len(backing) / max(int(count), 1)
-	l := make(List, 0, count)
-	off := n
-	for i := uint64(0); i < count; i++ {
-		t, m, err := DecodeInto(backing[:d:d], b[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("tuple: list element %d: %w", i, err)
-		}
-		l = append(l, t)
-		backing = backing[d:]
-		off += m
+	if m != uvarintLen(int(c)) {
+		return 0, nil, 0, fmt.Errorf("tuple: column list count %d in a %d-byte uvarint", c, m)
 	}
-	return l, off, nil
+	n = m + 8*int(c)*dim
+	return int(c), b[m:n], n, nil
 }
 
-// ScanList parses one list from the front of b as DecodeList does, but
-// allocates no tuple: fn receives every tuple in turn, decoded into dst (a
-// short dst is replaced once), and must not keep it past its return. A nil
-// fn reads only the framing: it decodes no value. An error from fn stops the
-// scan and is returned as it is. ScanList returns the list's count and the
-// number of bytes consumed.
-func ScanList(b []byte, dst Tuple, fn func(Tuple) error) (count, n int, err error) {
-	c, off := binary.Uvarint(b)
-	if off <= 0 {
-		return 0, 0, fmt.Errorf("tuple: truncated list header")
+// DecodeColumn sets dst to column k of a column list's body (SplitColumns)
+// that holds len(dst) values per column.
+func DecodeColumn(dst []float64, body []byte, k int) {
+	col := body[8*k*len(dst) : 8*(k+1)*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(col[8*i:]))
 	}
-	if c > uint64(len(b)-off) {
-		return 0, 0, fmt.Errorf("tuple: implausible list count %d with %d bytes left", c, len(b)-off)
+}
+
+// DecodeColumns decodes lists, each exactly one column list of
+// dim-dimensional tuples, into one block of values: it returns all their
+// tuples in order, each a window of the block that cannot grow into its
+// neighbour, so the whole answer costs two allocations.
+func DecodeColumns(dim int, lists ...[]byte) (List, error) {
+	total := 0
+	for i, b := range lists {
+		c, _, n, err := SplitColumns(b, dim)
+		if err != nil {
+			return nil, fmt.Errorf("tuple: column list %d: %w", i, err)
+		}
+		if n != len(b) {
+			return nil, fmt.Errorf("tuple: %d trailing bytes after column list %d", len(b)-n, i)
+		}
+		total += c
 	}
-	for i := uint64(0); i < c; i++ {
-		if fn == nil {
-			dim, m := binary.Uvarint(b[off:])
-			if m <= 0 || dim > uint64(len(b)-off-m)/8 {
-				return 0, 0, fmt.Errorf("tuple: list element %d: truncated", i)
+	flat, out := make([]float64, total*dim), make(List, total)
+	for i := range out {
+		out[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	at := out
+	for _, b := range lists {
+		c, body, _, _ := SplitColumns(b, dim)
+		for k := 0; k < dim; k++ {
+			col := body[8*k*c:]
+			for i, t := range at[:c] {
+				t[k] = math.Float64frombits(binary.LittleEndian.Uint64(col[8*i:]))
 			}
-			off += m + 8*int(dim)
-			continue
 		}
-		var m int
-		if dst, m, err = DecodeInto(dst, b[off:]); err != nil {
-			return 0, 0, fmt.Errorf("tuple: list element %d: %w", i, err)
-		}
-		if err := fn(dst); err != nil {
-			return 0, 0, err
-		}
-		off += m
+		at = at[c:]
 	}
-	return int(c), off, nil
+	return out, nil
 }

@@ -2,7 +2,6 @@ package tuple
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -102,42 +101,50 @@ func TestDecodeInto(t *testing.T) {
 	}
 }
 
+// randomList returns n random d-dimensional tuples.
+func randomList(rng *rand.Rand, n, d int) List {
+	l := make(List, n)
+	for i := range l {
+		l[i] = make(Tuple, d)
+		for k := range l[i] {
+			l[i][k] = rng.NormFloat64()
+		}
+	}
+	return l
+}
+
+// TestListRoundTrip: a list's column list decodes back to the list, from
+// EncodeList and from AppendColumns over the list's columns alike, and
+// several lists decode into one answer in order.
 func TestListRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		d := 1 + rng.Intn(8)
-		n := rng.Intn(40)
-		l := make(List, n)
-		for i := range l {
-			l[i] = make(Tuple, d)
-			for k := range l[i] {
-				l[i][k] = rng.NormFloat64()
-			}
-		}
+		l, m := randomList(rng, rng.Intn(40), d), randomList(rng, rng.Intn(5), d)
 		enc := EncodeList(l)
-		dec, consumed, err := DecodeList(enc)
-		if err != nil {
-			t.Fatalf("DecodeList: %v", err)
-		}
-		if consumed != len(enc) {
-			t.Fatalf("consumed %d of %d bytes", consumed, len(enc))
-		}
-		if len(dec) != len(l) {
-			t.Fatalf("len=%d want %d", len(dec), len(l))
-		}
-		for i := range l {
-			if !dec[i].Equal(l[i]) {
-				t.Fatalf("element %d: got %v want %v", i, dec[i], l[i])
+		cols := make([][]float64, d)
+		for k := range cols {
+			for _, u := range l {
+				cols[k] = append(cols[k], u[k])
 			}
+		}
+		if !bytes.Equal(AppendColumns(nil, cols), enc) || len(enc) != ColumnsSize(len(l), d) {
+			t.Fatalf("trial %d: AppendColumns and EncodeList disagree, or ColumnsSize(%d, %d) = %d is not %d", trial, len(l), d, ColumnsSize(len(l), d), len(enc))
+		}
+		dec, err := DecodeColumns(d, enc, EncodeList(m))
+		if err != nil {
+			t.Fatalf("DecodeColumns: %v", err)
+		}
+		if want := append(slices.Clone(l), m...); !slices.EqualFunc(dec, want, Tuple.Equal) {
+			t.Fatalf("trial %d: decoded %v, want %v", trial, dec, want)
 		}
 	}
 }
 
-// TestListDecodeSharesOneBacking pins what a decoded list costs and that
+// TestListDecodeSharesOneBacking pins what a decoded answer costs and that
 // sharing a backing array is not observable: two allocations whatever the
-// count, a tuple that cannot be appended into its neighbour, and lists of
-// mixed dimensionality — first tuple narrower or wider than the rest —
-// still round-tripping.
+// count or the number of lists, and a tuple that cannot be appended into
+// its neighbour.
 func TestListDecodeSharesOneBacking(t *testing.T) {
 	l := make(List, 100)
 	for i := range l {
@@ -145,48 +152,112 @@ func TestListDecodeSharesOneBacking(t *testing.T) {
 	}
 	enc := EncodeList(l)
 	if allocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := DecodeList(enc); err != nil {
+		if _, err := DecodeColumns(3, enc, enc, enc); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 2 {
-		t.Errorf("DecodeList of %d tuples: %v allocations, want at most 2", len(l), allocs)
+		t.Errorf("DecodeColumns of 3 × %d tuples: %v allocations, want at most 2", len(l), allocs)
 	}
-	dec, _, err := DecodeList(enc)
+	dec, err := DecodeColumns(3, enc, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = append(dec[0], 99)
-	if !dec[1].Equal(l[1]) {
-		t.Errorf("appending to element 0 wrote into element 1: %v", dec[1])
+	_ = append(dec[len(l)-1], 99)
+	if !dec[1].Equal(l[1]) || !dec[len(l)].Equal(l[0]) {
+		t.Errorf("appending to a tuple wrote into its neighbour: %v, %v", dec[1], dec[len(l)])
 	}
-	for _, mixed := range []List{{{1}, {2, 3}, {4, 5, 6}, {}}, {{4, 5, 6}, {2, 3}, {}, {1}}, {{}, {1, 2}}} {
-		dec, consumed, err := DecodeList(EncodeList(mixed))
-		if err != nil || consumed != len(EncodeList(mixed)) || len(dec) != len(mixed) {
-			t.Fatalf("DecodeList(%v) = %v, %d, %v", mixed, dec, consumed, err)
-		}
-		for i := range mixed {
-			if !dec[i].Equal(mixed[i]) {
-				t.Errorf("mixed list %v element %d: got %v", mixed, i, dec[i])
-			}
-		}
+	if allocs := testing.AllocsPerRun(20, func() { _ = AppendColumns(enc[:0], [][]float64{{1, 2}, {3, 4}, {5, 6}}) }); allocs != 0 {
+		t.Errorf("AppendColumns into a large-enough buffer: %v allocations", allocs)
 	}
 }
 
 func TestListDecodeTruncated(t *testing.T) {
 	enc := EncodeList(List{{1, 2}, {3, 4}})
 	for i := 0; i < len(enc); i++ {
-		if _, _, err := DecodeList(enc[:i]); err == nil {
-			t.Errorf("DecodeList of %d/%d bytes succeeded unexpectedly", i, len(enc))
+		if _, err := DecodeColumns(2, enc[:i]); err == nil {
+			t.Errorf("DecodeColumns of %d/%d bytes succeeded unexpectedly", i, len(enc))
+		}
+		if _, _, _, err := SplitColumns(enc[:i], 2); err == nil {
+			t.Errorf("SplitColumns of %d/%d bytes succeeded unexpectedly", i, len(enc))
 		}
 	}
 }
 
 func TestListDecodeImplausibleCount(t *testing.T) {
-	// A header claiming 2^40 tuples in a few bytes must error, not OOM.
+	// A header claiming 2^42 tuples in a few bytes must error, not OOM.
 	b := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
-	if _, _, err := DecodeList(b); err == nil {
+	if _, err := DecodeColumns(1, b); err == nil {
 		t.Error("implausible count accepted")
 	}
+}
+
+// TestColumnsGoldenBytes pins one column list byte for byte: the count,
+// then column 0 of every tuple, then column 1, little endian.
+func TestColumnsGoldenBytes(t *testing.T) {
+	got := EncodeList(List{{1, -2}, {0.5, 3}})
+	want := []byte{
+		0x02,                                           // count
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, // 1
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, // 0.5
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, // -2
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, // 3
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("EncodeList = % x\nwant          % x", got, want)
+	}
+	n, body, size, err := SplitColumns(append(got, 0xEE), 2)
+	if err != nil || n != 2 || size != len(want) || !bytes.Equal(body, want[1:]) {
+		t.Fatalf("SplitColumns = %d, % x, %d, %v", n, body, size, err)
+	}
+	col := make([]float64, 2)
+	DecodeColumn(col, body, 1)
+	if col[0] != -2 || col[1] != 3 {
+		t.Errorf("column 1 decoded to %v", col)
+	}
+}
+
+// TestColumnsMalformed: every way a column list can be wrong is an error
+// from DecodeColumns, never a panic or a short answer.
+func TestColumnsMalformed(t *testing.T) {
+	one := EncodeList(List{{1, 2}, {3, 4}})
+	for name, c := range map[string]struct {
+		dim int
+		b   []byte
+	}{
+		"empty":                   {2, nil},
+		"truncated header":        {2, []byte{0x80}},
+		"count beyond the buffer": {2, []byte{0x03, 0, 0, 0, 0, 0, 0, 0, 0}},
+		"short column":            {2, one[:len(one)-1]},
+		"trailing bytes":          {2, append(slices.Clone(one), 0)},
+		"wider than the data":     {3, one},
+		"non-minimal count":       {2, append([]byte{0x82, 0x00}, one[1:]...)},
+		"no dimension":            {0, one},
+		"count overflows":         {2, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}},
+	} {
+		if l, err := DecodeColumns(c.dim, c.b); err == nil {
+			t.Errorf("%s: decoded %v", name, l)
+		}
+	}
+}
+
+// FuzzColumnsRoundTrip: decoding arbitrary bytes as a column list either
+// fails or yields tuples that encode back to exactly those bytes; it never
+// panics.
+func FuzzColumnsRoundTrip(f *testing.F) {
+	f.Add(uint8(1), EncodeList(List{{1, -2}, {0.5, 3}}))
+	f.Add(uint8(0), []byte{0x00})
+	f.Add(uint8(4), []byte{0x80, 0x01})
+	f.Fuzz(func(t *testing.T, dim uint8, b []byte) {
+		d := int(dim%8) + 1
+		l, err := DecodeColumns(d, b)
+		if err != nil {
+			return
+		}
+		if enc := EncodeList(l); !bytes.Equal(enc, b) {
+			t.Fatalf("%d-dimensional % x decoded to %v, which encodes to % x", d, b, l, enc)
+		}
+	})
 }
 
 func TestConcatenatedDecode(t *testing.T) {
@@ -225,69 +296,6 @@ func BenchmarkDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Decode(enc); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// TestScanListMatchesDecodeList: ScanList hands fn exactly the tuples
-// DecodeList decodes, in order, through one reused tuple, and consumes the
-// same bytes, as does a nil fn; a truncated list fails both ways, and an
-// error from fn stops the scan and comes back as it is. ListSize is the
-// encoded length, across the uvarint widths of count and dimensionality.
-func TestScanListMatchesDecodeList(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 200; trial++ {
-		d := 1 + rng.Intn(6)
-		l := make(List, rng.Intn(40))
-		for i := range l {
-			l[i] = make(Tuple, d)
-			for k := range l[i] {
-				l[i][k] = rng.NormFloat64()
-			}
-		}
-		enc := append(EncodeList(l), 0xEE) // a neighbour's byte follows
-		want, wn, err := DecodeList(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got List
-		var seen *float64
-		count, n, err := ScanList(enc, nil, func(u Tuple) error {
-			if seen != nil && &u[0] != seen {
-				t.Fatalf("trial %d: ScanList decoded into a second tuple", trial)
-			}
-			seen, got = &u[0], append(got, u.Clone())
-			return nil
-		})
-		if err != nil || count != len(want) || n != wn || !slices.EqualFunc(got, want, Tuple.Equal) {
-			t.Fatalf("trial %d: ScanList %d tuples over %d bytes (%v), DecodeList %d over %d", trial, count, n, err, len(want), wn)
-		}
-		if count, n, err := ScanList(enc, nil, nil); err != nil || count != len(want) || n != wn {
-			t.Fatalf("trial %d: scan without fn %d tuples over %d bytes (%v), want %d over %d", trial, count, n, err, len(want), wn)
-		}
-		if len(l) > 0 {
-			for cut := 0; cut < wn; cut++ {
-				if _, _, err := ScanList(enc[:cut], nil, nil); err == nil {
-					t.Fatalf("trial %d: scan without fn accepted %d of %d bytes", trial, cut, wn)
-				}
-				if _, _, err := ScanList(enc[:cut], make(Tuple, d), func(Tuple) error { return nil }); err == nil {
-					t.Fatalf("trial %d: ScanList accepted %d of %d bytes", trial, cut, wn)
-				}
-			}
-			stop := errors.New("stop")
-			calls := 0
-			if _, _, err := ScanList(enc, nil, func(Tuple) error { calls++; return stop }); err != stop || calls != 1 {
-				t.Fatalf("trial %d: fn's error came back as %v after %d calls", trial, err, calls)
-			}
-		}
-	}
-	for _, c := range []struct{ n, dim int }{{0, 3}, {1, 1}, {127, 5}, {128, 5}, {20000, 1}, {3, 127}, {3, 128}, {2, 300}} {
-		l := make(List, c.n)
-		for i := range l {
-			l[i] = make(Tuple, c.dim)
-		}
-		if got, want := ListSize(c.n, c.dim), len(EncodeList(l)); got != want {
-			t.Errorf("ListSize(%d, %d) = %d, encoded %d bytes", c.n, c.dim, got, want)
 		}
 	}
 }

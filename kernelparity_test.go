@@ -2,6 +2,7 @@ package mrskyline_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	mrskyline "mrskyline"
@@ -73,6 +74,35 @@ func TestKernelCountParity(t *testing.T) {
 				t.Errorf("%s: tests=%d size=%d, want tests=%d size=%d",
 					key, res.Stats.DominanceTests, res.Stats.SkylineSize, g.tests, g.size)
 			}
+		}
+	}
+}
+
+// TestKernelCountParityLargeGathers pins the counts of BenchmarkComputeAnti's
+// operation (anticorrelated 40 000 × 5, seed 7, default Options), whose
+// reducers filter partitions by candidate sets of a few hundred tuples, so
+// gather's bucket pass orders most of its candidates. That order is
+// (E-sum, position), a comparison sort's, so the counts are exact and
+// repeat at GOMAXPROCS 1 and at the default alike: no count depends on how
+// the tasks interleave.
+func TestKernelCountParityLargeGathers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full batch-anti operation at two GOMAXPROCS; skipped in -short mode")
+	}
+	data, err := mrskyline.Generate("anticorrelated", 40000, 5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		prev := runtime.GOMAXPROCS(procs)
+		res, err := mrskyline.Compute(data, mrskyline.Options{})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.DominanceTests != 5855278 || len(res.Skyline) != 7997 {
+			t.Errorf("GOMAXPROCS %d: tests=%d skyline=%d, want tests=5855278 skyline=7997",
+				procs, res.Stats.DominanceTests, len(res.Skyline))
 		}
 	}
 }
