@@ -112,6 +112,25 @@ func TestArchitecture(t *testing.T) {
 			},
 		},
 		{
+			"The plan is data",
+			"The driver forms a skyline job's buckets once (Plan.run: Algorithm 7's groups merged " +
+				"down to r, or MR-GPSRS's one bucket) and the job's spec carries them, so no task " +
+				"forms, merges or designates anything, on a worker process neither. Job 1's reducer " +
+				"returns occupancy and the driver prunes it, so the ablation switches (Config.Merge, " +
+				"Config.DisablePruning) never reach a job's spec.",
+			func() []string {
+				core := nonTest.where(inDir("internal/core"))
+				return join(
+					nonTest.idents("formBuckets", "bucketSlot", "OneBucket"),
+					exactly(1, "MergeGroups call in internal/core", core.calls("MergeGroups")),
+					exactly(1, "IndependentGroups call in internal/core", core.calls("IndependentGroups")),
+					exactly(1, "Prune call in internal/core", core.calls("Prune")),
+					exactly(1, "Prune call in ChoosePPDAndBitstring", core.callsInFunc("ChoosePPDAndBitstring", "Prune")),
+					tree.where(isFile("internal/core/kinds.go")).idents("DisablePruning", "Merge"),
+				)
+			},
+		},
+		{
 			"One input pass: the rows are the job input",
 			"Every algorithm's rows reach its jobs in one pass (core.EncodeRows): one row check, " +
 				"one orientation, one bounds fold widened by the rule grid.DataBounds also applies. The " +

@@ -30,10 +30,10 @@ type BitstringResult struct {
 
 // ppdSelectFuncs wires the Section 3.3 PPD-selection job's task functions,
 // for the driver and for the KindPPDSelect builder alike.
-func ppdSelectFuncs(card int, ladder *grid.Ladder, disablePruning bool) *mapreduce.JobFuncs {
+func ppdSelectFuncs(card int, ladder *grid.Ladder) *mapreduce.JobFuncs {
 	return &mapreduce.JobFuncs{
 		NewMapper:  func() mapreduce.Mapper { return newPPDSelectMapper(ladder) },
-		NewReducer: func() mapreduce.Reducer { return newPPDSelectReducer(card, ladder, disablePruning) },
+		NewReducer: func() mapreduce.Reducer { return newPPDSelectReducer(card, ladder) },
 	}
 }
 
@@ -87,11 +87,11 @@ func newPPDSelectMapper(ladder *grid.Ladder) mapreduce.Mapper {
 
 // newPPDSelectReducer builds the Section 3.3 reducer: merge each
 // candidate's bitstrings, count ρ, pick the candidate minimizing
-// |c/ρ − c/j^d|, prune the winner and emit uvarint(best) ++ bitstring. A
+// |c/ρ − c/j^d| and emit uvarint(best) ++ its occupancy bitstring. A
 // candidate above a mapper's full level arrives without that mapper's bits,
 // or not at all; it cannot win (see newPPDSelectMapper), so only the
 // winner's bitstring needs to be complete, and it is.
-func newPPDSelectReducer(card int, ladder *grid.Ladder, disablePruning bool) mapreduce.Reducer {
+func newPPDSelectReducer(card int, ladder *grid.Ladder) mapreduce.Reducer {
 	merged := make([]*bitstring.Bitstring, ladder.Len()) // nil: candidate received nothing
 	return mapreduce.ReducerFuncs{
 		ReduceFn: func(_ *mapreduce.TaskContext, key []byte, values [][]byte, _ mapreduce.Emitter) error {
@@ -114,7 +114,7 @@ func newPPDSelectReducer(card int, ladder *grid.Ladder, disablePruning bool) map
 			merged[i] = global
 			return nil
 		},
-		FlushFn: func(ctx *mapreduce.TaskContext, emit mapreduce.Emitter) error {
+		FlushFn: func(_ *mapreduce.TaskContext, emit mapreduce.Emitter) error {
 			rho := make(map[int]int, len(merged))
 			for i, bs := range merged {
 				if bs != nil {
@@ -129,14 +129,8 @@ func newPPDSelectReducer(card int, ladder *grid.Ladder, disablePruning bool) map
 				level = 0
 				merged[level] = bitstring.New(ladder.Grid(level).NumPartitions())
 			}
-			g, bs := ladder.Grid(level), merged[level]
-			ctx.Counters.Add("bitstring.nonempty", int64(bs.Count()))
-			if !disablePruning {
-				g.Prune(bs)
-			}
-			ctx.Counters.Add("bitstring.surviving", int64(bs.Count()))
-			payload := binary.AppendUvarint(nil, uint64(g.PPD()))
-			payload = bs.AppendEncode(payload)
+			payload := binary.AppendUvarint(nil, uint64(ladder.Grid(level).PPD()))
+			payload = merged[level].AppendEncode(payload)
 			emit(nil, payload)
 			return nil
 		},
@@ -173,8 +167,9 @@ func ppdCandidates(card, d int) []int {
 // ChoosePPDAndBitstring runs job 1, the extended MapReduce flow of Section
 // 3.3: mappers emit one local bitstring per candidate PPD, keyed by the
 // candidate; the single reducer merges each candidate's bitstrings, counts
-// non-empty partitions ρ, selects the candidate minimizing |c/ρ − c/j^d|,
-// prunes the winning global bitstring and returns it. PPD 0 runs the
+// non-empty partitions ρ and selects the candidate minimizing |c/ρ − c/j^d|;
+// the driver prunes the winner's global bitstring (Equation 2, unless
+// disablePruning) and returns it. PPD 0 runs the
 // candidate series. A fixed cfg.PPD p is the one candidate: grid.ChoosePPD
 // over {p: ρ} answers p whenever ρ ≥ 1, so the job is the bitstring
 // generation of Section 3.2 (Algorithms 1–2) with each mapper's bitstring
@@ -191,7 +186,7 @@ func ChoosePPDAndBitstring(cfg *Config, d, card int, input mapreduce.Input, disa
 		return nil, err
 	}
 
-	funcs := ppdSelectFuncs(card, ladder, disablePruning)
+	funcs := ppdSelectFuncs(card, ladder)
 	job := &mapreduce.Job{
 		Name:        "ppd-select",
 		Input:       input,
@@ -202,7 +197,7 @@ func ChoosePPDAndBitstring(cfg *Config, d, card int, input mapreduce.Input, disa
 	}
 	markKind(job, KindPPDSelect, ppdSelectSpec{
 		D: d, Card: card, Lo: cfg.Lo, Hi: cfg.Hi,
-		Candidates: candidates, DisablePruning: disablePruning,
+		Candidates: candidates,
 	})
 	doneExch := cfg.Engine.WallTracer().Timed(obs.DriverTrack, "bitstring-exchange", obs.CatAlgo, "algo.bitstring_exchange.ns")
 	res, err := cfg.Engine.RunContext(cfg.ctx(), job)
@@ -226,10 +221,14 @@ func ChoosePPDAndBitstring(cfg *Config, d, card int, input mapreduce.Input, disa
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding chosen bitstring: %w", err)
 	}
+	nonEmpty := bs.Count()
+	if !disablePruning {
+		ladder.Grid(level).Prune(bs)
+	}
 	return &BitstringResult{
 		Grid:      ladder.Grid(level),
 		Bitstring: bs,
-		NonEmpty:  int(res.Counters.Get("bitstring.nonempty")),
+		NonEmpty:  nonEmpty,
 		PPD:       int(best),
 		AutoPPD:   cfg.PPD == 0,
 		Job:       res,

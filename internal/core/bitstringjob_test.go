@@ -28,8 +28,7 @@ func internalTestConfig(t testing.TB) *Config {
 // included, to a reference that shares no job code: locate every row on
 // each candidate grid, count ρ, let grid.ChoosePPD pick, prune the winner.
 // Every case runs auto PPD and two fixed PPDs, 2 and the largest candidate;
-// PPD, AutoPPD, bitstring bytes, NonEmpty and both exact counters must
-// agree, and the auto job may shuffle no more than the same job whose
+// PPD, AutoPPD, bitstring bytes and NonEmpty must agree, and the auto job may shuffle no more than the same job whose
 // mappers emit every candidate. Rows come in three layouts: as generated;
 // sorted, so that some splits fill a candidate and others never do; and
 // copies of one row but the last, so that at d ≥ 2 no split fills one.
@@ -97,7 +96,7 @@ func checkChoosePPD(t *testing.T, name string, cfg *Config, rows tuple.List) boo
 		NumMappers:  cfg.mappers(),
 		NumReducers: 1,
 		NewMapper:   func() mapreduce.Mapper { return everyCandidateMapper(ladder) },
-		NewReducer:  func() mapreduce.Reducer { return newPPDSelectReducer(card, ladder, false) },
+		NewReducer:  func() mapreduce.Reducer { return newPPDSelectReducer(card, ladder) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,11 +121,6 @@ func checkJobOne(t *testing.T, name string, got *BitstringResult, auto bool, row
 	}
 	if got.NonEmpty != nonEmpty {
 		t.Fatalf("%s: NonEmpty %d, reference %d", name, got.NonEmpty, nonEmpty)
-	}
-	for c, w := range map[string]int{"bitstring.nonempty": nonEmpty, "bitstring.surviving": want.Count()} {
-		if g := got.Job.Counters.Get(c); g != int64(w) {
-			t.Fatalf("%s: counter %s = %d, reference %d", name, c, g, w)
-		}
 	}
 }
 

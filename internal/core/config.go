@@ -36,10 +36,12 @@ type Config struct {
 	PPD int
 
 	// Merge selects the group-merging policy of Section 5.4.1 (default:
-	// computation-cost balancing, the paper's choice).
+	// computation-cost balancing, the paper's choice). The driver reads
+	// it when it forms the skyline job's buckets.
 	Merge grid.MergeStrategy
-	// DisablePruning skips the Equation 2 partition pruning on the global
-	// bitstring (occupancy only). Ablation switch; never an improvement.
+	// DisablePruning skips the Equation 2 partition pruning, which the
+	// driver applies to job 1's global bitstring (occupancy only).
+	// Ablation switch; never an improvement.
 	DisablePruning bool
 
 	// Lo and Hi bound the data domain per dimension (half-open boxes
@@ -172,5 +174,5 @@ const (
 )
 
 // cacheKeyBitstring is the distributed-cache entry holding the global
-// bitstring for the skyline jobs.
+// bitstring for the skyline job's mappers.
 const cacheKeyBitstring = "global-bitstring"

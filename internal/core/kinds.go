@@ -12,7 +12,7 @@ import (
 // Every core job's task functions are pure functions of a small
 // serializable parameter set: the grid is rebuilt from (d, ppd, bounds),
 // the global bitstring travels in the distributed cache, and the skyline
-// job's buckets are formed in-task from that bitstring. The kinds
+// job's buckets, formed once by the driver, travel in its spec. The kinds
 // registered here let rpcexec worker processes reconstruct the job's
 // functions by calling the same …Funcs constructor the driver called, which
 // is what makes process-executor output byte-identical to the in-process
@@ -46,27 +46,29 @@ func (s gridSpec) build() (*grid.Grid, error) {
 	return grid.NewWithBounds(s.D, s.PPD, s.Lo, s.Hi)
 }
 
-// skySpec parametrizes the skyline job of MR-GPSRS and MR-GPMRS.
+// skySpec parametrizes the skyline job of MR-GPSRS and MR-GPMRS: the grid
+// and the job's buckets, indexed by bucket ID.
 type skySpec struct {
-	Grid  gridSpec `json:"grid"`
-	Merge int      `json:"merge,omitempty"` // MR-GPMRS only
-	// OneBucket selects MR-GPSRS's one bucket over MR-GPMRS's merged
-	// groups (skySpec.formBuckets).
-	OneBucket bool `json:"oneBucket,omitempty"`
-	// pool and formed are the job's window pool and bucket slot, made by
-	// skyFuncs and never serialized.
-	pool   *window.Pool
-	formed *bucketSlot
+	Grid    gridSpec `json:"grid"`
+	Buckets []bucket `json:"buckets"`
+	// pool is the job's window pool, made by skyFuncs and never serialized.
+	pool *window.Pool
+}
+
+// bucket is one reduce task's share of the skyline job: the partitions it
+// receives and those it alone outputs (Section 5.4.2), both ascending.
+type bucket struct {
+	Parts   []int `json:"parts"`
+	Outputs []int `json:"outputs"`
 }
 
 // ppdSelectSpec parametrizes the Section 3.3 PPD-selection job.
 type ppdSelectSpec struct {
-	D              int       `json:"d"`
-	Card           int       `json:"card"`
-	Lo             []float64 `json:"lo,omitempty"`
-	Hi             []float64 `json:"hi,omitempty"`
-	Candidates     []int     `json:"candidates"`
-	DisablePruning bool      `json:"disablePruning,omitempty"`
+	D          int       `json:"d"`
+	Card       int       `json:"card"`
+	Lo         []float64 `json:"lo,omitempty"`
+	Hi         []float64 `json:"hi,omitempty"`
+	Candidates []int     `json:"candidates"`
 }
 
 // markKind stamps a job with its kind and serialized spec, from which a
@@ -100,5 +102,5 @@ func buildPPDSelectKind(spec []byte) (*mapreduce.JobFuncs, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: ppd-select spec: %w", err)
 	}
-	return ppdSelectFuncs(s.Card, ladder, s.DisablePruning), nil
+	return ppdSelectFuncs(s.Card, ladder), nil
 }

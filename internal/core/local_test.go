@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -43,10 +42,10 @@ func TestUnorderedRunFailsTheTask(t *testing.T) {
 		// its run of partition 0 (uvarint count 1, uvarint partition 0).
 		ctx := &mapreduce.TaskContext{
 			NumMappers: 2, NumReducers: 1, Counters: mapreduce.NewCounters(), Trace: obs.NewMetricsOnly(),
-			Cache: mapreduce.Cache{cacheKeyBitstring: bitstring.FromIndices(g.NumPartitions(), 0).Encode()},
 		}
 		values := [][]byte{append([]byte{1, 0}, tuple.EncodeList(sorted)...), append([]byte{1, 0}, tuple.EncodeList(run)...)}
-		err = skyFuncs(skySpec{OneBucket: true}, g).NewReducer().Reduce(ctx, mapreduce.IntKey(0), values, func(_, _ []byte) {})
+		spec := skySpec{Buckets: gpsrsBuckets(bitstring.FromIndices(g.NumPartitions(), 0))}
+		err = skyFuncs(spec, g).NewReducer().Reduce(ctx, mapreduce.IntKey(0), values, func(_, _ []byte) {})
 		if err == nil || !strings.Contains(err.Error(), "run out of score order") {
 			t.Errorf("%s: reducer error = %v", name, err)
 		}
@@ -65,9 +64,10 @@ func TestUnorderedRunFailsTheTask(t *testing.T) {
 
 // TestOneBucketIsMergeGroupsAtOneReducer pins what lets MR-GPSRS run as
 // MR-GPMRS's skyline job: over seeded random bitstrings, the empty one and
-// single-partition ones among them, the one-bucket rule forms exactly the
-// bucket — partitions and responsibilities — that merging the independent
-// groups down to one reducer forms, under either merge strategy.
+// single-partition ones among them, the one-bucket rule (gpsrsBuckets)
+// forms exactly the bucket — partitions and outputs — that merging the
+// independent groups down to one reducer forms (gpmrsBuckets at r = 1),
+// under either merge strategy.
 func TestOneBucketIsMergeGroupsAtOneReducer(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
@@ -90,14 +90,14 @@ func TestOneBucketIsMergeGroupsAtOneReducer(t *testing.T) {
 				}
 			}
 		}
-		got := skySpec{OneBucket: true}.formBuckets(g, bs, 1)
+		got := gpsrsBuckets(bs)
 		for _, strat := range []grid.MergeStrategy{grid.MergeByComputation, grid.MergeByCommunication} {
-			want := grid.MergeGroups(g.IndependentGroups(bs), 1, strat)
+			want := gpmrsBuckets(g.IndependentGroups(bs), 1, strat)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d (%v, %d set): %d buckets, MergeGroups has %d", trial, strat, bs.Count(), len(got), len(want))
 			}
 			for i := range want {
-				if got[i].ID != want[i].ID || !slices.Equal(got[i].Partitions, want[i].Partitions) || !maps.Equal(got[i].Responsible, want[i].Responsible) {
+				if !slices.Equal(got[i].Parts, want[i].Parts) || !slices.Equal(got[i].Outputs, want[i].Outputs) {
 					t.Fatalf("trial %d (%v): bucket %+v, MergeGroups has %+v", trial, strat, got[i], want[i])
 				}
 			}

@@ -64,8 +64,8 @@ func TestTaskPublishesKernelMetrics(t *testing.T) {
 
 	type emitted struct{ key, value []byte }
 	for name, funcs := range map[string]*mapreduce.JobFuncs{
-		"gpsrs": skyFuncs(skySpec{OneBucket: true}, g),
-		"gpmrs": skyFuncs(skySpec{}, g),
+		"gpsrs": skyFuncs(skySpec{Buckets: gpsrsBuckets(bs)}, g),
+		"gpmrs": skyFuncs(skySpec{Buckets: gpmrsBuckets(g.IndependentGroups(bs), 2, grid.MergeByComputation)}, g),
 	} {
 		var out []emitted
 		counted, published, samples := taskMetrics(t, cache, func(ctx *mapreduce.TaskContext) error {

@@ -90,26 +90,36 @@ func (p *Plan) Run(cfg Config, algo Algorithm) (tuple.List, *Stats, error) {
 	return p.run(cfg, algo, DefaultHybridThreshold, time.Now())
 }
 
+// run decides the skyline job and forms its buckets, once, on the driver:
+// MR-GPMRS (or Hybrid's switch to it) merges Algorithm 7's groups down to
+// the reducer count, MR-GPSRS forms its one bucket without any groups.
 func (p *Plan) run(cfg Config, algo Algorithm, threshold int64, start time.Time) (tuple.List, *Stats, error) {
 	prep := p.prep
-	var groups []grid.Group
 	multi := algo == AlgoGPMRS
+	if algo == AlgoHybrid && cfg.reducers() > 1 && prep.NonEmpty > 0 {
+		estWorkload := int64(prep.Bitstring.Count()) * int64(p.card) / int64(prep.NonEmpty)
+		multi = estWorkload > threshold
+	}
+	var groups []grid.Group
 	if multi {
 		groups = prep.Grid.IndependentGroups(prep.Bitstring)
-	} else if algo == AlgoHybrid && cfg.reducers() > 1 {
-		var estWorkload int64
-		if prep.NonEmpty > 0 {
-			estWorkload = int64(prep.Bitstring.Count()) * int64(p.card) / int64(prep.NonEmpty)
-		}
-		if estWorkload > threshold {
-			groups = prep.Grid.IndependentGroups(prep.Bitstring)
-			multi = len(groups) >= 2
-		}
+		multi = algo == AlgoGPMRS || len(groups) >= 2
 	}
-	sky, st, err := skylineRun(cfg, p.input, prep, multi, groups, start)
-	if err != nil || algo != AlgoHybrid {
-		return sky, st, err
+	st, r := statsFromPrep("MR-GPSRS", prep), 1
+	var buckets []bucket
+	if multi {
+		r = cfg.reducers()
+		buckets = gpmrsBuckets(groups, r, cfg.Merge)
+		st.Algorithm, st.Groups, st.MergedGroups = "MR-GPMRS", len(groups), len(buckets)
+	} else {
+		buckets = gpsrsBuckets(prep.Bitstring)
 	}
-	st.Algorithm = "Hybrid(" + st.Algorithm + ")"
+	sky, err := skylineRun(cfg, p.input, prep, st, r, buckets, start)
+	if err != nil {
+		return nil, nil, err
+	}
+	if algo == AlgoHybrid {
+		st.Algorithm = "Hybrid(" + st.Algorithm + ")"
+	}
 	return sky, st, nil
 }

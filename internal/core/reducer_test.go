@@ -2,14 +2,16 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"mrskyline/internal/bitstring"
+	"mrskyline/internal/cluster"
 	"mrskyline/internal/datagen"
 	"mrskyline/internal/grid"
 	"mrskyline/internal/mapreduce"
@@ -19,19 +21,19 @@ import (
 	"mrskyline/internal/tuple"
 )
 
-// reduceBucket runs the skyline job's reducer on bucket b, as the engine
-// would call it, and returns the column lists it emitted (concatenated, in
-// emission order), its partCmp maximum and its dominance tests.
-func reduceBucket(g *grid.Grid, s skySpec, bs *bitstring.Bitstring, r, b int, values [][]byte) ([]byte, int64, int64, error) {
+// reduceBucket runs the skyline job's reducer on the bucket keyed key, as
+// the engine would call it, and returns the column lists it emitted
+// (concatenated, in emission order), its partCmp maximum and its dominance
+// tests. The task's context has no distributed cache.
+func reduceBucket(g *grid.Grid, s skySpec, r int, key []byte, values [][]byte) ([]byte, int64, int64, error) {
 	ctx := &mapreduce.TaskContext{
 		NumMappers: len(values), NumReducers: r, Counters: mapreduce.NewCounters(), Trace: obs.NewMetricsOnly(),
-		Cache: mapreduce.Cache{cacheKeyBitstring: bs.Encode()},
 	}
 	var out []byte
 	emit := func(_, v []byte) { out = append(out, v...) }
 	red := skyFuncs(s, g).NewReducer()
-	if err := red.Reduce(ctx, mapreduce.IntKey(b), values, emit); err != nil {
-		return nil, 0, 0, err
+	if err := red.Reduce(ctx, key, values, emit); err != nil {
+		return out, 0, 0, err
 	}
 	if err := red.Flush(ctx, emit); err != nil {
 		return nil, 0, 0, err
@@ -62,7 +64,7 @@ func decodeRows(t *testing.T, dim int, b []byte) tuple.List {
 // only the partitions a bucket outputs: every partition of the bucket is
 // merged and filtered, and the responsible ones are emitted. It returns the
 // emitted rows, encoded, and the pairs Algorithm 5 compared.
-func mergeEverything(t *testing.T, g *grid.Grid, mg grid.MergedGroup, runs map[int][]tuple.List) ([]byte, int64) {
+func mergeEverything(t *testing.T, g *grid.Grid, b bucket, runs map[int][]tuple.List) ([]byte, int64) {
 	t.Helper()
 	pw := partWindows{g: g, s: make(window.Map)}
 	for p, r := range runs {
@@ -75,8 +77,12 @@ func mergeEverything(t *testing.T, g *grid.Grid, mg grid.MergedGroup, runs map[i
 		}
 	}
 	pw.comparePartitions(nil)
+	outputs := make(map[int]bool)
+	for _, p := range b.Outputs {
+		outputs[p] = true
+	}
 	var out []byte
-	pw.emitColumns(func(_, v []byte) { out = append(out, v...) }, mg.Responsible)
+	pw.emitColumns(func(_, v []byte) { out = append(out, v...) }, outputs)
 	return out, pw.partCmp
 }
 
@@ -104,13 +110,12 @@ func TestReducerMergesOnlyResponsiblePartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	bs := bitstring.FromIndices(g.NumPartitions(), 0, 1, 2, 3, 4)
-	spec := skySpec{Merge: int(grid.MergeByComputation)}
-	buckets := spec.formBuckets(g, bs, 2)
-	if len(buckets) != 2 || !slices.Equal(buckets[0].Partitions, []int{0, 1, 3, 4}) ||
-		!maps.Equal(buckets[0].Responsible, map[int]bool{3: true, 4: true}) {
-		t.Fatalf("buckets %+v: want bucket 0 to hold partitions 0, 1, 3, 4 and output 3 and 4", buckets)
+	spec := skySpec{Buckets: gpmrsBuckets(g.IndependentGroups(bs), 2, grid.MergeByComputation)}
+	if len(spec.Buckets) != 2 || !slices.Equal(spec.Buckets[0].Parts, []int{0, 1, 3, 4}) ||
+		!slices.Equal(spec.Buckets[0].Outputs, []int{3, 4}) {
+		t.Fatalf("buckets %+v: want bucket 0 to hold partitions 0, 1, 3, 4 and output 3 and 4", spec.Buckets)
 	}
-	mg := buckets[0]
+	mg := spec.Buckets[0]
 	// Mapper B's (0.20, 0.10) dominates mapper A's (0.30, 0.30), so merging
 	// partition 0 would drop the latter. Raw, it comes first in partition
 	// 0's window and is what removes (0.35, 0.31) from cell (1,0) — tested
@@ -129,8 +134,8 @@ func TestReducerMergesOnlyResponsiblePartitions(t *testing.T) {
 		2: {{0.10, 0.90}},
 		3: {{0.40, 0.20}},
 	}
-	values := [][]byte{partMapValue(2, a, mg.Partitions), partMapValue(2, b, mg.Partitions)}
-	got, partCmp, tests, err := reduceBucket(g, spec, bs, 2, mg.ID, values)
+	values := [][]byte{partMapValue(2, a, mg.Parts), partMapValue(2, b, mg.Parts)}
+	got, partCmp, tests, err := reduceBucket(g, spec, 2, mapreduce.IntKey(0), values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +148,7 @@ func TestReducerMergesOnlyResponsiblePartitions(t *testing.T) {
 		}
 	}
 	for _, u := range skyline.Naive(all) {
-		if mg.Responsible[g.Locate(u)] {
+		if slices.Contains(mg.Outputs, g.Locate(u)) {
 			want = append(want, u)
 		}
 	}
@@ -152,7 +157,7 @@ func TestReducerMergesOnlyResponsiblePartitions(t *testing.T) {
 	}
 	runs := map[int][]tuple.List{}
 	for _, m := range []map[int]tuple.List{a, b} {
-		for _, p := range mg.Partitions {
+		for _, p := range mg.Parts {
 			if len(m[p]) > 0 {
 				runs[p] = append(runs[p], m[p])
 			}
@@ -175,8 +180,8 @@ func TestReducerMergesOnlyResponsiblePartitions(t *testing.T) {
 	// A run of a partition the bucket does not output is still checked
 	// against the score order, and fails the task naming the partition.
 	b[0] = tuple.List{{0.30, 0.30}, {0.20, 0.10}}
-	values[1] = partMapValue(2, b, mg.Partitions)
-	if _, _, _, err := reduceBucket(g, spec, bs, 2, mg.ID, values); err == nil || !strings.Contains(err.Error(), "partition 0 run out of score order") {
+	values[1] = partMapValue(2, b, mg.Parts)
+	if _, _, _, err := reduceBucket(g, spec, 2, mapreduce.IntKey(0), values); err == nil || !strings.Contains(err.Error(), "partition 0 run out of score order") {
 		t.Errorf("out-of-order raw run: error = %v", err)
 	}
 }
@@ -215,34 +220,149 @@ func TestReducerMatchesMergingEverything(t *testing.T) {
 		for _, r := range []int{1, 2, 3, 5} {
 			for _, strat := range []grid.MergeStrategy{grid.MergeByComputation, grid.MergeByCommunication} {
 				name := fmt.Sprintf("seed %d d=%d r=%d %v", seed, d, r, strat)
-				spec := skySpec{Merge: int(strat)}
+				spec := skySpec{Buckets: gpmrsBuckets(g.IndependentGroups(bs), r, strat)}
 				var sky tuple.List
-				for _, mg := range spec.formBuckets(g, bs, r) {
+				for id, mg := range spec.Buckets {
 					var values [][]byte
 					runs := map[int][]tuple.List{}
 					for _, m := range split {
-						if v := partMapValue(d, m, mg.Partitions); len(v) > 1 {
+						if v := partMapValue(d, m, mg.Parts); len(v) > 1 {
 							values = append(values, v)
 						}
-						for _, p := range mg.Partitions {
+						for _, p := range mg.Parts {
 							if len(m[p]) > 0 {
 								runs[p] = append(runs[p], m[p])
 							}
 						}
 					}
-					got, partCmp, _, err := reduceBucket(g, spec, bs, r, mg.ID, values)
+					got, partCmp, _, err := reduceBucket(g, spec, r, mapreduce.IntKey(id), values)
 					if err != nil {
-						t.Fatalf("%s bucket %d: %v", name, mg.ID, err)
+						t.Fatalf("%s bucket %d: %v", name, id, err)
 					}
 					ref, refCmp := mergeEverything(t, g, mg, runs)
 					if !bytes.Equal(got, ref) || partCmp > refCmp {
-						t.Fatalf("%s bucket %d: emitted %d bytes and %d pairs, merging everything %d and %d", name, mg.ID, len(got), partCmp, len(ref), refCmp)
+						t.Fatalf("%s bucket %d: emitted %d bytes and %d pairs, merging everything %d and %d", name, id, len(got), partCmp, len(ref), refCmp)
 					}
 					sky = append(sky, decodeRows(t, d, got)...)
 				}
 				if !tuple.EqualAsMultiset(sky, skyline.Naive(data)) {
 					t.Fatalf("%s: buckets emitted %d tuples, naive has %d", name, len(sky), len(skyline.Naive(data)))
 				}
+			}
+		}
+	}
+}
+
+// TestReducerRejectsUnknownBuckets: the reduce key indexes the job's
+// buckets, so a key that names none of them — negative, one past the last,
+// or not an integer key at all — fails the task with an error, never a
+// panic, and the reducer emits nothing.
+func TestReducerRejectsUnknownBuckets(t *testing.T) {
+	g, err := grid.New(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := bitstring.FromIndices(g.NumPartitions(), 0, 1, 2, 3, 4)
+	spec := skySpec{Buckets: gpmrsBuckets(g.IndependentGroups(bs), 2, grid.MergeByComputation)}
+	values := [][]byte{partMapValue(2, map[int]tuple.List{0: {{0.1, 0.1}}}, []int{0})}
+	for _, c := range []struct {
+		name, err string
+		key       []byte
+	}{
+		{"negative", "unknown bucket -1", mapreduce.IntKey(-1)},
+		{"past the last", fmt.Sprintf("unknown bucket %d", len(spec.Buckets)), mapreduce.IntKey(len(spec.Buckets))},
+		{"not an integer", "malformed key", []byte("bucket")},
+	} {
+		out, _, _, err := reduceBucket(g, spec, 2, c.key, values)
+		if err == nil || !strings.Contains(err.Error(), c.err) || len(out) != 0 {
+			t.Errorf("%s: error %v and %d bytes emitted, want an error naming %q and nothing", c.name, err, len(out), c.err)
+		}
+	}
+}
+
+// jobRecorder is an engine that keeps every job it runs.
+type jobRecorder struct {
+	*mapreduce.Engine
+	jobs []*mapreduce.Job
+}
+
+func (e *jobRecorder) RunContext(ctx context.Context, job *mapreduce.Job) (*mapreduce.Result, error) {
+	e.jobs = append(e.jobs, job)
+	return e.Engine.RunContext(ctx, job)
+}
+
+// TestSpecCarriesTheDriversBuckets: a worker process builds the skyline job
+// from its KindSkyline spec, so the spec must carry the buckets the driver
+// formed. For MR-GPMRS at r = 1, 3 and 8 and for MR-GPSRS, the spec of the
+// job the driver ran holds exactly grid.MergeGroups' buckets — ID as index,
+// partitions, and the partitions each outputs — and the reducer
+// buildSkylineKind builds knows those IDs and no other.
+func TestSpecCarriesTheDriversBuckets(t *testing.T) {
+	c, err := cluster.Uniform(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &jobRecorder{Engine: mapreduce.NewEngine(c)}
+	data := datagen.Generate(datagen.AntiCorrelated, 3000, 4, 7)
+	rows := make([][]float64, len(data))
+	for i, u := range data {
+		rows[i] = u
+	}
+	in, _, _, err := EncodeRows(rows, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Prepare(Config{Engine: rec, PPD: 3}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := plan.prep.Grid.IndependentGroups(plan.prep.Bitstring)
+	if len(groups) < 8 {
+		t.Fatalf("%d independent groups, want at least 8 to fill every reducer count here", len(groups))
+	}
+	for _, tc := range []struct {
+		algo Algorithm
+		r    int
+	}{{AlgoGPSRS, 3}, {AlgoGPMRS, 1}, {AlgoGPMRS, 3}, {AlgoGPMRS, 8}} {
+		name := fmt.Sprintf("%v r=%d", tc.algo, tc.r)
+		rec.jobs = nil
+		if _, _, err := plan.Run(Config{Engine: rec, NumReducers: tc.r}, tc.algo); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.jobs) != 1 || rec.jobs[0].Kind != KindSkyline {
+			t.Fatalf("%s: ran %d jobs, want one %s job", name, len(rec.jobs), KindSkyline)
+		}
+		want := grid.MergeGroups(groups, 1, grid.MergeByComputation)
+		if tc.algo == AlgoGPMRS {
+			want = grid.MergeGroups(groups, tc.r, grid.MergeByComputation)
+		}
+		var s skySpec
+		if err := json.Unmarshal(rec.jobs[0].Spec, &s); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Buckets) != len(want) {
+			t.Fatalf("%s: spec carries %d buckets, the driver formed %d", name, len(s.Buckets), len(want))
+		}
+		for id, b := range s.Buckets {
+			var outputs []int
+			for _, p := range want[id].Partitions {
+				if want[id].Responsible[p] {
+					outputs = append(outputs, p)
+				}
+			}
+			if want[id].ID != id || !slices.Equal(b.Parts, want[id].Partitions) || !slices.Equal(b.Outputs, outputs) {
+				t.Fatalf("%s: bucket %d is %+v, the driver formed ID %d, %v, outputs %v", name, id, b, want[id].ID, want[id].Partitions, outputs)
+			}
+		}
+		funcs, err := buildSkylineKind(rec.jobs[0].Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &mapreduce.TaskContext{NumReducers: tc.r, Counters: mapreduce.NewCounters(), Trace: obs.NewMetricsOnly()}
+		for id := range len(want) + 1 {
+			err := funcs.NewReducer().Reduce(ctx, mapreduce.IntKey(id), nil, func(_, _ []byte) {})
+			if (err != nil) != (id == len(want)) {
+				t.Errorf("%s: the built reducer's bucket %d: error %v", name, id, err)
 			}
 		}
 	}

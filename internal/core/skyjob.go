@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"slices"
+	"strings"
 	"time"
 
 	"mrskyline/internal/bitstring"
@@ -31,32 +32,21 @@ func GPMRS(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 	return compute(cfg, data, AlgoGPMRS, 0)
 }
 
-// skylineRun executes the skyline job against an already-prepared grid and
-// bitstring. multi selects MR-GPMRS, whose buckets are groups (the
-// bitstring's independent groups) merged down to the reducer count;
-// otherwise it runs MR-GPSRS, whose one bucket goes to one reducer.
-func skylineRun(cfg Config, input mapreduce.Input, prep *BitstringResult, multi bool, groups []grid.Group, start time.Time) (tuple.List, *Stats, error) {
-	g, bs := prep.Grid, prep.Bitstring
-	stats := statsFromPrep("MR-GPSRS", prep)
-	spec := skySpec{Grid: gridSpecOf(g), OneBucket: true}
-	name, r := "mr-gpsrs", 1
-	if multi {
-		name, r = "mr-gpmrs", cfg.reducers()
-		stats.Algorithm = "MR-GPMRS"
-		// Driver-side view of the deterministic group structure, for stats.
-		stats.Groups = len(groups)
-		stats.MergedGroups = len(grid.MergeGroups(groups, r, cfg.Merge))
-		spec.Merge, spec.OneBucket = int(cfg.Merge), false
-	}
-
+// skylineRun executes the skyline job the driver planned against an
+// already-prepared grid and bitstring: r reduce tasks over buckets, one of
+// the two bucket rules below. The job is named after st.Algorithm, and its
+// result completes st.
+func skylineRun(cfg Config, input mapreduce.Input, prep *BitstringResult, st *Stats, r int, buckets []bucket, start time.Time) (tuple.List, error) {
+	g := prep.Grid
+	spec := skySpec{Grid: gridSpecOf(g), Buckets: buckets}
 	skyStart := time.Now()
 	funcs := skyFuncs(spec, g)
 	job := &mapreduce.Job{
-		Name:        name,
+		Name:        strings.ToLower(st.Algorithm),
 		Input:       input,
 		NumMappers:  cfg.mappers(),
 		NumReducers: r,
-		Cache:       mapreduce.Cache{cacheKeyBitstring: bs.Encode()},
+		Cache:       mapreduce.Cache{cacheKeyBitstring: prep.Bitstring.Encode()},
 		Partition:   funcs.Partition,
 		NewMapper:   funcs.NewMapper,
 		NewReducer:  funcs.NewReducer,
@@ -64,21 +54,21 @@ func skylineRun(cfg Config, input mapreduce.Input, prep *BitstringResult, multi 
 	markKind(job, KindSkyline, spec)
 	res, err := cfg.Engine.RunContext(cfg.ctx(), job)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sky, err := tuple.DecodeColumns(g.Dim(), mapreduce.Values(res.Output)...)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: decoding skyline output: %w", err)
+		return nil, fmt.Errorf("core: decoding skyline output: %w", err)
 	}
-	finishStats(stats, res, sky, skyStart, start)
-	return sky, stats, nil
+	finishStats(st, res, sky, skyStart, start)
+	return sky, nil
 }
 
 // skyFuncs wires the skyline job's task functions from its spec, for the
 // driver and for the KindSkyline builder alike, around the job's one window
-// pool (DESIGN §11, "Window lifecycle") and its one bucket slot.
+// pool (DESIGN §11, "Window lifecycle").
 func skyFuncs(s skySpec, g *grid.Grid) *mapreduce.JobFuncs {
-	s.pool, s.formed = new(window.Pool), new(bucketSlot)
+	s.pool = new(window.Pool)
 	return &mapreduce.JobFuncs{
 		NewMapper:  func() mapreduce.Mapper { return newSkyMapper(s, g) },
 		NewReducer: func() mapreduce.Reducer { return newSkyReducer(s, g) },
@@ -86,45 +76,38 @@ func skyFuncs(s skySpec, g *grid.Grid) *mapreduce.JobFuncs {
 	}
 }
 
-// bucketSlot holds a job's buckets, formed once by the first task that
-// asks for them; every task of the job reads the same bitstring and
-// reducer count, and none writes the buckets.
-type bucketSlot struct {
-	once    sync.Once
-	buckets []grid.MergedGroup
-}
-
-// buckets returns the job's buckets, formed by its first task to ask.
-func (s skySpec) buckets(g *grid.Grid, bs *bitstring.Bitstring, r int) []grid.MergedGroup {
-	s.formed.once.Do(func() { s.formed.buckets = s.formBuckets(g, bs, r) })
-	return s.formed.buckets
-}
-
-// formBuckets forms the skyline job's reducer buckets over the surviving
-// partitions of bs: a pure function of the spec, bs and the reducer count
-// r, so the driver, every mapper and every reducer form the same ones.
-// MR-GPMRS merges the independent groups of Algorithm 7 down to r (Section
-// 5.4.1). MR-GPSRS has Algorithm 3's single key: one bucket that holds, and
-// outputs, every surviving partition. That is what MergeGroups yields at
-// r = 1, without forming the groups.
-func (s skySpec) formBuckets(g *grid.Grid, bs *bitstring.Bitstring, r int) []grid.MergedGroup {
-	if !s.OneBucket {
-		return grid.MergeGroups(g.IndependentGroups(bs), r, grid.MergeStrategy(s.Merge))
+// gpmrsBuckets forms MR-GPMRS's buckets: Algorithm 7's independent groups
+// merged down to r reducers (Section 5.4.1), each with the partitions it
+// alone outputs (Section 5.4.2).
+func gpmrsBuckets(groups []grid.Group, r int, strat grid.MergeStrategy) []bucket {
+	merged := grid.MergeGroups(groups, r, strat)
+	out := make([]bucket, len(merged))
+	for i, mg := range merged {
+		outputs := make([]int, 0, len(mg.Responsible))
+		for _, p := range mg.Partitions {
+			if mg.Responsible[p] {
+				outputs = append(outputs, p)
+			}
+		}
+		out[i] = bucket{Parts: mg.Partitions, Outputs: outputs}
 	}
+	return out
+}
+
+// gpsrsBuckets forms MR-GPSRS's bucket, Algorithm 3's single key: it holds,
+// and outputs, every surviving partition of bs. That is what gpmrsBuckets
+// forms at r = 1, without forming the groups.
+func gpsrsBuckets(bs *bitstring.Bitstring) []bucket {
 	parts := bs.Indices()
 	if len(parts) == 0 {
 		return nil
 	}
-	all := make(map[int]bool, len(parts))
-	for _, p := range parts {
-		all[p] = true
-	}
-	return []grid.MergedGroup{{Partitions: parts, Responsible: all}}
+	return []bucket{{Parts: parts, Outputs: parts}}
 }
 
 // bucketPartition routes bucket IDs to reduce tasks. Bucket IDs are dense
-// in [0, min(r, groups)), so identity routing sends bucket b to reduce task
-// b (Algorithm 8's "i % r" with the merge step already applied).
+// in [0, len(buckets)), at most r, so identity routing sends bucket b to
+// reduce task b (Algorithm 8's "i % r" with the merge step already applied).
 func bucketPartition(key []byte, r int) int {
 	b, err := mapreduce.ParseIntKey(key)
 	if err != nil || b < 0 {
@@ -161,15 +144,14 @@ func newSkyMapper(s skySpec, g *grid.Grid) mapreduce.Mapper {
 			w := state.finish()
 			doneLocal()
 			state.recordCounters(ctx, mapreduce.PhaseMap)
-			// Line 11: the job's buckets, a pure function of the cached
-			// bitstring and the reducer count, formed once per job.
+			// Line 11: the job's buckets, formed once by the driver.
 			var scratch []byte
-			for _, mg := range s.buckets(g, bs, ctx.NumReducers) {
-				scratch = appendPartMap(scratch[:0], w, mg.Partitions)
+			for id, b := range s.Buckets {
+				scratch = appendPartMap(scratch[:0], w, b.Parts)
 				if len(scratch) <= 1 {
 					continue // this mapper holds nothing for the bucket
 				}
-				emit(mapreduce.IntKey(mg.ID), scratch)
+				emit(mapreduce.IntKey(id), scratch)
 			}
 			state.release(nil)
 			return nil
@@ -179,9 +161,8 @@ func newSkyMapper(s skySpec, g *grid.Grid) mapreduce.Mapper {
 
 // newSkyReducer implements Algorithm 9 for one reduce task, which is
 // Algorithm 6 when the one bucket holds every surviving partition. The
-// task's key is its bucket ID; the job's buckets, formed from the cached
-// bitstring, also carry the responsible-partition designation of Section
-// 5.4.2.
+// task's key is its bucket ID, an index into the job's buckets, which also
+// carry the responsible-partition designation of Section 5.4.2.
 func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 	// No pool: held to the job's end, a reducer's windows and scratch would
 	// only raise its peak (DESIGN §11, "Window lifecycle").
@@ -193,27 +174,20 @@ func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 			if err != nil {
 				return err
 			}
-			bs, _, err := bitstring.Decode(ctx.Cache.MustGet(cacheKeyBitstring))
-			if err != nil {
-				return err
-			}
-			buckets := s.buckets(g, bs, ctx.NumReducers)
-			var mg *grid.MergedGroup
-			for i := range buckets {
-				if buckets[i].ID == b {
-					mg = &buckets[i]
-					break
-				}
-			}
-			if mg == nil {
+			if b < 0 || b >= len(s.Buckets) {
 				return fmt.Errorf("core: reducer received unknown bucket %d", b)
+			}
+			bk := s.Buckets[b]
+			outputs := make(map[int]bool, len(bk.Outputs))
+			for _, p := range bk.Outputs {
+				outputs[p] = true
 			}
 			// Lines 1–8: gather the mappers' runs per partition, still the
 			// column lists they crossed the shuffle as.
 			runs := make(map[int][][]byte)
 			for _, v := range values {
 				err := eachPart(v, g.Dim(), func(p int, list []byte) error {
-					if !mg.HasPartition(p) {
+					if _, ok := slices.BinarySearch(bk.Parts, p); !ok {
 						return fmt.Errorf("core: bucket %d received foreign partition %d", b, p)
 					}
 					runs[p] = append(runs[p], list)
@@ -228,11 +202,11 @@ func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 			group.s, group.sc = make(window.Map, len(runs)), s.pool.Scratch()
 			var raw []int
 			var rawRuns [][][]byte
-			for _, p := range mg.Partitions {
+			for _, p := range bk.Parts {
 				r, ok := runs[p]
 				switch {
 				case !ok:
-				case mg.Responsible[p]:
+				case outputs[p]:
 					if err := group.mergeRuns(p, r); err != nil {
 						return err
 					}
@@ -248,11 +222,11 @@ func newSkyReducer(s skySpec, g *grid.Grid) mapreduce.Reducer {
 				group.s[raw[i]] = &ws[i]
 			}
 			// Lines 9–10: eliminate false positives within the bucket.
-			group.comparePartitions(mg.Responsible)
+			group.comparePartitions(outputs)
 			// Line 11 + Section 5.4.2: output only designated partitions. Only
 			// merged windows may be released; the raw ones share one backing.
-			group.emitColumns(emit, mg.Responsible)
-			group.release(mg.Responsible)
+			group.emitColumns(emit, outputs)
+			group.release(outputs)
 			return nil
 		},
 		FlushFn: func(ctx *mapreduce.TaskContext, _ mapreduce.Emitter) error {

@@ -13,10 +13,11 @@ import (
 // eliminates duplicated skyline output).
 //
 // Everything here is a pure, deterministic function of the global bitstring
-// and the reducer count. That determinism is load-bearing: every mapper of
-// MR-GPMRS recomputes the groups independently (Algorithm 8, line 11), and
-// "inconsistency of independent groups across mappers would cause wrong
-// skyline results on reducers".
+// and the reducer count. The paper has every mapper recompute the groups
+// (Algorithm 8, line 11), where "inconsistency of independent groups across
+// mappers would cause wrong skyline results on reducers". Here the driver
+// forms a job's buckets once and the job's spec carries them to every task,
+// so no two tasks can disagree; determinism keeps a plan repeatable.
 
 // Group is one independent partition group (Definition 5): a set of
 // partitions closed under the anti-dominating region, so its skyline can be
@@ -79,12 +80,15 @@ const (
 	// MergeByComputation balances the reducers' estimated computation
 	// costs (the option the paper adopts after its preliminary tests):
 	// groups are assigned to the currently cheapest reducer in descending
-	// cost order (greedy longest-processing-time scheduling).
+	// cost order (greedy longest-processing-time scheduling), a cost tie
+	// going to the bucket holding fewer groups, so groups of cost 0 still
+	// spread over the empty buckets.
 	MergeByComputation MergeStrategy = iota
 	// MergeByCommunication minimizes replicated traffic: each group joins
 	// the reducer bucket with which it shares the most partitions. The
 	// paper notes this "does not guarantee the load balance among the
-	// reducers"; it is kept for the ablation benchmark.
+	// reducers"; it can leave buckets empty, and is kept for the ablation
+	// benchmark.
 	MergeByCommunication
 )
 
@@ -104,7 +108,7 @@ func (s MergeStrategy) String() string {
 // independent groups plus the designation of which partitions this reducer
 // is responsible for outputting (Section 5.4.2).
 type MergedGroup struct {
-	// ID is the reducer-bucket index in [0, r).
+	// ID is the bucket's index in MergeGroups' result.
 	ID int
 	// Groups lists the member groups.
 	Groups []Group
@@ -118,16 +122,11 @@ type MergedGroup struct {
 	Responsible map[int]bool
 }
 
-// HasPartition reports whether partition p belongs to the merged group.
-func (m *MergedGroup) HasPartition(p int) bool {
-	i := sort.SearchInts(m.Partitions, p)
-	return i < len(m.Partitions) && m.Partitions[i] == p
-}
-
 // MergeGroups distributes the independent groups over r reducers using the
 // given strategy, computes each merged group's partition union, and
-// designates a single responsible merged group per partition. The result
-// always has length min(r, len(groups)) (empty buckets are dropped) and is
+// designates a single responsible merged group per partition. Empty
+// buckets are dropped: under MergeByComputation the result has length
+// min(r, len(groups)), under MergeByCommunication it can be shorter. It is
 // deterministic for identical inputs.
 func MergeGroups(groups []Group, r int, strat MergeStrategy) []MergedGroup {
 	if r < 1 {
@@ -168,18 +167,20 @@ func MergeGroups(groups []Group, r int, strat MergeStrategy) []MergedGroup {
 		var target int
 		switch strat {
 		case MergeByComputation:
-			// Cheapest bucket; ties to the lowest ID.
+			// Cheapest bucket; ties to the one holding fewer groups, then
+			// to the lowest ID.
 			target = 0
 			for b := 1; b < nBuckets; b++ {
-				if buckets[b].Cost < buckets[target].Cost {
+				c, t := buckets[b], buckets[target]
+				if c.Cost < t.Cost || c.Cost == t.Cost && len(c.Groups) < len(t.Groups) {
 					target = b
 				}
 			}
 		case MergeByCommunication:
-			// Bucket sharing the most partitions; empty buckets count as
-			// overlap −1 so they are preferred over zero-overlap non-empty
-			// buckets only when every bucket has zero overlap and all are
-			// non-empty... we instead prefer: max overlap, then min cost.
+			// Bucket sharing the most partitions; ties to the cheaper
+			// bucket, then to the lowest ID. An empty bucket shares
+			// nothing, so a group sharing partitions with a filled bucket
+			// joins it and other buckets may stay empty.
 			bestOverlap, bestCost := -1, 0
 			target = -1
 			for b := 0; b < nBuckets; b++ {
@@ -203,14 +204,15 @@ func MergeGroups(groups []Group, r int, strat MergeStrategy) []MergedGroup {
 		}
 	}
 
-	// Materialize sorted partition unions, drop empty buckets (possible
-	// when len(groups) ≥ r but LPT never fills a bucket — cannot actually
-	// happen with LPT, but cheap to guard), then designate responsibility.
+	// Materialize sorted partition unions, drop empty buckets (only
+	// MergeByCommunication leaves any) and renumber the rest densely, then
+	// designate responsibility.
 	out := buckets[:0]
 	for i := range buckets {
 		if len(buckets[i].Groups) == 0 {
 			continue
 		}
+		buckets[i].ID = len(out)
 		parts := make([]int, 0, len(partsOf[i]))
 		for p := range partsOf[i] {
 			parts = append(parts, p)
